@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .dirichlet import DirichletCharacter, is_odd, mod_p_cyclotomic
-from .elliptic import Curve
+from .elliptic import Curve, is_prime
 from .errors import (
     BadReduction,
     InconsistentAp,
@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     NotOrdinary,
     ParseError,
+    RootLiftFailure,
 )
 from .mazur_tate import (
     analytic_iwasawa_invariants,
@@ -167,7 +168,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         raise NotOrdinary(f"{record.label}: a_p = {a_p} is 0 mod {p}")
 
     a_table = {ell: E.ap(ell) for ell in range(2, ell_bound + 1)
-               if _is_prime(ell) and N_cond % ell != 0 and ell != p}
+               if is_prime(ell) and N_cond % ell != 0 and ell != p}
 
     report = {
         "label": record.label,
@@ -199,10 +200,10 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
             scal = {}
             ell = 2
             while len(scal) < 6 and ell < 4 * ell_bound:
-                if N_cond % ell and ell != p and _is_prime(ell):
+                if N_cond % ell and ell != p and is_prime(ell):
                     try:
                         scal[ell] = frobenius_scalar(E, k, ell, p)
-                    except Exception:
+                    except (RootLiftFailure, BadReduction):
                         pass
                 ell += 1
             line_chars.append(identify_line_character(scal, p, N_cond))
@@ -341,14 +342,3 @@ def render_report(reports: list[dict], fmt: str = "json") -> str:
     lines.append("")
     lines.append(f"note: {MAIN_CONJECTURE_FLAG}")
     return "\n".join(lines)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

@@ -20,6 +20,7 @@ import json
 import sys
 
 from .analysis import analyze_many, ingest, render_report
+from .elliptic import is_prime
 from .errors import (
     InconsistentAp,
     InvalidModel,
@@ -70,16 +71,28 @@ def cmd_analyze(args) -> int:
     if p is None:
         print("error: --p is required (flag or config)", file=sys.stderr)
         return EXIT_INPUT
-    precision = args.precision or cfg.get("precision", 6)
-    layers = args.layers or cfg.get("layers", 3)
-    ell_bound = args.ell_bound or cfg.get("ell_bound", 200)
+    if type(p) is not int or p == 2 or not is_prime(p):
+        print(f"input error: p must be an odd prime, got {p!r}",
+              file=sys.stderr)
+        return EXIT_INPUT
+    sizes = {}
+    for key, flag, default in (("precision", args.precision, 6),
+                               ("layers", args.layers, 3),
+                               ("ell_bound", args.ell_bound, 200)):
+        value = flag if flag is not None else cfg.get(key, default)
+        if type(value) is not int or value < 1:
+            print(f"input error: {key} must be a positive integer, "
+                  f"got {value!r}", file=sys.stderr)
+            return EXIT_INPUT
+        sizes[key] = value
     fmt = args.format or cfg.get("format", "json")
     cache = args.cache or cfg.get("cache")
     try:
         records = ingest(args.curves)
         reports = analyze_many(
-            records, lambda rec: p, N_prec=precision, layers=layers,
-            ell_bound=ell_bound, cache_dir=cache,
+            records, lambda rec: p, N_prec=sizes["precision"],
+            layers=sizes["layers"], ell_bound=sizes["ell_bound"],
+            cache_dir=cache,
             verify_cache=args.verify_cache)
     except (ParseError, InvalidModel, InconsistentAp) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -219,7 +219,7 @@ class Curve:
         a = [0] * (n_max + 1)
         a[1] = 1
         disc = self.discriminant
-        primes = [q for q in range(2, n_max + 1) if _is_prime(q)]
+        primes = [q for q in range(2, n_max + 1) if is_prime(q)]
         for q in primes:
             if disc % q != 0:
                 aq = self.ap(q)
@@ -338,7 +338,7 @@ def _cube(a):
     return zpoly_mul(zpoly_mul(a, a), a)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

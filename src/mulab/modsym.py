@@ -5,8 +5,12 @@ three-term Manin relations; the cuspidal part is the kernel of the
 boundary map.  Hecke operators act through Merel's matrices.  A rational
 eigensymbol is cut out as a joint left-eigenvector and normalized so that
 its value on the path {0 -> oo} equals L(f,1) / (real Neron period of the
-designated curve), computed by an mpmath oracle and rationalized with a
-denominator bound.  All symbol arithmetic is exact.
+designated curve).  The two floating-point numbers come from mpmath: the
+period from the arithmetic-geometric mean of the 2-division roots, the
+L-value from the a_n series; their ratio is rationalized with a
+denominator bound.  All symbol arithmetic is exact: Hecke matrices are
+summed as integer slot counts and kept per space, and an eigensymbol keeps
+its value on every P^1 generator, so a path costs one integer sum.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .elliptic import Curve
+from .elliptic import Curve, is_prime
 from .errors import EigenspaceNotOneDimensional, EigenspaceNotRational
 from .linalg import clear_denominators, nullspace, rref
 
@@ -180,25 +184,23 @@ class ManinSymbolSpace:
         free = [s for s in range(slots) if s not in pivots]
         self.free_slots = free
         self.dim = len(free)
-        # express every slot in the free basis
-        expr = {}
-        for fi, s in enumerate(free):
-            v = [Fraction(0)] * self.dim
-            v[fi] = Fraction(1)
-            expr[s] = v
+        # express every slot in the free basis, as its nonzero
+        # (free index, coefficient) pairs
+        terms = {s: [(fi, Fraction(1))] for fi, s in enumerate(free)}
         for ri, pcol in enumerate(pivots):
-            v = [Fraction(0)] * self.dim
-            for fi, s in enumerate(free):
-                v[fi] = -R[ri][s]
-            expr[pcol] = v
-        self._slot_expr = expr
+            terms[pcol] = [(fi, -R[ri][s]) for fi, s in enumerate(free)
+                           if R[ri][s]]
+        self._slot_terms = terms
+        self._hecke = {}
 
     def project(self, i: int):
         """Coordinates of the i-th P^1 generator in the free basis."""
         s, sgn = self._red[i]
-        if s is None:
-            return [Fraction(0)] * self.dim
-        return [sgn * x for x in self._slot_expr[s]]
+        v = [Fraction(0)] * self.dim
+        if s is not None:
+            for fi, x in self._slot_terms[s]:
+                v[fi] = sgn * x
+        return v
 
     def basis_generator_indices(self):
         """A P^1 index representing each free basis slot (sign +1)."""
@@ -215,23 +217,36 @@ class ManinSymbolSpace:
     # -- operators -----------------------------------------------------------
 
     def hecke_matrix(self, n: int):
-        """T_n on the quotient (columns indexed by the free basis)."""
-        N = self.N
-        cols = []
-        for i in self.basis_generator_indices():
-            c, d = self.p1.reps[i]
-            acc = [Fraction(0)] * self.dim
-            for (a, b, cc, dd) in merel_matrices(n):
-                c1 = (a * c + cc * d) % N
-                d1 = (b * c + dd * d) % N
-                if gcd(gcd(c1, d1), N) != 1:
-                    continue
-                v = self.project(self.p1.index(c1, d1))
-                acc = [x + y for x, y in zip(acc, v)]
-            cols.append(acc)
-        # columns are images; matrix acts on coordinate vectors
-        return [[cols[j][i] for j in range(self.dim)]
-                for i in range(self.dim)]
+        """T_n on the quotient (columns indexed by the free basis).
+
+        Each column sums the signed slot counts of the Merel images as
+        integers and expands every slot once; the result is kept per n,
+        and each call returns a fresh copy of it."""
+        if n not in self._hecke:
+            N = self.N
+            merel = list(merel_matrices(n))
+            cols = []
+            for i in self.basis_generator_indices():
+                c, d = self.p1.reps[i]
+                counts = {}
+                for (a, b, cc, dd) in merel:
+                    c1 = (a * c + cc * d) % N
+                    d1 = (b * c + dd * d) % N
+                    if gcd(gcd(c1, d1), N) != 1:
+                        continue
+                    s, sgn = self._red[self.p1.index(c1, d1)]
+                    if s is not None:
+                        counts[s] = counts.get(s, 0) + sgn
+                acc = [Fraction(0)] * self.dim
+                for s, k in counts.items():
+                    if k:
+                        for fi, y in self._slot_terms[s]:
+                            acc[fi] += k * y
+                cols.append(acc)
+            # columns are images; matrix acts on coordinate vectors
+            self._hecke[n] = [[cols[j][i] for j in range(self.dim)]
+                              for i in range(self.dim)]
+        return [row[:] for row in self._hecke[n]]
 
     def star_matrix(self):
         """The involution (c:d) -> (-c:d)."""
@@ -324,65 +339,25 @@ def build_manin_space(N: int) -> ManinSymbolSpace:
 def real_period(E: Curve, dps: int = 50) -> mp.mpf:
     """Volume of E(R) for the invariant differential dx/(2y + a1x + a3).
 
-    The component period is 2 * int_(e1)^inf dx/sqrt(g); the head is
-    integrated after x = e1 + t^2 (which removes the square-root
-    singularity) and the tail comes from a binomial expansion of
-    g(x)^(-1/2) about x = inf, so the quadrature only ever sees a smooth
-    integrand on a finite interval.
+    With Y = 2y + a1x + a3 the curve reads Y^2 = g(x) = 4x^3 + b2x^2 +
+    2b4x + b6, and the least real period 2 * int_(e1)^inf dx/sqrt(g)
+    (e1 the largest real root of g) is a closed form in the
+    arithmetic-geometric mean of the roots (Cremona, Algorithms for
+    Modular Elliptic Curves, 3.7; Cohen, GTM 138, Alg. 7.4.7).  E(R) has
+    two components when the discriminant is positive.
     """
     with mp.workdps(dps):
-        b2, b4, b6 = E.b2, E.b4, E.b6
-        roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=400,
+        b2, b4 = mp.mpf(E.b2), mp.mpf(E.b4)
+        roots = mp.polyroots([4, E.b2, 2 * E.b4, E.b6], maxsteps=400,
                              extraprec=200)
-        real_roots = sorted(r.real for r in roots
-                            if abs(r.imag) < mp.mpf(10)**(-dps // 2))
-        e1 = max(real_roots)
-        gp = 12 * e1 * e1 + 2 * b2 * e1 + 2 * b4   # g'(e1)
-        gpp_half = 12 * e1 + b2                    # g''(e1)/2
-
-        def integrand(t):
-            u = t * t
-            return 1 / mp.sqrt(4 * u * u + gpp_half * u + gp)
-
-        bigroot = max(abs(r) for r in roots)
-        X = 32 * max(mp.mpf(1), bigroot, abs(e1))
-        T = mp.sqrt(X - e1)
-        head = 2 * mp.quad(integrand, [0, T / 8, T], maxdegree=14)
-        tail = _period_tail(b2, b4, b6, X, dps)
-        omega = 2 * (head + tail)
-        components = 2 if E.discriminant > 0 else 1
-        return components * omega
-
-
-def _period_tail(b2, b4, b6, X, dps):
-    """int_X^inf dx/sqrt(4x^3 + b2 x^2 + 2 b4 x + b6) by expanding
-    (1 + u)^(-1/2), u = (b2/4)/x + (b4/2)/x^2 + (b6/4)/x^3."""
-    u1, u2, u3 = mp.mpf(b2) / 4, mp.mpf(b4) / 2, mp.mpf(b6) / 4
-    # coefficients of u^k as a polynomial in 1/x, accumulated into
-    # inverse-power buckets: total integrand = x^(-3/2)/2 * sum c_j x^(-j)
-    terms = {0: mp.mpf(1)}  # current u^k expansion, k = 0
-    total = {0: mp.mpf(1)}
-    binom = mp.mpf(1)
-    kmax = 4 * dps
-    for k in range(1, kmax):
-        binom *= mp.mpf(2 * k - 1) / (2 * k) * (-1)
-        new = {}
-        for j, c in terms.items():
-            for dj, uc in ((1, u1), (2, u2), (3, u3)):
-                if uc:
-                    new[j + dj] = new.get(j + dj, mp.mpf(0)) + c * uc
-        terms = new
-        if not terms:
-            break
-        peak = max(abs(c) * X**(-j) for j, c in terms.items())
-        for j, c in terms.items():
-            total[j] = total.get(j, mp.mpf(0)) + binom * c
-        if peak * abs(binom) < mp.mpf(10)**(-dps - 8):
-            break
-    out = mp.mpf(0)
-    for j, c in total.items():
-        out += c * X**(mp.mpf(-0.5) - j) / (mp.mpf(0.5) + j)
-    return out / 2
+        if E.discriminant > 0:
+            e3, e2, e1 = sorted(r.real for r in roots)
+            return 2 * mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+        e1 = min(roots, key=lambda r: abs(r.imag)).real
+        beta = mp.sqrt(3 * e1 * e1 + b2 * e1 / 2 + b4 / 2)
+        alpha = 3 * e1 + b2 / 4
+        return 2 * mp.pi / mp.agm(2 * mp.sqrt(beta),
+                                  mp.sqrt(2 * beta + alpha))
 
 
 def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:
@@ -414,7 +389,11 @@ def rationalize(value: mp.mpf, max_den: int = 10**6,
 
 class EigenSymbol:
     """Rational dual eigenvector on the plus-quotient, normalized so that
-    the value of {0 -> oo} is L(f,1)/Omega_plus(E)."""
+    the value of {0 -> oo} is L(f,1)/Omega_plus(E).
+
+    Setting `phi` rebuilds the value of phi on every P^1 generator, kept
+    as integer numerators over one common denominator; `evaluate` sums
+    these along a path."""
 
     def __init__(self, space: ManinSymbolSpace, curve: Curve,
                  conductor: int, match_primes=None):
@@ -432,7 +411,7 @@ class EigenSymbol:
         out = []
         q = 2
         while len(out) < count:
-            if _is_prime_small(q) and self.conductor % q != 0:
+            if is_prime(q) and self.conductor % q != 0:
                 out.append(q)
             q += 1
         return out
@@ -490,38 +469,27 @@ class EigenSymbol:
         dens = [Fraction(x).denominator for x in self.phi]
         self.denominator_bound = lcm(*dens) if dens else 1
 
+    @property
+    def phi(self):
+        return self._phi
+
+    @phi.setter
+    def phi(self, phi):
+        sp = self.space
+        slot_values = {
+            s: sum((phi[fi] * x for fi, x in terms), Fraction(0))
+            for s, terms in sp._slot_terms.items()}
+        values = [Fraction(0) if s is None else sgn * slot_values[s]
+                  for s, sgn in sp._red]
+        den = lcm(*(v.denominator for v in values))
+        self._phi = phi
+        self._den = den
+        self._num = [v.numerator * (den // v.denominator) for v in values]
+
     def evaluate(self, a: int, m: int) -> Fraction:
         """[a/m]^+ = value of the path {a/m -> oo}."""
         if gcd(a, m) != 1:
             raise ValueError("a/m must be in lowest terms")
-        v = self.space.path_vector(a, m)
-        return sum((p * x for p, x in zip(self.phi, v)), Fraction(0))
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def eigen_symbol(space: ManinSymbolSpace, curve: Curve,
-                 conductor: int) -> EigenSymbol:
-    return EigenSymbol(space, curve, conductor)
-
-
-def hecke_operator(space: ManinSymbolSpace, ell: int):
-    """Exact matrix of T_ell on the quotient (ell coprime to the
-    level)."""
-    if space.N % ell == 0:
-        raise ValueError("ell must not divide the level")
-    return space.hecke_matrix(ell)
-
-
-def evaluate_symbol(es: EigenSymbol, a: int, m: int) -> Fraction:
-    """[a/m]^+ as an exact rational (gcd(a, m) = 1)."""
-    return es.evaluate(a, m)
+        num = self._num
+        return Fraction(-sum(num[i] for i in self.space.path_infty_to(a, m)),
+                        self._den)

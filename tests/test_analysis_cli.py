@@ -74,6 +74,24 @@ def test_analyze_rejects_bad_p():
         analyze(REC_37A1, 3)
 
 
+def test_analyze_conductor_77_base_value():
+    # the Tate model with a rational 3-torsion point at t = -8: L/Omega is
+    # 2/9, which a period good to ~1e-16 failed to rationalize
+    rep = analyze(CurveRecord("N77", (-8, 0, 1, 0, 0), 77), 3)
+    assert rep["normalization"]["base_symbol_value"] == "2/9"
+
+
+def test_analyze_propagates_unexpected_frobenius_errors(monkeypatch):
+    from mulab import analysis
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("broken Frobenius scalar")
+
+    monkeypatch.setattr(analysis, "frobenius_scalar", broken)
+    with pytest.raises(ZeroDivisionError):
+        analyze(REC_11A1, 5)
+
+
 def test_analyze_irreducible_still_reports_mu():
     # the conductor-19 curve is irreducible at p = 5 (no 5-isogeny),
     # rank 0 and ordinary there; mu/lambda are still computed
@@ -133,6 +151,40 @@ def test_cli_analyze_exit_codes(tmp_path, capsys):
     rc = main(["analyze", "--curves", str(tmp_path / "nope.json"),
                "--p", "5"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("p", ["2", "9", "1", "-5"])
+def test_cli_rejects_p_not_odd_prime(tmp_path, capsys, p):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    rc = main(["analyze", "--curves", curves, "--p", p])
+    assert rc == 3
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--precision", "--layers", "--ell-bound"])
+def test_cli_rejects_nonpositive_sizes(tmp_path, capsys, flag):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    for value in ("0", "-1"):
+        rc = main(["analyze", "--curves", curves, "--p", "5", flag, value])
+        assert rc == 3
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_config_values(tmp_path, capsys):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    for body in ("p = 9\n", "p = 5\nprecision = 0\n",
+                 'p = 5\nlayers = "3"\n'):
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text(body)
+        rc = main(["analyze", "--curves", curves, "--config", str(cfg)])
+        assert rc == 3
+        assert "input error:" in capsys.readouterr().err
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from mulab.dirichlet import factorize
@@ -10,6 +13,7 @@ from mulab.linalg import matmul
 from mulab.modsym import (
     EigenSymbol,
     build_manin_space,
+    merel_matrices,
     rationalize,
     real_period,
 )
@@ -154,7 +158,6 @@ def test_denominator_bound_recorded(sp11):
 
 
 def test_period_oracle_known_value():
-    import mpmath as mp
     om = real_period(E11A1)
     with mp.workdps(40):
         known = mp.mpf("1.269209304279553421688794616754547305")
@@ -169,7 +172,131 @@ def test_rank_positive_rejected():
 
 
 def test_rationalize_rejects_irrational():
-    import mpmath as mp
     with mp.workdps(50):
         with pytest.raises(EigenspaceNotRational):
             rationalize(mp.sqrt(2))
+
+
+# -- differential tests against the slow paths the fast core replaced --------
+
+CORPUS = json.loads(
+    (Path(__file__).resolve().parent.parent / "data"
+     / "corpus_reducible.json").read_text())
+
+
+def quadrature_period(E: Curve, dps: int = 50):
+    """Volume of E(R) for the invariant differential dx/(2y + a1x + a3),
+    by quadrature: the slow oracle the AGM closed form replaced.
+
+    The component period is 2 * int_(e1)^inf dx/sqrt(g); the head is
+    integrated after x = e1 + t^2 (which removes the square-root
+    singularity) and the tail comes from a binomial expansion of
+    g(x)^(-1/2) about x = inf, so the quadrature only ever sees a smooth
+    integrand on a finite interval.
+    """
+    with mp.workdps(dps):
+        b2, b4, b6 = E.b2, E.b4, E.b6
+        roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=400,
+                             extraprec=200)
+        real_roots = sorted(r.real for r in roots
+                            if abs(r.imag) < mp.mpf(10)**(-dps // 2))
+        e1 = max(real_roots)
+        gp = 12 * e1 * e1 + 2 * b2 * e1 + 2 * b4   # g'(e1)
+        gpp_half = 12 * e1 + b2                    # g''(e1)/2
+
+        def integrand(t):
+            u = t * t
+            return 1 / mp.sqrt(4 * u * u + gpp_half * u + gp)
+
+        bigroot = max(abs(r) for r in roots)
+        X = 32 * max(mp.mpf(1), bigroot, abs(e1))
+        T = mp.sqrt(X - e1)
+        head = 2 * mp.quad(integrand, [0, T / 8, T], maxdegree=14)
+        tail = _period_tail(b2, b4, b6, X, dps)
+        omega = 2 * (head + tail)
+        components = 2 if E.discriminant > 0 else 1
+        return components * omega
+
+
+def _period_tail(b2, b4, b6, X, dps):
+    """int_X^inf dx/sqrt(4x^3 + b2 x^2 + 2 b4 x + b6) by expanding
+    (1 + u)^(-1/2), u = (b2/4)/x + (b4/2)/x^2 + (b6/4)/x^3."""
+    u1, u2, u3 = mp.mpf(b2) / 4, mp.mpf(b4) / 2, mp.mpf(b6) / 4
+    # coefficients of u^k as a polynomial in 1/x, accumulated into
+    # inverse-power buckets: total integrand = x^(-3/2)/2 * sum c_j x^(-j)
+    terms = {0: mp.mpf(1)}  # current u^k expansion, k = 0
+    total = {0: mp.mpf(1)}
+    binom = mp.mpf(1)
+    kmax = 4 * dps
+    for k in range(1, kmax):
+        binom *= mp.mpf(2 * k - 1) / (2 * k) * (-1)
+        new = {}
+        for j, c in terms.items():
+            for dj, uc in ((1, u1), (2, u2), (3, u3)):
+                if uc:
+                    new[j + dj] = new.get(j + dj, mp.mpf(0)) + c * uc
+        terms = new
+        if not terms:
+            break
+        peak = max(abs(c) * X**(-j) for j, c in terms.items())
+        for j, c in terms.items():
+            total[j] = total.get(j, mp.mpf(0)) + binom * c
+        if peak * abs(binom) < mp.mpf(10)**(-dps - 8):
+            break
+    out = mp.mpf(0)
+    for j, c in total.items():
+        out += c * X**(mp.mpf(-0.5) - j) / (mp.mpf(0.5) + j)
+    return out / 2
+
+
+@pytest.mark.parametrize("rec", CORPUS, ids=lambda r: r["label"])
+def test_agm_period_matches_quadrature(rec):
+    E = Curve(*rec["ainvs"])
+    agm, quad = real_period(E), quadrature_period(E)
+    with mp.workdps(50):
+        assert abs(agm - quad) / quad < mp.mpf("1e-45")
+        assert mp.nstr(agm, 30) == mp.nstr(quad, 30)
+
+
+@pytest.mark.parametrize("label", ["11a1", "11a3", "n110-1"])
+def test_table_evaluate_matches_path_vector(label):
+    rec = next(r for r in CORPUS if r["label"] == label)
+    sp = build_manin_space(rec["conductor"])
+    es = EigenSymbol(sp, Curve(*rec["ainvs"]), rec["conductor"])
+    p = rec["p"]
+    for n in range(3):
+        m = p**(n + 1)
+        for a in range(1, m):
+            if a % p == 0:
+                continue
+            v = sp.path_vector(a, m)
+            expected = sum((x * y for x, y in zip(es.phi, v)), Fraction(0))
+            assert es.evaluate(a, m) == expected, (a, m)
+
+
+def hecke_by_projection(sp, n):
+    """T_n as the sum of the projected Merel images of each generator."""
+    N = sp.N
+    cols = []
+    for i in sp.basis_generator_indices():
+        c, d = sp.p1.reps[i]
+        acc = [Fraction(0)] * sp.dim
+        for (a, b, cc, dd) in merel_matrices(n):
+            c1 = (a * c + cc * d) % N
+            d1 = (b * c + dd * d) % N
+            if gcd(gcd(c1, d1), N) != 1:
+                continue
+            v = sp.project(sp.p1.index(c1, d1))
+            acc = [x + y for x, y in zip(acc, v)]
+        cols.append(acc)
+    return [[cols[j][i] for j in range(sp.dim)] for i in range(sp.dim)]
+
+
+@pytest.mark.parametrize("N", [11, 58, 110])
+def test_hecke_matrix_matches_projection_sum(N):
+    sp = build_manin_space(N)
+    for ell in (2, 3, 5, 7):
+        A = sp.hecke_matrix(ell)
+        assert A == hecke_by_projection(sp, ell), (N, ell)
+        A[0][0] += 1  # a caller's edit must not reach the kept matrix
+        assert sp.hecke_matrix(ell) == hecke_by_projection(sp, ell)

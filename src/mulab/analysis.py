@@ -32,6 +32,7 @@ from .mazur_tate import (
     read_theta_cache,
     regularized_Lp,
     serialize_theta,
+    theta_cache_key,
     theta_element,
     write_theta_cache,
 )
@@ -246,23 +247,21 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     for n in range(0, layers + 1):
         if n >= 1 and not precision_guard(N_prec, mu_estimate, n):
             break
-        theta = None
+        theta = cached = None
         if cache_dir:
-            cached = read_theta_cache(cache_dir, record.label, p, n)
-            if cached is not None and not verify_cache:
+            key = theta_cache_key(record.ainvs, N_cond, p, n, N_prec)
+            cached = read_theta_cache(cache_dir, record.label, p, n, key)
+            if not verify_cache:
                 theta = cached
         if theta is None:
             theta = theta_element(es, p, n, N_prec, label=record.label)
             if cache_dir:
-                if verify_cache:
-                    cached = read_theta_cache(cache_dir, record.label,
-                                              p, n)
-                    if cached is not None and serialize_theta(cached) != \
-                            serialize_theta(theta):
-                        raise InvariantViolation(
-                            f"{record.label}: cached theta_{n} differs "
-                            "from recomputation")
-                write_theta_cache(cache_dir, theta)
+                if cached is not None and serialize_theta(cached) != \
+                        serialize_theta(theta):
+                    raise InvariantViolation(
+                        f"{record.label}: cached theta_{n} differs "
+                        "from recomputation")
+                write_theta_cache(cache_dir, theta, key)
         thetas.append(theta)
         if n >= 1:
             L = regularized_Lp(thetas[n], thetas[n - 1], alpha)

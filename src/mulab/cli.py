@@ -76,13 +76,18 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     sizes = {}
-    for key, flag, default in (("precision", args.precision, 6),
-                               ("layers", args.layers, 3),
-                               ("ell_bound", args.ell_bound, 200)):
+    # below these minima analyze ends in NotStabilized on every curve
+    # (see mazur_tate.precision_guard)
+    for key, flag, default, least, reason in (
+            ("precision", args.precision, 6, 4,
+             "; layer 2 needs precision >= mu + 4"),
+            ("layers", args.layers, 3, 2,
+             "; mu and lambda need two consecutive layers"),
+            ("ell_bound", args.ell_bound, 200, 1, "")):
         value = flag if flag is not None else cfg.get(key, default)
-        if type(value) is not int or value < 1:
-            print(f"input error: {key} must be a positive integer, "
-                  f"got {value!r}", file=sys.stderr)
+        if type(value) is not int or value < least:
+            print(f"input error: {key} must be an integer >= {least}, "
+                  f"got {value!r}{reason}", file=sys.stderr)
             return EXIT_INPUT
         sizes[key] = value
     fmt = args.format or cfg.get("format", "json")

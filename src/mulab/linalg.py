@@ -1,47 +1,198 @@
-"""Exact rational linear algebra on dense Fraction matrices.
+"""Exact reduced row echelon form over Q by modular elimination.
 
-Small-scale (a few hundred rows) Gaussian elimination; no floating point
-anywhere.  Rows are lists of Fractions; helpers return new objects and
+`rref` scales each row to integers, row-reduces mod primes just below
+2^62 with plain Python ints, lifts the residues to rationals by rational
+reconstruction and accepts the candidate only after an exact integer
+check that every input row lies in its row span.  Since the rank mod a
+prime never exceeds the rank over Q, a candidate that passes the check
+is the reduced row echelon form of the input, so results are exact
+Fractions; no floating point anywhere.  Helpers return new objects and
 never mutate inputs.
+
+Multimodular linear algebra: W. Stein, Modular Forms: A Computational
+Approach, ch. 7.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+# the largest primes below 2^62, in decreasing order; `_large_primes`
+# continues the sequence with Miller-Rabin
+_PRIMES = (2**62 - 57, 2**62 - 87, 2**62 - 117, 2**62 - 143)
+
+# bases making Miller-Rabin deterministic below 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with fixed bases: exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _large_primes():
+    """The primes below 2^62, largest first."""
+    yield from _PRIMES
+    q = _PRIMES[-1] - 2
+    while True:
+        if is_probable_prime(q):
+            yield q
+        q -= 2
+
+
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators (int or Fraction
+    entries); a nonzero row scale leaves the row space unchanged."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _rref_mod(A, P):
+    """RREF of the integer rows A over F_P: (rows, pivot_columns)."""
+    M = [[x % P for x in row] for row in A]
+    nrows = len(M)
+    pivots = []
+    r = 0
+    for c in range(len(M[0])):
+        for i in range(r, nrows):
+            if M[i][c]:
+                break
+        else:
+            continue
+        M[r], M[i] = M[i], M[r]
+        # entries left of c in the pivot row are zero
+        prow = M[r][c:]
+        inv = pow(prow[0], -1, P)
+        if inv != 1:
+            prow = [x * inv % P for x in prow]
+        M[r][c:] = prow
+        for i in range(nrows):
+            f = M[i][c]
+            if f and i != r:
+                row = M[i]
+                row[c:] = [(x - f * y) % P for x, y in zip(row[c:], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return M[:r], pivots
+
+
+def _reconstruct(x, M, bound):
+    """n/d = x mod M with |n|, d <= bound, as (n, d); None if none."""
+    if x <= bound:
+        return x, 1
+    if M - x <= bound:
+        return x - M, 1
+    r0, r1, t0, t1 = M, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, abs(t1)) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(image, M):
+    """Integer rows N and a common denominator D with N/D = image mod M,
+    or None when some entry has no rational reconstruction."""
+    bound = isqrt(M // 2)
+    fracs = []
+    for row in image:
+        out = []
+        for x in row:
+            nd = _reconstruct(x, M, bound)
+            if nd is None:
+                return None
+            out.append(nd)
+        fracs.append(out)
+    D = lcm(*(d for row in fracs for _, d in row))
+    return [[n * (D // d) for n, d in row] for row in fracs], D
+
+
+def _spans(A, pivots, free, N, D):
+    """True when every row a of A equals sum_i a[pivots[i]] * R_i with
+    R_i = N_i / D, checked in integers on the free (non-pivot) columns,
+    which N holds; the pivot columns hold by construction."""
+    for a in A:
+        terms = [(a[p], N[i]) for i, p in enumerate(pivots) if a[p]]
+        for k, j in enumerate(free):
+            if D * a[j] != sum(c * row[k] for c, row in terms):
+                return False
+    return True
+
+
+def _better(pivots, than):
+    """A prime whose image has fewer pivots, or as many but one further
+    right, is unlucky: the k-th pivot mod a prime is never left of the
+    k-th pivot over Q."""
+    return (len(pivots) > len(than)
+            or (len(pivots) == len(than) and pivots < than))
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    A = _frac_rows(rows)
+    """Reduced row echelon form over Q; returns (rows, pivot_columns).
+
+    Entries may be ints or Fractions; the output keeps only the nonzero
+    rows, as lists of Fractions."""
+    A = _integer_rows(rows)
     if not A:
         return [], []
     ncols = len(A[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(A)):
-            if A[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    pivots = None
+    for P in _large_primes():
+        rows_p, piv_p = _rref_mod(A, P)
+        if pivots is None or _better(piv_p, pivots):
+            pivset = set(piv_p)
+            free = [j for j in range(ncols) if j not in pivset]
+            pivots, M = piv_p, P
+            image = [[row[j] for j in free] for row in rows_p]
+        elif piv_p == pivots:
+            # combine the two images by Chinese remaindering
+            u = pow(M, -1, P)
+            image = [[x + M * ((row[j] - x) * u % P)
+                      for x, j in zip(xs, free)]
+                     for xs, row in zip(image, rows_p)]
+            M *= P
+        else:
             continue
-        A[r], A[pivot_row] = A[pivot_row], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(A):
+        lifted = _lift(image, M)
+        if lifted is not None and _spans(A, pivots, free, *lifted):
             break
-    return A[:r], pivots
+    N, D = lifted
+    zero, one = Fraction(0), Fraction(1)
+    R = []
+    for p, nums in zip(pivots, N):
+        row = [zero] * ncols
+        row[p] = one
+        for j, n in zip(free, nums):
+            if n:
+                row[j] = Fraction(n, D)
+        R.append(row)
+    return R, pivots
 
 
 def nullspace(rows):
@@ -61,57 +212,8 @@ def nullspace(rows):
     return basis
 
 
-def matmul(A, B):
-    n, k = len(A), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(len(B))),
-                 Fraction(0)) for j in range(k)] for i in range(n)]
-
-
-def matvec(A, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
-            for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_sub_scalar(A, s):
-    """A - s*I."""
-    out = _frac_rows(A)
-    for i in range(len(out)):
-        out[i][i] -= s
-    return out
-
-
-def solve_in_span(basis_vectors, target):
-    """Coefficients expressing target in the span, or None.
-
-    basis_vectors: list of vectors (lists); target: vector.
-    """
-    if not basis_vectors:
-        return None if any(x != 0 for x in target) else []
-    n = len(target)
-    aug = [[Fraction(basis_vectors[j][i]) for j in
-            range(len(basis_vectors))] + [Fraction(target[i])]
-           for i in range(n)]
-    R, pivots = rref(aug)
-    k = len(basis_vectors)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        coeffs[c] = R[i][k]
-    return coeffs
-
-
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector."""
-    from math import gcd, lcm
     den = 1
     for x in v:
         den = lcm(den, Fraction(x).denominator)

@@ -228,43 +228,70 @@ def mu_sequence_admissible(mus: list[int]) -> bool:
 
 # -- on-disk cache -------------------------------------------------------------
 
+# bump when the file layout or the meaning of a cached theta changes
+CACHE_FORMAT = 2
+
 
 def cache_path(cache_dir: str, label: str, p: int, n: int) -> str:
     return os.path.join(cache_dir, label, str(p), f"theta_{n}.json")
 
 
-def serialize_theta(theta: MazurTateElement) -> str:
-    return json.dumps({
+def theta_cache_key(ainvs, conductor: int, p: int, n: int, N: int
+                    ) -> dict:
+    """Everything a cached (Neron-normalized) theta_n is computed from; a
+    cache file is reused only under an equal key, so a label reused for
+    another curve or another precision is a miss."""
+    return {"format": CACHE_FORMAT, "ainvs": list(ainvs),
+            "conductor": conductor, "p": p, "n": n, "N": N,
+            "normalization": "neron"}
+
+
+def serialize_theta(theta: MazurTateElement, key: dict | None = None
+                    ) -> str:
+    """Canonical JSON of theta; cache files also carry their key."""
+    data = {
         "label": theta.label,
         "p": theta.p,
         "N": theta.N,
         "n": theta.n,
         "normalization": theta.normalization,
         "coeffs": [str(c) for c in theta.coeffs],
-    }, sort_keys=True, separators=(",", ":"))
+    }
+    if key is not None:
+        data["key"] = key
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def write_theta_cache(cache_dir: str, theta: MazurTateElement) -> str:
+def write_theta_cache(cache_dir: str, theta: MazurTateElement,
+                      key: dict) -> str:
     path = cache_path(cache_dir, theta.label, theta.p, theta.n)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(serialize_theta(theta))
+        fh.write(serialize_theta(theta, key))
     os.replace(tmp, path)
     return path
 
 
-def read_theta_cache(cache_dir: str, label: str, p: int, n: int
-                     ) -> MazurTateElement | None:
+def read_theta_cache(cache_dir: str, label: str, p: int, n: int,
+                     key: dict) -> MazurTateElement | None:
+    """The theta_n cached under label, or None on a miss: no file, a
+    file stored under another key, or one that does not parse (corrupt
+    or truncated), which the caller recomputes and overwrites."""
     path = cache_path(cache_dir, label, p, n)
-    if not os.path.exists(path):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or data.get("key") != key:
+            return None
+        coeffs = tuple(Fraction(c) for c in data["coeffs"])
+        if len(coeffs) != p**n:
+            return None
+        return MazurTateElement(data["label"], p, data["N"], n,
+                                data["normalization"], coeffs)
+    except (FileNotFoundError, ValueError, KeyError, TypeError,
+            ZeroDivisionError):
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    return MazurTateElement(
-        data["label"], data["p"], data["N"], data["n"],
-        data["normalization"],
-        tuple(Fraction(c) for c in data["coeffs"]))
 
 
 def theta_valuations(theta: MazurTateElement) -> list[int]:

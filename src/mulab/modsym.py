@@ -174,7 +174,7 @@ class ManinSymbolSpace:
             if orbit in seen_orbits:
                 continue
             seen_orbits.add(orbit)
-            row = [Fraction(0)] * slots
+            row = [0] * slots
             for t in (i, j, k):
                 s, sgn = red[t]
                 if s is not None:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -253,3 +254,88 @@ def test_cli_cache_and_verify(tmp_path, capsys):
     rc = main(["analyze", "--curves", curves, "--p", "5",
                "--cache", cache, "--verify-cache"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("args,body,reason", [
+    (["--layers", "1"], "", "two consecutive layers"),
+    (["--precision", "3"], "", "precision >= mu + 4"),
+    (["--precision", "1"], "", "precision >= mu + 4"),
+    ([], "layers = 1\n", "two consecutive layers"),
+    ([], "precision = 2\n", "precision >= mu + 4"),
+], ids=["layers-1", "precision-3", "precision-1", "config-layers-1",
+        "config-precision-2"])
+def test_cli_rejects_sizes_that_cannot_stabilize(tmp_path, capsys, args,
+                                                 body, reason):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("p = 5\n" + body)
+    rc = main(["analyze", "--curves", curves, "--config", str(cfg)]
+              + args)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and reason in err
+
+
+def test_cli_smallest_sizes_accepted(tmp_path, capsys):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11}])
+    rc = main(["analyze", "--curves", curves, "--p", "5",
+               "--precision", "4", "--layers", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)[0]["mu"] == 0
+
+
+def test_cache_keyed_by_curve_not_label(tmp_path):
+    cache = str(tmp_path / "cache")
+    first = analyze(CurveRecord("X", (0, -1, 1, -10, -20), 11), 5,
+                    cache_dir=cache)
+    again = analyze(CurveRecord("X", (0, -1, 1, 0, 0), 11), 5,
+                    cache_dir=cache)
+    fresh = analyze(CurveRecord("X", (0, -1, 1, 0, 0), 11), 5)
+    assert (first["mu"], again["mu"]) == (1, 0)
+    assert again == fresh
+
+
+def test_cache_keyed_by_precision(tmp_path):
+    # a theta cached at precision 6 is a miss at precision 8, not a
+    # mismatch under --verify-cache
+    cache = str(tmp_path / "cache")
+    analyze(REC_11A1, 5, N_prec=6, cache_dir=cache)
+    rep = analyze(REC_11A1, 5, N_prec=8, cache_dir=cache, verify_cache=True)
+    assert rep == analyze(REC_11A1, 5, N_prec=8)
+
+
+def _cached_run(tmp_path, capsys, *extra):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    cache = str(tmp_path / "cache")
+    rc = main(["analyze", "--curves", curves, "--p", "5",
+               "--cache", cache, *extra])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_cli_corrupt_cache_file_is_recomputed(tmp_path, capsys):
+    rc, first, _ = _cached_run(tmp_path, capsys)
+    assert rc == 0
+    theta_file = tmp_path / "cache" / "11a1" / "5" / "theta_1.json"
+    good = theta_file.read_text()
+    theta_file.write_text(good[:len(good) // 2])
+    rc, second, _ = _cached_run(tmp_path, capsys)
+    assert (rc, second) == (0, first)
+    assert theta_file.read_text() == good
+
+
+def test_cli_tampered_cache_exits_2_under_verify(tmp_path, capsys):
+    rc, _, _ = _cached_run(tmp_path, capsys)
+    assert rc == 0
+    theta_file = tmp_path / "cache" / "11a1" / "5" / "theta_1.json"
+    data = json.loads(theta_file.read_text())
+    data["coeffs"][0] = str(Fraction(data["coeffs"][0]) + 1)
+    theta_file.write_text(json.dumps(data))
+    rc, _, err = _cached_run(tmp_path, capsys, "--verify-cache")
+    assert rc == 2
+    assert err.startswith("invariant violation:")

@@ -1,0 +1,176 @@
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from mulab import linalg, modsym
+from mulab.elliptic import Curve
+from mulab.linalg import _PRIMES, _large_primes, is_probable_prime, rref
+from mulab.modsym import EigenSymbol, build_manin_space
+
+
+def fraction_rref(rows):
+    """The Fraction Gaussian elimination `rref` replaced; the oracle."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    if not A:
+        return [], []
+    ncols = len(A[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(A)):
+            if A[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        A[r], A[pivot_row] = A[pivot_row], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return A[:r], pivots
+
+
+def assert_matches_oracle(rows):
+    R, pivots = rref(rows)
+    R0, pivots0 = fraction_rref(rows)
+    assert pivots == pivots0
+    assert R == R0
+    assert all(type(x) is Fraction for row in R for x in row)
+
+
+CORPUS = json.loads((Path(__file__).resolve().parents[1] / "data"
+                     / "corpus_reducible.json").read_text())
+LEVEL_CURVES = {}
+for _rec in CORPUS:
+    LEVEL_CURVES.setdefault(_rec["conductor"], []).append(_rec["ainvs"])
+LEVEL_CURVES[77] = [[-8, 0, 1, 0, 0]]
+LEVEL_CURVES[210] = []
+
+
+@pytest.mark.parametrize("N", sorted(LEVEL_CURVES))
+def test_symbol_matrices_match_fraction_rref(monkeypatch, N):
+    """Every rref call behind the relation matrix, the cuspidal boundary
+    and the eigen-constraint matrices equals the Fraction elimination."""
+    calls = []
+
+    def recording(rows):
+        calls.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(modsym, "rref", recording)
+    monkeypatch.setattr(linalg, "rref", recording)
+    sp = build_manin_space(N)
+    sp.cuspidal_dimension()
+    for ainvs in LEVEL_CURVES[N]:
+        EigenSymbol(sp, Curve(*ainvs), N)
+    assert len(calls) == 2 + len(LEVEL_CURVES[N])
+    for rows in calls:
+        assert_matches_oracle(rows)
+
+
+def random_matrix(rng, m, n, rank):
+    """m x n rational matrix of rank <= rank: a product of random
+    factors with small denominators."""
+    left = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(rank)] for _ in range(m)]
+    right = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              for _ in range(n)] for _ in range(rank)]
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*right)] for row in left]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_rational_matrices(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    rows = random_matrix(rng, m, n, rng.randint(0, min(m, n)))
+    assert_matches_oracle(rows)
+    # int entries are accepted as well
+    assert_matches_oracle([[int(x * 720) for x in row] for row in rows])
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], []], [[0, 0, 0]],
+                                  [[0, 0], [0, 0], [0, 0]], [[5]],
+                                  [[0], [Fraction(-3, 7)]]])
+def test_degenerate_shapes(rows):
+    assert_matches_oracle(rows)
+
+
+@pytest.mark.parametrize("rows,pivots", [
+    # rank 1 mod the first prime, rank 2 over Q
+    ([[1, 0], [0, _PRIMES[0]]], [0, 1]),
+    # rank 2 mod the first prime too, but with pivots [1, 2]
+    ([[_PRIMES[0], 1, 0], [0, 1, 1]], [0, 1]),
+])
+def test_unlucky_prime_is_dropped(rows, pivots):
+    assert rref(rows)[1] == pivots
+    assert_matches_oracle(rows)
+
+
+def test_pivot_order_of_images():
+    # more pivots, or as many further left, is the better image
+    assert linalg._better([0, 1], [0])
+    assert linalg._better([0, 1], [1, 2])
+    assert linalg._better([0, 2], [1, 2])
+    assert not linalg._better([1, 2], [0, 1])
+    assert not linalg._better([0, 1], [0, 1])
+    assert not linalg._better([0], [1, 2])
+
+
+def test_span_check_reads_every_row_and_free_column():
+    A = [[1, 2, 3], [2, 4, 6], [0, 0, 0]]
+    assert linalg._spans(A, [0], [1, 2], [[2, 3]], 1)
+    assert linalg._spans(A, [0], [1, 2], [[4, 6]], 2)
+    assert not linalg._spans(A, [0], [1, 2], [[2, 4]], 1)
+    assert not linalg._spans(A + [[0, 0, 1]], [0], [1, 2], [[2, 3]], 1)
+
+
+def test_entries_beyond_one_prime():
+    rows = [[3**60, 7**60], [2 * 3**60, 2 * 7**60]]
+    R, pivots = rref(rows)
+    assert pivots == [0]
+    assert R == [[1, Fraction(7**60, 3**60)]]
+    assert_matches_oracle(rows)
+    # a kernel vector with a large entry in every free column
+    rows = [[3**40, 0, 5**50, 1], [0, 11**30, 2**90, 13**20]]
+    assert_matches_oracle(rows)
+
+
+def test_rref_leaves_input_unchanged():
+    rows = [[Fraction(1, 2), 3], [2, Fraction(5, 3)]]
+    copy = [row[:] for row in rows]
+    rref(rows)
+    assert rows == copy
+
+
+def test_primes_are_the_largest_below_2_62():
+    assert all(is_probable_prime(q) for q in _PRIMES)
+    gen = _large_primes()
+    first = [next(gen) for _ in range(len(_PRIMES) + 3)]
+    assert tuple(first[:len(_PRIMES)]) == _PRIMES
+    assert all(is_probable_prime(q) for q in first)
+    # consecutive: no prime is skipped between 2^62 and the last one
+    assert not any(is_probable_prime(q)
+                   for q in range(first[-1] + 1, 2**62)
+                   if q not in first)
+
+
+def test_miller_rabin_against_trial_division():
+    from mulab.elliptic import is_prime
+    assert [q for q in range(3000) if is_probable_prime(q)] == \
+        [q for q in range(3000) if is_prime(q)]
+    # strong pseudoprimes to several small bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_probable_prime(n)

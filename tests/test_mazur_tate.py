@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mulab.mazur_tate import (
     read_theta_cache,
     regularized_Lp,
     serialize_theta,
+    theta_cache_key,
     theta_element,
     write_theta_cache,
 )
@@ -178,12 +180,49 @@ def test_not_stabilized_and_guard():
     assert not precision_guard(6, 2, 3)
 
 
+KEY_11A1 = theta_cache_key(CURVES["11a1"], 11, P, 2, N)
+
+
 def test_cache_round_trip(tmp_path, thetas):
     t = thetas["11a1"][2]
-    path = write_theta_cache(str(tmp_path), t)
-    again = read_theta_cache(str(tmp_path), "11a1", 5, 2)
+    path = write_theta_cache(str(tmp_path), t, KEY_11A1)
+    again = read_theta_cache(str(tmp_path), "11a1", 5, 2, KEY_11A1)
     assert again == t
     # byte-identical re-serialization
     assert serialize_theta(again) == serialize_theta(t)
     with open(path) as fh:
-        assert fh.read() == serialize_theta(t)
+        assert fh.read() == serialize_theta(t, KEY_11A1)
+
+
+def test_cache_miss_on_other_key(tmp_path, thetas):
+    t = thetas["11a1"][2]
+    write_theta_cache(str(tmp_path), t, KEY_11A1)
+    for other in (theta_cache_key(CURVES["11a3"], 11, P, 2, N),
+                  theta_cache_key(CURVES["11a1"], 11, P, 2, N + 2),
+                  dict(KEY_11A1, format=KEY_11A1["format"] - 1)):
+        assert read_theta_cache(str(tmp_path), "11a1", 5, 2, other) is None
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "list",
+                                    "short", "bad-coefficient"])
+def test_cache_miss_on_corrupt_file(tmp_path, thetas, damage):
+    t = thetas["11a1"][2]
+    path = write_theta_cache(str(tmp_path), t, KEY_11A1)
+    with open(path) as fh:
+        text = fh.read()
+    data = json.loads(text)
+    if damage == "truncate":
+        text = text[:len(text) // 2]
+    elif damage == "garbage":
+        text = "\x00\xff{"
+    elif damage == "list":
+        text = "[1, 2]"
+    elif damage == "short":
+        data["coeffs"] = data["coeffs"][:-1]
+        text = json.dumps(data)
+    else:
+        data["coeffs"][0] = "1/0"
+        text = json.dumps(data)
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert read_theta_cache(str(tmp_path), "11a1", 5, 2, KEY_11A1) is None

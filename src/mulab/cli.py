@@ -114,11 +114,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_lambda_invariants(args) -> int:
     from .iwasawa_modules import graded_ranks, load_presentation, \
-        mu_profile
+        profile_from_ranks
     try:
         pres = load_presentation(args.presentation)
         qs = graded_ranks(pres)
-        prof = mu_profile(pres)
+        prof = profile_from_ranks(qs, pres.N)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,7 +10,6 @@ so everything stays inside Z[x].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadReduction, InvalidModel
 
@@ -22,16 +21,6 @@ def zpoly_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def zpoly_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return zpoly_trim(out)
 
 
 def zpoly_sub(a, b):
@@ -55,51 +44,11 @@ def zpoly_mul(a, b):
     return zpoly_trim(out)
 
 
-def zpoly_scale(a, c):
-    return zpoly_trim([c * x for x in a])
-
-
 def zpoly_eval(a, x):
     out = 0
     for c in reversed(a):
         out = out * x + c
     return out
-
-
-def qpoly_divmod(a, b):
-    """Division with remainder over Q (inputs int or Fraction coeffs)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in zpoly_trim(list(b))]
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    r = a
-    while True:
-        r = [c for c in r]
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        d = len(r) - len(b)
-        c = r[-1] * inv
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[d + i] -= c * bc
-    return q, r
-
-
-def zpoly_divexact(a, b):
-    """Exact division over Z; raises if not exact."""
-    q, r = qpoly_divmod(a, b)
-    if any(c != 0 for c in r):
-        raise ValueError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ValueError("quotient not integral")
-        out.append(int(c))
-    return zpoly_trim(out)
 
 
 @dataclass(frozen=True)
@@ -134,10 +83,6 @@ class Curve:
     @property
     def c4(self):
         return self.b2**2 - 24 * self.b4
-
-    @property
-    def c6(self):
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
     @property
     def discriminant(self):

@@ -358,13 +358,6 @@ def fpoly_monic(a, ell):
     return [c * inv % ell for c in a]
 
 
-def fpoly_eval(a, x, ell):
-    out = 0
-    for c in reversed(a):
-        out = (out * x + c) % ell
-    return out
-
-
 def is_irreducible(f, ell) -> bool:
     """Monic f irreducible over F_ell: t^(ell^k) = t mod f and
     gcd(t^(ell^(k/q)) - t, f) = 1 for primes q | k."""

@@ -32,10 +32,6 @@ def mat_inv(a, m):
             -a[2] * dinv % m, a[0] * dinv % m)
 
 
-def mat_trace(a, m):
-    return (a[0] + a[3]) % m
-
-
 MAT_ID = (1, 0, 0, 1)
 
 

@@ -1,12 +1,13 @@
 """Refined mu-invariants of finitely presented torsion modules over
-Zp[[T]], computed through graded Smith-form ranks over Fp[[T]].
+Zp[[T]], computed through graded ranks over Fp[[T]].
 
 The k-th graded rank q_k is the Fp[[T]]-rank of p^(k-1) M / p^k M.  For a
 module whose p-power torsion is a sum of pieces Lambda/p^i, q_k counts the
 summands with i >= k, so the multiplicity of Lambda/p^i is q_i - q_(i+1).
 Everything is computed from the relation matrix by exact linear algebra:
-Smith form over Z/p^k to locate p^(k-1)-divisible relations, then a Smith
-form over the truncated series field coefficients to extract ranks.
+one Smith form over Z/p^N of the T-shifted relations locates the
+p^(k-1)-divisible relations for every k at once, and the Fp[[T]]-rank of
+the T-stable space W they span mod p is dim W - dim TW.
 Finite (pseudonull) junk is insensitive to the T-truncation bound, so each
 profile is recomputed at doubled truncation and must agree.
 """
@@ -24,6 +25,8 @@ from .errors import (
     PrecisionInsufficient,
     TruncationUnresolved,
 )
+from .linalg import is_probable_prime
+from .modp import rref_modp, smith_zpk
 
 Poly = tuple[int, ...]  # coefficients of a truncated polynomial in T
 
@@ -34,7 +37,7 @@ def _poly(coeffs, M: int, mod: int) -> Poly:
     return tuple(cs)
 
 
-def poly_mul(a: Poly, b: Poly, M: int, mod: int | None) -> Poly:
+def poly_mul(a: Poly, b: Poly, M: int) -> Poly:
     out = [0] * M
     for i, x in enumerate(a):
         if x:
@@ -42,94 +45,31 @@ def poly_mul(a: Poly, b: Poly, M: int, mod: int | None) -> Poly:
                 if i + j >= M:
                     break
                 out[i + j] += x * y
-    if mod is None:
-        return tuple(out)
-    return tuple(c % mod for c in out)
-
-
-def poly_add(a: Poly, b: Poly, mod: int | None) -> Poly:
-    if mod is None:
-        return tuple(x + y for x, y in zip(a, b))
-    return tuple((x + y) % mod for x, y in zip(a, b))
-
-
-def poly_neg(a: Poly, mod: int | None) -> Poly:
-    if mod is None:
-        return tuple(-x for x in a)
-    return tuple((-x) % mod for x in a)
-
-
-def _t_valuation(a: Poly, M: int) -> int:
-    for i, c in enumerate(a):
-        if c != 0:
-            return i
-    return M
-
-
-def _series_inverse(a: Poly, M: int, p: int) -> Poly:
-    """Inverse of a unit (a[0] != 0) in F_p[T]/(T^M)."""
-    inv0 = pow(a[0], -1, p)
-    out = [inv0] + [0] * (M - 1)
-    for i in range(1, M):
-        s = 0
-        for j in range(1, i + 1):
-            if j < len(a):
-                s += a[j] * out[i - j]
-        out[i] = (-inv0 * s) % p
     return tuple(out)
 
 
-def smith_rank_over_power_series_field_char_p(
-        rows: list[list[Poly]], p: int, M: int) -> tuple[int, list[int]]:
-    """Smith-form rank of a matrix over F_p[T]/(T^M).
+def poly_add(a: Poly, b: Poly) -> Poly:
+    return tuple(x + y for x, y in zip(a, b))
 
-    F_p[[T]] is a discrete valuation ring; pivoting on a globally minimal
-    T-valuation entry keeps every update exact mod T^M.  Returns the rank
-    (number of diagonal entries that are units times T-powers below M) and
-    the sorted list of diagonal T-exponents.
+
+def poly_neg(a: Poly) -> Poly:
+    return tuple(-x for x in a)
+
+
+def smith_rank_over_power_series_field_char_p(
+        basis: np.ndarray, p: int, M: int) -> int:
+    """Rank over F_p[[T]] of a T-stable subspace W of (F_p[T]/(T^M))^c.
+
+    `basis` holds an F_p-basis of W as rows of c blocks of M coefficients.
+    W is a sum of cyclic pieces T^e F_p[T]/(T^M), and multiplying by T
+    drops exactly one dimension from each piece with e < M, so the rank is
+    dim W - dim TW.
     """
-    A = [[_poly(e, M, p) for e in row] for row in rows]
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    exps: list[int] = []
-    r0 = c0 = 0
-    while r0 < nr and c0 < nc:
-        best = None
-        bv = M
-        for i in range(r0, nr):
-            for j in range(c0, nc):
-                v = _t_valuation(A[i][j], M)
-                if v < bv:
-                    bv = v
-                    best = (i, j)
-        if best is None or bv >= M:
-            break
-        bi, bj = best
-        A[r0], A[bi] = A[bi], A[r0]
-        for row in A:
-            row[c0], row[bj] = row[bj], row[c0]
-        pivot = A[r0][c0]
-        # pivot = T^bv * u with u a unit; every remaining entry has
-        # T-valuation >= bv, so quotients are exact mod T^M
-        u = pivot[bv:] + (0,) * bv
-        uinv = _series_inverse(u, M, p)
-        for i in range(r0 + 1, nr):
-            e = A[i][c0]
-            if all(c == 0 for c in e):
-                continue
-            quot = poly_mul(e[bv:] + (0,) * bv, uinv, M, p)
-            for j in range(c0, nc):
-                A[i][j] = poly_add(
-                    A[i][j],
-                    poly_neg(poly_mul(quot, A[r0][j], M, p), p), p)
-        # column elimination: entries below the pivot are already zero, so
-        # clearing the pivot-row tail is the whole of it
-        for j in range(c0 + 1, nc):
-            A[r0][j] = tuple(0 for _ in A[r0][j])
-        exps.append(bv)
-        r0 += 1
-        c0 += 1
-    return len(exps), sorted(exps)
+    n = basis.shape[0]
+    W = basis.reshape(n, -1, M)
+    TW = np.zeros_like(W)
+    TW[:, :, 1:] = W[:, :, :-1]
+    return n - len(rref_modp(TW.reshape(n, -1), p)[1])
 
 
 @dataclass(frozen=True)
@@ -188,7 +128,6 @@ class LambdaPresentation:
         lifts): the torsion witness for e.g. diag(p, p^2) is p^3, which a
         mod-p^N computation at N = 3 could not distinguish from zero.
         """
-        mod = None
         n = self.ncols
         one = (1,) + (0,) * (self.M - 1)
         # dp over subsets of used columns, rows taken in order
@@ -205,12 +144,12 @@ class LambdaPresentation:
                         continue
                     # sign: parity of columns already used above j
                     sgn = bin(mask >> (j + 1)).count("1") % 2
-                    term = poly_mul(v, e, self.M, mod)
+                    term = poly_mul(v, e, self.M)
                     if sgn:
-                        term = poly_neg(term, mod)
+                        term = poly_neg(term)
                     key = mask | bit
                     if key in nxt:
-                        nxt[key] = poly_add(nxt[key], term, mod)
+                        nxt[key] = poly_add(nxt[key], term)
                     else:
                         nxt[key] = term
             cur = nxt
@@ -237,108 +176,28 @@ class LambdaPresentation:
                          f"within {tried} submatrices")
 
 
-# -- Smith form over Z/p^k ---------------------------------------------------
-
-
-def _smith_zpk(G: np.ndarray, p: int, k: int):
-    """Diagonalize G over Z/p^k by unimodular operations.
-
-    Returns (diag_vals, Minv) where diag_vals[i] is the p-valuation of the
-    i-th diagonal entry (k meaning zero) and Minv's rows w_i satisfy
-    rowspan(G) = span{p^(d_i) w_i}.
-
-    Entries stay below p^k and all updates are elementwise, so int64 is
-    exact as long as p^(2k) fits (p^k < 3e9; far beyond desk scale).
-    """
-    pk = p**k
-    if pk > 2**31:
-        raise ValueError("p^k too large for the int64 fast path")
-    A = np.ascontiguousarray(G.astype(np.int64) % pk)
-    nr, nc = A.shape
-    Minv = np.eye(nc, dtype=np.int64)
-    diag: list[int] = []
-
-    def vals(block):
-        out = np.full(block.shape, k, dtype=np.int64)
-        tmp = block.copy()
-        for v in range(k):
-            newly = (tmp % p != 0) & (out == k)
-            out[newly] = v
-            tmp //= p
-        return out
-
-    r0 = 0
-    for c0 in range(min(nr, nc)):
-        sub = A[r0:, c0:]
-        if sub.size == 0:
-            break
-        V = vals(sub)
-        v = int(V.min())
-        if v >= k:
-            break
-        i, j = np.unravel_index(int(V.argmin()), V.shape)
-        bi, bj = r0 + int(i), c0 + int(j)
-        A[[r0, bi]] = A[[bi, r0]]
-        if bj != c0:
-            A[:, [c0, bj]] = A[:, [bj, c0]]
-            Minv[[c0, bj]] = Minv[[bj, c0]]
-        pivot = int(A[r0, c0])
-        uinv = pow(pivot // p**v, -1, pk)
-        # row elimination (rowspan-preserving), one vectorized update
-        col = A[r0 + 1:, c0]
-        if col.size:
-            q = (col // p**v) * uinv % pk
-            nzr = np.nonzero(col)[0]
-            if nzr.size:
-                A[r0 + 1 + nzr, :] = (
-                    A[r0 + 1 + nzr, :] - q[nzr, None] * A[r0, :]) % pk
-        # column elimination: col_j -= q*col_c0; Minv row_c0 += q*row_j
-        rowtail = A[r0, c0 + 1:]
-        nzc = np.nonzero(rowtail)[0]
-        if nzc.size:
-            q = (rowtail[nzc] // p**v) * uinv % pk
-            A[:, c0 + 1 + nzc] = (
-                A[:, c0 + 1 + nzc] - A[:, [c0]] * q[None, :]) % pk
-            Minv[c0, :] = (Minv[c0, :]
-                           + q @ Minv[c0 + 1 + nzc, :]) % pk
-        diag.append(v)
-        r0 += 1
-        if r0 >= nr:
-            break
-    return diag, Minv
-
-
 def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:
     p, N, c = pres.p, pres.N, pres.ncols
-    rows = pres.rows
+    # T^t * r_alpha for every relation and t < M, as vectors in
+    # (Z/p^N)^(c*M) with each column's M coefficients side by side;
+    # object entries, so that smith_zpk rejects a p^N beyond int64
+    nr = len(pres.rows)
+    rel = np.array(pres.rows, dtype=object).reshape(nr, c, M)
+    G = np.zeros((nr, M, c, M), dtype=object)
+    for t in range(M):
+        G[:, t, :, t:] = rel[:, :, :M - t]
+    diag, Minv = smith_zpk(G.reshape(nr * M, c * M), p, N)
+    # reduced mod p^k, Minv is still a Smith basis with diagonal
+    # min(d_i, k), so the rows w_i with d_i < k, reduced mod p, are an
+    # F_p-basis of (V intersect p^(k-1) R^c) / p^(k-1) for every k
     qs: list[int] = []
     for k in range(1, N + 1):
-        pk = p**k
-        # stack T^t * r_alpha as vectors in (Z/p^k)^(c*M)
-        stacked = []
-        for row in rows:
-            row_k = [_poly(e, M, pk) for e in row]
-            for t in range(M):
-                vec = []
-                for e in row_k:
-                    shifted = (0,) * t + e[:M - t]
-                    vec.extend(shifted)
-                stacked.append(vec)
-        G = np.array(stacked, dtype=object) if stacked else \
-            np.zeros((0, c * M), dtype=object)
-        diag, Minv = _smith_zpk(G, p, k)
-        # basis of (V intersect p^(k-1) R^c) / p^(k-1): rows w_i with
-        # d_i <= k-1, reduced mod p
-        basis_rows = [Minv[i, :] % p for i, d in enumerate(diag) if d < k]
-        if not basis_rows:
+        basis = Minv[[i for i, d in enumerate(diag) if d < k]] % p
+        if not len(basis):
             qs.append(c)
             continue
-        poly_rows = []
-        for w in basis_rows:
-            poly_rows.append([tuple(int(x) for x in w[i * M:(i + 1) * M])
-                              for i in range(c)])
-        rank, _ = smith_rank_over_power_series_field_char_p(poly_rows, p, M)
-        qs.append(c - rank)
+        qs.append(c - smith_rank_over_power_series_field_char_p(
+            basis, p, M))
     return qs
 
 
@@ -363,18 +222,17 @@ def graded_ranks(pres: LambdaPresentation) -> list[int]:
     return qs
 
 
-def mu_profile(pres: LambdaPresentation,
-               allow_lower_bound: bool = False) -> MuProfile:
+def profile_from_ranks(qs: list[int], N: int,
+                       allow_lower_bound: bool = False) -> MuProfile:
     """Refined mu-invariants from graded ranks: mu_i = q_i - q_(i+1).
 
     Requires q_N = 0 (the working precision sees past the mu-exponent);
     otherwise raises PrecisionInsufficient unless allow_lower_bound, in
     which case the truncated profile is returned (a lower bound).
     """
-    qs = graded_ranks(pres)
     if qs[-1] != 0 and not allow_lower_bound:
         raise PrecisionInsufficient(
-            f"q_N = {qs[-1]} > 0 at N = {pres.N}: mu-exponent not resolved")
+            f"q_N = {qs[-1]} > 0 at N = {N}: mu-exponent not resolved")
     ext = qs + [0]
     mus = [ext[i] - ext[i + 1] for i in range(len(qs))]
     while mus and mus[-1] == 0:
@@ -388,6 +246,12 @@ def mu_profile(pres: LambdaPresentation,
                      sum(vec))
 
 
+def mu_profile(pres: LambdaPresentation,
+               allow_lower_bound: bool = False) -> MuProfile:
+    """The refined mu-profile of `pres` (see `profile_from_ranks`)."""
+    return profile_from_ranks(graded_ranks(pres), pres.N, allow_lower_bound)
+
+
 def load_presentation(path: str) -> LambdaPresentation:
     """Read {"p": int, "N": int, "MT": int, "rows": [[[c0,c1,..], ..], ..]}."""
     with open(path) as fh:
@@ -395,4 +259,11 @@ def load_presentation(path: str) -> LambdaPresentation:
     for key in ("p", "N", "MT", "rows"):
         if key not in data:
             raise ValueError(f"presentation file missing '{key}'")
+    p = data["p"]
+    if type(p) is not int or not is_probable_prime(p):
+        raise ValueError(f"p must be a prime, got {p!r}")
+    for key in ("N", "MT"):
+        if type(data[key]) is not int or data[key] < 1:
+            raise ValueError(
+                f"{key} must be an integer >= 1, got {data[key]!r}")
     return LambdaPresentation(data["p"], data["N"], data["MT"], data["rows"])

@@ -31,64 +31,8 @@ from .group_model import (
     mat_inv,
     mat_mul,
 )
+from .modp import nullspace_modp, rref_modp, solve_modp
 from .padic import sqrt_unit_one_mod_p, val_int
-
-# -- F_p linear algebra (dense numpy) ------------------------------------------
-
-
-def rref_modp(A: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (R, pivot_cols)."""
-    R = A.astype(np.int64) % p
-    nr, nc = R.shape
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
-        rows = np.nonzero(R[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            R[rows] = (R[rows] - np.outer(R[rows, c], R[r])) % p
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def nullspace_modp(A: np.ndarray, p: int):
-    """Basis (rows) of the right kernel mod p."""
-    if A.size == 0:
-        return np.eye(A.shape[1], dtype=np.int64)
-    R, pivots = rref_modp(A, p)
-    nc = A.shape[1]
-    free = [c for c in range(nc) if c not in pivots]
-    basis = np.zeros((len(free), nc), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[ri, fc])) % p
-    return basis
-
-
-def solve_modp(A: np.ndarray, b: np.ndarray, p: int):
-    """One solution of A x = b mod p, or None."""
-    nr, nc = A.shape
-    aug = np.concatenate([A % p, (b % p).reshape(nr, 1)], axis=1)
-    R, pivots = rref_modp(aug, p)
-    if nc in pivots:
-        return None
-    x = np.zeros(nc, dtype=np.int64)
-    for ri, pc in enumerate(pivots):
-        x[pc] = R[ri, nc]
-    return x
-
 
 # -- adjoint module -------------------------------------------------------------
 
@@ -341,13 +285,6 @@ class RepresentationModPn:
 
     def reduce(self, n_new: int) -> "RepresentationModPn":
         return RepresentationModPn(self.model, self.p, n_new, self.images)
-
-    def restrict_images(self, element_indices):
-        return [self.images[i] for i in element_indices]
-
-    def det_character(self):
-        mod = self.p**self.n
-        return [mat_det(m, mod) for m in self.images]
 
     def rhobar(self):
         return [tuple(x % self.p for x in m) for m in self.images]

@@ -26,7 +26,6 @@ from .padic import (
     gamma_basis_to_T,
     mu_lambda_of_polynomial,
     teichmuller,
-    val_int,
 )
 
 
@@ -221,11 +220,6 @@ def precision_guard(N: int, mu_bound: int, n: int) -> bool:
     return N >= mu_bound + n + 2
 
 
-def mu_sequence_admissible(mus: list[int]) -> bool:
-    """mu along layers must be non-increasing (then constant)."""
-    return all(a >= b for a, b in zip(mus, mus[1:]))
-
-
 # -- on-disk cache -------------------------------------------------------------
 
 # bump when the file layout or the meaning of a cached theta changes
@@ -292,8 +286,3 @@ def read_theta_cache(cache_dir: str, label: str, p: int, n: int,
     except (FileNotFoundError, ValueError, KeyError, TypeError,
             ZeroDivisionError):
         return None
-
-
-def theta_valuations(theta: MazurTateElement) -> list[int]:
-    """p-valuations of the residue coefficients (requires integrality)."""
-    return [val_int(c, theta.p, theta.N) for c in theta.residues()]

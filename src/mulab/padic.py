@@ -234,9 +234,6 @@ class IwasawaPolynomial:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coeff(self, i: int) -> PAdicElement:
-        return PAdicElement(self.p, self.N, self.coeffs[i])
-
     def reduce_precision(self, N_new: int) -> "IwasawaPolynomial":
         return IwasawaPolynomial(self.p, N_new, self.M, self.coeffs)
 

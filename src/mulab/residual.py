@@ -13,7 +13,7 @@ group-law stability check in Q[x]/(h).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -567,40 +567,6 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
 def _trivial_alpha(p: int) -> DirichletCharacter:
     from .dirichlet import trivial_character
     return trivial_character(p, 1)
-
-
-def division_polynomial(E: Curve, p: int):
-    """The p-division polynomial psi_p (odd p), degree (p^2 - 1)/2."""
-    if p % 2 == 0:
-        raise ValueError("p must be odd")
-    return E.division_polynomial(p)
-
-
-@dataclass(frozen=True)
-class ResidualDescriptor:
-    """Classification data for one curve at one prime."""
-
-    prime: int
-    conductor: int
-    reducible: bool
-    ss_characters: tuple | None  # unordered pair of mod-p characters
-    stable_lines: tuple  # (character, kernel polynomial) per line
-    classification: str  # aligned | skew | irreducible
-    alignment_degree: int  # congruence lower-bound evidence
-    alignment_kind: str = "congruence-lower-bound"
-
-    def to_json(self, label: str) -> dict:
-        from .analysis import character_name
-        return {
-            "label": label,
-            "p": self.prime,
-            "reducible": self.reducible,
-            "ss": sorted(character_name(c) for c in self.ss_characters)
-            if self.ss_characters else None,
-            "classification": self.classification,
-            "alignment_degree": {"n": self.alignment_degree,
-                                 "kind": self.alignment_kind},
-        }
 
 
 # -- matrix-model lattice transform --------------------------------------------

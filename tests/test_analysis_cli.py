@@ -209,6 +209,19 @@ def test_cli_lambda_invariants(tmp_path, capsys):
     assert out["mu_vector"] == [1, 1] and out["mu"] == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", 4), ("p", 1), ("p", 5.0), ("p", True),
+    ("N", 0), ("N", -1), ("MT", 0)])
+def test_cli_lambda_invariants_rejects_bad_sizes(tmp_path, capsys, field,
+                                                 value):
+    spec = {"p": 5, "N": 3, "MT": 8, "rows": [[[5], [0]], [[0], [25]]]}
+    spec[field] = value
+    pres = write_json(tmp_path, "p.json", spec)
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert rc == 3
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_cli_lift_lab(capsys):
     rc = main(["lift-lab", "run", "data/scenarios/borel_z3.json"])
     assert rc == 0

@@ -1,13 +1,17 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from mulab.errors import NotTorsion, PrecisionInsufficient
+from mulab.modp import rref_modp, smith_zpk
 from mulab.padic import val_int
 from mulab.iwasawa_modules import (
     LambdaPresentation,
     MuProfile,
+    _graded_ranks_at,
+    _poly,
     graded_ranks,
     load_presentation,
     mu_profile,
@@ -19,16 +23,115 @@ def P(*coeffs):
     return list(coeffs)
 
 
+# -- oracle: one Smith form over Z/p^k per k, then a Smith form over
+# F_p[T]/(T^M) by minimal-T-valuation pivoting ------------------------------
+
+
+def _oracle_poly_mul(a, b, M, p):
+    out = [0] * M
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if i + j >= M:
+                    break
+                out[i + j] += x * y
+    return tuple(c % p for c in out)
+
+
+def _t_valuation(a, M):
+    return next((i for i, c in enumerate(a) if c != 0), M)
+
+
+def _series_inverse(a, M, p):
+    """Inverse of a unit (a[0] != 0) in F_p[T]/(T^M)."""
+    inv0 = pow(a[0], -1, p)
+    out = [inv0] + [0] * (M - 1)
+    for i in range(1, M):
+        s = sum(a[j] * out[i - j] for j in range(1, i + 1) if j < len(a))
+        out[i] = (-inv0 * s) % p
+    return tuple(out)
+
+
+def oracle_fpt_rank(rows, p, M):
+    """Smith-form rank of a matrix over F_p[T]/(T^M): pivot on a globally
+    minimal T-valuation entry, which keeps every update exact mod T^M."""
+    A = [[_poly(e, M, p) for e in row] for row in rows]
+    nr = len(A)
+    nc = len(A[0]) if nr else 0
+    rank = 0
+    while rank < nr and rank < nc:
+        bv, bi, bj = min((_t_valuation(A[i][j], M), i, j)
+                         for i in range(rank, nr) for j in range(rank, nc))
+        if bv >= M:
+            break
+        r0 = c0 = rank
+        A[r0], A[bi] = A[bi], A[r0]
+        for row in A:
+            row[c0], row[bj] = row[bj], row[c0]
+        uinv = _series_inverse(A[r0][c0][bv:] + (0,) * bv, M, p)
+        for i in range(r0 + 1, nr):
+            e = A[i][c0]
+            if not any(e):
+                continue
+            quot = _oracle_poly_mul(e[bv:] + (0,) * bv, uinv, M, p)
+            for j in range(c0, nc):
+                sub = _oracle_poly_mul(quot, A[r0][j], M, p)
+                A[i][j] = tuple((x - y) % p for x, y in zip(A[i][j], sub))
+        for j in range(c0 + 1, nc):
+            A[r0][j] = (0,) * M
+        rank += 1
+    return rank
+
+
+def oracle_graded_ranks_at(pres, M):
+    p, N, c = pres.p, pres.N, pres.ncols
+    qs = []
+    for k in range(1, N + 1):
+        pk = p**k
+        stacked = []
+        for row in pres.rows:
+            row_k = [_poly(e, M, pk) for e in row]
+            for t in range(M):
+                stacked.append([x for e in row_k
+                                for x in (0,) * t + e[:M - t]])
+        G = np.array(stacked, dtype=object) if stacked else \
+            np.zeros((0, c * M), dtype=object)
+        diag, Minv = smith_zpk(G, p, k)
+        # basis of (V intersect p^(k-1) R^c) / p^(k-1): rows w_i with
+        # d_i <= k-1, reduced mod p
+        basis_rows = [Minv[i, :] % p for i, d in enumerate(diag) if d < k]
+        if not basis_rows:
+            qs.append(c)
+            continue
+        poly_rows = [[tuple(int(x) for x in w[i * M:(i + 1) * M])
+                      for i in range(c)] for w in basis_rows]
+        qs.append(c - oracle_fpt_rank(poly_rows, p, M))
+    return qs
+
+
+def assert_matches_oracle(pres):
+    for M in (pres.M, 2 * pres.M, 3):
+        at = pres if M == pres.M else pres.with_truncation(M)
+        assert _graded_ranks_at(at, M) == oracle_graded_ranks_at(at, M), \
+            (pres.p, pres.N, M, pres.rows_raw)
+
+
+def t_span_basis(rows, p, M):
+    """An F_p-basis of the span of every T-shift of the given rows."""
+    shifts = [[x for e in row for x in (0,) * t + _poly(e, M, p)[:M - t]]
+              for row in rows for t in range(M)]
+    R, pivots = rref_modp(np.array(shifts, dtype=np.int64), p)
+    return R[:len(pivots)]
+
+
 def test_smith_rank_examples():
-    rank, exps = smith_rank_over_power_series_field_char_p(
-        [[(1,), (0,)], [(0,), (1,)]], 5, 8)
-    assert (rank, exps) == (2, [0, 0])
-    rank, exps = smith_rank_over_power_series_field_char_p(
-        [[(0, 1), (0,)], [(0,), (0, 0, 0, 1)]], 5, 8)
-    assert (rank, exps) == (2, [1, 3])
-    rank, exps = smith_rank_over_power_series_field_char_p(
-        [[(0, 1), (0, 1)], [(0, 1), (0, 1)]], 5, 8)
-    assert (rank, exps) == (1, [1])
+    for rows, rank in (([[(1,), (0,)], [(0,), (1,)]], 2),
+                       ([[(0, 1), (0,)], [(0,), (0, 0, 0, 1)]], 2),
+                       ([[(0, 1), (0, 1)], [(0, 1), (0, 1)]], 1)):
+        basis = t_span_basis(rows, 5, 8)
+        assert smith_rank_over_power_series_field_char_p(basis, 5, 8) \
+            == rank
+        assert oracle_fpt_rank(rows, 5, 8) == rank
 
 
 def quotient_cardinality(pres, k, j):
@@ -37,9 +140,6 @@ def quotient_cardinality(pres, k, j):
     p = pres.p
     # M/(p^k,T^j) = R^c / (rows + p^k + T^j); count via Smith over Z/p^k of
     # the stacked relations T^t * row restricted to T-degree < j
-    import numpy as np
-
-    from mulab.iwasawa_modules import _smith_zpk
     c = pres.ncols
     stacked = []
     pk = p**k
@@ -52,7 +152,7 @@ def quotient_cardinality(pres, k, j):
             stacked.append(vec)
     G = np.array(stacked, dtype=object) if stacked else \
         np.zeros((0, c * j), dtype=object)
-    diag, _ = _smith_zpk(G, p, k)
+    diag, _ = smith_zpk(G, p, k)
     # |quotient| = p^(k * c * j) / |V| and |V| = prod p^(k - d_i)
     size_V = sum(k - d for d in diag)
     return p**(k * c * j - size_V)
@@ -196,6 +296,7 @@ def test_structure_recovery_randomized():
         pres = LambdaPresentation(p, N, max(8, maxdeg + 4), scrambled)
         prof = mu_profile(pres)
         assert prof.mu_vector == vec, (trial, p, rows, prof)
+        assert_matches_oracle(pres)
 
 
 def test_load_presentation(tmp_path):
@@ -210,7 +311,6 @@ def test_mu_equals_det_content_valuation():
     """Cross-oracle: for square presentations of p-power-torsion modules,
     mu equals the p-valuation of the determinant's content."""
     rng = random.Random(424242)
-    from mulab.iwasawa_modules import _poly
     for _ in range(25):
         p = rng.choice([3, 5])
         N = 4
@@ -228,6 +328,7 @@ def test_mu_equals_det_content_valuation():
         pres = LambdaPresentation(p, N, max(8, maxdeg + 4), scrambled)
         prof = mu_profile(pres)
         assert prof.mu == mu_expected
+        assert_matches_oracle(pres)
         det = pres.torsion_certificate()
         content_val = min(val_int(abs(x), p, 64)
                           for x in det if x != 0)

@@ -20,7 +20,6 @@ import json
 import sys
 
 from .analysis import analyze_many, ingest, render_report
-from .elliptic import is_prime
 from .errors import (
     InconsistentAp,
     InvalidModel,
@@ -28,6 +27,7 @@ from .errors import (
     MuLabError,
     ParseError,
 )
+from .linalg import is_probable_prime
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -71,7 +71,7 @@ def cmd_analyze(args) -> int:
     if p is None:
         print("error: --p is required (flag or config)", file=sys.stderr)
         return EXIT_INPUT
-    if type(p) is not int or p == 2 or not is_prime(p):
+    if type(p) is not int or p == 2 or not is_probable_prime(p):
         print(f"input error: p must be an odd prime, got {p!r}",
               file=sys.stderr)
         return EXIT_INPUT

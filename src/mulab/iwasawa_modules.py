@@ -266,4 +266,12 @@ def load_presentation(path: str) -> LambdaPresentation:
         if type(data[key]) is not int or data[key] < 1:
             raise ValueError(
                 f"{key} must be an integer >= 1, got {data[key]!r}")
+    rows = data["rows"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(e, list) for e in row)
+            for row in rows):
+        raise ValueError("rows must be a list of rows of coefficient lists")
+    for c in (c for row in rows for e in row for c in e):
+        if type(c) is not int:
+            raise ValueError(f"coefficients must be integers, got {c!r}")
     return LambdaPresentation(data["p"], data["N"], data["MT"], data["rows"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -688,9 +689,19 @@ def membership_up_to_equivalence(data: LocalTameData, cond_type,
     p^(j+1) digit on; so the intermediate state after layer j must have
     conditions vanishing mod p^(j+1), and the admissible Y_j form an
     affine F_p-space.  Both images are scalar mod p at a trivial prime,
-    which makes the digit-moving map Y -> [Y, W_1] independent of the
+    which makes the digit-moving map L: Y -> [Y, W_1] independent of the
     layer and of the branch (states agree mod p^2 throughout); it is
     probed once and every solution branch is explored.
+
+    Once the p^0 and p^1 digits of the conditions vanish, they are all
+    0 mod p^2, so a change d moves the p^2 digit by d / p^2 mod p with no
+    carry.  Conjugating by Id + pY changes (Sigma, Tau) by
+    p[Y, W]A^-1 = p[Y, W] - p^2 [Y, W] Y mod p^3, which depends only on
+    W mod p^2.  So L depends only on (p, Sigma mod p^2, Tau mod p^2) in
+    the type's coordinates, and `_layer_solver` factors it once per such
+    key.  Below level 3 the root is already a leaf (layer 1 would fix the
+    p^2 digit, which does not exist), so L is never read there and is
+    not probed.
     """
     kind, sub = _condition_kind(cond_type)
     p, level, v = data.p, data.level, data.v
@@ -714,18 +725,10 @@ def membership_up_to_equivalence(data: LocalTameData, cond_type,
         return False  # digit-0 defects are impossible
     if level >= 2 and any(digits(vals0, 1)):
         return False  # no conjugator = Id mod p moves the p^1 digit
-    # probe the constant linear map Y -> change of digit (j+1), using
-    # layer j = 1 and Y running over a complement of the scalars
-    basis_Y = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    base = digits(cond_values(
-        *_conjugate_pair(S0, T0, (0, 0, 0, 0), 1, p, mod)), 2)
-    cols = []
-    for Y in basis_Y:
-        S2, T2 = _conjugate_pair(S0, T0, Y, 1, p, mod)
-        vec = digits(cond_values(S2, T2), 2)
-        cols.append([(a - b) % p for a, b in zip(vec, base)])
-    L = np.array(cols, dtype=np.int64).T % p
-    K = nullspace_modp(L, p)
+    if level >= 3:
+        p2 = p * p
+        E, pivots, offsets = _layer_solver(
+            p, tuple(x % p2 for x in S0), tuple(x % p2 for x in T0))
 
     nodes = 0
 
@@ -742,24 +745,57 @@ def membership_up_to_equivalence(data: LocalTameData, cond_type,
             if cond_type == "D_v":
                 return x % p == 0 and y % p == 0
             return _subtype_valuations_ok(x, y, sub, p, level)
-        b = np.array([(-d) % p
-                      for d in digits(cond_values(S, T), j + 1)],
-                     dtype=np.int64)
-        y0 = solve_modp(L, b, p)
-        if y0 is None:
+        # solve L Y = b: E b is the reduced right-hand side, zero below
+        # the rank iff the system is consistent
+        b = [(-d) % p for d in digits(cond_values(S, T), j + 1)]
+        e = [sum(r * x for r, x in zip(row, b)) % p for row in E]
+        if any(e[len(pivots):]):
             return False
-        for coeffs in itertools.product(range(p), repeat=K.shape[0]):
-            Y = [int(y0[i]) for i in range(3)]
-            for cc, krow in zip(coeffs, K):
-                for i in range(3):
-                    Y[i] = (Y[i] + cc * int(krow[i])) % p
-            S2, T2 = _conjugate_pair(S, T, (Y[0], Y[1], Y[2], 0),
-                                     j, p, mod)
+        y0 = [0, 0, 0]
+        for i, col in enumerate(pivots):
+            y0[col] = e[i]
+        for off in offsets:
+            Y = ((y0[0] + off[0]) % p, (y0[1] + off[1]) % p,
+                 (y0[2] + off[2]) % p, 0)
+            S2, T2 = _conjugate_pair(S, T, Y, j, p, mod)
             if dfs(S2, T2, j + 1):
                 return True
         return False
 
     return dfs(S0, T0, 1)
+
+
+@lru_cache(maxsize=None)
+def _layer_solver(p: int, S0: tuple, T0: tuple):
+    """Factor the digit-moving map L of `membership_up_to_equivalence`
+    for the key (p, S0 mod p^2, T0 mod p^2).
+
+    L is probed at modulus p^3 with layer j = 1 and Y running over a
+    complement of the scalars: column i is the change of the six
+    condition entries under Id + p Y_i, read as its p^2 digit.  Returns
+    plain-int tuples (E, pivots, offsets): E is invertible with E L the
+    reduced row echelon form of L, pivots are its pivot columns, and
+    offsets are the p^(dim ker L) kernel elements in the order of
+    itertools.product over the coefficients of a kernel basis.
+    """
+    mod = p**3
+    cols = []
+    for Y in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)):
+        S2, T2 = _conjugate_pair(S0, T0, Y, 1, p, mod)
+        cols.append([((new[i] - old[i]) % mod) // (p * p)
+                     for new, old in ((S2, S0), (T2, T0))
+                     for i in (2, 0, 3)])
+    L = np.array(cols, dtype=np.int64).T
+    R, pivots = rref_modp(
+        np.concatenate([L, np.eye(6, dtype=np.int64)], axis=1), p)
+    pivots = tuple(col for col in pivots if col < 3)
+    E = tuple(tuple(int(x) for x in row[3:]) for row in R)
+    K = [[int(x) for x in row] for row in nullspace_modp(L, p)]
+    offsets = tuple(
+        tuple(sum(cc * k[i] for cc, k in zip(coeffs, K)) % p
+              for i in range(3))
+        for coeffs in itertools.product(range(p), repeat=len(K)))
+    return E, pivots, offsets
 
 
 def _conjugate_pair(S, T, Y, j, p, mod):

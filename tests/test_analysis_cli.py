@@ -164,6 +164,17 @@ def test_cli_rejects_p_not_odd_prime(tmp_path, capsys, p):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_cli_rejects_large_composite_p_at_once(tmp_path, capsys):
+    # (10^9 + 7)(10^9 + 9): trial division would take minutes
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    rc = main(["analyze", "--curves", curves,
+               "--p", str((10**9 + 7) * (10**9 + 9))])
+    assert rc == 3
+    assert "input error: p must be an odd prime" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--precision", "--layers", "--ell-bound"])
 def test_cli_rejects_nonpositive_sizes(tmp_path, capsys, flag):
     curves = write_json(tmp_path, "c.json", [
@@ -216,6 +227,18 @@ def test_cli_lambda_invariants_rejects_bad_sizes(tmp_path, capsys, field,
                                                  value):
     spec = {"p": 5, "N": 3, "MT": 8, "rows": [[[5], [0]], [[0], [25]]]}
     spec[field] = value
+    pres = write_json(tmp_path, "p.json", spec)
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert rc == 3
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    [[[5.9]]], [[["25"]]], [[[True]]], [[[5], [0]], [[0], ["25"]]],
+    [[5]], [5], "rows"])
+def test_cli_lambda_invariants_rejects_bad_coefficients(tmp_path, capsys,
+                                                        rows):
+    spec = {"p": 5, "N": 3, "MT": 4, "rows": rows}
     pres = write_json(tmp_path, "p.json", spec)
     rc = main(["lambda-invariants", "--presentation", pres])
     assert rc == 3

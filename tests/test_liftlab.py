@@ -1,17 +1,21 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from mulab import liftlab
 from mulab.errors import NoUnitSquareRoot, SizeBound, TameRelationError
 from mulab.group_model import (
     group_from_matrices,
     group_from_permutations,
     mat_det,
+    mat_inv,
     mat_mul,
     verify_table_associativity,
 )
 from mulab.liftlab import (
+    TYPE_CONJUGATORS,
     AdjointModule,
     LocalTameData,
     RepresentationModPn,
@@ -33,7 +37,13 @@ from mulab.liftlab import (
     twist,
     twist_tame,
     z1_basis,
+    _condition_kind,
+    _conjugate_pair,
+    _layer_solver,
+    _sqrt_factor,
+    _subtype_valuations_ok,
 )
+from mulab.modp import nullspace_modp, rref_modp, solve_modp
 
 
 def cyclic(n):
@@ -337,9 +347,6 @@ def test_membership_conjugation_invariant():
     """The equivalence-aware membership verdict must not change under
     conjugation of the input by matrices congruent to Id mod p (that is
     the soundness property of the layered normal-form search)."""
-    import random
-
-    from mulab.group_model import mat_inv
     rng = random.Random(99)
     v, p = 11, 5
     cs = basis_cocycles(v, p, y_param=0)
@@ -445,3 +452,276 @@ def test_submodule_functoriality_exactness():
         proj = v.reshape(n, 3)[:, 1:].reshape(-1)
         assert not np.any(reduce_against(Bq, bq_piv, proj))
     assert dim_img == dim_ker, (dim_img, dim_ker, dim_h1_ad)
+
+
+# -- differential test: the per-node numpy search as the oracle ---------------
+
+CONDITION_NAMES = ("type1", "type2", "type3", "type4", "D_v", "D_v_nr",
+                   "D_v_ram")
+
+
+def oracle_cond_values(S, T, c, v, mod):
+    """The six entries that vanish on the parametrized shape."""
+    return (S[2] % mod, (S[0] - c * v) % mod, (S[3] - c) % mod,
+            T[2] % mod, (T[0] - 1) % mod, (T[3] - 1) % mod)
+
+
+def oracle_prepare(data, cond_type, psi_sigma):
+    """(S0, T0, c) in the type's coordinates, and whether the p^0 and
+    p^1 digits of the conditions vanish."""
+    kind, _ = _condition_kind(cond_type)
+    p, level, v = data.p, data.level, data.v
+    mod = p**level
+    B = TYPE_CONJUGATORS[kind]
+    Binv = mat_inv(B, mod)
+    S0 = mat_mul(mat_mul(Binv, data.Sigma, mod), B, mod)
+    T0 = mat_mul(mat_mul(Binv, data.Tau, mod), B, mod)
+    c = _sqrt_factor(psi_sigma, v, p, level)
+    ok = all(x % p**min(2, level) == 0
+             for x in oracle_cond_values(S0, T0, c, v, mod))
+    return S0, T0, c, ok
+
+
+def oracle_digit_map(S0, T0, c, v, p, mod):
+    """The digit-moving map L probed at full precision mod `mod`, on the
+    unreduced (S0, T0): digit 2 of each condition value after conjugating
+    by Id + p Y, minus its digit 2 before."""
+    def digit2(Y):
+        S, T = _conjugate_pair(S0, T0, Y, 1, p, mod)
+        return [(x // p**2) % p
+                for x in oracle_cond_values(S, T, c, v, mod)]
+
+    base = digit2((0, 0, 0, 0))
+    cols = []
+    for Y in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)):
+        cols.append([(a - b) % p for a, b in zip(digit2(Y), base)])
+    return np.array(cols, dtype=np.int64).T % p
+
+
+def oracle_membership(data, cond_type, psi_sigma, node_bound=500000):
+    """The search that probes L on every call and solves each DFS node
+    with `solve_modp` (the implementation before `_layer_solver`)."""
+    _, sub = _condition_kind(cond_type)
+    p, level, v = data.p, data.level, data.v
+    mod = p**level
+    S0, T0, c, ok = oracle_prepare(data, cond_type, psi_sigma)
+    if not ok:
+        return False  # a p^0 or p^1 digit of the conditions is nonzero
+    L = oracle_digit_map(S0, T0, c, v, p, mod)
+    K = nullspace_modp(L, p)
+
+    nodes = 0
+
+    def dfs(S, T, j):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_bound:
+            raise SizeBound("normal-form search exceeded node bound")
+        if j >= level - 1:
+            x = S[1] * pow(c, -1, mod) % mod
+            y = T[1] % mod
+            if cond_type == "D_v":
+                return x % p == 0 and y % p == 0
+            return _subtype_valuations_ok(x, y, sub, p, level)
+        # minus digit j + 1 of each condition value
+        b = np.array([-(x // p**(j + 1)) % p
+                      for x in oracle_cond_values(S, T, c, v, mod)],
+                     dtype=np.int64)
+        y0 = solve_modp(L, b, p)
+        if y0 is None:
+            return False
+        for coeffs in itertools.product(range(p), repeat=K.shape[0]):
+            Y = [int(y0[i]) for i in range(3)]
+            for cc, krow in zip(coeffs, K):
+                for i in range(3):
+                    Y[i] = (Y[i] + cc * int(krow[i])) % p
+            S2, T2 = _conjugate_pair(S, T, (Y[0], Y[1], Y[2], 0),
+                                     j, p, mod)
+            if dfs(S2, T2, j + 1):
+                return True
+        return False
+
+    return dfs(S0, T0, 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SizeBound, NoUnitSquareRoot) as exc:
+        return type(exc).__name__
+
+
+TAME_TYPES = ("type1", "type2", "type3", "type4")
+
+
+def _sweep_calls(cond_type, v, p, k_max):
+    """The membership calls of `highly_versal_degree`, which runs
+    `versal_twists_stable` at each level 2..k_max.  The recorder answers
+    True, so each level's grid is walked to the end: every call the sweep
+    makes (all of them at the levels where it is stable), whatever the
+    code under test answers."""
+    calls = []
+
+    def record(data, cond, psi_sigma, node_bound=500000):
+        calls.append((data, psi_sigma))
+        return True
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(liftlab, "membership_up_to_equivalence", record)
+    try:
+        for k in range(2, k_max + 1):
+            liftlab.versal_twists_stable(cond_type, v, p, k)
+    finally:
+        mp.undo()
+    return calls
+
+
+def _family_twist(cond_type, v, p, k, x, y, c3):
+    """The g-twist of the family element (x, y) that the level-k sweep
+    of `versal_twists_stable` checks for c3 != 0."""
+    kind, sub = _condition_kind(cond_type)
+    g = liftlab._conjugated_cocycle(
+        basis_cocycles(v, p, y_param=y % p**2),
+        "g_nr" if sub == "nr" else "g_ram", kind, p)
+    elem = standard_family_element(v, p, k, x, y, v, cond_type)
+    return twist_tame(elem, tuple(c3 * e % p for e in g["sigma"]),
+                      tuple(c3 * e % p for e in g["tau"]))
+
+
+def _random_twist(rng, v, p, k):
+    t = rng.choice(TAME_TYPES)
+    x, y = rng.choice(liftlab.family_parameter_grid(
+        p, k, _condition_kind(t)[1]))
+    return _family_twist(t, v, p, k, x, y, rng.randrange(1, p))
+
+
+@pytest.fixture(scope="module")
+def membership_inputs():
+    """`by_level`: every call of the four sweeps at (p, v) = (3, 7) with
+    k_max = 5, by level.  `checked`: all of them below level 4, a seeded
+    sample at levels 4 and 5 (a failing search there is exhaustive, up
+    to 25 ms per call and name), and seeded twists from the (5, 11)
+    sweeps at levels 3 and 4."""
+    by_level = {}
+    for t in TAME_TYPES:
+        for call in _sweep_calls(t, 7, 3, 5):
+            by_level.setdefault(call[0].level, []).append(call)
+    assert sorted(by_level) == [2, 3, 4, 5]
+    rng = random.Random(5011)
+    # the (5, 11) twists below are built the way the sweep builds its own
+    swept4 = set(by_level[4])
+    assert all((_random_twist(rng, 7, 3, 4), 7) in swept4
+               for _ in range(20))
+    checked = (by_level[2] + by_level[3] + rng.sample(by_level[4], 200)
+               + rng.sample(by_level[5], 30))
+    checked += [(_random_twist(rng, 11, 5, k), 11)
+                for k, n in ((3, 60), (4, 30)) for _ in range(n)]
+    return by_level, checked
+
+
+def test_membership_matches_oracle(membership_inputs):
+    """Same verdict as the per-node numpy search under every condition
+    name, including the SizeBound and NoUnitSquareRoot outcomes."""
+    falses = 0
+    for i, (data, psi) in enumerate(membership_inputs[1]):
+        for name in CONDITION_NAMES:
+            got = _outcome(membership_up_to_equivalence, data, name, psi)
+            assert got == _outcome(oracle_membership, data, name, psi), \
+                (data, name)
+            falses += got is False
+        if i % 10 == 0:
+            # a non-unit psi(sigma) v^-1, and a node bound hit mid-search
+            name = CONDITION_NAMES[i % len(CONDITION_NAMES)]
+            for args in ((data, name, 2 * psi), (data, name, psi, 2)):
+                assert _outcome(membership_up_to_equivalence, *args) == \
+                    _outcome(oracle_membership, *args), args
+    assert falses > 1500
+
+
+def test_membership_matches_oracle_on_conjugates(membership_inputs):
+    """The same agreement after conjugating the input by a seeded
+    A = Id mod p, which changes (Sigma, Tau) mod p^2 and so the key."""
+    rng = random.Random(4242)
+    checked = membership_inputs[1]
+    for data, psi in rng.sample(checked, 120):
+        p, mod = data.p, data.p**data.level
+        A = (1 + p * rng.randrange(mod // p), p * rng.randrange(mod // p),
+             p * rng.randrange(mod // p), 1 + p * rng.randrange(mod // p))
+        Ai = mat_inv(A, mod)
+        conj = LocalTameData(
+            data.v, p, data.level,
+            mat_mul(mat_mul(A, data.Sigma, mod), Ai, mod),
+            mat_mul(mat_mul(A, data.Tau, mod), Ai, mod))
+        for name in CONDITION_NAMES:
+            assert _outcome(membership_up_to_equivalence, conj, name, psi) \
+                == _outcome(oracle_membership, conj, name, psi), (conj, name)
+
+
+@pytest.mark.parametrize("cond_type, k, y", [("type3", 3, 0),
+                                               ("type4", 4, 3)])
+def test_membership_matches_oracle_on_every_right_hand_side(cond_type, k,
+                                                            y):
+    """Add p^(k-1) delta at the six condition entries of a sweep element,
+    for every delta in F_3^6.  Both images stay scalar mod p, so the tame
+    relation still holds, and the last layer's right-hand side runs over
+    all of F_3^6: most of these systems are inconsistent, which the sweep
+    inputs never are."""
+    data = _family_twist(cond_type, 7, 3, k, 0, y, 1)
+    e = 3**(k - 1)
+    verdicts = []
+    for delta in itertools.product(range(3), repeat=6):
+        S, T = list(data.Sigma), list(data.Tau)
+        for i, slot in enumerate((2, 0, 3)):
+            S[slot] += e * delta[i]
+            T[slot] += e * delta[3 + i]
+        moved = LocalTameData(7, 3, k, tuple(S), tuple(T))
+        got = membership_up_to_equivalence(moved, cond_type, 7)
+        assert got == oracle_membership(moved, cond_type, 7), delta
+        verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts) // 2
+
+
+def test_layer_solver_matches_full_precision_probe(membership_inputs):
+    """The map factored from (Sigma, Tau) mod p^2 at modulus p^3 is the
+    one probed mod p^level on the unreduced images, for levels 3-5."""
+    rng = random.Random(345)
+    by_level = membership_inputs[0]
+    for level in (3, 4, 5):
+        probed = 0
+        for data, psi in rng.sample(by_level[level], 60):
+            for name in CONDITION_NAMES:
+                S0, T0, c, ok = oracle_prepare(data, name, psi)
+                if not ok:
+                    continue
+                p = data.p
+                L = oracle_digit_map(S0, T0, c, data.v, p, p**level)
+                E, pivots, offsets = _layer_solver(
+                    p, tuple(x % p**2 for x in S0),
+                    tuple(x % p**2 for x in T0))
+                R, piv = rref_modp(L, p)
+                assert pivots == tuple(piv)
+                E = np.array(E, dtype=np.int64)
+                assert np.array_equal(E @ L % p, R)
+                assert len(rref_modp(E, p)[1]) == 6
+                K = nullspace_modp(L, p)
+                assert offsets == tuple(
+                    tuple(int(x) for x in np.array(coeffs) @ K % p)
+                    for coeffs in itertools.product(range(p),
+                                                    repeat=K.shape[0]))
+                probed += 1
+        assert probed >= 60, level
+
+
+def test_membership_node_bound_survives_cache():
+    """A level-3 twisted element that passes the digit checks still
+    counts its search nodes once its layer map is cached."""
+    v, p = 11, 5
+    cs = basis_cocycles(v, p, y_param=0)
+    elem = standard_family_element(v, p, 3, 0, 0, v, "type3")
+    tw = twist_tame(elem, cs["g_nr"]["sigma"], cs["g_nr"]["tau"])
+    assert oracle_prepare(tw, "type3", v)[3]
+    assert membership_up_to_equivalence(tw, "type3", v)
+    with pytest.raises(SizeBound):
+        membership_up_to_equivalence(tw, "type3", v, node_bound=0)
+    with pytest.raises(SizeBound):
+        membership_up_to_equivalence(tw, "type3", v, node_bound=1)

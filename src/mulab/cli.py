@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_INPUT = 3
 
+# bound on p^(layers+1), the modular symbols summed into theta_layers
+# (about 10 s at 10^5); it also bounds layers, which sets the precision
+# of the unit root
+MAX_THETA_TERMS = 10**5
+
 
 def load_config(path: str | None) -> dict:
     """Parse a TOML-shaped config file: 'key = value' lines with int,
@@ -90,6 +95,14 @@ def cmd_analyze(args) -> int:
                   f"got {value!r}{reason}", file=sys.stderr)
             return EXIT_INPUT
         sizes[key] = value
+    terms = 1
+    for _ in range(sizes["layers"] + 1):
+        terms *= p
+        if terms > MAX_THETA_TERMS:
+            print(f"input error: p^(layers+1) = {p}^{sizes['layers'] + 1} "
+                  f"exceeds {MAX_THETA_TERMS}, the bound on the terms of "
+                  "a theta element; lower p or --layers", file=sys.stderr)
+            return EXIT_INPUT
     fmt = args.format or cfg.get("format", "json")
     cache = args.cache or cfg.get("cache")
     try:

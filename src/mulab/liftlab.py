@@ -865,32 +865,58 @@ def _conjugated_cocycle(cs, name, kind, p):
     return out
 
 
+def _strict_class_representative(y: int, p: int, k: int) -> int:
+    """The y of the representative (0, y_rep) of the strict-equivalence
+    class of a grid point (x, y) mod p^k, k >= 3: the leading p-adic digit
+    of y at its valuation, or 0 when y = 0."""
+    j = val_int(y, p, k)
+    return y // p**j % p * p**j
+
+
 def versal_twists_stable(cond_type, v: int, p: int, k: int,
-                         psi_sigma: int | None = None,
-                         exhaustive_f: bool = False) -> bool:
+                         psi_sigma: int | None = None) -> bool:
     """Whether C_v(Z/p^k) is stable under every N_v twist at level k.
 
     For k >= 3 a twist by c1 f1 + c2 f2 shifts (x, y) by p^(k-1)(c1, c2)
     inside their valuation classes (an exact matrix identity), so the c3
     component of the twist is the only one that needs the equivalence
-    search; with exhaustive_f the full (c1, c2, c3) cube is run anyway.
+    search.  At k = 2 the shift by p leaves the classes and the full
+    (c1, c2, c3) cube is run.
+
+    For k >= 3 the c3 != 0 search runs once per strict-equivalence class
+    of the grid (conjugation by A = Id mod p), on the representative
+    (0, y_rep) of `_strict_class_representative`: p - 1 classes for ram,
+    1 + (k - 2)(p - 1) for nr.  In standard coordinates (before the
+    type's conjugator B) the grid has x in p^2 Z and v_p(v - 1) = 1, and
+
+        A = B (1, t; 0, 1) diag(d, 1) B^-1,
+        t = (x/p) ((1 - v)/p)^-1,  d = (y/p^j) (y_rep/p^j)^-1, j = v_p(y)
+
+    (d = 1 when y = 0) is Id mod p with A twist(0, y_rep) A^-1 =
+    twist(x, y) literally mod p^k for every c3: diag(d, 1) takes the
+    (1, 2) entries 0 and y_rep to 0 and y, (1, t; 0, 1) adds t (1 - v) = x
+    to the (1, 2) entry of c(v, 0; 0, 1) and fixes (1, y; 0, 1), A fixes
+    every twist factor Id + p^(k-1) M mod p^k, and the g cocycle depends
+    on y only mod p^2, where y and y_rep agree.  Membership up to
+    equivalence is a class function, so the representative's verdict is
+    every member's.  The literal c3 = 0 check is not a class function and
+    runs on every grid point.
     """
     kind, sub = _condition_kind(cond_type)
     if psi_sigma is None:
         psi_sigma = v  # k = 2 in psi = chi^(k-1): psi(sigma) = v
-    cs = basis_cocycles(v, p, y_param=0)
+    basis_cocycles(v, p)  # rejects v that is not a trivial prime
     g_name = "g_nr" if sub == "nr" else "g_ram"
+    mod, e = p**k, p**(k - 1)
+    combos = (list(itertools.product(range(p), repeat=3)) if k == 2
+              else [(0, 0, c3) for c3 in range(p)])
     memo = {}
-    grid = family_parameter_grid(p, k, sub)
-    combos = (
-        itertools.product(range(p), repeat=3) if (exhaustive_f or k == 2)
-        else [(0, 0, c3) for c3 in range(p)])
-    combos = list(combos)
-    for (x, y) in grid:
+    for (x, y) in family_parameter_grid(p, k, sub):
         for (c1, c2, c3) in combos:
-            e = p**(k - 1)
-            x2 = (x + e * c1) % p**k
-            y2 = (y + e * c2) % p**k
+            x2 = (x + e * c1) % mod
+            y2 = (y + e * c2) % mod
+            if c3 and k >= 3:
+                x2, y2 = 0, _strict_class_representative(y2, p, k)
             key = (x2, y2, c3)
             if key in memo:
                 if not memo[key]:
@@ -918,11 +944,17 @@ def versal_twists_stable(cond_type, v: int, p: int, k: int,
 def highly_versal_degree(cond_type, v: int, p: int, k_max: int = 4,
                          psi_sigma: int | None = None) -> int:
     """Smallest m such that N_v-twisting stabilizes C_v(Z/p^k) for every
-    m <= k <= k_max, with an escape at level m-1."""
+    m <= k <= k_max, with an escape at level m-1.
+
+    "diag" is the unramified-diagonal family at an S-prime-style
+    condition: its points are diag(u, 1) with u = 1 mod p, and the
+    tangent-space twist moves u to u (1 + c p^(k-1)) = 1 mod p at every
+    level k >= 2, so the twist never leaves the family and the degree is
+    2 (level 1 is the single residual point)."""
     if k_max < 4:
         raise ValueError("k_max must be at least 4")
     if cond_type == "diag":
-        return _diag_versal_degree(v, p, k_max)
+        return 2
     stable = {k: versal_twists_stable(cond_type, v, p, k,
                                       psi_sigma=psi_sigma)
               for k in range(2, k_max + 1)}
@@ -936,22 +968,6 @@ def highly_versal_degree(cond_type, v: int, p: int, k_max: int = 4,
         raise SizeBound(
             f"no versality threshold within k_max={k_max}: {stable}")
     return m
-
-
-def _diag_versal_degree(v: int, p: int, k_max: int) -> int:
-    """Unramified-diagonal family at an S-prime-style condition: the
-    tangent-space twist (diagonal cocycle) stabilizes at every level
-    k >= 2, so the degree is 2 (level 1 is the single residual point)."""
-    for k in range(2, k_max + 1):
-        mod = p**k
-        for u in range(1, mod, p):
-            for cc in range(p):
-                e = p**(k - 1)
-                su = u * (1 + cc * e) % mod
-                # stays unramified diagonal: membership is literal
-                if su % p != 1 % p:
-                    return k  # never happens; defensive
-    return 2
 
 
 # -- ordinary condition ----------------------------------------------------------

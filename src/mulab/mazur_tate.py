@@ -8,7 +8,8 @@ gamma^t, where (1+p)^t is the 1-unit part of a.  Coefficients are kept as
 exact rationals: the raw theta can carry p in a denominator (the
 Eisenstein part at the trivial character; theta_0 of 11a1 is -1/5), and
 only the unit-root-regularized combination is reduced mod p^N.  (mu,
-lambda) are read off once two consecutive layers agree.
+lambda) are read off once every layer from some point to the last
+agrees.
 """
 
 from __future__ import annotations
@@ -198,19 +199,27 @@ def regularized_Lp(theta_n: MazurTateElement,
 
 def analytic_iwasawa_invariants(L_sequence: list[IwasawaPolynomial]
                                 ) -> tuple[int, int, int]:
-    """(mu, lambda, stabilized_at): invariants from the first pair of
-    consecutive layers that agree.
+    """(mu, lambda, stabilized_at): the invariants on which every layer
+    from some point to the last agrees.
 
     L_sequence[i] is the regularized element at layer i+1; at least two
-    entries are required.
+    entries are required.  stabilized_at is the second layer of the
+    longest run of agreeing layers that ends at the last one.  Early
+    layers can agree on a pair that a later one contradicts (a true
+    lambda >= p^n makes every coefficient of layer n divisible by p), so
+    a run that does not reach the last layer counts for nothing, and a
+    last layer that disagrees with the one before raises NotStabilized.
     """
     if len(L_sequence) < 2:
         raise NotStabilized("need at least two consecutive layers")
     pairs = [mu_lambda_of_polynomial(L) for L in L_sequence]
-    for i in range(1, len(pairs)):
-        if pairs[i] == pairs[i - 1]:
-            return pairs[i][0], pairs[i][1], i + 1
-    raise NotStabilized(f"no two consecutive layers agree: {pairs}")
+    start = len(pairs) - 1
+    while start >= 1 and pairs[start - 1] == pairs[-1]:
+        start -= 1
+    if start == len(pairs) - 1:
+        raise NotStabilized(
+            f"the last two layers disagree: {pairs}; raise --layers")
+    return pairs[-1][0], pairs[-1][1], start + 2
 
 
 def precision_guard(N: int, mu_bound: int, n: int) -> bool:

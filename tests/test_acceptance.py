@@ -378,7 +378,8 @@ def test_criterion_7_torsor_law():
 
 def test_criterion_8_versal_degree():
     """highly_versal_degree returns 3 for all four condition types at
-    (p, v) in {(5, 11), (3, 7)}, by exhaustive (x, y)-class enumeration
+    (p, v) in {(5, 11), (3, 7)}, by exhaustive enumeration of
+    strict-equivalence classes (literal membership on every grid point)
     up to level 4.  Exact; < 2 min.  The layer map of the membership
     search is factored once per key: a handful of keys serve all eight
     sweeps."""

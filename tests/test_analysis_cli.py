@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -173,6 +176,52 @@ def test_cli_rejects_large_composite_p_at_once(tmp_path, capsys):
                "--p", str((10**9 + 7) * (10**9 + 9))])
     assert rc == 3
     assert "input error: p must be an odd prime" in capsys.readouterr().err
+
+
+def test_cli_rejects_p_beyond_theta_bound(tmp_path, capsys):
+    # a prime; count_points alone would allocate a table of p entries
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    rc = main(["analyze", "--curves", curves, "--p", "1000000000000000003"])
+    assert rc == 3
+    assert "exceeds 100000" in capsys.readouterr().err
+    rc = main(["analyze", "--curves", curves, "--p", "3",
+               "--layers", "10"])
+    assert rc == 3
+    assert "p^(layers+1) = 3^11 exceeds 100000" in capsys.readouterr().err
+    rc = main(["analyze", "--curves", curves, "--p", "17",
+               "--layers", "2", "--format", "table"])
+    assert rc == 0
+
+
+def test_cli_refuses_layers_a_later_layer_contradicts(tmp_path, capsys):
+    """[5,0,8,0,0] (N = 182) at p = 3: layers 1-2 read (1, 2) and layer 3
+    reads (0, 10), so the default three layers refuse; with four, layers
+    3-4 agree on (0, 10)."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "t182", "ainvs": [5, 0, 8, 0, 0], "conductor": 182}])
+    rc = main(["analyze", "--curves", curves, "--p", "3"])
+    assert rc == 3
+    assert "NotStabilized" in capsys.readouterr().err
+    rc = main(["analyze", "--curves", curves, "--p", "3", "--layers", "4",
+               "--precision", "10"])
+    assert rc == 0
+    (rep,) = json.loads(capsys.readouterr().out)
+    assert (rep["mu"], rep["lambda"], rep["stabilized_at"]) == (0, 10, 4)
+    assert rep["layer_invariants"] == [[1, 2], [1, 2], [0, 10], [0, 10]]
+
+
+def test_cli_and_analysis_do_not_import_numpy():
+    """numpy would add ~13 MB to every analyze process; only lift-lab and
+    lambda-invariants need it."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mulab.cli, mulab.analysis; "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("flag", ["--precision", "--layers", "--ell-bound"])

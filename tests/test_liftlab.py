@@ -7,6 +7,7 @@ import pytest
 from mulab import liftlab
 from mulab.errors import NoUnitSquareRoot, SizeBound, TameRelationError
 from mulab.group_model import (
+    MAT_ID,
     group_from_matrices,
     group_from_permutations,
     mat_det,
@@ -44,6 +45,7 @@ from mulab.liftlab import (
     _subtype_valuations_ok,
 )
 from mulab.modp import nullspace_modp, rref_modp, solve_modp
+from mulab.padic import val_int
 
 
 def cyclic(n):
@@ -554,12 +556,53 @@ def _outcome(fn, *args):
 TAME_TYPES = ("type1", "type2", "type3", "type4")
 
 
+def oracle_versal_twists_stable(cond_type, v, p, k, psi_sigma=None):
+    """The full-grid sweep (the implementation before the
+    strict-equivalence reduction): the c3 != 0 equivalence search runs on
+    every grid point, through the `liftlab` globals."""
+    kind, sub = _condition_kind(cond_type)
+    if psi_sigma is None:
+        psi_sigma = v
+    basis_cocycles(v, p)
+    g_name = "g_nr" if sub == "nr" else "g_ram"
+    memo = {}
+    combos = list(itertools.product(range(p), repeat=3) if k == 2
+                  else [(0, 0, c3) for c3 in range(p)])
+    for (x, y) in liftlab.family_parameter_grid(p, k, sub):
+        for (c1, c2, c3) in combos:
+            e = p**(k - 1)
+            x2 = (x + e * c1) % p**k
+            y2 = (y + e * c2) % p**k
+            key = (x2, y2, c3)
+            if key in memo:
+                if not memo[key]:
+                    return False
+                continue
+            elem = standard_family_element(v, p, k, x2, y2, psi_sigma,
+                                           cond_type)
+            if c3 == 0:
+                ok = liftlab.local_condition_membership(elem, cond_type,
+                                                        psi_sigma)
+            else:
+                g = liftlab._conjugated_cocycle(
+                    basis_cocycles(v, p, y_param=y2 % p**2), g_name, kind,
+                    p)
+                twisted = twist_tame(
+                    elem, tuple(c3 * t % p for t in g["sigma"]),
+                    tuple(c3 * t % p for t in g["tau"]))
+                ok = liftlab.membership_up_to_equivalence(
+                    twisted, cond_type, psi_sigma)
+            memo[key] = ok
+            if not ok:
+                return False
+    return True
+
+
 def _sweep_calls(cond_type, v, p, k_max):
-    """The membership calls of `highly_versal_degree`, which runs
-    `versal_twists_stable` at each level 2..k_max.  The recorder answers
-    True, so each level's grid is walked to the end: every call the sweep
-    makes (all of them at the levels where it is stable), whatever the
-    code under test answers."""
+    """The membership calls of the full-grid sweep at each level
+    2..k_max.  The recorder answers True, so each level's grid is walked
+    to the end: every call the sweep makes (all of them at the levels
+    where it is stable), whatever the code under test answers."""
     calls = []
 
     def record(data, cond, psi_sigma, node_bound=500000):
@@ -570,20 +613,22 @@ def _sweep_calls(cond_type, v, p, k_max):
     mp.setattr(liftlab, "membership_up_to_equivalence", record)
     try:
         for k in range(2, k_max + 1):
-            liftlab.versal_twists_stable(cond_type, v, p, k)
+            oracle_versal_twists_stable(cond_type, v, p, k)
     finally:
         mp.undo()
     return calls
 
 
-def _family_twist(cond_type, v, p, k, x, y, c3):
+def _family_twist(cond_type, v, p, k, x, y, c3, elem=None):
     """The g-twist of the family element (x, y) that the level-k sweep
-    of `versal_twists_stable` checks for c3 != 0."""
+    of `versal_twists_stable` checks for c3 != 0 (`elem`: that element,
+    if already built)."""
     kind, sub = _condition_kind(cond_type)
     g = liftlab._conjugated_cocycle(
         basis_cocycles(v, p, y_param=y % p**2),
         "g_nr" if sub == "nr" else "g_ram", kind, p)
-    elem = standard_family_element(v, p, k, x, y, v, cond_type)
+    if elem is None:
+        elem = standard_family_element(v, p, k, x, y, v, cond_type)
     return twist_tame(elem, tuple(c3 * e % p for e in g["sigma"]),
                       tuple(c3 * e % p for e in g["tau"]))
 
@@ -597,8 +642,8 @@ def _random_twist(rng, v, p, k):
 
 @pytest.fixture(scope="module")
 def membership_inputs():
-    """`by_level`: every call of the four sweeps at (p, v) = (3, 7) with
-    k_max = 5, by level.  `checked`: all of them below level 4, a seeded
+    """`by_level`: every call of the four full-grid sweeps at (p, v) =
+    (3, 7) with k_max = 5, by level.  `checked`: all of them below level 4, a seeded
     sample at levels 4 and 5 (a failing search there is exhaustive, up
     to 25 ms per call and name), and seeded twists from the (5, 11)
     sweeps at levels 3 and 4."""
@@ -606,7 +651,8 @@ def membership_inputs():
     for t in TAME_TYPES:
         for call in _sweep_calls(t, 7, 3, 5):
             by_level.setdefault(call[0].level, []).append(call)
-    assert sorted(by_level) == [2, 3, 4, 5]
+    assert {k: len(c) for k, c in by_level.items()} == \
+        {2: 12, 3: 108, 4: 972, 5: 8748}
     rng = random.Random(5011)
     # the (5, 11) twists below are built the way the sweep builds its own
     swept4 = set(by_level[4])
@@ -725,3 +771,100 @@ def test_membership_node_bound_survives_cache():
         membership_up_to_equivalence(tw, "type3", v, node_bound=0)
     with pytest.raises(SizeBound):
         membership_up_to_equivalence(tw, "type3", v, node_bound=1)
+
+
+# -- the strict-equivalence reduction of the versality sweep ------------------
+
+
+def _grid_certificate(cond_type, v, p, k, x, y):
+    """(y_rep, A): the class representative (0, y_rep) of the grid point
+    (x, y) and the conjugator A = B (1, t; 0, 1) diag(d, 1) B^-1 of the
+    `versal_twists_stable` docstring."""
+    mod = p**k
+    y_rep = liftlab._strict_class_representative(y, p, k)
+    t = (x // p) * pow((1 - v) // p, -1, mod) % mod
+    d = 1
+    if y:
+        j = val_int(y, p, k)
+        d = (y // p**j) * pow(y_rep // p**j, -1, mod) % mod
+    B = TYPE_CONJUGATORS[_condition_kind(cond_type)[0]]
+    U = mat_mul((1, t, 0, 1), (d, 0, 0, 1), mod)
+    return y_rep, mat_mul(mat_mul(B, U, mod), mat_inv(B, mod), mod)
+
+
+@pytest.mark.parametrize("p, v, ks", [(3, 7, (3, 4, 5)), (5, 11, (3, 4))])
+def test_strict_class_certificate(p, v, ks):
+    """For every grid point and every c3 the explicit A = Id mod p
+    conjugates the representative's twist to the grid point's twist,
+    literally mod p^k; the classes number p - 1 (ram) and
+    1 + (k - 2)(p - 1) (nr)."""
+    for k in ks:
+        mod = p**k
+        for cond_type in TAME_TYPES:
+            sub = _condition_kind(cond_type)[1]
+            reps = {}
+            for x, y in liftlab.family_parameter_grid(p, k, sub):
+                y_rep, A = _grid_certificate(cond_type, v, p, k, x, y)
+                if y_rep not in reps:
+                    reps[y_rep] = [
+                        _family_twist(cond_type, v, p, k, 0, y_rep, c3)
+                        for c3 in range(p)]
+                assert all((a - b) % p == 0 for a, b in zip(A, MAT_ID))
+                Ai = mat_inv(A, mod)
+                elem = standard_family_element(v, p, k, x, y, v, cond_type)
+                for c3, rep in enumerate(reps[y_rep]):
+                    got = _family_twist(cond_type, v, p, k, x, y, c3, elem)
+                    assert mat_mul(mat_mul(A, rep.Sigma, mod), Ai, mod) \
+                        == got.Sigma, (cond_type, k, x, y, c3)
+                    assert mat_mul(mat_mul(A, rep.Tau, mod), Ai, mod) \
+                        == got.Tau, (cond_type, k, x, y, c3)
+            assert len(reps) == (p - 1 if sub == "ram"
+                                 else 1 + (k - 2) * (p - 1))
+
+
+def test_strict_class_verdicts_agree():
+    """On a seeded sample of grid points and c3 != 0, a twist and its
+    class representative's twist get the same verdict under every
+    condition name, including the level-5 exhaustive failures."""
+    rng = random.Random(606)
+    falses = 0
+    for p, v, k, n in ((3, 7, 3, 40), (3, 7, 4, 40), (3, 7, 5, 8),
+                       (5, 11, 3, 30), (5, 11, 4, 12)):
+        for _ in range(n):
+            cond_type = rng.choice(TAME_TYPES)
+            sub = _condition_kind(cond_type)[1]
+            x, y = rng.choice(liftlab.family_parameter_grid(p, k, sub))
+            c3 = rng.randrange(1, p)
+            y_rep = liftlab._strict_class_representative(y, p, k)
+            got = _family_twist(cond_type, v, p, k, x, y, c3)
+            rep = _family_twist(cond_type, v, p, k, 0, y_rep, c3)
+            for name in CONDITION_NAMES:
+                verdict = _outcome(membership_up_to_equivalence, got, name, v)
+                assert verdict == _outcome(membership_up_to_equivalence,
+                                           rep, name, v), \
+                    (cond_type, k, x, y, c3, name)
+                falses += verdict is False
+    assert falses > 200
+
+
+def _oracle_degree(cond_type, v, p):
+    mp = pytest.MonkeyPatch()
+    mp.setattr(liftlab, "versal_twists_stable", oracle_versal_twists_stable)
+    try:
+        return highly_versal_degree(cond_type, v, p, 4)
+    finally:
+        mp.undo()
+
+
+@pytest.mark.parametrize("p, vs", [
+    (3, [v for v in range(2, 200) if trivial_prime_check(v, 3)
+         and all(v % q for q in range(2, v))]),
+    (5, [11, 31])])
+def test_highly_versal_degree_matches_full_grid(p, vs):
+    """The class-wise sweep gives the full-grid sweep's degree for all
+    four types at every trivial prime v < 200 for p = 3, and at
+    v = 11, 31 for p = 5."""
+    for v in vs:
+        for cond_type in TAME_TYPES:
+            assert highly_versal_degree(cond_type, v, p, 4) == \
+                _oracle_degree(cond_type, v, p), (p, v, cond_type)

@@ -180,6 +180,37 @@ def test_not_stabilized_and_guard():
     assert not precision_guard(6, 2, 3)
 
 
+def test_invariants_read_where_every_later_layer_agrees():
+    """The pair is read from the run of agreeing layers that ends at the
+    last layer; on every sequence whose first agreeing pair no later
+    layer contradicts, that is the first-agreeing-pair answer."""
+    import itertools
+
+    from mulab.padic import IwasawaPolynomial
+
+    def layer(mu, lam):
+        return IwasawaPolynomial(3, 6, 12, [0] * lam + [3**mu])
+
+    def read(pairs):
+        return analytic_iwasawa_invariants([layer(*t) for t in pairs])
+
+    # N = 182, p = 3: layers 1-2 read (1, 2), layers 3-4 read (0, 10)
+    with pytest.raises(NotStabilized, match="raise --layers"):
+        read([(1, 2), (1, 2), (0, 10)])
+    assert read([(1, 2), (1, 2), (0, 10), (0, 10)]) == (0, 10, 4)
+    assert read([(2, 0), (0, 1), (0, 1), (0, 1)]) == (0, 1, 3)
+    alphabet = [(0, 1), (1, 0), (0, 10)]
+    for n in (2, 3, 4):
+        for pairs in itertools.product(alphabet, repeat=n):
+            first = next((i for i in range(1, n)
+                          if pairs[i] == pairs[i - 1]), None)
+            if first is not None and len(set(pairs[first:])) == 1:
+                assert read(pairs) == (*pairs[first], first + 1), pairs
+            elif pairs[-1] != pairs[-2]:
+                with pytest.raises(NotStabilized):
+                    read(pairs)
+
+
 KEY_11A1 = theta_cache_key(CURVES["11a1"], 11, P, 2, N)
 
 

@@ -37,6 +37,10 @@ EXIT_INPUT = 3
 # (about 10 s at 10^5); it also bounds layers, which sets the precision
 # of the unit root
 MAX_THETA_TERMS = 10**5
+# bound on precision, the p-adic digits carried by theta and the unit
+# root: on 11a1 at p = 13 (layers 3) precision 12 took 3.4 s, 100 7.7 s
+# and 1000 over a minute; at p = 17, 100 took 45 s
+MAX_PRECISION = 100
 
 
 def load_config(path: str | None) -> dict:
@@ -95,6 +99,11 @@ def cmd_analyze(args) -> int:
                   f"got {value!r}{reason}", file=sys.stderr)
             return EXIT_INPUT
         sizes[key] = value
+    if sizes["precision"] > MAX_PRECISION:
+        print(f"input error: precision {sizes['precision']} exceeds "
+              f"{MAX_PRECISION}, the bound on the p-adic digits carried",
+              file=sys.stderr)
+        return EXIT_INPUT
     terms = 1
     for _ in range(sizes["layers"] + 1):
         terms *= p
@@ -157,9 +166,16 @@ def cmd_lift_lab(args) -> int:
         return EXIT_INPUT
     try:
         out = run_scenario(spec)
-    except MuLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except ParseError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MuLabError as exc:
+        # a refusal of the scenario, such as a group over the size bound
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_OK
 

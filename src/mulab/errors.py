@@ -111,5 +111,6 @@ class InconsistentAp(MuLabError):
 
 
 class InvariantViolation(MuLabError):
-    """An internal cross-check (isogeny invariance, mu monotonicity,
-    consistency bound) failed during analysis."""
+    """An internal cross-check failed: isogeny invariance, mu
+    monotonicity or the consistency bound during analysis; the
+    determinant, cocycle identity or homomorphism check of a lift."""

@@ -20,8 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    InvariantViolation,
     LocalTwistUnrealizable,
     NoUnitSquareRoot,
+    ParseError,
     SizeBound,
     TameRelationError,
 )
@@ -32,6 +34,7 @@ from .group_model import (
     mat_inv,
     mat_mul,
 )
+from .linalg import is_probable_prime
 from .modp import nullspace_modp, rref_modp, solve_modp
 from .padic import sqrt_unit_one_mod_p, val_int
 
@@ -305,7 +308,10 @@ def set_theoretic_lift(rho: RepresentationModPn, det_target):
         delta = ((target * pow(dA, -1, mod) - 1) // p**n) % p
         A = ((A[0] * (1 + delta * p**n)) % mod,
              (A[1] * (1 + delta * p**n)) % mod, A[2], A[3])
-        assert mat_det(A, mod) == target
+        if mat_det(A, mod) != target:
+            raise InvariantViolation(
+                f"set-theoretic lift of element {i} misses its "
+                "determinant target")
         out.append(A)
     return out
 
@@ -331,8 +337,9 @@ def obstruction_class(rho: RepresentationModPn, det_target,
     out = Cochain(2, M, vals % p)
     if verify_class:
         # the class must kill d^2 (cocycle identity)
-        D2_check = _cocycle2_identity_holds(G, M, out)
-        assert D2_check, "obstruction cochain failed the cocycle identity"
+        if not _cocycle2_identity_holds(G, M, out):
+            raise InvariantViolation(
+                "obstruction cochain failed the cocycle identity")
     return out
 
 
@@ -344,16 +351,24 @@ def _kernel_coords(F, p, n, M: AdjointModule):
 
 
 def _cocycle2_identity_holds(G, M, c: Cochain) -> bool:
+    """Whether c satisfies the 2-cocycle identity
+
+        g c(h, k) - c(gh, k) + c(g, hk) - c(g, h) = 0  (mod p)
+
+    for every triple (g, h, k).  One step per g checks every (h, k) at
+    once, with the multiplication table as an index array T: v[T[g]] is
+    c(gh, k), v[g][T] is c(g, hk) and v[g][:, None] is c(g, h).  Each
+    step holds O(n^2 d) integers, the size of c itself, never the
+    O(n^3 d) of all triples at once.  Stops at the first g that fails.
+    """
     p = M.p
-    n = len(G)
     v = c.values
-    for g in range(n):
-        for h in range(n):
-            for k in range(n):
-                lhs = (M.act(g, v[h, k]) - v[G.table[g][h], k]
-                       + v[g, G.table[h][k]] - v[g, h]) % p
-                if np.any(lhs):
-                    return False
+    T = np.asarray(G.table)
+    for g in range(len(G)):
+        lhs = (v @ M._action[g].T - v[T[g]] + v[g][T]
+               - v[g][:, None, :]) % p
+        if np.any(lhs):
+            return False
     return True
 
 
@@ -391,7 +406,9 @@ def lift_step(rho: RepresentationModPn, det_target,
     # r = (Id + p^n f) tau is a homomorphism
     r_images = twist(tau, f.values, M, p, n)
     r = RepresentationModPn(G, p, n + 1, r_images)
-    assert r.verify(), "twisted set lift failed to be a homomorphism"
+    if not r.verify():
+        raise InvariantViolation(
+            "twisted set lift failed to be a homomorphism")
     if not conditions:
         return "ok", r
     Z = z1_basis(G, M)
@@ -1063,39 +1080,113 @@ class TameCondition:
             data, self.cond_type, self.psi[self.sigma_index] % rep.p**rep.n)
 
 
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _check_matrices(spec: dict, key: str, count: int) -> None:
+    mats = spec.get(key)
+    if (not isinstance(mats, list) or len(mats) != count
+            or not all(isinstance(m, list) and len(m) == 4
+                       and all(map(_is_int, m)) for m in mats)):
+        raise ParseError(f"{key} must hold one matrix of 4 ints per "
+                         f"group generator ({count}), got {mats!r}")
+
+
+def _check_scenario(spec) -> None:
+    """Raise ParseError unless spec has the fields run_scenario reads,
+    with the right types: p an odd prime, levels and start_level ints
+    >= 1, a permutation or matrix group, and one 2x2 matrix (4 ints) per
+    group generator in rhobar (and start_images above level 1)."""
+    if not isinstance(spec, dict):
+        raise ParseError(
+            f"a scenario is a JSON object, got {type(spec).__name__}")
+    p = spec.get("p")
+    if not _is_int(p) or p == 2 or not is_probable_prime(p):
+        raise ParseError(f"p must be an odd prime, got {p!r}")
+    for key in ("levels", "start_level"):
+        value = spec.get(key, 1)
+        if not _is_int(value) or value < 1:
+            raise ParseError(
+                f"{key} must be an integer >= 1, got {value!r}")
+    gspec = spec.get("group")
+    kind = gspec.get("kind") if isinstance(gspec, dict) else None
+    if kind not in ("permutations", "matrices"):
+        raise ParseError("group kind must be permutations or matrices, "
+                         f"got {kind!r}")
+    gens = gspec.get("generators")
+    if not isinstance(gens, list) or not gens:
+        raise ParseError("group generators must be a nonempty list")
+    if kind == "matrices":
+        _check_matrices(gspec, "generators", len(gens))
+        modulus = gspec.get("modulus")
+        if not _is_int(modulus) or modulus < 2:
+            raise ParseError(
+                f"matrix modulus must be an integer >= 2, got {modulus!r}")
+    elif not all(isinstance(g, list) and len(g) == len(gens[0])
+                 and all(map(_is_int, g)) and sorted(g) == list(range(len(g)))
+                 for g in gens):
+        raise ParseError("permutation generators must be permutations of "
+                         "0..m-1 of one length m")
+    _check_matrices(spec, "rhobar", len(gens))
+    base, mod = spec["rhobar"], p
+    if spec.get("start_level", 1) > 1:
+        _check_matrices(spec, "start_images", len(gens))
+        base, mod = spec["start_images"], p**spec["start_level"]
+    dets = spec.get("det", [mat_det(tuple(m), p) for m in spec["rhobar"]])
+    if (not isinstance(dets, list) or len(dets) != len(gens)
+            or not all(map(_is_int, dets))):
+        raise ParseError("det must hold one int per group generator "
+                         f"({len(gens)}), got {dets!r}")
+    # the set-theoretic lift can only fix a determinant it reduces to
+    if any((d - mat_det(tuple(m), mod)) % mod for d, m in zip(dets, base)):
+        raise ParseError(f"det does not reduce mod {mod} to the "
+                         "determinants of the generator images")
+    if spec.get("module", "ad0") not in SUBMODULE_BASIS:
+        raise ParseError(f"unknown module {spec['module']!r}")
+
+
+def _extend(model, gen_images, mul, what: str):
+    """Images of every element, or ParseError when the generator images
+    break a relation of the group."""
+    try:
+        return model.extend_homomorphism(gen_images, mul)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def run_scenario(spec: dict) -> dict:
     """Execute a lift-lab scenario: build the model, extend rho-bar, and
     lift step by step, reporting a verdict per step."""
     from .group_model import (group_from_matrices,
                               group_from_permutations)
+    _check_scenario(spec)
     p = spec["p"]
     target = spec.get("levels", 2)
     gspec = spec["group"]
     if gspec["kind"] == "permutations":
         model = group_from_permutations(gspec["generators"])
-    elif gspec["kind"] == "matrices":
+    else:
         model = group_from_matrices(gspec["generators"],
                                     gspec["modulus"])
-    else:
-        raise ValueError("group kind must be permutations or matrices")
     rhobar_gen = [tuple(m) for m in spec["rhobar"]]
-    images = model.extend_homomorphism(
-        rhobar_gen, lambda a, b: mat_mul(a, b, p))
+    images = _extend(model, rhobar_gen, lambda a, b: mat_mul(a, b, p),
+                     "rhobar")
     rep = RepresentationModPn(model, p, 1, images)
     start = spec.get("start_level", 1)
     if start > 1:
         mod_s = p**start
-        start_images = model.extend_homomorphism(
-            [tuple(m) for m in spec["start_images"]],
-            lambda a, b: mat_mul(a, b, mod_s))
+        start_images = _extend(
+            model, [tuple(m) for m in spec["start_images"]],
+            lambda a, b: mat_mul(a, b, mod_s), "start_images")
         rep = RepresentationModPn(model, p, start, start_images)
-        for got, want in zip(rep.rhobar(), images):
-            assert got == want, "start images do not reduce to rho-bar"
+        if rep.rhobar() != images:
+            raise ParseError("start_images do not reduce to rhobar")
     mod_target = p**(target + 1)
     det_gen = [d % mod_target for d in spec.get(
         "det", [mat_det(m, p) for m in rhobar_gen])]
-    det_by_element = model.extend_homomorphism(
-        det_gen, lambda a, b: a * b % mod_target)
+    det_by_element = _extend(model, det_gen,
+                             lambda a, b: a * b % mod_target, "det")
     M = AdjointModule(model, images, spec.get("module", "ad0"), p=p)
     conditions = []
     for label, sub in spec.get("subgroups", {}).items():

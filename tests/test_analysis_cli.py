@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from mulab.analysis import (
     ingest,
     render_report,
 )
-from mulab.cli import main
+from mulab import liftlab
+from mulab.cli import MAX_PRECISION, main
 from mulab.errors import (
     BadReduction,
     InconsistentAp,
@@ -303,6 +305,100 @@ def test_cli_lift_lab(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["steps"][-1]["status"] == "obstructed"
+
+
+SCENARIOS = ("borel_z3", "obstructed_z3", "ordinary_z4_p5")
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_cli_lift_lab_golden(capsys, name):
+    """stdout of each shipped scenario, byte for byte, as recorded under
+    tests/golden before the per-g cocycle check."""
+    rc = main(["lift-lab", "run", f"data/scenarios/{name}.json"])
+    assert rc == 0
+    with open(f"tests/golden/lift_lab_{name}.json") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def _borel(**fields):
+    spec = {"name": "borel", "p": 3, "levels": 2,
+            "group": {"kind": "matrices", "generators": [[1, 1, 0, 1]],
+                      "modulus": 27},
+            "rhobar": [[1, 1, 0, 1]]}
+    spec.update(fields)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
+@pytest.mark.parametrize("spec", [
+    _borel(p=None),
+    _borel(p=4),
+    _borel(p=2),
+    _borel(p=True),
+    _borel(p=3.0),
+    _borel(levels=0),
+    _borel(levels="2"),
+    _borel(group={"kind": "cyclic", "generators": [[1, 2, 0]]}),
+    _borel(group={"kind": "permutations", "generators": [[1, 1, 0]]}),
+    _borel(group={"kind": "matrices", "generators": [[1, 1, 0, 1]]}),
+    [_borel()],
+    _borel(rhobar=[[1, 1, 0, 1], [1, 0, 0, 1]]),
+    _borel(rhobar=[[1, 1, 0]]),
+    _borel(rhobar=[[1, 1, 0, 1.0]]),
+    _borel(rhobar=[[2, 0, 0, 1]]),
+    _borel(det=[2]),
+    _borel(module="sl2"),
+    _borel(start_level=2, start_images=[[1, 3, 0, 1]], det=[1]),
+    _borel(start_level=2, start_images=[[1, 4, 0, 1]], det=[2])],
+    ids=["no-p", "p=4", "p=2", "p=True", "p=3.0", "levels=0",
+         "levels-str", "kind-cyclic", "not-a-permutation", "no-modulus",
+         "top-level-list", "rhobar-extra-matrix", "rhobar-3-entries",
+         "rhobar-float", "rhobar-not-homomorphism", "det-not-reducing",
+         "module", "start-images-not-reducing", "det-of-start-images"])
+def test_cli_lift_lab_rejects_malformed_scenarios(tmp_path, capsys, spec):
+    path = write_json(tmp_path, "s.json", spec)
+    rc = main(["lift-lab", "run", path])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cli_lift_lab_refuses_group_over_size_bound(tmp_path, capsys):
+    s6 = [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]
+    path = write_json(tmp_path, "s.json", _borel(
+        p=5, group={"kind": "permutations", "generators": s6},
+        rhobar=[[1, 0, 0, 1]] * 2))
+    rc = main(["lift-lab", "run", path])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: SizeBound")
+
+
+def test_cli_lift_lab_invariant_violation(capsys, monkeypatch):
+    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
+                        lambda *args: False)
+    rc = main(["lift-lab", "run", "data/scenarios/borel_z3.json"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "invariant violation: obstruction cochain")
+
+
+def test_cli_rejects_precision_beyond_bound(tmp_path, capsys):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("p = 5\nprecision = 1000000000\n")
+    t0 = time.monotonic()
+    for args in (["--p", "5", "--precision", "1000000000"],
+                 ["--config", str(cfg)],
+                 ["--p", "5", "--precision", str(MAX_PRECISION + 1)]):
+        rc = main(["analyze", "--curves", curves, *args])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert str(MAX_PRECISION) in err
+    assert time.monotonic() - t0 < 5
+    rc = main(["analyze", "--curves", curves, "--p", "5", "--layers", "2",
+               "--precision", str(MAX_PRECISION)])
+    assert rc == 0
 
 
 def test_cli_byte_determinism(tmp_path, capsys):

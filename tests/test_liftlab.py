@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from mulab import liftlab
-from mulab.errors import NoUnitSquareRoot, SizeBound, TameRelationError
+from mulab.errors import (
+    InvariantViolation,
+    NoUnitSquareRoot,
+    SizeBound,
+    TameRelationError,
+)
 from mulab.group_model import (
     MAT_ID,
     group_from_matrices,
@@ -45,7 +50,8 @@ from mulab.liftlab import (
     _subtype_valuations_ok,
 )
 from mulab.modp import nullspace_modp, rref_modp, solve_modp
-from mulab.padic import val_int
+from mulab.padic import teichmuller, val_int
+from test_acceptance import _torsor_scenarios
 
 
 def cyclic(n):
@@ -868,3 +874,111 @@ def test_highly_versal_degree_matches_full_grid(p, vs):
         for cond_type in TAME_TYPES:
             assert highly_versal_degree(cond_type, v, p, 4) == \
                 _oracle_degree(cond_type, v, p), (p, v, cond_type)
+
+
+def oracle_cocycle2_identity_holds(G, M, c) -> bool:
+    """The triple loop over (g, h, k) that the per-g check replaces."""
+    p = M.p
+    n = len(G)
+    v = c.values
+    for g in range(n):
+        for h in range(n):
+            for k in range(n):
+                lhs = (M.act(g, v[h, k]) - v[G.table[g][h], k]
+                       + v[g, G.table[h][k]] - v[g, h]) % p
+                if np.any(lhs):
+                    return False
+    return True
+
+
+def _obstruction_cochains():
+    """(name, model, module, obstruction cochain) for the nine
+    criterion-7 torsor instances and both levels of the borel_z3
+    scenario (|G| = 27), built without the cocycle check."""
+    out = []
+    for name, G, p, level, gen_images in _torsor_scenarios():
+        if len(gen_images) == len(G):
+            images = [tuple(x % p**level for x in m) for m in gen_images]
+        else:
+            images = G.extend_homomorphism(
+                gen_images, lambda a, b: mat_mul(a, b, p**level))
+        rho = RepresentationModPn(G, p, level, images)
+        M = AdjointModule(G, rho.rhobar(), "ad0", p=p)
+        det_t = [teichmuller(mat_det(m, p), p, level + 1)
+                 for m in rho.rhobar()]
+        out.append((name, G, M,
+                    obstruction_class(rho, det_t, M, verify_class=False)))
+    G = group_from_matrices([(1, 1, 0, 1)], 27)
+    for n in (1, 2):
+        rho = RepresentationModPn(G, 3, n, G.elements)
+        M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+        det_t = [mat_det(m, 3**(n + 1)) for m in G.elements]
+        out.append((f"borel_z3/level{n + 1}", G, M,
+                    obstruction_class(rho, det_t, M, verify_class=False)))
+    return out
+
+
+def _coboundary(G, M, f):
+    """d^1 f (g, h) = g f(h) - f(gh) + f(g), one pair at a time."""
+    n = len(G)
+    out = np.zeros((n, n, M.dim), dtype=np.int64)
+    for g in range(n):
+        for h in range(n):
+            out[g, h] = M.act(g, f[h]) - f[G.table[g][h]] + f[g]
+    return out % M.p
+
+
+def test_cocycle2_identity_matches_triple_loop():
+    """On each obstruction cochain, on it plus d^1 f for seeded random f,
+    on it with one entry moved by a nonzero vector, and on random
+    cochains, the per-g check agrees with the triple loop."""
+    rng = np.random.default_rng(7)
+    verdicts = {True: 0, False: 0}
+    cochains = _obstruction_cochains()
+    assert len(cochains) == 11
+    for name, G, M, obs in cochains:
+        n, d, p = len(G), M.dim, M.p
+        variants = [obs.values]
+        for _ in range(3):
+            f = rng.integers(0, p, size=(n, d))
+            variants.append((obs.values + _coboundary(G, M, f)) % p)
+        cocycle = variants[-1]
+        for _ in range(20):
+            moved = cocycle.copy()
+            g, h = rng.integers(0, n, size=2)
+            moved[g, h] = (moved[g, h] + rng.integers(1, p)
+                           * np.eye(d, dtype=np.int64)[rng.integers(d)]) % p
+            variants.append(moved)
+        for _ in range(4):
+            variants.append(rng.integers(0, p, size=(n, n, d)))
+        for values in variants:
+            c = liftlab.Cochain(2, M, values)
+            verdict = liftlab._cocycle2_identity_holds(G, M, c)
+            assert verdict == oracle_cocycle2_identity_holds(G, M, c), name
+            verdicts[verdict] += 1
+    assert verdicts == {True: 44, False: 264}
+
+
+def test_obstruction_class_raises_when_the_identity_fails(monkeypatch):
+    G, rho = s3_rep_mod5()
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    det_t = [teichmuller(mat_det(m, 5), 5, 2) for m in rho.rhobar()]
+    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
+                        lambda *args: False)
+    with pytest.raises(InvariantViolation, match="cocycle identity"):
+        obstruction_class(rho, det_t, M)
+    assert not obstruction_class(rho, det_t, M, verify_class=False).is_zero()
+
+
+def test_lift_path_invariants_raise(monkeypatch):
+    """The determinant fix and the homomorphism check of a lift raise
+    InvariantViolation (they are no bare asserts, so `python -O` keeps
+    them)."""
+    G, rho = s3_rep_mod5()
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    det_t = [teichmuller(mat_det(m, 5), 5, 2) for m in rho.rhobar()]
+    with pytest.raises(InvariantViolation, match="determinant"):
+        liftlab.set_theoretic_lift(rho, [d + 1 for d in det_t])
+    monkeypatch.setattr(RepresentationModPn, "verify", lambda self: False)
+    with pytest.raises(InvariantViolation, match="homomorphism"):
+        lift_step(rho, det_t, M)

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .arith import factorize, is_probable_prime
 from .dirichlet import DirichletCharacter, is_odd, mod_p_cyclotomic
-from .elliptic import Curve, is_prime
+from .elliptic import Curve
 from .errors import (
     BadReduction,
     InconsistentAp,
@@ -44,6 +45,7 @@ from .residual import (
     frobenius_scalar,
     identify_line_character,
     kernel_polynomials,
+    matching_line_characters,
     semisimplification,
     sturm_bound,
 )
@@ -89,16 +91,7 @@ def ingest(path: str) -> list[CurveRecord]:
                 f"{rec['label']}: {exc}") from exc
         N = rec["conductor"]
         bad = set(E.bad_primes())
-        cond_primes = set()
-        n = N
-        q = 2
-        while q * q <= n:
-            while n % q == 0:
-                cond_primes.add(q)
-                n //= q
-            q += 1
-        if n > 1:
-            cond_primes.add(n)
+        cond_primes = set(factorize(N))
         if bad != cond_primes:
             raise InvalidModel(
                 f"{rec['label']}: model bad primes {sorted(bad)} do not "
@@ -169,7 +162,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         raise NotOrdinary(f"{record.label}: a_p = {a_p} is 0 mod {p}")
 
     a_table = {ell: E.ap(ell) for ell in range(2, ell_bound + 1)
-               if is_prime(ell) and N_cond % ell != 0 and ell != p}
+               if is_probable_prime(ell) and N_cond % ell != 0 and ell != p}
 
     report = {
         "label": record.label,
@@ -198,15 +191,20 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         report["kernel_count"] = len(kernels)
         line_chars = []
         for k in kernels:
+            # six Frobenius scalars, then more while several characters
+            # still fit them
             scal = {}
-            ell = 2
-            while len(scal) < 6 and ell < 4 * ell_bound:
-                if N_cond % ell and ell != p and is_prime(ell):
-                    try:
-                        scal[ell] = frobenius_scalar(E, k, ell, p)
-                    except (RootLiftFailure, BadReduction):
-                        pass
-                ell += 1
+            for ell in range(2, 4 * ell_bound):
+                if N_cond % ell == 0 or ell == p \
+                        or not is_probable_prime(ell):
+                    continue
+                try:
+                    scal[ell] = frobenius_scalar(E, k, ell, p)
+                except (RootLiftFailure, BadReduction):
+                    continue
+                if len(scal) >= 6 and len(
+                        matching_line_characters(scal, p, N_cond)) < 2:
+                    break
             line_chars.append(identify_line_character(scal, p, N_cond))
         report["line_characters"] = [character_name(c) for c in line_chars]
         if kernels:

@@ -20,6 +20,7 @@ import json
 import sys
 
 from .analysis import analyze_many, ingest, render_report
+from .arith import is_probable_prime
 from .errors import (
     InconsistentAp,
     InvalidModel,
@@ -27,7 +28,6 @@ from .errors import (
     MuLabError,
     ParseError,
 )
-from .linalg import is_probable_prime
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2

@@ -14,20 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
+from .arith import factorize
 from .padic import teichmuller
-
-
-def factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _primitive_root_prime(q: int) -> int:

@@ -11,44 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import factorize, is_probable_prime, poly_mul, poly_sub
 from .errors import BadReduction, InvalidModel
-
-# -- integer-coefficient dense polynomials (index = degree) ------------------
-
-
-def zpoly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def zpoly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return zpoly_trim(out)
-
-
-def zpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return zpoly_trim(out)
-
-
-def zpoly_eval(a, x):
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,33 +61,10 @@ class Curve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def is_semistable(self) -> bool:
-        d = abs(self.discriminant)
-        c4 = self.c4
-        q = 2
-        while q * q <= d:
-            if d % q == 0:
-                if c4 % q == 0:
-                    return False
-                while d % q == 0:
-                    d //= q
-            q += 1
-        if d > 1 and c4 % d == 0:
-            return False
-        return True
+        return all(self.c4 % q for q in self.bad_primes())
 
     def bad_primes(self):
-        d = abs(self.discriminant)
-        out = []
-        q = 2
-        while q * q <= d:
-            if d % q == 0:
-                out.append(q)
-                while d % q == 0:
-                    d //= q
-            q += 1
-        if d > 1:
-            out.append(d)
-        return out
+        return list(factorize(abs(self.discriminant)))
 
     # -- point counting ------------------------------------------------------
 
@@ -164,7 +105,7 @@ class Curve:
         a = [0] * (n_max + 1)
         a[1] = 1
         disc = self.discriminant
-        primes = [q for q in range(2, n_max + 1) if is_prime(q)]
+        primes = [q for q in range(2, n_max + 1) if is_probable_prime(q)]
         for q in primes:
             if disc % q != 0:
                 aq = self.ap(q)
@@ -188,7 +129,7 @@ class Curve:
             if a[n]:
                 continue
             # factor out one prime power
-            q = _least_prime_factor(n)
+            q = min(factorize(n))
             pe = q
             while n % (pe * q) == 0:
                 pe *= q
@@ -227,38 +168,37 @@ class Curve:
     def _psi(self, n: int):
         cache = getattr(self, "_psi_cache", None)
         if cache is None:
-            B = self.psi2_squared()
             b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
             f3 = [b8, 3 * b6, 3 * b4, b2, 3]
             g4 = [b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6,
                   5 * b4, b2, 2]
             cache = {-1: [-1], 0: [], 1: [1], 2: [1], 3: f3, 4: g4}
             object.__setattr__(self, "_psi_cache", cache)
-            object.__setattr__(self, "_B", B)
         if n in cache:
             return cache[n]
-        B = self._B
-        B2 = zpoly_mul(B, B)
+        psi = self._psi
         m = n // 2
         if n % 2 == 1:
-            # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
+            # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3; even
+            # psi_n are kept as psi_n / psi_2, so the term whose factors
+            # have even index takes back psi_2^4 = B^2
+            a, b = psi(m), psi(m + 1)
+            t1 = poly_mul(psi(m + 2), poly_mul(poly_mul(a, a), a))
+            t2 = poly_mul(psi(m - 1), poly_mul(poly_mul(b, b), b))
+            B = self.psi2_squared()
             if m % 2 == 0:
-                t1 = zpoly_mul(zpoly_mul(self._psi(m + 2),
-                                         _cube(self._psi(m))), B2)
-                t2 = zpoly_mul(self._psi(m - 1), _cube(self._psi(m + 1)))
+                t1 = poly_mul(t1, poly_mul(B, B))
             else:
-                t1 = zpoly_mul(self._psi(m + 2), _cube(self._psi(m)))
-                t2 = zpoly_mul(zpoly_mul(self._psi(m - 1),
-                                         _cube(self._psi(m + 1))), B2)
-            out = zpoly_sub(t1, t2)
+                t2 = poly_mul(t2, poly_mul(B, B))
+            out = poly_sub(t1, t2)
         else:
             # g_{2m} = psi._(m) * (psi._(m+2) psi._(m-1)^2
             #                      - psi._(m-2) psi._(m+1)^2): the psi_2
             # bookkeeping cancels identically for both parities of m
-            inner = zpoly_sub(
-                zpoly_mul(self._psi(m + 2), _sq(self._psi(m - 1))),
-                zpoly_mul(self._psi(m - 2), _sq(self._psi(m + 1))))
-            out = zpoly_mul(self._psi(m), inner)
+            a, b = psi(m - 1), psi(m + 1)
+            inner = poly_sub(poly_mul(psi(m + 2), poly_mul(a, a)),
+                             poly_mul(psi(m - 2), poly_mul(b, b)))
+            out = poly_mul(psi(m), inner)
         cache[n] = out
         return out
 
@@ -273,34 +213,6 @@ class Curve:
     def over_field(self, F) -> "CurveOverField":
         return CurveOverField(
             F, tuple(F.from_int(a) for a in self.ainvs()))
-
-
-def _sq(a):
-    return zpoly_mul(a, a)
-
-
-def _cube(a):
-    return zpoly_mul(zpoly_mul(a, a), a)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _least_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 class CurveOverField:

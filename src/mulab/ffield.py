@@ -1,16 +1,30 @@
-"""Finite fields and univariate polynomial arithmetic over them.
+"""Finite fields and polynomial factorization over them.
 
 Three field layers cover everything the curve machinery needs: prime
 fields F_ell, extensions F_ell[t]/(g) for an irreducible g, and relative
 quadratic extensions (used to adjoin a y-coordinate).  Elements are raw
 values (ints, tuples, pairs); the field object owns the arithmetic.
 Polynomial factorization over F_ell is squarefree decomposition +
-distinct-degree + Cantor-Zassenhaus.
+distinct-degree + Cantor-Zassenhaus, on the dense polynomials of
+`arith`.
 """
 
 from __future__ import annotations
 
 import random
+
+from .arith import (
+    factorize,
+    poly_add,
+    poly_deriv,
+    poly_divmod,
+    poly_gcd,
+    poly_monic,
+    poly_mul,
+    poly_powmod,
+    poly_sub,
+    poly_xgcd,
+)
 
 
 class PrimeField:
@@ -130,21 +144,10 @@ class ExtField:
         return tuple(c % ell for c in out[:k])
 
     def inv(self, a):
-        # extended Euclid in F_ell[t]
-        r0 = list(self.modpoly)
-        r1 = [c % self.ell for c in a]
-        s0, s1 = [0], [1]
-        while any(c for c in r1):
-            q, r = fpoly_divmod(r0, r1, self.ell)
-            r0, r1 = r1, r
-            s0, s1 = s1, fpoly_sub(s0, fpoly_mul(q, s1, self.ell), self.ell)
-        # r0 = gcd (a nonzero constant if a is invertible)
-        r0 = fpoly_trim(r0)
-        if len(r0) != 1:
+        g, s, _ = poly_xgcd(a, self.modpoly, self.ell)
+        if g != [1]:
             raise ZeroDivisionError("element not invertible")
-        c = pow(r0[0], -1, self.ell)
-        inv = [x * c % self.ell for x in s0]
-        return self.from_base(inv)
+        return self.from_base(s)
 
     def pow(self, a, k: int):
         if k < 0:
@@ -266,124 +269,21 @@ class RelQuad:
         return (self.base.random(rng), self.base.random(rng))
 
 
-# -- polynomials over F_ell (dense int lists, index = degree) ---------------
-
-
-def fpoly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def fpoly_add(a, b, ell):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % ell
-    return fpoly_trim([c % ell for c in out])
-
-
-def fpoly_sub(a, b, ell):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % ell
-    return fpoly_trim([c % ell for c in out])
-
-
-def fpoly_mul(a, b, ell):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return fpoly_trim([c % ell for c in out])
-
-
-def fpoly_divmod(a, b, ell):
-    a = [c % ell for c in a]
-    b = fpoly_trim([c % ell for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = pow(b[-1], -1, ell)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(fpoly_trim(r)) >= len(b):
-        r = fpoly_trim(r)
-        d = len(r) - len(b)
-        c = r[-1] * binv % ell
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[d + i] = (r[d + i] - c * bc) % ell
-    return fpoly_trim(q), fpoly_trim(r)
-
-
-def fpoly_gcd(a, b, ell):
-    a, b = fpoly_trim(list(a)), fpoly_trim(list(b))
-    while b:
-        _, r = fpoly_divmod(a, b, ell)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, ell)
-        a = [c * inv % ell for c in a]
-    return a
-
-
-def fpoly_powmod(a, k, mod, ell):
-    out = [1]
-    base = fpoly_divmod(a, mod, ell)[1]
-    while k:
-        if k & 1:
-            out = fpoly_divmod(fpoly_mul(out, base, ell), mod, ell)[1]
-        base = fpoly_divmod(fpoly_mul(base, base, ell), mod, ell)[1]
-        k >>= 1
-    return out
-
-
-def fpoly_deriv(a, ell):
-    return fpoly_trim([i * c % ell for i, c in enumerate(a)][1:])
-
-
-def fpoly_monic(a, ell):
-    a = fpoly_trim(list(a))
-    if not a:
-        return a
-    inv = pow(a[-1], -1, ell)
-    return [c * inv % ell for c in a]
-
-
 def is_irreducible(f, ell) -> bool:
     """Monic f irreducible over F_ell: t^(ell^k) = t mod f and
     gcd(t^(ell^(k/q)) - t, f) = 1 for primes q | k."""
-    f = fpoly_monic(f, ell)
+    f = poly_monic(f, ell)
     k = len(f) - 1
     if k <= 0:
         return False
     if k == 1:
         return True
-    x = fpoly_divmod([0, 1], f, ell)[1]
-    xq = fpoly_powmod([0, 1], ell**k, f, ell)
-    if fpoly_trim(fpoly_sub(xq, x, ell)):
+    x = poly_divmod([0, 1], f, ell)[1]
+    if poly_sub(poly_powmod([0, 1], ell**k, f, ell), x, ell):
         return False
-    kk = k
-    primes = set()
-    d = 2
-    while d * d <= kk:
-        while kk % d == 0:
-            primes.add(d)
-            kk //= d
-        d += 1
-    if kk > 1:
-        primes.add(kk)
-    for q in primes:
-        xe = fpoly_powmod([0, 1], ell**(k // q), f, ell)
-        if len(fpoly_gcd(fpoly_sub(xe, x, ell), f, ell)) > 1:
+    for q in factorize(k):
+        xe = poly_powmod([0, 1], ell**(k // q), f, ell)
+        if len(poly_gcd(poly_sub(xe, x, ell), f, ell)) > 1:
             return False
     return True
 
@@ -399,19 +299,19 @@ def find_irreducible(ell: int, k: int, rng: random.Random) -> list[int]:
 
 def squarefree_part(f, ell):
     """The product of distinct irreducible factors of f (monic)."""
-    f = fpoly_monic(f, ell)
-    df = fpoly_deriv(f, ell)
+    f = poly_monic(f, ell)
+    df = poly_deriv(f, ell)
     if not df:
         # f is a polynomial in t^ell: f = g(t^ell) = g(t)^ell
         g = [f[i] for i in range(0, len(f), ell)]
         return squarefree_part(g, ell)
-    g = fpoly_gcd(f, df, ell)
-    sf = fpoly_divmod(f, g, ell)[0]
+    g = poly_gcd(f, df, ell)
+    sf = poly_divmod(f, g, ell)[0]
     if len(g) > 1:
         rest = squarefree_part(g, ell)
-        extra = fpoly_divmod(rest, fpoly_gcd(rest, sf, ell), ell)[0]
-        sf = fpoly_mul(sf, extra, ell)
-    return fpoly_monic(sf, ell)
+        extra = poly_divmod(rest, poly_gcd(rest, sf, ell), ell)[0]
+        sf = poly_mul(sf, extra, ell)
+    return poly_monic(sf, ell)
 
 
 def distinct_degree(f, ell):
@@ -420,16 +320,16 @@ def distinct_degree(f, ell):
     out = []
     x = [0, 1]
     h = x
-    rest = fpoly_monic(f, ell)
+    rest = poly_monic(f, ell)
     d = 0
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = fpoly_powmod(h, ell, rest, ell)
-        g = fpoly_gcd(fpoly_sub(h, x, ell), rest, ell)
+        h = poly_powmod(h, ell, rest, ell)
+        g = poly_gcd(poly_sub(h, x, ell), rest, ell)
         if len(g) > 1:
             out.append((g, d))
-            rest = fpoly_divmod(rest, g, ell)[0]
-            h = fpoly_divmod(h, rest, ell)[1]
+            rest = poly_divmod(rest, g, ell)[0]
+            h = poly_divmod(h, rest, ell)[1]
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
@@ -448,16 +348,16 @@ def equal_degree_split(f, d, ell, rng):
             h = list(r)
             acc = list(r)
             for _ in range(d - 1):
-                acc = fpoly_powmod(acc, 2, f, ell)
-                h = fpoly_add(h, acc, ell)
-            g = fpoly_gcd(h, f, ell)
+                acc = poly_powmod(acc, 2, f, ell)
+                h = poly_add(h, acc, ell)
+            g = poly_gcd(h, f, ell)
         else:
             e = (ell**d - 1) // 2
-            h = fpoly_powmod(r, e, f, ell)
-            g = fpoly_gcd(fpoly_sub(h, [1], ell), f, ell)
+            h = poly_powmod(r, e, f, ell)
+            g = poly_gcd(poly_sub(h, [1], ell), f, ell)
         if 1 < len(g) < len(f):
             left = equal_degree_split(g, d, ell, rng)
-            right = equal_degree_split(fpoly_divmod(f, g, ell)[0], d,
+            right = equal_degree_split(poly_divmod(f, g, ell)[0], d,
                                        ell, rng)
             return left + right
 
@@ -473,7 +373,7 @@ def factor_squarefree(f, ell, rng):
 def factor(f, ell, rng):
     """Full factorization over F_ell: [(monic irreducible, multiplicity)].
     The leading coefficient is discarded (callers track it separately)."""
-    f = fpoly_monic(f, ell)
+    f = poly_monic(f, ell)
     out: dict[tuple, int] = {}
     while len(f) > 1:
         sf = squarefree_part(f, ell)
@@ -481,7 +381,7 @@ def factor(f, ell, rng):
             out[tuple(g)] = out.get(tuple(g), 0)
             m = 0
             while True:
-                q, r = fpoly_divmod(f, g, ell)
+                q, r = poly_divmod(f, g, ell)
                 if r:
                     break
                 f = q

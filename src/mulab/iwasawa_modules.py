@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import is_probable_prime, poly_add, poly_mul, poly_sub
 from .errors import (
     NotTorsion,
     PrecisionInsufficient,
     TruncationUnresolved,
 )
-from .linalg import is_probable_prime
 from .modp import rref_modp, smith_zpk
 
 Poly = tuple[int, ...]  # coefficients of a truncated polynomial in T
@@ -35,25 +35,6 @@ def _poly(coeffs, M: int, mod: int) -> Poly:
     cs = [c % mod for c in coeffs[:M]]
     cs += [0] * (M - len(cs))
     return tuple(cs)
-
-
-def poly_mul(a: Poly, b: Poly, M: int) -> Poly:
-    out = [0] * M
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j >= M:
-                    break
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def poly_neg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
 
 
 def smith_rank_over_power_series_field_char_p(
@@ -128,12 +109,11 @@ class LambdaPresentation:
         lifts): the torsion witness for e.g. diag(p, p^2) is p^3, which a
         mod-p^N computation at N = 3 could not distinguish from zero.
         """
-        n = self.ncols
-        one = (1,) + (0,) * (self.M - 1)
+        n, M = self.ncols, self.M
         # dp over subsets of used columns, rows taken in order
-        cur = {0: one}
+        cur = {0: [1]}
         for r in row_idx:
-            nxt: dict[int, Poly] = {}
+            nxt: dict[int, list[int]] = {}
             for mask, v in cur.items():
                 for j in range(n):
                     bit = 1 << j
@@ -143,18 +123,13 @@ class LambdaPresentation:
                     if all(c == 0 for c in e):
                         continue
                     # sign: parity of columns already used above j
-                    sgn = bin(mask >> (j + 1)).count("1") % 2
-                    term = poly_mul(v, e, self.M)
-                    if sgn:
-                        term = poly_neg(term)
+                    odd = bin(mask >> (j + 1)).count("1") % 2
                     key = mask | bit
-                    if key in nxt:
-                        nxt[key] = poly_add(nxt[key], term)
-                    else:
-                        nxt[key] = term
+                    nxt[key] = (poly_sub if odd else poly_add)(
+                        nxt.get(key, []), poly_mul(v, e)[:M])
             cur = nxt
-        full = (1 << n) - 1
-        return cur.get(full, (0,) * self.M)
+        det = cur.get((1 << n) - 1, [])
+        return tuple(det) + (0,) * (M - len(det))
 
     def torsion_certificate(self, max_tries: int = 64) -> Poly:
         """A nonzero c x c minor of the relation matrix (exact integer

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import is_probable_prime
 from .errors import (
     InvariantViolation,
     LocalTwistUnrealizable,
@@ -34,7 +35,6 @@ from .group_model import (
     mat_inv,
     mat_mul,
 )
-from .linalg import is_probable_prime
 from .modp import nullspace_modp, rref_modp, solve_modp
 from .padic import sqrt_unit_one_mod_p, val_int
 

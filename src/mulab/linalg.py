@@ -18,36 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .arith import is_probable_prime
+
 # the largest primes below 2^62, in decreasing order; `_large_primes`
 # continues the sequence with Miller-Rabin
 _PRIMES = (2**62 - 57, 2**62 - 87, 2**62 - 117, 2**62 - 143)
-
-# bases making Miller-Rabin deterministic below 3.3 * 10^24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases: exact for n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _large_primes():

@@ -20,7 +20,8 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .elliptic import Curve, is_prime
+from .arith import is_probable_prime
+from .elliptic import Curve
 from .errors import EigenspaceNotOneDimensional, EigenspaceNotRational
 from .linalg import clear_denominators, nullspace, rref
 
@@ -411,7 +412,7 @@ class EigenSymbol:
         out = []
         q = 2
         while len(out) < count:
-            if is_prime(q) and self.conductor % q != 0:
+            if is_probable_prime(q) and self.conductor % q != 0:
                 out.append(q)
             q += 1
         return out

@@ -17,20 +17,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .arith import (
+    factorize,
+    is_probable_prime,
+    poly_add,
+    poly_deriv,
+    poly_divmod,
+    poly_gcd,
+    poly_monic,
+    poly_mul,
+    poly_sub,
+    poly_xgcd,
+)
 from .dirichlet import (
     DirichletCharacter,
     enumerate_characters,
-    factorize,
     is_odd,
     liftable_character,
     mod_p_cyclotomic,
 )
-from .elliptic import Curve, zpoly_mul, zpoly_trim
+from .elliptic import Curve
 from .errors import (
     AmbiguousPair,
     BadReduction,
     FactorizationInconclusive,
     InsufficientLineData,
+    InvariantViolation,
     NotReduciblyAligned,
     PrecisionLoss,
     RootLiftFailure,
@@ -40,11 +52,6 @@ from .ffield import (
     PrimeField,
     RelQuad,
     factor as ff_factor,
-    fpoly_divmod,
-    fpoly_gcd,
-    fpoly_mul,
-    fpoly_sub,
-    fpoly_trim,
     sqrt_in_field,
 )
 
@@ -74,41 +81,24 @@ def _mignotte_bound(F, d):
 
 def _hensel_pair(f, g, h, q, k_target):
     """Lift f = g*h (mod q) to mod q^k_target, f and g, h monic."""
-    # Bezout: s*g + t*h = 1 mod q
-    g0 = [c % q for c in g]
-    h0 = [c % q for c in h]
-    r0, r1 = list(g0), list(h0)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while fpoly_trim(list(r1)):
-        qq, rr = fpoly_divmod(r0, r1, q)
-        r0, r1 = r1, rr
-        s0, s1 = s1, fpoly_sub(s0, fpoly_mul(qq, s1, q), q)
-        t0, t1 = t1, fpoly_sub(t0, fpoly_mul(qq, t1, q), q)
-    r0 = fpoly_trim(r0)
-    assert len(r0) == 1
-    cinv = pow(r0[0], -1, q)
-    s = [c * cinv % q for c in s0]
-    t = [c * cinv % q for c in t0]
-    # linear lifting
+    one, _, t = poly_xgcd(g, h, q)
+    if one != [1]:
+        raise InvariantViolation(
+            f"Hensel factors are not coprime mod {q}")
+    # linear lifting: t*h = 1 mod (g, q)
     G, H = [c % q for c in g], [c % q for c in h]
     mod = q
     while mod < q**k_target:
         newmod = mod * q
-        GH = zpoly_mul(G, H)
-        e_full = [(a - b) for a, b in
-                  zip(list(f) + [0] * max(0, len(GH) - len(f)),
-                      GH + [0] * max(0, len(f) - len(GH)))]
-        e = [(c // mod) % q for c in e_full]
+        e = [(c // mod) % q for c in poly_sub(f, poly_mul(G, H))]
         # dg = t*e mod G (over F_q), dh = (e - dg*H)/G
-        dg = fpoly_divmod(fpoly_mul(t, e, q), [c % q for c in G], q)[1]
-        rem = fpoly_sub(e, fpoly_mul(dg, [c % q for c in H], q), q)
-        dh, r = fpoly_divmod(rem, [c % q for c in G], q)
-        assert not r
-        G = [(a + mod * b) % newmod for a, b in
-             zip(G, dg + [0] * (len(G) - len(dg)))]
-        H = [(a + mod * b) % newmod for a, b in
-             zip(H, dh + [0] * (len(H) - len(dh)))]
+        dg = poly_divmod(poly_mul(t, e, q), G, q)[1]
+        dh, r = poly_divmod(poly_sub(e, poly_mul(dg, H, q), q), G, q)
+        if r:
+            raise InvariantViolation(
+                f"Hensel step is not an exact division mod {q}")
+        G = poly_add(G, [mod * c for c in dg], newmod)
+        H = poly_add(H, [mod * c for c in dh], newmod)
         mod = newmod
     return G, H
 
@@ -122,10 +112,10 @@ def _hensel_tree(f, factors, q, k_target):
     half = len(factors) // 2
     g = [1]
     for fac in factors[:half]:
-        g = fpoly_mul(g, fac, q)
+        g = poly_mul(g, fac, q)
     h = [1]
     for fac in factors[half:]:
-        h = fpoly_mul(h, fac, q)
+        h = poly_mul(h, fac, q)
     G, H = _hensel_pair(f, g, h, q, k_target)
     return (_hensel_tree(G, factors[:half], q, k_target)
             + _hensel_tree(H, factors[half:], q, k_target))
@@ -134,19 +124,6 @@ def _hensel_tree(f, factors, q, k_target):
 def _center(c, m):
     c %= m
     return c - m if c > m // 2 else c
-
-
-def _zpoly_divides(h, F) -> bool:
-    """Exact divisibility of integer polynomials (h monic)."""
-    r = list(F)
-    dh = len(h) - 1
-    while len(zpoly_trim(r)) - 1 >= dh:
-        r = zpoly_trim(r)
-        d = len(r) - 1 - dh
-        c = r[-1]
-        for i, hc in enumerate(h):
-            r[d + i] -= c * hc
-    return not zpoly_trim(r)
 
 
 def monic_factors_of_degree(poly, d, seed: int = 0,
@@ -160,16 +137,15 @@ def monic_factors_of_degree(poly, d, seed: int = 0,
     q = 5
     while True:
         q += 2
-        if any(q % t == 0 for t in range(2, isqrt(q) + 1)):
+        if not is_probable_prime(q) or lc % q == 0:
             continue
-        if F[-1] % q == 0 or lc % q == 0:
-            continue
-        Fq = [c % q for c in F]
-        dF = [(i * c) % q for i, c in enumerate(F)][1:]
-        if len(fpoly_gcd(Fq, dF, q)) == 1:
+        if len(poly_gcd(F, poly_deriv(F, q), q)) == 1:
             break
     fac = [g for g, m in ff_factor(F, q, rng) for _ in range(m)]
-    assert sum(len(g) - 1 for g in fac) == len(F) - 1
+    if sum(len(g) - 1 for g in fac) != len(F) - 1:
+        raise InvariantViolation(
+            f"factors mod {q} do not account for the degree "
+            f"{len(F) - 1} of the monicized polynomial")
     bound = _mignotte_bound(F, d)
     k = 1
     while q**k < 2 * bound + 1:
@@ -191,13 +167,12 @@ def monic_factors_of_degree(poly, d, seed: int = 0,
                     f"recombination exceeded {max_subsets} subsets")
             prod = [1]
             for i in current:
-                prod = [c % m for c in zpoly_mul(prod, lifted[i])]
-                prod = _poly_mod_trunc(prod, m)
+                prod = poly_mul(prod, lifted[i], m)
             H = [_center(c, m) for c in prod]
             key = tuple(H)
             if key not in seen:
                 seen.add(key)
-                if _zpoly_divides(H, F):
+                if not poly_divmod(F, H)[1]:
                     out.append(H)
             return
         for i in range(start, len(idxs)):
@@ -209,10 +184,6 @@ def monic_factors_of_degree(poly, d, seed: int = 0,
     return out, lc
 
 
-def _poly_mod_trunc(poly, m):
-    return [c % m for c in poly]
-
-
 def kernel_polynomials(E: Curve, p: int, seed: int = 0):
     """Monic rational polynomials (denominators only at p) cutting out the
     kernels of the rational p-isogenies of E; may be empty."""
@@ -222,100 +193,26 @@ def kernel_polynomials(E: Curve, p: int, seed: int = 0):
     out = []
     for H in factors:
         # h(x) = H(lc*x) / lc^d
-        h = [Fraction(c * lc**i, lc**d)
-             for i, c in enumerate(H)]
-        h = [c / h[-1] for c in h]
+        h = poly_monic([Fraction(c * lc**i, lc**d)
+                        for i, c in enumerate(H)])
         if _kernel_stable(E, h):
             out.append(tuple(h))
     # canonical order
     return sorted(set(out))
 
 
-def _qpoly_rem(a, b):
-    """a mod b over Q, b monic."""
-    r = [Fraction(c) for c in a]
-    db = len(b) - 1
-    while len(r) > db:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) <= db:
-            break
-        dsh = len(r) - 1 - db
-        c = r[-1]
-        for i, bc in enumerate(b):
-            r[dsh + i] -= c * bc
-    r += [Fraction(0)] * (db - len(r))
-    return r[:db]
-
-
-def _qpoly_mulmod(a, b, h):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _qpoly_rem(out, h)
-
-
-def _qpoly_invmod(a, h):
-    """Inverse of a modulo monic h over Q, or None if not coprime."""
-    r0 = [Fraction(c) for c in h]
-    r1 = _qpoly_rem(a, h)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-
-    def trim(v):
-        v = list(v)
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    r0t, r1t = trim(r0), trim(r1)
-    while r1t:
-        # divmod over Q
-        qq = [Fraction(0)] * max(1, len(r0t) - len(r1t) + 1)
-        r = list(r0t)
-        inv = 1 / r1t[-1]
-        while len(trim(r)) >= len(r1t):
-            r = trim(r)
-            dsh = len(r) - len(r1t)
-            c = r[-1] * inv
-            qq[dsh] = c
-            for i, bc in enumerate(r1t):
-                r[dsh + i] -= c * bc
-        r0t, r1t = r1t, trim(r)
-        prod = [Fraction(0)] * (len(qq) + len(s1) - 1)
-        for i, x in enumerate(qq):
-            if x:
-                for j, y in enumerate(s1):
-                    prod[i + j] += x * y
-        news = [a - b for a, b in
-                zip(s0 + [Fraction(0)] * max(0, len(prod) - len(s0)),
-                    prod + [Fraction(0)] * max(0, len(s0) - len(prod)))]
-        s0, s1 = s1, news
-    if len(r0t) != 1:
-        return None
-    c = 1 / r0t[0]
-    return _qpoly_rem([x * c for x in s0], h)
-
-
 def _kernel_stable(E: Curve, h) -> bool:
     """The set {roots of h} must be closed under the duplication map."""
     num, den = E.duplication_x()
-    hl = list(h)
-    den_inv = _qpoly_invmod([Fraction(c) for c in den], hl)
-    if den_inv is None:
+    one, den_inv, _ = poly_xgcd(den, h)
+    if one != [1]:
         return False
-    x2 = _qpoly_mulmod([Fraction(c) for c in num], den_inv, hl)
-    # evaluate h at x2 modulo h
-    acc = [Fraction(0)] * (len(hl) - 1)
-    if acc == []:
-        acc = [Fraction(0)]
-    power = [Fraction(1)] + [Fraction(0)] * (len(hl) - 2)
-    for c in hl:
-        if c:
-            acc = [a + c * b for a, b in zip(acc, power)]
-        power = _qpoly_mulmod(power, x2, hl)
-    return all(a == 0 for a in acc)
+    x2 = poly_divmod(poly_mul(num, den_inv), h)[1]
+    # h(x2) mod h, by Horner
+    acc = []
+    for c in reversed(h):
+        acc = poly_divmod(poly_add(poly_mul(acc, x2), [c]), h)[1]
+    return acc == []
 
 
 # -- Frobenius scalar on a kernel line ----------------------------------------
@@ -339,8 +236,7 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int,
             raise RootLiftFailure("kernel polynomial has ell in a "
                                   "denominator")
         hbar.append(c.numerator * pow(c.denominator, -1, ell) % ell)
-    hbar = fpoly_trim(hbar)
-    if len(hbar) - 1 != len(kernel_poly) - 1:
+    if not hbar or hbar[-1] == 0:
         raise RootLiftFailure("kernel polynomial degenerates mod ell")
     # an irreducible factor gives the residue field of a kernel x-coord
     g = min((gg for gg, _ in ff_factor(hbar, ell, rng)),
@@ -482,15 +378,20 @@ def semisimplification(a_table: dict[int, int], p: int, conductor: int,
     return matches[0]
 
 
-def identify_line_character(scalars: dict[int, int], p: int,
-                            conductor: int) -> DirichletCharacter:
-    """The mod-p Dirichlet character matching Frobenius scalars at the
+def matching_line_characters(scalars: dict[int, int], p: int,
+                             conductor: int) -> list[DirichletCharacter]:
+    """Every mod-p Dirichlet character matching Frobenius scalars at the
     tested good primes."""
     M = character_search_modulus(p, conductor)
-    hits = []
-    for chi in enumerate_characters(M, p - 1, p, 1):
-        if all(chi(ell) % p == lam % p for ell, lam in scalars.items()):
-            hits.append(chi)
+    return [chi for chi in enumerate_characters(M, p - 1, p, 1)
+            if all(chi(ell) % p == lam % p for ell, lam in scalars.items())]
+
+
+def identify_line_character(scalars: dict[int, int], p: int,
+                            conductor: int) -> DirichletCharacter:
+    """The one mod-p Dirichlet character matching Frobenius scalars at
+    the tested good primes."""
+    hits = matching_line_characters(scalars, p, conductor)
     if not hits:
         raise InsufficientLineData(
             "no Dirichlet character matches the kernel scalars")

@@ -19,6 +19,7 @@ from mulab.cli import MAX_PRECISION, main
 from mulab.errors import (
     BadReduction,
     InconsistentAp,
+    InsufficientLineData,
     InvalidModel,
     NotOrdinary,
     ParseError,
@@ -214,12 +215,43 @@ def test_cli_refuses_layers_a_later_layer_contradicts(tmp_path, capsys):
     assert rep["layer_invariants"] == [[1, 2], [1, 2], [0, 10], [0, 10]]
 
 
+def test_cli_adds_frobenius_primes_until_one_line_character_fits(
+        tmp_path, capsys):
+    """[-5,0,4,0,0] (N = 466) at p = 3: six Frobenius scalars leave two
+    characters; more primes leave the trivial one.  mu = 0 on the Z/p
+    side, as Greenberg-Vatsal predict."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "t466", "ainvs": [-5, 0, 4, 0, 0], "conductor": 466}])
+    rc = main(["analyze", "--curves", curves, "--p", "3"])
+    assert rc == 0
+    (rep,) = json.loads(capsys.readouterr().out)
+    assert rep["classification"] == "skew"
+    assert rep["line_characters"] == ["1"]
+    assert (rep["mu"], rep["lambda"]) == (0, 2)
+
+
+def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
+    """No character fits: InsufficientLineData after six scalars, with no
+    further primes tried."""
+    from mulab import analysis
+    calls = []
+
+    def no_unit(E, k, ell, p):
+        calls.append(ell)
+        return 0
+
+    monkeypatch.setattr(analysis, "frobenius_scalar", no_unit)
+    with pytest.raises(InsufficientLineData, match="no Dirichlet"):
+        analyze(REC_11A1, 5)
+    assert len(calls) == 6
+
+
 def test_cli_and_analysis_do_not_import_numpy():
     """numpy would add ~13 MB to every analyze process; only lift-lab and
     lambda-invariants need it."""
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mulab.cli, mulab.analysis; "
+         "import sys, mulab.cli, mulab.analysis, mulab.arith; "
          "print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

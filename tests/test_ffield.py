@@ -1,12 +1,12 @@
 import random
 
+from mulab.arith import poly_mul
 from mulab.ffield import (
     ExtField,
     PrimeField,
     RelQuad,
     factor,
     find_irreducible,
-    fpoly_mul,
     is_irreducible,
     sqrt_in_field,
 )
@@ -77,13 +77,13 @@ def test_factor_over_fp():
         for _ in range(20):
             f1 = find_irreducible(ell, rng.randint(1, 3), rng)
             f2 = find_irreducible(ell, rng.randint(1, 2), rng)
-            prod = fpoly_mul(fpoly_mul(f1, f2, ell), f2, ell)
+            prod = poly_mul(poly_mul(f1, f2, ell), f2, ell)
             fac = factor(prod, ell, rng)
             recon = [1]
             for g, m in fac:
                 assert is_irreducible(g, ell)
                 for _ in range(m):
-                    recon = fpoly_mul(recon, g, ell)
+                    recon = poly_mul(recon, g, ell)
             assert recon == prod
 
 

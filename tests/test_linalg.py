@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from mulab import linalg, modsym
+from mulab.arith import is_probable_prime
 from mulab.elliptic import Curve
-from mulab.linalg import _PRIMES, _large_primes, is_probable_prime, rref
+from mulab.linalg import _PRIMES, _large_primes, rref
 from mulab.modsym import EigenSymbol, build_manin_space
 
 
@@ -166,8 +167,19 @@ def test_primes_are_the_largest_below_2_62():
                    if q not in first)
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; the oracle for Miller-Rabin."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_miller_rabin_against_trial_division():
-    from mulab.elliptic import is_prime
     assert [q for q in range(3000) if is_probable_prime(q)] == \
         [q for q in range(3000) if is_prime(q)]
     # strong pseudoprimes to several small bases

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mulab.dirichlet import factorize
+from mulab.arith import factorize
 from mulab.elliptic import Curve
 from mulab.errors import EigenspaceNotRational
 from mulab.modsym import (

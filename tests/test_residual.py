@@ -6,17 +6,23 @@ import pytest
 from mulab.dirichlet import mod_p_cyclotomic
 from mulab.elliptic import Curve
 from mulab.errors import (
+    FactorizationInconclusive,
+    InvariantViolation,
     NotReduciblyAligned,
     PrecisionLoss,
+    RootLiftFailure,
 )
+from mulab.ffield import factor as ff_factor
 from mulab.residual import (
     ModPnRepresentation,
+    _hensel_pair,
     alignment_degree,
     classify_alignment,
     frobenius_scalar,
     identify_line_character,
     isogeny_transform,
     kernel_polynomials,
+    monic_factors_of_degree,
     semisimplification,
     sturm_bound,
 )
@@ -180,3 +186,33 @@ def test_kernel_stability_rejects_non_kernel_factor():
     ks = kernel_polynomials(E11A1, 5)
     assert len(ks) == 2
     assert len(set(ks)) == 2
+
+
+def test_zassenhaus_checks_factor_degrees(monkeypatch):
+    """A factorization mod q that drops a factor is an internal fault:
+    InvariantViolation (exit 2), kept under `python -O`."""
+    from mulab import residual
+
+    def dropping(f, ell, rng):
+        return ff_factor(f, ell, rng)[1:]
+
+    monkeypatch.setattr(residual, "ff_factor", dropping)
+    with pytest.raises(InvariantViolation, match="degree"):
+        monic_factors_of_degree(E11A1.division_polynomial(5), 2)
+
+
+def test_hensel_lift_needs_coprime_factors():
+    with pytest.raises(InvariantViolation, match="coprime"):
+        _hensel_pair([1, 2, 1], [1, 1], [1, 1], 7, 3)
+
+
+def test_recombination_bound_raises():
+    with pytest.raises(FactorizationInconclusive):
+        monic_factors_of_degree(E11A1.division_polynomial(5), 2,
+                                max_subsets=0)
+
+
+def test_frobenius_scalar_refuses_ell_in_a_denominator():
+    with pytest.raises(RootLiftFailure, match="denominator"):
+        frobenius_scalar(E11A1, (Fraction(1, 3), Fraction(0), Fraction(1)),
+                         3, 5)

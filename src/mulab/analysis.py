@@ -240,7 +240,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         "gamma": 1 + p,
     }
     alpha = hensel_unit_root(a_p, p, N_prec + layers + 2)
-    thetas = []
+    thetas, Ls, layer_invs = [], [], []
     mu_estimate = 0
     for n in range(0, layers + 1):
         if n >= 1 and not precision_guard(N_prec, mu_estimate, n):
@@ -262,12 +262,9 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
                 write_theta_cache(cache_dir, theta, key)
         thetas.append(theta)
         if n >= 1:
-            L = regularized_Lp(thetas[n], thetas[n - 1], alpha)
-            mu_n, _ = mu_lambda_of_polynomial(L)
-            mu_estimate = max(mu_estimate, mu_n)
-    Ls = [regularized_Lp(thetas[n], thetas[n - 1], alpha)
-          for n in range(1, len(thetas))]
-    layer_invs = [mu_lambda_of_polynomial(L) for L in Ls]
+            Ls.append(regularized_Lp(thetas[n], thetas[n - 1], alpha))
+            layer_invs.append(mu_lambda_of_polynomial(Ls[-1]))
+            mu_estimate = max(mu_estimate, layer_invs[-1][0])
     mus = [m for m, _ in layer_invs]
     if any(b > a for a, b in zip(mus, mus[1:])):
         raise InvariantViolation(

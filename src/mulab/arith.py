@@ -28,6 +28,8 @@ def is_probable_prime(n: int) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < 43 * 43:
+        return True  # no prime <= 41 divides n, so n has no factor < 43
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

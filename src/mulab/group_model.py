@@ -2,9 +2,12 @@
 table, labelled subgroups, and multiplicative extension of generator-level
 data (representations, determinant characters) to the whole group.
 
-Groups are built by closure from generators given as permutations or as
-matrices over Z/m; elements are canonical tuples.  A homomorphism is
-extended along the BFS words and then verified on every (element,
+Groups are built from generators given as permutations or as matrices
+over Z/m by one breadth-first search by right multiplication with the
+generators; elements are canonical tuples, numbered in the order the
+search finds them.  The search records its tree (each new element as a
+found element times a generator), so a homomorphism is extended with one
+multiplication per element and then verified on every (element,
 generator) pair, which suffices by induction on word length.
 """
 
@@ -42,74 +45,43 @@ def perm_mul(a, b):
 
 class FiniteGroupModel:
     """Explicit finite group: canonical elements, index-based
-    multiplication table, generator list, labelled subgroups."""
+    multiplication table, generator list, labelled subgroups.
+
+    tree holds one triple (k, i, j) per element that is not a generator,
+    in BFS order: elements[k] = elements[i] * generator j (j indexes the
+    generators as given), with elements[i] found before elements[k]."""
 
     def __init__(self, generators, mul, max_size: int = 200):
-        self._mul_raw = mul
-        elems = []
-        index = {}
-
-        def add(x):
-            if x not in index:
-                index[x] = len(elems)
-                elems.append(x)
-            return index[x]
-
-        # identity by iterating a generator power (all elements have
-        # finite order); simpler: close under multiplication from the
-        # generators and locate the identity afterwards
-        frontier = [add(g) for g in generators]
-        words = {}
-        for gi, g in enumerate(generators):
-            words[index[g]] = None  # generator marker
-        while frontier:
-            new_frontier = []
-            for i in list(frontier):
-                for gj, g in enumerate(generators):
-                    prod = mul(elems[i], g)
-                    if prod not in index:
-                        k = add(prod)
-                        words[k] = (i, gj)
-                        new_frontier.append(k)
-                    if len(elems) > max_size:
-                        raise SizeBound(
-                            f"group exceeds size bound {max_size}")
-            frontier = new_frontier
-        # ensure closure (products of non-generator pairs) and identity
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(elems)):
-                for j in range(len(elems)):
-                    prod = mul(elems[i], elems[j])
-                    if prod not in index:
-                        k = add(prod)
-                        words[k] = None
-                        changed = True
-                        if len(elems) > max_size:
-                            raise SizeBound(
-                                f"group exceeds size bound {max_size}")
+        elems = list(dict.fromkeys(generators))
+        index = {x: k for k, x in enumerate(elems)}
+        tree = []
+        # elems is the BFS queue: every element is multiplied on the
+        # right by each generator once, in the order it was found
+        for i, x in enumerate(elems):
+            for j, g in enumerate(generators):
+                prod = mul(x, g)
+                if prod not in index:
+                    index[prod] = len(elems)
+                    tree.append((len(elems), i, j))
+                    elems.append(prod)
+                if len(elems) > max_size:
+                    raise SizeBound(f"group exceeds size bound {max_size}")
+        # a set closed under right multiplication by the generators is
+        # closed under all products
         self.elements = elems
         self.index = index
         self.generators = [index[g] for g in generators]
-        n = len(elems)
-        self.table = [[index[mul(elems[i], elems[j])] for j in range(n)]
-                      for i in range(n)]
-        self._words = words
-        # identity and inverses
-        self.identity = next(i for i in range(n)
-                             if all(self.table[i][j] == j
-                                    for j in range(n)))
-        self.inverse = [next(j for j in range(n)
-                             if self.table[i][j] == self.identity)
-                        for i in range(n)]
+        self.tree = tree
+        self.table = [[index[mul(x, y)] for y in elems] for x in elems]
+        row = list(range(len(elems)))
+        self.identity = next((i for i, r in enumerate(self.table)
+                              if r == row), None)
+        if self.identity is None:
+            raise ValueError("the generators do not generate a group")
         self.subgroups: dict[str, list[int]] = {}
 
     def __len__(self):
         return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def label_subgroup(self, label: str, generator_indices) -> list[int]:
         """Close the given element indices into a subgroup and record it."""
@@ -129,47 +101,23 @@ class FiniteGroupModel:
         self.subgroups[label] = out
         return out
 
-    def extend_homomorphism(self, gen_images, mul_img, verify=True):
-        """Extend generator images multiplicatively; returns a list
-        indexed by element index.  Raises ValueError if the images do not
-        define a homomorphism on this model."""
-        n = len(self.elements)
-        out = [None] * n
-        img_id = None
-        # identity image: product over nothing; derive from a generator g
-        # with g^k = e
-        out[self.identity] = None
-        for gi, img in zip(self.generators, gen_images):
-            out[gi] = img
-        # identity: g * g^(ord-1) = e; easier: walk powers of the first
-        # generator until identity
-        g0 = self.generators[0]
-        acc_idx, acc_img = g0, gen_images[0]
-        while acc_idx != self.identity:
-            acc_idx = self.table[acc_idx][g0]
-            acc_img = mul_img(acc_img, gen_images[0])
-        out[self.identity] = acc_img
-        # BFS fill: repeatedly extend known * generator
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                if out[i] is None:
-                    continue
-                for gi, img in zip(self.generators, gen_images):
-                    k = self.table[i][gi]
-                    if out[k] is None:
-                        out[k] = mul_img(out[i], img)
-                        changed = True
-        if any(x is None for x in out):
-            raise ValueError("generators do not generate the model")
-        if verify:
-            for i in range(n):
-                for gi, img in zip(self.generators, gen_images):
-                    if out[self.table[i][gi]] != mul_img(out[i], img):
-                        raise ValueError(
-                            "generator images are not compatible with the "
-                            "group relations")
+    def extend_homomorphism(self, gen_images, mul_img):
+        """Extend generator images multiplicatively along the BFS tree;
+        returns a list indexed by element index.  Raises ValueError if the
+        images do not define a homomorphism on this model: every
+        (element, generator) pair is checked, which suffices by induction
+        on word length."""
+        out = [None] * len(self.elements)
+        for g, img in zip(self.generators, gen_images):
+            out[g] = img
+        for k, i, j in self.tree:
+            out[k] = mul_img(out[i], gen_images[j])
+        for i, x in enumerate(out):
+            for g, img in zip(self.generators, gen_images):
+                if out[self.table[i][g]] != mul_img(x, img):
+                    raise ValueError(
+                        "generator images are not compatible with the "
+                        "group relations")
         return out
 
 

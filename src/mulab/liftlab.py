@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -118,93 +119,63 @@ class Cochain:
         return not np.any(self.values % self.module.p)
 
 
-def _d1_matrix(M: AdjointModule) -> np.ndarray:
-    """Matrix of d^1: C^1 -> C^2, f(g,h) = g f(h) - f(gh) + f(g)."""
+def _coboundary(M, k: int) -> np.ndarray:
+    """Matrix of the bar-resolution coboundary d^k: C^k -> C^(k+1),
+    k in {0, 1, 2}:
+
+        (d f)(g_0..g_k) = g_0 f(g_1..g_k)
+                          + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..)
+                          + (-1)^(k+1) f(g_0..g_(k-1)).
+
+    Row (g_0..g_k) * d + component, the tuple flattened base n; columns
+    likewise on k-tuples.  Each term is its own +=: inside one statement
+    every row occurs once, so fancy indexing is exact, while two terms
+    of one row can hit the same column (g = h, gh = g, ...).
+    """
     G = M.model
     n, d, p = len(G), M.dim, M.p
-    D = np.zeros((n * n * d, n * d), dtype=np.int64)
-    for g in range(n):
-        for h in range(n):
-            row = (g * n + h) * d
-            gh = G.table[g][h]
-            D[row:row + d, h * d:(h + 1) * d] += M._action[g]
-            for k in range(d):
-                D[row + k, gh * d + k] -= 1
-                D[row + k, g * d + k] += 1
-    return D % p
+    T = np.asarray(G.table)
+    g = [a.ravel() for a in np.indices((n,) * (k + 1))]
+    rows = np.arange(n**(k + 1))
 
+    def col(hs):
+        c = 0
+        for h in hs:
+            c = c * n + h
+        return c
 
-def _d0_matrix(M: AdjointModule) -> np.ndarray:
-    """d^0: M -> C^1, m -> (g -> g m - m)."""
-    G = M.model
-    n, d, p = len(G), M.dim, M.p
-    D = np.zeros((n * d, d), dtype=np.int64)
-    for g in range(n):
-        D[g * d:(g + 1) * d, :] = (M._action[g]
-                                   - np.eye(d, dtype=np.int64))
-    return D % p
-
-
-def _d2_matrix(M: AdjointModule) -> np.ndarray:
-    """d^2: C^2 -> C^3, F(g,h,k) = g F(h,k) - F(gh,k) + F(g,hk) -
-    F(g,h)."""
-    G = M.model
-    n, d, p = len(G), M.dim, M.p
-    D = np.zeros((n * n * n * d, n * n * d), dtype=np.int64)
-    for g in range(n):
-        for h in range(n):
-            gh = G.table[g][h]
-            for k in range(n):
-                row = ((g * n + h) * n + k) * d
-                hk = G.table[h][k]
-                D[row:row + d, (h * n + k) * d:(h * n + k + 1) * d] \
-                    += M._action[g]
-                for t in range(d):
-                    D[row + t, (gh * n + k) * d + t] -= 1
-                    D[row + t, (g * n + hk) * d + t] += 1
-                    D[row + t, (g * n + h) * d + t] -= 1
-    return D % p
+    eye = np.eye(d, dtype=np.int64)
+    D = np.zeros((n**(k + 1), d, n**k, d), dtype=np.int64)
+    D[rows, :, col(g[1:]), :] += np.asarray(M._action)[g[0]]
+    for i in range(k):
+        merged = g[:i] + [T[g[i], g[i + 1]]] + g[i + 2:]
+        D[rows, :, col(merged), :] += (-1)**(i + 1) * eye
+    D[rows, :, col(g[:k]), :] += (-1)**(k + 1) * eye
+    return D.reshape(n**(k + 1) * d, n**k * d) % p
 
 
 def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
                size_bound: int = 14):
-    """(dimension, list of representative cocycles) for H^1 or H^2."""
-    p = M.p
-    if degree == 1:
-        Z = nullspace_modp(_d1_matrix(M), p)
-        B = _d0_matrix(M)
-        dim, reps = _quotient_basis(Z, B.T, p)
-        cs = [Cochain(1, M, z.reshape(len(model), M.dim)) for z in reps]
-        return dim, cs
-    if degree == 2:
-        if len(model) > size_bound:
-            raise SizeBound(
-                f"degree-2 cohomology limited to |G| <= {size_bound}")
-        Z = nullspace_modp(_d2_matrix(M), p)
-        B = _d1_matrix(M).T  # rows span the coboundaries
-        # image of d^1 = row space of D1^T applied to all of C^1: rows of
-        # B are indexed by C^1 coordinates; the image is spanned by D1
-        # columns, i.e. rows of D1^T
-        dim, reps = _quotient_basis(Z, B, p)
-        n = len(model)
-        cs = [Cochain(2, M, z.reshape(n, n, M.dim)) for z in reps]
-        return dim, cs
-    raise ValueError("degree must be 1 or 2")
+    """(dimension, list of representative cocycles) for H^1 or H^2: the
+    kernel of d^degree modulo the image of d^(degree-1), which the rows
+    of its transpose span."""
+    if degree not in (1, 2):
+        raise ValueError("degree must be 1 or 2")
+    if degree == 2 and len(model) > size_bound:
+        raise SizeBound(f"degree-2 cohomology limited to |G| <= {size_bound}")
+    Z = nullspace_modp(_coboundary(M, degree), M.p)
+    dim, reps = _quotient_basis(Z, _coboundary(M, degree - 1).T, M.p)
+    shape = (len(model),) * degree + (M.dim,)
+    return dim, [Cochain(degree, M, z.reshape(shape)) for z in reps]
 
 
 def _quotient_basis(Z: np.ndarray, B_rows: np.ndarray, p: int):
     """dim and representatives of (row space of Z) / (row space of
     B_rows)."""
-    if B_rows.size == 0:
-        Bred = np.zeros((0, Z.shape[1]), dtype=np.int64)
-        bpiv = []
-    else:
-        Bred, bpiv = rref_modp(B_rows, p)
-        Bred = Bred[:len(bpiv)]
+    Bred, bpiv = rref_modp(B_rows, p)
+    acc, acc_piv = Bred[:len(bpiv)], list(bpiv)
     reps = []
     # reduce each Z row against B's echelon, collect independent residues
-    acc = Bred.copy()
-    acc_piv = list(bpiv)
     for z in Z % p:
         v = z.copy()
         for ri, pc in enumerate(acc_piv):
@@ -216,12 +187,12 @@ def _quotient_basis(Z: np.ndarray, B_rows: np.ndarray, p: int):
             v = v * pow(int(v[lead]), -1, p) % p
             acc = np.vstack([acc, v])
             acc_piv.append(lead)
-            reps.append(v.copy())
+            reps.append(v)
     return len(reps), reps
 
 
 def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
-    return nullspace_modp(_d1_matrix(M), M.p)
+    return nullspace_modp(_coboundary(M, 1), M.p)
 
 
 class _PlainModule:
@@ -233,9 +204,6 @@ class _PlainModule:
         self.p = p
         self._action = action
         self.dim = action[0].shape[0] if action else 0
-
-    def act(self, i, vec):
-        return self._action[i] @ vec % self.p
 
 
 def diagonal_quotient_module(M: AdjointModule) -> _PlainModule:
@@ -256,7 +224,7 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
                   c2: Cochain):
     """Solve d^1 f = c for f in C^1; returns the cochain or None."""
     n, d, p = len(model), M.dim, M.p
-    D = _d1_matrix(M)
+    D = _coboundary(M, 1)
     b = c2.values.reshape(n * n * d) % p
     x = solve_modp(D, b, p)
     if x is None:
@@ -439,13 +407,12 @@ def enumerate_lifts(rho: RepresentationModPn, det_target,
     base_gen = [base[g] for g in gens]
     # lift space per generator: A (1 + p^n X), tr X = 0 (det already
     # matched by the base lift)
-    ad0 = [(0, 0, 0, 0)] + [m for m in _ad0_elements(p)]
+    ad0 = _ad0_elements(p)
     total = len(ad0) ** len(gens)
     if total > max_candidates:
         raise SizeBound(f"{total} candidate tuples exceed the bound")
     lifts = []
-    for combo in itertools.product(_ad0_elements_list(p),
-                                   repeat=len(gens)):
+    for combo in itertools.product(ad0, repeat=len(gens)):
         gen_images = []
         for A, X in zip(base_gen, combo):
             pert = (1 + X[0] * p**n, X[1] * p**n,
@@ -461,17 +428,9 @@ def enumerate_lifts(rho: RepresentationModPn, det_target,
 
 
 def _ad0_elements(p: int):
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if (a, b, c) != (0, 0, 0):
-                    out.append((a, b, c, (-a) % p))
-    return out
-
-
-def _ad0_elements_list(p: int):
-    return [(0, 0, 0, 0)] + _ad0_elements(p)
+    """Every trace-zero 2x2 matrix mod p as a 4-tuple, zero first."""
+    return [(a, b, c, -a % p)
+            for a, b, c in itertools.product(range(p), repeat=3)]
 
 
 def strict_equivalence_classes(lifts, size_bound: int = 1 << 16):
@@ -1096,8 +1055,10 @@ def _check_matrices(spec: dict, key: str, count: int) -> None:
 def _check_scenario(spec) -> None:
     """Raise ParseError unless spec has the fields run_scenario reads,
     with the right types: p an odd prime, levels and start_level ints
-    >= 1, a permutation or matrix group, and one 2x2 matrix (4 ints) per
-    group generator in rhobar (and start_images above level 1)."""
+    >= 1, a permutation group or a matrix group with unit determinants,
+    one 2x2 matrix (4 ints) per group generator in rhobar, invertible
+    mod p (and in start_images above level 1), and well-formed
+    subgroups."""
     if not isinstance(spec, dict):
         raise ParseError(
             f"a scenario is a JSON object, got {type(spec).__name__}")
@@ -1123,12 +1084,17 @@ def _check_scenario(spec) -> None:
         if not _is_int(modulus) or modulus < 2:
             raise ParseError(
                 f"matrix modulus must be an integer >= 2, got {modulus!r}")
+        if any(gcd(mat_det(tuple(g), modulus), modulus) != 1 for g in gens):
+            raise ParseError("matrix generators must have a determinant "
+                             f"prime to the modulus {modulus}")
     elif not all(isinstance(g, list) and len(g) == len(gens[0])
                  and all(map(_is_int, g)) and sorted(g) == list(range(len(g)))
                  for g in gens):
         raise ParseError("permutation generators must be permutations of "
                          "0..m-1 of one length m")
     _check_matrices(spec, "rhobar", len(gens))
+    if any(mat_det(tuple(m), p) == 0 for m in spec["rhobar"]):
+        raise ParseError(f"rhobar images must be invertible mod {p}")
     base, mod = spec["rhobar"], p
     if spec.get("start_level", 1) > 1:
         _check_matrices(spec, "start_images", len(gens))
@@ -1144,6 +1110,43 @@ def _check_scenario(spec) -> None:
                          "determinants of the generator images")
     if spec.get("module", "ad0") not in SUBMODULE_BASIS:
         raise ParseError(f"unknown module {spec['module']!r}")
+    _check_subgroups(spec.get("subgroups", {}), p)
+
+
+def _check_subgroups(subgroups, p: int) -> None:
+    """Raise ParseError unless subgroups maps labels to objects
+    {generators: [int >= 0], condition?: {type, ...}} whose condition
+    type is none, ordinary (inertia: [int], cochar: {index: int}) or
+    tame1..tame4 (sigma, tau: int >= 0, v: int >= 1 prime to p,
+    psi_sigma?: int).  Indices are checked against |G| by run_scenario
+    once the group is built."""
+    if not isinstance(subgroups, dict):
+        raise ParseError(f"subgroups must be an object, got {subgroups!r}")
+    for label, sub in subgroups.items():
+        gens = sub.get("generators") if isinstance(sub, dict) else None
+        if not isinstance(gens, list) or not all(
+                _is_int(i) and i >= 0 for i in gens):
+            raise ParseError(f"subgroup {label!r} needs generators, a list "
+                             f"of element indices, got {sub!r}")
+        cond = sub.get("condition", {"type": "none"})
+        kind = cond.get("type") if isinstance(cond, dict) else None
+        if kind == "ordinary":
+            inertia = cond.get("inertia", [])
+            cochar = cond.get("cochar", {})
+            ok = (isinstance(inertia, list) and all(map(_is_int, inertia))
+                  and isinstance(cochar, dict)
+                  and all(k.isdecimal() and _is_int(x)
+                          for k, x in cochar.items()))
+        elif kind in ("tame1", "tame2", "tame3", "tame4"):
+            ok = (all(_is_int(cond.get(k)) and cond[k] >= 0
+                      for k in ("sigma", "tau", "v"))
+                  and cond["v"] % p != 0
+                  and _is_int(cond.get("psi_sigma", 0)))
+        else:
+            ok = kind == "none"
+        if not ok:
+            raise ParseError(f"subgroup {label!r} has a malformed condition "
+                             f"{cond!r}")
 
 
 def _extend(model, gen_images, mul, what: str):
@@ -1190,8 +1193,12 @@ def run_scenario(spec: dict) -> dict:
     M = AdjointModule(model, images, spec.get("module", "ad0"), p=p)
     conditions = []
     for label, sub in spec.get("subgroups", {}).items():
-        elems = model.label_subgroup(label, sub["generators"])
         cond = sub.get("condition", {"type": "none"})
+        if max(sub["generators"] + [cond.get("sigma", 0),
+                                    cond.get("tau", 0)]) >= len(model):
+            raise ParseError(f"subgroup {label!r} names an element index "
+                             f">= |G| = {len(model)}")
+        model.label_subgroup(label, sub["generators"])
         if cond["type"] == "none":
             continue
         if cond["type"] == "ordinary":
@@ -1201,14 +1208,12 @@ def run_scenario(spec: dict) -> dict:
             conditions.append(
                 (label, OrdinaryCondition(model, label, inertia,
                                           cochar, p)))
-        elif cond["type"].startswith("tame"):
+        else:
             conditions.append(
                 (label, TameCondition(
                     model, label, cond["sigma"], cond["tau"],
                     cond["v"], "type" + cond["type"][-1],
                     {cond["sigma"]: cond.get("psi_sigma", cond["v"])})))
-        else:
-            raise ValueError(f"unknown condition {cond['type']}")
     steps = []
     current = rep
     for n in range(start, target + 1):

@@ -260,24 +260,16 @@ def mu_lambda_of_polynomial(f: IwasawaPolynomial) -> tuple[int, int]:
 def gamma_basis_to_T(p: int, N: int, coeffs_gamma) -> IwasawaPolynomial:
     """Rewrite sum c_j * gamma^j (gamma = 1+T) as a polynomial in T.
 
-    The output lives in (Z/p^N)[T] truncated at T^(len coeffs); binomial
-    expansion is exact mod p^N.
+    The output lives in (Z/p^N)[T] truncated at T^(len coeffs), which
+    drops nothing: the result has degree < len coeffs.
     """
     size = len(coeffs_gamma)
     mod = p**N
     out = [0] * size
-    # row of binomial coefficients for (1+T)^j, built incrementally
-    row = [1]
-    for j, c in enumerate(coeffs_gamma):
-        if j > 0:
-            new = [1] * (j + 1)
-            for i in range(1, j):
-                new[i] = (row[i - 1] + row[i]) % mod
-            row = new
-        if c % mod == 0:
-            continue
-        for i, b in enumerate(row):
-            if i >= size:
-                break
-            out[i] = (out[i] + c * b) % mod
+    # Horner in gamma: out <- out * (1 + T) + c, from the top coefficient;
+    # after m steps out has degree < m
+    for m, c in enumerate(reversed(coeffs_gamma)):
+        for i in range(min(m, size - 1), 0, -1):
+            out[i] = (out[i] + out[i - 1]) % mod
+        out[0] = (out[0] + c) % mod
     return IwasawaPolynomial(p, N, size, out)

@@ -380,12 +380,33 @@ def _borel(**fields):
     _borel(det=[2]),
     _borel(module="sl2"),
     _borel(start_level=2, start_images=[[1, 3, 0, 1]], det=[1]),
-    _borel(start_level=2, start_images=[[1, 4, 0, 1]], det=[2])],
+    _borel(start_level=2, start_images=[[1, 4, 0, 1]], det=[2]),
+    _borel(subgroups="x"),
+    _borel(subgroups={"D": {"generators": [27]}}),
+    _borel(subgroups={"D": {"generators": [0],
+                            "condition": {"type": "weird"}}}),
+    _borel(subgroups={"D": {"generators": [0],
+                            "condition": {"type": "tame1"}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "tame5", "sigma": 0, "tau": 1, "v": 7}}}),
+    _borel(group={"kind": "matrices", "generators": [[0, 1, 0, 0]],
+                  "modulus": 3}),
+    _borel(rhobar=[[1, 1, 0, 0]]),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "tame1", "sigma": 0, "tau": 1, "v": 3}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "tame1", "sigma": 0, "tau": 27, "v": 7}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "ordinary", "inertia": [0], "cochar": {"x": 1}}}})],
     ids=["no-p", "p=4", "p=2", "p=True", "p=3.0", "levels=0",
          "levels-str", "kind-cyclic", "not-a-permutation", "no-modulus",
          "top-level-list", "rhobar-extra-matrix", "rhobar-3-entries",
          "rhobar-float", "rhobar-not-homomorphism", "det-not-reducing",
-         "module", "start-images-not-reducing", "det-of-start-images"])
+         "module", "start-images-not-reducing", "det-of-start-images",
+         "subgroups-str", "subgroup-index-past-group", "condition-weird",
+         "tame1-without-fields", "tame5", "singular-matrix-generator",
+         "rhobar-singular", "tame-v-divisible-by-p", "tame-tau-past-group",
+         "cochar-key-not-index"])
 def test_cli_lift_lab_rejects_malformed_scenarios(tmp_path, capsys, spec):
     path = write_json(tmp_path, "s.json", spec)
     rc = main(["lift-lab", "run", path])

@@ -18,6 +18,7 @@ from mulab.group_model import (
     mat_det,
     mat_inv,
     mat_mul,
+    perm_mul,
     verify_table_associativity,
 )
 from mulab.liftlab import (
@@ -128,8 +129,8 @@ def test_obstruction_class_lift_independent():
     rng = random.Random(5)
     f = np.array([[rng.randrange(5) for _ in range(3)]
                   for _ in range(len(G))], dtype=np.int64)
-    from mulab.liftlab import Cochain, _d1_matrix
-    d1f = (_d1_matrix(M) @ f.reshape(-1)) % 5
+    from mulab.liftlab import Cochain, _coboundary
+    d1f = (_coboundary(M, 1) @ f.reshape(-1)) % 5
     vals2 = (obs.values.reshape(-1) + d1f) % 5
     moved = Cochain(2, M, vals2.reshape(len(G), len(G), 3))
     # difference is the coboundary of f, so both are coboundaries or
@@ -388,9 +389,8 @@ def test_submodule_functoriality_exactness():
     term, for the sequence 0 -> n -> Ad^0 -> Ad^0/n -> 0 on an
     upper-triangular residual representation: the image of the inclusion
     equals the kernel of the projection."""
-    from mulab.liftlab import (_d0_matrix, _d1_matrix,
-                               diagonal_quotient_module, nullspace_modp,
-                               rref_modp)
+    from mulab.liftlab import (_coboundary, diagonal_quotient_module,
+                               nullspace_modp, rref_modp)
     p = 5
     G = group_from_permutations([(1, 2, 3, 0)])
     images = G.extend_homomorphism(
@@ -408,14 +408,14 @@ def test_submodule_functoriality_exactness():
         return v
 
     # coboundary echelon of Ad^0 and of the quotient
-    Bad, bad_piv = rref_modp(_d0_matrix(Mad).T, p)
+    Bad, bad_piv = rref_modp(_coboundary(Mad, 0).T, p)
     Bad = Bad[:len(bad_piv)]
-    Bq, bq_piv = rref_modp(_d0_matrix(Mq).T, p)
+    Bq, bq_piv = rref_modp(_coboundary(Mq, 0).T, p)
     Bq = Bq[:len(bq_piv)]
 
     # image of H^1(n) inside H^1(Ad^0): include n-cocycles (pad the
     # E-coordinate into the 3-dim Ad^0 coordinates), reduce mod B^1(Ad^0)
-    Zn = nullspace_modp(_d1_matrix(Mn), p)
+    Zn = nullspace_modp(_coboundary(Mn, 1), p)
     img_vectors = []
     for z in Zn:
         f = np.zeros((n, 3), dtype=np.int64)
@@ -431,7 +431,7 @@ def test_submodule_functoriality_exactness():
 
     # kernel of H^1(Ad^0) -> H^1(q): Ad^0-cocycle classes whose
     # projection (drop the E-coordinate) is a quotient coboundary
-    Zad = nullspace_modp(_d1_matrix(Mad), p)
+    Zad = nullspace_modp(_coboundary(Mad, 1), p)
     # basis of H^1(Ad^0) as reduced representatives
     reps = []
     acc, acc_piv = Bad.copy(), list(bad_piv)
@@ -982,3 +982,256 @@ def test_lift_path_invariants_raise(monkeypatch):
     monkeypatch.setattr(RepresentationModPn, "verify", lambda self: False)
     with pytest.raises(InvariantViolation, match="homomorphism"):
         lift_step(rho, det_t, M)
+
+
+# -- the BFS-tree group model and the table-driven coboundary, against the
+# -- code they replace ---------------------------------------------------------
+
+
+class OracleGroupModel:
+    """The constructor the BFS tree replaces: a frontier BFS, an O(n^2)
+    closure sweep over all products, then the multiplication table and
+    the identity by a row scan."""
+
+    def __init__(self, generators, mul, max_size=200):
+        elems, index = [], {}
+
+        def add(x):
+            if x not in index:
+                index[x] = len(elems)
+                elems.append(x)
+            return index[x]
+
+        frontier = [add(g) for g in generators]
+        while frontier:
+            new_frontier = []
+            for i in frontier:
+                for g in generators:
+                    prod = mul(elems[i], g)
+                    if prod not in index:
+                        new_frontier.append(add(prod))
+                    assert len(elems) <= max_size
+            frontier = new_frontier
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(elems)):
+                for j in range(len(elems)):
+                    if mul(elems[i], elems[j]) not in index:
+                        add(mul(elems[i], elems[j]))
+                        changed = True
+        n = len(elems)
+        self.elements = elems
+        self.index = index
+        self.generators = [index[g] for g in generators]
+        self.table = [[index[mul(elems[i], elems[j])] for j in range(n)]
+                      for i in range(n)]
+        self.identity = next(i for i in range(n)
+                             if all(self.table[i][j] == j for j in range(n)))
+
+
+def oracle_extend_homomorphism(G, gen_images, mul_img):
+    """The extension the BFS tree replaces: the identity's image by powers
+    of the first generator, a fixpoint sweep over every (element,
+    generator) pair, then the full check."""
+    n = len(G.elements)
+    out = [None] * n
+    for gi, img in zip(G.generators, gen_images):
+        out[gi] = img
+    g0 = G.generators[0]
+    acc_idx, acc_img = g0, gen_images[0]
+    while acc_idx != G.identity:
+        acc_idx = G.table[acc_idx][g0]
+        acc_img = mul_img(acc_img, gen_images[0])
+    out[G.identity] = acc_img
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            if out[i] is None:
+                continue
+            for gi, img in zip(G.generators, gen_images):
+                k = G.table[i][gi]
+                if out[k] is None:
+                    out[k] = mul_img(out[i], img)
+                    changed = True
+    for i in range(n):
+        for gi, img in zip(G.generators, gen_images):
+            if out[G.table[i][gi]] != mul_img(out[i], img):
+                raise ValueError("generator images are not compatible")
+    return out
+
+
+def oracle_d0(M):
+    """d^0: M -> C^1, m -> (g -> g m - m), one block at a time."""
+    n, d, p = len(M.model), M.dim, M.p
+    D = np.zeros((n * d, d), dtype=np.int64)
+    for g in range(n):
+        D[g * d:(g + 1) * d, :] = M._action[g] - np.eye(d, dtype=np.int64)
+    return D % p
+
+
+def oracle_d1(M):
+    """d^1: C^1 -> C^2, (g, h) -> g f(h) - f(gh) + f(g), entry by entry."""
+    G = M.model
+    n, d, p = len(G), M.dim, M.p
+    D = np.zeros((n * n * d, n * d), dtype=np.int64)
+    for g in range(n):
+        for h in range(n):
+            row = (g * n + h) * d
+            gh = G.table[g][h]
+            D[row:row + d, h * d:(h + 1) * d] += M._action[g]
+            for k in range(d):
+                D[row + k, gh * d + k] -= 1
+                D[row + k, g * d + k] += 1
+    return D % p
+
+
+def oracle_d2(M):
+    """d^2: C^2 -> C^3, (g, h, k) -> g F(h,k) - F(gh,k) + F(g,hk) -
+    F(g,h), entry by entry."""
+    G = M.model
+    n, d, p = len(G), M.dim, M.p
+    D = np.zeros((n * n * n * d, n * n * d), dtype=np.int64)
+    for g in range(n):
+        for h in range(n):
+            gh = G.table[g][h]
+            for k in range(n):
+                row = ((g * n + h) * n + k) * d
+                hk = G.table[h][k]
+                D[row:row + d, (h * n + k) * d:(h * n + k + 1) * d] \
+                    += M._action[g]
+                for t in range(d):
+                    D[row + t, (gh * n + k) * d + t] -= 1
+                    D[row + t, (g * n + hk) * d + t] += 1
+                    D[row + t, (g * n + h) * d + t] -= 1
+    return D % p
+
+
+# (name, generators, modulus or None for permutations, p, rho-bar images
+# of the generators mod p): the groups of the nine criterion-7 torsor
+# instances, S3 by transpositions, Z2 x Z2, borel_z3 (|G| = 27) and a
+# repeated generator
+GROUP_CASES = [
+    ("S3", [(1, 2, 0), (1, 0, 2)], None, 5, [(0, 4, 1, 4), (0, 1, 1, 0)]),
+    ("Z4", [(1, 2, 3, 0)], None, 5, [(2, 0, 0, 1)]),
+    ("Z5", [(1, 2, 3, 4, 0)], None, 5, [(1, 1, 0, 1)]),
+    ("Z3", [(1, 2, 0)], None, 3, [(1, 1, 0, 1)]),
+    ("SL2F3", [(1, 1, 0, 1), (1, 0, 1, 1)], 3, 3, None),
+    ("Q8", [(0, 1, 2, 0), (1, 1, 1, 2)], 3, 3, None),
+    ("D4", [(0, 1, 2, 0), (1, 0, 0, 2)], 3, 3, None),
+    ("S3-transpositions", [(1, 0, 2), (0, 2, 1)], None, 3,
+     [(2, 0, 0, 1), (2, 1, 0, 1)]),
+    ("Z2xZ2", [(1, 0, 3, 2), (2, 3, 0, 1)], None, 3,
+     [(2, 0, 0, 1), (1, 0, 0, 2)]),
+    ("borel_z3", [(1, 1, 0, 1)], 27, 3, None),
+    ("repeated-generator", [(1, 2, 0), (1, 2, 0)], None, 3,
+     [(1, 1, 0, 1), (1, 1, 0, 1)]),
+]
+
+
+def _build(gens, modulus):
+    """(model, oracle model) from the same generators."""
+    if modulus is None:
+        return (group_from_permutations(gens),
+                OracleGroupModel([tuple(g) for g in gens], perm_mul))
+    return (group_from_matrices(gens, modulus),
+            OracleGroupModel([tuple(x % modulus for x in m) for m in gens],
+                             lambda a, b: mat_mul(a, b, modulus)))
+
+
+@pytest.mark.parametrize("name,gens,modulus,p,gen_images", GROUP_CASES,
+                         ids=[c[0] for c in GROUP_CASES])
+def test_group_model_matches_closure_oracle(name, gens, modulus, p,
+                                            gen_images):
+    """Same elements (in the same order), index, generators, table and
+    identity as the BFS plus O(n^2) closure sweep, and every tree triple
+    (k, i, j) reads elements[k] = elements[i] * generator j, once per
+    non-generator element."""
+    G, oracle = _build(gens, modulus)
+    assert G.elements == oracle.elements
+    assert G.index == oracle.index
+    assert G.generators == oracle.generators
+    assert G.table == oracle.table
+    assert G.identity == oracle.identity
+    assert sorted(k for k, _, _ in G.tree) == \
+        sorted(set(range(len(G))) - set(G.generators))
+    for k, i, j in G.tree:
+        assert i < k and G.table[i][G.generators[j]] == k
+
+
+def test_group_model_refuses_generators_of_no_group():
+    """A singular matrix generates a semigroup with no identity: the
+    model raises ValueError (the row scan used to leak StopIteration)."""
+    with pytest.raises(ValueError, match="do not generate a group"):
+        group_from_matrices([(0, 1, 0, 0)], 3)
+
+
+def test_extend_homomorphism_matches_fixpoint_oracle():
+    """On seeded generator images (Id + 3X mod 9 with X often zero,
+    units mod 7 under multiplication, and each case's rho-bar) the tree
+    extension returns the fixpoint sweep's images or raises ValueError
+    exactly when it does."""
+    rng = random.Random(9)
+    outcomes = {"ok": 0, "ValueError": 0}
+    for name, gens, modulus, p, gen_images in GROUP_CASES:
+        G, _ = _build(gens, modulus)
+        k = len(G.generators)
+        trials = [(gen_images or [tuple(x % p for x in G.elements[g])
+                                  for g in G.generators],
+                   lambda a, b, p=p: mat_mul(a, b, p))]
+        for _ in range(12):
+            imgs = []
+            for _ in range(k):
+                X = [rng.randrange(3) if rng.random() < 0.5 else 0
+                     for _ in range(4)]
+                imgs.append((1 + 3 * X[0], 3 * X[1], 3 * X[2],
+                             1 + 3 * X[3]))
+            trials.append((imgs, lambda a, b: mat_mul(a, b, 9)))
+            trials.append(([rng.choice([1, 6, rng.randrange(1, 7)])
+                            for _ in range(k)], lambda a, b: a * b % 7))
+        for imgs, mul in trials:
+            try:
+                want = oracle_extend_homomorphism(G, imgs, mul)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    G.extend_homomorphism(imgs, mul)
+                outcomes["ValueError"] += 1
+                continue
+            assert G.extend_homomorphism(imgs, mul) == want, name
+            outcomes["ok"] += 1
+    assert outcomes == {"ok": 107, "ValueError": 168}
+
+
+def _coboundary_modules():
+    """(name, module) over every case: ad0, and for an upper-triangular
+    rho-bar also n, b and the quotient Ad^0 / n."""
+    out = []
+    for name, gens, modulus, p, gen_images in GROUP_CASES:
+        G, _ = _build(gens, modulus)
+        if gen_images is None:  # a matrix group's inclusion mod p
+            rhobar = [tuple(x % p for x in m) for m in G.elements]
+        else:
+            rhobar = G.extend_homomorphism(
+                gen_images, lambda a, b: mat_mul(a, b, p))
+        Mad = AdjointModule(G, rhobar, "ad0", p=p)
+        out.append((f"{name}/ad0", Mad))
+        if all(m[2] == 0 for m in rhobar):
+            out += [(f"{name}/{s}", AdjointModule(G, rhobar, s, p=p))
+                    for s in ("n", "b")]
+            out.append((f"{name}/ad0-mod-n",
+                        liftlab.diagonal_quotient_module(Mad)))
+    return out
+
+
+def test_coboundary_matches_entrywise_builders():
+    """d^0, d^1 and d^2 (d^2 only for |G| <= 14) equal the entry-by-entry
+    builders on every module, the quotient module included."""
+    modules = _coboundary_modules()
+    assert len(modules) == 32
+    oracles = (oracle_d0, oracle_d1, oracle_d2)
+    for name, M in modules:
+        for k in range(3 if len(M.model) <= 14 else 2):
+            D = liftlab._coboundary(M, k)
+            assert D.dtype == np.int64, name
+            assert np.array_equal(D, oracles[k](M)), (name, k)

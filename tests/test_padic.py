@@ -153,3 +153,40 @@ def test_gamma_basis_to_T():
     # gamma^2 = 1 + 2T + T^2
     g = gamma_basis_to_T(5, 3, [0, 0, 1])
     assert g.coeffs == (1, 2, 1)
+
+
+def oracle_gamma_basis_to_T(p, N, coeffs_gamma):
+    """The Pascal-row expansion that Horner's rule replaces: add
+    c_j * binomial(j, i) into the T^i coefficient."""
+    size = len(coeffs_gamma)
+    mod = p**N
+    out = [0] * size
+    row = [1]
+    for j, c in enumerate(coeffs_gamma):
+        if j > 0:
+            new = [1] * (j + 1)
+            for i in range(1, j):
+                new[i] = (row[i - 1] + row[i]) % mod
+            row = new
+        if c % mod == 0:
+            continue
+        for i, b in enumerate(row):
+            if i >= size:
+                break
+            out[i] = (out[i] + c * b) % mod
+    return IwasawaPolynomial(p, N, size, out)
+
+
+@pytest.mark.parametrize("p,n,N", [(5, 3, 6), (7, 3, 6), (13, 2, 100),
+                                   (3, 0, 4)])
+def test_gamma_basis_to_T_matches_pascal_rows(p, n, N):
+    """Seeded theta-sized inputs (p^n coefficients, signed, some zero,
+    some beyond p^N) give the same T-coefficients as the Pascal rows."""
+    rng = random.Random(p * 1000 + N)
+    bound = p**(N + 1)
+    for _ in range(3):
+        cs = [rng.choice([0, rng.randrange(-bound, bound)])
+              for _ in range(p**n)]
+        assert gamma_basis_to_T(p, N, cs).coeffs == \
+            oracle_gamma_basis_to_T(p, N, cs).coeffs
+    assert gamma_basis_to_T(p, N, []).coeffs == ()

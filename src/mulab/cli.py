@@ -144,9 +144,13 @@ def cmd_lambda_invariants(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MuLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MuLabError as exc:
+        # a refusal of the presentation, such as NotTorsion
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     print(json.dumps({
         "p": pres.p, "N": pres.N, "MT": pres.M,
         "graded_ranks": qs,

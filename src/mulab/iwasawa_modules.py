@@ -7,7 +7,8 @@ summands with i >= k, so the multiplicity of Lambda/p^i is q_i - q_(i+1).
 Everything is computed from the relation matrix by exact linear algebra:
 one Smith form over Z/p^N of the T-shifted relations locates the
 p^(k-1)-divisible relations for every k at once, and the Fp[[T]]-rank of
-the T-stable space W they span mod p is dim W - dim TW.
+the T-stable space W_k they span mod p is dim W_k - dim TW_k, read for
+every k from one elimination.
 Finite (pseudonull) junk is insensitive to the T-truncation bound, so each
 profile is recomputed at doubled truncation and must agree.
 """
@@ -22,13 +23,21 @@ import numpy as np
 
 from .arith import is_probable_prime, poly_add, poly_mul, poly_sub
 from .errors import (
+    InvariantViolation,
     NotTorsion,
     PrecisionInsufficient,
     TruncationUnresolved,
 )
-from .modp import rref_modp, smith_zpk
+from .modp import MAX_MODULUS, smith_zpk
 
 Poly = tuple[int, ...]  # coefficients of a truncated polynomial in T
+
+# bound on the entries of the doubled-truncation matrix, (relations*2*MT)
+# x (generators*2*MT), that graded_ranks puts through smith_zpk; square
+# is the costliest shape, and dense presentations at the bound (4 x 4 at
+# MT 176, 1 x 1 at MT 707, p^N = 2^31 with every entry 0 or 2^30) took
+# 20-22 s for graded_ranks and about 110 MB (Xeon, Python 3.11, numpy 2.4)
+MAX_SMITH_ENTRIES = 2 * 10**6
 
 
 def _poly(coeffs, M: int, mod: int) -> Poly:
@@ -38,19 +47,39 @@ def _poly(coeffs, M: int, mod: int) -> Poly:
 
 
 def smith_rank_over_power_series_field_char_p(
-        basis: np.ndarray, p: int, M: int) -> int:
-    """Rank over F_p[[T]] of a T-stable subspace W of (F_p[T]/(T^M))^c.
+        basis: np.ndarray, labels, p: int, M: int, N: int) -> list[int]:
+    """Ranks over F_p[[T]] of the T-stable subspaces W_1 <= ... <= W_N of
+    (F_p[T]/(T^M))^c, where W_k is spanned by the rows of `basis` (c
+    blocks of M coefficients) whose label is < k.
 
-    `basis` holds an F_p-basis of W as rows of c blocks of M coefficients.
     W is a sum of cyclic pieces T^e F_p[T]/(T^M), and multiplying by T
     drops exactly one dimension from each piece with e < M, so the rank is
-    dim W - dim TW.
+    dim W - dim TW.  One elimination over the T-shifted rows gives dim TW_k
+    for every k: each column pivots on the live row of least label, so a
+    row only ever takes multiples of rows of no larger label, every prefix
+    keeps its span, and dim TW_k is the number of pivots with label < k.
     """
-    n = basis.shape[0]
-    W = basis.reshape(n, -1, M)
-    TW = np.zeros_like(W)
-    TW[:, :, 1:] = W[:, :, :-1]
-    return n - len(rref_modp(TW.reshape(n, -1), p)[1])
+    labels = np.asarray(labels)
+    # T shifts each block of M coefficients up by one and drops T^M
+    R = np.zeros_like(basis)
+    R[:, 1:] = basis[:, :-1] % p
+    R[:, ::M] = 0
+    live = np.ones(len(R), dtype=bool)
+    pivot_labels = []
+    for col in range(R.shape[1]):
+        # live rows are zero left of col: earlier columns were cleared
+        nz = np.flatnonzero(live & (R[:, col] != 0))
+        if not nz.size:
+            continue
+        r = nz[labels[nz].argmin()]
+        live[r] = False
+        pivot_labels.append(int(labels[r]))
+        rest = nz[nz != r]
+        if rest.size:
+            f = R[rest, col] * pow(int(R[r, col]), -1, p) % p
+            R[rest, col:] = (R[rest, col:] - np.outer(f, R[r, col:])) % p
+    return [int((labels < k).sum()) - sum(d < k for d in pivot_labels)
+            for k in range(1, N + 1)]
 
 
 @dataclass(frozen=True)
@@ -66,12 +95,14 @@ class MuProfile:
     def __post_init__(self):
         vec = self.mu_vector
         if vec == (0,):
-            assert self.mu == 0 and self.t == 0 and self.r == 0
+            ok = self.mu == 0 and self.t == 0 and self.r == 0
         else:
-            assert vec[-1] > 0
-            assert self.mu == sum((i + 1) * m for i, m in enumerate(vec))
-            assert self.r == sum(vec)
-            assert self.t == len(vec)
+            ok = (bool(vec) and vec[-1] > 0
+                  and self.mu == sum((i + 1) * m for i, m in enumerate(vec))
+                  and self.r == sum(vec)
+                  and self.t == len(vec))
+        if not ok:
+            raise InvariantViolation(f"inconsistent mu-profile: {self}")
 
 
 class LambdaPresentation:
@@ -165,15 +196,9 @@ def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:
     # reduced mod p^k, Minv is still a Smith basis with diagonal
     # min(d_i, k), so the rows w_i with d_i < k, reduced mod p, are an
     # F_p-basis of (V intersect p^(k-1) R^c) / p^(k-1) for every k
-    qs: list[int] = []
-    for k in range(1, N + 1):
-        basis = Minv[[i for i, d in enumerate(diag) if d < k]] % p
-        if not len(basis):
-            qs.append(c)
-            continue
-        qs.append(c - smith_rank_over_power_series_field_char_p(
-            basis, p, M))
-    return qs
+    ranks = smith_rank_over_power_series_field_char_p(
+        Minv[:len(diag)] % p, diag, p, M, N)
+    return [c - rank for rank in ranks]
 
 
 def graded_ranks(pres: LambdaPresentation) -> list[int]:
@@ -249,4 +274,15 @@ def load_presentation(path: str) -> LambdaPresentation:
     for c in (c for row in rows for e in row for c in e):
         if type(c) is not int:
             raise ValueError(f"coefficients must be integers, got {c!r}")
-    return LambdaPresentation(data["p"], data["N"], data["MT"], data["rows"])
+    N, M = data["N"], data["MT"]
+    # a huge N is refused before p^N is computed
+    if N >= MAX_MODULUS.bit_length() or p**N > MAX_MODULUS:
+        raise ValueError(f"p^N = {p}^{N} exceeds 2^31, the bound on the "
+                         "modulus of the int64 Smith form")
+    shape = (len(rows) * 2 * M, (len(rows[0]) if rows else 0) * 2 * M)
+    if shape[0] * shape[1] > MAX_SMITH_ENTRIES:
+        raise ValueError(
+            f"the doubled-truncation matrix is {shape[0]} x {shape[1]}, "
+            f"over {MAX_SMITH_ENTRIES} entries, the bound on the Smith "
+            "form; lower MT or the size of the presentation")
+    return LambdaPresentation(p, N, M, rows)

@@ -1,6 +1,10 @@
 """Dense linear algebra over Z/p^k with numpy int64 entries: reduced row
 echelon form, kernels and solutions over F_p, and a Smith form over Z/p^k.
 
+The Smith form finds each pivot one valuation level at a time (one pass
+over the block in the common case) and updates only the active block,
+the part of the matrix that later steps read.
+
 This is the one mod-p^k kernel of the package: `liftlab` takes its
 cohomology and local-condition systems here, and `iwasawa_modules` its
 graded ranks.  The `analyze` path (`linalg`, `modsym`, `analysis`) does
@@ -10,6 +14,10 @@ not import it, so numpy stays out of that process.
 from __future__ import annotations
 
 import numpy as np
+
+# bound on p^k in smith_zpk: entries stay below it, so every product of
+# two entries stays below 2^62 and fits in int64
+MAX_MODULUS = 2**31
 
 
 def rref_modp(A: np.ndarray, p: int):
@@ -71,64 +79,47 @@ def smith_zpk(G: np.ndarray, p: int, k: int):
 
     Returns (diag_vals, Minv) where diag_vals[i] is the p-valuation of the
     i-th diagonal entry (k meaning zero) and Minv's rows w_i satisfy
-    rowspan(G) = span{p^(d_i) w_i}.
+    rowspan(G) = span{p^(d_i) w_i}.  The valuations are non-decreasing.
 
-    Entries stay below p^k and all updates are elementwise, so int64 is
-    exact as long as p^(2k) fits (p^k < 3e9; far beyond desk scale).
+    Step s pivots on the first entry, in row-major order, of least
+    valuation v in the active block A[s:, s:].  The search goes one level
+    at a time, from the previous pivot's valuation (p to that power
+    divides every entry of the block) up to the first v with an entry
+    nonzero mod p^(v+1), so most steps make one pass over the block.
+    Later steps read only the block A[s+1:, s+1:], so that is all the row
+    elimination updates, and the column elimination, which would only
+    clear row s's tail, acts on Minv alone.
+    Entries stay below p^k <= MAX_MODULUS, so every product fits in int64.
     """
     pk = p**k
-    if pk > 2**31:
+    if pk > MAX_MODULUS:
         raise ValueError("p^k too large for the int64 fast path")
     A = np.ascontiguousarray(G.astype(np.int64) % pk)
     nr, nc = A.shape
     Minv = np.eye(nc, dtype=np.int64)
     diag: list[int] = []
-
-    def vals(block):
-        out = np.full(block.shape, k, dtype=np.int64)
-        tmp = block.copy()
-        for v in range(k):
-            newly = (tmp % p != 0) & (out == k)
-            out[newly] = v
-            tmp //= p
-        return out
-
-    r0 = 0
-    for c0 in range(min(nr, nc)):
-        sub = A[r0:, c0:]
-        if sub.size == 0:
+    v = 0
+    for s in range(min(nr, nc)):
+        sub = A[s:, s:]
+        for v in range(v, k):
+            hits = np.flatnonzero(sub % p**(v + 1))
+            if hits.size:
+                break
+        else:
             break
-        V = vals(sub)
-        v = int(V.min())
-        if v >= k:
-            break
-        i, j = np.unravel_index(int(V.argmin()), V.shape)
-        bi, bj = r0 + int(i), c0 + int(j)
-        A[[r0, bi]] = A[[bi, r0]]
-        if bj != c0:
-            A[:, [c0, bj]] = A[:, [bj, c0]]
-            Minv[[c0, bj]] = Minv[[bj, c0]]
-        pivot = int(A[r0, c0])
-        uinv = pow(pivot // p**v, -1, pk)
-        # row elimination (rowspan-preserving), one vectorized update
-        col = A[r0 + 1:, c0]
-        if col.size:
-            q = (col // p**v) * uinv % pk
-            nzr = np.nonzero(col)[0]
-            if nzr.size:
-                A[r0 + 1 + nzr, :] = (
-                    A[r0 + 1 + nzr, :] - q[nzr, None] * A[r0, :]) % pk
-        # column elimination: col_j -= q*col_c0; Minv row_c0 += q*row_j
-        rowtail = A[r0, c0 + 1:]
-        nzc = np.nonzero(rowtail)[0]
-        if nzc.size:
-            q = (rowtail[nzc] // p**v) * uinv % pk
-            A[:, c0 + 1 + nzc] = (
-                A[:, c0 + 1 + nzc] - A[:, [c0]] * q[None, :]) % pk
-            Minv[c0, :] = (Minv[c0, :]
-                           + q @ Minv[c0 + 1 + nzc, :]) % pk
+        i, j = divmod(int(hits[0]), sub.shape[1])
+        A[[s, s + i], s:] = A[[s + i, s], s:]
+        if j:
+            A[s:, [s, s + j]] = A[s:, [s + j, s]]
+            Minv[[s, s + j]] = Minv[[s + j, s]]
+        uinv = pow(int(A[s, s]) // p**v, -1, pk)
+        # row elimination (rowspan-preserving): row_i -= q*row_s
+        nzr = s + 1 + np.flatnonzero(A[s + 1:, s])
+        q = (A[nzr, s] // p**v) * uinv % pk
+        A[nzr, s + 1:] = (A[nzr, s + 1:] - q[:, None] * A[s, s + 1:]) % pk
+        # column elimination col_j -= q*col_s: Minv row_s += q*row_j
+        nzc = s + 1 + np.flatnonzero(A[s, s + 1:])
+        q = (A[s, nzc] // p**v) * uinv % pk
+        Minv[s] = (Minv[s] + q @ Minv[nzc]) % pk
         diag.append(v)
-        r0 += 1
-        if r0 >= nr:
-            break
     return diag, Minv

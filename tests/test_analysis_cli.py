@@ -14,7 +14,7 @@ from mulab.analysis import (
     ingest,
     render_report,
 )
-from mulab import liftlab
+from mulab import iwasawa_modules, liftlab
 from mulab.cli import MAX_PRECISION, main
 from mulab.errors import (
     BadReduction,
@@ -326,6 +326,59 @@ def test_cli_lambda_invariants_rejects_bad_coefficients(tmp_path, capsys,
     rc = main(["lambda-invariants", "--presentation", pres])
     assert rc == 3
     assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, err", [
+    ({"p": 5, "N": 3, "MT": 8, "rows": [[[5], [0]]]},
+     "error: NotTorsion:"),
+    ({"p": 5, "N": 2, "MT": 8, "rows": [[[25]]]},
+     "error: PrecisionInsufficient:")])
+def test_cli_lambda_invariants_refusals_exit_3(tmp_path, capsys, spec, err):
+    pres = write_json(tmp_path, "p.json", spec)
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(err)
+
+
+def test_cli_lambda_invariants_truncation_unresolved_exits_3(
+        tmp_path, capsys, monkeypatch):
+    pres = write_json(tmp_path, "p.json",
+                      {"p": 5, "N": 2, "MT": 8, "rows": [[[5]]]})
+    monkeypatch.setattr(iwasawa_modules, "_graded_ranks_at",
+                        lambda at, M: [1, 0] if M == 8 else [0, 0])
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "error: TruncationUnresolved:")
+
+
+def test_cli_lambda_invariants_invariant_violation_exits_2(
+        tmp_path, capsys, monkeypatch):
+    pres = write_json(tmp_path, "p.json",
+                      {"p": 5, "N": 2, "MT": 8, "rows": [[[5]]]})
+    monkeypatch.setattr(iwasawa_modules, "profile_from_ranks",
+                        lambda qs, N: iwasawa_modules.MuProfile(
+                            (1,), 2, 1, 1))
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "invariant violation: inconsistent mu-profile")
+
+
+@pytest.mark.parametrize("field, value", [("MT", 10**9), ("N", 40)])
+def test_cli_lambda_invariants_rejects_oversized(tmp_path, capsys, field,
+                                                 value):
+    """Refused before any matrix is built: exit 3 well within 5 s."""
+    spec = {"p": 5, "N": 3, "MT": 8, "rows": [[[5], [0]], [[0], [25]]]}
+    spec[field] = value
+    pres = write_json(tmp_path, "p.json", spec)
+    t0 = time.monotonic()
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert time.monotonic() - t0 < 5
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert ("2^31" if field == "N" else "2000000") in err
 
 
 def test_cli_lift_lab(capsys):

@@ -1,10 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mulab.errors import NotTorsion, PrecisionInsufficient
+from mulab import iwasawa_modules
+from mulab.errors import (
+    InvariantViolation,
+    NotTorsion,
+    PrecisionInsufficient,
+    TruncationUnresolved,
+)
 from mulab.modp import rref_modp, smith_zpk
 from mulab.padic import val_int
 from mulab.iwasawa_modules import (
@@ -17,6 +26,7 @@ from mulab.iwasawa_modules import (
     mu_profile,
     smith_rank_over_power_series_field_char_p,
 )
+from test_modp import oracle_smith_zpk
 
 
 def P(*coeffs):
@@ -129,8 +139,8 @@ def test_smith_rank_examples():
                        ([[(0, 1), (0,)], [(0,), (0, 0, 0, 1)]], 2),
                        ([[(0, 1), (0, 1)], [(0, 1), (0, 1)]], 1)):
         basis = t_span_basis(rows, 5, 8)
-        assert smith_rank_over_power_series_field_char_p(basis, 5, 8) \
-            == rank
+        assert smith_rank_over_power_series_field_char_p(
+            basis, [0] * len(basis), 5, 8, 1) == [rank]
         assert oracle_fpt_rank(rows, 5, 8) == rank
 
 
@@ -333,3 +343,148 @@ def test_mu_equals_det_content_valuation():
         content_val = min(val_int(abs(x), p, 64)
                           for x in det if x != 0)
         assert content_val == mu_expected
+
+
+# -- one labelled elimination for every graded rank, against the per-k
+# -- ranks it replaces ---------------------------------------------------------
+
+
+def oracle_fpt_rank_one(basis, p, M):
+    """The one-rank routine the labelled elimination replaces: the
+    F_p[[T]]-rank dim W - dim TW of one T-stable subspace W."""
+    n = basis.shape[0]
+    W = basis.reshape(n, -1, M)
+    TW = np.zeros_like(W)
+    TW[:, :, 1:] = W[:, :, :-1]
+    return n - len(rref_modp(TW.reshape(n, -1), p)[1])
+
+
+def oracle_graded_ranks_at_per_k(pres, M):
+    """The graded ranks as computed before: one Smith form over Z/p^N,
+    then one F_p rank per k."""
+    p, N, c = pres.p, pres.N, pres.ncols
+    nr = len(pres.rows)
+    rel = np.array(pres.rows, dtype=object).reshape(nr, c, M)
+    G = np.zeros((nr, M, c, M), dtype=object)
+    for t in range(M):
+        G[:, t, :, t:] = rel[:, :, :M - t]
+    diag, Minv = oracle_smith_zpk(G.reshape(nr * M, c * M), p, N)
+    qs = []
+    for k in range(1, N + 1):
+        basis = Minv[[i for i, d in enumerate(diag) if d < k]] % p
+        if not len(basis):
+            qs.append(c)
+            continue
+        qs.append(c - oracle_fpt_rank_one(basis, p, M))
+    return qs
+
+
+def test_graded_ranks_match_per_k_oracle():
+    """>= 200 scrambled modules: the one labelled elimination gives the
+    per-k graded ranks at the stated and at the doubled truncation."""
+    rng = random.Random(31337)
+    for trial in range(200):
+        p = rng.choice([2, 3, 5])
+        N = 4
+        rows, _ = build_module(rng, p, N, 8)
+        scrambled = random_unimodular_scramble(rng, rows, p, N)
+        maxdeg = max(len(e) for r in scrambled for e in r)
+        pres = LambdaPresentation(p, N, max(6, maxdeg + 2), scrambled)
+        for at in (pres, pres.with_truncation(2 * pres.M)):
+            assert _graded_ranks_at(at, at.M) == \
+                oracle_graded_ranks_at_per_k(at, at.M), (trial, p, rows)
+
+
+def test_labelled_ranks_match_per_prefix_rref():
+    """Independent rows with labels in any order: the k-th rank is
+    dim W_k - dim TW_k for the rows of label < k, each prefix taken by its
+    own elimination.  Pivoting on a live row other than one of least label
+    mixes a larger label into a prefix and changes some rank."""
+    rng = random.Random(2718)
+    for trial in range(150):
+        p = rng.choice([2, 3, 5])
+        M = rng.randint(1, 4)
+        c = rng.randint(1, 3)
+        N = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, c * M)):
+            row = [rng.randrange(p) if rng.random() < 0.6 else 0
+                   for _ in range(c * M)]
+            if len(rref_modp(np.array(rows + [row]), p)[1]) > len(rows):
+                rows.append(row)
+        basis = np.array(rows, dtype=np.int64).reshape(len(rows), c * M)
+        labels = [rng.randrange(N) for _ in rows]
+        want = []
+        for k in range(1, N + 1):
+            sub = basis[[i for i, d in enumerate(labels) if d < k]]
+            want.append(oracle_fpt_rank_one(sub, p, M) if len(sub) else 0)
+        got = smith_rank_over_power_series_field_char_p(
+            basis, labels, p, M, N)
+        assert got == want, (trial, p, M, basis, labels)
+        assert all(type(r) is int for r in got)
+
+
+def test_graded_ranks_unstable_under_doubling(monkeypatch):
+    pres = LambdaPresentation(5, 2, 8, [[P(5)]])
+    monkeypatch.setattr(iwasawa_modules, "_graded_ranks_at",
+                        lambda at, M: [1, 0] if M == 8 else [0, 0])
+    with pytest.raises(TruncationUnresolved, match="doubling"):
+        graded_ranks(pres)
+
+
+def test_graded_ranks_not_monotone(monkeypatch):
+    pres = LambdaPresentation(5, 2, 8, [[P(5)]])
+    monkeypatch.setattr(iwasawa_modules, "_graded_ranks_at",
+                        lambda at, M: [0, 1])
+    with pytest.raises(TruncationUnresolved, match="monotone"):
+        graded_ranks(pres)
+
+
+def test_mu_profile_consistency_raises():
+    with pytest.raises(InvariantViolation, match="mu-profile"):
+        MuProfile((1,), 2, 1, 1)
+    with pytest.raises(InvariantViolation):
+        MuProfile((0,), 0, 1, 0)
+    with pytest.raises(InvariantViolation):
+        MuProfile((1, 0), 1, 2, 1)
+
+
+def test_mu_profile_consistency_raises_under_O():
+    """The checks are no bare asserts, so `python -O` keeps them."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from mulab.errors import InvariantViolation\n"
+         "from mulab.iwasawa_modules import MuProfile\n"
+         "try:\n"
+         "    MuProfile((1,), 2, 1, 1)\n"
+         "except InvariantViolation:\n"
+         "    print('raised')\n"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "raised"
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("MT", 10**9, "doubled-truncation matrix"),
+    ("N", 40, "2\\^31"),
+    ("p", 2**31 + 11, "2\\^31")])
+def test_load_presentation_bounds(tmp_path, field, value, match):
+    spec = {"p": 5, "N": 3, "MT": 8, "rows": [[[5], [0]], [[0], [25]]]}
+    spec[field] = value
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=match):
+        load_presentation(str(path))
+
+
+def test_load_presentation_bounds_are_inclusive(tmp_path):
+    """p^N = 2^31 loads; so does a doubled-truncation matrix of 1414 x 1414
+    (within MAX_SMITH_ENTRIES = 2 * 10^6), and 1416 x 1416 does not."""
+    path = tmp_path / "pres.json"
+    for spec in ({"p": 2, "N": 31, "MT": 4, "rows": [[[2]]]},
+                 {"p": 5, "N": 3, "MT": 707, "rows": [[[5]]]}):
+        path.write_text(json.dumps(spec))
+        assert load_presentation(str(path)).M == spec["MT"]
+    path.write_text(json.dumps({"p": 5, "N": 3, "MT": 708, "rows": [[[5]]]}))
+    with pytest.raises(ValueError, match="1416 x 1416"):
+        load_presentation(str(path))

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DenominatorAtP, NotStabilized
+from .errors import DenominatorAtP, InvariantViolation, NotStabilized
 from .modsym import EigenSymbol
 from .padic import (
     IwasawaPolynomial,
@@ -44,7 +44,10 @@ class MazurTateElement:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.p**self.n
+        if len(self.coeffs) != self.p**self.n:
+            raise InvariantViolation(
+                f"{len(self.coeffs)} coefficients at layer {self.n}, "
+                f"expected p^n = {self.p**self.n}")
         object.__setattr__(self, "coeffs",
                            tuple(Fraction(c) for c in self.coeffs))
 
@@ -71,20 +74,6 @@ class MazurTateElement:
             out.append(c.numerator * pow(c.denominator, -1, mod) % mod)
         return tuple(out)
 
-    def scale(self, c) -> "MazurTateElement":
-        return MazurTateElement(self.label, self.p, self.N, self.n,
-                                self.normalization,
-                                tuple(Fraction(c) * x for x in self.coeffs))
-
-    def sub(self, other: "MazurTateElement") -> "MazurTateElement":
-        assert (self.p, self.N, self.n) == (other.p, other.N, other.n)
-        return MazurTateElement(
-            self.label, self.p, self.N, self.n, self.normalization,
-            tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 def _gamma_index_table(p: int, n: int) -> dict[int, int]:
     """a -> t with a * teichmuller(a)^(-1) = (1+p)^t mod p^(n+1)."""
@@ -107,20 +96,25 @@ def _gamma_index_table(p: int, n: int) -> dict[int, int]:
 def theta_element(es: EigenSymbol, p: int, n: int, N: int,
                   label: str = "", normalization: str = "neron"
                   ) -> MazurTateElement:
-    """theta_n with exact rational coefficients."""
+    """theta_n with exact rational coefficients: the integer path sums of
+    the symbol's table, over its one denominator."""
     m = p**(n + 1)
     table = _gamma_index_table(p, n)
-    acc = [Fraction(0)] * (p**n)
+    num, path = es._num, es.space.path_infty_to
+    acc = [0] * (p**n)
     for a in range(1, m):
         if a % p == 0:
             continue
-        acc[table[a]] += es.evaluate(a, m)
-    return MazurTateElement(label, p, N, n, normalization, tuple(acc))
+        acc[table[a]] -= sum(num[i] for i in path(a, m))
+    return MazurTateElement(label, p, N, n, normalization,
+                            tuple(Fraction(x, es._den) for x in acc))
 
 
 def project_layer(theta: MazurTateElement) -> MazurTateElement:
     """Push layer n to layer n-1: gamma^j -> gamma^(j mod p^(n-1))."""
-    assert theta.n >= 1
+    if theta.n < 1:
+        raise InvariantViolation(
+            f"cannot project layer {theta.n} to the layer below")
     p, size = theta.p, theta.p**(theta.n - 1)
     out = [Fraction(0)] * size
     for j, c in enumerate(theta.coeffs):
@@ -140,17 +134,6 @@ def inflate_norm(theta: MazurTateElement) -> MazurTateElement:
                             theta.normalization, out)
 
 
-def norm_relation_defect(theta_n: MazurTateElement,
-                         theta_prev: MazurTateElement,
-                         theta_prev2: MazurTateElement,
-                         a_p: int) -> tuple[Fraction, ...]:
-    """pi(theta_n) - (a_p * theta_(n-1) - nu(theta_(n-2))); all zero when
-    the three-term relation holds."""
-    lhs = project_layer(theta_n)
-    rhs = theta_prev.scale(a_p).sub(inflate_norm(theta_prev2))
-    return lhs.sub(rhs).coeffs
-
-
 def regularized_Lp(theta_n: MazurTateElement,
                    theta_prev: MazurTateElement | None,
                    alpha: PAdicElement) -> IwasawaPolynomial:
@@ -166,7 +149,9 @@ def regularized_Lp(theta_n: MazurTateElement,
     terms = list(theta_n.coeffs)
     e = theta_n.denominator_exponent()
     if theta_prev is not None:
-        assert theta_prev.n == n - 1
+        if theta_prev.n != n - 1:
+            raise InvariantViolation(
+                f"theta_prev is at layer {theta_prev.n}, not {n - 1}")
         e = max(e, theta_prev.denominator_exponent())
     if alpha.N < N + e:
         raise ValueError(

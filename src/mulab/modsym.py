@@ -8,9 +8,18 @@ its value on the path {0 -> oo} equals L(f,1) / (real Neron period of the
 designated curve).  The two floating-point numbers come from mpmath: the
 period from the arithmetic-geometric mean of the 2-division roots, the
 L-value from the a_n series; their ratio is rationalized with a
-denominator bound.  All symbol arithmetic is exact: Hecke matrices are
-summed as integer slot counts and kept per space, and an eigensymbol keeps
-its value on every P^1 generator, so a path costs one integer sum.
+denominator bound.
+
+All symbol arithmetic is exact and kept in integers over one common
+denominator (1 on every level below 400): each slot of the quotient is
+stored as integer numerators in the free basis, Hecke and star matrices
+are summed from integer slot counts (Hecke matrices kept per space), and
+an eigensymbol keeps its value on every P^1 generator, so a path costs
+one integer sum.  The eigenvector comes from one nullspace of the
+stacked constraints of the first match prime and the star involution;
+each further prime only restricts that kernel K through the small
+system (T_ell - a_ell)^T K (Cremona, Algorithms for Modular Elliptic
+Curves, ch. 2; Stein, Modular Forms: A Computational Approach, ch. 7-8).
 """
 
 from __future__ import annotations
@@ -22,7 +31,11 @@ import mpmath as mp
 
 from .arith import is_probable_prime
 from .elliptic import Curve
-from .errors import EigenspaceNotOneDimensional, EigenspaceNotRational
+from .errors import (
+    EigenspaceNotOneDimensional,
+    EigenspaceNotRational,
+    InvariantViolation,
+)
 from .linalg import clear_denominators, nullspace, rref
 
 
@@ -89,10 +102,12 @@ class P1:
             if k > 4 * N + 4:
                 raise RuntimeError("no coprime lift found")
         x, y, g = _gcdex(c0, d0)
-        assert g == 1
         # a*d0 - b*c0 = 1
         a, b = y, -x
-        assert a * d0 - b * c0 == 1
+        if g != 1 or a * d0 - b * c0 != 1:
+            raise InvariantViolation(
+                f"lift ({a}, {b}; {c0}, {d0}) of class {i} is not in "
+                "SL_2(Z)")
         return (a, b, c0, d0)
 
 
@@ -112,28 +127,6 @@ def merel_matrices(n: int):
                 for b in range((bc - 1) // (d - 1) + 1, a):
                     if bc % b == 0:
                         yield (a, b, bc // b, d)
-
-
-def continued_fraction_path(a: int, m: int):
-    """Convergents p_j/q_j of a/m including p_(-1)/q_(-1) = 1/0."""
-    if m == 0:
-        return [(1, 0)]
-    sign = -1 if m < 0 else 1
-    a, m = a * sign, m * sign
-    quots = []
-    x, y = a, m
-    while y:
-        q, r = divmod(x, y)
-        quots.append(q)
-        x, y = y, r
-    convs = [(1, 0)]
-    p0, q0 = 1, 0
-    p1, q1 = quots[0], 1
-    convs.append((p1, q1))
-    for q in quots[1:]:
-        p0, q0, p1, q1 = p1, q1, q * p1 + p0, q * q1 + q0
-        convs.append((p1, q1))
-    return convs
 
 
 class ManinSymbolSpace:
@@ -185,23 +178,39 @@ class ManinSymbolSpace:
         free = [s for s in range(slots) if s not in pivots]
         self.free_slots = free
         self.dim = len(free)
-        # express every slot in the free basis, as its nonzero
-        # (free index, coefficient) pairs
-        terms = {s: [(fi, Fraction(1))] for fi, s in enumerate(free)}
+        # express every slot in the free basis, as its nonzero (free
+        # index, numerator) pairs over the one denominator _den
+        den = lcm(*(R[ri][s].denominator for ri in range(len(pivots))
+                    for s in free))
+        terms = {s: [(fi, den)] for fi, s in enumerate(free)}
         for ri, pcol in enumerate(pivots):
-            terms[pcol] = [(fi, -R[ri][s]) for fi, s in enumerate(free)
-                           if R[ri][s]]
+            terms[pcol] = [(fi, -(R[ri][s] * den).numerator)
+                           for fi, s in enumerate(free) if R[ri][s]]
+        self._den = den
         self._slot_terms = terms
         self._hecke = {}
+
+    def _column(self, counts):
+        """Numerators over _den of sum k * slot_s, for the pairs (s, k)
+        of counts, in the free basis."""
+        acc = [0] * self.dim
+        for s, k in counts.items():
+            if s is not None and k:
+                for fi, y in self._slot_terms[s]:
+                    acc[fi] += k * y
+        return acc
+
+    def _matrix(self, cols):
+        """The matrix with columns cols (numerators over _den)."""
+        den = self._den
+        if den == 1:
+            return [list(row) for row in zip(*cols)]
+        return [[Fraction(x, den) for x in row] for row in zip(*cols)]
 
     def project(self, i: int):
         """Coordinates of the i-th P^1 generator in the free basis."""
         s, sgn = self._red[i]
-        v = [Fraction(0)] * self.dim
-        if s is not None:
-            for fi, x in self._slot_terms[s]:
-                v[fi] = sgn * x
-        return v
+        return [Fraction(x, self._den) for x in self._column({s: sgn})]
 
     def basis_generator_indices(self):
         """A P^1 index representing each free basis slot (sign +1)."""
@@ -226,27 +235,20 @@ class ManinSymbolSpace:
         if n not in self._hecke:
             N = self.N
             merel = list(merel_matrices(n))
+            index, red = self.p1.index_map, self._red
             cols = []
             for i in self.basis_generator_indices():
                 c, d = self.p1.reps[i]
                 counts = {}
                 for (a, b, cc, dd) in merel:
-                    c1 = (a * c + cc * d) % N
-                    d1 = (b * c + dd * d) % N
-                    if gcd(gcd(c1, d1), N) != 1:
-                        continue
-                    s, sgn = self._red[self.p1.index(c1, d1)]
-                    if s is not None:
+                    j = index.get(((a * c + cc * d) % N,
+                                   (b * c + dd * d) % N))
+                    if j is not None:
+                        s, sgn = red[j]
                         counts[s] = counts.get(s, 0) + sgn
-                acc = [Fraction(0)] * self.dim
-                for s, k in counts.items():
-                    if k:
-                        for fi, y in self._slot_terms[s]:
-                            acc[fi] += k * y
-                cols.append(acc)
+                cols.append(self._column(counts))
             # columns are images; matrix acts on coordinate vectors
-            self._hecke[n] = [[cols[j][i] for j in range(self.dim)]
-                              for i in range(self.dim)]
+            self._hecke[n] = self._matrix(cols)
         return [row[:] for row in self._hecke[n]]
 
     def star_matrix(self):
@@ -254,9 +256,9 @@ class ManinSymbolSpace:
         cols = []
         for i in self.basis_generator_indices():
             c, d = self.p1.reps[i]
-            cols.append(self.project(self.p1.index(-c, d)))
-        return [[cols[j][i] for j in range(self.dim)]
-                for i in range(self.dim)]
+            s, sgn = self._red[self.p1.index(-c, d)]
+            cols.append(self._column({s: sgn}))
+        return self._matrix(cols)
 
     # -- boundary ------------------------------------------------------------
 
@@ -304,21 +306,24 @@ class ManinSymbolSpace:
     def path_infty_to(self, a: int, m: int):
         """{oo -> a/m} as a list of P^1 generator indices.
 
-        Each continued-fraction segment {p_(j-1)/q_(j-1) -> p_j/q_j} is a
-        unimodular path, i.e. a single Manin generator.
+        Each segment {p_(j-1)/q_(j-1) -> p_j/q_j} between consecutive
+        continued-fraction convergents of a/m, from p_(-1)/q_(-1) = 1/0,
+        is a unimodular path, i.e. a single Manin generator: with
+        e = p_j q_(j-1) - p_(j-1) q_j = (-1)^(j+1), gamma = (p_j, e p_(j-1);
+        q_j, e q_(j-1)) lies in SL_2(Z) and sends {0 -> oo} to the
+        segment.  Its class is (q_j : e q_(j-1)), so only the
+        denominators are carried.
         """
-        if m == 0:
-            return []
-        convs = continued_fraction_path(a, m)
+        if m < 0:
+            a, m = -a, -m
+        N, index = self.N, self.p1.index_map
         out = []
-        for j in range(1, len(convs)):
-            pj, qj = convs[j]
-            pj1, qj1 = convs[j - 1]
-            det0 = pj * qj1 - pj1 * qj
-            assert det0 in (1, -1)
-            # gamma = (pj, det0*pj1; qj, det0*qj1) lies in SL_2(Z) and
-            # sends {0 -> oo} to this segment
-            out.append(self.p1.index(qj % self.N, det0 * qj1 % self.N))
+        q1, q0, e = 0, 1, -1  # q_(j-1), q_(j-2) and e at j = 0
+        while m:
+            k, r = divmod(a, m)
+            q1, q0 = k * q1 + q0, q1
+            out.append(index[(q1 % N, e * q0 % N)])
+            a, m, e = m, r, -e
         return out
 
     def path_vector(self, a: int, m: int):
@@ -332,6 +337,12 @@ class ManinSymbolSpace:
 
 def build_manin_space(N: int) -> ManinSymbolSpace:
     return ManinSymbolSpace(N)
+
+
+def _transpose_shift(A, a):
+    """The rows of A^T - a I."""
+    return [[x - a if i == j else x for i, x in enumerate(col)]
+            for j, col in enumerate(zip(*A))]
 
 
 # -- period / L-value oracle --------------------------------------------------
@@ -393,8 +404,8 @@ class EigenSymbol:
     the value of {0 -> oo} is L(f,1)/Omega_plus(E).
 
     Setting `phi` rebuilds the value of phi on every P^1 generator, kept
-    as integer numerators over one common denominator; `evaluate` sums
-    these along a path."""
+    as integer numerators `_num` over one common denominator `_den`;
+    `evaluate` and `mazur_tate.theta_element` sum these along a path."""
 
     def __init__(self, space: ManinSymbolSpace, curve: Curve,
                  conductor: int, match_primes=None):
@@ -418,34 +429,57 @@ class EigenSymbol:
         return out
 
     def _find_functional(self):
-        sp = self.space
-        # rows of constraints: v * (A - a I) = 0 -> (A^T - a I) v = 0
-        rows = []
-        for ell in self.match_primes:
-            A = sp.hecke_matrix(ell)
-            a = self._a[ell]
-            for j in range(sp.dim):
-                rows.append([A[i][j] - (a if i == j else 0)
-                             for i in range(sp.dim)])
-        S = sp.star_matrix()
-        for j in range(sp.dim):
-            rows.append([S[i][j] - (1 if i == j else 0)
-                         for i in range(sp.dim)])
-        kern = nullspace(rows)
-        if len(kern) == 0:
+        """phi0: the primitive integer vector spanning the joint kernel of
+        (star - 1)^T and of (T_ell - a_ell)^T over the match primes.  While
+        that kernel has more than one dimension, three more primes are
+        added, up to twelve.  Like a nullspace basis vector, phi0 is zero
+        after its last free column and positive there; each restriction
+        keeps that, so phi0 is the stacked system's own."""
+        kern = self._joint_kernel(self.match_primes)
+        while len(kern) > 1 and len(self.match_primes) < 10:
+            old = self.match_primes
+            self.match_primes = self._good_primes(len(old) + 3)
+            self._a = {ell: self.curve.ap(ell) for ell in self.match_primes}
+            if self.match_primes[:len(old)] == old:
+                kern = self._joint_kernel(self.match_primes[len(old):], kern)
+            else:
+                kern = self._joint_kernel(self.match_primes)
+        if not kern:
             raise EigenspaceNotRational(
                 f"no rational eigensymbol for a_ell = {self._a}")
         if len(kern) > 1:
-            # try more primes before giving up
-            if len(self.match_primes) < 10:
-                self.match_primes = self._good_primes(
-                    len(self.match_primes) + 3)
-                self._a = {ell: self.curve.ap(ell)
-                           for ell in self.match_primes}
-                return self._find_functional()
             raise EigenspaceNotOneDimensional(
                 f"eigenspace dimension {len(kern)}")
-        self._phi0 = clear_denominators(kern[0])
+        self._phi0 = kern[0]
+
+    def _joint_kernel(self, primes, kern=None):
+        """Integer basis of the joint kernel of the constraints of primes,
+        within kern.  Without kern, one nullspace of the stacked
+        (star - 1)^T and (T_q - a_q)^T for the first prime q comes first;
+        each further prime restricts the kernel K through the small
+        system (T_ell - a_ell)^T K."""
+        sp = self.space
+        if kern is None:
+            # v (A - a I) = 0 <-> (A^T - a I) v = 0
+            rows = _transpose_shift(sp.star_matrix(), 1)
+            for ell in primes[:1]:
+                rows += _transpose_shift(sp.hecke_matrix(ell), self._a[ell])
+            kern = [clear_denominators(v) for v in nullspace(rows)]
+            primes = primes[1:]
+        for ell in primes:
+            if not kern:
+                break
+            kern = self._restrict(kern, ell)
+        return kern
+
+    def _restrict(self, kern, ell):
+        """Basis of {K c : (T_ell - a_ell)^T K c = 0} for the basis K."""
+        T = _transpose_shift(self.space.hecke_matrix(ell), self._a[ell])
+        small = [[sum(x * y for x, y in zip(row, v)) for v in kern]
+                 for row in T]
+        return [clear_denominators([sum(c * x for c, x in zip(coef, xs))
+                                    for xs in zip(*kern)])
+                for coef in nullspace(small)]
 
     def _normalize(self):
         sp = self.space
@@ -477,15 +511,15 @@ class EigenSymbol:
     @phi.setter
     def phi(self, phi):
         sp = self.space
-        slot_values = {
-            s: sum((phi[fi] * x for fi, x in terms), Fraction(0))
-            for s, terms in sp._slot_terms.items()}
-        values = [Fraction(0) if s is None else sgn * slot_values[s]
+        scale = lcm(*(Fraction(x).denominator for x in phi))
+        ints = [int(x * scale) for x in phi]
+        slot_values = {s: sum(ints[fi] * y for fi, y in terms)
+                       for s, terms in sp._slot_terms.items()}
+        values = [0 if s is None else sgn * slot_values[s]
                   for s, sgn in sp._red]
-        den = lcm(*(v.denominator for v in values))
         self._phi = phi
-        self._den = den
-        self._num = [v.numerator * (den // v.denominator) for v in values]
+        self._den = scale * sp._den
+        self._num = values
 
     def evaluate(self, a: int, m: int) -> Fraction:
         """[a/m]^+ = value of the path {a/m -> oo}."""

@@ -392,6 +392,20 @@ def test_cli_lift_lab(capsys):
     assert out["steps"][-1]["status"] == "obstructed"
 
 
+def test_corpus_report_golden():
+    """The report of the shipped corpus at each record's own p and the
+    CLI defaults (precision 6, 3 layers, ell bound 200), byte for byte,
+    as recorded under tests/golden before the integer modular-symbol
+    core."""
+    corpus = "data/corpus_reducible.json"
+    with open(corpus) as fh:
+        p_of_label = {r["label"]: r["p"] for r in json.load(fh)}
+    reports = analyze_many(ingest(corpus), lambda rec: p_of_label[rec.label],
+                           N_prec=6, layers=3, ell_bound=200)
+    with open("tests/golden/corpus_report.json") as fh:
+        assert render_report(reports) == fh.read()
+
+
 SCENARIOS = ("borel_z3", "obstructed_z3", "ordinary_z4_p5")
 
 

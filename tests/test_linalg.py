@@ -62,7 +62,9 @@ LEVEL_CURVES[210] = []
 @pytest.mark.parametrize("N", sorted(LEVEL_CURVES))
 def test_symbol_matrices_match_fraction_rref(monkeypatch, N):
     """Every rref call behind the relation matrix, the cuspidal boundary
-    and the eigen-constraint matrices equals the Fraction elimination."""
+    and the eigen-constraint matrices equals the Fraction elimination.
+    An eigensymbol makes one call for its stacked first constraint and
+    one per further match prime, which restricts the kernel."""
     calls = []
 
     def recording(rows):
@@ -73,9 +75,9 @@ def test_symbol_matrices_match_fraction_rref(monkeypatch, N):
     monkeypatch.setattr(linalg, "rref", recording)
     sp = build_manin_space(N)
     sp.cuspidal_dimension()
-    for ainvs in LEVEL_CURVES[N]:
-        EigenSymbol(sp, Curve(*ainvs), N)
-    assert len(calls) == 2 + len(LEVEL_CURVES[N])
+    symbols = [EigenSymbol(sp, Curve(*ainvs), N)
+               for ainvs in LEVEL_CURVES[N]]
+    assert len(calls) == 2 + sum(len(es.match_primes) for es in symbols)
     for rows in calls:
         assert_matches_oracle(rows)
 

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mulab.elliptic import Curve
-from mulab.errors import NotStabilized
+from mulab.errors import InvariantViolation, NotStabilized
 from mulab.mazur_tate import (
+    MazurTateElement,
+    _gamma_index_table,
     analytic_iwasawa_invariants,
     inflate_norm,
-    norm_relation_defect,
     precision_guard,
     project_layer,
     read_theta_cache,
@@ -79,6 +84,15 @@ def test_coefficient_counts(thetas):
             assert len(thetas[name][n].coeffs) == 5**n
 
 
+def norm_relation_defect(theta_n, theta_prev, theta_prev2, a_p):
+    """pi(theta_n) - (a_p * theta_(n-1) - nu(theta_(n-2))); all zero when
+    the three-term relation holds."""
+    lhs = project_layer(theta_n).coeffs
+    nu = inflate_norm(theta_prev2).coeffs
+    return tuple(x - (a_p * y - z)
+                 for x, y, z in zip(lhs, theta_prev.coeffs, nu))
+
+
 def test_norm_relation(thetas):
     ap = Curve(*CURVES["11a1"]).ap(5)
     for name in CURVES:
@@ -93,6 +107,59 @@ def test_projection_inflation_adjoint(thetas):
     t1 = thetas["11a1"][1]
     back = project_layer(inflate_norm(t1))
     assert back.coeffs == tuple(5 * c for c in t1.coeffs)
+
+
+def oracle_theta_element(es, p, n, N):
+    """theta_n as the sum of one `evaluate` Fraction per unit a: the path
+    the integer table sums replaced."""
+    m = p**(n + 1)
+    table = _gamma_index_table(p, n)
+    acc = [Fraction(0)] * (p**n)
+    for a in range(1, m):
+        if a % p == 0:
+            continue
+        acc[table[a]] += es.evaluate(a, m)
+    return tuple(acc)
+
+
+@pytest.mark.parametrize("label", ["11a1", "11a3", "n26-3", "n110-1"])
+def test_theta_matches_evaluate_sum(label):
+    corpus = Path(__file__).resolve().parent.parent / "data" \
+        / "corpus_reducible.json"
+    rec = next(r for r in json.loads(corpus.read_text())
+               if r["label"] == label)
+    es = EigenSymbol(build_manin_space(rec["conductor"]),
+                     Curve(*rec["ainvs"]), rec["conductor"])
+    for n in range(3):
+        theta = theta_element(es, rec["p"], n, N)
+        assert theta.coeffs == oracle_theta_element(es, rec["p"], n, N)
+
+
+def test_layer_checks_raise(thetas):
+    with pytest.raises(InvariantViolation, match="layer 0"):
+        project_layer(thetas["11a1"][0])
+    with pytest.raises(InvariantViolation, match="coefficients"):
+        MazurTateElement("x", 5, N, 1, "neron", (Fraction(1),))
+    alpha = hensel_unit_root(1, P, N + 3)
+    with pytest.raises(InvariantViolation, match="theta_prev"):
+        regularized_Lp(thetas["11a1"][2], thetas["11a1"][0], alpha)
+
+
+def test_layer_checks_raise_under_O():
+    """The checks are no bare asserts, so `python -O` keeps them."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from fractions import Fraction\n"
+         "from mulab.errors import InvariantViolation\n"
+         "from mulab.mazur_tate import MazurTateElement, project_layer\n"
+         "theta = MazurTateElement('x', 5, 6, 0, 'neron', (Fraction(1),))\n"
+         "try:\n"
+         "    project_layer(theta)\n"
+         "except InvariantViolation:\n"
+         "    print('raised')\n"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "raised"
 
 
 def test_theta_linearity(symbols):

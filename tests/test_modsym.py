@@ -6,9 +6,14 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mulab.arith import factorize
+from mulab.arith import factorize, is_probable_prime
 from mulab.elliptic import Curve
-from mulab.errors import EigenspaceNotRational
+from mulab.errors import (
+    EigenspaceNotOneDimensional,
+    EigenspaceNotRational,
+    InvariantViolation,
+)
+from mulab.linalg import clear_denominators, nullspace
 from mulab.modsym import (
     EigenSymbol,
     build_manin_space,
@@ -296,11 +301,158 @@ def hecke_by_projection(sp, n):
     return [[cols[j][i] for j in range(sp.dim)] for i in range(sp.dim)]
 
 
-@pytest.mark.parametrize("N", [11, 58, 110])
+def oracle_star_matrix(sp):
+    cols = []
+    for i in sp.basis_generator_indices():
+        c, d = sp.p1.reps[i]
+        cols.append(sp.project(sp.p1.index(-c, d)))
+    return [[cols[j][i] for j in range(sp.dim)] for i in range(sp.dim)]
+
+
+@pytest.mark.parametrize("N", sorted({r["conductor"] for r in CORPUS}))
 def test_hecke_matrix_matches_projection_sum(N):
+    """The integer Hecke and star matrices against Fraction vectors from
+    `project`, on every corpus level."""
     sp = build_manin_space(N)
+    assert sp.star_matrix() == oracle_star_matrix(sp)
     for ell in (2, 3, 5, 7):
         A = sp.hecke_matrix(ell)
         assert A == hecke_by_projection(sp, ell), (N, ell)
         A[0][0] += 1  # a caller's edit must not reach the kept matrix
         assert sp.hecke_matrix(ell) == hecke_by_projection(sp, ell)
+
+
+# -- the stacked kernel the restriction replaced
+
+
+def good_primes(conductor, count):
+    out, q = [], 2
+    while len(out) < count:
+        if is_probable_prime(q) and conductor % q != 0:
+            out.append(q)
+        q += 1
+    return out
+
+
+def oracle_find_functional(sp, curve, conductor, match_primes=None):
+    """(phi0, match_primes) from one nullspace of every stacked
+    constraint, recomputed in full with three more primes."""
+    primes = good_primes(conductor, 3) if match_primes is None \
+        else match_primes
+    while True:
+        a = {ell: curve.ap(ell) for ell in primes}
+        rows = []
+        for ell in primes:
+            A = hecke_by_projection(sp, ell)
+            for j in range(sp.dim):
+                rows.append([A[i][j] - (a[ell] if i == j else 0)
+                             for i in range(sp.dim)])
+        S = oracle_star_matrix(sp)
+        for j in range(sp.dim):
+            rows.append([S[i][j] - (1 if i == j else 0)
+                         for i in range(sp.dim)])
+        kern = nullspace(rows)
+        if len(kern) == 0:
+            raise EigenspaceNotRational(
+                f"no rational eigensymbol for a_ell = {a}")
+        if len(kern) == 1:
+            return clear_denominators(kern[0]), primes
+        if len(primes) >= 10:
+            raise EigenspaceNotOneDimensional(
+                f"eigenspace dimension {len(kern)}")
+        primes = good_primes(conductor, len(primes) + 3)
+
+
+@pytest.mark.parametrize("rec", CORPUS, ids=lambda r: r["label"])
+def test_restricted_kernel_matches_stacked_kernel(rec):
+    N, E = rec["conductor"], Curve(*rec["ainvs"])
+    sp = build_manin_space(N)
+    es = EigenSymbol(sp, E, N)
+    assert (es._phi0, es.match_primes) == oracle_find_functional(sp, E, N)
+
+
+@pytest.mark.parametrize("label, match_primes", [
+    ("n110-1", [3]), ("n110-1", []), ("n110-1", [7]), ("11a1", [2])])
+def test_restricted_kernel_retries_match_stacked_kernel(label, match_primes):
+    """Given lists: [3] leaves a plane at N = 110 and is extended by the
+    retry, [] starts from S alone, [7] is not a prefix of the retry's
+    list and [2] needs no retry."""
+    rec = next(r for r in CORPUS if r["label"] == label)
+    N, E = rec["conductor"], Curve(*rec["ainvs"])
+    sp = build_manin_space(N)
+    es = EigenSymbol(sp, E, N, list(match_primes))
+    assert (es._phi0, es.match_primes) == \
+        oracle_find_functional(sp, E, N, list(match_primes))
+
+
+@pytest.mark.parametrize("N, error, match_primes", [
+    (22, EigenspaceNotOneDimensional, None),
+    (44, EigenspaceNotOneDimensional, None),
+    (19, EigenspaceNotRational, None),
+    (26, EigenspaceNotRational, None),
+    # a given list that the retry does not extend
+    (22, EigenspaceNotOneDimensional, [5, 7]),
+])
+def test_eigenspace_errors_match_stacked_kernel(N, error, match_primes):
+    """11a1 at N = 22 and 44: the old forms f(q) and f(q^2) share every
+    a_ell, so the eigenspace stays two-dimensional; at N = 19 and 26 no
+    symbol has the a_ell of 11a1."""
+    sp = build_manin_space(N)
+    with pytest.raises(error) as expected:
+        oracle_find_functional(sp, E11A1, N, match_primes)
+    with pytest.raises(error) as got:
+        EigenSymbol(sp, E11A1, N, match_primes)
+    assert str(got.value) == str(expected.value)
+
+
+def test_lift_check_raises(monkeypatch):
+    """The SL_2(Z) check of `P1.lift` is no bare assert."""
+    from mulab import modsym
+    sp = build_manin_space(11)
+    monkeypatch.setattr(modsym, "_gcdex", lambda a, b: (0, 0, 2))
+    with pytest.raises(InvariantViolation, match="SL_2"):
+        sp.p1.lift(1)
+
+
+def continued_fraction_path(a, m):
+    """Convergents p_j/q_j of a/m including p_(-1)/q_(-1) = 1/0."""
+    if m == 0:
+        return [(1, 0)]
+    sign = -1 if m < 0 else 1
+    a, m = a * sign, m * sign
+    quots = []
+    x, y = a, m
+    while y:
+        q, r = divmod(x, y)
+        quots.append(q)
+        x, y = y, r
+    convs = [(1, 0)]
+    p0, q0 = 1, 0
+    p1, q1 = quots[0], 1
+    convs.append((p1, q1))
+    for q in quots[1:]:
+        p0, q0, p1, q1 = p1, q1, q * p1 + p0, q * q1 + q0
+        convs.append((p1, q1))
+    return convs
+
+
+def oracle_path_infty_to(sp, a, m):
+    """{oo -> a/m} from the full list of convergents, checking each
+    segment's determinant: the path the denominator-only walk replaced."""
+    convs = continued_fraction_path(a, m) if m else [(1, 0)]
+    out = []
+    for (pj1, qj1), (pj, qj) in zip(convs, convs[1:]):
+        det0 = pj * qj1 - pj1 * qj
+        assert det0 in (1, -1)
+        out.append(sp.p1.index(qj % sp.N, det0 * qj1 % sp.N))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 11, 26, 110])
+def test_path_infty_to_matches_convergents(N):
+    sp = build_manin_space(N)
+    for m in [0, 1, 2, 3, 25, 27, 81, 125, 343, -7, -26]:
+        for a in list(range(-30, 31)) + [m - 1, m + 1, 7 * m + 3, 10**6 + 1]:
+            if gcd(a, m) == 1:
+                assert sp.path_infty_to(a, m) == \
+                    oracle_path_infty_to(sp, a, m), (a, m)

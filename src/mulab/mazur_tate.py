@@ -97,17 +97,16 @@ def theta_element(es: EigenSymbol, p: int, n: int, N: int,
                   label: str = "", normalization: str = "neron"
                   ) -> MazurTateElement:
     """theta_n with exact rational coefficients: the integer path sums of
-    the symbol's table, over its one denominator."""
+    the symbol, over its one denominator."""
     m = p**(n + 1)
     table = _gamma_index_table(p, n)
-    num, path = es._num, es.space.path_infty_to
     acc = [0] * (p**n)
     for a in range(1, m):
         if a % p == 0:
             continue
-        acc[table[a]] -= sum(num[i] for i in path(a, m))
+        acc[table[a]] += es.path_numerator(a, m)
     return MazurTateElement(label, p, N, n, normalization,
-                            tuple(Fraction(x, es._den) for x in acc))
+                            tuple(Fraction(x, es.den) for x in acc))
 
 
 def project_layer(theta: MazurTateElement) -> MazurTateElement:

@@ -404,8 +404,9 @@ class EigenSymbol:
     the value of {0 -> oo} is L(f,1)/Omega_plus(E).
 
     Setting `phi` rebuilds the value of phi on every P^1 generator, kept
-    as integer numerators `_num` over one common denominator `_den`;
-    `evaluate` and `mazur_tate.theta_element` sum these along a path."""
+    as integer numerators over one common denominator `den`;
+    `path_numerator` sums them along a path for `evaluate` and
+    `mazur_tate.theta_element`."""
 
     def __init__(self, space: ManinSymbolSpace, curve: Curve,
                  conductor: int, match_primes=None):
@@ -437,13 +438,9 @@ class EigenSymbol:
         keeps that, so phi0 is the stacked system's own."""
         kern = self._joint_kernel(self.match_primes)
         while len(kern) > 1 and len(self.match_primes) < 10:
-            old = self.match_primes
-            self.match_primes = self._good_primes(len(old) + 3)
+            self.match_primes = self._good_primes(len(self.match_primes) + 3)
             self._a = {ell: self.curve.ap(ell) for ell in self.match_primes}
-            if self.match_primes[:len(old)] == old:
-                kern = self._joint_kernel(self.match_primes[len(old):], kern)
-            else:
-                kern = self._joint_kernel(self.match_primes)
+            kern = self._joint_kernel(self.match_primes)
         if not kern:
             raise EigenspaceNotRational(
                 f"no rational eigensymbol for a_ell = {self._a}")
@@ -452,21 +449,18 @@ class EigenSymbol:
                 f"eigenspace dimension {len(kern)}")
         self._phi0 = kern[0]
 
-    def _joint_kernel(self, primes, kern=None):
-        """Integer basis of the joint kernel of the constraints of primes,
-        within kern.  Without kern, one nullspace of the stacked
-        (star - 1)^T and (T_q - a_q)^T for the first prime q comes first;
-        each further prime restricts the kernel K through the small
-        system (T_ell - a_ell)^T K."""
+    def _joint_kernel(self, primes):
+        """Integer basis of the joint kernel of the constraints of primes:
+        one nullspace of the stacked (star - 1)^T and (T_q - a_q)^T for
+        the first prime q, restricted by each further prime ell through
+        the small system (T_ell - a_ell)^T K."""
         sp = self.space
-        if kern is None:
-            # v (A - a I) = 0 <-> (A^T - a I) v = 0
-            rows = _transpose_shift(sp.star_matrix(), 1)
-            for ell in primes[:1]:
-                rows += _transpose_shift(sp.hecke_matrix(ell), self._a[ell])
-            kern = [clear_denominators(v) for v in nullspace(rows)]
-            primes = primes[1:]
-        for ell in primes:
+        # v (A - a I) = 0 <-> (A^T - a I) v = 0
+        rows = _transpose_shift(sp.star_matrix(), 1)
+        for ell in primes[:1]:
+            rows += _transpose_shift(sp.hecke_matrix(ell), self._a[ell])
+        kern = [clear_denominators(v) for v in nullspace(rows)]
+        for ell in primes[1:]:
             if not kern:
                 break
             kern = self._restrict(kern, ell)
@@ -518,13 +512,16 @@ class EigenSymbol:
         values = [0 if s is None else sgn * slot_values[s]
                   for s, sgn in sp._red]
         self._phi = phi
-        self._den = scale * sp._den
+        self.den = scale * sp._den
         self._num = values
+
+    def path_numerator(self, a: int, m: int) -> int:
+        """The value of the path {a/m -> oo} times `den`."""
+        num = self._num
+        return -sum(num[i] for i in self.space.path_infty_to(a, m))
 
     def evaluate(self, a: int, m: int) -> Fraction:
         """[a/m]^+ = value of the path {a/m -> oo}."""
         if gcd(a, m) != 1:
             raise ValueError("a/m must be in lowest terms")
-        num = self._num
-        return Fraction(-sum(num[i] for i in self.space.path_infty_to(a, m)),
-                        self._den)
+        return Fraction(self.path_numerator(a, m), self.den)

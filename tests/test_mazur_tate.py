@@ -87,10 +87,14 @@ def test_coefficient_counts(thetas):
 def norm_relation_defect(theta_n, theta_prev, theta_prev2, a_p):
     """pi(theta_n) - (a_p * theta_(n-1) - nu(theta_(n-2))); all zero when
     the three-term relation holds."""
-    lhs = project_layer(theta_n).coeffs
-    nu = inflate_norm(theta_prev2).coeffs
+    lhs = project_layer(theta_n)
+    nu = inflate_norm(theta_prev2)
+    if not lhs.n == theta_prev.n == nu.n:
+        raise InvariantViolation(
+            f"layers {lhs.n}, {theta_prev.n} and {nu.n} differ")
     return tuple(x - (a_p * y - z)
-                 for x, y, z in zip(lhs, theta_prev.coeffs, nu))
+                 for x, y, z in zip(lhs.coeffs, theta_prev.coeffs,
+                                    nu.coeffs, strict=True))
 
 
 def test_norm_relation(thetas):

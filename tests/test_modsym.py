@@ -21,6 +21,7 @@ from mulab.modsym import (
     rationalize,
     real_period,
 )
+from mulab.mazur_tate import theta_element
 
 E11A1 = Curve(0, -1, 1, -10, -20)
 E11A2 = Curve(0, -1, 1, -7820, -263580)
@@ -372,11 +373,10 @@ def test_restricted_kernel_matches_stacked_kernel(rec):
 
 
 @pytest.mark.parametrize("label, match_primes", [
-    ("n110-1", [3]), ("n110-1", []), ("n110-1", [7]), ("11a1", [2])])
+    ("n110-1", [3]), ("n110-1", []), ("11a1", [2])])
 def test_restricted_kernel_retries_match_stacked_kernel(label, match_primes):
-    """Given lists: [3] leaves a plane at N = 110 and is extended by the
-    retry, [] starts from S alone, [7] is not a prefix of the retry's
-    list and [2] needs no retry."""
+    """Given lists: [3] leaves a plane at N = 110 and is retried with six
+    primes, [] starts from S alone and [2] needs no retry."""
     rec = next(r for r in CORPUS if r["label"] == label)
     N, E = rec["conductor"], Curve(*rec["ainvs"])
     sp = build_manin_space(N)
@@ -385,24 +385,57 @@ def test_restricted_kernel_retries_match_stacked_kernel(label, match_primes):
         oracle_find_functional(sp, E, N, list(match_primes))
 
 
-@pytest.mark.parametrize("N, error, match_primes", [
-    (22, EigenspaceNotOneDimensional, None),
-    (44, EigenspaceNotOneDimensional, None),
-    (19, EigenspaceNotRational, None),
-    (26, EigenspaceNotRational, None),
-    # a given list that the retry does not extend
-    (22, EigenspaceNotOneDimensional, [5, 7]),
+@pytest.mark.parametrize("N, error", [
+    (22, EigenspaceNotOneDimensional),
+    (44, EigenspaceNotOneDimensional),
+    (19, EigenspaceNotRational),
+    (26, EigenspaceNotRational),
 ])
-def test_eigenspace_errors_match_stacked_kernel(N, error, match_primes):
+def test_eigenspace_errors_match_stacked_kernel(N, error):
     """11a1 at N = 22 and 44: the old forms f(q) and f(q^2) share every
     a_ell, so the eigenspace stays two-dimensional; at N = 19 and 26 no
     symbol has the a_ell of 11a1."""
     sp = build_manin_space(N)
     with pytest.raises(error) as expected:
-        oracle_find_functional(sp, E11A1, N, match_primes)
+        oracle_find_functional(sp, E11A1, N)
     with pytest.raises(error) as got:
-        EigenSymbol(sp, E11A1, N, match_primes)
+        EigenSymbol(sp, E11A1, N)
     assert str(got.value) == str(expected.value)
+
+
+def doubled_denominator_space(N):
+    """The space at level N with every slot numerator and `_den` doubled:
+    the same rational slot terms over `_den` = 2."""
+    sp = build_manin_space(N)
+    assert sp._den == 1
+    sp._slot_terms = {s: [(fi, 2 * y) for fi, y in terms]
+                      for s, terms in sp._slot_terms.items()}
+    sp._den = 2
+    return sp
+
+
+@pytest.mark.parametrize("label", ["11a1", "n110-1"])
+def test_denominator_two_matches_integral_space(label):
+    """`_den` is 1 on every level below 400; a space rescaled to `_den` = 2
+    takes the Fraction branches of the matrices, `project`, the phi table
+    and theta, and must give what the integral space gives."""
+    rec = next(r for r in CORPUS if r["label"] == label)
+    N, E, p = rec["conductor"], Curve(*rec["ainvs"]), rec["p"]
+    sp, sp2 = build_manin_space(N), doubled_denominator_space(N)
+    star = sp2.star_matrix()
+    assert all(isinstance(x, Fraction) for row in star for x in row)
+    assert star == sp.star_matrix()
+    for ell in (2, 3, 5, 7):
+        assert sp2.hecke_matrix(ell) == sp.hecke_matrix(ell), ell
+    for i in range(len(sp.p1)):
+        assert sp2.project(i) == sp.project(i), i
+    es, es2 = EigenSymbol(sp, E, N), EigenSymbol(sp2, E, N)
+    assert (es2._phi0, es2.match_primes) == (es._phi0, es.match_primes)
+    assert es2.phi == es.phi
+    assert es2.den == 2 * es.den
+    for n in range(3):
+        assert theta_element(es2, p, n, 6).coeffs == \
+            theta_element(es, p, n, 6).coeffs, n
 
 
 def test_lift_check_raises(monkeypatch):

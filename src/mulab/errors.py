@@ -2,16 +2,12 @@
 
 Every failure mode that a caller can reasonably branch on gets its own
 class; plain ValueError is reserved for programmer errors (bad arguments,
-mixed precisions, malformed inputs caught at construction time).
+malformed inputs caught at construction time).
 """
 
 
 class MuLabError(Exception):
     """Base class for all library-specific errors."""
-
-
-class PrecisionMismatch(MuLabError):
-    """Arithmetic attempted between values carried at different (p, N)."""
 
 
 class NotOrdinary(MuLabError):

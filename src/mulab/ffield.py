@@ -25,6 +25,7 @@ from .arith import (
     poly_sub,
     poly_xgcd,
 )
+from .errors import InvariantViolation
 
 
 class PrimeField:
@@ -242,7 +243,8 @@ class RelQuad:
         F = self.base
         xc = self.conj(x)
         n = self.mul(x, xc)
-        assert F.is_zero(n[1])
+        if not F.is_zero(n[1]):
+            raise InvariantViolation(f"the norm of {x} is not in the base")
         ninv = F.inv(n[0])
         return (F.mul(xc[0], ninv), F.mul(xc[1], ninv))
 
@@ -399,7 +401,8 @@ def sqrt_in_field(F, a, rng: random.Random):
     if F.is_zero(a):
         return F.zero()
     q = F.size()
-    assert q % 2 == 1
+    if q % 2 == 0:
+        raise ValueError(f"a field of even size {q} has no Tonelli-Shanks")
     if not F.eq(F.pow(a, (q - 1) // 2), F.one()):
         return None
     # q - 1 = 2^s * t

@@ -22,9 +22,8 @@ from fractions import Fraction
 from .errors import DenominatorAtP, InvariantViolation, NotStabilized
 from .modsym import EigenSymbol
 from .padic import (
-    IwasawaPolynomial,
+    GroupRingElement,
     PAdicElement,
-    gamma_basis_to_T,
     mu_lambda_of_polynomial,
     teichmuller,
 )
@@ -135,9 +134,10 @@ def inflate_norm(theta: MazurTateElement) -> MazurTateElement:
 
 def regularized_Lp(theta_n: MazurTateElement,
                    theta_prev: MazurTateElement | None,
-                   alpha: PAdicElement) -> IwasawaPolynomial:
-    """L_n = alpha^-(n+1) (theta_n - alpha^-1 nu(theta_(n-1))), written in
-    the T = gamma - 1 coordinate (degree < p^n), reduced mod p^N.
+                   alpha: PAdicElement) -> GroupRingElement:
+    """L_n = alpha^-(n+1) (theta_n - alpha^-1 nu(theta_(n-1))) as its
+    p^n group-ring coefficients on gamma^0 .. gamma^(p^n - 1), reduced
+    mod p^N.
 
     alpha must be carried at precision N + e where p^e clears the exact
     coefficients' denominators; the output precision is theta_n.N.
@@ -171,17 +171,19 @@ def regularized_Lp(theta_n: MazurTateElement,
         nu = inflate_norm(theta_prev)
         scaled = [(x - ainv * lift(c)) % bigmod
                   for x, c in zip(scaled, nu.coeffs)]
+    mod, q = p**N, p**e
+    scale = pow(ainv, n + 1, mod)
     out = []
     for c in scaled:
-        if c % p**e:
+        if c % q:
             raise DenominatorAtP(
                 "regularized coefficient not p-integral "
                 f"(residue {c} mod p^{N + e})")
-        out.append((c // p**e) * pow(ainv, n + 1, p**N) % p**N)
-    return gamma_basis_to_T(p, N, out)
+        out.append(c // q * scale % mod)
+    return GroupRingElement(p, N, tuple(out))
 
 
-def analytic_iwasawa_invariants(L_sequence: list[IwasawaPolynomial]
+def analytic_iwasawa_invariants(L_sequence: list[GroupRingElement]
                                 ) -> tuple[int, int, int]:
     """(mu, lambda, stabilized_at): the invariants on which every layer
     from some point to the last agrees.

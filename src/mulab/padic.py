@@ -1,17 +1,14 @@
-"""Exact arithmetic in Z/p^N and truncated polynomials over it.
+"""Residues mod p^N and the Iwasawa invariants of group-ring elements.
 
-Values carry their precision: a PAdicElement is a residue mod p^N together
-with (p, N), and mixing precisions raises instead of silently coercing.
-Valuations are saturated at N -- a zero residue has valuation reported as N,
-printed as ">=N", because working mod p^N cannot distinguish p^N from 0.
+A PAdicElement is a residue mod p^N together with (p, N).  Valuations
+are saturated at N: working mod p^N cannot distinguish p^N from 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotOrdinary, PrecisionExhausted, PrecisionMismatch
+from .errors import InvariantViolation, NotOrdinary, PrecisionExhausted
 
 
 def val_int(n: int, p: int, cap: int) -> int:
@@ -38,77 +35,11 @@ class PAdicElement:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "value", self.value % self.p**self.N)
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
-    def _check(self, other: "PAdicElement") -> None:
-        if self.p != other.p or self.N != other.N:
-            raise PrecisionMismatch(
-                f"({self.p},{self.N}) vs ({other.p},{other.N})")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return PAdicElement(self.p, self.N, self.value + other.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return PAdicElement(self.p, self.N, self.value - other.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return PAdicElement(self.p, self.N, self.value * other.value)
-
-    def __neg__(self):
-        return PAdicElement(self.p, self.N, -self.value)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return PAdicElement(self.p, self.N, other)
-        return other
-
     def is_unit(self) -> bool:
         return self.value % self.p != 0
 
-    def inverse(self) -> "PAdicElement":
-        if not self.is_unit():
-            raise ZeroDivisionError("division by a non-unit mod p^N")
-        return PAdicElement(self.p, self.N,
-                            pow(self.value, -1, self.modulus))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PAdicElement(self.p, self.N, pow(self.value, k, self.modulus))
-
-    def reduce(self, N_new: int) -> "PAdicElement":
-        if N_new > self.N:
-            raise PrecisionMismatch("cannot raise precision of a residue")
-        return PAdicElement(self.p, N_new, self.value % self.p**N_new)
-
-    def valuation(self) -> int:
-        return val_int(self.value, self.p, self.N)
-
     def __repr__(self):
         return f"{self.value} (mod {self.p}^{self.N})"
-
-
-def valuation(x: PAdicElement) -> int:
-    """Largest e <= N with p^e | value; returns N itself for a zero
-    residue (precision exhaustion, rendered as ">=N")."""
-    return x.valuation()
-
-
-def format_valuation(e: int, N: int) -> str:
-    return f">={N}" if e >= N else str(e)
 
 
 def hensel_unit_root(a_p: int, p: int, N: int) -> PAdicElement:
@@ -129,8 +60,11 @@ def hensel_unit_root(a_p: int, p: int, N: int) -> PAdicElement:
         dfx = (2 * x - a_p) % m
         x = (x - fx * pow(dfx, -1, m)) % m
     root = PAdicElement(p, N, x % mod)
-    assert (root.value * root.value - a_p * root.value + p) % mod == 0
-    assert root.is_unit()
+    if (root.value * root.value - a_p * root.value + p) % mod != 0 \
+            or not root.is_unit():
+        raise InvariantViolation(
+            f"Newton iteration gave {root}, not the unit root of "
+            f"x^2 - {a_p}x + {p}")
     return root
 
 
@@ -166,110 +100,55 @@ def teichmuller(a: int, p: int, N: int) -> int:
     return x
 
 
-def fraction_mod(q: Fraction, p: int, N: int) -> PAdicElement:
-    """Reduce a rational with p-free denominator mod p^N."""
-    num, den = q.numerator, q.denominator
-    if den % p == 0:
-        raise ZeroDivisionError(f"denominator of {q} divisible by {p}")
-    mod = p**N
-    return PAdicElement(p, N, num * pow(den, -1, mod))
+@dataclass(frozen=True)
+class GroupRingElement:
+    """An element of (Z/p^N)[Gamma/Gamma^(p^n)]: coeffs[i] sits at
+    gamma^i, and there are p^n of them."""
+
+    p: int
+    N: int
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        size = 1
+        while size < len(self.coeffs) and self.p > 1:
+            size *= self.p
+        if size != len(self.coeffs):
+            raise InvariantViolation(
+                f"{len(self.coeffs)} group-ring coefficients is not a "
+                f"power of p = {self.p}")
 
 
-class IwasawaPolynomial:
-    """Element of (Z/p^N)[T]/(T^M): a truncated power series used both for
-    working in the Iwasawa algebra and for reading off mu/lambda."""
+def mu_lambda_of_polynomial(f: GroupRingElement) -> tuple[int, int]:
+    """(mu, lambda) of f written as a polynomial in T = gamma - 1.
 
-    __slots__ = ("p", "N", "M", "coeffs")
-
-    def __init__(self, p: int, N: int, M: int, coeffs):
-        self.p = p
-        self.N = N
-        self.M = M
-        mod = p**N
-        cs = [c % mod for c in coeffs[:M]]
-        cs += [0] * (M - len(cs))
-        self.coeffs = tuple(cs)
-
-    def _check(self, other: "IwasawaPolynomial"):
-        if (self.p, self.N, self.M) != (other.p, other.N, other.M):
-            raise PrecisionMismatch("incompatible truncations")
-
-    def __add__(self, other):
-        self._check(other)
-        return IwasawaPolynomial(
-            self.p, self.N, self.M,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return IwasawaPolynomial(
-            self.p, self.N, self.M,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IwasawaPolynomial(self.p, self.N, self.M,
-                                     [other * a for a in self.coeffs])
-        self._check(other)
-        out = [0] * self.M
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= self.M:
-                    break
-                out[i + j] += a * b
-        return IwasawaPolynomial(self.p, self.N, self.M, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, IwasawaPolynomial)
-                and (self.p, self.N, self.M) == (other.p, other.N, other.M)
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.N, self.M, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def reduce_precision(self, N_new: int) -> "IwasawaPolynomial":
-        return IwasawaPolynomial(self.p, N_new, self.M, self.coeffs)
-
-    def __repr__(self):
-        terms = [f"{c}*T^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} (mod {self.p}^{self.N}, T^{self.M})"
-
-
-def mu_lambda_of_polynomial(f: IwasawaPolynomial) -> tuple[int, int]:
-    """(mu, lambda) of a nonzero truncated Iwasawa polynomial.
-
-    mu is the minimal coefficient valuation, lambda the first index
-    attaining it.  Raises PrecisionExhausted when f = 0 mod p^N.
+    gamma^i -> (1 + T)^i is unitriangular over Z, so mu is the least
+    valuation of the group-ring coefficients.  Mod p, Lucas's theorem
+    gives (1 + T)^i = prod_d (1 + T^(p^d))^(i_d) over the base-p digits
+    i_d of i, so f / p^mu mod p in the T-basis is a length-p Taylor shift
+    along each digit, and lambda is the index of its first nonzero entry.
+    Raises PrecisionExhausted when f = 0 mod p^N.
     """
-    vals = [val_int(c, f.p, f.N) for c in f.coeffs]
-    mu = min(vals) if vals else f.N
-    if mu >= f.N:
+    p, N = f.p, f.N
+    mu = min(val_int(c, p, N) for c in f.coeffs)
+    if mu >= N:
         raise PrecisionExhausted("all coefficients vanish mod p^N")
-    lam = vals.index(mu)
-    return mu, lam
-
-
-def gamma_basis_to_T(p: int, N: int, coeffs_gamma) -> IwasawaPolynomial:
-    """Rewrite sum c_j * gamma^j (gamma = 1+T) as a polynomial in T.
-
-    The output lives in (Z/p^N)[T] truncated at T^(len coeffs), which
-    drops nothing: the result has degree < len coeffs.
-    """
-    size = len(coeffs_gamma)
-    mod = p**N
-    out = [0] * size
-    # Horner in gamma: out <- out * (1 + T) + c, from the top coefficient;
-    # after m steps out has degree < m
-    for m, c in enumerate(reversed(coeffs_gamma)):
-        for i in range(min(m, size - 1), 0, -1):
-            out[i] = (out[i] + out[i - 1]) % mod
-        out[0] = (out[0] + c) % mod
-    return IwasawaPolynomial(p, N, size, out)
+    q = p**mu
+    u = [c // q % p for c in f.coeffs]
+    size = len(u)
+    step = 1
+    while step < size:
+        # Horner in 1 + X along the lowest base-p digit, on whole slabs
+        # u[k::p]: out <- out * (1 + X) + slab, from the top slab.
+        # Writing the out slabs one after another moves that digit to
+        # the top, so after n rounds every digit is shifted and back in
+        # place.
+        out = [[0] * (size // p) for _ in range(p)]
+        for m in range(p):
+            for i in range(m, 0, -1):
+                out[i] = [a + b for a, b in zip(out[i], out[i - 1])]
+            out[0] = [a + b for a, b in zip(out[0], u[p - 1 - m::p])]
+        u = [c % p for slab in out for c in slab]
+        step *= p
+    return mu, next(i for i, c in enumerate(u) if c)

@@ -523,5 +523,8 @@ def isogeny_transform(rep: ModPnRepresentation) -> ModPnRepresentation:
         mats.append((a % mod, b * p**m1 % mod,
                      (c % p**n) // p**m1 % mod, d % mod))
     out = ModPnRepresentation(p, new_n, tuple(mats), rep.labels)
-    assert not out.is_aligned_shape()
+    if out.is_aligned_shape():
+        raise InvariantViolation(
+            "the transformed lattice still has every lower-left entry "
+            "divisible by p")
     return out

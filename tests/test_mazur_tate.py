@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mulab.elliptic import Curve
-from mulab.errors import InvariantViolation, NotStabilized
+from mulab.errors import DenominatorAtP, InvariantViolation, NotStabilized
 from mulab.mazur_tate import (
     MazurTateElement,
     _gamma_index_table,
@@ -28,6 +28,7 @@ from mulab.padic import (
     hensel_unit_root,
     mu_lambda_of_polynomial,
 )
+from test_padic import group_ring_from_T
 
 P, N = 5, 6
 
@@ -177,14 +178,18 @@ def test_theta_linearity(symbols):
 
 
 def test_regularized_compatibility(thetas):
-    """The image of L_n at layer n-1 equals L_(n-1) (projection after
-    expanding back to the gamma basis is awkward; compare through the
-    defining property instead: both layers yield identical invariants and
-    the three-term relation held exactly)."""
+    """The image of L_n at layer n-1 equals L_(n-1): gamma^j goes to
+    gamma^(j mod p^(n-1)) on the group-ring residues, and the three
+    layers read identical invariants."""
     alpha = hensel_unit_root(1, P, N + 3)
     for name in CURVES:
         t = thetas[name]
         L = [regularized_Lp(t[n], t[n - 1], alpha) for n in range(1, 4)]
+        for hi, lo in zip(L[1:], L):
+            image = [0] * len(lo.coeffs)
+            for j, c in enumerate(hi.coeffs):
+                image[j % len(image)] += c
+            assert tuple(c % P**N for c in image) == lo.coeffs, name
         invs = [mu_lambda_of_polynomial(x) for x in L]
         assert invs[0] == invs[1] == invs[2]
 
@@ -195,11 +200,23 @@ def test_regularized_theta_prev_none(thetas):
     L = regularized_Lp(t1, None, alpha)
     # alpha^-(n+1) * theta_n with no correction term
     ainv2 = pow(pow(alpha.value, -1, 5**N), 2, 5**N)
-    from mulab.padic import gamma_basis_to_T
-    direct = gamma_basis_to_T(5, N, [ainv2 * c.numerator
-                                     * pow(c.denominator, -1, 5**N)
-                                     for c in t1.coeffs])
-    assert L == direct
+    direct = tuple(ainv2 * c.numerator * pow(c.denominator, -1, 5**N) % 5**N
+                   for c in t1.coeffs)
+    assert (L.p, L.N, L.coeffs) == (5, N, direct)
+
+
+def test_denominator_at_p_raises():
+    """Both raise sites: a theta coefficient with p in its denominator
+    has no residue mod p^N, and regularizing a layer-1 element with a
+    coefficient 1/p and no previous layer leaves 1/p in L_1."""
+    theta = MazurTateElement("x", 5, N, 0, "neron", (Fraction(1, 5),))
+    with pytest.raises(DenominatorAtP, match="denominator"):
+        theta.residues()
+    t1 = MazurTateElement("x", 5, N, 1, "neron",
+                          (Fraction(1, 5),) + (Fraction(0),) * 4)
+    alpha = hensel_unit_root(1, P, N + 1)
+    with pytest.raises(DenominatorAtP, match="not p-integral"):
+        regularized_Lp(t1, None, alpha)
 
 
 def test_mu_lambda_11a_class(thetas):
@@ -226,7 +243,7 @@ def test_interpolation_euler_factor(thetas, symbols):
     for name in CURVES:
         t = thetas[name]
         L2 = regularized_Lp(t[2], t[1], alpha)
-        aug = L2.coeffs[0]
+        aug = sum(L2.coeffs) % P**N
         ratio = symbols[name].base_value
         d0, v = ratio.denominator, 0
         while d0 % P == 0:
@@ -240,9 +257,8 @@ def test_interpolation_euler_factor(thetas, symbols):
 
 
 def test_not_stabilized_and_guard():
-    from mulab.padic import IwasawaPolynomial
-    a = IwasawaPolynomial(5, 4, 5, [1, 0, 0])
-    b = IwasawaPolynomial(5, 4, 5, [5, 1, 0])
+    a = group_ring_from_T(5, 4, [1, 0, 0])
+    b = group_ring_from_T(5, 4, [5, 1, 0])
     with pytest.raises(NotStabilized):
         analytic_iwasawa_invariants([a, b])
     with pytest.raises(NotStabilized):
@@ -257,10 +273,8 @@ def test_invariants_read_where_every_later_layer_agrees():
     layer contradicts, that is the first-agreeing-pair answer."""
     import itertools
 
-    from mulab.padic import IwasawaPolynomial
-
     def layer(mu, lam):
-        return IwasawaPolynomial(3, 6, 12, [0] * lam + [3**mu])
+        return group_ring_from_T(3, 6, [0] * lam + [3**mu])
 
     def read(pairs):
         return analytic_iwasawa_invariants([layer(*t) for t in pairs])

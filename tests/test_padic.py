@@ -1,52 +1,77 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from math import comb
 
 import pytest
 
-from mulab.errors import NotOrdinary, PrecisionExhausted, PrecisionMismatch
+from mulab import analysis
+from mulab.analysis import analyze_many, ingest
+from mulab.errors import InvariantViolation, NotOrdinary, PrecisionExhausted
 from mulab.padic import (
-    IwasawaPolynomial,
-    PAdicElement,
-    format_valuation,
-    fraction_mod,
-    gamma_basis_to_T,
+    GroupRingElement,
     hensel_unit_root,
     mu_lambda_of_polynomial,
     sqrt_unit_one_mod_p,
     teichmuller,
-    valuation,
+    val_int,
 )
 
 
-def test_valuation_examples():
-    assert valuation(PAdicElement(5, 3, 10)) == 1
-    assert valuation(PAdicElement(5, 3, 0)) == 3
-    assert format_valuation(valuation(PAdicElement(5, 3, 0)), 3) == ">=3"
-    assert valuation(PAdicElement(5, 3, 7)) == 0
+def group_ring_from_T(p, N, coeffs_T):
+    """The group-ring element sum_j a_j T^j with T = gamma - 1: T^j is
+    sum_i C(j, i) (-1)^(j - i) gamma^i.  Padded to the least p^n that
+    holds every coefficient."""
+    size = 1
+    while size < len(coeffs_T):
+        size *= p
+    out = [0] * size
+    for j, a in enumerate(coeffs_T):
+        if a:
+            for i in range(j + 1):
+                out[i] += a * comb(j, i) * (-1)**(j - i)
+    return GroupRingElement(p, N, tuple(c % p**N for c in out))
 
 
-def test_ring_axioms_random():
-    rng = random.Random(11)
-    for _ in range(200):
-        p = rng.choice([3, 5, 7])
-        N = rng.randint(1, 5)
-        a, b, c = (PAdicElement(p, N, rng.randrange(p**N)) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
+def gamma_basis_to_T(p, N, coeffs_gamma):
+    """Rewrite sum c_j * gamma^j (gamma = 1+T) as T-coefficients mod p^N,
+    degree < len coeffs: Horner in gamma, out <- out * (1 + T) + c from
+    the top coefficient; after m steps out has degree < m.  The
+    conversion that the group-ring read-off replaced."""
+    size = len(coeffs_gamma)
+    mod = p**N
+    out = [0] * size
+    for m, c in enumerate(reversed(coeffs_gamma)):
+        for i in range(min(m, size - 1), 0, -1):
+            out[i] = (out[i] + out[i - 1]) % mod
+        out[0] = (out[0] + c) % mod
+    return tuple(out)
 
 
-def test_precision_mixing_rejected():
-    with pytest.raises(PrecisionMismatch):
-        PAdicElement(5, 2, 1) + PAdicElement(5, 3, 1)
-    with pytest.raises(PrecisionMismatch):
-        PAdicElement(5, 2, 1) * PAdicElement(7, 2, 1)
+def oracle_mu_lambda(f):
+    """The T-basis read-off: mu is the least valuation of the
+    T-coefficients and lambda the first index attaining it."""
+    coeffs = gamma_basis_to_T(f.p, f.N, f.coeffs)
+    vals = [val_int(c, f.p, f.N) for c in coeffs]
+    mu = min(vals)
+    if mu >= f.N:
+        raise PrecisionExhausted("all coefficients vanish mod p^N")
+    return mu, vals.index(mu)
 
 
-def test_division_only_by_units():
-    a = PAdicElement(5, 3, 7)
-    assert (a / a).value == 1
-    with pytest.raises(ZeroDivisionError):
-        a / PAdicElement(5, 3, 10)
+def _agree(f):
+    """The new read-off and the oracle give the same pair, or both
+    raise PrecisionExhausted; returns the pair (None when exhausted)."""
+    try:
+        want = oracle_mu_lambda(f)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            mu_lambda_of_polynomial(f)
+        return None
+    assert mu_lambda_of_polynomial(f) == want, f
+    return want
 
 
 def test_hensel_unit_root_tower():
@@ -79,11 +104,11 @@ def test_hensel_rejects_supersingular():
 
 
 def test_mu_lambda_examples():
-    f = IwasawaPolynomial(5, 3, 4, [5, 5, 25])
+    f = group_ring_from_T(5, 3, [5, 5, 25])
     assert mu_lambda_of_polynomial(f) == (1, 0)
-    g = IwasawaPolynomial(5, 3, 5, [25, 0, 0, 5, 1])
+    g = group_ring_from_T(5, 3, [25, 0, 0, 5, 1])
     assert mu_lambda_of_polynomial(g) == (0, 4)
-    t = IwasawaPolynomial(5, 4, 3, [0, 1])
+    t = group_ring_from_T(5, 4, [0, 1])
     assert mu_lambda_of_polynomial(t) == (0, 1)
 
 
@@ -94,65 +119,35 @@ def test_mu_lambda_scaling_property():
         N = rng.randint(2, 5)
         M = rng.randint(1, 6)
         coeffs = [rng.randrange(p**N) for _ in range(M)]
-        f = IwasawaPolynomial(p, N, M, coeffs)
+        f = group_ring_from_T(p, N, coeffs)
         try:
             mu, lam = mu_lambda_of_polynomial(f)
         except PrecisionExhausted:
             continue
         if mu + 1 < N:
-            pf = p * f
+            pf = GroupRingElement(p, N, [p * c % p**N for c in f.coeffs])
             assert mu_lambda_of_polynomial(pf) == (mu + 1, lam)
 
 
 def test_mu_lambda_precision_exhausted():
-    f = IwasawaPolynomial(5, 2, 3, [25, 50, 0])
+    f = group_ring_from_T(5, 2, [25, 50, 0])
     with pytest.raises(PrecisionExhausted):
         mu_lambda_of_polynomial(f)
 
 
-def test_polynomial_ring_ops():
-    p, N, M = 5, 3, 6
-    f = IwasawaPolynomial(p, N, M, [1, 2, 3])
-    g = IwasawaPolynomial(p, N, M, [4, 0, 1])
-    h = f * g
-    # (1+2T+3T^2)(4+T^2) = 4 + 8T + 13T^2 + 2T^3 + 3T^4
-    assert h.coeffs[:5] == (4, 8, 13, 2, 3)
-    assert (f + g).coeffs[:3] == (5, 2, 4)
-
-
-def test_teichmuller():
-    # 7 is the unique 4th root of unity mod 25 congruent to 2 mod 5
-    assert teichmuller(2, 5, 2) == 7
-    assert pow(teichmuller(2, 5, 2), 4, 25) == 1
-    assert teichmuller(1, 5, 4) == 1
-    assert teichmuller(10, 5, 3) == 0
-
-
-def test_sqrt_unit():
-    # squaring is a bijection on 1 + pZ/p^N for odd p, so every t = 1 mod p
-    # has a unique square root = 1 mod p
-    for p, N in [(5, 3), (3, 4), (7, 2)]:
-        for t in range(1, p**N, p):
-            r = sqrt_unit_one_mod_p(t, p, N)
-            assert r * r % p**N == t
-            assert r % p == 1
-
-
-def test_fraction_mod():
-    from fractions import Fraction
-    x = fraction_mod(Fraction(1, 3), 5, 3)
-    assert (3 * x.value) % 125 == 1
-    with pytest.raises(ZeroDivisionError):
-        fraction_mod(Fraction(1, 5), 5, 3)
+def test_group_ring_element_needs_p_power_length():
+    for p, size in [(5, 1), (5, 5), (5, 25), (3, 27), (17, 289)]:
+        assert len(GroupRingElement(p, 2, [0] * size).coeffs) == size
+    for p, size in [(5, 0), (5, 4), (5, 10), (3, 12)]:
+        with pytest.raises(InvariantViolation, match="power of p"):
+            GroupRingElement(p, 2, [0] * size)
 
 
 def test_gamma_basis_to_T():
     # c0 + c1*gamma = (c0 + c1) + c1*T
-    f = gamma_basis_to_T(5, 3, [2, 3])
-    assert f.coeffs == (5, 3)
+    assert gamma_basis_to_T(5, 3, [2, 3]) == (5, 3)
     # gamma^2 = 1 + 2T + T^2
-    g = gamma_basis_to_T(5, 3, [0, 0, 1])
-    assert g.coeffs == (1, 2, 1)
+    assert gamma_basis_to_T(5, 3, [0, 0, 1]) == (1, 2, 1)
 
 
 def oracle_gamma_basis_to_T(p, N, coeffs_gamma):
@@ -174,7 +169,7 @@ def oracle_gamma_basis_to_T(p, N, coeffs_gamma):
             if i >= size:
                 break
             out[i] = (out[i] + c * b) % mod
-    return IwasawaPolynomial(p, N, size, out)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("p,n,N", [(5, 3, 6), (7, 3, 6), (13, 2, 100),
@@ -187,6 +182,125 @@ def test_gamma_basis_to_T_matches_pascal_rows(p, n, N):
     for _ in range(3):
         cs = [rng.choice([0, rng.randrange(-bound, bound)])
               for _ in range(p**n)]
-        assert gamma_basis_to_T(p, N, cs).coeffs == \
-            oracle_gamma_basis_to_T(p, N, cs).coeffs
-    assert gamma_basis_to_T(p, N, []).coeffs == ()
+        assert gamma_basis_to_T(p, N, cs) == oracle_gamma_basis_to_T(p, N, cs)
+    assert gamma_basis_to_T(p, N, []) == ()
+
+
+def test_group_ring_from_T_inverts_gamma_basis_to_T():
+    rng = random.Random(13)
+    for p, n, N in [(3, 2, 4), (5, 2, 3), (7, 1, 2), (3, 0, 5)]:
+        ts = [rng.randrange(p**N) for _ in range(p**n)]
+        assert gamma_basis_to_T(
+            p, N, group_ring_from_T(p, N, ts).coeffs) == tuple(ts)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                 (5, 3), (7, 1), (7, 2), (7, 3)])
+def test_mu_lambda_matches_oracle_on_known_answers(p, n):
+    """For every lambda < p^n: p^mu (u T^lambda + higher terms) plus
+    p^(mu+1) times lower terms has invariants (mu, lambda), and the
+    oracle agrees.  Up to three lower and three higher terms keep the
+    inputs cheap to build at p^n = 343."""
+    rng = random.Random(100 * p + n)
+    size = p**n
+    for lam in range(size):
+        N = rng.choice([1, 2, 5])
+        mu = rng.randrange(N)
+        ts = [0] * size
+        for j in rng.sample(range(lam), min(lam, 3)):
+            ts[j] = p**(mu + 1) * rng.randrange(p**N)
+        for j in rng.sample(range(lam + 1, size), min(size - lam - 1, 3)):
+            ts[j] = p**mu * rng.randrange(p**N)
+        ts[lam] = p**mu * rng.choice([u for u in range(1, p**2) if u % p])
+        f = group_ring_from_T(p, N, ts)
+        assert mu_lambda_of_polynomial(f) == (mu, lam)
+        assert _agree(f) == (mu, lam)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_mu_lambda_matches_oracle_random(p):
+    """Seeded group-ring coefficients, dense or sparse mod p, some zero
+    mod p^N."""
+    rng = random.Random(p)
+    top = 3 if p <= 7 else 2
+    for n in range(top + 1):
+        for N in (1, 2, 5):
+            for _ in range(6):
+                shift = rng.randrange(N + 1)
+                density = rng.choice([1.0, 0.5, 0.05])
+                cs = [rng.randrange(p**N) * p**shift
+                      if rng.random() < density else 0
+                      for _ in range(p**n)]
+                _agree(GroupRingElement(p, N, cs))
+
+
+def test_mu_lambda_matches_oracle_on_corpus_layers(monkeypatch):
+    """Every regularized layer that `analyze` reads on the shipped
+    corpus gives the oracle's pair."""
+    seen = []
+
+    def checked(f):
+        seen.append(f)
+        return _agree(f)
+
+    monkeypatch.setattr(analysis, "mu_lambda_of_polynomial", checked)
+    corpus = "data/corpus_reducible.json"
+    with open(corpus) as fh:
+        records = json.load(fh)
+    p_of_label = {r["label"]: r["p"] for r in records}
+    reports = analyze_many(ingest(corpus), lambda rec: p_of_label[rec.label],
+                           N_prec=6, layers=3, ell_bound=200)
+    assert len(reports) == 16
+    assert len(seen) == sum(len(r["layer_invariants"]) for r in reports)
+
+
+def test_teichmuller():
+    # 7 is the unique 4th root of unity mod 25 congruent to 2 mod 5
+    assert teichmuller(2, 5, 2) == 7
+    assert pow(teichmuller(2, 5, 2), 4, 25) == 1
+    assert teichmuller(1, 5, 4) == 1
+    assert teichmuller(10, 5, 3) == 0
+
+
+def test_sqrt_unit():
+    # squaring is a bijection on 1 + pZ/p^N for odd p, so every t = 1 mod p
+    # has a unique square root = 1 mod p
+    for p, N in [(5, 3), (3, 4), (7, 2)]:
+        for t in range(1, p**N, p):
+            r = sqrt_unit_one_mod_p(t, p, N)
+            assert r * r % p**N == t
+            assert r % p == 1
+
+
+def test_checks_raise_under_O():
+    """The former bare asserts of padic, ffield and residual still raise
+    under `python -O`: the even-size guard of `sqrt_in_field` on a real
+    call, and the three internal invariants with the arithmetic that
+    feeds them broken on purpose."""
+    script = (
+        "from mulab import ffield, padic, residual\n"
+        "from mulab.errors import InvariantViolation\n"
+        "def expect(exc, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except exc:\n"
+        "        print('raised')\n"
+        "expect(ValueError, lambda: ffield.sqrt_in_field(\n"
+        "    ffield.PrimeField(2), 1, None))\n"
+        "good = padic.PAdicElement\n"
+        "padic.PAdicElement = lambda p, N, v: good(p, N, v + 1)\n"
+        "expect(InvariantViolation, lambda: padic.hensel_unit_root(1, 5, 3))\n"
+        "padic.PAdicElement = good\n"
+        "F = ffield.RelQuad(ffield.PrimeField(3), 0, 1)\n"
+        "F.conj = lambda x: x\n"
+        "expect(InvariantViolation, lambda: F.inv((1, 1)))\n"
+        "Rep = residual.ModPnRepresentation\n"
+        "rep = Rep(5, 2, ((1, 0, 5, 1),))\n"
+        "Rep.is_aligned_shape = lambda self: True\n"
+        "expect(InvariantViolation,\n"
+        "       lambda: residual.isogeny_transform(rep))\n")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["raised"] * 4

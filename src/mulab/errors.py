@@ -28,7 +28,8 @@ class TruncationUnresolved(MuLabError):
 
 
 class NotTorsion(MuLabError):
-    """A relation matrix fails the torsion certificate."""
+    """A relation matrix has rank < its number of columns over Q(T), so
+    the module it presents is not torsion."""
 
 
 class EigenspaceNotRational(MuLabError):

@@ -1,6 +1,12 @@
 """Refined mu-invariants of finitely presented torsion modules over
 Zp[[T]], computed through graded ranks over Fp[[T]].
 
+The module must be torsion.  Its relation matrix R has entries in Z[T]
+of degree < M, so every maximal minor has degree <= c(M - 1) for c
+generators; R has rank c over Q(T) iff R(t) has rank c over Q at one
+integer t in 0 .. c(M - 1), and `torsion_certificate` returns the least
+such t.
+
 The k-th graded rank q_k is the Fp[[T]]-rank of p^(k-1) M / p^k M.  For a
 module whose p-power torsion is a sum of pieces Lambda/p^i, q_k counts the
 summands with i >= k, so the multiplicity of Lambda/p^i is q_i - q_(i+1).
@@ -15,19 +21,19 @@ profile is recomputed at doubled truncation and must agree.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_probable_prime, poly_add, poly_mul, poly_sub
+from .arith import is_probable_prime, poly_eval
 from .errors import (
     InvariantViolation,
     NotTorsion,
     PrecisionInsufficient,
     TruncationUnresolved,
 )
+from .linalg import rref
 from .modp import MAX_MODULUS, smith_zpk
 
 Poly = tuple[int, ...]  # coefficients of a truncated polynomial in T
@@ -132,54 +138,26 @@ class LambdaPresentation:
 
     # -- torsion certificate ------------------------------------------------
 
-    def _det(self, row_idx: tuple[int, ...]) -> Poly:
-        """Determinant of the square submatrix on the given rows (all
-        columns), by subset dynamic programming over columns.
+    def torsion_certificate(self) -> int:
+        """The least integer t at which the relation matrix R(t), the
+        exact integer coefficients evaluated at T = t, has rank c over Q;
+        NotTorsion if there is none.
 
-        Computed with exact integer coefficients (canonical residues as
-        lifts): the torsion witness for e.g. diag(p, p^2) is p^3, which a
-        mod-p^N computation at N = 3 could not distinguish from zero.
+        The module is torsion iff R has rank c over Q(T).  Every c x c
+        minor of R is a polynomial of degree <= c(M - 1), so a nonzero
+        minor is nonzero at one of the c(M - 1) + 1 points 0 .. c(M - 1):
+        rank c at some point certifies torsion, and rank < c at every
+        point proves the module is not torsion.
         """
-        n, M = self.ncols, self.M
-        # dp over subsets of used columns, rows taken in order
-        cur = {0: [1]}
-        for r in row_idx:
-            nxt: dict[int, list[int]] = {}
-            for mask, v in cur.items():
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit:
-                        continue
-                    e = self.rows_raw[r][j]
-                    if all(c == 0 for c in e):
-                        continue
-                    # sign: parity of columns already used above j
-                    odd = bin(mask >> (j + 1)).count("1") % 2
-                    key = mask | bit
-                    nxt[key] = (poly_sub if odd else poly_add)(
-                        nxt.get(key, []), poly_mul(v, e)[:M])
-            cur = nxt
-        det = cur.get((1 << n) - 1, [])
-        return tuple(det) + (0,) * (M - len(det))
-
-    def torsion_certificate(self, max_tries: int = 64) -> Poly:
-        """A nonzero c x c minor of the relation matrix (exact integer
-        coefficients), or NotTorsion."""
-        if len(self.rows) < self.ncols:
+        c = self.ncols
+        if len(self.rows) < c:
             raise NotTorsion("fewer relations than generators")
-        if self.ncols == 0:
-            return (1,) + (0,) * (self.M - 1)
-        tried = 0
-        for combo in itertools.combinations(range(len(self.rows)),
-                                            self.ncols):
-            d = self._det(combo)
-            tried += 1
-            if any(c != 0 for c in d):
-                return d
-            if tried >= max_tries:
-                break
-        raise NotTorsion("no nonzero maximal minor found "
-                         f"within {tried} submatrices")
+        for t in range(c * (self.M - 1) + 1):
+            R = [[poly_eval(e, t) for e in row] for row in self.rows_raw]
+            if len(rref(R)[1]) == c:
+                return t
+        raise NotTorsion(f"rank < {c} over Q(T): the relation matrix has "
+                         f"rank < {c} at every T = 0 .. {c * (self.M - 1)}")
 
 
 def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:

@@ -89,8 +89,8 @@ def test_powmod_matches_repeated_multiplication(m, frac):
 
 
 def test_truncated_product_matches_full_product_cut():
-    """`iwasawa_modules._det` multiplies length-M coefficient tuples and
-    keeps the product below T^M."""
+    """The determinant oracle `_det` of `test_iwasawa_modules` multiplies
+    length-M coefficient tuples and keeps the product below T^M."""
     rng = random.Random("trunc")
     for M in (1, 2, 5, 9):
         for _ in range(40):

@@ -1,0 +1,60 @@
+"""A ratchet on dead code: the top-level functions and classes of
+`src/mulab/*.py` that no src module and no `bench/*.py` refers to are
+listed here, and a new one fails this test until it gets a caller, moves
+into the test that uses it, or is deleted.
+
+A name counts as referred to when it occurs in some other place of those
+files as a name, an attribute, an imported name or a word of a string
+constant (the benchmark's trace points name functions in strings);
+docstrings do not count."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "mulab").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+ALLOWED = {
+    ("ffield.py", "find_irreducible"),
+    ("group_model.py", "verify_table_associativity"),
+    ("liftlab.py", "strict_equivalence_classes"),
+    ("liftlab.py", "trivial_prime_check"),
+    ("liftlab.py", "span_dimensions"),
+    ("mazur_tate.py", "project_layer"),
+    ("residual.py", "isogeny_transform"),
+}
+
+
+def _defined(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+
+
+def _referred(tree):
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def test_no_dead_symbols_outside_allowlist():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC + BENCH}
+    referred = set().union(*map(_referred, trees.values()))
+    dead = {(path.name, name) for path in SRC
+            for name in _defined(trees[path]) if name not in referred}
+    assert dead == ALLOWED

@@ -1,15 +1,20 @@
+import importlib.util
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mulab import iwasawa_modules
+from mulab.arith import poly_add, poly_eval, poly_mul, poly_sub
 from mulab.errors import (
     InvariantViolation,
+    MuLabError,
     NotTorsion,
     PrecisionInsufficient,
     TruncationUnresolved,
@@ -24,6 +29,7 @@ from mulab.iwasawa_modules import (
     graded_ranks,
     load_presentation,
     mu_profile,
+    profile_from_ranks,
     smith_rank_over_power_series_field_char_p,
 )
 from test_modp import oracle_smith_zpk
@@ -31,6 +37,30 @@ from test_modp import oracle_smith_zpk
 
 def P(*coeffs):
     return list(coeffs)
+
+
+# (p, N, MT, rows) of the hand-made presentations of this file
+EXAMPLES = {
+    "direct_sum": (5, 3, 8, [[P(5), P(0)], [P(0), P(25)]]),
+    "T": (5, 3, 8, [[P(0, 1)]]),
+    "T2_plus_p": (5, 3, 8, [[P(5, 0, 1)]]),
+    "pT": (5, 2, 8, [[P(0, 5)]]),
+    "square_p2": (5, 3, 8, [[P(25), P(0)], [P(0), P(25)]]),
+    "p2_at_N2": (5, 2, 8, [[P(25)]]),
+    "one_row_two_columns": (5, 2, 8, [[P(5), P(0)]]),
+    "p_at_N2": (5, 2, 8, [[P(5)]]),
+    # Lambda/p, whose only nonzero 1 x 1 minor is the 65th
+    "p_after_64_zero_rows": (5, 3, 8, [[P(0)]] * 64 + [[P(5)]]),
+    # Lambda/T^5 twice: the minor T^10 vanishes mod T^8
+    "T5_T5": (5, 3, 8, [[P(0, 0, 0, 0, 0, 1), P(0)],
+                        [P(0), P(0, 0, 0, 0, 0, 1)]]),
+    # T(T - 1) vanishes at T = 0 and T = 1
+    "T_times_T_minus_1": (5, 3, 8, [[P(0, -1, 1)]]),
+}
+
+
+def example(name):
+    return LambdaPresentation(*EXAMPLES[name])
 
 
 # -- oracle: one Smith form over Z/p^k per k, then a Smith form over
@@ -170,7 +200,7 @@ def quotient_cardinality(pres, k, j):
 
 def test_graded_ranks_direct_sum():
     # diag(p, p^2) over Lambda, p = 5, N = 3
-    pres = LambdaPresentation(5, 3, 8, [[P(5), P(0)], [P(0), P(25)]])
+    pres = example("direct_sum")
     assert graded_ranks(pres) == [2, 1, 0]
     prof = mu_profile(pres)
     assert prof == MuProfile((1, 1), 3, 2, 2)
@@ -178,17 +208,17 @@ def test_graded_ranks_direct_sum():
 
 def test_graded_ranks_distinguished():
     # single relation (T): Lambda/(T) = Z_p has no p-torsion
-    pres = LambdaPresentation(5, 3, 8, [[P(0, 1)]])
+    pres = example("T")
     assert graded_ranks(pres) == [0, 0, 0]
     assert mu_profile(pres) == MuProfile((0,), 0, 0, 0)
     # T^2 + p: distinguished, no p-torsion
-    pres = LambdaPresentation(5, 3, 8, [[P(5, 0, 1)]])
+    pres = example("T2_plus_p")
     assert mu_profile(pres) == MuProfile((0,), 0, 0, 0)
 
 
 def test_graded_ranks_pT():
     # Lambda/(pT): p-torsion part is (T)/(pT) = Lambda/p, so q = (1, 0)
-    pres = LambdaPresentation(5, 2, 8, [[P(0, 5)]])
+    pres = example("pT")
     qs = graded_ranks(pres)
     # cardinality oracle: |M/(p^k, T^j)| = p^(k + j - 1) pins the module
     # structure Lambda/p (+) Lambda/T modulo finite junk
@@ -200,14 +230,14 @@ def test_graded_ranks_pT():
 
 
 def test_mu_profile_square_p2():
-    pres = LambdaPresentation(5, 3, 8, [[P(25), P(0)], [P(0), P(25)]])
+    pres = example("square_p2")
     assert graded_ranks(pres) == [2, 2, 0]
     assert mu_profile(pres) == MuProfile((0, 2), 4, 2, 2)
 
 
 def test_precision_insufficient():
     # Lambda/p^2 at N = 2 cannot certify the exponent
-    pres = LambdaPresentation(5, 2, 8, [[P(25)]])
+    pres = example("p2_at_N2")
     with pytest.raises(PrecisionInsufficient):
         mu_profile(pres)
     prof = mu_profile(pres, allow_lower_bound=True)
@@ -215,7 +245,7 @@ def test_precision_insufficient():
 
 
 def test_not_torsion():
-    pres = LambdaPresentation(5, 2, 8, [[P(5), P(0)]])
+    pres = example("one_row_two_columns")
     with pytest.raises(NotTorsion):
         graded_ranks(pres)
 
@@ -295,17 +325,23 @@ def build_module(rng, p, N, M):
     return rows, vec
 
 
-def test_structure_recovery_randomized():
+def structure_modules():
+    """60 scrambled modules (+) Lambda/p^i (+) Lambda/f_j with their mu
+    vectors."""
     rng = random.Random(20240817)
-    for trial in range(60):
+    for _ in range(60):
         p = rng.choice([3, 5])
         N = 4
         rows, vec = build_module(rng, p, N, 8)
         scrambled = random_unimodular_scramble(rng, rows, p, N)
         maxdeg = max(len(e) for r in scrambled for e in r)
-        pres = LambdaPresentation(p, N, max(8, maxdeg + 4), scrambled)
+        yield LambdaPresentation(p, N, max(8, maxdeg + 4), scrambled), vec
+
+
+def test_structure_recovery_randomized():
+    for trial, (pres, vec) in enumerate(structure_modules()):
         prof = mu_profile(pres)
-        assert prof.mu_vector == vec, (trial, p, rows, prof)
+        assert prof.mu_vector == vec, (trial, pres.p, pres.rows_raw, prof)
         assert_matches_oracle(pres)
 
 
@@ -317,9 +353,8 @@ def test_load_presentation(tmp_path):
     assert mu_profile(pres).mu_vector == (1, 1)
 
 
-def test_mu_equals_det_content_valuation():
-    """Cross-oracle: for square presentations of p-power-torsion modules,
-    mu equals the p-valuation of the determinant's content."""
+def scrambled_diagonal_modules():
+    """25 scrambled diag(p^a_1, .., p^a_c), c <= 3, with mu = sum a_i."""
     rng = random.Random(424242)
     for _ in range(25):
         p = rng.choice([3, 5])
@@ -335,14 +370,14 @@ def test_mu_equals_det_content_valuation():
             rows.append(row)
         scrambled = random_unimodular_scramble(rng, rows, p, N)
         maxdeg = max(len(e) for r in scrambled for e in r)
-        pres = LambdaPresentation(p, N, max(8, maxdeg + 4), scrambled)
-        prof = mu_profile(pres)
-        assert prof.mu == mu_expected
+        yield (LambdaPresentation(p, N, max(8, maxdeg + 4), scrambled),
+               mu_expected)
+
+
+def test_scrambled_diagonal_mu():
+    for pres, mu_expected in scrambled_diagonal_modules():
+        assert mu_profile(pres).mu == mu_expected
         assert_matches_oracle(pres)
-        det = pres.torsion_certificate()
-        content_val = min(val_int(abs(x), p, 64)
-                          for x in det if x != 0)
-        assert content_val == mu_expected
 
 
 # -- one labelled elimination for every graded rank, against the per-k
@@ -379,20 +414,26 @@ def oracle_graded_ranks_at_per_k(pres, M):
     return qs
 
 
-def test_graded_ranks_match_per_k_oracle():
-    """>= 200 scrambled modules: the one labelled elimination gives the
-    per-k graded ranks at the stated and at the doubled truncation."""
+def per_k_modules():
+    """200 scrambled modules over p in {2, 3, 5}."""
     rng = random.Random(31337)
-    for trial in range(200):
+    for _ in range(200):
         p = rng.choice([2, 3, 5])
         N = 4
         rows, _ = build_module(rng, p, N, 8)
         scrambled = random_unimodular_scramble(rng, rows, p, N)
         maxdeg = max(len(e) for r in scrambled for e in r)
-        pres = LambdaPresentation(p, N, max(6, maxdeg + 2), scrambled)
+        yield LambdaPresentation(p, N, max(6, maxdeg + 2), scrambled)
+
+
+def test_graded_ranks_match_per_k_oracle():
+    """>= 200 scrambled modules: the one labelled elimination gives the
+    per-k graded ranks at the stated and at the doubled truncation."""
+    for trial, pres in enumerate(per_k_modules()):
         for at in (pres, pres.with_truncation(2 * pres.M)):
             assert _graded_ranks_at(at, at.M) == \
-                oracle_graded_ranks_at_per_k(at, at.M), (trial, p, rows)
+                oracle_graded_ranks_at_per_k(at, at.M), \
+                (trial, pres.p, pres.rows_raw)
 
 
 def test_labelled_ranks_match_per_prefix_rref():
@@ -425,7 +466,7 @@ def test_labelled_ranks_match_per_prefix_rref():
 
 
 def test_graded_ranks_unstable_under_doubling(monkeypatch):
-    pres = LambdaPresentation(5, 2, 8, [[P(5)]])
+    pres = example("p_at_N2")
     monkeypatch.setattr(iwasawa_modules, "_graded_ranks_at",
                         lambda at, M: [1, 0] if M == 8 else [0, 0])
     with pytest.raises(TruncationUnresolved, match="doubling"):
@@ -433,7 +474,7 @@ def test_graded_ranks_unstable_under_doubling(monkeypatch):
 
 
 def test_graded_ranks_not_monotone(monkeypatch):
-    pres = LambdaPresentation(5, 2, 8, [[P(5)]])
+    pres = example("p_at_N2")
     monkeypatch.setattr(iwasawa_modules, "_graded_ranks_at",
                         lambda at, M: [0, 1])
     with pytest.raises(TruncationUnresolved, match="monotone"):
@@ -488,3 +529,212 @@ def test_load_presentation_bounds_are_inclusive(tmp_path):
     path.write_text(json.dumps({"p": 5, "N": 3, "MT": 708, "rows": [[[5]]]}))
     with pytest.raises(ValueError, match="1416 x 1416"):
         load_presentation(str(path))
+
+
+# -- the torsion certificate: the rank of R(t) at one integer point, against
+# -- the 64-subset determinant scan it replaces ---------------------------------
+
+
+def _det(pres, row_idx):
+    """Determinant of the square submatrix on the given rows (all
+    columns), by subset dynamic programming over columns, with exact
+    integer coefficients, truncated mod T^M."""
+    n, M = pres.ncols, pres.M
+    # dp over subsets of used columns, rows taken in order
+    cur = {0: [1]}
+    for r in row_idx:
+        nxt = {}
+        for mask, v in cur.items():
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                e = pres.rows_raw[r][j]
+                if all(c == 0 for c in e):
+                    continue
+                # sign: parity of columns already used above j
+                odd = bin(mask >> (j + 1)).count("1") % 2
+                key = mask | bit
+                nxt[key] = (poly_sub if odd else poly_add)(
+                    nxt.get(key, []), poly_mul(v, e)[:M])
+        cur = nxt
+    det = cur.get((1 << n) - 1, [])
+    return tuple(det) + (0,) * (M - len(det))
+
+
+def oracle_torsion_certificate(pres, max_tries=64):
+    """The certificate this one replaces: the first nonzero c x c minor
+    mod T^M among the first `max_tries` row subsets, or NotTorsion."""
+    if len(pres.rows) < pres.ncols:
+        raise NotTorsion("fewer relations than generators")
+    if pres.ncols == 0:
+        return (1,) + (0,) * (pres.M - 1)
+    tried = 0
+    for combo in itertools.combinations(range(len(pres.rows)), pres.ncols):
+        d = _det(pres, combo)
+        tried += 1
+        if any(c != 0 for c in d):
+            return d
+        if tried >= max_tries:
+            break
+    raise NotTorsion("no nonzero maximal minor found "
+                     f"within {tried} submatrices")
+
+
+def full_det(pres):
+    """The determinant of a square presentation, untruncated: its degree
+    is at most c(M - 1)."""
+    c = pres.ncols
+    return _det(pres.with_truncation(c * (pres.M - 1) + 1), range(c))
+
+
+def repeated_column(c, seed):
+    """A dense random c x c presentation at MT 20 whose last column
+    repeats the first, so that it has rank c - 1 over Q(T)."""
+    rng = random.Random(seed)
+    rows = [[[rng.randrange(125) for _ in range(20)] for _ in range(c)]
+            for _ in range(c)]
+    for row in rows:
+        row[-1] = list(row[0])
+    return LambdaPresentation(5, 3, 20, rows)
+
+
+def _load_workloads():
+    """bench/workloads.py, loaded read-only; it imports its sibling
+    hostspeed, so bench/ is on sys.path while it loads."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", bench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+def bench_modules():
+    """One block of the lambda-modules benchmark (every shape once) for
+    each of the seeds 1, 2 and 3."""
+    workloads = _load_workloads()
+    for seed in (1, 2, 3):
+        for p, N, M, rows, _ in workloads.module_specs(seed,
+                                                        workloads.SHAPES):
+            yield LambdaPresentation(p, N, M, rows)
+
+
+def presentations():
+    """Every presentation this file puts through the graded ranks, and
+    the bench's lambda-modules inputs."""
+    for name in EXAMPLES:
+        yield example(name)
+    for pres, _ in structure_modules():
+        yield pres
+    for pres, _ in scrambled_diagonal_modules():
+        yield pres
+    yield from per_k_modules()
+    for c in (2, 4, 8):
+        yield repeated_column(c, c)
+    yield from bench_modules()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MuLabError as exc:
+        return type(exc).__name__
+
+
+def test_torsion_certificate_against_subset_scan(monkeypatch):
+    """Wherever the subset scan finds a nonzero minor, the rank at a point
+    certifies torsion too, and graded_ranks is unchanged.  On a square
+    presentation the point is the least t where the exact determinant is
+    nonzero."""
+    found = refused = 0
+    for i, pres in enumerate(presentations()):
+        c = pres.ncols
+        try:
+            oracle_torsion_certificate(pres)
+        except NotTorsion:
+            refused += 1
+            continue
+        found += 1
+        t = pres.torsion_certificate()
+        assert type(t) is int and 0 <= t <= c * (pres.M - 1), i
+        if len(pres.rows) == c:
+            det = full_det(pres)
+            assert [s for s in range(t + 1) if poly_eval(det, s)] == [t], i
+        new = _outcome(graded_ranks, pres)
+        with monkeypatch.context() as m:
+            m.setattr(LambdaPresentation, "torsion_certificate",
+                      oracle_torsion_certificate)
+            old = _outcome(graded_ranks, pres)
+        assert new == old, (i, pres.rows_raw)
+    # refused: the three repeated columns, one row short of two columns,
+    # Lambda/p after 64 zero rows and T^5 twice
+    assert (found, refused) == (413, 6)
+
+
+@pytest.mark.parametrize("name, vec", [("p_after_64_zero_rows", (1,)),
+                                       ("T5_T5", (0,))])
+def test_torsion_certificate_accepts_what_the_scan_refused(name, vec):
+    pres = example(name)
+    with pytest.raises(NotTorsion):
+        oracle_torsion_certificate(pres)
+    assert pres.torsion_certificate() in (0, 1)
+    assert mu_profile(pres).mu_vector == vec
+
+
+def test_torsion_certificate_returns_least_full_rank_point():
+    assert example("T_times_T_minus_1").torsion_certificate() == 2
+    assert example("T5_T5").torsion_certificate() == 1
+    assert example("direct_sum").torsion_certificate() == 0
+
+
+@pytest.mark.parametrize("c", [2, 4, 8])
+def test_repeated_column_is_not_torsion(c):
+    pres = repeated_column(c, c)
+    assert not any(full_det(pres))
+    with pytest.raises(NotTorsion, match=f"rank < {c} over Q\\(T\\)"):
+        pres.torsion_certificate()
+    with pytest.raises(NotTorsion):
+        mu_profile(pres)
+
+
+def _content_valuation(pres):
+    """v_p of the content of the determinant mod T^M, or None if that
+    determinant is 0."""
+    det = _det(pres, range(pres.ncols))
+    if not any(det):
+        return None
+    return min(val_int(abs(x), pres.p, 64) for x in det if x)
+
+
+def test_mu_equals_det_content_valuation():
+    """Cross-oracle: a square torsion presentation has projective
+    dimension <= 1, so its characteristic ideal is (det) and mu is the
+    p-valuation of the determinant's content.  Checked on every square
+    presentation of this file at the first of MT, 2 MT and 4 MT where the
+    graded ranks and the content are both stable under doubling MT."""
+    checked = 0
+    for i, pres in enumerate(presentations()):
+        if len(pres.rows) != pres.ncols:
+            continue
+        for M in (pres.M, 2 * pres.M, 4 * pres.M):
+            at = pres.with_truncation(M)
+            twice = pres.with_truncation(2 * M)
+            v = _content_valuation(at)
+            if v is None or v != _content_valuation(twice):
+                continue
+            qs = _graded_ranks_at(at, M)
+            if qs != _graded_ranks_at(twice, 2 * M):
+                continue
+            if qs[-1]:
+                break  # the mu-exponent is past the precision
+            assert profile_from_ranks(qs, pres.N).mu == v, (i, M)
+            checked += 1
+            break
+    # of the 417 square presentations, the three repeated columns have
+    # det 0, and Lambda/p^2 at N = 2 is past the precision
+    assert checked == 413

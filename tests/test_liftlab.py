@@ -1,13 +1,20 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mulab import liftlab
+from mulab.cli import main
 from mulab.errors import (
     InvariantViolation,
+    LocalTwistUnrealizable,
     NoUnitSquareRoot,
+    ParseError,
     SizeBound,
     TameRelationError,
 )
@@ -317,6 +324,70 @@ def test_lift_step_built_in():
     assert current.n == 3
 
 
+class _NeverHolds:
+    def holds(self, rep) -> bool:
+        return False
+
+
+def test_lift_step_raises_when_no_twist_is_admissible():
+    """Every one of the 3^3 twists by Z^1 fails a condition that never
+    holds."""
+    G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
+    rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
+                                        for m in G.elements])
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    det_t = [mat_det(m, 9) for m in G.elements]
+    assert lift_step(rho, det_t, M)[0] == "ok"
+    with pytest.raises(LocalTwistUnrealizable, match="no global"):
+        lift_step(rho, det_t, M, [("never", _NeverHolds())])
+
+
+# Z/2 lifted with coefficients in n from a level-2 image with lower-left
+# entry 3: the obstruction at level 3 has a diagonal part, outside n
+OBSTRUCTION_OUTSIDE_N = {
+    "p": 3, "levels": 2, "module": "n", "start_level": 2,
+    "group": {"kind": "permutations", "generators": [[1, 0]]},
+    "rhobar": [[2, 0, 0, 1]], "start_images": [[8, 3, 3, 1]], "det": [26]}
+
+
+def test_obstruction_outside_the_submodule_is_an_input_error(tmp_path,
+                                                             capsys):
+    with pytest.raises(ParseError, match="outside the submodule n"):
+        run_scenario(OBSTRUCTION_OUTSIDE_N)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(OBSTRUCTION_OUTSIDE_N))
+    assert main(["lift-lab", "run", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+    # with ad0 coefficients the same scenario lifts
+    assert run_scenario({**OBSTRUCTION_OUTSIDE_N, "module": "ad0"})[
+        "reached_level"] == 3
+
+
+def test_obstruction_outside_the_submodule_raises_under_O():
+    """The check is no bare assert, so `python -O` keeps it."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from mulab.errors import ParseError\n"
+         "from mulab.liftlab import run_scenario\n"
+         f"spec = {OBSTRUCTION_OUTSIDE_N!r}\n"
+         "try:\n"
+         "    run_scenario(spec)\n"
+         "except ParseError:\n"
+         "    print('raised')\n"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "raised"
+
+
+def test_action_outside_the_module_raises(monkeypatch):
+    """An action matrix that leaves n is an internal fault: the
+    constructor has checked that rho-bar is upper triangular."""
+    G = cyclic(2)
+    monkeypatch.setattr(liftlab, "mat_inv", lambda g, p: (1, 0, 1, 1))
+    with pytest.raises(InvariantViolation, match="moves n out of itself"):
+        AdjointModule(G, [MAT_ID, MAT_ID], "n", p=3)
+
+
 def test_scenario_runner_builtin(tmp_path):
     spec = {
         "name": "borel-z3",
@@ -384,13 +455,36 @@ def test_membership_conjugation_invariant():
             assert membership_up_to_equivalence(conj, "type3", v) == base
 
 
+class _PlainModule:
+    """Minimal module object (action matrices per element) for the
+    cohomology machinery."""
+
+    def __init__(self, model, p, action):
+        self.model = model
+        self.p = p
+        self._action = action
+        self.dim = action[0].shape[0] if action else 0
+
+
+def diagonal_quotient_module(M: AdjointModule) -> _PlainModule:
+    """Ad^0 / n with the induced action (requires upper-triangular
+    rho-bar, which makes n a submodule and the action matrices block
+    triangular in the basis E, H, F)."""
+    assert M.selector == "ad0", "quotient is taken of Ad^0"
+    action = []
+    for A in M._action:
+        assert A[1, 0] % M.p == 0 and A[2, 0] % M.p == 0, \
+            "n is not stable: rho-bar must be upper triangular"
+        action.append(A[1:, 1:] % M.p)
+    return _PlainModule(M.model, M.p, action)
+
+
 def test_submodule_functoriality_exactness():
     """Exactness of H^1(n) -> H^1(Ad^0) -> H^1(quotient) at the middle
     term, for the sequence 0 -> n -> Ad^0 -> Ad^0/n -> 0 on an
     upper-triangular residual representation: the image of the inclusion
     equals the kernel of the projection."""
-    from mulab.liftlab import (_coboundary, diagonal_quotient_module,
-                               nullspace_modp, rref_modp)
+    from mulab.liftlab import _coboundary, nullspace_modp, rref_modp
     p = 5
     G = group_from_permutations([(1, 2, 3, 0)])
     images = G.extend_homomorphism(
@@ -1220,7 +1314,7 @@ def _coboundary_modules():
             out += [(f"{name}/{s}", AdjointModule(G, rhobar, s, p=p))
                     for s in ("n", "b")]
             out.append((f"{name}/ad0-mod-n",
-                        liftlab.diagonal_quotient_module(Mad)))
+                        diagonal_quotient_module(Mad)))
     return out
 
 

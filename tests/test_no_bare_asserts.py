@@ -1,7 +1,7 @@
 """`python -O` strips `assert` statements, so a check in src that must
-hold in every run raises a typed error instead.  The asserts still in
-src are listed here by enclosing function and count; a new one fails this
-test until it is turned into a raise or added on purpose."""
+hold in every run raises a typed error instead.  An assert kept in src
+on purpose is listed here by enclosing function and count (none is); a
+new one fails this test until it is turned into a raise or listed."""
 
 import ast
 from collections import Counter
@@ -9,11 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mulab"
 
-ALLOWED = {
-    ("liftlab.py", "AdjointModule._coords"): 3,
-    ("liftlab.py", "diagonal_quotient_module"): 1,
-    ("liftlab.py", "basis_cocycles"): 1,
-}
+ALLOWED = {}
 
 
 def _asserts(tree, scope=()):

@@ -6,6 +6,7 @@ import pytest
 from mulab.dirichlet import mod_p_cyclotomic
 from mulab.elliptic import Curve
 from mulab.errors import (
+    AmbiguousPair,
     FactorizationInconclusive,
     InvariantViolation,
     NotReduciblyAligned,
@@ -107,6 +108,12 @@ def test_semisimplification_11a():
         # determinant check on output
         for ell in [2, 3, 7]:
             assert phi1(ell) * phi2(ell) % 5 == ell % 5
+
+
+def test_semisimplification_ambiguous_at_small_ell_bound():
+    """With only ell = 2 tested, two character pairs fit 11a1."""
+    with pytest.raises(AmbiguousPair, match="2 character pairs fit"):
+        semisimplification(good_a_table(E11A1, 11), 5, 11, 2)
 
 
 def test_semisimplification_irreducible():

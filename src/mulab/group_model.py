@@ -101,17 +101,24 @@ class FiniteGroupModel:
         self.subgroups[label] = out
         return out
 
+    def extend_along_tree(self, gen_images, mul_img):
+        """Images of every element, indexed by element index: the
+        generator images, then one product per element along the BFS
+        tree.  Nothing is checked against the group's relations."""
+        out = [None] * len(self.elements)
+        for g, img in zip(self.generators, gen_images):
+            out[g] = img
+        for k, i, j in self.tree:
+            out[k] = mul_img(out[i], gen_images[j])
+        return out
+
     def extend_homomorphism(self, gen_images, mul_img):
         """Extend generator images multiplicatively along the BFS tree;
         returns a list indexed by element index.  Raises ValueError if the
         images do not define a homomorphism on this model: every
         (element, generator) pair is checked, which suffices by induction
         on word length."""
-        out = [None] * len(self.elements)
-        for g, img in zip(self.generators, gen_images):
-            out[g] = img
-        for k, i, j in self.tree:
-            out[k] = mul_img(out[i], gen_images[j])
+        out = self.extend_along_tree(gen_images, mul_img)
         for i, x in enumerate(out):
             for g, img in zip(self.generators, gen_images):
                 if out[self.table[i][g]] != mul_img(x, img):

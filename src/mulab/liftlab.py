@@ -1,14 +1,16 @@
 """Desk-scale laboratory for one-step deformation lifting over finite
 group models: bar-resolution cohomology with adjoint coefficients, the
-obstruction 2-cocycle of a set-theoretic lift, exhaustive lift
-enumeration and its cocycle-torsor structure, tame local conditions at
-trivial primes with their four conjugated families, and the versality
-degree of each (condition, twist-space) pair.
+obstruction 2-cocycle of a set-theoretic lift, lift enumeration and its
+cocycle-torsor structure, tame local conditions at trivial primes with
+their four conjugated families, and the versality degree of each
+(condition, twist-space) pair.
 
-Everything is exhaustively checkable: groups are explicit tables, lifts
-are enumerated generator-image by generator-image, and membership of a
-twisted local deformation in a family is decided by a layer-by-layer
-normal-form search over conjugators congruent to the identity mod p.
+Everything is exhaustively checkable: groups are explicit tables, the
+lifts of one step are the solutions of one affine system over F_p in the
+generator images, each checked against every relation, and membership
+of a twisted local deformation in a family is decided by a
+layer-by-layer normal-form search over conjugators congruent to the
+identity mod p.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .group_model import (
     mat_inv,
     mat_mul,
 )
-from .modp import nullspace_modp, rref_modp, solve_modp
+from .modp import coset_modp, nullspace_modp, rref_modp, solve_modp
 from .padic import sqrt_unit_one_mod_p, val_int
 
 # -- adjoint module -------------------------------------------------------------
@@ -162,7 +164,8 @@ def _coboundary(M, k: int) -> np.ndarray:
         merged = g[:i] + [T[g[i], g[i + 1]]] + g[i + 2:]
         D[rows, :, col(merged), :] += (-1)**(i + 1) * eye
     D[rows, :, col(g[:k]), :] += (-1)**(k + 1) * eye
-    return D.reshape(n**(k + 1) * d, n**k * d) % p
+    D %= p
+    return D.reshape(n**(k + 1) * d, n**k * d)
 
 
 def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
@@ -388,92 +391,82 @@ def lift_step(rho: RepresentationModPn, det_target,
 
 
 def enumerate_lifts(rho: RepresentationModPn, det_target,
-                    max_candidates: int = 1 << 22):
-    """All homomorphic lifts mod p^(n+1) with the fixed determinant, by
-    exhaustion over generator-image lifts."""
+                    max_lifts: int = 1 << 22):
+    """All homomorphic lifts mod p^(n+1) with the fixed determinant, n >= 1.
+
+    Generator j goes to (1 + p^n X_j) A_j, with A_j the set-theoretic lift
+    and X_j = (a_j, b_j; c_j, -a_j) mod p (the determinant is already
+    matched).  Since 2n >= n + 1,
+
+        (1 + p^n X) A (1 + p^n Y) B = (1 + p^n (X + A Y A^-1)) AB
+                                                        mod p^(n+1),
+
+    so along the group's BFS tree every element's image is its image at
+    x = 0 plus p^n times a linear function of the coordinates x = (a_j,
+    b_j, c_j)_j, and so is every relation defect out[t[i][g]] - out[i]
+    img_g.  The defect mod p^n does not depend on x: when p^n does not
+    divide it (rho's generator images break a relation mod p^n) there is
+    no lift.  Otherwise the lifts are the solutions of the affine system
+    defect(x) / p^n = 0 over F_p, read off from the defects at x = 0 and
+    at the 3g unit vectors.
+
+    The lifts come in lexicographic order of x, the order of a search
+    over itertools.product of the X_j; each is built by
+    `extend_homomorphism`, so every one passes the full relation check.
+    Raises SizeBound when there are more than max_lifts lifts."""
     p, n = rho.p, rho.n
     G = rho.model
-    mod = p**(n + 1)
-    gens = G.generators
+    mod, pn = p**(n + 1), p**n
     base = set_theoretic_lift(rho, det_target)
-    base_gen = [base[g] for g in gens]
-    # lift space per generator: A (1 + p^n X), tr X = 0 (det already
-    # matched by the base lift)
-    ad0 = _ad0_elements(p)
-    total = len(ad0) ** len(gens)
-    if total > max_candidates:
-        raise SizeBound(f"{total} candidate tuples exceed the bound")
+    base_gen = [base[g] for g in G.generators]
+    dim = 3 * len(base_gen)
+
+    def mul(a, b):
+        return mat_mul(a, b, mod)
+
+    def gen_images(x):
+        return [mul((1 + a * pn, b * pn, c * pn, 1 + (-a % p) * pn), A)
+                for A, a, b, c in zip(base_gen, x[0::3], x[1::3], x[2::3])]
+
+    def defects(x):
+        imgs = gen_images(x)
+        out = G.extend_along_tree(imgs, mul)
+        return [(e - f) % mod
+                for i, img_i in enumerate(out)
+                for g, img_g in zip(G.generators, imgs)
+                for e, f in zip(out[G.table[i][g]], mul(img_i, img_g))]
+
+    d0 = defects([0] * dim)
+    if any(e % pn for e in d0):
+        return []
+    cols = [[(e - f) % mod // pn for e, f in zip(defects(unit), d0)]
+            for unit in np.eye(dim, dtype=np.int64).tolist()]
+    L = np.array(cols, dtype=np.int64).T
+    x0 = solve_modp(L, np.array([-e // pn % p for e in d0], dtype=np.int64),
+                    p)
+    if x0 is None:
+        return []
+    K = nullspace_modp(L, p)
+    if p**len(K) > max_lifts:
+        raise SizeBound(f"{p**len(K)} lifts exceed the bound")
+    # lifts differ by 1-cocycles, which take few values on many elements
+    # (one at the identity): the lifts share one tuple per distinct image
+    shared = {}
     lifts = []
-    for combo in itertools.product(ad0, repeat=len(gens)):
-        gen_images = []
-        for A, X in zip(base_gen, combo):
-            pert = (1 + X[0] * p**n, X[1] * p**n,
-                    X[2] * p**n, 1 + X[3] * p**n)
-            gen_images.append(mat_mul(pert, A, mod))
+    for x in sorted(map(tuple, coset_modp(x0, K, p).tolist())):
         try:
-            images = G.extend_homomorphism(
-                gen_images, lambda a, b: mat_mul(a, b, mod))
-        except ValueError:
-            continue
-        lifts.append(RepresentationModPn(G, p, n + 1, images))
+            images = G.extend_homomorphism(gen_images(x), mul)
+        except ValueError as exc:
+            raise InvariantViolation(
+                "a solution of the linearized relations is not a "
+                "homomorphism") from exc
+        lift = RepresentationModPn(G, p, n + 1, images)
+        lift.images = [shared.setdefault(m, m) for m in lift.images]
+        lifts.append(lift)
     return lifts
 
 
-def _ad0_elements(p: int):
-    """Every trace-zero 2x2 matrix mod p as a 4-tuple, zero first."""
-    return [(a, b, c, -a % p)
-            for a, b, c in itertools.product(range(p), repeat=3)]
-
-
-def strict_equivalence_classes(lifts, size_bound: int = 1 << 16):
-    """Partition lifts into orbits under conjugation by matrices that are
-    Id mod p, by explicit orbit enumeration."""
-    if not lifts:
-        return []
-    p, n1 = lifts[0].p, lifts[0].n
-    mod = p**n1
-    conj_count = p**(4 * (n1 - 1))
-    if conj_count > size_bound:
-        raise SizeBound(f"{conj_count} conjugators exceed the bound")
-    conjugators = []
-    for X in itertools.product(range(p**(n1 - 1)), repeat=4):
-        A = (1 + p * X[0], p * X[1], p * X[2], 1 + p * X[3])
-        if mat_det(A, mod) % p != 0:
-            conjugators.append(tuple(x % mod for x in A))
-    key = {}
-    for idx, L in enumerate(lifts):
-        key[tuple(L.images[g] for g in L.model.generators)] = idx
-    classes = []
-    seen = set()
-    for idx, L in enumerate(lifts):
-        if idx in seen:
-            continue
-        orbit = {idx}
-        for A in conjugators:
-            Ainv = mat_inv(A, mod)
-            imgs = tuple(mat_mul(mat_mul(A, L.images[g], mod), Ainv, mod)
-                         for g in L.model.generators)
-            j = key.get(imgs)
-            if j is not None:
-                orbit.add(j)
-        seen |= orbit
-        classes.append(sorted(orbit))
-    return classes
-
-
 # -- trivial primes and tame local conditions -----------------------------------
-
-
-def trivial_prime_check(v: int, p: int, rhobar_images=None) -> bool:
-    """v = 1 mod p, v != 1 mod p^2, and (when images are supplied) the
-    residual restriction is trivial."""
-    if v % p != 1 or v % (p * p) == 1:
-        return False
-    if rhobar_images is not None:
-        for m in rhobar_images:
-            if tuple(x % p for x in m) != (1 % p, 0, 0, 1 % p):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -552,24 +545,10 @@ def basis_cocycles(v: int, p: int, y_param: int = 0):
     return out
 
 
-def span_dimensions(v: int, p: int, y_param: int = 0):
-    cs = basis_cocycles(v, p, y_param)
-
-    def dim(names):
-        vecs = [list(cs[n]["sigma"]) + list(cs[n]["tau"]) for n in names]
-        A = np.array(vecs, dtype=np.int64)
-        return len(rref_modp(A, p)[1])
-
-    return {
-        "Q_v": dim(["f1", "f2"]),
-        "P_nr": dim(["f1", "f2", "g_nr"]),
-        "P_ram": dim(["f1", "f2", "g_ram"]),
-    }
-
-
 # -- membership in the tame families --------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _sqrt_factor(psi_sigma: int, v: int, p: int, level: int) -> int:
     """(psi(sigma_v) v^-1)^(1/2), the root congruent to 1 mod p."""
     mod = p**level
@@ -756,11 +735,8 @@ def _layer_solver(p: int, S0: tuple, T0: tuple):
         np.concatenate([L, np.eye(6, dtype=np.int64)], axis=1), p)
     pivots = tuple(col for col in pivots if col < 3)
     E = tuple(tuple(int(x) for x in row[3:]) for row in R)
-    K = [[int(x) for x in row] for row in nullspace_modp(L, p)]
-    offsets = tuple(
-        tuple(sum(cc * k[i] for cc, k in zip(coeffs, K)) % p
-              for i in range(3))
-        for coeffs in itertools.product(range(p), repeat=len(K)))
+    offsets = tuple(map(tuple, coset_modp(
+        np.zeros(3, dtype=np.int64), nullspace_modp(L, p), p).tolist()))
     return E, pivots, offsets
 
 

@@ -13,6 +13,8 @@ not import it, so numpy stays out of that process.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # bound on p^k in smith_zpk: entries stay below it, so every product of
@@ -22,28 +24,37 @@ MAX_MODULUS = 2**31
 
 def rref_modp(A: np.ndarray, p: int):
     """Reduced row echelon form mod p; returns (R, pivot_cols)."""
-    R = A.astype(np.int64) % p
+    R = np.array(A, dtype=np.int64)
+    R %= p
+    return R, _rref_in_place(R, p)
+
+
+def _rref_in_place(R: np.ndarray, p: int) -> list[int]:
+    """Bring the int64 matrix R, entries in [0, p), to reduced row echelon
+    form mod p in place; returns the pivot columns.  When column c is
+    pivoted, row r is zero left of c (earlier pivot columns are cleared
+    and skipped columns are zero from row r down), so the scaling and the
+    row updates touch columns c.. only."""
     nr, nc = R.shape
     pivots = []
     r = 0
     for c in range(nc):
         if r >= nr:
             break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(R[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+            R[[r, i], c:] = R[[i, r], c:]
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, p) % p
         rows = np.nonzero(R[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            R[rows] = (R[rows] - np.outer(R[rows, c], R[r])) % p
+            R[rows, c:] = (R[rows, c:] - np.outer(R[rows, c], R[r, c:])) % p
         pivots.append(c)
         r += 1
-    return R, pivots
+    return pivots
 
 
 def nullspace_modp(A: np.ndarray, p: int):
@@ -62,16 +73,29 @@ def nullspace_modp(A: np.ndarray, p: int):
 
 
 def solve_modp(A: np.ndarray, b: np.ndarray, p: int):
-    """One solution of A x = b mod p, or None."""
+    """One solution of A x = b mod p, or None.  A and b are left as they
+    are: the augmented matrix is one new array, eliminated in place."""
     nr, nc = A.shape
-    aug = np.concatenate([A % p, (b % p).reshape(nr, 1)], axis=1)
-    R, pivots = rref_modp(aug, p)
+    aug = np.empty((nr, nc + 1), dtype=np.int64)
+    aug[:, :nc] = A
+    aug[:, nc] = np.reshape(b, nr)
+    aug %= p
+    pivots = _rref_in_place(aug, p)
     if nc in pivots:
         return None
     x = np.zeros(nc, dtype=np.int64)
     for ri, pc in enumerate(pivots):
-        x[pc] = R[ri, nc]
+        x[pc] = aug[ri, nc]
     return x
+
+
+def coset_modp(x0: np.ndarray, K: np.ndarray, p: int) -> np.ndarray:
+    """The p^f vectors x0 + c K mod p, one a row, for the f rows of K and
+    c running over itertools.product(range(p), repeat=f).  With f = 0 it
+    is the one row x0."""
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(K))),
+                      dtype=np.int64)
+    return (x0 + coeffs @ K) % p
 
 
 def smith_zpk(G: np.ndarray, p: int, k: int):

@@ -19,9 +19,6 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {
     ("ffield.py", "find_irreducible"),
     ("group_model.py", "verify_table_associativity"),
-    ("liftlab.py", "strict_equivalence_classes"),
-    ("liftlab.py", "trivial_prime_check"),
-    ("liftlab.py", "span_dimensions"),
     ("mazur_tate.py", "project_layer"),
     ("residual.py", "isogeny_transform"),
 }

@@ -44,10 +44,7 @@ from mulab.liftlab import (
     obstruction_class,
     ordinary_condition_check,
     run_scenario,
-    span_dimensions,
     standard_family_element,
-    strict_equivalence_classes,
-    trivial_prime_check,
     twist,
     twist_tame,
     z1_basis,
@@ -182,6 +179,42 @@ def test_engineered_obstructed_instance():
         assert not obs.is_zero()
 
 
+def strict_equivalence_classes(lifts, size_bound: int = 1 << 16):
+    """Partition lifts into orbits under conjugation by matrices that are
+    Id mod p, by explicit orbit enumeration."""
+    if not lifts:
+        return []
+    p, n1 = lifts[0].p, lifts[0].n
+    mod = p**n1
+    conj_count = p**(4 * (n1 - 1))
+    if conj_count > size_bound:
+        raise SizeBound(f"{conj_count} conjugators exceed the bound")
+    conjugators = []
+    for X in itertools.product(range(p**(n1 - 1)), repeat=4):
+        A = (1 + p * X[0], p * X[1], p * X[2], 1 + p * X[3])
+        if mat_det(A, mod) % p != 0:
+            conjugators.append(tuple(x % mod for x in A))
+    key = {}
+    for idx, L in enumerate(lifts):
+        key[tuple(L.images[g] for g in L.model.generators)] = idx
+    classes = []
+    seen = set()
+    for idx, L in enumerate(lifts):
+        if idx in seen:
+            continue
+        orbit = {idx}
+        for A in conjugators:
+            Ainv = mat_inv(A, mod)
+            imgs = tuple(mat_mul(mat_mul(A, L.images[g], mod), Ainv, mod)
+                         for g in L.model.generators)
+            j = key.get(imgs)
+            if j is not None:
+                orbit.add(j)
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
 def test_strict_equivalence_matches_h1():
     """At the first step, conjugation by Id-mod-p matrices acts through
     coboundaries, so #classes = #lifts / |B^1| = p^dim H^1 * (stabilizer
@@ -195,6 +228,18 @@ def test_strict_equivalence_matches_h1():
     classes = strict_equivalence_classes(lifts)
     d1, _ = cohomology(G, M, 1)
     assert len(classes) == 5**d1 == 1
+
+
+def trivial_prime_check(v: int, p: int, rhobar_images=None) -> bool:
+    """v = 1 mod p, v != 1 mod p^2, and (when images are supplied) the
+    residual restriction is trivial."""
+    if v % p != 1 or v % (p * p) == 1:
+        return False
+    if rhobar_images is not None:
+        for m in rhobar_images:
+            if tuple(x % p for x in m) != (1 % p, 0, 0, 1 % p):
+                return False
+    return True
 
 
 def test_trivial_prime_check():
@@ -211,6 +256,23 @@ def test_local_tame_data_relation():
     assert isinstance(d, LocalTameData)
     with pytest.raises(TameRelationError):
         LocalTameData(11, 5, 2, (1, 0, 0, 1), (2, 0, 0, 1))
+
+
+def span_dimensions(v: int, p: int, y_param: int = 0):
+    """Dimensions of the spans Q_v = <f1, f2>, P_nr = <f1, f2, g_nr> and
+    P_ram = <f1, f2, g_ram> of the basis cocycles."""
+    cs = basis_cocycles(v, p, y_param)
+
+    def dim(names):
+        vecs = [list(cs[n]["sigma"]) + list(cs[n]["tau"]) for n in names]
+        A = np.array(vecs, dtype=np.int64)
+        return len(rref_modp(A, p)[1])
+
+    return {
+        "Q_v": dim(["f1", "f2"]),
+        "P_nr": dim(["f1", "f2", "g_nr"]),
+        "P_ram": dim(["f1", "f2", "g_ram"]),
+    }
 
 
 def test_basis_cocycles():
@@ -245,6 +307,22 @@ def test_no_unit_square_root():
     elem = standard_family_element(11, 5, 2, 0, 0, 11, "type3")
     with pytest.raises(NoUnitSquareRoot):
         local_condition_membership(elem, "type3", 2 * 11)
+
+
+def test_sqrt_factor_cache_keeps_refusals():
+    """The cached square root is the one congruent to 1 mod p with
+    square psi(sigma) v^-1; a refusal is raised again on every call,
+    never cached."""
+    for psi_sigma, v, p, level in ((11, 11, 5, 4), (11 * 31, 11, 5, 3),
+                                   (7 * 4, 7, 3, 4)):
+        mod = p**level
+        for _ in range(2):
+            c = _sqrt_factor(psi_sigma, v, p, level)
+            assert c % p == 1
+            assert c * c * v % mod == psi_sigma % mod
+    for _ in range(2):
+        with pytest.raises(NoUnitSquareRoot):
+            _sqrt_factor(2 * 11, 11, 5, 2)
 
 
 def test_membership_up_to_equivalence_vs_literal():
@@ -1329,3 +1407,147 @@ def test_coboundary_matches_entrywise_builders():
             D = liftlab._coboundary(M, k)
             assert D.dtype == np.int64, name
             assert np.array_equal(D, oracles[k](M)), (name, k)
+
+
+# -- the affine lift solve against the exhaustive search it replaces ----------
+
+
+def _ad0_elements(p: int):
+    """Every trace-zero 2x2 matrix mod p as a 4-tuple, zero first."""
+    return [(a, b, c, -a % p)
+            for a, b, c in itertools.product(range(p), repeat=3)]
+
+
+def oracle_enumerate_lifts(rho, det_target, max_candidates=1 << 22):
+    """The search `enumerate_lifts` replaces: every generator-image lift
+    (1 + p^n X) A, tr X = 0, through the full homomorphism check."""
+    p, n = rho.p, rho.n
+    G = rho.model
+    mod = p**(n + 1)
+    gens = G.generators
+    base = liftlab.set_theoretic_lift(rho, det_target)
+    base_gen = [base[g] for g in gens]
+    ad0 = _ad0_elements(p)
+    total = len(ad0) ** len(gens)
+    if total > max_candidates:
+        raise SizeBound(f"{total} candidate tuples exceed the bound")
+    lifts = []
+    for combo in itertools.product(ad0, repeat=len(gens)):
+        gen_images = []
+        for A, X in zip(base_gen, combo):
+            pert = (1 + X[0] * p**n, X[1] * p**n,
+                    X[2] * p**n, 1 + X[3] * p**n)
+            gen_images.append(mat_mul(pert, A, mod))
+        try:
+            images = G.extend_homomorphism(
+                gen_images, lambda a, b: mat_mul(a, b, mod))
+        except ValueError:
+            continue
+        lifts.append(RepresentationModPn(G, p, n + 1, images))
+    return lifts
+
+
+def _teichmuller_dets(rho, level):
+    return [teichmuller(mat_det(m, rho.p), rho.p, level)
+            for m in rho.rhobar()]
+
+
+def _lift_instances():
+    """(name, rho, det target) to lift one step: the S3 mod-5 helper with
+    its non-Teichmuller determinant, the nine criterion-7 instances (the
+    two engineered obstructed ones among them), both levels of the
+    borel_z3 scenario's group (|G| = 27) and trivial Z/2 mod 3, whose one
+    lift is the trivial one (Z^1 = Hom(Z/2, F_3^3) = 0)."""
+    G, rho = s3_rep_mod5()
+    out = [("S3/p5-helper", rho, G.extend_homomorphism(
+        [mat_det(rho.images[g], 5) if mat_det(rho.images[g], 5) != 4
+         else 24 for g in G.generators], lambda a, b: a * b % 25))]
+    for name, G, p, level, gen_images in _torsor_scenarios():
+        if len(gen_images) == len(G):
+            images = [tuple(x % p**level for x in m) for m in gen_images]
+        else:
+            images = G.extend_homomorphism(
+                gen_images, lambda a, b: mat_mul(a, b, p**level))
+        rho = RepresentationModPn(G, p, level, images)
+        out.append((name, rho, _teichmuller_dets(rho, level + 1)))
+    G = group_from_matrices([(1, 1, 0, 1)], 27)
+    for n in (1, 2):
+        rho = RepresentationModPn(G, 3, n, G.elements)
+        out.append((f"borel_z3/level{n + 1}", rho,
+                    [mat_det(m, 3**(n + 1)) for m in G.elements]))
+    G = cyclic(2)
+    out.append(("Z2-trivial/p3", RepresentationModPn(
+        G, 3, 1, [(1, 0, 0, 1)] * 2), [1, 1]))
+    return out
+
+
+def _assert_same_lifts(name, rho, det_t):
+    lifts = enumerate_lifts(rho, det_t)
+    want = oracle_enumerate_lifts(rho, det_t)
+    assert [L.images for L in lifts] == [L.images for L in want], name
+    assert all(L.n == rho.n + 1 and L.verify() for L in lifts), name
+    # equal images of different lifts are one shared tuple
+    images = [m for L in lifts for m in L.images]
+    assert len({id(m) for m in images}) == len(set(images)), name
+    return lifts
+
+
+def test_enumerate_lifts_matches_exhaustive_search():
+    """The same lifts in the same order as the search, each one a
+    homomorphism, on every instance and on the next step above its
+    first and last lift."""
+    counts = {}
+    for name, rho, det_t in _lift_instances():
+        lifts = _assert_same_lifts(name, rho, det_t)
+        counts[name] = len(lifts)
+        for L in lifts[:1] + lifts[-1:]:
+            _assert_same_lifts(f"{name}/next", L,
+                               _teichmuller_dets(L, L.n + 1))
+    assert counts["S3/p5"] == counts["S3/p5-helper"] == 125
+    assert counts["Z2-trivial/p3"] == 1
+    assert [name for name, k in counts.items() if k == 0] == [
+        "Z5-unip/p5", "Z3-obstructed/p3", "Z5-obstructed/p5"]
+
+
+def test_enumerate_lifts_of_a_non_homomorphism_is_empty():
+    """Generator images that break a relation mod p^n have no lift: at
+    level 1 (Z/3 -> (1, 1; 0, 1) mod 5 has order 5) and at level 2
+    (Z/5 -> (1, 1; 0, 1) mod 25 has order 25, though it is a
+    homomorphism mod 5)."""
+    for p, n in ((5, 1), (5, 2)):
+        G = cyclic(3) if n == 1 else cyclic(5)
+        images = G.extend_along_tree(
+            [(1, 1, 0, 1)], lambda a, b: mat_mul(a, b, p**n))
+        rho = RepresentationModPn(G, p, n, images)
+        assert not rho.verify()
+        assert enumerate_lifts(rho, [1] * len(G)) == []
+        assert oracle_enumerate_lifts(rho, [1] * len(G)) == []
+
+
+def test_enumerate_lifts_size_bound_caps_the_lifts():
+    """max_lifts bounds the number of lifts (125 for S3 mod 5), not the
+    5^6 candidates the search tried; an obstructed instance has no lift
+    to bound."""
+    G, rho = s3_rep_mod5()
+    det_t = _teichmuller_dets(rho, 2)
+    assert len(enumerate_lifts(rho, det_t, max_lifts=125)) == 125
+    with pytest.raises(SizeBound, match="125 lifts"):
+        enumerate_lifts(rho, det_t, max_lifts=124)
+    G = cyclic(3)
+    rho = RepresentationModPn(G, 3, 2, G.extend_homomorphism(
+        [(1, 3, 0, 1)], lambda a, b: mat_mul(a, b, 9)))
+    assert enumerate_lifts(rho, [1] * 3, max_lifts=0) == []
+
+
+def test_enumerate_lifts_raises_when_a_solution_breaks_a_relation(
+        monkeypatch):
+    """Every solution goes through the full relation check; a failure
+    there is an InvariantViolation, not a skipped candidate."""
+    G, rho = s3_rep_mod5()
+
+    def broken(gen_images, mul_img):
+        raise ValueError("generator images are not compatible")
+
+    monkeypatch.setattr(G, "extend_homomorphism", broken)
+    with pytest.raises(InvariantViolation, match="not a homomorphism"):
+        enumerate_lifts(rho, _teichmuller_dets(rho, 2))

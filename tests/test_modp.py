@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from mulab.modp import nullspace_modp, rref_modp, smith_zpk, solve_modp
+from mulab.modp import (coset_modp, nullspace_modp, rref_modp, smith_zpk,
+                        solve_modp)
 
 
 def span(rows, p, n):
@@ -77,6 +78,103 @@ def test_solve_modp_iff_solvable(p):
                 assert ((A @ x - b) % p == 0).all()
             else:
                 assert x is None
+
+
+def oracle_rref_modp(A: np.ndarray, p: int):
+    """The elimination `rref_modp` replaces: whole-row swaps, scalings and
+    updates."""
+    R = A.astype(np.int64) % p
+    nr, nc = R.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        rows = np.nonzero(R[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            R[rows] = (R[rows] - np.outer(R[rows, c], R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def larger_matrices(p, count=30):
+    """Seeded matrices up to 40 x 40 with negative entries, zero columns
+    and low-rank products, in int64 and int32."""
+    rng = np.random.default_rng(p)
+    for t in range(count):
+        nr, nc = (int(x) for x in rng.integers(1, 41, size=2))
+        if t % 3 == 0:
+            r = int(rng.integers(0, min(nr, nc) + 1))
+            A = rng.integers(-p, p, size=(nr, r)) @ \
+                rng.integers(-p, p, size=(r, nc))
+        else:
+            A = rng.integers(-3 * p, 3 * p, size=(nr, nc))
+        A[:, rng.random(nc) < 0.2] = 0
+        yield A.astype(np.int32 if t % 2 else np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_modp_matches_full_row_oracle(p):
+    """Updating columns c.. only gives the very R and pivots of the
+    whole-row elimination, and leaves A as it was."""
+    cases = [A for _, A in random_matrices(p)] + list(larger_matrices(p))
+    for A in cases:
+        before = A.copy()
+        R, pivots = rref_modp(A, p)
+        want_R, want_pivots = oracle_rref_modp(A, p)
+        assert R.dtype == np.int64
+        assert np.array_equal(R, want_R) and pivots == want_pivots, A
+        assert np.array_equal(A, before) and A.dtype == before.dtype
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_solve_modp_leaves_its_inputs_unmodified(p):
+    """solve_modp eliminates its own augmented array: A and b keep their
+    values, dtypes and shapes, and the solution solves the system."""
+    rng = np.random.default_rng(10 + p)
+    solved = 0
+    for A in larger_matrices(p):
+        nr, nc = A.shape
+        x_true = rng.integers(0, p, size=nc)
+        for b in (A.astype(np.int64) @ x_true - p,
+                  rng.integers(-p, p, size=(nr, 1))):
+            A0, b0 = A.copy(), b.copy()
+            x = solve_modp(A, b, p)
+            assert np.array_equal(A, A0) and A.dtype == A0.dtype
+            assert np.array_equal(b, b0) and b.shape == b0.shape
+            if x is not None:
+                assert not ((A @ x - b.reshape(nr)) % p).any()
+                solved += 1
+    assert solved >= 30
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coset_modp_lists_the_coset_in_product_order(p):
+    """Row i of coset_modp is x0 + c K mod p for the i-th coefficient
+    tuple c of itertools.product; a trivial kernel gives the one row
+    x0."""
+    for _, A in random_matrices(p, count=15):
+        K = nullspace_modp(A, p)
+        x0 = np.arange(A.shape[1], dtype=np.int64) % p
+        rows = coset_modp(x0, K, p)
+        want = [[(x0[i] + sum(c * k[i] for c, k in zip(cc, K))) % p
+                 for i in range(A.shape[1])]
+                for cc in itertools.product(range(p), repeat=len(K))]
+        assert rows.tolist() == want
+        assert not ((A @ (rows - x0).T) % p).any()
+    x0 = np.array([1, 2, 0], dtype=np.int64)
+    K = nullspace_modp(np.eye(3, dtype=np.int64), p)
+    assert K.shape == (0, 3)
+    assert coset_modp(x0, K, p).tolist() == [[1, 2 % p, 0]]
 
 
 @pytest.mark.parametrize("p", [3, 5])

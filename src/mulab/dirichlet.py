@@ -182,23 +182,21 @@ class DirichletCharacter:
         """Smallest f | M with the character trivial on 1 + f-multiples."""
         M = self.modulus
         for f in sorted(d for d in range(1, M + 1) if M % d == 0):
-            ok = True
-            for a in range(1, M + 1):
-                if a % f == 1 % f and gcd(a, M) == 1 and self(a) != 1:
-                    ok = False
-                    break
-            if ok:
+            if all(self(a) == 1 for a in range(1, M + 1, f)
+                   if gcd(a, M) == 1):
                 return f
         return M
 
     def agrees_with(self, other: "DirichletCharacter") -> bool:
         """Pointwise equality on residues coprime to both moduli (i.e.
-        equality of the associated primitive characters on shared units)."""
+        equality of the associated primitive characters on shared units).
+
+        Both sides are homomorphisms on (Z/M)^*, M the lcm of the moduli,
+        into the same (Z/p^N)^*, so the generators of (Z/M)^* decide."""
+        if (self.p, self.N) != (other.p, other.N):
+            raise ValueError("characters carry different (p, N)")
         M = lcm(self.modulus, other.modulus)
-        for a in range(1, M + 1):
-            if gcd(a, M) == 1 and self(a) != other(a):
-                return False
-        return True
+        return all(self(g) == other(g) for g in unit_group(M).generators)
 
     def __repr__(self):
         U = unit_group(self.modulus)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 
 from .arith import (
-    factorize,
     poly_add,
     poly_deriv,
     poly_divmod,
@@ -269,34 +268,6 @@ class RelQuad:
 
     def random(self, rng: random.Random):
         return (self.base.random(rng), self.base.random(rng))
-
-
-def is_irreducible(f, ell) -> bool:
-    """Monic f irreducible over F_ell: t^(ell^k) = t mod f and
-    gcd(t^(ell^(k/q)) - t, f) = 1 for primes q | k."""
-    f = poly_monic(f, ell)
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    x = poly_divmod([0, 1], f, ell)[1]
-    if poly_sub(poly_powmod([0, 1], ell**k, f, ell), x, ell):
-        return False
-    for q in factorize(k):
-        xe = poly_powmod([0, 1], ell**(k // q), f, ell)
-        if len(poly_gcd(poly_sub(xe, x, ell), f, ell)) > 1:
-            return False
-    return True
-
-
-def find_irreducible(ell: int, k: int, rng: random.Random) -> list[int]:
-    if k == 1:
-        return [0, 1]
-    while True:
-        f = [rng.randrange(ell) for _ in range(k)] + [1]
-        if is_irreducible(f, ell):
-            return f
 
 
 def squarefree_part(f, ell):

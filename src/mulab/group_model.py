@@ -139,20 +139,3 @@ def group_from_matrices(mats, modulus: int, max_size: int = 200
     gens = [tuple(x % modulus for x in m) for m in mats]
     return FiniteGroupModel(gens, lambda a, b: mat_mul(a, b, modulus),
                             max_size=max_size)
-
-
-def verify_table_associativity(model: FiniteGroupModel,
-                               full_bound: int = 48) -> bool:
-    """Full associativity check for small models, sampled beyond."""
-    n = len(model)
-    t = model.table
-    if n <= full_bound:
-        rng = range(n)
-        return all(t[t[i][j]][k] == t[i][t[j][k]]
-                   for i in rng for j in rng for k in rng)
-    import random
-    rng = random.Random(1)
-    return all(
-        t[t[i][j]][k] == t[i][t[j][k]]
-        for i, j, k in (tuple(rng.randrange(n) for _ in range(3))
-                        for _ in range(20000)))

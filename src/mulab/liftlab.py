@@ -282,13 +282,13 @@ def obstruction_class(rho: RepresentationModPn, det_target,
     mod = p**(n + 1)
     G = rho.model
     tau = set_theoretic_lift(rho, det_target)
+    tau_inv = [mat_inv(t, mod) for t in tau]
     nels = len(G)
     vals = np.zeros((nels, nels, M.dim), dtype=np.int64)
     for g in range(nels):
         for h in range(nels):
-            F = mat_mul(mat_mul(tau[G.table[g][h]],
-                                mat_inv(tau[h], mod), mod),
-                        mat_inv(tau[g], mod), mod)
+            F = mat_mul(mat_mul(tau[G.table[g][h]], tau_inv[h], mod),
+                        tau_inv[g], mod)
             c = _kernel_coords(F, p, n, M)
             vals[g, h] = c
     out = Cochain(2, M, vals % p)

@@ -25,11 +25,11 @@ Curves, ch. 2; Stein, Modular Forms: A Computational Approach, ch. 7-8).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
-from .arith import is_probable_prime
+from .arith import is_probable_prime, poly_deriv, poly_eval
 from .elliptic import Curve
 from .errors import (
     EigenspaceNotOneDimensional,
@@ -53,25 +53,17 @@ class P1:
         self.N = N
         reps = []
         index = {}
-        seen = set()
         units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1] or [1]
+        # the first unmarked (c, d) in lexicographic order is the least
+        # member of its unit orbit, so it is the class representative
         for c in range(N):
             for d in range(N):
-                if gcd(gcd(c, d), N) != 1:
+                if (c, d) in index or gcd(gcd(c, d), N) != 1:
                     continue
-                if (c, d) in seen:
-                    continue
-                orbit = set()
+                i = len(reps)
                 for u in units:
-                    orbit.add((u * c % N, u * d % N))
-                rep = min(orbit)
-                for t in orbit:
-                    seen.add(t)
-                    index[t] = len(reps)
-                reps.append(rep)
-        if N == 1:
-            reps = [(0, 0)]
-            index = {(0, 0): 0}
+                    index[u * c % N, u * d % N] = i
+                reps.append((c, d))
         self.reps = reps
         self.index_map = index
 
@@ -347,6 +339,9 @@ def _transpose_shift(A, a):
 
 # -- period / L-value oracle --------------------------------------------------
 
+# bits beyond the working precision at which the real roots are refined
+_GUARD_BITS = 32
+
 
 def real_period(E: Curve, dps: int = 50) -> mp.mpf:
     """Volume of E(R) for the invariant differential dx/(2y + a1x + a3).
@@ -357,19 +352,135 @@ def real_period(E: Curve, dps: int = 50) -> mp.mpf:
     arithmetic-geometric mean of the roots (Cremona, Algorithms for
     Modular Elliptic Curves, 3.7; Cohen, GTM 138, Alg. 7.4.7).  E(R) has
     two components when the discriminant is positive.
+
+    Only the real roots of g enter, three when the discriminant is
+    positive and one when it is negative.  They are separated exactly by
+    the signs of g at rational points (`_real_root_brackets`) and each
+    bracket is refined by safeguarded Newton-bisection at the working
+    precision plus guard bits (`_refine_root`).
     """
     with mp.workdps(dps):
         b2, b4 = mp.mpf(E.b2), mp.mpf(E.b4)
-        roots = mp.polyroots([4, E.b2, 2 * E.b4, E.b6], maxsteps=400,
-                             extraprec=200)
-        if E.discriminant > 0:
-            e3, e2, e1 = sorted(r.real for r in roots)
+        coeffs = E.psi2_squared()
+        count = 3 if E.discriminant > 0 else 1
+        with mp.extraprec(_GUARD_BITS):
+            roots = [_refine_root(coeffs, lo, hi)
+                     for lo, hi in _real_root_brackets(coeffs, count)]
+        roots = [+r for r in roots]
+        if count == 3:
+            e3, e2, e1 = roots
             return 2 * mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
-        e1 = min(roots, key=lambda r: abs(r.imag)).real
+        e1, = roots
         beta = mp.sqrt(3 * e1 * e1 + b2 * e1 / 2 + b4 / 2)
         alpha = 3 * e1 + b2 / 4
         return 2 * mp.pi / mp.agm(2 * mp.sqrt(beta),
                                   mp.sqrt(2 * beta + alpha))
+
+
+def _real_root_brackets(coeffs, count: int):
+    """Isolating brackets (lo, hi) of the real roots of the squarefree
+    cubic with integer coefficients coeffs (low degree first, positive
+    leading coefficient), lo and hi exact Fractions, ascending; lo == hi
+    for a rational root hit exactly.
+
+    The sample points are -B and B (B a Cauchy bound) and rational
+    approximations from `isqrt` of the two critical points
+    (-c2 +- sqrt(c2^2 - 3 c1 c3)) / (3 c3); the approximations are made
+    finer until the signs isolate `count` roots.  InvariantViolation when
+    they never do, or isolate more roots than `count`."""
+    c0, c1, c2, c3 = coeffs
+    B = 1 + max(abs(c0), abs(c1), abs(c2))
+    disc = c2 * c2 - 3 * c1 * c3  # g' = 3 c3 x^2 + 2 c2 x + c1
+    k = 0
+    while True:
+        points = [Fraction(-B), Fraction(B)]
+        if disc > 0:
+            s = isqrt(disc << (2 * k))
+            den = 3 * c3 << k
+            points[1:1] = [Fraction(-(c2 << k) - s, den),
+                           Fraction(-(c2 << k) + s, den)]
+            points = sorted({x for x in points if -B <= x <= B})
+        signs = [(v > 0) - (v < 0)
+                 for v in (poly_eval(coeffs, x) for x in points)]
+        brackets = [(x, x) for x, sx in zip(points, signs) if sx == 0]
+        brackets += [(x, y) for x, y, sx, sy in zip(
+            points, points[1:], signs, signs[1:]) if sx * sy < 0]
+        if len(brackets) > count:
+            raise InvariantViolation(
+                f"{len(brackets)} real roots isolated where the "
+                f"discriminant allows {count}")
+        if len(brackets) == count:
+            return sorted(brackets)
+        if disc <= 0 or k > 8 * B.bit_length() + 64:
+            raise InvariantViolation(
+                f"could not isolate {count} real roots of {coeffs}")
+        k = 2 * k + 4
+
+
+def _refine_root(coeffs, lo: Fraction, hi: Fraction) -> mp.mpf:
+    """The root of the integer polynomial coeffs (low degree first) in
+    the bracket [lo, hi], by safeguarded Newton-bisection at the current
+    mpmath precision, started from the same iteration in floats.
+    InvariantViolation when g does not change sign on the bracket or the
+    iteration does not converge."""
+    a = mp.mpf(lo.numerator) / lo.denominator
+    if lo == hi:
+        return a
+    b = mp.mpf(hi.numerator) / hi.denominator
+    poly = [mp.mpf(c) for c in coeffs]
+    fa, fb = poly_eval(poly, a), poly_eval(poly, b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise InvariantViolation(
+            f"g does not change sign on the bracket [{lo}, {hi}]")
+    try:
+        x = _newton_bisect([float(c) for c in coeffs], float(lo), float(hi),
+                           fa < 0, 2.0**-50, 200)
+    except OverflowError:
+        x = None
+    x = mp.mpf(x) if x is not None and a < x < b else (a + b) / 2
+    iters = mp.mp.prec + 2 * int(abs(b - a) + 2).bit_length() + 64
+    x = _newton_bisect(poly, a, b, fa < 0, mp.ldexp(1, -mp.mp.prec + 4),
+                       iters, x)
+    if x is None:
+        raise InvariantViolation(
+            f"root refinement on [{lo}, {hi}] did not converge")
+    return x
+
+
+def _newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x=None):
+    """A root of poly (low degree first) in (a, b), where its sign is
+    negative at a iff neg_at_a: Newton steps from x (default the
+    midpoint), with a bisection whenever a step leaves the bracket or
+    fails to halve the step before it, until a step or the bracket is
+    below tol relative to max(1, |x|).  None after iters steps."""
+    dpoly = poly_deriv(poly)
+    if x is None:
+        x = (a + b) / 2
+    step = b - a
+    for _ in range(iters):
+        fx = poly_eval(poly, x)
+        if fx == 0:
+            return x
+        if (fx < 0) == neg_at_a:
+            a = x
+        else:
+            b = x
+        dfx = poly_eval(dpoly, x)
+        new = x - fx / dfx if dfx else None
+        if new is not None and a <= new <= b \
+                and 2 * abs(new - x) <= abs(step):
+            step, x = new - x, new
+            if abs(step) <= tol * max(1, abs(x)):
+                return x
+        else:
+            step, x = (a + b) / 2 - x, (a + b) / 2
+            if b - a <= tol * max(1, abs(x)):
+                return x
+    return None
 
 
 def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:

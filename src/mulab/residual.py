@@ -6,8 +6,10 @@ matrix representations.
 
 Kernel polynomials come out of the p-division polynomial by classical
 Zassenhaus factorization (factor mod q, Hensel lift, bounded subset
-recombination) restricted to the target degree (p-1)/2ality, followed by a
-group-law stability check in Q[x]/(h).
+recombination) restricted to the target degree (p-1)/2, followed by a
+group-law stability check in Q[x]/(h).  The factors mod q are lifted to
+mod q^k along a balanced factor tree by quadratic Hensel steps, which
+double the exponent of q at each step.
 """
 
 from __future__ import annotations
@@ -80,26 +82,36 @@ def _mignotte_bound(F, d):
 
 
 def _hensel_pair(f, g, h, q, k_target):
-    """Lift f = g*h (mod q) to mod q^k_target, f and g, h monic."""
-    one, _, t = poly_xgcd(g, h, q)
+    """Lift f = g*h (mod q) to mod q^k_target, f and g, h monic.
+
+    Quadratic Hensel steps (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Alg. 15.10) carry g, h and the Bezout pair s*g + t*h = 1
+    from mod q^j to mod q^min(2j, k_target)."""
+    one, s, t = poly_xgcd(g, h, q)
     if one != [1]:
         raise InvariantViolation(
             f"Hensel factors are not coprime mod {q}")
-    # linear lifting: t*h = 1 mod (g, q)
     G, H = [c % q for c in g], [c % q for c in h]
-    mod = q
-    while mod < q**k_target:
-        newmod = mod * q
-        e = [(c // mod) % q for c in poly_sub(f, poly_mul(G, H))]
-        # dg = t*e mod G (over F_q), dh = (e - dg*H)/G
-        dg = poly_divmod(poly_mul(t, e, q), G, q)[1]
-        dh, r = poly_divmod(poly_sub(e, poly_mul(dg, H, q), q), G, q)
-        if r:
-            raise InvariantViolation(
-                f"Hensel step is not an exact division mod {q}")
-        G = poly_add(G, [mod * c for c in dg], newmod)
-        H = poly_add(H, [mod * c for c in dh], newmod)
-        mod = newmod
+    j = 1
+    while j < k_target:
+        j = min(2 * j, k_target)
+        m = q**j
+        e = poly_sub(f, poly_mul(G, H), m)
+        # G += t*e + quo(s*e, H)*G and H += rem(s*e, H), both monic
+        quo, rem = poly_divmod(poly_mul(s, e, m), H, m)
+        G = poly_add(G, poly_add(poly_mul(t, e, m), poly_mul(quo, G, m)),
+                     m)
+        H = poly_add(H, rem, m)
+        if j < k_target:
+            b = poly_sub(poly_add(poly_mul(s, G, m), poly_mul(t, H, m)),
+                         [1], m)
+            c, d = poly_divmod(poly_mul(s, b, m), H, m)
+            s = poly_sub(s, d, m)
+            t = poly_sub(t, poly_add(poly_mul(t, b, m), poly_mul(c, G, m)),
+                         m)
+    if poly_sub(f, poly_mul(G, H), q**k_target):
+        raise InvariantViolation(
+            f"Hensel lift does not factor f mod {q}^{k_target}")
     return G, H
 
 
@@ -427,21 +439,24 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
                  if ell <= ell_bound and conductor % ell and ell != p]
     M = character_search_modulus(p, conductor)
     alphas = enumerate_characters(M, p - 1, p, 1)
+    # chi_n^i * teich(alpha) reduces mod p to chi-bar^(i mod p-1) * alpha,
+    # so whether it lifts phi1 depends on (alpha, i mod p-1) only
+    residues = [{r for r in range(p - 1)
+                 if liftable_character(r, alpha, 1).agrees_with(phi1)}
+                for alpha in alphas]
     evidence = [{"n": 1, "witness": "mod-p alignment established"}]
     n_max = 1
     for n in range(2, N + 1):
         exps = (p - 1) * p**(n - 1)
+        psi_n = liftable_character(k_weight - 1, _trivial_alpha(p), n)
         found = None
-        for alpha in alphas:
+        for alpha, good in zip(alphas, residues):
             for i in range(exps):
-                phi1n = liftable_character(i, alpha, n)
-                red = phi1n.reduce_precision(1)
-                if not red.agrees_with(phi1):
+                if i % (p - 1) not in good:
                     continue
+                phi1n = liftable_character(i, alpha, n)
                 if not is_odd(phi1n):
                     continue
-                psi_n = liftable_character(k_weight - 1,
-                                           _trivial_alpha(p), n)
                 phi2n = psi_n.mul(phi1n.inverse())
                 ok = True
                 for ell in good_ells:

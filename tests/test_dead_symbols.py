@@ -17,8 +17,6 @@ SRC = sorted((ROOT / "src" / "mulab").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 ALLOWED = {
-    ("ffield.py", "find_irreducible"),
-    ("group_model.py", "verify_table_associativity"),
     ("mazur_tate.py", "project_layer"),
     ("residual.py", "isogeny_transform"),
 }

@@ -1,5 +1,7 @@
 import itertools
-from math import gcd
+from math import gcd, lcm
+
+import pytest
 
 from mulab.dirichlet import (
     DirichletCharacter,
@@ -152,3 +154,63 @@ def test_cyclotomic_character_mod_p2():
     chi2 = cyclotomic_character(5, 2)
     for ell in [2, 3, 7, 11, 13]:
         assert chi2(ell) == ell % 25
+
+
+# -- the full residue sweeps that the generator checks replaced ---------------
+
+
+def agrees_by_sweep(chi, psi):
+    """Equality at every residue mod lcm of the moduli coprime to it."""
+    M = lcm(chi.modulus, psi.modulus)
+    return all(chi(a) == psi(a) for a in range(1, M + 1) if gcd(a, M) == 1)
+
+
+def conductor_by_sweep(chi):
+    """The least f | M with chi(a) = 1 for every unit a = 1 mod f, found by
+    sweeping all of 1..M for each divisor."""
+    M = chi.modulus
+    for f in sorted(d for d in range(1, M + 1) if M % d == 0):
+        if all(chi(a) == 1 for a in range(1, M + 1)
+               if a % f == 1 % f and gcd(a, M) == 1):
+            return f
+    return M
+
+
+# (modulus, p, N): every character of (Z/M)^* takes values in (Z/p^N)^*
+SWEEP_MODULI = [(24, 3, 1), (40, 5, 1), (40, 5, 2), (63, 7, 1),
+                (80, 5, 1), (165, 41, 1), (3 * 16 * 5, 5, 1)]
+
+
+@pytest.mark.parametrize("M,p,N", SWEEP_MODULI)
+def test_conductor_matches_full_sweep(M, p, N):
+    chars = enumerate_characters(M, (p - 1) * p**(N - 1), p, N)
+    assert len(chars) == unit_group(M).order
+    conds = [chi.conductor() for chi in chars]
+    assert conds == [conductor_by_sweep(chi) for chi in chars]
+    assert len(set(conds)) > 2
+
+
+@pytest.mark.parametrize("M,p,N", SWEEP_MODULI)
+def test_agrees_with_matches_full_sweep(M, p, N):
+    """Against every character of M and of two proper divisors of M, so
+    that both agreement across moduli and disagreement are exercised."""
+    chars = enumerate_characters(M, (p - 1) * p**(N - 1), p, N)
+    divisors = [d for d in range(2, M) if M % d == 0][-2:]
+    others = [psi for d in divisors
+              for psi in enumerate_characters(d, (p - 1) * p**(N - 1), p, N)]
+    hits = 0
+    for chi in chars:
+        for psi in others + chars[:4]:
+            got = chi.agrees_with(psi)
+            assert got == agrees_by_sweep(chi, psi)
+            assert psi.agrees_with(chi) == got
+            hits += got
+    assert hits > len(others)
+
+
+def test_agrees_with_refuses_different_value_groups():
+    chi = mod_p_cyclotomic(5)
+    with pytest.raises(ValueError, match="different"):
+        chi.agrees_with(teichmuller_lift(chi, 2))
+    with pytest.raises(ValueError, match="different"):
+        chi.agrees_with(trivial_character(3, 1, 5))

@@ -5,7 +5,8 @@ import pytest
 from mulab.arith import poly_eval
 from mulab.elliptic import Curve
 from mulab.errors import BadReduction, InvalidModel
-from mulab.ffield import ExtField, PrimeField, find_irreducible
+from mulab.ffield import ExtField, PrimeField
+from test_ffield import find_irreducible
 
 E11A1 = Curve(0, -1, 1, -10, -20)
 E11A2 = Curve(0, -1, 1, -7820, -263580)

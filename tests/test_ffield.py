@@ -1,15 +1,50 @@
 import random
 
-from mulab.arith import poly_mul
+from mulab.arith import (
+    factorize,
+    poly_divmod,
+    poly_gcd,
+    poly_monic,
+    poly_mul,
+    poly_powmod,
+    poly_sub,
+)
 from mulab.ffield import (
     ExtField,
     PrimeField,
     RelQuad,
     factor,
-    find_irreducible,
-    is_irreducible,
     sqrt_in_field,
 )
+
+
+def is_irreducible(f, ell) -> bool:
+    """Monic f irreducible over F_ell: t^(ell^k) = t mod f and
+    gcd(t^(ell^(k/q)) - t, f) = 1 for primes q | k."""
+    f = poly_monic(f, ell)
+    k = len(f) - 1
+    if k <= 0:
+        return False
+    if k == 1:
+        return True
+    x = poly_divmod([0, 1], f, ell)[1]
+    if poly_sub(poly_powmod([0, 1], ell**k, f, ell), x, ell):
+        return False
+    for q in factorize(k):
+        xe = poly_powmod([0, 1], ell**(k // q), f, ell)
+        if len(poly_gcd(poly_sub(xe, x, ell), f, ell)) > 1:
+            return False
+    return True
+
+
+def find_irreducible(ell: int, k: int, rng: random.Random) -> list[int]:
+    """A random monic irreducible polynomial of degree k over F_ell."""
+    if k == 1:
+        return [0, 1]
+    while True:
+        f = [rng.randrange(ell) for _ in range(k)] + [1]
+        if is_irreducible(f, ell):
+            return f
 
 
 def test_extension_field_arithmetic():

@@ -15,7 +15,10 @@ from mulab.errors import (
 )
 from mulab.linalg import clear_denominators, nullspace
 from mulab.modsym import (
+    P1,
     EigenSymbol,
+    _real_root_brackets,
+    _refine_root,
     build_manin_space,
     merel_matrices,
     rationalize,
@@ -489,3 +492,90 @@ def test_path_infty_to_matches_convergents(N):
             if gcd(a, m) == 1:
                 assert sp.path_infty_to(a, m) == \
                     oracle_path_infty_to(sp, a, m), (a, m)
+
+
+# -- the polyroots period and the orbit-set P^1 that the certified roots and
+# -- the one-pass class marking replaced ------------------------------------
+
+
+def polyroots_period(E: Curve, dps: int = 50):
+    """real_period with the roots of g from mp.polyroots at 200 extra
+    bits."""
+    with mp.workdps(dps):
+        b2, b4 = mp.mpf(E.b2), mp.mpf(E.b4)
+        roots = mp.polyroots([4, E.b2, 2 * E.b4, E.b6], maxsteps=400,
+                             extraprec=200)
+        if E.discriminant > 0:
+            e3, e2, e1 = sorted(r.real for r in roots)
+            return 2 * mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+        e1 = min(roots, key=lambda r: abs(r.imag)).real
+        beta = mp.sqrt(3 * e1 * e1 + b2 * e1 / 2 + b4 / 2)
+        alpha = 3 * e1 + b2 / 4
+        return 2 * mp.pi / mp.agm(2 * mp.sqrt(beta),
+                                  mp.sqrt(2 * beta + alpha))
+
+
+def _period_models():
+    """The corpus, the 11a isogeny class, and the Tate normal forms
+    y^2 + (1 - c)xy - by = x^3 - bx^2 for (b, c) and (c, b) over
+    b in {7, 13, 29, 37}, c in {3, 11, 31, 40}."""
+    models = [rec["ainvs"] for rec in CORPUS]
+    models += [rec["ainvs"] for rec in json.loads(
+        (Path(__file__).resolve().parent.parent / "data"
+         / "curves_11a.json").read_text())]
+    for b in (7, 13, 29, 37):
+        for c in (3, 11, 31, 40):
+            models += [[1 - c, -b, -b, 0, 0], [1 - b, -c, -c, 0, 0]]
+    return [Curve(*a) for a in models]
+
+
+def test_certified_period_matches_polyroots_period():
+    models = _period_models()
+    assert len(models) == 51
+    assert 0 < sum(E.discriminant > 0 for E in models) < 51
+    for E in models:
+        assert mp.nstr(real_period(E), 30) == \
+            mp.nstr(polyroots_period(E), 30), E.ainvs()
+
+
+def test_real_root_brackets_isolate_and_check_the_count():
+    g = [-6, 11, -6, 1]  # (x - 1)(x - 2)(x - 3)
+    brackets = _real_root_brackets(g, 3)
+    assert [lo <= r <= hi for (lo, hi), r in zip(brackets, (1, 2, 3))] \
+        == [True] * 3
+    assert all(hi <= lo2 for (_, hi), (lo2, _) in zip(brackets,
+                                                      brackets[1:]))
+    with pytest.raises(InvariantViolation, match="allows 1"):
+        _real_root_brackets(g, 1)
+    with pytest.raises(InvariantViolation, match="could not isolate"):
+        _real_root_brackets([1, 0, 0, 4], 3)  # one real root
+
+
+def test_refine_root_refuses_a_bad_bracket():
+    g = [-6, 11, -6, 1]
+    with mp.workdps(30):
+        assert _refine_root(g, Fraction(5, 2), Fraction(4)) == 3
+        with pytest.raises(InvariantViolation, match="sign"):
+            _refine_root(g, Fraction(1, 2), Fraction(5, 2))
+
+
+def p1_by_orbit_sets(N):
+    """(reps, index_map) with each class the min of its unit-orbit set."""
+    reps, index, seen = [], {}, set()
+    units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1] or [1]
+    for c in range(N):
+        for d in range(N):
+            if gcd(gcd(c, d), N) != 1 or (c, d) in seen:
+                continue
+            orbit = {(u * c % N, u * d % N) for u in units}
+            for t in orbit:
+                seen.add(t)
+                index[t] = len(reps)
+            reps.append(min(orbit))
+    return reps, index
+
+
+def test_p1_matches_orbit_sets():
+    for N in range(2, 121):
+        p1 = P1(N)
+        assert (p1.reps, p1.index_map) == p1_by_orbit_sets(N), N

@@ -1,9 +1,26 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mulab.dirichlet import mod_p_cyclotomic
+from mulab.arith import (
+    is_probable_prime,
+    poly_add,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_sub,
+    poly_xgcd,
+)
+from mulab.dirichlet import (
+    enumerate_characters,
+    is_odd,
+    liftable_character,
+    mod_p_cyclotomic,
+    trivial_character,
+)
 from mulab.elliptic import Curve
 from mulab.errors import (
     AmbiguousPair,
@@ -18,6 +35,7 @@ from mulab.residual import (
     ModPnRepresentation,
     _hensel_pair,
     alignment_degree,
+    character_search_modulus,
     classify_alignment,
     frobenius_scalar,
     identify_line_character,
@@ -213,6 +231,12 @@ def test_hensel_lift_needs_coprime_factors():
         _hensel_pair([1, 2, 1], [1, 1], [1, 1], 7, 3)
 
 
+def test_hensel_lift_checks_the_lifted_product():
+    """f = x^2 + 5 is not (x + 1)(x + 2) mod 7, so no lift factors it."""
+    with pytest.raises(InvariantViolation, match="does not factor"):
+        _hensel_pair([5, 0, 1], [1, 1], [2, 1], 7, 4)
+
+
 def test_recombination_bound_raises():
     with pytest.raises(FactorizationInconclusive):
         monic_factors_of_degree(E11A1.division_polynomial(5), 2,
@@ -223,3 +247,138 @@ def test_frobenius_scalar_refuses_ell_in_a_denominator():
     with pytest.raises(RootLiftFailure, match="denominator"):
         frobenius_scalar(E11A1, (Fraction(1, 3), Fraction(0), Fraction(1)),
                          3, 5)
+
+
+# -- the paths the prefiltered alignment search and the quadratic Hensel
+# -- lift replaced ----------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus_report.json"
+
+
+def alignment_degree_by_full_search(a_table, p, N, conductor, phi1,
+                                    ell_bound, k_weight=2):
+    """The search that builds every liftable character chi_n^i * alpha
+    before it checks that the character reduces to phi1."""
+    good_ells = [ell for ell in sorted(a_table)
+                 if ell <= ell_bound and conductor % ell and ell != p]
+    M = character_search_modulus(p, conductor)
+    alphas = enumerate_characters(M, p - 1, p, 1)
+    evidence = [{"n": 1, "witness": "mod-p alignment established"}]
+    n_max = 1
+    for n in range(2, N + 1):
+        found = None
+        for alpha in alphas:
+            for i in range((p - 1) * p**(n - 1)):
+                phi1n = liftable_character(i, alpha, n)
+                if not phi1n.reduce_precision(1).agrees_with(phi1):
+                    continue
+                if not is_odd(phi1n):
+                    continue
+                psi_n = liftable_character(k_weight - 1,
+                                           trivial_character(p, 1), n)
+                phi2n = psi_n.mul(phi1n.inverse())
+                if all((phi1n(ell) + phi2n(ell) - a_table[ell]) % p**n == 0
+                       for ell in good_ells):
+                    found = (i, alpha)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        n_max = n
+        evidence.append({
+            "n": n,
+            "witness": f"chi_n^{found[0]} * alpha"
+                       f"(conductor {found[1].conductor()})"})
+    return n_max, evidence
+
+
+def _aligned_corpus_records():
+    golden = {rep["label"]: rep for rep in json.loads(GOLDEN.read_text())}
+    records = json.loads((DATA / "corpus_reducible.json").read_text())
+    return [(rec, golden[rec["label"]]["p"]) for rec in records
+            if golden[rec["label"]].get("classification") == "aligned"]
+
+
+@pytest.mark.parametrize("rec,p", _aligned_corpus_records(),
+                         ids=lambda v: v["label"] if isinstance(v, dict)
+                         else str(v))
+def test_alignment_degree_matches_full_search_on_corpus(rec, p):
+    """Every odd candidate phi1 with p in its conductor, at N = 6."""
+    N_cond = rec["conductor"]
+    a_table = good_a_table(Curve(*rec["ainvs"]), N_cond)
+    M = character_search_modulus(p, N_cond)
+    phis = [chi for chi in enumerate_characters(M, p - 1, p, 1)
+            if is_odd(chi) and chi.conductor() % p == 0]
+    assert phis
+    for phi1 in phis:
+        assert alignment_degree(a_table, p, 6, N_cond, phi1, 200) == \
+            alignment_degree_by_full_search(a_table, p, 6, N_cond, phi1,
+                                            200)
+
+
+def test_alignment_degree_matches_full_search_on_seeded_tables():
+    """a_ell tables that are trace congruences of a liftable pair mod p^n0
+    (plus noise above p^n0), so that witnesses exist up to n0."""
+    rng = random.Random(15)
+    deep = 0
+    for _ in range(24):
+        p = rng.choice([3, 3, 5, 5, 7])
+        conductor = rng.choice([c for c in (11, 14, 26, 38) if c % p])
+        n0 = rng.randint(1, {3: 3, 5: 2, 7: 1}[p])
+        alpha = rng.choice(enumerate_characters(
+            character_search_modulus(p, conductor), p - 1, p, 1))
+        i = rng.randrange((p - 1) * p**(n0 - 1))
+        phi1n = liftable_character(i, alpha, n0)
+        phi2n = liftable_character(1, trivial_character(p, 1), n0) \
+            .mul(phi1n.inverse())
+        a_table = {ell: (phi1n(ell) + phi2n(ell)) % p**n0
+                   + p**n0 * rng.randint(-3, 3)
+                   for ell in range(2, 80)
+                   if is_probable_prime(ell) and conductor % ell
+                   and ell != p}
+        phi1 = liftable_character(i % (p - 1), alpha, 1)
+        got = alignment_degree(a_table, p, n0 + 1, conductor, phi1, 80)
+        assert got == alignment_degree_by_full_search(
+            a_table, p, n0 + 1, conductor, phi1, 80)
+        if is_odd(phi1n):
+            assert got[0] >= n0
+        deep += got[0] >= 2
+    assert deep >= 3
+
+
+def hensel_pair_linear(f, g, h, q, k_target):
+    """Lift f = g*h (mod q) to mod q^k_target one power of q at a time."""
+    _, _, t = poly_xgcd(g, h, q)
+    G, H = [c % q for c in g], [c % q for c in h]
+    mod = q
+    while mod < q**k_target:
+        newmod = mod * q
+        e = [(c // mod) % q for c in poly_sub(f, poly_mul(G, H))]
+        dg = poly_divmod(poly_mul(t, e, q), G, q)[1]
+        dh, r = poly_divmod(poly_sub(e, poly_mul(dg, H, q), q), G, q)
+        assert not r
+        G = poly_add(G, [mod * c for c in dg], newmod)
+        H = poly_add(H, [mod * c for c in dh], newmod)
+        mod = newmod
+    return G, H
+
+
+def test_quadratic_hensel_matches_linear_lifting():
+    rng = random.Random(10)
+    checked = 0
+    while checked < 60:
+        q = rng.choice([7, 11, 13, 101])
+        g = [rng.randrange(q) for _ in range(rng.randint(1, 4))] + [1]
+        h = [rng.randrange(q) for _ in range(rng.randint(1, 5))] + [1]
+        if poly_gcd(g, h, q) != [1]:
+            continue
+        gh = poly_mul(g, h)
+        f = poly_add(gh, [q * rng.randint(-40, 40)
+                          for _ in range(len(gh) - 1)])
+        k = rng.randint(1, 20)
+        G, H = _hensel_pair(f, g, h, q, k)
+        assert (G, H) == hensel_pair_linear(f, g, h, q, k)
+        assert not poly_sub(f, poly_mul(G, H), q**k)
+        checked += 1

@@ -62,6 +62,7 @@ class CurveRecord:
     ap: dict = field(default_factory=dict)
     kernel_polys: dict = field(default_factory=dict)
     source: str = "inline"
+    p: int | None = None   # the record's own prime, if it names one
 
     def curve(self) -> Curve:
         return Curve(*self.ainvs)
@@ -107,7 +108,7 @@ def ingest(path: str) -> list[CurveRecord]:
         out.append(CurveRecord(
             label=rec["label"], ainvs=tuple(rec["ainvs"]), conductor=N,
             ap=ap, kernel_polys=rec.get("kernel_polys", {}),
-            source=path))
+            source=path, p=rec.get("p")))
     return out
 
 

@@ -2,12 +2,13 @@
 
 Three entry points matching the three verification families:
 
-    mu-lab analyze --curves FILE --p 5 [--precision 6] [--layers 3]
+    mu-lab analyze --curves FILE [--p 5] [--precision 6] [--layers 3]
                    [--ell-bound 200] [--format json|table]
                    [--cache DIR] [--verify-cache] [--config FILE]
     mu-lab lambda-invariants --presentation FILE
     mu-lab lift-lab run SCENARIO
 
+Without --p or a config p, `analyze` uses each record's own "p".
 Exit codes: 0 success, 2 invariant violation, 3 input error.
 Configuration comes from flags plus an optional TOML-shaped config file;
 environment variables are never consulted.
@@ -33,13 +34,14 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_INPUT = 3
 
-# bound on p^(layers+1), the modular symbols summed into theta_layers
-# (about 10 s at 10^5); it also bounds layers, which sets the precision
-# of the unit root
+# bound on p^(layers+1), the modular symbols summed into theta_layers; it
+# also bounds layers, which sets the precision of the unit root.  Near
+# the bound, one CLI run on 11a1 takes 1.3-1.4 s at precision 6 or 100
+# (p = 17 with 3 layers, 43 with 2, 3 with 9; Xeon, Python 3.11)
 MAX_THETA_TERMS = 10**5
 # bound on precision, the p-adic digits carried by theta and the unit
-# root: on 11a1 at p = 13 (layers 3) precision 12 took 3.4 s, 100 7.7 s
-# and 1000 over a minute; at p = 17, 100 took 45 s
+# root: on 11a1 at p = 13 (3 layers) precision 12 and 100 both take
+# 0.6 s; at p = 5 with 6 layers, 6 takes 0.3 s and 100 1.1 s
 MAX_PRECISION = 100
 
 
@@ -74,16 +76,24 @@ def load_config(path: str | None) -> dict:
     return out
 
 
+def _p_error(p, layers: int) -> str | None:
+    """Why p cannot be analyzed with this many layers, or None."""
+    if type(p) is not int or p == 2 or not is_probable_prime(p):
+        return f"p must be an odd prime, got {p!r}"
+    terms = 1
+    for _ in range(layers + 1):
+        terms *= p
+        if terms > MAX_THETA_TERMS:
+            return (f"p^(layers+1) = {p}^{layers + 1} exceeds "
+                    f"{MAX_THETA_TERMS}, the bound on the terms of a theta "
+                    "element; lower p or --layers")
+    return None
+
+
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
+    # without a flag or config value, each record's own "p" is used
     p = args.p if args.p is not None else cfg.get("p")
-    if p is None:
-        print("error: --p is required (flag or config)", file=sys.stderr)
-        return EXIT_INPUT
-    if type(p) is not int or p == 2 or not is_probable_prime(p):
-        print(f"input error: p must be an odd prime, got {p!r}",
-              file=sys.stderr)
-        return EXIT_INPUT
     sizes = {}
     # below these minima analyze ends in NotStabilized on every curve
     # (see mazur_tate.precision_guard)
@@ -104,20 +114,26 @@ def cmd_analyze(args) -> int:
               f"{MAX_PRECISION}, the bound on the p-adic digits carried",
               file=sys.stderr)
         return EXIT_INPUT
-    terms = 1
-    for _ in range(sizes["layers"] + 1):
-        terms *= p
-        if terms > MAX_THETA_TERMS:
-            print(f"input error: p^(layers+1) = {p}^{sizes['layers'] + 1} "
-                  f"exceeds {MAX_THETA_TERMS}, the bound on the terms of "
-                  "a theta element; lower p or --layers", file=sys.stderr)
-            return EXIT_INPUT
+    if p is not None and (error := _p_error(p, sizes["layers"])):
+        print(f"input error: {error}", file=sys.stderr)
+        return EXIT_INPUT
     fmt = args.format or cfg.get("format", "json")
     cache = args.cache or cfg.get("cache")
     try:
         records = ingest(args.curves)
+        if p is None:
+            for rec in records:
+                if rec.p is None:
+                    print("error: --p is required (flag or config)",
+                          file=sys.stderr)
+                    return EXIT_INPUT
+                if error := _p_error(rec.p, sizes["layers"]):
+                    print(f"input error: {rec.label}: {error}",
+                          file=sys.stderr)
+                    return EXIT_INPUT
         reports = analyze_many(
-            records, lambda rec: p, N_prec=sizes["precision"],
+            records, lambda rec: rec.p if p is None else p,
+            N_prec=sizes["precision"],
             layers=sizes["layers"], ell_bound=sizes["ell_bound"],
             cache_dir=cache,
             verify_cache=args.verify_cache)

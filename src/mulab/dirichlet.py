@@ -211,22 +211,15 @@ def trivial_character(p: int, N: int, modulus: int = 1) -> DirichletCharacter:
     return DirichletCharacter(modulus, p, N, tuple(1 for _ in U.generators))
 
 
-def cyclotomic_character(p: int, n: int, N: int | None = None
-                         ) -> DirichletCharacter:
-    """chi mod p^n as the identity character of modulus p^n; values are
-    carried mod p^N (N defaults to n)."""
-    if N is None:
-        N = n
-    if N < n:
-        raise ValueError("value precision below p^n")
-    U = unit_group(p**n)
-    return DirichletCharacter(p**n, p, N,
-                              tuple(g % p**N for g in U.generators))
+def cyclotomic_character(p: int, n: int) -> DirichletCharacter:
+    """chi mod p^n as the identity character of modulus p^n, valued in
+    (Z/p^n)^*."""
+    return DirichletCharacter(p**n, p, n, unit_group(p**n).generators)
 
 
 def mod_p_cyclotomic(p: int) -> DirichletCharacter:
     """chi-bar: a -> a mod p."""
-    return cyclotomic_character(p, 1, 1)
+    return cyclotomic_character(p, 1)
 
 
 def is_odd(chi: DirichletCharacter) -> bool:

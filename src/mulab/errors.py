@@ -69,14 +69,6 @@ class InsufficientLineData(MuLabError):
     """No stable line is available to classify."""
 
 
-class PrecisionLoss(MuLabError):
-    """A lattice transform would shift below working precision."""
-
-
-class NotReduciblyAligned(MuLabError):
-    """A lower-left entry is a unit; the transform requires c = 0 mod p."""
-
-
 class SizeBound(MuLabError):
     """An exhaustive computation exceeds its configured size bound."""
 

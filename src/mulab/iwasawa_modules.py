@@ -10,11 +10,11 @@ such t.
 The k-th graded rank q_k is the Fp[[T]]-rank of p^(k-1) M / p^k M.  For a
 module whose p-power torsion is a sum of pieces Lambda/p^i, q_k counts the
 summands with i >= k, so the multiplicity of Lambda/p^i is q_i - q_(i+1).
-Everything is computed from the relation matrix by exact linear algebra:
-one Smith form over Z/p^N of the T-shifted relations locates the
-p^(k-1)-divisible relations for every k at once, and the Fp[[T]]-rank of
-the T-stable space W_k they span mod p is dim W_k - dim TW_k, read for
-every k from one elimination.
+Everything is computed from the relation rows by exact linear algebra
+over A = (Z/p^N)[T]/(T^M): one elimination mod p per k gives the
+Fp[[T]]-rank of the T-stable space W_k of x mod p with p^(k-1) x in the
+span of the relations, and hands generators of W_(k+1) to the next level
+(see `smith_rank_over_power_series_field_char_p`).
 Finite (pseudonull) junk is insensitive to the T-truncation bound, so each
 profile is recomputed at doubled truncation and must agree.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,58 +35,91 @@ from .errors import (
     TruncationUnresolved,
 )
 from .linalg import rref
-from .modp import MAX_MODULUS, smith_zpk
+from .modp import MAX_MODULUS, matmul_mod
 
-Poly = tuple[int, ...]  # coefficients of a truncated polynomial in T
-
-# bound on the entries of the doubled-truncation matrix, (relations*2*MT)
-# x (generators*2*MT), that graded_ranks puts through smith_zpk; square
-# is the costliest shape, and dense presentations at the bound (4 x 4 at
-# MT 176, 1 x 1 at MT 707, p^N = 2^31 with every entry 0 or 2^30) took
-# 20-22 s for graded_ranks and about 110 MB (Xeon, Python 3.11, numpy 2.4)
+# bound on (relations*2*MT) x (generators*2*MT), the size of the T-shift
+# matrix at doubled truncation; it keeps 2 MT, the inner dimension of
+# every product of the elimination, below 1415.  Dense presentations at
+# the bound (4 x 4 at MT 176, 1 x 1 at MT 707, p^N = 2^31 with columns of
+# high 2-adic valuation, so that every level runs, or p^N near 2^31 at
+# p = 46337 and 2^31 - 1, where products split into limbs) took at most
+# 1.4 s for graded_ranks and 65 MB (Xeon, Python 3.11, numpy 2.4)
 MAX_SMITH_ENTRIES = 2 * 10**6
 
 
-def _poly(coeffs, M: int, mod: int) -> Poly:
-    cs = [c % mod for c in coeffs[:M]]
-    cs += [0] * (M - len(cs))
-    return tuple(cs)
+# a few truncations recur (MT and 2 MT of each presentation), and
+# building S costs a level about 10 % of its time on small modules
+@lru_cache(maxsize=64)
+def _shift_index(M: int) -> np.ndarray:
+    """S[s, t] = t - s for t >= s and M otherwise: indexing a length-M
+    coefficient vector padded by one zero with S[s] multiplies it by T^s
+    mod T^M, so indexing with S gives the matrix of multiplication by it."""
+    s, t = np.ogrid[:M, :M]
+    return np.where(t >= s, t - s, M)
 
 
-def smith_rank_over_power_series_field_char_p(
-        basis: np.ndarray, labels, p: int, M: int, N: int) -> list[int]:
-    """Ranks over F_p[[T]] of the T-stable subspaces W_1 <= ... <= W_N of
-    (F_p[T]/(T^M))^c, where W_k is spanned by the rows of `basis` (c
-    blocks of M coefficients) whose label is < k.
+def smith_rank_over_power_series_field_char_p(G: np.ndarray, p: int,
+                                              mod: int):
+    """One level of the graded ranks.  G is an int64 (rows, c, M) array
+    over A = (Z/p^n)[T]/(T^M), mod = p^n, and U is the A-span of its
+    rows.  Returns the Fp[[T]]-rank of W = U mod p, and rows that span
+    U' = {x : p x in U} mod p^(n-1), or None when n = 1.
 
-    W is a sum of cyclic pieces T^e F_p[T]/(T^M), and multiplying by T
-    drops exactly one dimension from each piece with e < M, so the rank is
-    dim W - dim TW.  One elimination over the T-shifted rows gives dim TW_k
-    for every k: each column pivots on the live row of least label, so a
-    row only ever takes multiples of rows of no larger label, every prefix
-    keeps its span, and dim TW_k is the number of pivots with label < k.
+    Each step pivots on an entry of least T-valuation e, read mod p,
+    among the rows not yet pivoted and clears its column mod p from the
+    others: with T^e u and a the column's entries mod p in the pivot row
+    g and in another row, row <- u row - (a / T^e) g is invertible over
+    A, so U is kept.  The pivot rows g_r are divisible mod p by T^(e_r)
+    and zero mod p in the earlier pivot columns, so they are minimal
+    generators of W, a sum of pieces T^(e_r) Fp[T]/(T^M), and the rank is
+    their number.  Every other row ends 0 mod p.
+
+    If p x = sum a_r g_r + (A-multiples of the other rows), reading the
+    pivot columns mod p in order gives a_r in (p, T^(M-e_r)), and
+    T^(M-e_r) g_r = 0 mod p.  So U' is spanned mod p^(n-1) by each g_r,
+    by T^(M-e_r) g_r / p and by each other row / p: a level adds at most
+    c rows.  Rows that are 0 are dropped.
     """
-    labels = np.asarray(labels)
-    # T shifts each block of M coefficients up by one and drops T^M
-    R = np.zeros_like(basis)
-    R[:, 1:] = basis[:, :-1] % p
-    R[:, ::M] = 0
-    live = np.ones(len(R), dtype=bool)
-    pivot_labels = []
-    for col in range(R.shape[1]):
-        # live rows are zero left of col: earlier columns were cleared
-        nz = np.flatnonzero(live & (R[:, col] != 0))
-        if not nz.size:
-            continue
-        r = nz[labels[nz].argmin()]
+    G = G % mod
+    _, c, M = G.shape
+    S = _shift_index(M)
+    live = np.ones(len(G), dtype=bool)
+    pivots, vals = [], []
+    while True:
+        rows = np.flatnonzero(live)
+        nz = G[rows] % p != 0
+        hit = nz.any(axis=2)
+        if not hit.any():
+            break
+        val = np.where(hit, nz.argmax(axis=2), M)
+        i, j = divmod(int(val.argmin()), c)
+        r, e = rows[i], int(val[i, j])
         live[r] = False
-        pivot_labels.append(int(labels[r]))
-        rest = nz[nz != r]
-        if rest.size:
-            f = R[rest, col] * pow(int(R[r, col]), -1, p) % p
-            R[rest, col:] = (R[rest, col:] - np.outer(f, R[r, col:])) % p
-    return [int((labels < k).sum()) - sum(d < k for d in pivot_labels)
-            for k in range(1, N + 1)]
+        pivots.append(r)
+        vals.append(e)
+        others = rows[hit[:, j]]
+        others = others[others != r]
+        if not others.size:
+            continue
+        # u and g as matrices of multiplication mod T^M, a / T^e as
+        # coefficient rows
+        u = np.zeros(M + 1, dtype=np.int64)
+        u[:M - e] = G[r, j, e:] % p
+        g = np.zeros((c, M + 1), dtype=np.int64)
+        g[:, :M] = G[r]
+        gT = g[:, S[:M - e]].transpose(1, 0, 2).reshape(M - e, c * M)
+        scaled = matmul_mod(G[others].reshape(-1, M), u[S], mod)
+        taken = matmul_mod(G[others, j, e:] % p, gT, mod)
+        G[others] = (scaled.reshape(-1, c, M)
+                     - taken.reshape(-1, c, M)) % mod
+    if mod == p:
+        return len(pivots), None
+    shifted = np.zeros((len(pivots), c, M), dtype=np.int64)
+    for k, (r, e) in enumerate(zip(pivots, vals)):
+        shifted[k, :, M - e:] = G[r, :, :e] // p
+    nxt = np.concatenate([G[pivots] % (mod // p), shifted,
+                          G[live] // p])
+    return len(pivots), nxt[nxt.any(axis=(1, 2))]
 
 
 @dataclass(frozen=True)
@@ -113,28 +147,44 @@ class MuProfile:
 
 class LambdaPresentation:
     """Finitely presented torsion module over Z_p[[T]], given by a relation
-    matrix with entries truncated at (p^N, T^M)."""
+    matrix with entries truncated at (p^N, T^M).
+
+    `relations` is the int64 (relations, generators, M) array of the
+    coefficients reduced mod p^N; `raw` holds the exact coefficients for
+    the torsion certificate, with object entries only when they overflow
+    int64.  `rows` is a list of rows of coefficient lists, or such an
+    array."""
 
     def __init__(self, p: int, N: int, M: int, rows):
+        # a huge N is refused before p^N is computed
+        if N >= MAX_MODULUS.bit_length() or p**N > MAX_MODULUS:
+            raise ValueError(f"p^N = {p}^{N} exceeds 2^31, the bound on "
+                             "the modulus of the int64 products")
         self.p = p
         self.N = N
         self.M = M
-        mod = p**N
-        # raw coefficients are kept for the exact torsion witness; the
-        # reduced rows drive every precision-N computation
-        self.rows_raw = [[tuple(int(c) for c in list(e)[:M]) +
-                          (0,) * max(0, M - len(list(e))) for e in row]
-                         for row in rows]
-        self.rows = [[_poly(e, M, mod) for e in row] for row in rows]
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
+        if isinstance(rows, np.ndarray):
+            raw = rows
+        else:
+            rows = [[list(e)[:M] for e in row] for row in rows]
+            if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("ragged relation matrix")
+            padded = [[e + [0] * (M - len(e)) for e in row] for row in rows]
+            try:
+                raw = np.array(padded, dtype=np.int64)
+            except OverflowError:
+                raw = np.array(padded, dtype=object)
+            raw = raw.reshape(len(rows), len(rows[0]) if rows else 0, M)
+        self.ncols = raw.shape[1]
+        self.relations = (raw % p**N).astype(np.int64)
+        self.raw = self.relations if np.array_equal(raw, self.relations) \
+            else raw
 
     def with_truncation(self, M_new: int) -> "LambdaPresentation":
-        return LambdaPresentation(self.p, self.N, M_new,
-                                  [[list(e) for e in row]
-                                   for row in self.rows_raw])
+        raw = np.zeros(self.raw.shape[:2] + (M_new,), dtype=self.raw.dtype)
+        keep = min(M_new, self.M)
+        raw[:, :, :keep] = self.raw[:, :, :keep]
+        return LambdaPresentation(self.p, self.N, M_new, raw)
 
     # -- torsion certificate ------------------------------------------------
 
@@ -150,10 +200,11 @@ class LambdaPresentation:
         point proves the module is not torsion.
         """
         c = self.ncols
-        if len(self.rows) < c:
+        if len(self.raw) < c:
             raise NotTorsion("fewer relations than generators")
+        rows = self.raw.tolist()
         for t in range(c * (self.M - 1) + 1):
-            R = [[poly_eval(e, t) for e in row] for row in self.rows_raw]
+            R = [[poly_eval(e, t) for e in row] for row in rows]
             if len(rref(R)[1]) == c:
                 return t
         raise NotTorsion(f"rank < {c} over Q(T): the relation matrix has "
@@ -161,22 +212,22 @@ class LambdaPresentation:
 
 
 def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:
+    """q_k = c - (Fp[[T]]-rank of W_k) for k = 1..N at truncation M, with
+    W_k = U_k mod p and U_k = {x : p^(k-1) x in V}, V the span of the
+    relations.  U_1 = V and U_(k+1) = {x : p x in U_k}; U_k contains
+    p^(N-k+1) A^c, so level k works mod p^(N-k+1).  The rank never falls
+    as k grows (the socle of W_k lies in that of W_(k+1)), so once it is
+    c it stays c."""
     p, N, c = pres.p, pres.N, pres.ncols
-    # T^t * r_alpha for every relation and t < M, as vectors in
-    # (Z/p^N)^(c*M) with each column's M coefficients side by side;
-    # object entries, so that smith_zpk rejects a p^N beyond int64
-    nr = len(pres.rows)
-    rel = np.array(pres.rows, dtype=object).reshape(nr, c, M)
-    G = np.zeros((nr, M, c, M), dtype=object)
-    for t in range(M):
-        G[:, t, :, t:] = rel[:, :, :M - t]
-    diag, Minv = smith_zpk(G.reshape(nr * M, c * M), p, N)
-    # reduced mod p^k, Minv is still a Smith basis with diagonal
-    # min(d_i, k), so the rows w_i with d_i < k, reduced mod p, are an
-    # F_p-basis of (V intersect p^(k-1) R^c) / p^(k-1) for every k
-    ranks = smith_rank_over_power_series_field_char_p(
-        Minv[:len(diag)] % p, diag, p, M, N)
-    return [c - rank for rank in ranks]
+    G = pres.relations.reshape(len(pres.relations), c, M)
+    qs = []
+    for k in range(1, N + 1):
+        rank, G = smith_rank_over_power_series_field_char_p(
+            G, p, p**(N - k + 1))
+        qs.append(c - rank)
+        if rank == c:
+            return qs + [0] * (N - k)
+    return qs
 
 
 def graded_ranks(pres: LambdaPresentation) -> list[int]:
@@ -215,9 +266,14 @@ def profile_from_ranks(qs: list[int], N: int,
     mus = [ext[i] - ext[i + 1] for i in range(len(qs))]
     while mus and mus[-1] == 0:
         mus.pop()
-    if not mus:
+    return _profile(tuple(mus))
+
+
+@lru_cache(maxsize=None)
+def _profile(vec: tuple[int, ...]) -> MuProfile:
+    """The one MuProfile of each mu-vector (() for mu = 0)."""
+    if not vec:
         return MuProfile((0,), 0, 0, 0)
-    vec = tuple(mus)
     return MuProfile(vec,
                      sum((i + 1) * m for i, m in enumerate(vec)),
                      len(vec),
@@ -253,14 +309,10 @@ def load_presentation(path: str) -> LambdaPresentation:
         if type(c) is not int:
             raise ValueError(f"coefficients must be integers, got {c!r}")
     N, M = data["N"], data["MT"]
-    # a huge N is refused before p^N is computed
-    if N >= MAX_MODULUS.bit_length() or p**N > MAX_MODULUS:
-        raise ValueError(f"p^N = {p}^{N} exceeds 2^31, the bound on the "
-                         "modulus of the int64 Smith form")
     shape = (len(rows) * 2 * M, (len(rows[0]) if rows else 0) * 2 * M)
     if shape[0] * shape[1] > MAX_SMITH_ENTRIES:
         raise ValueError(
             f"the doubled-truncation matrix is {shape[0]} x {shape[1]}, "
-            f"over {MAX_SMITH_ENTRIES} entries, the bound on the Smith "
-            "form; lower MT or the size of the presentation")
+            f"over {MAX_SMITH_ENTRIES} entries, the size bound of the "
+            "graded ranks; lower MT or the size of the presentation")
     return LambdaPresentation(p, N, M, rows)

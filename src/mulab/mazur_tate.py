@@ -108,19 +108,6 @@ def theta_element(es: EigenSymbol, p: int, n: int, N: int,
                             tuple(Fraction(x, es.den) for x in acc))
 
 
-def project_layer(theta: MazurTateElement) -> MazurTateElement:
-    """Push layer n to layer n-1: gamma^j -> gamma^(j mod p^(n-1))."""
-    if theta.n < 1:
-        raise InvariantViolation(
-            f"cannot project layer {theta.n} to the layer below")
-    p, size = theta.p, theta.p**(theta.n - 1)
-    out = [Fraction(0)] * size
-    for j, c in enumerate(theta.coeffs):
-        out[j % size] += c
-    return MazurTateElement(theta.label, p, theta.N, theta.n - 1,
-                            theta.normalization, tuple(out))
-
-
 def inflate_norm(theta: MazurTateElement) -> MazurTateElement:
     """The norm-inflation map layer n -> n+1: gamma-bar^i maps to the sum
     of its p preimages."""

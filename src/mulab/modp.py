@@ -1,14 +1,12 @@
 """Dense linear algebra over Z/p^k with numpy int64 entries: reduced row
-echelon form, kernels and solutions over F_p, and a Smith form over Z/p^k.
-
-The Smith form finds each pivot one valuation level at a time (one pass
-over the block in the common case) and updates only the active block,
-the part of the matrix that later steps read.
+echelon form, kernels and solutions over F_p, and exact matrix products
+mod m.
 
 This is the one mod-p^k kernel of the package: `liftlab` takes its
-cohomology and local-condition systems here, and `iwasawa_modules` its
-graded ranks.  The `analyze` path (`linalg`, `modsym`, `analysis`) does
-not import it, so numpy stays out of that process.
+cohomology and local-condition systems here, and `iwasawa_modules` the
+products of its graded-rank elimination.  The `analyze` path (`linalg`,
+`modsym`, `analysis`) does not import it, so numpy stays out of that
+process.
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ import itertools
 
 import numpy as np
 
-# bound on p^k in smith_zpk: entries stay below it, so every product of
-# two entries stays below 2^62 and fits in int64
+# bound on the modulus of matmul_mod: entries stay below it, so a product
+# of an entry and a 16-bit limb stays below 2^47
 MAX_MODULUS = 2**31
 
 
@@ -98,52 +96,17 @@ def coset_modp(x0: np.ndarray, K: np.ndarray, p: int) -> np.ndarray:
     return (x0 + coeffs @ K) % p
 
 
-def smith_zpk(G: np.ndarray, p: int, k: int):
-    """Diagonalize G over Z/p^k by unimodular operations.
-
-    Returns (diag_vals, Minv) where diag_vals[i] is the p-valuation of the
-    i-th diagonal entry (k meaning zero) and Minv's rows w_i satisfy
-    rowspan(G) = span{p^(d_i) w_i}.  The valuations are non-decreasing.
-
-    Step s pivots on the first entry, in row-major order, of least
-    valuation v in the active block A[s:, s:].  The search goes one level
-    at a time, from the previous pivot's valuation (p to that power
-    divides every entry of the block) up to the first v with an entry
-    nonzero mod p^(v+1), so most steps make one pass over the block.
-    Later steps read only the block A[s+1:, s+1:], so that is all the row
-    elimination updates, and the column elimination, which would only
-    clear row s's tail, acts on Minv alone.
-    Entries stay below p^k <= MAX_MODULUS, so every product fits in int64.
-    """
-    pk = p**k
-    if pk > MAX_MODULUS:
+def matmul_mod(X: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:
+    """(X @ Y) mod m, exactly, for int64 X and Y with entries in [0, m)
+    and m <= MAX_MODULUS.  When a sum of products might pass 2^63, Y is
+    split into 16-bit limbs: each limb product stays below
+    inner * 2^31 * 2^16, which fits for an inner dimension below 2^16."""
+    if m > MAX_MODULUS:
         raise ValueError("p^k too large for the int64 fast path")
-    A = np.ascontiguousarray(G.astype(np.int64) % pk)
-    nr, nc = A.shape
-    Minv = np.eye(nc, dtype=np.int64)
-    diag: list[int] = []
-    v = 0
-    for s in range(min(nr, nc)):
-        sub = A[s:, s:]
-        for v in range(v, k):
-            hits = np.flatnonzero(sub % p**(v + 1))
-            if hits.size:
-                break
-        else:
-            break
-        i, j = divmod(int(hits[0]), sub.shape[1])
-        A[[s, s + i], s:] = A[[s + i, s], s:]
-        if j:
-            A[s:, [s, s + j]] = A[s:, [s + j, s]]
-            Minv[[s, s + j]] = Minv[[s + j, s]]
-        uinv = pow(int(A[s, s]) // p**v, -1, pk)
-        # row elimination (rowspan-preserving): row_i -= q*row_s
-        nzr = s + 1 + np.flatnonzero(A[s + 1:, s])
-        q = (A[nzr, s] // p**v) * uinv % pk
-        A[nzr, s + 1:] = (A[nzr, s + 1:] - q[:, None] * A[s, s + 1:]) % pk
-        # column elimination col_j -= q*col_s: Minv row_s += q*row_j
-        nzc = s + 1 + np.flatnonzero(A[s, s + 1:])
-        q = (A[s, nzc] // p**v) * uinv % pk
-        Minv[s] = (Minv[s] + q @ Minv[nzc]) % pk
-        diag.append(v)
-    return diag, Minv
+    inner = X.shape[-1]
+    if inner * (m - 1) ** 2 < 2**63:
+        return X @ Y % m
+    if inner >= 2**16:
+        raise ValueError(f"inner dimension {inner} too large for the "
+                         "16-bit limb product")
+    return (X @ (Y & 0xFFFF) % m + (X @ (Y >> 16) % m << 16)) % m

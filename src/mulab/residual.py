@@ -1,8 +1,7 @@
 """Residual mod-p analysis of a rational elliptic curve: rational
 p-isogeny kernels, the Galois character on each kernel line, trace-based
-semisimplification, the aligned/skew dichotomy, congruence evidence for
-the degree of alignment, and the lattice-isogeny conjugation on explicit
-matrix representations.
+semisimplification, the aligned/skew dichotomy and congruence evidence
+for the degree of alignment.
 
 Kernel polynomials come out of the p-division polynomial by classical
 Zassenhaus factorization (factor mod q, Hensel lift, bounded subset
@@ -15,7 +14,6 @@ double the exponent of q at each step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -45,8 +43,6 @@ from .errors import (
     FactorizationInconclusive,
     InsufficientLineData,
     InvariantViolation,
-    NotReduciblyAligned,
-    PrecisionLoss,
     RootLiftFailure,
 )
 from .ffield import (
@@ -483,63 +479,3 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
 def _trivial_alpha(p: int) -> DirichletCharacter:
     from .dirichlet import trivial_character
     return trivial_character(p, 1)
-
-
-# -- matrix-model lattice transform --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModPnRepresentation:
-    """Generator images in GL_2(Z/p^n), labelled."""
-
-    p: int
-    n: int
-    matrices: tuple[tuple[int, int, int, int], ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        mod = self.p**self.n
-        mats = tuple(tuple(x % mod for x in m) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        for a, b, c, d in mats:
-            if (a * d - b * c) % self.p == 0:
-                raise ValueError("generator image not invertible mod p")
-        if not self.labels:
-            object.__setattr__(
-                self, "labels",
-                tuple(f"g{i}" for i in range(len(mats))))
-
-    def is_aligned_shape(self) -> bool:
-        """Every lower-left entry divisible by p (the standard line is
-        stable mod p)."""
-        return all(c % self.p == 0 for _, _, c, _ in self.matrices)
-
-
-def isogeny_transform(rep: ModPnRepresentation) -> ModPnRepresentation:
-    """Conjugate by diag(p,1)^m1 with m1 = min valuation of the lower-left
-    entries: (a, b, c, d) -> (a, p^m1 b, p^-m1 c, d) at level n - m1.
-
-    The output has a unit lower-left entry (the transformed lattice is
-    skew); trace and determinant per generator are unchanged mod the new
-    level.
-    """
-    p, n = rep.p, rep.n
-    from .padic import val_int
-    m1 = min(val_int(c % p**n, p, n) for _, _, c, _ in rep.matrices)
-    if m1 == 0:
-        raise NotReduciblyAligned("a lower-left entry is already a unit")
-    if m1 >= n:
-        raise PrecisionLoss(
-            f"min valuation {m1} >= working level {n}")
-    new_n = n - m1
-    mod = p**new_n
-    mats = []
-    for a, b, c, d in rep.matrices:
-        mats.append((a % mod, b * p**m1 % mod,
-                     (c % p**n) // p**m1 % mod, d % mod))
-    out = ModPnRepresentation(p, new_n, tuple(mats), rep.labels)
-    if out.is_aligned_shape():
-        raise InvariantViolation(
-            "the transformed lattice still has every lower-left entry "
-            "divisible by p")
-    return out

@@ -12,7 +12,6 @@ import pytest
 
 from mulab.analysis import CurveRecord, SpaceCache, analyze, ingest
 from mulab.elliptic import Curve
-from mulab.errors import PrecisionLoss
 from mulab.group_model import (
     group_from_matrices,
     group_from_permutations,
@@ -33,13 +32,16 @@ from mulab.liftlab import (
 )
 from mulab.padic import teichmuller
 from mulab.residual import (
-    ModPnRepresentation,
     classify_alignment,
     frobenius_scalar,
     identify_line_character,
-    isogeny_transform,
     kernel_polynomials,
     semisimplification,
+)
+from test_residual import (
+    ModPnRepresentation,
+    PrecisionLoss,
+    isogeny_transform,
 )
 
 CORPUS = "data/corpus_reducible.json"

@@ -406,6 +406,48 @@ def test_corpus_report_golden():
         assert render_report(reports) == fh.read()
 
 
+def test_cli_analyze_uses_each_records_p(capsys):
+    """Without --p or a config p, `analyze` takes each record's own p: the
+    corpus report is the golden one, byte for byte, plus the newline that
+    ends the printed output."""
+    rc = main(["analyze", "--curves", "data/corpus_reducible.json"])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    with open("tests/golden/corpus_report.json") as fh:
+        assert out.out == fh.read() + "\n"
+
+
+@pytest.mark.parametrize("p, err", [
+    (None, "error: --p is required (flag or config)\n"),
+    (9, "input error: 11a1: p must be an odd prime, got 9\n"),
+    ("5", "input error: 11a1: p must be an odd prime, got '5'\n"),
+    (1000003, "input error: 11a1: p^(layers+1) = 1000003^4 exceeds 100000"),
+])
+def test_cli_analyze_checks_each_records_p(tmp_path, capsys, p, err):
+    """A record's p gets the checks of --p; a record without one, when
+    neither --p nor the config gives p, is refused as before."""
+    records = [{"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+                "conductor": 11}]
+    if p is not None:
+        records[0]["p"] = p
+    records.insert(0, {"label": "11a3", "ainvs": [0, -1, 1, 0, 0],
+                       "conductor": 11, "p": 5})
+    curves = write_json(tmp_path, "c.json", records)
+    rc = main(["analyze", "--curves", curves])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (3, "")
+    assert out.err.startswith(err)
+
+
+def test_cli_p_flag_overrides_records_p(tmp_path, capsys):
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20], "conductor": 11,
+         "p": 3}])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)[0]["p"] == 5
+
+
 SCENARIOS = ("borel_z3", "obstructed_z3", "ordinary_z4_p5")
 
 

@@ -16,10 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "mulab").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-ALLOWED = {
-    ("mazur_tate.py", "project_layer"),
-    ("residual.py", "isogeny_transform"),
-}
+ALLOWED = set()
 
 
 def _defined(tree):

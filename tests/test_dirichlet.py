@@ -156,6 +156,21 @@ def test_cyclotomic_character_mod_p2():
         assert chi2(ell) == ell % 25
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_cyclotomic_characters_are_the_identity(p):
+    """chi mod p^n sends each unit a to a mod p^n, valued mod p^n, and
+    chi-bar is chi mod p; the value precision is no parameter."""
+    for n in (1, 2, 3):
+        chi = cyclotomic_character(p, n)
+        assert (chi.modulus, chi.p, chi.N) == (p**n, p, n)
+        assert all(chi(a) == a for a in range(1, p**n) if a % p)
+    chibar = mod_p_cyclotomic(p)
+    assert chibar == cyclotomic_character(p, 1)
+    assert [chibar(a) for a in range(1, p)] == list(range(1, p))
+    with pytest.raises(TypeError):
+        cyclotomic_character(p, 1, 2)
+
+
 # -- the full residue sweeps that the generator checks replaced ---------------
 
 

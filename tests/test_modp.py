@@ -1,4 +1,6 @@
-"""The dense mod-p^k kernel against brute force over F_p^n (n <= 4)."""
+"""The dense mod-p^k kernel against brute force over F_p^n (n <= 4), and
+the Smith form over Z/p^k that computed the graded ranks of
+`iwasawa_modules` before the p-adic lifting, kept here as an oracle."""
 
 import itertools
 import random
@@ -6,8 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from mulab.modp import (coset_modp, nullspace_modp, rref_modp, smith_zpk,
-                        solve_modp)
+from mulab.modp import (MAX_MODULUS, coset_modp, matmul_mod, nullspace_modp,
+                        rref_modp, solve_modp)
 
 
 def span(rows, p, n):
@@ -177,6 +179,60 @@ def test_coset_modp_lists_the_coset_in_product_order(p):
     assert coset_modp(x0, K, p).tolist() == [[1, 2 % p, 0]]
 
 
+# -- the Smith form over Z/p^k ----------------------------------------------
+
+
+def smith_zpk(G: np.ndarray, p: int, k: int):
+    """Diagonalize G over Z/p^k by unimodular operations.
+
+    Returns (diag_vals, Minv) where diag_vals[i] is the p-valuation of the
+    i-th diagonal entry (k meaning zero) and Minv's rows w_i satisfy
+    rowspan(G) = span{p^(d_i) w_i}.  The valuations are non-decreasing.
+
+    Step s pivots on the first entry, in row-major order, of least
+    valuation v in the active block A[s:, s:].  The search goes one level
+    at a time, from the previous pivot's valuation (p to that power
+    divides every entry of the block) up to the first v with an entry
+    nonzero mod p^(v+1), so most steps make one pass over the block.
+    Later steps read only the block A[s+1:, s+1:], so that is all the row
+    elimination updates, and the column elimination, which would only
+    clear row s's tail, acts on Minv alone.
+    Entries stay below p^k <= 2^31, so every product fits in int64.
+    """
+    pk = p**k
+    if pk > MAX_MODULUS:
+        raise ValueError("p^k too large for the int64 fast path")
+    A = np.ascontiguousarray(G.astype(np.int64) % pk)
+    nr, nc = A.shape
+    Minv = np.eye(nc, dtype=np.int64)
+    diag: list[int] = []
+    v = 0
+    for s in range(min(nr, nc)):
+        sub = A[s:, s:]
+        for v in range(v, k):
+            hits = np.flatnonzero(sub % p**(v + 1))
+            if hits.size:
+                break
+        else:
+            break
+        i, j = divmod(int(hits[0]), sub.shape[1])
+        A[[s, s + i], s:] = A[[s + i, s], s:]
+        if j:
+            A[s:, [s, s + j]] = A[s:, [s + j, s]]
+            Minv[[s, s + j]] = Minv[[s + j, s]]
+        uinv = pow(int(A[s, s]) // p**v, -1, pk)
+        # row elimination (rowspan-preserving): row_i -= q*row_s
+        nzr = s + 1 + np.flatnonzero(A[s + 1:, s])
+        q = (A[nzr, s] // p**v) * uinv % pk
+        A[nzr, s + 1:] = (A[nzr, s + 1:] - q[:, None] * A[s, s + 1:]) % pk
+        # column elimination col_j -= q*col_s: Minv row_s += q*row_j
+        nzc = s + 1 + np.flatnonzero(A[s, s + 1:])
+        q = (A[s, nzc] // p**v) * uinv % pk
+        Minv[s] = (Minv[s] + q @ Minv[nzc]) % pk
+        diag.append(v)
+    return diag, Minv
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_smith_zpk_rank_at_k1_is_rref_rank(p):
     for _, A in random_matrices(p):
@@ -292,3 +348,32 @@ def test_smith_zpk_matches_oracle(p, k):
         assert Minv.dtype == want_Minv.dtype
         assert np.array_equal(Minv, want_Minv), A
 
+
+
+# -- exact products mod m ------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2**31, 2**31 - 1, 46337**2, 625, 2])
+def test_matmul_mod_is_exact(m):
+    """Against Python integers, at inner dimensions up to 1414 (2 MT at
+    the size bound) and with entries up to m - 1, where a plain int64
+    product overflows."""
+    rng = np.random.default_rng(m % 1000)
+    for inner in (1, 7, 1414):
+        X = rng.integers(0, m, size=(3, inner), dtype=np.int64)
+        Y = rng.integers(0, m, size=(inner, 4), dtype=np.int64)
+        X[0] = m - 1
+        Y[:, 0] = m - 1
+        want = (X.astype(object) @ Y.astype(object)) % m
+        got = matmul_mod(X, Y, m)
+        assert got.dtype == np.int64
+        assert (got == want).all(), (m, inner)
+
+
+def test_matmul_mod_refuses_what_it_cannot_do_exactly():
+    X = np.ones((1, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        matmul_mod(X, X.T, MAX_MODULUS + 1)
+    X = np.ones((1, 2**16), dtype=np.int64)
+    with pytest.raises(ValueError, match="inner dimension"):
+        matmul_mod(X, X.T, MAX_MODULUS)

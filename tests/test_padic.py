@@ -273,12 +273,12 @@ def test_sqrt_unit():
 
 
 def test_checks_raise_under_O():
-    """The former bare asserts of padic, ffield and residual still raise
-    under `python -O`: the even-size guard of `sqrt_in_field` on a real
-    call, and the three internal invariants with the arithmetic that
-    feeds them broken on purpose."""
+    """The former bare asserts of padic, ffield and the lattice transform
+    (now in test_residual) still raise under `python -O`: the even-size
+    guard of `sqrt_in_field` on a real call, and the three internal
+    invariants with the arithmetic that feeds them broken on purpose."""
     script = (
-        "from mulab import ffield, padic, residual\n"
+        "from mulab import ffield, padic\n"
         "from mulab.errors import InvariantViolation\n"
         "def expect(exc, fn):\n"
         "    try:\n"
@@ -294,11 +294,11 @@ def test_checks_raise_under_O():
         "F = ffield.RelQuad(ffield.PrimeField(3), 0, 1)\n"
         "F.conj = lambda x: x\n"
         "expect(InvariantViolation, lambda: F.inv((1, 1)))\n"
-        "Rep = residual.ModPnRepresentation\n"
+        "from test_residual import ModPnRepresentation as Rep\n"
+        "from test_residual import isogeny_transform\n"
         "rep = Rep(5, 2, ((1, 0, 5, 1),))\n"
         "Rep.is_aligned_shape = lambda self: True\n"
-        "expect(InvariantViolation,\n"
-        "       lambda: residual.isogeny_transform(rep))\n")
+        "expect(InvariantViolation, lambda: isogeny_transform(rep))\n")
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, check=True,

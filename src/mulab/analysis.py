@@ -70,7 +70,7 @@ class CurveRecord:
 
 def ingest(path: str) -> list[CurveRecord]:
     """Read LMFDB-shaped curve records; validate models and any supplied
-    a_ell by point counting at ell <= 20."""
+    a_ell by point counting at ell <= 20, and parse any kernel_polys."""
     if not os.path.exists(path):
         raise ParseError(f"no such file: {path}")
     try:
@@ -107,9 +107,39 @@ def ingest(path: str) -> list[CurveRecord]:
                         f"count gives {E.ap(ell)}")
         out.append(CurveRecord(
             label=rec["label"], ainvs=tuple(rec["ainvs"]), conductor=N,
-            ap=ap, kernel_polys=rec.get("kernel_polys", {}),
+            ap=ap,
+            kernel_polys=_kernel_polys(rec["label"],
+                                       rec.get("kernel_polys", {})),
             source=path, p=rec.get("p")))
     return out
+
+
+def _kernel_polys(label: str, raw) -> dict:
+    """{p: [[c0, c1, ...], ...]}, each coefficient an integer or a
+    rational string, as {p: [tuple of Fractions, ...]}; ParseError for
+    any other shape."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{label}: kernel_polys must map p to a list of "
+                         f"coefficient lists, got {raw!r}")
+    out = {}
+    for key, polys in raw.items():
+        if not isinstance(polys, list) or not all(
+                isinstance(k, list) and k for k in polys):
+            raise ParseError(f"{label}: kernel_polys[{key!r}] must be a "
+                             f"list of coefficient lists, got {polys!r}")
+        try:
+            out[key] = [tuple(_coefficient(c) for c in k) for k in polys]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{label}: kernel_polys[{key!r}]: {exc}") \
+                from exc
+    return out
+
+
+def _coefficient(c) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise TypeError(f"coefficient {c!r} is not an integer or a "
+                        "rational string")
+    return Fraction(c)
 
 
 def character_name(chi: DirichletCharacter) -> str:
@@ -187,8 +217,6 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         kernels = record.kernel_polys.get(str(p))
         if kernels is None:
             kernels = kernel_polynomials(E, p)
-        else:
-            kernels = [tuple(Fraction(c) for c in k) for k in kernels]
         report["kernel_count"] = len(kernels)
         line_chars = []
         for k in kernels:

@@ -1,10 +1,12 @@
-"""Weierstrass models: invariants, point counting over F_ell, division
-polynomials, and the group law over an arbitrary field object.
+"""Weierstrass models: invariants, point counting over F_ell and
+division polynomials.
 
 Point counts use the quadratic-character sum on the completed square for
 odd ell and brute force for ell = 2.  Division polynomials follow the
 classical recurrence, with even-index polynomials carried as psi_n / psi_2
-so everything stays inside Z[x].
+so everything stays polynomial in x.  The one recurrence runs in Z[x]
+or, reduced mod (ell, h), in F_ell[x]/(h), where the Frobenius scalar
+of a kernel line is read from it without building any point.
 """
 
 from __future__ import annotations
@@ -163,42 +165,57 @@ class Curve:
 
     def division_polynomial(self, n: int):
         """psi_n as a polynomial in x for odd n; psi_n / psi_2 for even n."""
-        return self._psi(n)
-
-    def _psi(self, n: int):
         cache = getattr(self, "_psi_cache", None)
         if cache is None:
+            cache = {}
+            object.__setattr__(self, "_psi_cache", cache)
+        return self.psi(n, cache, _in_z)
+
+    def psi(self, n: int, cache: dict, red):
+        """psi_n (psi_n / psi_2 for even n) by the classical recurrence,
+        memoized in cache, with every product and difference passed
+        through red, the reduction into the ring the recurrence runs in:
+        the identity keeps it in Z[x], reduction mod (ell, h) puts it in
+        F_ell[x]/(h).  One cache serves one red."""
+        if not cache:
             b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
             f3 = [b8, 3 * b6, 3 * b4, b2, 3]
             g4 = [b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6,
                   5 * b4, b2, 2]
-            cache = {-1: [-1], 0: [], 1: [1], 2: [1], 3: f3, 4: g4}
-            object.__setattr__(self, "_psi_cache", cache)
+            cache.update({k: red(v) for k, v in (
+                (-1, [-1]), (0, []), (1, [1]), (2, [1]), (3, f3),
+                (4, g4))})
         if n in cache:
             return cache[n]
-        psi = self._psi
+
+        def psi(k):
+            return self.psi(k, cache, red)
+
+        def mul(a, b):
+            return red(poly_mul(a, b))
+
         m = n // 2
         if n % 2 == 1:
             # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3; even
             # psi_n are kept as psi_n / psi_2, so the term whose factors
             # have even index takes back psi_2^4 = B^2
             a, b = psi(m), psi(m + 1)
-            t1 = poly_mul(psi(m + 2), poly_mul(poly_mul(a, a), a))
-            t2 = poly_mul(psi(m - 1), poly_mul(poly_mul(b, b), b))
-            B = self.psi2_squared()
+            t1 = mul(psi(m + 2), mul(mul(a, a), a))
+            t2 = mul(psi(m - 1), mul(mul(b, b), b))
+            B = red(self.psi2_squared())
             if m % 2 == 0:
-                t1 = poly_mul(t1, poly_mul(B, B))
+                t1 = mul(t1, mul(B, B))
             else:
-                t2 = poly_mul(t2, poly_mul(B, B))
-            out = poly_sub(t1, t2)
+                t2 = mul(t2, mul(B, B))
+            out = red(poly_sub(t1, t2))
         else:
             # g_{2m} = psi._(m) * (psi._(m+2) psi._(m-1)^2
             #                      - psi._(m-2) psi._(m+1)^2): the psi_2
             # bookkeeping cancels identically for both parities of m
             a, b = psi(m - 1), psi(m + 1)
-            inner = poly_sub(poly_mul(psi(m + 2), poly_mul(a, a)),
-                             poly_mul(psi(m - 2), poly_mul(b, b)))
-            out = poly_mul(psi(m), inner)
+            inner = red(poly_sub(mul(psi(m + 2), mul(a, a)),
+                                 mul(psi(m - 2), mul(b, b))))
+            out = mul(psi(m), inner)
         cache[n] = out
         return out
 
@@ -208,103 +225,6 @@ class Curve:
         num = [-self.b8, -2 * self.b6, -self.b4, 0, 1]
         return num, self.psi2_squared()
 
-    # -- reduction and base change --------------------------------------------
 
-    def over_field(self, F) -> "CurveOverField":
-        return CurveOverField(
-            F, tuple(F.from_int(a) for a in self.ainvs()))
-
-
-class CurveOverField:
-    """The same model with coefficients in a field object; points are
-    (x, y) pairs of raw field elements, None is the point at infinity."""
-
-    def __init__(self, F, ainvs):
-        self.F = F
-        self.a1, self.a2, self.a3, self.a4, self.a6 = ainvs
-
-    def is_on(self, P) -> bool:
-        if P is None:
-            return True
-        F = self.F
-        x, y = P
-        lhs = F.add(F.mul(y, y),
-                    F.add(F.mul(F.mul(self.a1, x), y), F.mul(self.a3, y)))
-        rhs = F.add(F.mul(F.mul(x, x), x),
-                    F.add(F.mul(self.a2, F.mul(x, x)),
-                          F.add(F.mul(self.a4, x), self.a6)))
-        return F.eq(lhs, rhs)
-
-    def neg(self, P):
-        if P is None:
-            return None
-        F = self.F
-        x, y = P
-        return (x, F.sub(F.neg(y), F.add(F.mul(self.a1, x), self.a3)))
-
-    def add(self, P, Q):
-        F = self.F
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if not F.eq(x1, x2):
-            return self._chord(P, Q)
-        if not F.eq(y1, y2):
-            return None  # distinct points sharing x are negatives
-        if self._is_two_torsion(P):
-            return None
-        # tangent slope
-        num = F.add(F.mul(F.from_int(3), F.mul(x1, x1)),
-                    F.add(F.mul(F.from_int(2), F.mul(self.a2, x1)),
-                          F.sub(self.a4, F.mul(self.a1, y1))))
-        den = F.add(F.mul(F.from_int(2), y1),
-                    F.add(F.mul(self.a1, x1), self.a3))
-        lam = F.mul(num, F.inv(den))
-        nu = F.sub(y1, F.mul(lam, x1))
-        x3 = F.sub(F.sub(F.add(F.mul(lam, lam), F.mul(self.a1, lam)),
-                         self.a2), F.add(x1, x1))
-        y3 = F.sub(F.neg(F.add(F.mul(F.add(lam, self.a1), x3), nu)),
-                   self.a3)
-        return (x3, y3)
-
-    def _is_two_torsion(self, P) -> bool:
-        F = self.F
-        x, y = P
-        return F.is_zero(F.add(F.mul(F.from_int(2), y),
-                               F.add(F.mul(self.a1, x), self.a3)))
-
-    def _chord(self, P, Q):
-        F = self.F
-        x1, y1 = P
-        x2, y2 = Q
-        lam = F.mul(F.sub(y2, y1), F.inv(F.sub(x2, x1)))
-        nu = F.sub(y1, F.mul(lam, x1))
-        x3 = F.sub(F.sub(F.add(F.mul(lam, lam), F.mul(self.a1, lam)),
-                         self.a2), F.add(x1, x2))
-        y3 = F.sub(F.neg(F.add(F.mul(F.add(lam, self.a1), x3), nu)),
-                   self.a3)
-        return (x3, y3)
-
-    def mul(self, k: int, P):
-        if k < 0:
-            return self.mul(-k, self.neg(P))
-        out = None
-        base = P
-        while k:
-            if k & 1:
-                out = self.add(out, base)
-            base = self.add(base, base)
-            k >>= 1
-        return out
-
-    def points_brute(self):
-        """All points, by exhausting the field (tests only)."""
-        out = [None]
-        for x in self.F.elements():
-            for y in self.F.elements():
-                if self.is_on((x, y)):
-                    out.append((x, y))
-        return out
+def _in_z(poly):
+    return poly

@@ -211,12 +211,25 @@ def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
 
 def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
                   c2: Cochain):
-    """Solve d^1 f = c for f in C^1; returns the cochain or None."""
+    """Solve d^1 f = c for f in C^1; returns the cochain or None.
+
+    Only the rows (g, s) with s in model.generators are solved, n g d
+    rows instead of n^2 d, and a solution is kept only if it solves the
+    full system.  This is exact: a 2-cocycle z that vanishes on every
+    (g, s) is 0, since the cocycle identity at (g, h, s) gives
+    z(g, hs) = z(g, h) + z(gh, s) - g z(h, s) = z(g, h), and every
+    element is a word in the generators (with z(g, 1) = g z(1, s) = 0).
+    For a cocycle c, c - d^1 f is a cocycle, so the two systems have
+    one solution set, hence one reduced echelon form and the same
+    returned f; a c that is not a cocycle fails the full check.
+    """
     n, d, p = len(model), M.dim, M.p
     D = _coboundary(M, 1)
     b = c2.values.reshape(n * n * d) % p
-    x = solve_modp(D, b, p)
-    if x is None:
+    rows = [(g * n + s) * d + k for g in range(n)
+            for s in model.generators for k in range(d)]
+    x = solve_modp(D[rows], b[rows], p)
+    if x is None or np.any((D @ x - b) % p):
         return None
     return Cochain(1, M, x.reshape(n, d))
 
@@ -348,9 +361,12 @@ def twist(images, z_values, M: AdjointModule, p: int, n: int):
     return out
 
 
+# lift_step tries all p^dim twists by Z^1 only up to this dimension
+Z1_ENUMERATION_BOUND = 6
+
+
 def lift_step(rho: RepresentationModPn, det_target,
-              M: AdjointModule, conditions=None,
-              z1_enumeration_bound: int = 6):
+              M: AdjointModule, conditions=None):
     """One lifting step mod p^(n+1).
 
     Solves the obstruction coboundary system; on success twists by global
@@ -375,7 +391,7 @@ def lift_step(rho: RepresentationModPn, det_target,
     if not conditions:
         return "ok", r
     Z = z1_basis(G, M)
-    if Z.shape[0] > z1_enumeration_bound:
+    if Z.shape[0] > Z1_ENUMERATION_BOUND:
         raise SizeBound(
             f"Z^1 dimension {Z.shape[0]} exceeds enumeration bound")
     for coeffs in itertools.product(range(p), repeat=Z.shape[0]):

@@ -497,16 +497,21 @@ def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:
         return 2 * total
 
 
-def rationalize(value: mp.mpf, max_den: int = 10**6,
-                tol: str = "1e-25") -> Fraction:
+# rationalize: the largest denominator tried, and the relative error
+# (at 50 digits) below which the fraction is taken
+RATIONAL_MAX_DEN = 10**6
+RATIONAL_TOL = "1e-25"
+
+
+def rationalize(value: mp.mpf) -> Fraction:
     with mp.workdps(50):
         fr = Fraction(*float(value).as_integer_ratio()) \
-            .limit_denominator(max_den)
+            .limit_denominator(RATIONAL_MAX_DEN)
         err = abs(value - mp.mpf(fr.numerator) / fr.denominator)
-        if err > mp.mpf(tol) * max(1, abs(value)):
+        if err > mp.mpf(RATIONAL_TOL) * max(1, abs(value)):
             raise EigenspaceNotRational(
                 f"value {mp.nstr(value, 20)} does not rationalize "
-                f"within denominator {max_den}")
+                f"within denominator {RATIONAL_MAX_DEN}")
     return fr
 
 

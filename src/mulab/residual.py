@@ -3,12 +3,19 @@ p-isogeny kernels, the Galois character on each kernel line, trace-based
 semisimplification, the aligned/skew dichotomy and congruence evidence
 for the degree of alignment.
 
+The scalar by which Frob_ell acts on a kernel line is found by Elkies'
+eigenvalue test: the candidate roots of X^2 - a_ell X + ell mod p are
+checked against the x- and y-coordinate identities of the division
+polynomials in F_ell[x]/(h), h the kernel polynomial mod ell, so no
+point, field extension or square root is built.  At ell = 2 the x-test
+cannot separate lambda from -lambda, and a_2 = 0 mod p is refused.
+
 Kernel polynomials come out of the p-division polynomial by classical
 Zassenhaus factorization (factor mod q, Hensel lift, bounded subset
 recombination) restricted to the target degree (p-1)/2, followed by a
-group-law stability check in Q[x]/(h).  The factors mod q are lifted to
-mod q^k along a balanced factor tree by quadratic Hensel steps, which
-double the exponent of q at each step.
+check in Q[x]/(h) that the roots are closed under duplication.  The
+factors mod q are lifted to mod q^k along a balanced factor tree by
+quadratic Hensel steps, which double the exponent of q at each step.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .arith import (
     poly_gcd,
     poly_monic,
     poly_mul,
+    poly_powmod,
     poly_sub,
     poly_xgcd,
 )
@@ -45,13 +53,7 @@ from .errors import (
     InvariantViolation,
     RootLiftFailure,
 )
-from .ffield import (
-    ExtField,
-    PrimeField,
-    RelQuad,
-    factor as ff_factor,
-    sqrt_in_field,
-)
+from .ffield import factor as ff_factor
 
 # -- Zassenhaus ---------------------------------------------------------------
 
@@ -134,13 +136,13 @@ def _center(c, m):
     return c - m if c > m // 2 else c
 
 
-def monic_factors_of_degree(poly, d, seed: int = 0,
-                            max_subsets: int = 1 << 16):
+def monic_factors_of_degree(poly, d, max_subsets: int = 1 << 16):
     """All monic integer factors of the given degree of the monicized
-    polynomial, by Zassenhaus recombination."""
+    polynomial, by Zassenhaus recombination.  The Cantor-Zassenhaus
+    splits mod q draw from one fixed seed, so the run is reproducible."""
     prim = [c // _content(poly) for c in poly]
     F, lc = _monicize(prim)
-    rng = random.Random(seed or 1234567)
+    rng = random.Random(1234567)
     # choose q with F squarefree mod q
     q = 5
     while True:
@@ -192,12 +194,12 @@ def monic_factors_of_degree(poly, d, seed: int = 0,
     return out, lc
 
 
-def kernel_polynomials(E: Curve, p: int, seed: int = 0):
+def kernel_polynomials(E: Curve, p: int):
     """Monic rational polynomials (denominators only at p) cutting out the
     kernels of the rational p-isogenies of E; may be empty."""
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
-    factors, lc = monic_factors_of_degree(psi, d, seed=seed)
+    factors, lc = monic_factors_of_degree(psi, d)
     out = []
     for H in factors:
         # h(x) = H(lc*x) / lc^d
@@ -226,17 +228,32 @@ def _kernel_stable(E: Curve, h) -> bool:
 # -- Frobenius scalar on a kernel line ----------------------------------------
 
 
-def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int,
-                     rng: random.Random | None = None) -> int:
+def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     """Eigenvalue in F_p^* of Frob_ell on the kernel line cut out by
-    kernel_poly, for a good prime ell distinct from p."""
-    if rng is None:
-        rng = random.Random(ell * 99991 + p)
+    kernel_poly, for a good prime ell distinct from p.
+
+    Elkies' test (Schoof, J. Theor. Nombres Bordeaux 7 (1995), sections
+    7-8) in F_ell[x]/(h), h = kernel_poly mod ell: Frob(P) = lambda P on
+    the line for a root lambda of X^2 - a_ell X + ell mod p.  With
+    l = min(lambda, p - lambda), x(P)^ell = x(lP) reads
+
+        (x^ell - x) psi_l^2 + psi_(l-1) psi_(l+1) = 0,
+
+    and for odd ell, Y = 2y + a1 x + a3 = psi_2 has Y^ell = Y B^((ell-1)/2)
+    with B = psi_2^2, and Y(lP) = psi_(2l) / psi_l^4 = -Y(-lP), so
+
+        B^((ell-1)/2) psi_l^4 = +-psi_(2l) / psi_2,  + iff lambda = l.
+
+    Even-index psi are carried as psi_n / psi_2, so B comes back where an
+    identity needs it.  At ell = 2 the x-test alone cannot tell lambda
+    from -lambda, so a_2 = 0 mod p is refused.  RootLiftFailure also when
+    ell is in a denominator of kernel_poly, when h degenerates or does
+    not divide psi_p mod ell, and when no root passes.
+    """
     if E.discriminant % ell == 0:
         raise BadReduction(f"bad reduction at {ell}")
     if ell == p:
         raise ValueError("ell must differ from p")
-    # reduce the kernel polynomial mod ell
     hbar = []
     for c in kernel_poly:
         c = Fraction(c)
@@ -244,85 +261,48 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int,
             raise RootLiftFailure("kernel polynomial has ell in a "
                                   "denominator")
         hbar.append(c.numerator * pow(c.denominator, -1, ell) % ell)
-    if not hbar or hbar[-1] == 0:
+    if len(hbar) < 2 or hbar[-1] == 0:
         raise RootLiftFailure("kernel polynomial degenerates mod ell")
-    # an irreducible factor gives the residue field of a kernel x-coord
-    g = min((gg for gg, _ in ff_factor(hbar, ell, rng)),
-            key=lambda v: len(v))
-    if len(g) == 2:
-        Fx = PrimeField(ell)
-        x0 = (-g[0]) % ell
-    else:
-        Fx = ExtField(ell, g)
-        x0 = Fx.gen()
-    F, P = _lift_point(E, Fx, x0, ell, rng)
-    C = E.over_field(F)
-    if C.mul(p, P) is not None:
-        raise RootLiftFailure("lifted point is not p-torsion")
-    Q = (F.pow(P[0], ell), F.pow(P[1], ell))
-    R = P
+
+    def red(a):
+        return poly_divmod(a, hbar, ell)[1]
+
+    def mul(*factors):
+        out = [1]
+        for f in factors:
+            out = red(poly_mul(out, f))
+        return out
+
+    cache = {}
+
+    def psi(n):
+        return E.psi(n, cache, red)
+
+    if psi(p):
+        raise RootLiftFailure("kernel polynomial does not divide psi_p "
+                              "mod ell")
+    B = red(E.psi2_squared())
+    xq = poly_sub(poly_powmod([0, 1], ell, hbar, ell), [0, 1], ell)
+    Bq = poly_powmod(B, (ell - 1) // 2, hbar, ell)
+    a_ell = E.ap(ell)
+    passing = []
     for lam in range(1, p):
-        if R == Q or (F.eq(R[0], Q[0]) and F.eq(R[1], Q[1])):
-            return lam
-        R = C.add(R, P)
-    raise RootLiftFailure("no scalar matches Frobenius")
-
-
-def _lift_point(E: Curve, Fx, x0, ell: int, rng):
-    """Find y with (x0, y) on E over Fx or a quadratic extension."""
-    def embed_curve(F):
-        return tuple(F.from_int(a) for a in E.ainvs())
-
-    a1, a2, a3, a4, a6 = embed_curve(Fx)
-    b = Fx.add(Fx.mul(a1, x0), a3)
-    x2 = Fx.mul(x0, x0)
-    fx = Fx.add(Fx.mul(x2, x0),
-                Fx.add(Fx.mul(a2, x2),
-                       Fx.add(Fx.mul(a4, x0), a6)))
-    if ell != 2:
-        disc = Fx.add(Fx.mul(b, b),
-                      Fx.mul(Fx.from_int(4), fx))
-        s = sqrt_in_field(Fx, disc, rng)
-        half = Fx.inv(Fx.from_int(2))
-        if s is not None:
-            y = Fx.mul(Fx.sub(s, b), half)
-            return Fx, (x0, y)
-        F2 = RelQuad(Fx, Fx.zero(), Fx.neg(disc))  # u^2 = disc
-        xe = F2.from_base_elem(x0)
-        u = F2.gen()
-        y = F2.mul(F2.sub(u, F2.from_base_elem(b)),
-                   F2.from_base_elem(half))
-        return F2, (xe, y)
-    # characteristic 2
-    if Fx.is_zero(b):
-        # y^2 = fx: squaring is bijective
-        y = fx
-        for _ in range(_ff_log2_size(Fx) - 1):
-            y = Fx.mul(y, y)
-        return Fx, (x0, y)
-    w = Fx.mul(fx, Fx.inv(Fx.mul(b, b)))
-    # try to solve z^2 + z = w in Fx by brute force (small fields)
-    for z in _ff_elements(Fx):
-        if Fx.eq(Fx.add(Fx.mul(z, z), z), w):
-            return Fx, (x0, Fx.mul(b, z))
-    F2 = RelQuad(Fx, Fx.one(), w)  # u^2 + u + w = 0
-    u = F2.gen()
-    y = F2.mul(F2.from_base_elem(b), u)
-    return F2, (F2.from_base_elem(x0), y)
-
-
-def _ff_log2_size(F) -> int:
-    n, k = F.size(), 0
-    while n > 1:
-        n //= 2
-        k += 1
-    return k
-
-
-def _ff_elements(F):
-    if isinstance(F, PrimeField):
-        return list(F.elements())
-    return [tuple(v) for v in F.elements()]
+        if (lam * lam - a_ell * lam + ell) % p:
+            continue
+        l = min(lam, p - lam)
+        B_l, B_next = ([1], B) if l % 2 else (B, [1])
+        sq = mul(B_l, psi(l), psi(l))  # psi_l^2
+        if poly_add(mul(xq, sq), mul(B_next, psi(l - 1), psi(l + 1)), ell):
+            continue
+        sign = 1 if lam == l else -1
+        if ell != 2 and poly_sub(mul(Bq, sq, sq),
+                                 [sign * c for c in psi(2 * l)], ell):
+            continue
+        passing.append(lam)
+    if len(passing) != 1:
+        raise RootLiftFailure(f"{len(passing)} roots of the Frobenius "
+                              "polynomial match the kernel line")
+    return passing[0]
 
 
 # -- semisimplification and classification ------------------------------------

@@ -585,6 +585,27 @@ def test_kernel_polys_short_circuit(tmp_path):
     assert rep["kernel_count"] == 1
 
 
+@pytest.mark.parametrize("kernel_polys, complaint", [
+    ({"5": [["x", "1"]]}, "Invalid literal for Fraction: 'x'"),
+    ({"5": 7}, "must be a list of coefficient lists, got 7"),
+    ({"5": [[0.5, 1]]}, "coefficient 0.5 is not an integer"),
+    ({"5": [["1/0", "1"]]}, "kernel_polys['5']"),
+    ([["0", "-1", "1"]], "kernel_polys must map p"),
+])
+def test_cli_malformed_kernel_polys_exit_3(tmp_path, capsys, kernel_polys,
+                                           complaint):
+    """A kernel_polys value that is not a list of coefficient lists, or a
+    coefficient that is not an integer or a rational string, is an input
+    error at ingest, not a traceback from analyze."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11,
+         "kernel_polys": kernel_polys}])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 11a3: ") and complaint in err
+
+
 def test_cli_cache_and_verify(tmp_path, capsys):
     curves = write_json(tmp_path, "c.json", [
         {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],

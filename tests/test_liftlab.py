@@ -1558,3 +1558,76 @@ def test_enumerate_lifts_raises_when_a_solution_breaks_a_relation(
     monkeypatch.setattr(G, "extend_homomorphism", broken)
     with pytest.raises(InvariantViolation, match="not a homomorphism"):
         enumerate_lifts(rho, _teichmuller_dets(rho, 2))
+
+
+# -- the generator-row coboundary solve against the full solve it replaces ----
+
+
+def oracle_is_coboundary(model, M, c2):
+    """The solve `is_coboundary` replaces: all n^2 d rows of d^1 at once.
+    Returns the values of f, or None."""
+    n, d, p = len(model), M.dim, M.p
+    x = solve_modp(liftlab._coboundary(M, 1),
+                   c2.values.reshape(n * n * d) % p, p)
+    return None if x is None else x.reshape(n, d)
+
+
+def _assert_same_coboundary(name, G, M, c2):
+    got = is_coboundary(G, M, c2)
+    want = oracle_is_coboundary(G, M, c2)
+    if want is None:
+        assert got is None, name
+    else:
+        assert got is not None and np.array_equal(got.values, want), name
+    return got
+
+
+def test_is_coboundary_matches_full_solve_on_obstructions():
+    """The nine criterion-7 torsor instances and both levels of the
+    borel_z3 scenario's group: one answer, and the same f."""
+    obstructed = [name for name, G, M, obs in _obstruction_cochains()
+                  if _assert_same_coboundary(name, G, M, obs) is None]
+    assert obstructed == ["Z5-unip/p5", "Z3-obstructed/p3",
+                          "Z5-obstructed/p5"]
+
+
+@pytest.mark.parametrize("name", ["borel_z3", "obstructed_z3",
+                                  "ordinary_z4_p5"])
+def test_is_coboundary_matches_full_solve_on_scenario_levels(monkeypatch,
+                                                             name):
+    """Every level of every shipped scenario, by checking each call the
+    scenario runner makes."""
+    calls = []
+
+    def checked(G, M, c2):
+        calls.append(name)
+        return _assert_same_coboundary(name, G, M, c2)
+
+    monkeypatch.setattr(liftlab, "is_coboundary", checked)
+    with open(f"data/scenarios/{name}.json") as fh:
+        run_scenario(json.load(fh))
+    assert calls
+
+
+def test_is_coboundary_refuses_non_cocycles():
+    """Random 2-cochains, and coboundaries changed at one pair (g, h)
+    with h not a generator, where the generator rows alone are solvable:
+    the full check still refuses every non-cocycle."""
+    rng = np.random.default_rng(7)
+    for name, G, M, obs in _obstruction_cochains():
+        n, p = len(G), M.p
+        for _ in range(3):
+            c = liftlab.Cochain(2, M, rng.integers(0, p, obs.values.shape))
+            _assert_same_coboundary(name, G, M, c)
+        f = rng.integers(0, p, (n, M.dim))
+        cob = _coboundary(G, M, f)
+        got = _assert_same_coboundary(name, G, M,
+                                      liftlab.Cochain(2, M, cob))
+        assert np.array_equal(_coboundary(G, M, got.values), cob), name
+        others = [h for h in range(n) if h not in G.generators]
+        if others:
+            cob[0, others[0], 0] = (cob[0, others[0], 0] + 1) % p
+            assert not liftlab._cocycle2_identity_holds(
+                G, M, liftlab.Cochain(2, M, cob)), name
+            assert _assert_same_coboundary(
+                name, G, M, liftlab.Cochain(2, M, cob)) is None, name

@@ -25,6 +25,7 @@ from mulab.dirichlet import (
 from mulab.elliptic import Curve
 from mulab.errors import (
     AmbiguousPair,
+    BadReduction,
     FactorizationInconclusive,
     InvariantViolation,
     MuLabError,
@@ -448,3 +449,68 @@ def test_quadratic_hensel_matches_linear_lifting():
         assert (G, H) == hensel_pair_linear(f, g, h, q, k)
         assert not poly_sub(f, poly_mul(G, H), q**k)
         checked += 1
+
+
+# -- Frobenius scalars from division polynomials, against the scalars the
+# -- point-lifting implementation (a point over F_ell[x]/(g) or a quadratic
+# -- extension, multiplied out by the group law) recorded -----------------
+
+FROBENIUS_FIXTURE = Path(__file__).parent / "golden" / "frobenius_scalars.json"
+
+
+def test_frobenius_scalars_match_the_point_lifting_fixture():
+    """The corpus, 11a1/2/3, [-8,0,1,0,0] (N = 77) and Tate normal forms
+    with a rational point of order p = 3, 5, 7 at t = -6..6: every
+    kernel, every good ell < 200.  The scalar agrees wherever the point
+    lift gave one, and it is refused exactly at ell = 2 with
+    a_2 = 0 mod p, where x cannot tell lambda from -lambda."""
+    refused = []
+    for rec in json.loads(FROBENIUS_FIXTURE.read_text()):
+        E, p = Curve(*rec["ainvs"]), rec["p"]
+        for kernel, scalars in zip(rec["kernels"], rec["scalars"]):
+            k = tuple(Fraction(c) for c in kernel)
+            for ell, want in scalars.items():
+                ell = int(ell)
+                if ell == 2 and E.ap(2) % p == 0:
+                    with pytest.raises(RootLiftFailure, match="2 roots"):
+                        frobenius_scalar(E, k, ell, p)
+                    refused.append((rec["label"], want))
+                else:
+                    assert frobenius_scalar(E, k, ell, p) == want, \
+                        (rec["label"], kernel, ell)
+    # at ell = 2 the point lift found lambda or -lambda: both are roots
+    assert len(refused) == 12
+
+
+def test_frobenius_scalar_known_answers():
+    """11a3's rational 5-torsion line has scalar 1; 11a1's mu_5 line has
+    scalar ell mod 5; the two lines of 11a1 multiply to ell mod 5."""
+    (k3,) = kernel_polynomials(E11A3, 5)
+    ks = kernel_polynomials(E11A1, 5)
+    for ell in [2, 3, 7, 13, 17, 19, 23, 29, 31, 97, 101]:
+        assert frobenius_scalar(E11A3, k3, ell, 5) == 1
+        l1, l2 = (frobenius_scalar(E11A1, k, ell, 5) for k in ks)
+        assert ell % 5 in (l1, l2)
+        assert l1 * l2 % 5 == ell % 5
+
+
+def test_frobenius_scalar_refuses_a_non_divisor_of_psi_p():
+    """A supplied kernel polynomial that does not divide psi_p mod ell
+    cuts out no p-torsion, so no scalar is read from it."""
+    h = (Fraction(1), Fraction(0), Fraction(1))  # x^2 + 1
+    for ell in (3, 7, 13):
+        assert poly_divmod(E11A1.division_polynomial(5), [1, 0, 1], ell)[1]
+        with pytest.raises(RootLiftFailure, match="psi_p"):
+            frobenius_scalar(E11A1, h, ell, 5)
+
+
+def test_frobenius_scalar_refuses_a_degenerate_kernel_polynomial():
+    """A leading coefficient divisible by ell, or a constant."""
+    (k3,) = kernel_polynomials(E11A3, 5)
+    for h in ((Fraction(0), Fraction(-1), Fraction(7)), (Fraction(1),)):
+        with pytest.raises(RootLiftFailure, match="degenerates"):
+            frobenius_scalar(E11A3, h, 7, 5)
+    with pytest.raises(BadReduction):
+        frobenius_scalar(E11A3, k3, 11, 5)
+    with pytest.raises(ValueError, match="differ"):
+        frobenius_scalar(E11A3, k3, 5, 5)

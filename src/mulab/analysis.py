@@ -172,8 +172,11 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
             layers: int = 3, ell_bound: int = 200,
             cache_dir: str | None = None,
             verify_cache: bool = False,
-            spaces: SpaceCache | None = None) -> dict:
+            spaces: SpaceCache | None = None,
+            curve: Curve | None = None) -> dict:
     """Full analysis of one curve at one prime; returns the report dict.
+    `curve` is the record's model when the caller holds it already (its
+    a_ell are counted once and kept on it).
 
     Raises the module errors for genuinely unusable inputs (bad reduction
     at p, non-ordinary p) and InvariantViolation when an internal
@@ -182,7 +185,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     if p == 2:
         raise ValueError("p must be odd")
     spaces = spaces or _GLOBAL_SPACES
-    E = record.curve()
+    E = curve or record.curve()
     N_cond = record.conductor
     if N_cond % p == 0:
         raise BadReduction(
@@ -269,7 +272,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         "gamma": 1 + p,
     }
     alpha = hensel_unit_root(a_p, p, N_prec + layers + 2)
-    thetas, Ls, layer_invs = [], [], []
+    thetas, layer_invs = [], []
     mu_estimate = 0
     for n in range(0, layers + 1):
         if n >= 1 and not precision_guard(N_prec, mu_estimate, n):
@@ -291,14 +294,14 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
                 write_theta_cache(cache_dir, theta, key)
         thetas.append(theta)
         if n >= 1:
-            Ls.append(regularized_Lp(thetas[n], thetas[n - 1], alpha))
-            layer_invs.append(mu_lambda_of_polynomial(Ls[-1]))
+            layer_invs.append(mu_lambda_of_polynomial(
+                regularized_Lp(thetas[n], thetas[n - 1], alpha)))
             mu_estimate = max(mu_estimate, layer_invs[-1][0])
     mus = [m for m, _ in layer_invs]
     if any(b > a for a, b in zip(mus, mus[1:])):
         raise InvariantViolation(
             f"{record.label}: mu along layers not non-increasing: {mus}")
-    mu, lam, stab = analytic_iwasawa_invariants(Ls)
+    mu, lam, stab = analytic_iwasawa_invariants(layer_invs)
     report["mu"] = mu
     report["lambda"] = lam
     report["stabilized_at"] = stab
@@ -319,12 +322,11 @@ def analyze_many(records, p_of, **kwargs) -> list[dict]:
     the cross-curve isogeny-class assertions: curves sharing conductor
     and a_ell data must agree in ss and lambda."""
     spaces = kwargs.pop("spaces", None) or SpaceCache()
-    reports = []
+    reports, by_class = [], {}
     for rec in records:
-        reports.append(analyze(rec, p_of(rec), spaces=spaces, **kwargs))
-    by_class = {}
-    for rec, rep in zip(records, reports):
         E = rec.curve()
+        rep = analyze(rec, p_of(rec), spaces=spaces, curve=E, **kwargs)
+        reports.append(rep)
         sig = (rec.conductor, rep["p"],
                tuple(E.ap(ell) for ell in (2, 3, 5, 7, 13)
                      if rec.conductor % ell and ell != rep["p"]))

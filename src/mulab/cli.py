@@ -36,7 +36,7 @@ EXIT_INPUT = 3
 
 # bound on p^(layers+1), the modular symbols summed into theta_layers; it
 # also bounds layers, which sets the precision of the unit root.  Near
-# the bound, one CLI run on 11a1 takes 1.3-1.4 s at precision 6 or 100
+# the bound, one CLI run on 11a1 takes 0.2-0.9 s at precision 6 or 100
 # (p = 17 with 3 layers, 43 with 2, 3 with 9; Xeon, Python 3.11)
 MAX_THETA_TERMS = 10**5
 # bound on precision, the p-adic digits carried by theta and the unit

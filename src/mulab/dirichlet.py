@@ -18,7 +18,8 @@ from .arith import factorize
 from .padic import teichmuller
 
 
-def _primitive_root_prime(q: int) -> int:
+def primitive_root(q: int) -> int:
+    """The least primitive root mod the prime q."""
     phi = q - 1
     fac = factorize(phi)
     for g in range(2, q):
@@ -28,7 +29,7 @@ def _primitive_root_prime(q: int) -> int:
 
 
 def _primitive_root_prime_power(q: int, e: int) -> int:
-    g = _primitive_root_prime(q)
+    g = primitive_root(q)
     if e == 1:
         return g
     if pow(g, q - 1, q * q) == 1:

@@ -1,8 +1,10 @@
 """Weierstrass models: invariants, point counting over F_ell and
 division polynomials.
 
-Point counts use the quadratic-character sum on the completed square for
-odd ell and brute force for ell = 2.  Division polynomials follow the
+Point counts sum, over x in F_ell, the number of square roots of the
+completed square (one table per ell) for odd ell, and use brute force for
+ell = 2; a_ell is counted once per curve instance.  At a multiplicative
+prime a_q is read from the sign of -c6.  Division polynomials follow the
 classical recurrence, with even-index polynomials carried as psi_n / psi_2
 so everything stays polynomial in x.  The one recurrence runs in Z[x]
 or, reduced mod (ell, h), in F_ell[x]/(h), where the Frobenius scalar
@@ -51,6 +53,10 @@ class Curve:
         return self.b2**2 - 24 * self.b4
 
     @property
+    def c6(self):
+        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
+
+    @property
     def discriminant(self):
         return (-self.b2**2 * self.b8 - 8 * self.b4**3 - 27 * self.b6**2
                 + 9 * self.b2 * self.b4 * self.b6)
@@ -70,36 +76,41 @@ class Curve:
 
     # -- point counting ------------------------------------------------------
 
+    def _memo(self, name: str) -> dict:
+        """A dict kept on this instance (the dataclass is frozen, so it is
+        set once through object.__setattr__)."""
+        memo = self.__dict__.get(name)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, name, memo)
+        return memo
+
     def count_points(self, ell: int) -> int:
         """|E(F_ell)| including the point at infinity (good reduction
         required)."""
         if self.discriminant % ell == 0:
             raise BadReduction(f"bad reduction at {ell}")
         if ell == 2:
-            n = 1
-            for x in range(2):
-                for y in range(2):
-                    if (y * y + self.a1 * x * y + self.a3 * y
-                            - (x**3 + self.a2 * x * x + self.a4 * x
-                               + self.a6)) % 2 == 0:
-                        n += 1
-            return n
-        # complete the square: (2y + a1 x + a3)^2 = 4x^3+b2x^2+2b4x+b6
-        legendre = [0] * ell
-        for t in range(1, ell):
-            legendre[t * t % ell] = 1
-        for t in range(1, ell):
-            if legendre[t] == 0:
-                legendre[t] = -1
-        b2, b4, b6 = self.b2 % ell, self.b4 % ell, self.b6 % ell
-        n = 1 + ell
-        for x in range(ell):
-            g = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % ell
-            n += legendre[g]
-        return n
+            return 1 + self._affine_points_mod_2()
+        # complete the square: (2y + a1 x + a3)^2 = 4x^3+b2x^2+2b4x+b6,
+        # so each x gives as many points as its value has square roots
+        roots = _square_root_counts(ell)
+        b2, b4, b6 = self.b2 % ell, 2 * self.b4 % ell, self.b6 % ell
+        return 1 + sum(roots[(((4 * x + b2) * x + b4) * x + b6) % ell]
+                       for x in range(ell))
+
+    def _affine_points_mod_2(self) -> int:
+        """Solutions (x, y) in F_2^2 of the Weierstrass equation."""
+        return sum((y * y + self.a1 * x * y + self.a3 * y
+                    - (x**3 + self.a2 * x * x + self.a4 * x + self.a6))
+                   % 2 == 0 for x in range(2) for y in range(2))
 
     def ap(self, ell: int) -> int:
-        return ell + 1 - self.count_points(ell)
+        """a_ell = ell + 1 - |E(F_ell)|, counted once per instance."""
+        memo = self._memo("_ap_memo")
+        if ell not in memo:
+            memo[ell] = ell + 1 - self.count_points(ell)
+        return memo[ell]
 
     def an_list(self, n_max: int) -> list[int]:
         """a_n for 1 <= n <= n_max by multiplicativity; a_ell = 0 is used
@@ -114,8 +125,7 @@ class Curve:
                 good = True
             else:
                 if self.c4 % q != 0:
-                    # multiplicative: a_q = +1 (split) or -1 (nonsplit)
-                    aq = self._multiplicative_sign(q)
+                    aq = self._multiplicative_ap(q)
                 else:
                     aq = 0
                 good = False
@@ -140,22 +150,15 @@ class Curve:
                 a[n] = a[pe] * a[m]
         return a[1:]
 
-    def _multiplicative_sign(self, q: int) -> int:
-        """a_q at a multiplicative prime, from the smooth-point count:
-        |E^ns(F_q)| = q - a_q (and the point at infinity is smooth)."""
-        n = 1
-        for x in range(q):
-            for y in range(q):
-                if (y * y + self.a1 * x * y + self.a3 * y
-                        - (x**3 + self.a2 * x**2 + self.a4 * x
-                           + self.a6)) % q == 0:
-                    # smooth iff some partial derivative is nonzero
-                    fx = (self.a1 * y - (3 * x * x + 2 * self.a2 * x
-                                         + self.a4)) % q
-                    fy = (2 * y + self.a1 * x + self.a3) % q
-                    if fx or fy:
-                        n += 1
-        return q - n
+    def _multiplicative_ap(self, q: int) -> int:
+        """a_q at a multiplicative prime: +1 (split) or -1 (nonsplit).
+        For odd q the tangents at the node are rational iff -c6 is a
+        square mod q (c6 is prime to q there, as c4 is).  At q = 2,
+        |E^ns(F_2)| = 2 - a_2 counts the point at infinity and the affine
+        points but the node."""
+        if q == 2:
+            return 2 - self._affine_points_mod_2()
+        return 1 if pow(-self.c6, (q - 1) // 2, q) == 1 else -1
 
     # -- division polynomials -------------------------------------------------
 
@@ -165,11 +168,7 @@ class Curve:
 
     def division_polynomial(self, n: int):
         """psi_n as a polynomial in x for odd n; psi_n / psi_2 for even n."""
-        cache = getattr(self, "_psi_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_psi_cache", cache)
-        return self.psi(n, cache, _in_z)
+        return self.psi(n, self._memo("_psi_cache"), _in_z)
 
     def psi(self, n: int, cache: dict, red):
         """psi_n (psi_n / psi_2 for even n) by the classical recurrence,
@@ -228,3 +227,23 @@ class Curve:
 
 def _in_z(poly):
     return poly
+
+
+# ell -> bytes r with r[t] the number of square roots of t mod ell, for
+# the ell below SQUARE_TABLE_LIMIT (at most 76 KB in all); built on first
+# use, larger ell build theirs per count
+_SQUARE_ROOT_COUNTS: dict[int, bytes] = {}
+SQUARE_TABLE_LIMIT = 1000
+
+
+def _square_root_counts(ell: int) -> bytes:
+    roots = _SQUARE_ROOT_COUNTS.get(ell)
+    if roots is None:
+        table = bytearray(ell)
+        table[0] = 1
+        for y in range(1, (ell + 1) // 2):
+            table[y * y % ell] = 2
+        roots = bytes(table)
+        if ell < SQUARE_TABLE_LIMIT:
+            _SQUARE_ROOT_COUNTS[ell] = roots
+    return roots

@@ -1,48 +1,25 @@
-"""Polynomial factorization over a prime field F_ell, ell odd: squarefree
-decomposition + distinct-degree + Cantor-Zassenhaus, on the dense
-polynomials of `arith`.  It serves the Zassenhaus factorization of
-division polynomials over Q, which factors mod a small prime first.
+"""Factorization of squarefree polynomials over a prime field F_ell, ell
+odd: distinct-degree + Cantor-Zassenhaus, on the dense polynomials of
+`arith`, only up to a degree bound.  It serves the Zassenhaus
+factorization of division polynomials over Q, which factors mod a small
+prime first and needs only the factors of degree at most the target.
 """
 
 from __future__ import annotations
 
-from .arith import (
-    poly_deriv,
-    poly_divmod,
-    poly_gcd,
-    poly_monic,
-    poly_mul,
-    poly_powmod,
-    poly_sub,
-)
+from .arith import poly_divmod, poly_gcd, poly_monic, poly_powmod, poly_sub
 
 
-def squarefree_part(f, ell):
-    """The product of distinct irreducible factors of f (monic)."""
-    f = poly_monic(f, ell)
-    df = poly_deriv(f, ell)
-    if not df:
-        # f is a polynomial in t^ell: f = g(t^ell) = g(t)^ell
-        g = [f[i] for i in range(0, len(f), ell)]
-        return squarefree_part(g, ell)
-    g = poly_gcd(f, df, ell)
-    sf = poly_divmod(f, g, ell)[0]
-    if len(g) > 1:
-        rest = squarefree_part(g, ell)
-        extra = poly_divmod(rest, poly_gcd(rest, sf, ell), ell)[0]
-        sf = poly_mul(sf, extra, ell)
-    return poly_monic(sf, ell)
-
-
-def distinct_degree(f, ell):
-    """[(product of irreducible factors of degree d, d)] for squarefree
-    monic f."""
+def distinct_degree(f, ell, max_degree):
+    """([(product of the irreducible factors of degree d, d)], rest) for
+    squarefree monic f: d runs up to max_degree, and rest is the product
+    of the factors of larger degree ([1] if none)."""
     out = []
     x = [0, 1]
     h = x
     rest = poly_monic(f, ell)
     d = 0
-    while len(rest) - 1 >= 2 * (d + 1):
+    while d < max_degree and len(rest) - 1 >= 2 * (d + 1):
         d += 1
         h = poly_powmod(h, ell, rest, ell)
         g = poly_gcd(poly_sub(h, x, ell), rest, ell)
@@ -50,9 +27,12 @@ def distinct_degree(f, ell):
             out.append((g, d))
             rest = poly_divmod(rest, g, ell)[0]
             h = poly_divmod(h, rest, ell)[1]
-    if len(rest) > 1:
+    # rest has no factor of degree <= d, so below degree 2(d + 1) it is
+    # irreducible
+    if 1 < len(rest) <= max_degree + 1 and len(rest) - 1 < 2 * (d + 1):
         out.append((rest, len(rest) - 1))
-    return out
+        rest = [1]
+    return out, rest
 
 
 def equal_degree_split(f, d, ell, rng):
@@ -72,32 +52,14 @@ def equal_degree_split(f, d, ell, rng):
             return left + right
 
 
-def factor_squarefree(f, ell, rng):
-    """Irreducible factors of a squarefree monic f over F_ell."""
-    out = []
-    for block, d in distinct_degree(f, ell):
-        out.extend(equal_degree_split(block, d, ell, rng))
-    return sorted(out)
-
-
-def factor(f, ell, rng):
-    """Full factorization over F_ell for an odd prime ell: [(monic
-    irreducible, multiplicity)].  The leading coefficient is discarded
-    (callers track it separately)."""
+def factor_squarefree(f, ell, rng, max_degree):
+    """(sorted monic irreducible factors of degree <= max_degree, product
+    of the others) of a squarefree f over F_ell, for an odd prime ell; the
+    leading coefficient is discarded."""
     if ell == 2:
         raise ValueError("the Cantor-Zassenhaus split needs odd ell")
-    f = poly_monic(f, ell)
-    out: dict[tuple, int] = {}
-    while len(f) > 1:
-        sf = squarefree_part(f, ell)
-        for g in factor_squarefree(sf, ell, rng):
-            out[tuple(g)] = out.get(tuple(g), 0)
-            m = 0
-            while True:
-                q, r = poly_divmod(f, g, ell)
-                if r:
-                    break
-                f = q
-                m += 1
-            out[tuple(g)] += m
-    return sorted((list(g), m) for g, m in out.items())
+    blocks, rest = distinct_degree(f, ell, max_degree)
+    out = []
+    for block, d in blocks:
+        out.extend(equal_degree_split(block, d, ell, rng))
+    return sorted(out), rest

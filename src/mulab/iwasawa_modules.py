@@ -37,14 +37,30 @@ from .errors import (
 from .linalg import rref
 from .modp import MAX_MODULUS, matmul_mod
 
-# bound on (relations*2*MT) x (generators*2*MT), the size of the T-shift
-# matrix at doubled truncation; it keeps 2 MT, the inner dimension of
-# every product of the elimination, below 1415.  Dense presentations at
-# the bound (4 x 4 at MT 176, 1 x 1 at MT 707, p^N = 2^31 with columns of
-# high 2-adic valuation, so that every level runs, or p^N near 2^31 at
-# p = 46337 and 2^31 - 1, where products split into limbs) took at most
-# 1.4 s for graded_ranks and 65 MB (Xeon, Python 3.11, numpy 2.4)
-MAX_SMITH_ENTRIES = 2 * 10**6
+# bounds that `load_presentation` checks before any matrix is built.
+# MT: the doubled-truncation pass of the elimination works at M = 2 MT
+# with M x M int64 arrays (the T-shift index, the multiplication matrix
+# of a pivot and the limb halves of a product), and 2 MT is the inner
+# dimension of its `matmul_mod` products, which must stay below 2^16.
+# At MT = 1024 such an array takes 32 MiB.
+MAX_TRUNCATION = 1024
+# a refused torsion certificate evaluates the r x c relation matrix at
+# c(MT - 1) + 1 points and row-reduces each exactly, about r c (c + MT)
+# operations a point (MT big-integer steps an entry to evaluate, c to
+# eliminate).  At both bounds, over r x c from 1 x 1 to 128 x 2 and
+# 100 x 100, refusals (a repeated column, p^N = 5^3) took at most 2.3 s
+# (2 x 2 at MT 706) and accepted dense presentations (p^N = 2^31 with
+# every level running, or 46337^2 with limb products) at most 0.75 s
+# (100 x 100 at MT 1) and 169 MB (2 x 1 at MT 1024); Xeon, Python 3.11,
+# numpy 2.4.
+MAX_CERTIFICATE_WORK = 4 * 10**6
+
+
+def certificate_work(r: int, c: int, M: int) -> int:
+    """(c(M - 1) + 1) r c (c + M): the operations of a refused torsion
+    certificate on r relations, c generators and truncation M, up to a
+    constant."""
+    return (c * (M - 1) + 1) * r * c * (c + M)
 
 
 # a few truncations recur (MT and 2 MT of each presentation), and
@@ -309,10 +325,16 @@ def load_presentation(path: str) -> LambdaPresentation:
         if type(c) is not int:
             raise ValueError(f"coefficients must be integers, got {c!r}")
     N, M = data["N"], data["MT"]
-    shape = (len(rows) * 2 * M, (len(rows[0]) if rows else 0) * 2 * M)
-    if shape[0] * shape[1] > MAX_SMITH_ENTRIES:
+    if M > MAX_TRUNCATION:
         raise ValueError(
-            f"the doubled-truncation matrix is {shape[0]} x {shape[1]}, "
-            f"over {MAX_SMITH_ENTRIES} entries, the size bound of the "
-            "graded ranks; lower MT or the size of the presentation")
+            f"MT = {M} exceeds {MAX_TRUNCATION}, the bound on the "
+            "truncation: each doubled-truncation matrix of the "
+            "elimination is 2 MT x 2 MT; lower MT")
+    r, c = len(rows), len(rows[0]) if rows else 0
+    if (work := certificate_work(r, c, M)) > MAX_CERTIFICATE_WORK:
+        raise ValueError(
+            f"{r} relations on {c} generators at MT = {M} take {work} "
+            "steps of the torsion certificate, over its bound "
+            f"{MAX_CERTIFICATE_WORK}; lower MT or the size of the "
+            "presentation")
     return LambdaPresentation(p, N, M, rows)

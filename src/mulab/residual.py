@@ -12,10 +12,12 @@ cannot separate lambda from -lambda, and a_2 = 0 mod p is refused.
 
 Kernel polynomials come out of the p-division polynomial by classical
 Zassenhaus factorization (factor mod q, Hensel lift, bounded subset
-recombination) restricted to the target degree (p-1)/2, followed by a
-check in Q[x]/(h) that the roots are closed under duplication.  The
-factors mod q are lifted to mod q^k along a balanced factor tree by
-quadratic Hensel steps, which double the exponent of q at each step.
+recombination) restricted to the target degree (p-1)/2: only the factors
+mod q of degree <= (p-1)/2 are split out and recombined, and the product
+of the others is lifted as one block.  A check in Q[x]/(h) that the
+roots are closed under duplication follows.  The factors mod q are
+lifted to mod q^k along a balanced factor tree by quadratic Hensel
+steps, which double the exponent of q at each step.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
     InvariantViolation,
     RootLiftFailure,
 )
-from .ffield import factor as ff_factor
+from .ffield import factor_squarefree
 
 # -- Zassenhaus ---------------------------------------------------------------
 
@@ -138,8 +140,11 @@ def _center(c, m):
 
 def monic_factors_of_degree(poly, d, max_subsets: int = 1 << 16):
     """All monic integer factors of the given degree of the monicized
-    polynomial, by Zassenhaus recombination.  The Cantor-Zassenhaus
-    splits mod q draw from one fixed seed, so the run is reproducible."""
+    polynomial, by Zassenhaus recombination.  Only the factors mod q of
+    degree <= d can enter a factor of degree d, so only those are split
+    out; the product of the others is lifted as one block and left out
+    of the recombination.  The Cantor-Zassenhaus splits mod q draw from
+    one fixed seed, so the run is reproducible."""
     prim = [c // _content(poly) for c in poly]
     F, lc = _monicize(prim)
     rng = random.Random(1234567)
@@ -151,8 +156,8 @@ def monic_factors_of_degree(poly, d, max_subsets: int = 1 << 16):
             continue
         if len(poly_gcd(F, poly_deriv(F, q), q)) == 1:
             break
-    fac = [g for g, m in ff_factor(F, q, rng) for _ in range(m)]
-    if sum(len(g) - 1 for g in fac) != len(F) - 1:
+    fac, rest = factor_squarefree(F, q, rng, d)
+    if sum(len(g) - 1 for g in fac + [rest]) != len(F) - 1:
         raise InvariantViolation(
             f"factors mod {q} do not account for the degree "
             f"{len(F) - 1} of the monicized polynomial")
@@ -160,7 +165,8 @@ def monic_factors_of_degree(poly, d, max_subsets: int = 1 << 16):
     k = 1
     while q**k < 2 * bound + 1:
         k += 1
-    lifted = _hensel_tree(F, fac, q, k)
+    blocks = fac + [rest] if len(rest) > 1 else fac
+    lifted = _hensel_tree(F, blocks, q, k)[:len(fac)]
     m = q**k
     # subsets with degree sum d
     out = []

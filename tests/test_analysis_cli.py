@@ -378,7 +378,7 @@ def test_cli_lambda_invariants_rejects_oversized(tmp_path, capsys, field,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:")
-    assert ("2^31" if field == "N" else "2000000") in err
+    assert ("2^31" if field == "N" else "exceeds 1024") in err
 
 
 def test_cli_lift_lab(capsys):
@@ -415,6 +415,46 @@ def test_cli_analyze_uses_each_records_p(capsys):
     assert (rc, out.err) == (0, "")
     with open("tests/golden/corpus_report.json") as fh:
         assert out.out == fh.read() + "\n"
+
+
+def test_cli_analyze_11a1_at_p17_precision_100_golden(tmp_path, capsys):
+    """stdout of 11a1 at --p 17 --precision 100 (3 layers, 17^4 units in
+    theta_3), byte for byte, as recorded under tests/golden before the
+    half-walk theta."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20], "conductor": 11}])
+    rc = main(["analyze", "--curves", curves, "--p", "17",
+               "--precision", "100"])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    with open("tests/golden/analyze_11a1_p17_prec100.json") as fh:
+        assert out.out == fh.read()
+
+
+def test_analyze_counts_each_ell_once_per_curve(monkeypatch):
+    """One `analyze_many` pass over the corpus counts points at most once
+    per (curve, ell): the a_ell table, the eigensymbol's primes, the
+    L-value's a_n, the Frobenius scalars and the isogeny-class signature
+    all read the one count."""
+    from mulab.elliptic import Curve
+
+    corpus = "data/corpus_reducible.json"
+    with open(corpus) as fh:
+        p_of_label = {r["label"]: r["p"] for r in json.load(fh)}
+    records = ingest(corpus)
+    counts = {}
+    count_points = Curve.count_points
+
+    def counting(self, ell):
+        key = (self.ainvs(), ell)
+        counts[key] = counts.get(key, 0) + 1
+        return count_points(self, ell)
+
+    monkeypatch.setattr(Curve, "count_points", counting)
+    analyze_many(records, lambda rec: p_of_label[rec.label], N_prec=6,
+                 layers=3, ell_bound=200)
+    assert {rec.ainvs for rec in records} == {k[0] for k in counts}
+    assert max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("p, err", [

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mulab.arith import poly_eval
+from mulab.arith import is_probable_prime, poly_eval
 from mulab.elliptic import Curve
 from mulab.errors import BadReduction, InvalidModel
 
@@ -111,6 +111,78 @@ def test_ap_against_group_order_bruteforce():
                 P, Q, R = (rng.choice(pts) for _ in range(3))
                 S = C.add(C.add(P, Q), R)
                 assert S == C.add(P, C.add(Q, R)) and S in pts
+
+
+# -- the paths the cached square-root table and the sign of -c6 replaced ------
+
+
+def legendre_sum_count_points(E, ell):
+    """|E(F_ell)| for odd ell by a Legendre table built per call."""
+    legendre = [0] * ell
+    for t in range(1, ell):
+        legendre[t * t % ell] = 1
+    for t in range(1, ell):
+        if legendre[t] == 0:
+            legendre[t] = -1
+    b2, b4, b6 = E.b2 % ell, E.b4 % ell, E.b6 % ell
+    n = 1 + ell
+    for x in range(ell):
+        n += legendre[(4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % ell]
+    return n
+
+
+def smooth_point_sign(E, q):
+    """a_q at a multiplicative prime, from the smooth-point count:
+    |E^ns(F_q)| = q - a_q (and the point at infinity is smooth)."""
+    a1, a2, a3, a4, a6 = E.ainvs()
+    n = 1
+    for x in range(q):
+        for y in range(q):
+            if (y * y + a1 * x * y + a3 * y
+                    - (x**3 + a2 * x**2 + a4 * x + a6)) % q == 0:
+                # smooth iff some partial derivative is nonzero
+                fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % q
+                fy = (2 * y + a1 * x + a3) % q
+                if fx or fy:
+                    n += 1
+    return q - n
+
+
+def test_point_counts_match_the_legendre_sum():
+    """Every odd good prime ell < 1000, on the 11a class, 37a1 and a few
+    random models."""
+    rng = random.Random(5)
+    curves = [E11A1, E11A2, E11A3, E37A1]
+    while len(curves) < 8:
+        try:
+            curves.append(Curve(*(rng.randint(-9, 9) for _ in range(5))))
+        except InvalidModel:
+            pass
+    for E in curves:
+        for ell in range(3, 1000, 2):
+            if is_probable_prime(ell) and E.discriminant % ell:
+                assert E.count_points(ell) == \
+                    legendre_sum_count_points(E, ell), (E, ell)
+
+
+def test_multiplicative_ap_matches_the_smooth_point_count():
+    """a_q from the sign of -c6 (odd q) or the F_2 points (q = 2) equals
+    the smooth-point count at every multiplicative q < 60 of the models
+    with a-invariants in -3..3."""
+    import itertools
+    checked = 0
+    for ainvs in itertools.product(range(-3, 4), repeat=5):
+        try:
+            E = Curve(*ainvs)
+        except InvalidModel:
+            continue
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                  53, 59):
+            if E.discriminant % q == 0 and E.c4 % q:
+                assert E._multiplicative_ap(q) == smooth_point_sign(E, q), \
+                    (ainvs, q)
+                checked += 1
+    assert checked > 10000
 
 
 def test_an_multiplicativity():

@@ -4,6 +4,7 @@ import pytest
 
 from mulab.arith import (
     factorize,
+    poly_deriv,
     poly_divmod,
     poly_gcd,
     poly_monic,
@@ -11,7 +12,48 @@ from mulab.arith import (
     poly_powmod,
     poly_sub,
 )
-from mulab.ffield import factor
+from mulab.ffield import factor_squarefree
+
+
+# -- full factorization with multiplicities, the path `residual` took before
+# -- it split out only the factors up to the target degree ----------------
+
+
+def squarefree_part(f, ell):
+    """The product of distinct irreducible factors of f (monic)."""
+    f = poly_monic(f, ell)
+    df = poly_deriv(f, ell)
+    if not df:
+        # f is a polynomial in t^ell: f = g(t^ell) = g(t)^ell
+        g = [f[i] for i in range(0, len(f), ell)]
+        return squarefree_part(g, ell)
+    g = poly_gcd(f, df, ell)
+    sf = poly_divmod(f, g, ell)[0]
+    if len(g) > 1:
+        rest = squarefree_part(g, ell)
+        extra = poly_divmod(rest, poly_gcd(rest, sf, ell), ell)[0]
+        sf = poly_mul(sf, extra, ell)
+    return poly_monic(sf, ell)
+
+
+def factor(f, ell, rng):
+    """Full factorization over F_ell for an odd prime ell: [(monic
+    irreducible, multiplicity)].  The leading coefficient is discarded."""
+    f = poly_monic(f, ell)
+    out: dict[tuple, int] = {}
+    while len(f) > 1:
+        sf = squarefree_part(f, ell)
+        for g in factor_squarefree(sf, ell, rng, len(sf) - 1)[0]:
+            out[tuple(g)] = out.get(tuple(g), 0)
+            m = 0
+            while True:
+                q, r = poly_divmod(f, g, ell)
+                if r:
+                    break
+                f = q
+                m += 1
+            out[tuple(g)] += m
+    return sorted((list(g), m) for g, m in out.items())
 
 
 def is_irreducible(f, ell) -> bool:
@@ -63,3 +105,26 @@ def test_factor_refuses_characteristic_2():
     """The split uses r^((ell^d - 1)/2), which needs odd ell."""
     with pytest.raises(ValueError, match="odd ell"):
         factor([1, 1, 1], 2, random.Random(1))
+
+
+def test_degree_bounded_factors_match_the_full_factorization():
+    """With a degree bound, factor_squarefree returns exactly the
+    irreducible factors of degree <= the bound, and the product of the
+    others, on squarefree products of random irreducibles."""
+    rng = random.Random(11)
+    for ell in [3, 5, 7, 13]:
+        for _ in range(25):
+            f = [1]
+            for _ in range(rng.randint(1, 5)):
+                g = find_irreducible(ell, rng.randint(1, 5), rng)
+                if len(poly_gcd(f, g, ell)) == 1:
+                    f = poly_mul(f, g, ell)
+            full = [g for g, _ in factor(f, ell, random.Random(1))]
+            for bound in range(0, 7):
+                small, rest = factor_squarefree(f, ell, rng, bound)
+                assert small == [g for g in full if len(g) - 1 <= bound]
+                big = [1]
+                for g in full:
+                    if len(g) - 1 > bound:
+                        big = poly_mul(big, g, ell)
+                assert rest == big

@@ -581,16 +581,42 @@ def test_load_presentation_bounds(tmp_path, field, value, match):
         load_presentation(str(path))
 
 
-def test_load_presentation_bounds_are_inclusive(tmp_path):
-    """p^N = 2^31 loads; so does a doubled-truncation matrix of 1414 x 1414
-    (within MAX_SMITH_ENTRIES = 2 * 10^6), and 1416 x 1416 does not."""
+def test_load_presentation_bounds_are_inclusive(tmp_path, monkeypatch):
+    """p^N = 2^31 loads; so do MT = MAX_TRUNCATION and a presentation
+    whose certificate work equals the bound.  One past either bound
+    does not."""
     path = tmp_path / "pres.json"
-    for spec in ({"p": 2, "N": 31, "MT": 4, "rows": [[[2]]]},
-                 {"p": 5, "N": 3, "MT": 707, "rows": [[[5]]]}):
+
+    def load(spec):
         path.write_text(json.dumps(spec))
-        assert load_presentation(str(path)).M == spec["MT"]
-    path.write_text(json.dumps({"p": 5, "N": 3, "MT": 708, "rows": [[[5]]]}))
-    with pytest.raises(ValueError, match="1416 x 1416"):
+        return load_presentation(str(path))
+
+    assert load({"p": 2, "N": 31, "MT": 4, "rows": [[[2]]]}).M == 4
+    top = iwasawa_modules.MAX_TRUNCATION
+    assert load({"p": 5, "N": 3, "MT": top, "rows": [[[5]]]}).M == top
+    with pytest.raises(ValueError, match=f"MT = {top + 1} exceeds"):
+        load({"p": 5, "N": 3, "MT": top + 1, "rows": [[[5]]]})
+    spec = {"p": 5, "N": 3, "MT": 20,
+            "rows": [[[1], [2]], [[3], [4]], [[5], [6]]]}
+    work = iwasawa_modules.certificate_work(3, 2, 20)
+    monkeypatch.setattr(iwasawa_modules, "MAX_CERTIFICATE_WORK", work)
+    assert load(spec).M == 20
+    monkeypatch.setattr(iwasawa_modules, "MAX_CERTIFICATE_WORK", work - 1)
+    with pytest.raises(ValueError, match="torsion certificate"):
+        load(spec)
+
+
+def test_load_presentation_takes_a_long_one_by_one(tmp_path):
+    """1 x 1 at MT 708 was refused by the bound on the T-shift matrix
+    the elimination no longer builds; 100 x 100 at MT 7, whose refused
+    certificate ran 124 s, is now refused before any work."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"p": 5, "N": 3, "MT": 708,
+                                "rows": [[[5]]]}))
+    assert mu_profile(load_presentation(str(path))).mu_vector == (1,)
+    rows = [[[1] * 7] * 100] * 100
+    path.write_text(json.dumps({"p": 5, "N": 3, "MT": 7, "rows": rows}))
+    with pytest.raises(ValueError, match="torsion certificate"):
         load_presentation(str(path))
 
 

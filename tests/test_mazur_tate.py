@@ -26,6 +26,7 @@ from mulab.modsym import EigenSymbol, build_manin_space
 from mulab.padic import (
     hensel_unit_root,
     mu_lambda_of_polynomial,
+    teichmuller,
 )
 from test_padic import group_ring_from_T
 
@@ -139,11 +140,67 @@ def oracle_theta_element(es, p, n, N):
     return tuple(acc)
 
 
+# -- the paths the half walk and the one-pass index table replaced: every
+# -- unit a, and a Teichmuller pow chain per unit ---------------------------
+
+
+def teichmuller_gamma_index_table(p, n):
+    """a -> t with a * teichmuller(a)^(-1) = (1+p)^t mod p^(n+1)."""
+    mod = p**(n + 1)
+    powers = {}
+    g = 1
+    for t in range(p**n):
+        powers[g] = t
+        g = g * (1 + p) % mod
+    table = {}
+    for a in range(1, mod):
+        if a % p == 0:
+            continue
+        w = teichmuller(a, p, n + 1)
+        u = a * pow(w, -1, mod) % mod
+        table[a] = powers[u]
+    return table
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_gamma_index_table_matches_teichmuller(p):
+    for n in range(4):
+        table = _gamma_index_table(p, n)
+        assert {a: table[a] for a in range(p**(n + 1)) if a % p} == \
+            teichmuller_gamma_index_table(p, n)
+
+
+def full_walk_theta_numerators(es, p, n):
+    m = p**(n + 1)
+    table = teichmuller_gamma_index_table(p, n)
+    acc = [0] * (p**n)
+    for a in range(1, m):
+        if a % p:
+            acc[table[a]] += es.path_numerator(a, m)
+    return acc
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "data" \
+    / "corpus_reducible.json"
+
+
+@pytest.mark.parametrize("rec", json.loads(CORPUS.read_text()),
+                         ids=lambda rec: rec["label"])
+def test_half_walk_theta_matches_the_full_walk(rec):
+    """Every corpus curve at its own p, every layer the CLI defaults read
+    (0..3): the same coefficients as the sum over every unit a."""
+    es = EigenSymbol(build_manin_space(rec["conductor"]),
+                     Curve(*rec["ainvs"]), rec["conductor"])
+    for n in range(4):
+        theta = theta_element(es, rec["p"], n, N)
+        assert theta.coeffs == tuple(
+            Fraction(x, es.den)
+            for x in full_walk_theta_numerators(es, rec["p"], n))
+
+
 @pytest.mark.parametrize("label", ["11a1", "11a3", "n26-3", "n110-1"])
 def test_theta_matches_evaluate_sum(label):
-    corpus = Path(__file__).resolve().parent.parent / "data" \
-        / "corpus_reducible.json"
-    rec = next(r for r in json.loads(corpus.read_text())
+    rec = next(r for r in json.loads(CORPUS.read_text())
                if r["label"] == label)
     es = EigenSymbol(build_manin_space(rec["conductor"]),
                      Curve(*rec["ainvs"]), rec["conductor"])
@@ -242,7 +299,8 @@ def test_mu_lambda_11a_class(thetas):
     for name in CURVES:
         t = thetas[name]
         L = [regularized_Lp(t[n], t[n - 1], alpha) for n in range(1, 4)]
-        mu, lam, stab = analytic_iwasawa_invariants(L)
+        mu, lam, stab = analytic_iwasawa_invariants(
+            [mu_lambda_of_polynomial(x) for x in L])
         assert mu == expected_mu[name], name
         assert stab <= 3
         lambdas.add(lam)
@@ -273,9 +331,10 @@ def test_not_stabilized_and_guard():
     a = group_ring_from_T(5, 4, [1, 0, 0])
     b = group_ring_from_T(5, 4, [5, 1, 0])
     with pytest.raises(NotStabilized):
-        analytic_iwasawa_invariants([a, b])
+        analytic_iwasawa_invariants([mu_lambda_of_polynomial(a),
+                                     mu_lambda_of_polynomial(b)])
     with pytest.raises(NotStabilized):
-        analytic_iwasawa_invariants([a])
+        analytic_iwasawa_invariants([mu_lambda_of_polynomial(a)])
     assert precision_guard(6, 2, 2)
     assert not precision_guard(6, 2, 3)
 
@@ -290,7 +349,8 @@ def test_invariants_read_where_every_later_layer_agrees():
         return group_ring_from_T(3, 6, [0] * lam + [3**mu])
 
     def read(pairs):
-        return analytic_iwasawa_invariants([layer(*t) for t in pairs])
+        return analytic_iwasawa_invariants(
+            [mu_lambda_of_polynomial(layer(*t)) for t in pairs])
 
     # N = 182, p = 3: layers 1-2 read (1, 2), layers 3-4 read (0, 10)
     with pytest.raises(NotStabilized, match="raise --layers"):

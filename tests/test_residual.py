@@ -9,6 +9,7 @@ import pytest
 from mulab.arith import (
     is_probable_prime,
     poly_add,
+    poly_deriv,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -31,7 +32,7 @@ from mulab.errors import (
     MuLabError,
     RootLiftFailure,
 )
-from mulab.ffield import factor as ff_factor
+from mulab.ffield import factor_squarefree
 from mulab.padic import val_int
 from mulab.residual import (
     _hensel_pair,
@@ -285,10 +286,11 @@ def test_zassenhaus_checks_factor_degrees(monkeypatch):
     InvariantViolation (exit 2), kept under `python -O`."""
     from mulab import residual
 
-    def dropping(f, ell, rng):
-        return ff_factor(f, ell, rng)[1:]
+    def dropping(f, ell, rng, max_degree):
+        small, rest = factor_squarefree(f, ell, rng, max_degree)
+        return small[1:], rest
 
-    monkeypatch.setattr(residual, "ff_factor", dropping)
+    monkeypatch.setattr(residual, "factor_squarefree", dropping)
     with pytest.raises(InvariantViolation, match="degree"):
         monic_factors_of_degree(E11A1.division_polynomial(5), 2)
 
@@ -514,3 +516,68 @@ def test_frobenius_scalar_refuses_a_degenerate_kernel_polynomial():
         frobenius_scalar(E11A3, k3, 11, 5)
     with pytest.raises(ValueError, match="differ"):
         frobenius_scalar(E11A3, k3, 5, 5)
+
+
+# -- Zassenhaus over the full factorization mod q (every factor split out,
+# -- lifted and offered to the recombination) --------------------------------
+
+
+def monic_factors_by_full_factorization(poly, d, max_subsets=1 << 16):
+    from mulab import residual
+    from test_ffield import factor
+
+    prim = [c // residual._content(poly) for c in poly]
+    F, lc = residual._monicize(prim)
+    q = 5
+    while True:
+        q += 2
+        if not is_probable_prime(q) or lc % q == 0:
+            continue
+        if len(poly_gcd(F, poly_deriv(F, q), q)) == 1:
+            break
+    fac = [g for g, m in factor(F, q, random.Random(1234567))
+           for _ in range(m)]
+    bound = residual._mignotte_bound(F, d)
+    k = 1
+    while q**k < 2 * bound + 1:
+        k += 1
+    lifted = residual._hensel_tree(F, fac, q, k)
+    m = q**k
+    out = []
+
+    def rec(start, remaining, prod):
+        if remaining == 0:
+            H = [residual._center(c, m) for c in prod]
+            if H not in out and not poly_divmod(F, H)[1]:
+                out.append(H)
+            return
+        for i in range(start, len(lifted)):
+            if len(lifted[i]) - 1 <= remaining:
+                rec(i + 1, remaining - len(lifted[i]) + 1,
+                    poly_mul(prod, lifted[i], m))
+
+    rec(0, d, [1])
+    return out, lc
+
+
+def test_kernels_match_the_full_factorization(monkeypatch):
+    """The corpus, 11a1/2/3, [-8,0,1,0,0] (N = 77) and the Tate normal
+    forms with a rational point of order p = 3, 5, 7 of the Frobenius
+    fixture: the same kernel polynomials, and the same degree-(p-1)/2
+    factors, as when every factor mod q is split out and recombined."""
+    from mulab import residual
+
+    records = json.loads(FROBENIUS_FIXTURE.read_text())
+    fast = {}
+    for rec in records:
+        E, p = Curve(*rec["ainvs"]), rec["p"]
+        psi = E.division_polynomial(p)
+        got, lc = monic_factors_of_degree(psi, (p - 1) // 2)
+        want, lc2 = monic_factors_by_full_factorization(psi, (p - 1) // 2)
+        assert (sorted(got), lc) == (sorted(want), lc2), rec["label"]
+        fast[rec["label"], p] = kernel_polynomials(E, p)
+    monkeypatch.setattr(residual, "monic_factors_of_degree",
+                        monic_factors_by_full_factorization)
+    for rec in records:
+        E, p = Curve(*rec["ainvs"]), rec["p"]
+        assert kernel_polynomials(E, p) == fast[rec["label"], p]

@@ -180,13 +180,28 @@ class DirichletCharacter:
                                   tuple(v % mod for v in self.images))
 
     def conductor(self) -> int:
-        """Smallest f | M with the character trivial on 1 + f-multiples."""
+        """Smallest f | M with the character trivial on 1 + f-multiples.
+
+        The units a = 1 mod f are the product over q^e || M of the
+        kernels of (Z/q^e)^* -> (Z/q^k)^*, k = v_q(f), so f is the
+        product of the least q^k whose kernel the character kills.  That
+        kernel is all of (Z/q^e)^* at q^k = 1 or 2, and otherwise the
+        cyclic group generated by 1 + q^k; each local generator g enters
+        as the unit of (Z/M)^* that is g mod q^e and 1 mod M/q^e."""
         M = self.modulus
-        for f in sorted(d for d in range(1, M + 1) if M % d == 0):
-            if all(self(a) == 1 for a in range(1, M + 1, f)
-                   if gcd(a, M) == 1):
-                return f
-        return M
+        f = 1
+        for q, e in factorize(M).items():
+            qe = q**e
+            rest = M // qe
+            inv = pow(rest, -1, qe)
+            for k in range(e + 1):
+                gens = unit_group(qe).generators if q**k <= 2 \
+                    else (1 + q**k,)
+                if all(self((1 + rest * ((g - 1) * inv % qe)) % M) == 1
+                       for g in gens):
+                    f *= q**k
+                    break
+        return f
 
     def agrees_with(self, other: "DirichletCharacter") -> bool:
         """Pointwise equality on residues coprime to both moduli (i.e.

@@ -63,15 +63,20 @@ def certificate_work(r: int, c: int, M: int) -> int:
     return (c * (M - 1) + 1) * r * c * (c + M)
 
 
-# a few truncations recur (MT and 2 MT of each presentation), and
-# building S costs a level about 10 % of its time on small modules
-@lru_cache(maxsize=64)
 def _shift_index(M: int) -> np.ndarray:
     """S[s, t] = t - s for t >= s and M otherwise: indexing a length-M
     coefficient vector padded by one zero with S[s] multiplies it by T^s
     mod T^M, so indexing with S gives the matrix of multiplication by it."""
     s, t = np.ogrid[:M, :M]
     return np.where(t >= s, t - s, M)
+
+
+# a few truncations recur (MT and 2 MT of each presentation), and
+# building S costs a level about 10 % of its time on small modules; S
+# takes 8 M^2 bytes, so only those up to _SHIFT_CACHE_MAX are kept (0.7
+# MB for all of them) and a larger one is built per call
+_SHIFT_CACHE_MAX = 64
+_small_shift_index = lru_cache(maxsize=None)(_shift_index)
 
 
 def smith_rank_over_power_series_field_char_p(G: np.ndarray, p: int,
@@ -98,7 +103,7 @@ def smith_rank_over_power_series_field_char_p(G: np.ndarray, p: int,
     """
     G = G % mod
     _, c, M = G.shape
-    S = _shift_index(M)
+    S = _small_shift_index(M) if M <= _SHIFT_CACHE_MAX else _shift_index(M)
     live = np.ones(len(G), dtype=bool)
     pivots, vals = [], []
     while True:

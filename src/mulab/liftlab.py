@@ -288,13 +288,16 @@ def set_theoretic_lift(rho: RepresentationModPn, det_target):
 
 def obstruction_class(rho: RepresentationModPn, det_target,
                       M: AdjointModule,
-                      verify_class: bool = True) -> Cochain:
+                      verify_class: bool = True, tau=None) -> Cochain:
     """The 2-cocycle tau(gh) tau(h)^-1 tau(g)^-1 of a set-theoretic lift,
-    identified with Id + p^n (value)."""
+    identified with Id + p^n (value).  tau is
+    `set_theoretic_lift(rho, det_target)`, built here unless the caller
+    holds it."""
     p, n = rho.p, rho.n
     mod = p**(n + 1)
     G = rho.model
-    tau = set_theoretic_lift(rho, det_target)
+    if tau is None:
+        tau = set_theoretic_lift(rho, det_target)
     tau_inv = [mat_inv(t, mod) for t in tau]
     nels = len(G)
     vals = np.zeros((nels, nels, M.dim), dtype=np.int64)
@@ -377,11 +380,11 @@ def lift_step(rho: RepresentationModPn, det_target,
     """
     p, n = rho.p, rho.n
     G = rho.model
-    obs = obstruction_class(rho, det_target, M)
+    tau = set_theoretic_lift(rho, det_target)
+    obs = obstruction_class(rho, det_target, M, tau=tau)
     f = is_coboundary(G, M, obs)
     if f is None:
         return "obstructed", obs
-    tau = set_theoretic_lift(rho, det_target)
     # r = (Id + p^n f) tau is a homomorphism
     r_images = twist(tau, f.values, M, p, n)
     r = RepresentationModPn(G, p, n + 1, r_images)

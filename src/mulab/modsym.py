@@ -1,30 +1,33 @@
 """Weight-2 modular symbols for Gamma_0(N) via Manin symbols.
 
-The symbol space is the free Q-module on P^1(Z/N) modulo the two- and
-three-term Manin relations; the cuspidal part is the kernel of the
-boundary map.  Hecke operators act through Merel's matrices.  A rational
-eigensymbol is cut out as a joint left-eigenvector and normalized so that
-its value on the path {0 -> oo} equals L(f,1) / (real Neron period of the
-designated curve).  The two floating-point numbers come from mpmath: the
-period from the arithmetic-geometric mean of the 2-division roots, the
-L-value from the a_n series; their ratio is rationalized with a
-denominator bound.
+The symbol space is the +1 quotient (Cremona, Algorithms for Modular
+Elliptic Curves, ch. II): the free Q-module on P^1(Z/N) modulo the two-
+and three-term Manin relations and the star involution (c:d) -> (-c:d).
+The two-term relations and star fold into signed slots; the three-term
+relations are eliminated sparsely, shortest rows first (Stein, Modular
+Forms: A Computational Approach, ch. 7-8).  Hecke operators act through
+Merel's matrices.  A rational eigensymbol is cut out as a joint
+left-eigenvector and normalized so that its value on the path
+{0 -> oo} equals L(f,1) / (real Neron period of the designated curve).
+The two floating-point numbers come from mpmath: the period from the
+arithmetic-geometric mean of the 2-division roots, the L-value from the
+a_n series (summed by Horner's rule in fixed-point integers); their
+ratio is rationalized with a denominator bound.
 
 All symbol arithmetic is exact and kept in integers over one common
 denominator (1 on every level below 400): each slot of the quotient is
-stored as integer numerators in the free basis, Hecke and star matrices
-are summed from integer slot counts (Hecke matrices kept per space), and
-an eigensymbol keeps its value on every P^1 generator, so a path costs
-one integer sum.  The eigenvector comes from one nullspace of the
-stacked constraints of the first match prime and the star involution;
-each further prime only restricts that kernel K through the small
-system (T_ell - a_ell)^T K (Cremona, Algorithms for Modular Elliptic
-Curves, ch. 2; Stein, Modular Forms: A Computational Approach, ch. 7-8).
+stored as integer numerators in the free basis, Hecke matrices are
+summed from integer slot counts and kept per space, and an eigensymbol
+keeps its value on every P^1 generator, so a path costs one integer sum.
+The eigenvector comes from one nullspace of (T_q - a_q)^T for the first
+match prime q; each further prime only restricts that kernel K through
+the small system (T_ell - a_ell)^T K.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
 import mpmath as mp
@@ -36,7 +39,10 @@ from .errors import (
     EigenspaceNotRational,
     InvariantViolation,
 )
-from .linalg import clear_denominators, nullspace, rref
+from .linalg import clear_denominators, nullspace
+# the benchmark's tracer wraps rref here; the relations are eliminated
+# by `_eliminate`, and nullspace calls linalg's own rref
+from .linalg import rref  # noqa: F401
 
 
 def _gcdex(a, b):
@@ -47,33 +53,49 @@ def _gcdex(a, b):
 
 
 class P1:
-    """Representatives for P^1(Z/N): classes of (c:d), gcd(c, d, N) = 1."""
+    """Representatives for P^1(Z/N): classes of (c:d), gcd(c, d, N) = 1.
+
+    `reps[i]` is the least pair of class i in lexicographic order;
+    `table[c * N + d]` is the class of (c mod N : d mod N), None where
+    gcd(c, d, N) > 1."""
 
     def __init__(self, N: int):
         self.N = N
         reps = []
-        index = {}
+        table = [None] * (N * N)
         units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1] or [1]
-        # the first unmarked (c, d) in lexicographic order is the least
-        # member of its unit orbit, so it is the class representative
-        for c in range(N):
+        # a class of pairs with gcd(c, N) = g has a member (g, d), and
+        # the first unmarked (g, d) is the least member of its class:
+        # mark row g along the units fixing g, then fill each row u g
+        # from row g as (ug:d) = (g:d/u)
+        filled = set()
+        for c in sorted({gcd(c, N) for c in range(1, N)} | {0}):
+            g = gcd(c, N)
+            fix = [u for u in units if u % (N // g) == 1 % (N // g)]
+            row = c * N
             for d in range(N):
-                if (c, d) in index or gcd(gcd(c, d), N) != 1:
-                    continue
-                i = len(reps)
-                for u in units:
-                    index[u * c % N, u * d % N] = i
-                reps.append((c, d))
+                if table[row + d] is None and gcd(g, d) == 1:
+                    i = len(reps)
+                    for u in fix:
+                        table[row + u * d % N] = i
+                    reps.append((c, d))
+            base = table[row:row + N]
+            for u in units:
+                cu = u * c % N
+                if cu not in filled:
+                    filled.add(cu)
+                    v = pow(u, -1, N)
+                    table[cu * N:(cu + 1) * N] = [base[d * v % N]
+                                                  for d in range(N)]
         self.reps = reps
-        self.index_map = index
+        self.table = table
 
     def __len__(self):
         return len(self.reps)
 
     def index(self, c: int, d: int) -> int:
-        if self.N == 1:
-            return 0
-        return self.index_map[(c % self.N, d % self.N)]
+        N = self.N
+        return self.table[c % N * N + d % N]
 
     def lift(self, i: int):
         """An SL_2(Z) matrix (a, b; c, d) whose bottom row represents
@@ -121,63 +143,112 @@ def merel_matrices(n: int):
                         yield (a, b, bc // b, d)
 
 
+def _eliminate(rows):
+    """Reduced echelon form of sparse relations: rows are tuples of
+    (slot, coefficient) pairs, each meaning sum coefficient * slot = 0.
+    Returns {pivot slot: {free slot: coefficient}}, each pivot slot being
+    that combination of the slots that are no pivot.
+
+    Rows are taken shortest first once the pivots found so far are
+    substituted (a row that grew goes back while a shorter one waits),
+    and each pivots on a coefficient +-1, in the slot the fewest pivot
+    rows hold, so the coefficients stay integers and the rows short
+    (Stein, Modular Forms: A Computational Approach, ch. 8).  A row
+    with no unit coefficient waits until the others are done and then
+    pivots over Q."""
+    expr = {}    # pivot slot -> {free slot: coefficient}
+    occurs = {}  # free slot -> the pivot slots whose rows hold it
+    heap = [(0, len(row), k, dict(row)) for k, row in enumerate(rows)]
+    heapify(heap)
+    while heap:
+        late, _, k, row = heappop(heap)
+        cur = {}
+        for s, a in row.items():
+            for t, b in expr.get(s, {s: 1}).items():
+                cur[t] = cur.get(t, 0) + a * b
+        cur = {t: a for t, a in cur.items() if a}
+        if not cur:
+            continue
+        if heap and (late, len(cur)) > heap[0][:2]:
+            heappush(heap, (late, len(cur), k, cur))
+            continue
+        units = [t for t, a in cur.items() if a in (1, -1)]
+        if not units and len(cur) > 1 and not late:
+            heappush(heap, (1, len(cur), k, cur))
+            continue
+        s = min(units or cur, key=lambda t: (len(occurs.get(t, ())), t))
+        a = cur.pop(s)
+        e = {t: -b * a if a in (1, -1) else Fraction(-b, a)
+             for t, b in cur.items()}
+        for q in occurs.pop(s, ()):
+            eq = expr[q]
+            b = eq.pop(s)
+            for t, x in e.items():
+                v = eq.get(t, 0) + b * x
+                if v:
+                    eq[t] = v
+                    occurs.setdefault(t, set()).add(q)
+                else:
+                    del eq[t]
+                    occurs[t].discard(q)
+        expr[s] = e
+        for t in e:
+            occurs.setdefault(t, set()).add(s)
+    return expr
+
+
 class ManinSymbolSpace:
-    """Quotient of the free module on P^1(Z/N) by the Manin relations."""
+    """The +1 quotient of the free module on P^1(Z/N) by the Manin
+    relations (Cremona, Algorithms for Modular Elliptic Curves, ch. II).
+
+    A generator x equals -xS and xJ, with S: (c:d) -> (d:-c) and J:
+    (c:d) -> (-c:d), so each <S, J>-orbit is one slot up to sign, and an
+    orbit where this forces x = -x is zero.  The 3-term relations x + xU
+    + xU^2 = 0, U: (c:d) -> (d:-c-d), are rows of at most three entries
+    +-1 on the slots, eliminated sparsely (`_eliminate`); the slots left
+    without a pivot are the basis."""
 
     def __init__(self, N: int):
         self.N = N
-        self.p1 = P1(N)
-        n = len(self.p1)
-        # 2-term reduction: orbits of S: (c:d) -> (d:-c), x + xS = 0
-        # choose a representative per orbit; x_rep determined up to sign
-        red = [None] * n  # index -> (rep_slot, sign) or ("zero",)
-        slot_of = {}
+        self.p1 = p1 = P1(N)
+        index = p1.index
+        red = [None] * len(p1)  # index -> (slot, sign); (None, 0) if zero
         slots = 0
-        for i in range(n):
+        for i, (c, d) in enumerate(p1.reps):
             if red[i] is not None:
                 continue
-            c, d = self.p1.reps[i]
-            j = self.p1.index(d, -c)
-            if j == i:
-                # x = -x: x = 0 (S-fixed class)
-                red[i] = (None, 0)
-                continue
-            slot = slots
-            slots += 1
-            slot_of[i] = slot
-            red[i] = (slot, 1)
-            red[j] = (slot, -1)
+            j, k, l = index(d, -c), index(-c, d), index(d, c)  # S, J, SJ
+            if i in (j, l):
+                red[i] = red[j] = red[k] = red[l] = (None, 0)
+            else:
+                red[i] = red[k] = (slots, 1)
+                red[j] = red[l] = (slots, -1)
+                slots += 1
         self._red = red
-        self._nslots = slots
-        # 3-term relations x + xU + xU^2 = 0 expressed in slots
-        rel_rows = []
-        seen_orbits = set()
-        for i in range(n):
-            c, d = self.p1.reps[i]
-            j = self.p1.index(d, -c - d)
-            k = self.p1.index(-c - d, c)
-            orbit = frozenset((i, j, k))
-            if orbit in seen_orbits:
-                continue
-            seen_orbits.add(orbit)
-            row = [0] * slots
-            for t in (i, j, k):
+        # one row per relation, up to sign
+        rows = set()
+        for i, (c, d) in enumerate(p1.reps):
+            row = {}
+            for t in (i, index(d, -c - d), index(-c - d, c)):
                 s, sgn = red[t]
                 if s is not None:
-                    row[s] += sgn
-            rel_rows.append(row)
-        R, pivots = rref(rel_rows)
-        free = [s for s in range(slots) if s not in pivots]
+                    row[s] = row.get(s, 0) + sgn
+            key = sorted((s, a) for s, a in row.items() if a)
+            if key:
+                sgn = 1 if key[0][1] > 0 else -1
+                rows.add(tuple((s, sgn * a) for s, a in key))
+        expr = _eliminate(sorted(rows))
+        free = [s for s in range(slots) if s not in expr]
         self.free_slots = free
         self.dim = len(free)
         # express every slot in the free basis, as its nonzero (free
         # index, numerator) pairs over the one denominator _den
-        den = lcm(*(R[ri][s].denominator for ri in range(len(pivots))
-                    for s in free))
+        pos = {s: fi for fi, s in enumerate(free)}
+        den = lcm(*(x.denominator for e in expr.values()
+                    for x in e.values()))
         terms = {s: [(fi, den)] for fi, s in enumerate(free)}
-        for ri, pcol in enumerate(pivots):
-            terms[pcol] = [(fi, -(R[ri][s] * den).numerator)
-                           for fi, s in enumerate(free) if R[ri][s]]
+        for s, e in expr.items():
+            terms[s] = sorted((pos[t], int(x * den)) for t, x in e.items())
         self._den = den
         self._slot_terms = terms
         self._hecke = {}
@@ -227,14 +298,14 @@ class ManinSymbolSpace:
         if n not in self._hecke:
             N = self.N
             merel = list(merel_matrices(n))
-            index, red = self.p1.index_map, self._red
+            table, red = self.p1.table, self._red
             cols = []
             for i in self.basis_generator_indices():
                 c, d = self.p1.reps[i]
                 counts = {}
                 for (a, b, cc, dd) in merel:
-                    j = index.get(((a * c + cc * d) % N,
-                                   (b * c + dd * d) % N))
+                    j = table[(a * c + cc * d) % N * N
+                              + (b * c + dd * d) % N]
                     if j is not None:
                         s, sgn = red[j]
                         counts[s] = counts.get(s, 0) + sgn
@@ -242,15 +313,6 @@ class ManinSymbolSpace:
             # columns are images; matrix acts on coordinate vectors
             self._hecke[n] = self._matrix(cols)
         return [row[:] for row in self._hecke[n]]
-
-    def star_matrix(self):
-        """The involution (c:d) -> (-c:d)."""
-        cols = []
-        for i in self.basis_generator_indices():
-            c, d = self.p1.reps[i]
-            s, sgn = self._red[self.p1.index(-c, d)]
-            cols.append(self._column({s: sgn}))
-        return self._matrix(cols)
 
     # -- boundary ------------------------------------------------------------
 
@@ -267,14 +329,18 @@ class ManinSymbolSpace:
         return len(cusps) - 1
 
     def _cusp_equiv(self, u, v) -> bool:
+        """Whether the cusp u is Gamma_0(N)-equivalent to v or to its
+        star image -v, as the boundary of the +1 quotient takes cusps
+        up to star."""
         (p1, q1), (p2, q2) = u, v
         s1 = _gcdex(p1, q1)[0]
         s2 = _gcdex(p2, q2)[0]
         g = gcd(self.N, q1 * q2)
-        return (s1 * q2 - s2 * q1) % g == 0
+        return (s1 * q2 - s2 * q1) % g == 0 or (s1 * q2 + s2 * q1) % g == 0
 
     def boundary_matrix(self):
-        """Boundary of each free generator: rows = cusp classes."""
+        """Boundary of each free generator: rows = cusp classes up to
+        star."""
         cusps: list = []
         cols = []
         for i in self.basis_generator_indices():
@@ -308,13 +374,13 @@ class ManinSymbolSpace:
         """
         if m < 0:
             a, m = -a, -m
-        N, index = self.N, self.p1.index_map
+        N, table = self.N, self.p1.table
         out = []
         q1, q0, e = 0, 1, -1  # q_(j-1), q_(j-2) and e at j = 0
         while m:
             k, r = divmod(a, m)
             q1, q0 = k * q1 + q0, q1
-            out.append(index[(q1 % N, e * q0 % N)])
+            out.append(table[q1 % N * N + e * q0 % N])
             a, m, e = m, r, -e
         return out
 
@@ -485,16 +551,23 @@ def _newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x=None):
 
 def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:
     """L(E, 1) by the exponentially convergent a_n series (returns ~0 for
-    odd functional equation)."""
+    odd functional equation).
+
+    2 sum_(n <= n_max) a_n/n x^n, x = exp(-2 pi / sqrt(N)), is summed by
+    Horner's rule in integers with F = precision + guard bits fractional
+    bits: x is off by less than 2^-F, each of the n_max steps rounds
+    down by less than 2 * 2^-F, and |x| < 1 keeps those errors from
+    growing beyond the guard bits."""
     with mp.workdps(dps):
         n_max = max(80, int(9 * mp.sqrt(conductor)))
+        F = mp.mp.prec + _GUARD_BITS
+        with mp.workprec(F + _GUARD_BITS):
+            x = int(mp.ldexp(mp.exp(-2 * mp.pi / mp.sqrt(conductor)), F))
         a = E.an_list(n_max)
-        x = mp.exp(-2 * mp.pi / mp.sqrt(conductor))
-        total = mp.mpf(0)
-        for n in range(1, n_max + 1):
-            if a[n - 1]:
-                total += mp.mpf(a[n - 1]) / n * x**n
-        return 2 * total
+        acc = 0
+        for n in range(n_max, 0, -1):
+            acc = ((acc + (a[n - 1] << F) // n) * x) >> F
+        return mp.mpf((2 * acc, -F))
 
 
 # rationalize: the largest denominator tried, and the relative error
@@ -547,11 +620,12 @@ class EigenSymbol:
 
     def _find_functional(self):
         """phi0: the primitive integer vector spanning the joint kernel of
-        (star - 1)^T and of (T_ell - a_ell)^T over the match primes.  While
-        that kernel has more than one dimension, three more primes are
-        added, up to twelve.  Like a nullspace basis vector, phi0 is zero
-        after its last free column and positive there; each restriction
-        keeps that, so phi0 is the stacked system's own."""
+        (T_ell - a_ell)^T over the match primes, a star-invariant
+        functional since the space is the +1 quotient.  While that kernel
+        has more than one dimension, three more primes are added, up to
+        twelve.  Like a nullspace basis vector, phi0 is zero after its
+        last free column and positive there; each restriction keeps that,
+        so phi0 is the stacked system's own."""
         kern = self._joint_kernel(self.match_primes)
         while len(kern) > 1 and len(self.match_primes) < 10:
             self.match_primes = self._good_primes(len(self.match_primes) + 3)
@@ -567,15 +641,17 @@ class EigenSymbol:
 
     def _joint_kernel(self, primes):
         """Integer basis of the joint kernel of the constraints of primes:
-        one nullspace of the stacked (star - 1)^T and (T_q - a_q)^T for
-        the first prime q, restricted by each further prime ell through
-        the small system (T_ell - a_ell)^T K."""
+        the nullspace of (T_q - a_q)^T for the first prime q (the whole
+        space when there is none), restricted by each further prime ell
+        through the small system (T_ell - a_ell)^T K."""
         sp = self.space
+        if not primes:
+            return [[int(i == j) for i in range(sp.dim)]
+                    for j in range(sp.dim)]
         # v (A - a I) = 0 <-> (A^T - a I) v = 0
-        rows = _transpose_shift(sp.star_matrix(), 1)
-        for ell in primes[:1]:
-            rows += _transpose_shift(sp.hecke_matrix(ell), self._a[ell])
-        kern = [clear_denominators(v) for v in nullspace(rows)]
+        q = primes[0]
+        kern = [clear_denominators(v) for v in nullspace(
+            _transpose_shift(sp.hecke_matrix(q), self._a[q]))]
         for ell in primes[1:]:
             if not kern:
                 break

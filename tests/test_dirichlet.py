@@ -191,6 +191,28 @@ def conductor_by_sweep(chi):
     return M
 
 
+def conductor_by_divisor_classes(chi):
+    """The least f | M with chi(a) = 1 for every unit a in 1, 1 + f, ...:
+    one value per unit of each divisor class."""
+    M = chi.modulus
+    for f in sorted(d for d in range(1, M + 1) if M % d == 0):
+        if all(chi(a) == 1 for a in range(1, M + 1, f) if gcd(a, M) == 1):
+            return f
+    return M
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conductor_matches_divisor_class_loop(p):
+    """Every character of order dividing M with values mod p^2, M <= 120."""
+    count = 0
+    for M in range(1, 121):
+        for chi in enumerate_characters(M, M, p, 2):
+            assert chi.conductor() == conductor_by_divisor_classes(chi), \
+                (M, chi)
+            count += 1
+    assert count > 300
+
+
 # (modulus, p, N): every character of (Z/M)^* takes values in (Z/p^N)^*
 SWEEP_MODULI = [(24, 3, 1), (40, 5, 1), (40, 5, 2), (63, 7, 1),
                 (80, 5, 1), (165, 41, 1), (3 * 16 * 5, 5, 1)]

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import json
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -941,3 +943,20 @@ def test_cli_lambda_invariants_matches_smith_path(tmp_path, capsys,
                 rc = main(["lambda-invariants", "--presentation", str(path)])
             runs.append((rc, capsys.readouterr()))
         assert runs[0] == runs[1], (p, N, M, rows)
+
+
+def test_shift_index_cache_holds_no_large_truncation():
+    """graded_ranks at MT 1000 builds 1000 x 1000 and 2000 x 2000 shift
+    indices (8 and 32 MB); only those up to the cache bound stay."""
+    pres = LambdaPresentation(5, 3, 1000, [[[5, 1]]])
+    tracemalloc.start()
+    try:
+        graded_ranks(pres)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 1000**2
+    small = iwasawa_modules._SHIFT_CACHE_MAX
+    assert iwasawa_modules._small_shift_index(small) is \
+        iwasawa_modules._small_shift_index(small)

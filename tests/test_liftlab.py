@@ -427,6 +427,28 @@ def test_lift_step_raises_when_no_twist_is_admissible():
         lift_step(rho, det_t, M, [("never", _NeverHolds())])
 
 
+def test_lift_step_builds_the_set_lift_once(monkeypatch):
+    """obstruction_class is handed the lift that lift_step twists."""
+    G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
+    rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
+                                        for m in G.elements])
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    det_t = [mat_det(m, 9) for m in G.elements]
+    want = lift_step(rho, det_t, M)
+    calls = []
+    build = liftlab.set_theoretic_lift
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(liftlab, "set_theoretic_lift", counted)
+    got = lift_step(rho, det_t, M)
+    assert len(calls) == 1
+    assert got[0] == want[0] == "ok"
+    assert got[1].images == want[1].images
+
+
 # Z/2 lifted with coefficients in n from a level-2 image with lower-left
 # entry 3: the obstruction at level 3 has a diagonal part, outside n
 OBSTRUCTION_OUTSIDE_N = {

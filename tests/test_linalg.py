@@ -61,10 +61,11 @@ LEVEL_CURVES[210] = []
 
 @pytest.mark.parametrize("N", sorted(LEVEL_CURVES))
 def test_symbol_matrices_match_fraction_rref(monkeypatch, N):
-    """Every rref call behind the relation matrix, the cuspidal boundary
-    and the eigen-constraint matrices equals the Fraction elimination.
-    An eigensymbol makes one call for its stacked first constraint and
-    one per further match prime, which restricts the kernel."""
+    """Every rref call behind the cuspidal boundary and the
+    eigen-constraint matrices equals the Fraction elimination.  The
+    relations are eliminated sparsely, with no call; an eigensymbol makes
+    one call for its first constraint and one per further match prime,
+    which restricts the kernel."""
     calls = []
 
     def recording(rows):
@@ -77,7 +78,7 @@ def test_symbol_matrices_match_fraction_rref(monkeypatch, N):
     sp.cuspidal_dimension()
     symbols = [EigenSymbol(sp, Curve(*ainvs), N)
                for ainvs in LEVEL_CURVES[N]]
-    assert len(calls) == 2 + sum(len(es.match_primes) for es in symbols)
+    assert len(calls) == 1 + sum(len(es.match_primes) for es in symbols)
     for rows in calls:
         assert_matches_oracle(rows)
 

@@ -5,6 +5,12 @@ evaluation goes through a discrete-log table built once per modulus.  The
 mod-p^n cyclotomic character is realized as the identity character of
 modulus p^n (its value at Frob_ell is ell mod p^n, which is all the
 downstream trace congruences consume).
+
+The searches over the mod-p characters of a modulus run on exponent
+vectors: with w the least primitive root mod p, a character is the
+vector k with chi(g_i) = w^(k_i) on the generators g_i, and chi(a) is
+w^(<k, dlog(a)>), read from one power table.  Only the characters a
+search returns are built as objects.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import factorize
-from .padic import teichmuller
 
 
 def primitive_root(q: int) -> int:
@@ -145,23 +150,6 @@ class DirichletCharacter:
             d = lcm(d, k)
         return d
 
-    def mul(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if (self.p, self.N) != (other.p, other.N):
-            raise ValueError("characters carry different (p, N)")
-        M = lcm(self.modulus, other.modulus)
-        a = self.extend(M)
-        b = other.extend(M)
-        mod = self.p**self.N
-        return DirichletCharacter(
-            M, self.p, self.N,
-            tuple(x * y % mod for x, y in zip(a.images, b.images)))
-
-    def inverse(self) -> "DirichletCharacter":
-        mod = self.p**self.N
-        return DirichletCharacter(
-            self.modulus, self.p, self.N,
-            tuple(pow(v, -1, mod) for v in self.images))
-
     def extend(self, M_new: int) -> "DirichletCharacter":
         """The character of modulus M_new induced by this one (M | M_new)."""
         if M_new % self.modulus:
@@ -222,11 +210,6 @@ class DirichletCharacter:
                 f"values mod {self.p}^{self.N}: {pairs})")
 
 
-def trivial_character(p: int, N: int, modulus: int = 1) -> DirichletCharacter:
-    U = unit_group(modulus)
-    return DirichletCharacter(modulus, p, N, tuple(1 for _ in U.generators))
-
-
 def cyclotomic_character(p: int, n: int) -> DirichletCharacter:
     """chi mod p^n as the identity character of modulus p^n, valued in
     (Z/p^n)^*."""
@@ -250,44 +233,48 @@ def _value_group_generator(p: int, N: int) -> int:
     return _primitive_root_prime_power(p, N)
 
 
-def enumerate_characters(M: int, d: int, p: int, N: int
-                         ) -> list[DirichletCharacter]:
-    """All characters of (Z/M)^* of order dividing d with values in
-    (Z/p^N)^*, each exactly once."""
-    if d < 1:
-        raise ValueError("order bound must be >= 1")
+@dataclass(frozen=True)
+class CharacterExponents:
+    """The characters of (Z/M)^* with values in F_p^*, as exponent
+    vectors k with chi(g_i) = w^(k_i) for the generators g_i of
+    unit_group(M) and w the least primitive root mod p."""
+
+    modulus: int
+    p: int
+    powers: tuple[int, ...]       # powers[e] = w^e mod p
+    logs: dict                    # a mod p -> e with w^e = a
+    vectors: tuple[tuple[int, ...], ...]  # every character, product order
+    chi_bar: tuple[int, ...] | None  # a -> a mod p, when p | M
+
+    def log(self, a: int) -> tuple[int, ...]:
+        """dlog of the unit a mod M on the generators."""
+        exps = unit_group(self.modulus).dlog.get(a % self.modulus)
+        if exps is None:
+            raise ValueError(f"{a} is not a unit mod {self.modulus}")
+        return exps
+
+    def character(self, k) -> DirichletCharacter:
+        return DirichletCharacter(self.modulus, self.p, 1,
+                                  tuple(self.powers[e] for e in k))
+
+
+@lru_cache(maxsize=None)
+def character_exponents(M: int, p: int) -> CharacterExponents:
+    """Every character of (Z/M)^* with values in F_p^*, each once, in
+    the order of the product over the generators of the exponents
+    0, step, 2 step, ... (step = (p-1) / gcd(order, p-1))."""
     U = unit_group(M)
-    value_order = (p - 1) * p**(N - 1)
-    w = _value_group_generator(p, N)
-    mod = p**N
-    choices: list[list[int]] = []
+    w = _value_group_generator(p, 1)
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * w % p)
+    logs = {v: e for e, v in enumerate(powers)}
+    choices = []
     for n in U.orders:
-        m = gcd(n, gcd(d, value_order))
-        step = value_order // m
-        choices.append([pow(w, step * k, mod) for k in range(m)])
-    return [DirichletCharacter(M, p, N, images)
-            for images in itertools.product(*choices)]
-
-
-def teichmuller_lift(chi: DirichletCharacter, N_target: int
-                     ) -> DirichletCharacter:
-    """Lift a mod-p character to the unique character of the same order
-    whose values are (p-1)-st roots of unity mod p^N_target."""
-    if chi.N != 1:
-        raise ValueError("input must have values in F_p^*")
-    return DirichletCharacter(
-        chi.modulus, chi.p, N_target,
-        tuple(teichmuller(v, chi.p, N_target) for v in chi.images))
-
-
-def liftable_character(i: int, alpha: DirichletCharacter, n: int
-                       ) -> DirichletCharacter:
-    """chi_n^i * (Teichmuller lift of alpha, reduced mod p^n)."""
-    p = alpha.p
-    alpha_lift = teichmuller_lift(alpha, n)
-    U = unit_group(p**n)
-    mod = p**n
-    chi_pow = DirichletCharacter(
-        p**n, p, n, tuple(pow(g % mod, i % ((p - 1) * p**(n - 1)), mod)
-                          for g in U.generators))
-    return chi_pow.mul(alpha_lift)
+        m = gcd(n, p - 1)
+        step = (p - 1) // m
+        choices.append([step * t for t in range(m)])
+    chi_bar = tuple(logs[g % p] for g in U.generators) \
+        if M % p == 0 else None
+    return CharacterExponents(M, p, tuple(powers), logs,
+                              tuple(itertools.product(*choices)), chi_bar)

@@ -50,7 +50,8 @@ class NotStabilized(MuLabError):
 
 
 class FactorizationInconclusive(MuLabError):
-    """Modular-factor recombination exceeded the configured bound."""
+    """No prime below the search bound separates the two Frobenius
+    eigenvalues that cut out the kernel lines."""
 
 
 class BadReduction(MuLabError):

@@ -61,17 +61,6 @@ class MazurTateElement:
             e = max(e, v)
         return e
 
-    def residues(self) -> tuple[int, ...]:
-        """Coefficients mod p^N; DenominatorAtP if not p-integral."""
-        mod = self.p**self.N
-        out = []
-        for c in self.coeffs:
-            if c.denominator % self.p == 0:
-                raise DenominatorAtP(
-                    f"coefficient {c} has p={self.p} in its denominator")
-            out.append(c.numerator * pow(c.denominator, -1, mod) % mod)
-        return tuple(out)
-
 
 def _gamma_index_table(p: int, n: int) -> list[int]:
     """table[a] = t with a * teichmuller(a)^(-1) = (1+p)^t mod p^(n+1),

@@ -45,13 +45,6 @@ from .linalg import clear_denominators, nullspace
 from .linalg import rref  # noqa: F401
 
 
-def _gcdex(a, b):
-    if b == 0:
-        return (1, 0, a) if a >= 0 else (-1, 0, -a)
-    x, y, g = _gcdex(b, a % b)
-    return y, x - y * (a // b), g
-
-
 class P1:
     """Representatives for P^1(Z/N): classes of (c:d), gcd(c, d, N) = 1.
 
@@ -96,33 +89,6 @@ class P1:
     def index(self, c: int, d: int) -> int:
         N = self.N
         return self.table[c % N * N + d % N]
-
-    def lift(self, i: int):
-        """An SL_2(Z) matrix (a, b; c, d) whose bottom row represents
-        class i."""
-        N = self.N
-        c, d = self.reps[i]
-        if N == 1:
-            return (1, 0, 0, 1)
-        if c % N == 0:
-            return (1, 0, 0, 1)  # (0:1) <- identity
-        # keep c, adjust d by multiples of N until coprime to c
-        c0 = c if c != 0 else N
-        d0 = d
-        k = 0
-        while gcd(c0, d0) != 1:
-            d0 += N
-            k += 1
-            if k > 4 * N + 4:
-                raise RuntimeError("no coprime lift found")
-        x, y, g = _gcdex(c0, d0)
-        # a*d0 - b*c0 = 1
-        a, b = y, -x
-        if g != 1 or a * d0 - b * c0 != 1:
-            raise InvariantViolation(
-                f"lift ({a}, {b}; {c0}, {d0}) of class {i} is not in "
-                "SL_2(Z)")
-        return (a, b, c0, d0)
 
 
 def merel_matrices(n: int):
@@ -313,51 +279,6 @@ class ManinSymbolSpace:
             # columns are images; matrix acts on coordinate vectors
             self._hecke[n] = self._matrix(cols)
         return [row[:] for row in self._hecke[n]]
-
-    # -- boundary ------------------------------------------------------------
-
-    def _cusp_class(self, cusps: list, p: int, q: int) -> int:
-        g = gcd(p, q)
-        if g:
-            p, q = p // g, q // g
-        if q < 0:
-            p, q = -p, -q
-        for idx, (p2, q2) in enumerate(cusps):
-            if self._cusp_equiv((p, q), (p2, q2)):
-                return idx
-        cusps.append((p, q))
-        return len(cusps) - 1
-
-    def _cusp_equiv(self, u, v) -> bool:
-        """Whether the cusp u is Gamma_0(N)-equivalent to v or to its
-        star image -v, as the boundary of the +1 quotient takes cusps
-        up to star."""
-        (p1, q1), (p2, q2) = u, v
-        s1 = _gcdex(p1, q1)[0]
-        s2 = _gcdex(p2, q2)[0]
-        g = gcd(self.N, q1 * q2)
-        return (s1 * q2 - s2 * q1) % g == 0 or (s1 * q2 + s2 * q1) % g == 0
-
-    def boundary_matrix(self):
-        """Boundary of each free generator: rows = cusp classes up to
-        star."""
-        cusps: list = []
-        cols = []
-        for i in self.basis_generator_indices():
-            a, b, c, d = self.p1.lift(i)
-            entries = {}
-            top = self._cusp_class(cusps, a, c)
-            bot = self._cusp_class(cusps, b, d)
-            entries[top] = entries.get(top, 0) + 1
-            entries[bot] = entries.get(bot, 0) - 1
-            cols.append(entries)
-        rows = [[Fraction(cols[j].get(i, 0)) for j in range(self.dim)]
-                for i in range(len(cusps))]
-        self.cusp_reps = cusps
-        return rows
-
-    def cuspidal_dimension(self) -> int:
-        return len(nullspace(self.boundary_matrix()))
 
     # -- paths ---------------------------------------------------------------
 

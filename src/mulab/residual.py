@@ -3,28 +3,34 @@ p-isogeny kernels, the Galois character on each kernel line, trace-based
 semisimplification, the aligned/skew dichotomy and congruence evidence
 for the degree of alignment.
 
-The scalar by which Frob_ell acts on a kernel line is found by Elkies'
-eigenvalue test: the candidate roots of X^2 - a_ell X + ell mod p are
-checked against the x- and y-coordinate identities of the division
-polynomials in F_ell[x]/(h), h the kernel polynomial mod ell, so no
-point, field extension or square root is built.  At ell = 2 the x-test
-cannot separate lambda from -lambda, and a_2 = 0 mod p is refused.
+Both the kernel lines and the scalar by which Frob_ell acts on a line
+come from Elkies' eigenvalue test (Schoof, J. Theor. Nombres Bordeaux 7
+(1995), sections 7-8): for a root lambda of X^2 - a_ell X + ell mod p,
+the x- and y-coordinate identities of the division polynomials cut out
+the points P with Frob(P) = lambda P, so no point, field extension or
+square root is built.
 
-Kernel polynomials come out of the p-division polynomial by classical
-Zassenhaus factorization (factor mod q, Hensel lift, bounded subset
-recombination) restricted to the target degree (p-1)/2: only the factors
-mod q of degree <= (p-1)/2 are split out and recombined, and the product
-of the others is lifted as one block.  A check in Q[x]/(h) that the
-roots are closed under duplication follows.  The factors mod q are
-lifted to mod q^k along a balanced factor tree by quadratic Hensel
-steps, which double the exponent of q at each step.
+A rational p-isogeny kernel is a Frob_q-stable line of E[p] for every
+good q != p.  At the least odd q where X^2 - a_q X + q has two distinct
+roots mod p, the only stable lines are the two eigenlines, and each is
+cut out of psi_p mod q by one gcd with the two identities in
+F_q[x]/(psi_p).  Each of these (at most two) factors is Hensel-lifted
+against its cofactor, by quadratic steps (von zur Gathen and Gerhard,
+Modern Computer Algebra, Alg. 15.10), until exact division of psi_p in
+Z[x] accepts the centred candidate or the Mignotte bound rejects it; an
+accepted factor is a kernel when its roots are closed under duplication,
+checked by one exact division in Z[x].  When X^2 - a_q X + q has no root
+mod p, no line is stable and there is no kernel.
+
+The character searches run on the exponent vectors of
+`dirichlet.character_exponents`: every candidate is an integer vector,
+and only the characters returned are built as objects.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import (
     factorize,
@@ -41,10 +47,10 @@ from .arith import (
 )
 from .dirichlet import (
     DirichletCharacter,
-    enumerate_characters,
+    _value_group_generator,
+    character_exponents,
     is_odd,
-    liftable_character,
-    mod_p_cyclotomic,
+    unit_group,
 )
 from .elliptic import Curve
 from .errors import (
@@ -55,9 +61,77 @@ from .errors import (
     InvariantViolation,
     RootLiftFailure,
 )
-from .ffield import factor_squarefree
 
-# -- Zassenhaus ---------------------------------------------------------------
+# the separating prime q of kernel_polynomials is sought below this
+# bound, as the Frobenius scalars of `analyze` are
+SEPARATING_PRIME_LIMIT = 800
+
+# -- Elkies' eigenvalue identities --------------------------------------------
+
+
+class _EigenTest:
+    """Elkies' identities in F_ell[x]/(h), ell an odd or even good prime.
+
+    With l = min(lambda, p - lambda), x(P)^ell = x(lP) reads
+
+        X = (x^ell - x) psi_l^2 + psi_(l-1) psi_(l+1) = 0,
+
+    and for odd ell, Y = 2y + a1 x + a3 = psi_2 has Y^ell = Y B^((ell-1)/2)
+    with B = psi_2^2, and Y(lP) = psi_(2l) / psi_l^4 = -Y(-lP), so
+
+        B^((ell-1)/2) psi_l^4 -+ psi_(2l) / psi_2 = 0,  - iff lambda = l.
+
+    Even-index psi are carried as psi_n / psi_2, so B comes back where an
+    identity needs it.  Both residues vanish at x(P), P in E[p] not
+    2-torsion, exactly when Frob(P) = lambda P."""
+
+    def __init__(self, E: Curve, ell: int, h):
+        self.E, self.ell, self.h = E, ell, h
+        self._psi = {}
+        self._frob = None
+
+    def red(self, a):
+        return poly_divmod(a, self.h, self.ell)[1]
+
+    def mul(self, *factors):
+        out = [1]
+        for f in factors:
+            out = self.red(poly_mul(out, f))
+        return out
+
+    def psi(self, n: int):
+        return self.E.psi(n, self._psi, self.red)
+
+    def _frobenius(self):
+        """(B, x^ell - x, B^((ell-1)/2)) in F_ell[x]/(h)."""
+        if self._frob is None:
+            ell, h = self.ell, self.h
+            B = self.red(self.E.psi2_squared())
+            xq = poly_sub(poly_powmod([0, 1], ell, h, ell), [0, 1], ell)
+            self._frob = B, xq, poly_powmod(B, (ell - 1) // 2, h, ell)
+        return self._frob
+
+    def _square(self, l: int):
+        """psi_l^2, with B for even l."""
+        B = self._frobenius()[0]
+        return self.mul([1] if l % 2 else B, self.psi(l), self.psi(l))
+
+    def x_residue(self, lam: int, p: int):
+        l = min(lam, p - lam)
+        B, xq, _ = self._frobenius()
+        return poly_add(self.mul(xq, self._square(l)),
+                        self.mul(B if l % 2 else [1], self.psi(l - 1),
+                                 self.psi(l + 1)), self.ell)
+
+    def y_residue(self, lam: int, p: int):
+        l = min(lam, p - lam)
+        sq = self._square(l)
+        sign = 1 if lam == l else -1
+        return poly_sub(self.mul(self._frobenius()[2], sq, sq),
+                        [sign * c for c in self.psi(2 * l)], self.ell)
+
+
+# -- kernel lines ---------------------------------------------------------------
 
 
 def _content(poly):
@@ -67,22 +141,33 @@ def _content(poly):
     return max(g, 1)
 
 
-def _monicize(poly):
-    """F(x) = lc^(deg-1) * f(x/lc): monic integer polynomial whose roots
-    are lc times the roots of f."""
-    lc = poly[-1]
-    deg = len(poly) - 1
-    return [c * lc**(deg - 1 - i) for i, c in enumerate(poly[:-1])] + [1], lc
+def _primitive(poly):
+    """poly over its content, with a positive leading coefficient."""
+    c = _content(poly) * (1 if poly[-1] > 0 else -1)
+    return [x // c for x in poly]
 
 
-def _mignotte_bound(F, d):
-    """Bound on coefficients of a monic degree-d factor of monic F."""
-    norm2 = isqrt(sum(c * c for c in F)) + 1
-    return 2**d * norm2
+def _divides(g, f) -> bool:
+    """Whether the primitive integer polynomial g divides f in Z[x] (by
+    Gauss's lemma, in Q[x]): integer long division, stopped at the first
+    leading coefficient lc(g) does not divide."""
+    r = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    for i in range(len(r) - 1 - dg, -1, -1):
+        c, rem = divmod(r[i + dg], lc)
+        if rem:
+            return False
+        if c:
+            for j, b in enumerate(g):
+                r[i + j] -= c * b
+    return not any(r[:dg])
 
 
-def _hensel_pair(f, g, h, q, k_target):
-    """Lift f = g*h (mod q) to mod q^k_target, f and g, h monic.
+def _hensel_steps(f, g, h, q, k_target):
+    """Lift f = g*h (mod q) towards mod q^k_target, f and g, h monic,
+    yielding (G, H, q^j) after each step; f = G*H mod q^k_target is
+    checked before the last one.
 
     Quadratic Hensel steps (von zur Gathen and Gerhard, Modern Computer
     Algebra, Alg. 15.10) carry g, h and the Bezout pair s*g + t*h = 1
@@ -109,28 +194,11 @@ def _hensel_pair(f, g, h, q, k_target):
             s = poly_sub(s, d, m)
             t = poly_sub(t, poly_add(poly_mul(t, b, m), poly_mul(c, G, m)),
                          m)
+            yield G, H, m
     if poly_sub(f, poly_mul(G, H), q**k_target):
         raise InvariantViolation(
             f"Hensel lift does not factor f mod {q}^{k_target}")
-    return G, H
-
-
-def _hensel_tree(f, factors, q, k_target):
-    """Lift a pairwise-coprime monic factorization of monic f mod q to
-    mod q^k_target."""
-    if len(factors) == 1:
-        m = q**k_target
-        return [[c % m for c in f]]
-    half = len(factors) // 2
-    g = [1]
-    for fac in factors[:half]:
-        g = poly_mul(g, fac, q)
-    h = [1]
-    for fac in factors[half:]:
-        h = poly_mul(h, fac, q)
-    G, H = _hensel_pair(f, g, h, q, k_target)
-    return (_hensel_tree(G, factors[:half], q, k_target)
-            + _hensel_tree(H, factors[half:], q, k_target))
+    yield G, H, q**k_target
 
 
 def _center(c, m):
@@ -138,97 +206,90 @@ def _center(c, m):
     return c - m if c > m // 2 else c
 
 
-def monic_factors_of_degree(poly, d, max_subsets: int = 1 << 16):
-    """All monic integer factors of the given degree of the monicized
-    polynomial, by Zassenhaus recombination.  Only the factors mod q of
-    degree <= d can enter a factor of degree d, so only those are split
-    out; the product of the others is lifted as one block and left out
-    of the recombination.  The Cantor-Zassenhaus splits mod q draw from
-    one fixed seed, so the run is reproducible."""
-    prim = [c // _content(poly) for c in poly]
-    F, lc = _monicize(prim)
-    rng = random.Random(1234567)
-    # choose q with F squarefree mod q
-    q = 5
-    while True:
-        q += 2
-        if not is_probable_prime(q) or lc % q == 0:
-            continue
-        if len(poly_gcd(F, poly_deriv(F, q), q)) == 1:
-            break
-    fac, rest = factor_squarefree(F, q, rng, d)
-    if sum(len(g) - 1 for g in fac + [rest]) != len(F) - 1:
-        raise InvariantViolation(
-            f"factors mod {q} do not account for the degree "
-            f"{len(F) - 1} of the monicized polynomial")
-    bound = _mignotte_bound(F, d)
+def _lift_factor(f, g, q):
+    """The primitive integer factor of f that is g mod q, or None if f
+    has none.  f is a primitive integer polynomial, squarefree mod q,
+    with q prime to lc(f), and g a monic factor of f mod q.
+
+    A factor g' of f of degree d has |lc(f)/lc(g') g'| <= 2^d |f|_2
+    (Mignotte), so lc(f) G centred mod q^k is lc(f)/lc(g') g' once
+    q^k exceeds twice |lc(f)| 2^d |f|_2.  Each step tries its centred
+    primitive candidate, which exact division of f certifies at once."""
+    lc, d = f[-1], len(g) - 1
+    bound = abs(lc) * 2**d * (isqrt(sum(c * c for c in f)) + 1)
     k = 1
     while q**k < 2 * bound + 1:
         k += 1
-    blocks = fac + [rest] if len(rest) > 1 else fac
-    lifted = _hensel_tree(F, blocks, q, k)[:len(fac)]
-    m = q**k
-    # subsets with degree sum d
-    out = []
-    seen = set()
-    count = 0
-    idxs = list(range(len(lifted)))
+    inv = pow(lc, -1, q**k)
+    monic = [c * inv % q**k for c in f]
+    cofactor = poly_divmod(poly_monic(f, q), g, q)[0]
+    for G, _, m in _hensel_steps(monic, g, cofactor, q, k):
+        cand = _primitive([_center(lc * c, m) for c in G])
+        if poly_monic(cand, q) == g and _divides(cand, f):
+            return cand
+    return None
 
-    def rec(start, remaining, current):
-        nonlocal count
-        if remaining == 0:
-            count += 1
-            if count > max_subsets:
-                raise FactorizationInconclusive(
-                    f"recombination exceeded {max_subsets} subsets")
-            prod = [1]
-            for i in current:
-                prod = poly_mul(prod, lifted[i], m)
-            H = [_center(c, m) for c in prod]
-            key = tuple(H)
-            if key not in seen:
-                seen.add(key)
-                if not poly_divmod(F, H)[1]:
-                    out.append(H)
-            return
-        for i in range(start, len(idxs)):
-            dd = len(lifted[i]) - 1
-            if dd <= remaining:
-                rec(i + 1, remaining - dd, current + [i])
 
-    rec(0, d, [])
-    return out, lc
+def _separating_prime(E: Curve, p: int, f):
+    """(q, roots): the least odd good prime q != p, prime to lc(f), at
+    which X^2 - a_q X + q has no root mod p (roots = []) or two distinct
+    ones with f squarefree mod q.  Primes with a double root are
+    skipped."""
+    bad = E.discriminant * f[-1]
+    for q in range(3, SEPARATING_PRIME_LIMIT, 2):
+        if q == p or bad % q == 0 or not is_probable_prime(q):
+            continue
+        a_q = E.ap(q)
+        roots = [lam for lam in range(1, p)
+                 if (lam * lam - a_q * lam + q) % p == 0]
+        if len(roots) == 1:
+            continue
+        if roots and len(poly_gcd(f, poly_deriv(f, q), q)) > 1:
+            continue
+        return q, roots
+    raise FactorizationInconclusive(
+        f"no prime below {SEPARATING_PRIME_LIMIT} separates the Frobenius "
+        f"eigenvalues mod {p}")
 
 
 def kernel_polynomials(E: Curve, p: int):
     """Monic rational polynomials (denominators only at p) cutting out the
     kernels of the rational p-isogenies of E; may be empty."""
     psi = E.division_polynomial(p)
-    d = (p - 1) // 2
-    factors, lc = monic_factors_of_degree(psi, d)
+    f = _primitive(psi)
+    q, roots = _separating_prime(E, p, f)
+    if not roots:
+        return []
+    fbar = poly_monic(f, q)
+    test = _EigenTest(E, q, fbar)
     out = []
-    for H in factors:
-        # h(x) = H(lc*x) / lc^d
-        h = poly_monic([Fraction(c * lc**i, lc**d)
-                        for i, c in enumerate(H)])
-        if _kernel_stable(E, h):
-            out.append(tuple(h))
+    for lam in roots:
+        g = poly_gcd(poly_gcd(fbar, test.x_residue(lam, p), q),
+                     test.y_residue(lam, p), q)
+        if len(g) - 1 != (p - 1) // 2:
+            raise InvariantViolation(
+                f"the {lam}-eigenline of Frob_{q} is cut out by a factor "
+                f"of degree {len(g) - 1}, not {(p - 1) // 2}")
+        H = _lift_factor(f, g, q)
+        if H is not None and _kernel_stable(E, H):
+            out.append(tuple(poly_monic([Fraction(c) for c in H])))
     # canonical order
-    return sorted(set(out))
+    return sorted(out)
 
 
-def _kernel_stable(E: Curve, h) -> bool:
-    """The set {roots of h} must be closed under the duplication map."""
+def _kernel_stable(E: Curve, H) -> bool:
+    """The roots of the primitive integer polynomial H are closed under
+    the duplication map x -> num/den: H divides
+    sum_i H_i num^i den^(deg H - i) in Z[x].  A root of den (x of a
+    2-torsion point) leaves num^deg H there, which is nonzero, so it
+    fails too."""
     num, den = E.duplication_x()
-    one, den_inv, _ = poly_xgcd(den, h)
-    if one != [1]:
-        return False
-    x2 = poly_divmod(poly_mul(num, den_inv), h)[1]
-    # h(x2) mod h, by Horner
-    acc = []
-    for c in reversed(h):
-        acc = poly_divmod(poly_add(poly_mul(acc, x2), [c]), h)[1]
-    return acc == []
+    acc = [H[-1]]
+    den_power = [1]
+    for c in reversed(H[:-1]):
+        den_power = poly_mul(den_power, den)
+        acc = poly_add(poly_mul(acc, num), [c * x for x in den_power])
+    return _divides(H, acc)
 
 
 # -- Frobenius scalar on a kernel line ----------------------------------------
@@ -238,23 +299,12 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     """Eigenvalue in F_p^* of Frob_ell on the kernel line cut out by
     kernel_poly, for a good prime ell distinct from p.
 
-    Elkies' test (Schoof, J. Theor. Nombres Bordeaux 7 (1995), sections
-    7-8) in F_ell[x]/(h), h = kernel_poly mod ell: Frob(P) = lambda P on
-    the line for a root lambda of X^2 - a_ell X + ell mod p.  With
-    l = min(lambda, p - lambda), x(P)^ell = x(lP) reads
-
-        (x^ell - x) psi_l^2 + psi_(l-1) psi_(l+1) = 0,
-
-    and for odd ell, Y = 2y + a1 x + a3 = psi_2 has Y^ell = Y B^((ell-1)/2)
-    with B = psi_2^2, and Y(lP) = psi_(2l) / psi_l^4 = -Y(-lP), so
-
-        B^((ell-1)/2) psi_l^4 = +-psi_(2l) / psi_2,  + iff lambda = l.
-
-    Even-index psi are carried as psi_n / psi_2, so B comes back where an
-    identity needs it.  At ell = 2 the x-test alone cannot tell lambda
-    from -lambda, so a_2 = 0 mod p is refused.  RootLiftFailure also when
-    ell is in a denominator of kernel_poly, when h degenerates or does
-    not divide psi_p mod ell, and when no root passes.
+    The root lambda of X^2 - a_ell X + ell mod p whose identities of
+    `_EigenTest` vanish in F_ell[x]/(h), h = kernel_poly mod ell.  At
+    ell = 2 the x-test alone cannot tell lambda from -lambda, so
+    a_2 = 0 mod p is refused.  RootLiftFailure also when ell is in a
+    denominator of kernel_poly, when h degenerates or does not divide
+    psi_p mod ell, and when no root passes.
     """
     if E.discriminant % ell == 0:
         raise BadReduction(f"bad reduction at {ell}")
@@ -269,40 +319,18 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
         hbar.append(c.numerator * pow(c.denominator, -1, ell) % ell)
     if len(hbar) < 2 or hbar[-1] == 0:
         raise RootLiftFailure("kernel polynomial degenerates mod ell")
-
-    def red(a):
-        return poly_divmod(a, hbar, ell)[1]
-
-    def mul(*factors):
-        out = [1]
-        for f in factors:
-            out = red(poly_mul(out, f))
-        return out
-
-    cache = {}
-
-    def psi(n):
-        return E.psi(n, cache, red)
-
-    if psi(p):
+    test = _EigenTest(E, ell, hbar)
+    if test.psi(p):
         raise RootLiftFailure("kernel polynomial does not divide psi_p "
                               "mod ell")
-    B = red(E.psi2_squared())
-    xq = poly_sub(poly_powmod([0, 1], ell, hbar, ell), [0, 1], ell)
-    Bq = poly_powmod(B, (ell - 1) // 2, hbar, ell)
     a_ell = E.ap(ell)
     passing = []
     for lam in range(1, p):
         if (lam * lam - a_ell * lam + ell) % p:
             continue
-        l = min(lam, p - lam)
-        B_l, B_next = ([1], B) if l % 2 else (B, [1])
-        sq = mul(B_l, psi(l), psi(l))  # psi_l^2
-        if poly_add(mul(xq, sq), mul(B_next, psi(l - 1), psi(l + 1)), ell):
+        if test.x_residue(lam, p):
             continue
-        sign = 1 if lam == l else -1
-        if ell != 2 and poly_sub(mul(Bq, sq, sq),
-                                 [sign * c for c in psi(2 * l)], ell):
+        if ell != 2 and test.y_residue(lam, p):
             continue
         passing.append(lam)
     if len(passing) != 1:
@@ -336,32 +364,46 @@ def character_search_modulus(p: int, conductor: int) -> int:
     return M
 
 
+def _good_ells(a_table, p, conductor, ell_bound):
+    return [ell for ell in sorted(a_table)
+            if ell <= ell_bound and conductor % ell and ell != p]
+
+
+def _exponent(k, log, order):
+    return sum(x * y for x, y in zip(k, log)) % order
+
+
 def semisimplification(a_table: dict[int, int], p: int, conductor: int,
                        ell_bound: int):
     """The unordered pair (phi1, phi2) of mod-p characters with
     phi1 phi2 = chi-bar and phi1(ell) + phi2(ell) = a_ell mod p for every
     good ell <= ell_bound, or None when the search proves irreducibility
-    at this level of evidence."""
-    chi = mod_p_cyclotomic(p)
-    M = character_search_modulus(p, conductor)
-    candidates = enumerate_characters(M, p - 1, p, 1)
-    good_ells = [ell for ell in sorted(a_table)
-                 if ell <= ell_bound and conductor % ell and ell != p]
+    at this level of evidence.
+
+    phi1 runs over the exponent vectors k of the characters mod M, and
+    phi2 = chi-bar phi1^-1 is c - k, c the vector of chi-bar; each
+    unordered pair is tested once."""
+    chars = character_exponents(character_search_modulus(p, conductor), p)
+    good_ells = _good_ells(a_table, p, conductor, ell_bound)
+    powers, c, order = chars.powers, chars.chi_bar, p - 1
+    traces = []
+    for ell in good_ells:
+        log = chars.log(ell)
+        traces.append((log, _exponent(c, log, order), a_table[ell]))
     matches = []
     seen = set()
-    for phi1 in candidates:
-        phi2 = chi.extend(M).mul(phi1.inverse())
-        key = tuple(sorted([phi1.images, phi2.images]))
+    for k in chars.vectors:
+        k2 = tuple((x - y) % order for x, y in zip(c, k))
+        key = (k, k2) if k <= k2 else (k2, k)
         if key in seen:
             continue
         seen.add(key)
-        ok = True
-        for ell in good_ells:
-            if (phi1(ell) + phi2(ell) - a_table[ell]) % p != 0:
-                ok = False
+        for log, e_c, a_ell in traces:
+            e = _exponent(k, log, order)
+            if (powers[e] + powers[(e_c - e) % order] - a_ell) % p:
                 break
-        if ok:
-            matches.append((phi1, phi2))
+        else:
+            matches.append((k, k2))
     if not matches:
         return None
     if len(matches) > 1:
@@ -369,16 +411,22 @@ def semisimplification(a_table: dict[int, int], p: int, conductor: int,
             f"{len(matches)} character pairs fit; raise ell_bound "
             f"(tested {len(good_ells)} primes, Sturm-style bound "
             f"{sturm_bound(conductor)})")
-    return matches[0]
+    k, k2 = matches[0]
+    return chars.character(k), chars.character(k2)
 
 
 def matching_line_characters(scalars: dict[int, int], p: int,
                              conductor: int) -> list[DirichletCharacter]:
     """Every mod-p Dirichlet character matching Frobenius scalars at the
-    tested good primes."""
-    M = character_search_modulus(p, conductor)
-    return [chi for chi in enumerate_characters(M, p - 1, p, 1)
-            if all(chi(ell) % p == lam % p for ell, lam in scalars.items())]
+    tested good primes: the vectors k with <k, dlog(ell)> = dlog(lambda)
+    mod p - 1."""
+    chars = character_exponents(character_search_modulus(p, conductor), p)
+    targets = [(chars.log(ell), chars.logs.get(lam % p))
+               for ell, lam in scalars.items()]
+    if any(e is None for _, e in targets):
+        return []
+    return [chars.character(k) for k in chars.vectors
+            if all(_exponent(k, log, p - 1) == e for log, e in targets)]
 
 
 def identify_line_character(scalars: dict[int, int], p: int,
@@ -407,6 +455,16 @@ def classify_alignment(line_characters, p: int, k_weight: int = 2) -> str:
     return "skew"
 
 
+def _lift_log(a: int, e: int, w: int, p: int, n: int) -> int:
+    """dlog of a mod p^n to the primitive root w, from e, its dlog mod
+    p^(n-1) (mod p - 1 at n = 2)."""
+    step = (p - 1) * p**(n - 2)
+    for t in range(p):
+        if pow(w, e + t * step, p**n) == a % p**n:
+            return e + t * step
+    raise InvariantViolation(f"{a} has no discrete log mod {p}^{n}")
+
+
 def alignment_degree(a_table: dict[int, int], p: int, N: int,
                      conductor: int, phi1: DirichletCharacter,
                      ell_bound: int, k_weight: int = 2):
@@ -414,40 +472,59 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
     lifting phi1) and phi_(2,n) with product chi_n^(k-1) matching every
     trace congruence mod p^n.
 
+    phi_(1,n) = chi_n^i * teich(alpha) runs over the characters alpha
+    mod M and 0 <= i < (p-1) p^(n-1).  With w_n the primitive root
+    mod p^n, chi_n(ell) = w_n^L(ell) and teich(w_n mod p) = w_n^(p^(n-1)),
+    so phi_(1,n)(ell) = w_n^(i L(ell) + p^(n-1) A(ell)) for
+    alpha(ell) = w^A(ell), and phi_(2,n)(ell) = w_n^((k-1) L(ell)) over it.
+
     This is congruence evidence (a necessary condition for mod-p^n
     alignment), never a proof; the result is tagged accordingly.
     """
-    good_ells = [ell for ell in sorted(a_table)
-                 if ell <= ell_bound and conductor % ell and ell != p]
-    M = character_search_modulus(p, conductor)
-    alphas = enumerate_characters(M, p - 1, p, 1)
+    good_ells = _good_ells(a_table, p, conductor, ell_bound)
+    chars = character_exponents(character_search_modulus(p, conductor), p)
+    order, logs = p - 1, chars.logs
+    # alpha(ell), alpha(-1) as exponents of w
+    alpha_logs = [chars.log(ell) for ell in good_ells]
+    minus_one = chars.log(-1)
     # chi_n^i * teich(alpha) reduces mod p to chi-bar^(i mod p-1) * alpha,
-    # so whether it lifts phi1 depends on (alpha, i mod p-1) only
-    residues = [{r for r in range(p - 1)
-                 if liftable_character(r, alpha, 1).agrees_with(phi1)}
-                for alpha in alphas]
+    # so whether it lifts phi1 depends on (alpha, i mod p-1) only: on the
+    # generators g of the common modulus, r dlog(g mod p) + A(g) must be
+    # the dlog of phi1(g)
+    if phi1.N != 1 or phi1.p != p:
+        raise ValueError("characters carry different (p, N)")
+    gens = [(logs[g % p], chars.log(g), logs[phi1(g) % p])
+            for g in unit_group(lcm(chars.modulus, phi1.modulus)).generators]
+    alphas = []
+    for k in chars.vectors:
+        good = {r for r in range(order)
+                if all((r * lg + _exponent(k, lm, order) - lv) % order == 0
+                       for lg, lm, lv in gens)}
+        odd = _exponent(k, minus_one, order) != 0
+        A = [_exponent(k, log, order) for log in alpha_logs]
+        alphas.append((k, good, odd, A))
+    L = [logs[ell % p] for ell in good_ells]
     evidence = [{"n": 1, "witness": "mod-p alignment established"}]
     n_max = 1
     for n in range(2, N + 1):
-        exps = (p - 1) * p**(n - 1)
-        psi_n = liftable_character(k_weight - 1, _trivial_alpha(p), n)
+        w, mod = _value_group_generator(p, n), p**n
+        exps, top = order * p**(n - 1), p**(n - 1)
+        L = [_lift_log(ell, e, w, p, n) for ell, e in zip(good_ells, L)]
+        traces = [(Ln, (k_weight - 1) * Ln, a_table[ell])
+                  for ell, Ln in zip(good_ells, L)]
         found = None
-        for alpha, good in zip(alphas, residues):
+        for k, good, alpha_odd, A in alphas:
             for i in range(exps):
-                if i % (p - 1) not in good:
+                # phi_(1,n)(-1) = (-1)^i alpha(-1) must be -1
+                if i % order not in good or (i % 2 == 1) == alpha_odd:
                     continue
-                phi1n = liftable_character(i, alpha, n)
-                if not is_odd(phi1n):
-                    continue
-                phi2n = psi_n.mul(phi1n.inverse())
-                ok = True
-                for ell in good_ells:
-                    if (phi1n(ell) + phi2n(ell) - a_table[ell]) \
-                            % p**n != 0:
-                        ok = False
+                for (Ln, psi_e, a_ell), Aa in zip(traces, A):
+                    e = (i * Ln + top * Aa) % exps
+                    if (pow(w, e, mod) + pow(w, (psi_e - e) % exps, mod)
+                            - a_ell) % mod:
                         break
-                if ok:
-                    found = (i, alpha)
+                else:
+                    found = (i, k)
                     break
             if found:
                 break
@@ -457,11 +534,6 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
         evidence.append({
             "n": n,
             "witness": f"chi_n^{found[0]} * alpha"
-                       f"(conductor {found[1].conductor()})",
+                       f"(conductor {chars.character(found[1]).conductor()})",
         })
     return n_max, evidence
-
-
-def _trivial_alpha(p: int) -> DirichletCharacter:
-    from .dirichlet import trivial_character
-    return trivial_character(p, 1)

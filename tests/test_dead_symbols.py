@@ -25,7 +25,6 @@ ALLOWED = {
     ("elliptic.py", "Curve.is_semistable"),
     ("liftlab.py", "AdjointModule.act"),
     ("liftlab.py", "Cochain.is_zero"),
-    ("modsym.py", "ManinSymbolSpace.cuspidal_dimension"),
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

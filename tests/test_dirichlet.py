@@ -1,19 +1,123 @@
 import itertools
+import random
 from math import gcd, lcm
 
 import pytest
 
 from mulab.dirichlet import (
     DirichletCharacter,
+    _value_group_generator,
+    character_exponents,
     cyclotomic_character,
-    enumerate_characters,
     is_odd,
-    liftable_character,
     mod_p_cyclotomic,
-    teichmuller_lift,
-    trivial_character,
     unit_group,
 )
+from mulab.padic import teichmuller
+
+# -- characters as objects: the enumeration, products and lifts that the
+# -- residual searches used before they ran on exponent vectors ----------
+
+
+def mul(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
+    if (a.p, a.N) != (b.p, b.N):
+        raise ValueError("characters carry different (p, N)")
+    M = lcm(a.modulus, b.modulus)
+    a, b = a.extend(M), b.extend(M)
+    mod = a.p**a.N
+    return DirichletCharacter(
+        M, a.p, a.N, tuple(x * y % mod for x, y in zip(a.images, b.images)))
+
+
+def inverse(chi: DirichletCharacter) -> DirichletCharacter:
+    mod = chi.p**chi.N
+    return DirichletCharacter(chi.modulus, chi.p, chi.N,
+                              tuple(pow(v, -1, mod) for v in chi.images))
+
+
+def trivial_character(p: int, N: int, modulus: int = 1) -> DirichletCharacter:
+    U = unit_group(modulus)
+    return DirichletCharacter(modulus, p, N, tuple(1 for _ in U.generators))
+
+
+def enumerate_characters(M: int, d: int, p: int, N: int
+                         ) -> list[DirichletCharacter]:
+    """All characters of (Z/M)^* of order dividing d with values in
+    (Z/p^N)^*, each exactly once."""
+    if d < 1:
+        raise ValueError("order bound must be >= 1")
+    U = unit_group(M)
+    value_order = (p - 1) * p**(N - 1)
+    w = _value_group_generator(p, N)
+    mod = p**N
+    choices: list[list[int]] = []
+    for n in U.orders:
+        m = gcd(n, gcd(d, value_order))
+        step = value_order // m
+        choices.append([pow(w, step * k, mod) for k in range(m)])
+    return [DirichletCharacter(M, p, N, images)
+            for images in itertools.product(*choices)]
+
+
+def teichmuller_lift(chi: DirichletCharacter, N_target: int
+                     ) -> DirichletCharacter:
+    """Lift a mod-p character to the unique character of the same order
+    whose values are (p-1)-st roots of unity mod p^N_target."""
+    if chi.N != 1:
+        raise ValueError("input must have values in F_p^*")
+    return DirichletCharacter(
+        chi.modulus, chi.p, N_target,
+        tuple(teichmuller(v, chi.p, N_target) for v in chi.images))
+
+
+def liftable_character(i: int, alpha: DirichletCharacter, n: int
+                       ) -> DirichletCharacter:
+    """chi_n^i * (Teichmuller lift of alpha, reduced mod p^n)."""
+    p = alpha.p
+    alpha_lift = teichmuller_lift(alpha, n)
+    U = unit_group(p**n)
+    mod = p**n
+    chi_pow = DirichletCharacter(
+        p**n, p, n, tuple(pow(g % mod, i % ((p - 1) * p**(n - 1)), mod)
+                          for g in U.generators))
+    return mul(chi_pow, alpha_lift)
+
+
+@pytest.mark.parametrize("M,p", [(3, 3), (5, 5), (55, 5), (156, 3),
+                                 (7 * 8 * 13, 7), (5 * 4 * 29, 5),
+                                 (11 * 5 * 25, 11), (12, 5)])
+def test_character_exponents_match_the_enumeration(M, p):
+    """The exponent vectors list the characters of enumerate_characters
+    at d = p - 1, N = 1 in its order; values, chi-bar and logs agree."""
+    chars = character_exponents(M, p)
+    objects = enumerate_characters(M, p - 1, p, 1)
+    assert [chars.character(k) for k in chars.vectors] == objects
+    assert [chars.powers[chars.logs[a]] for a in range(1, p)] == \
+        list(range(1, p))
+    units = [a for a in range(1, M) if gcd(a, M) == 1]
+    for k, chi in zip(chars.vectors, objects):
+        for a in units[:40]:
+            e = sum(x * y for x, y in zip(k, chars.log(a))) % (p - 1)
+            assert chars.powers[e] == chi(a)
+    if M % p:
+        assert chars.chi_bar is None
+    else:
+        assert chars.character(chars.chi_bar) == \
+            mod_p_cyclotomic(p).extend(M)
+    with pytest.raises(ValueError, match="not a unit"):
+        chars.log(M * 7 + (p if M % p == 0 else M))
+
+
+def test_character_exponents_random_products():
+    """The sum of two exponent vectors is the vector of the product."""
+    rng = random.Random(20)
+    for M, p in [(55, 5), (156, 3), (7 * 8 * 13, 7)]:
+        chars = character_exponents(M, p)
+        for _ in range(20):
+            k, k2 = rng.choice(chars.vectors), rng.choice(chars.vectors)
+            ksum = tuple((x + y) % (p - 1) for x, y in zip(k, k2))
+            assert chars.character(ksum) == \
+                mul(chars.character(k), chars.character(k2))
 
 
 def brute_character_count(M, d, p):
@@ -67,7 +171,7 @@ def test_enumerate_matches_bruteforce():
             images = {ch.images for ch in chars}
             assert len(images) == len(chars)
             for ch in chars:
-                assert ch.inverse().images in images
+                assert inverse(ch).images in images
                 assert d % ch.order() == 0
             # brute-force count over all value tables
             U = unit_group(M)
@@ -101,7 +205,7 @@ def test_is_odd():
     # parity is multiplicative
     for a in chars:
         for b in chars:
-            assert is_odd(a.mul(b)) == (is_odd(a) ^ is_odd(b))
+            assert is_odd(mul(a, b)) == (is_odd(a) ^ is_odd(b))
 
 
 def test_teichmuller_lift():
@@ -134,7 +238,7 @@ def test_liftable_character():
             lift = liftable_character(i, alpha, 2)
             target = alpha
             for _ in range(i % 4):
-                target = target.mul(chi_bar)
+                target = mul(target, chi_bar)
             red = lift.reduce_precision(1)
             assert red.agrees_with(target)
 

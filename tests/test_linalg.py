@@ -10,6 +10,7 @@ from mulab.arith import is_probable_prime
 from mulab.elliptic import Curve
 from mulab.linalg import _PRIMES, _large_primes, rref
 from mulab.modsym import EigenSymbol, build_manin_space
+from test_modsym import cuspidal_dimension
 
 
 def fraction_rref(rows):
@@ -75,7 +76,7 @@ def test_symbol_matrices_match_fraction_rref(monkeypatch, N):
     monkeypatch.setattr(modsym, "rref", recording)
     monkeypatch.setattr(linalg, "rref", recording)
     sp = build_manin_space(N)
-    sp.cuspidal_dimension()
+    cuspidal_dimension(sp)
     symbols = [EigenSymbol(sp, Curve(*ainvs), N)
                for ainvs in LEVEL_CURVES[N]]
     assert len(calls) == 1 + sum(len(es.match_primes) for es in symbols)

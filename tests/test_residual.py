@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -12,17 +13,12 @@ from mulab.arith import (
     poly_deriv,
     poly_divmod,
     poly_gcd,
+    poly_monic,
     poly_mul,
     poly_sub,
     poly_xgcd,
 )
-from mulab.dirichlet import (
-    enumerate_characters,
-    is_odd,
-    liftable_character,
-    mod_p_cyclotomic,
-    trivial_character,
-)
+from mulab.dirichlet import DirichletCharacter, is_odd, mod_p_cyclotomic
 from mulab.elliptic import Curve
 from mulab.errors import (
     AmbiguousPair,
@@ -32,20 +28,29 @@ from mulab.errors import (
     MuLabError,
     RootLiftFailure,
 )
-from mulab.ffield import factor_squarefree
 from mulab.padic import val_int
 from mulab.residual import (
-    _hensel_pair,
+    _hensel_steps,
+    _kernel_stable,
+    _separating_prime,
     alignment_degree,
     character_search_modulus,
     classify_alignment,
     frobenius_scalar,
     identify_line_character,
     kernel_polynomials,
-    monic_factors_of_degree,
+    matching_line_characters,
     semisimplification,
     sturm_bound,
 )
+from test_dirichlet import (
+    enumerate_characters,
+    inverse,
+    liftable_character,
+    mul,
+    trivial_character,
+)
+from test_ffield import factor, factor_squarefree
 
 E11A1 = Curve(0, -1, 1, -10, -20)
 E11A2 = Curve(0, -1, 1, -7820, -263580)
@@ -274,25 +279,37 @@ def test_isogeny_transform_random_property():
 
 
 def test_kernel_stability_rejects_non_kernel_factor():
-    """psi_5 of 11a1 factors further; only the two stable degree-2 factors
-    are kernels, so the count is exactly 2 (not more)."""
+    """11a1 has exactly two rational 5-isogenies.  The duplication test
+    accepts their kernel polynomials and rejects each with its constant
+    term moved, and each times x."""
     ks = kernel_polynomials(E11A1, 5)
     assert len(ks) == 2
     assert len(set(ks)) == 2
+    for k in ks:
+        H = primitive_integer(k)
+        assert _kernel_stable(E11A1, H)
+        assert not _kernel_stable(E11A1, [H[0] + H[-1]] + H[1:])
+        assert not _kernel_stable(E11A1, [0] + H)
 
 
-def test_zassenhaus_checks_factor_degrees(monkeypatch):
-    """A factorization mod q that drops a factor is an internal fault:
-    InvariantViolation (exit 2), kept under `python -O`."""
-    from mulab import residual
-
+def test_zassenhaus_checks_factor_degrees():
+    """A factorization mod q that drops a factor is an internal fault of
+    the Zassenhaus oracle: InvariantViolation."""
     def dropping(f, ell, rng, max_degree):
         small, rest = factor_squarefree(f, ell, rng, max_degree)
         return small[1:], rest
 
-    monkeypatch.setattr(residual, "factor_squarefree", dropping)
     with pytest.raises(InvariantViolation, match="degree"):
-        monic_factors_of_degree(E11A1.division_polynomial(5), 2)
+        monic_factors_of_degree(E11A1.division_polynomial(5), 2,
+                                factor_mod_q=dropping)
+
+
+def _hensel_pair(f, g, h, q, k_target):
+    """Lift f = g*h (mod q) to mod q^k_target, f and g, h monic: the last
+    step of `_hensel_steps`."""
+    for G, H, _ in _hensel_steps(f, g, h, q, k_target):
+        pass
+    return G, H
 
 
 def test_hensel_lift_needs_coprime_factors():
@@ -346,7 +363,7 @@ def alignment_degree_by_full_search(a_table, p, N, conductor, phi1,
                     continue
                 psi_n = liftable_character(k_weight - 1,
                                            trivial_character(p, 1), n)
-                phi2n = psi_n.mul(phi1n.inverse())
+                phi2n = mul(psi_n, inverse(phi1n))
                 if all((phi1n(ell) + phi2n(ell) - a_table[ell]) % p**n == 0
                        for ell in good_ells):
                     found = (i, alpha)
@@ -400,8 +417,8 @@ def test_alignment_degree_matches_full_search_on_seeded_tables():
             character_search_modulus(p, conductor), p - 1, p, 1))
         i = rng.randrange((p - 1) * p**(n0 - 1))
         phi1n = liftable_character(i, alpha, n0)
-        phi2n = liftable_character(1, trivial_character(p, 1), n0) \
-            .mul(phi1n.inverse())
+        phi2n = mul(liftable_character(1, trivial_character(p, 1), n0),
+                    inverse(phi1n))
         a_table = {ell: (phi1n(ell) + phi2n(ell)) % p**n0
                    + p**n0 * rng.randint(-3, 3)
                    for ell in range(2, 80)
@@ -518,66 +535,448 @@ def test_frobenius_scalar_refuses_a_degenerate_kernel_polynomial():
         frobenius_scalar(E11A3, k3, 5, 5)
 
 
-# -- Zassenhaus over the full factorization mod q (every factor split out,
-# -- lifted and offered to the recombination) --------------------------------
+# -- the Zassenhaus factorization that kernel_polynomials ran before it cut
+# -- the kernel lines out by a Frobenius eigenvalue: factor psi_p mod q up
+# -- to degree (p-1)/2, Hensel-lift along a factor tree, recombine --------
 
 
-def monic_factors_by_full_factorization(poly, d, max_subsets=1 << 16):
-    from mulab import residual
-    from test_ffield import factor
+def _content(poly):
+    g = 0
+    for c in poly:
+        g = gcd(g, abs(c))
+    return max(g, 1)
 
-    prim = [c // residual._content(poly) for c in poly]
-    F, lc = residual._monicize(prim)
+
+def _monicize(poly):
+    """F(x) = lc^(deg-1) * f(x/lc): monic integer polynomial whose roots
+    are lc times the roots of f."""
+    lc = poly[-1]
+    deg = len(poly) - 1
+    return [c * lc**(deg - 1 - i) for i, c in enumerate(poly[:-1])] + [1], lc
+
+
+def _mignotte_bound(F, d):
+    """Bound on coefficients of a monic degree-d factor of monic F."""
+    norm2 = isqrt(sum(c * c for c in F)) + 1
+    return 2**d * norm2
+
+
+def _hensel_tree(f, factors, q, k_target):
+    """Lift a pairwise-coprime monic factorization of monic f mod q to
+    mod q^k_target."""
+    if len(factors) == 1:
+        m = q**k_target
+        return [[c % m for c in f]]
+    half = len(factors) // 2
+    g = [1]
+    for fac in factors[:half]:
+        g = poly_mul(g, fac, q)
+    h = [1]
+    for fac in factors[half:]:
+        h = poly_mul(h, fac, q)
+    G, H = _hensel_pair(f, g, h, q, k_target)
+    return (_hensel_tree(G, factors[:half], q, k_target)
+            + _hensel_tree(H, factors[half:], q, k_target))
+
+
+def _center(c, m):
+    c %= m
+    return c - m if c > m // 2 else c
+
+
+def _zassenhaus_prime(F, lc):
     q = 5
     while True:
         q += 2
         if not is_probable_prime(q) or lc % q == 0:
             continue
         if len(poly_gcd(F, poly_deriv(F, q), q)) == 1:
-            break
-    fac = [g for g, m in factor(F, q, random.Random(1234567))
-           for _ in range(m)]
-    bound = residual._mignotte_bound(F, d)
-    k = 1
-    while q**k < 2 * bound + 1:
-        k += 1
-    lifted = residual._hensel_tree(F, fac, q, k)
-    m = q**k
-    out = []
+            return q
 
-    def rec(start, remaining, prod):
+
+def _recombine(F, lifted, d, m, max_subsets):
+    """Every monic factor of F of degree d that is a product of lifted
+    factors mod m."""
+    out = []
+    seen = set()
+    count = 0
+
+    def rec(start, remaining, current):
+        nonlocal count
         if remaining == 0:
-            H = [residual._center(c, m) for c in prod]
-            if H not in out and not poly_divmod(F, H)[1]:
-                out.append(H)
+            count += 1
+            if count > max_subsets:
+                raise FactorizationInconclusive(
+                    f"recombination exceeded {max_subsets} subsets")
+            prod = [1]
+            for i in current:
+                prod = poly_mul(prod, lifted[i], m)
+            H = [_center(c, m) for c in prod]
+            if tuple(H) not in seen:
+                seen.add(tuple(H))
+                if not poly_divmod(F, H)[1]:
+                    out.append(H)
             return
         for i in range(start, len(lifted)):
-            if len(lifted[i]) - 1 <= remaining:
-                rec(i + 1, remaining - len(lifted[i]) + 1,
-                    poly_mul(prod, lifted[i], m))
+            dd = len(lifted[i]) - 1
+            if dd <= remaining:
+                rec(i + 1, remaining - dd, current + [i])
 
-    rec(0, d, [1])
-    return out, lc
+    rec(0, d, [])
+    return out
 
 
-def test_kernels_match_the_full_factorization(monkeypatch):
+def monic_factors_of_degree(poly, d, max_subsets=1 << 16,
+                            factor_mod_q=factor_squarefree):
+    """All monic integer factors of the given degree of the monicized
+    polynomial, by Zassenhaus recombination.  Only the factors mod q of
+    degree <= d are split out; the product of the others is lifted as
+    one block and left out of the recombination."""
+    prim = [c // _content(poly) for c in poly]
+    F, lc = _monicize(prim)
+    q = _zassenhaus_prime(F, lc)
+    fac, rest = factor_mod_q(F, q, random.Random(1234567), d)
+    if sum(len(g) - 1 for g in fac + [rest]) != len(F) - 1:
+        raise InvariantViolation(
+            f"factors mod {q} do not account for the degree "
+            f"{len(F) - 1} of the monicized polynomial")
+    k = 1
+    while q**k < 2 * _mignotte_bound(F, d) + 1:
+        k += 1
+    blocks = fac + [rest] if len(rest) > 1 else fac
+    lifted = _hensel_tree(F, blocks, q, k)[:len(fac)]
+    return _recombine(F, lifted, d, q**k, max_subsets), lc
+
+
+def monic_factors_by_full_factorization(poly, d, max_subsets=1 << 16):
+    """The same with every factor mod q split out, lifted and offered to
+    the recombination."""
+    prim = [c // _content(poly) for c in poly]
+    F, lc = _monicize(prim)
+    q = _zassenhaus_prime(F, lc)
+    fac = [g for g, m in factor(F, q, random.Random(1234567))
+           for _ in range(m)]
+    k = 1
+    while q**k < 2 * _mignotte_bound(F, d) + 1:
+        k += 1
+    lifted = _hensel_tree(F, fac, q, k)
+    return _recombine(F, lifted, d, q**k, max_subsets), lc
+
+
+def kernel_stable_in_q(E, h) -> bool:
+    """The roots of the monic rational h closed under duplication, by
+    inverting den mod h and Horner in Q[x]/(h)."""
+    num, den = E.duplication_x()
+    one, den_inv, _ = poly_xgcd(den, h)
+    if one != [1]:
+        return False
+    x2 = poly_divmod(poly_mul(num, den_inv), h)[1]
+    acc = []
+    for c in reversed(h):
+        acc = poly_divmod(poly_add(poly_mul(acc, x2), [c]), h)[1]
+    return acc == []
+
+
+def primitive_integer(h):
+    """The primitive integer multiple of a rational polynomial."""
+    den = 1
+    for c in h:
+        den = den * Fraction(c).denominator // gcd(den,
+                                                   Fraction(c).denominator)
+    ints = [int(Fraction(c) * den) for c in h]
+    g = _content(ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def zassenhaus_candidates(E, p, factors=monic_factors_of_degree):
+    """Every monic rational factor of degree (p-1)/2 of psi_p."""
+    d = (p - 1) // 2
+    Hs, lc = factors(E.division_polynomial(p), d)
+    return [poly_monic([Fraction(c * lc**i, lc**d) for i, c in enumerate(H)])
+            for H in Hs]
+
+
+def kernel_polynomials_by_zassenhaus(E, p,
+                                     factors=monic_factors_of_degree):
+    """The kernels among the Zassenhaus factors, by the Q[x]/(h) test."""
+    return sorted({tuple(h) for h in zassenhaus_candidates(E, p, factors)
+                   if kernel_stable_in_q(E, h)})
+
+
+def test_recombination_bound_raises():
+    with pytest.raises(FactorizationInconclusive):
+        monic_factors_of_degree(E11A1.division_polynomial(5), 2,
+                                max_subsets=0)
+
+
+def test_kernels_match_the_full_factorization():
     """The corpus, 11a1/2/3, [-8,0,1,0,0] (N = 77) and the Tate normal
     forms with a rational point of order p = 3, 5, 7 of the Frobenius
-    fixture: the same kernel polynomials, and the same degree-(p-1)/2
-    factors, as when every factor mod q is split out and recombined."""
-    from mulab import residual
-
-    records = json.loads(FROBENIUS_FIXTURE.read_text())
-    fast = {}
-    for rec in records:
+    fixture: the Zassenhaus oracle finds the same degree-(p-1)/2 factors
+    as when every factor mod q is split out and recombined, and
+    kernel_polynomials the same kernels as either."""
+    for rec in json.loads(FROBENIUS_FIXTURE.read_text()):
         E, p = Curve(*rec["ainvs"]), rec["p"]
         psi = E.division_polynomial(p)
         got, lc = monic_factors_of_degree(psi, (p - 1) // 2)
         want, lc2 = monic_factors_by_full_factorization(psi, (p - 1) // 2)
         assert (sorted(got), lc) == (sorted(want), lc2), rec["label"]
-        fast[rec["label"], p] = kernel_polynomials(E, p)
-    monkeypatch.setattr(residual, "monic_factors_of_degree",
-                        monic_factors_by_full_factorization)
+        assert kernel_polynomials(E, p) == kernel_polynomials_by_zassenhaus(
+            E, p, monic_factors_by_full_factorization), rec["label"]
+
+
+def differential_pairs():
+    """98 (curve, p): the 51 distinct pairs of the corpus and the
+    Frobenius fixture, 121b1 at p = 11 (a rational 11-isogeny), and 46
+    seeded random models at p = 3, 5, 7, mostly irreducible."""
+    records = json.loads(FROBENIUS_FIXTURE.read_text())
+    pairs = []
     for rec in records:
-        E, p = Curve(*rec["ainvs"]), rec["p"]
-        assert kernel_polynomials(E, p) == fast[rec["label"], p]
+        pair = (tuple(rec["ainvs"]), rec["p"])
+        if pair not in pairs:
+            pairs.append(pair)
+    pairs.append(((0, -1, 1, -7, 10), 11))
+    rng = random.Random(98)
+    while len(pairs) < 98:
+        ainvs = tuple(rng.randint(-6, 6) for _ in range(5))
+        try:
+            E = Curve(*ainvs)
+        except MuLabError:
+            continue
+        if abs(E.discriminant) < 10**9:
+            pairs.append((ainvs, (3, 5, 7)[len(pairs) % 3]))
+    return pairs
+
+
+def test_kernels_match_the_zassenhaus_oracle():
+    """On the 98 pairs: the same kernel polynomials as the Zassenhaus
+    factorization.  On every degree-(p-1)/2 factor it offers, on that
+    factor with its constant term moved, on its square and on its product
+    with x, the duplication test in Z[x] agrees with the one in
+    Q[x]/(h)."""
+    pairs = differential_pairs()
+    assert len(pairs) == 98
+    rng = random.Random(7)
+    kinds = {"kernel": 0, "none": 0, "stable": 0, "unstable": 0}
+    for ainvs, p in pairs:
+        E = Curve(*ainvs)
+        got = kernel_polynomials(E, p)
+        assert got == kernel_polynomials_by_zassenhaus(E, p), (ainvs, p)
+        kinds["kernel" if got else "none"] += 1
+        for h in zassenhaus_candidates(E, p):
+            moved = [h[0] + rng.randint(1, 9)] + list(h[1:])
+            for cand in (h, moved, poly_mul(h, h), poly_mul(h, [0, 1])):
+                stable = kernel_stable_in_q(E, cand)
+                assert _kernel_stable(E, primitive_integer(cand)) == stable
+                kinds["stable" if stable else "unstable"] += 1
+    assert min(kinds.values()) >= 1, kinds
+    assert kinds["none"] >= 40, kinds
+
+
+def test_121b1_has_one_rational_11_isogeny():
+    (k,) = kernel_polynomials(Curve(0, -1, 1, -7, 10), 11)
+    assert len(k) - 1 == 5
+
+
+def test_no_frobenius_root_means_no_kernel():
+    """11a1 at p = 7: X^2 - a_3 X + 3 = X^2 + X + 3 has no root mod 7,
+    so no line of E[7] is Frob_3-stable and there is no kernel, as the
+    Zassenhaus oracle finds too."""
+    psi = E11A1.division_polynomial(7)
+    assert _separating_prime(E11A1, 7, psi) == (3, [])
+    assert kernel_polynomials(E11A1, 7) == []
+    assert kernel_polynomials_by_zassenhaus(E11A1, 7) == []
+
+
+def test_separating_prime_skips_double_roots():
+    """Among the 98 pairs, some q before the chosen one has a double root
+    of X^2 - a_q X + q mod p, and the chosen q is the least odd good
+    prime with none."""
+    skipped = 0
+    for ainvs, p in differential_pairs():
+        E = Curve(*ainvs)
+        f = E.division_polynomial(p)
+        q, roots = _separating_prime(E, p, f)
+        assert len(roots) != 1
+        for r in range(3, q, 2):
+            if r == p or not is_probable_prime(r) \
+                    or E.discriminant % r == 0:
+                continue
+            n_roots = sum((lam * lam - E.ap(r) * lam + r) % p == 0
+                          for lam in range(1, p))
+            assert n_roots == 1 or len(
+                poly_gcd(f, poly_deriv(f, r), r)) > 1, (ainvs, p, r)
+            skipped += n_roots == 1
+    assert skipped >= 1
+
+
+def test_exhausted_separating_prime_search_raises(monkeypatch):
+    from mulab import residual
+
+    monkeypatch.setattr(residual, "SEPARATING_PRIME_LIMIT", 3)
+    with pytest.raises(FactorizationInconclusive, match="separates"):
+        kernel_polynomials(E11A1, 5)
+
+
+def test_lift_factor_rejects_a_line_with_no_rational_factor():
+    """n26-3 at p = 7: of the two eigenlines of its separating prime only
+    one lifts to a factor of psi_7 over Z; the other is rejected at the
+    full Mignotte bound."""
+    from mulab import residual
+
+    E = Curve(1, -1, 1, -3, 3)
+    f = residual._primitive(E.division_polynomial(7))
+    q, roots = _separating_prime(E, 7, f)
+    assert len(roots) == 2
+    fbar = poly_monic(f, q)
+    test = residual._EigenTest(E, q, fbar)
+    lifted = []
+    for lam in roots:
+        g = poly_gcd(poly_gcd(fbar, test.x_residue(lam, 7), q),
+                     test.y_residue(lam, 7), q)
+        assert len(g) - 1 == 3
+        lifted.append(residual._lift_factor(f, g, q))
+    assert sum(H is None for H in lifted) == 1
+
+
+def test_kernel_polynomials_draw_no_random_numbers(monkeypatch):
+    """Across the corpus no Cantor-Zassenhaus split runs: nothing draws
+    from a random generator."""
+    def refuse(self, *args):
+        raise AssertionError("a random draw")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
+        kernel_polynomials(Curve(*rec["ainvs"]), rec["p"])
+
+
+# -- the character searches over DirichletCharacter objects that the
+# -- exponent-vector searches replaced --------------------------------------
+
+
+def semisimplification_by_objects(a_table, p, conductor, ell_bound):
+    chi = mod_p_cyclotomic(p)
+    M = character_search_modulus(p, conductor)
+    good_ells = [ell for ell in sorted(a_table)
+                 if ell <= ell_bound and conductor % ell and ell != p]
+    matches = []
+    seen = set()
+    for phi1 in enumerate_characters(M, p - 1, p, 1):
+        phi2 = mul(chi.extend(M), inverse(phi1))
+        key = tuple(sorted([phi1.images, phi2.images]))
+        if key in seen:
+            continue
+        seen.add(key)
+        if all((phi1(ell) + phi2(ell) - a_table[ell]) % p == 0
+               for ell in good_ells):
+            matches.append((phi1, phi2))
+    if not matches:
+        return None
+    if len(matches) > 1:
+        raise AmbiguousPair(
+            f"{len(matches)} character pairs fit; raise ell_bound "
+            f"(tested {len(good_ells)} primes, Sturm-style bound "
+            f"{sturm_bound(conductor)})")
+    return matches[0]
+
+
+def matching_line_characters_by_objects(scalars, p, conductor):
+    M = character_search_modulus(p, conductor)
+    return [chi for chi in enumerate_characters(M, p - 1, p, 1)
+            if all(chi(ell) % p == lam % p for ell, lam in scalars.items())]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AmbiguousPair as exc:
+        return ("AmbiguousPair", str(exc))
+
+
+def seeded_character_tables():
+    """(a_table, p, conductor, ell_bound): trace tables of a random pair
+    (phi1, chi-bar phi1^-1) mod p, read at small and large ell_bound
+    (AmbiguousPair and unique answers), and the same tables with one
+    trace moved (None)."""
+    rng = random.Random(20)
+    out = []
+    for _ in range(30):
+        p = rng.choice([3, 5, 7])
+        conductor = rng.choice([c for c in (11, 14, 26, 38, 58) if c % p])
+        M = character_search_modulus(p, conductor)
+        phi1 = rng.choice(enumerate_characters(M, p - 1, p, 1))
+        phi2 = mul(mod_p_cyclotomic(p).extend(M), inverse(phi1))
+        table = {ell: phi1(ell) + phi2(ell) + p * rng.randint(-4, 4)
+                 for ell in range(2, 120)
+                 if is_probable_prime(ell) and conductor % ell and ell != p}
+        out += [(table, p, conductor, 119), (table, p, conductor, 5)]
+        broken = dict(table)
+        ell = rng.choice(sorted(broken))
+        broken[ell] += rng.randint(1, p - 1)
+        out.append((broken, p, conductor, 119))
+    return out
+
+
+def test_semisimplification_matches_objects():
+    """The corpus and seeded a_ell tables: the same pair, the same
+    AmbiguousPair message, the same None."""
+    kinds = set()
+    cases = seeded_character_tables()
+    for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
+        E, N = Curve(*rec["ainvs"]), rec["conductor"]
+        cases += [(good_a_table(E, N), rec["p"], N, bound)
+                  for bound in (200, 3)]
+    for case in cases:
+        got = outcome(semisimplification, *case)
+        assert got == outcome(semisimplification_by_objects, *case), case
+        kinds.add("none" if got is None else
+                  "ambiguous" if got[0] == "AmbiguousPair" else "pair")
+    assert kinds == {"none", "ambiguous", "pair"}
+
+
+def test_matching_line_characters_match_objects():
+    """The scalars of the Frobenius fixture, cut to their first 1..6
+    primes, and seeded random scalars."""
+    rng = random.Random(21)
+    cases = []
+    for rec in json.loads(FROBENIUS_FIXTURE.read_text()):
+        N = rec["conductor"] if "conductor" in rec else \
+            Curve(*rec["ainvs"]).discriminant
+        for scalars in rec["scalars"]:
+            items = [(int(ell), lam) for ell, lam in scalars.items()
+                     if int(ell) != 2 and N % int(ell)]
+            cases += [(dict(items[:t]), rec["p"], abs(N))
+                      for t in (1, 3, 6)]
+    for _ in range(40):
+        p = rng.choice([3, 5, 7])
+        N = rng.choice([c for c in (11, 14, 26, 38) if c % p])
+        ells = [ell for ell in range(3, 40)
+                if is_probable_prime(ell) and N % ell and ell != p]
+        cases.append(({ell: rng.randrange(1, p)
+                       for ell in rng.sample(ells, rng.randint(0, 3))},
+                      p, N))
+    sizes = set()
+    for scalars, p, N in cases:
+        got = matching_line_characters(scalars, p, N)
+        assert got == matching_line_characters_by_objects(scalars, p, N)
+        sizes.add(min(len(got), 2))
+    assert sizes == {0, 1, 2}
+
+
+def test_semisimplification_builds_at_most_two_characters(monkeypatch):
+    """Across the corpus, each call builds the returned pair and no
+    other DirichletCharacter."""
+    built = []
+    init = DirichletCharacter.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(DirichletCharacter, "__post_init__", counting)
+    for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
+        E, N = Curve(*rec["ainvs"]), rec["conductor"]
+        table = good_a_table(E, N)
+        built.clear()
+        pair = semisimplification(table, rec["p"], N, 200)
+        assert len(built) <= 2 and len(built) == 2 * (pair is not None)

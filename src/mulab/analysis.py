@@ -16,16 +16,16 @@ from fractions import Fraction
 import mpmath as mp
 
 from .arith import factorize, is_probable_prime
-from .dirichlet import DirichletCharacter, is_odd, mod_p_cyclotomic
+from .dirichlet import CharacterExponents
 from .elliptic import Curve
 from .errors import (
     BadReduction,
     InconsistentAp,
     InvalidModel,
     InvariantViolation,
+    NoFrobeniusScalar,
     NotOrdinary,
     ParseError,
-    RootLiftFailure,
 )
 from .mazur_tate import (
     analytic_iwasawa_invariants,
@@ -46,6 +46,7 @@ from .residual import (
     identify_line_character,
     kernel_polynomials,
     matching_line_characters,
+    search_characters,
     semisimplification,
     sturm_bound,
 )
@@ -142,15 +143,14 @@ def _coefficient(c) -> Fraction:
     return Fraction(c)
 
 
-def character_name(chi: DirichletCharacter) -> str:
-    p = chi.p
-    if chi.conductor() == 1:
+def character_name(chars: CharacterExponents, k) -> str:
+    """The report name of the character with exponent vector k."""
+    cond = chars.conductor(k)
+    if cond == 1:
         return "1"
-    chibar = mod_p_cyclotomic(p)
-    if chi.N == 1 and chi.agrees_with(chibar.extend(chi.modulus)):
+    if k == chars.chi_bar:
         return "chi"
-    return (f"chr(cond={chi.conductor()},ord={chi.order()},"
-            f"odd={is_odd(chi)})")
+    return f"chr(cond={cond},ord={chars.order(k)},odd={chars.is_odd(k)})"
 
 
 class SpaceCache:
@@ -214,8 +214,8 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     pair = semisimplification(a_table, p, N_cond, ell_bound)
     report["reducible"] = pair is not None
     if pair is not None:
-        phi1, phi2 = pair
-        names = sorted([character_name(phi1), character_name(phi2)])
+        chars = search_characters(p, N_cond)
+        names = sorted(character_name(chars, k) for k in pair)
         report["ss"] = names
         kernels = record.kernel_polys.get(str(p))
         if kernels is None:
@@ -232,20 +232,21 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
                     continue
                 try:
                     scal[ell] = frobenius_scalar(E, k, ell, p)
-                except (RootLiftFailure, BadReduction):
+                except (NoFrobeniusScalar, BadReduction):
                     continue
                 if len(scal) >= 6 and len(
                         matching_line_characters(scal, p, N_cond)) < 2:
                     break
             line_chars.append(identify_line_character(scal, p, N_cond))
-        report["line_characters"] = [character_name(c) for c in line_chars]
+        report["line_characters"] = [character_name(chars, k)
+                                     for k in line_chars]
         if kernels:
-            cls = classify_alignment(line_chars, p)
+            cls = classify_alignment(line_chars, chars)
             report["classification"] = cls
             if cls == "aligned":
                 aligned_char = next(
-                    c for c in line_chars
-                    if is_odd(c) and c.conductor() % p == 0)
+                    k for k in line_chars
+                    if chars.is_odd(k) and chars.conductor(k) % p == 0)
                 n_max, evidence = alignment_degree(
                     a_table, p, N_prec, N_cond, aligned_char, ell_bound)
                 report["alignment_degree"] = {

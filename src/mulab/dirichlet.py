@@ -1,16 +1,12 @@
-"""Dirichlet characters with values in (Z/p^N)^*.
+"""Dirichlet characters of (Z/M)^* with values in F_p^*, as exponent
+vectors.
 
-A character is stored by its images on a fixed generating set of (Z/M)^*;
-evaluation goes through a discrete-log table built once per modulus.  The
-mod-p^n cyclotomic character is realized as the identity character of
-modulus p^n (its value at Frob_ell is ell mod p^n, which is all the
-downstream trace congruences consume).
-
-The searches over the mod-p characters of a modulus run on exponent
-vectors: with w the least primitive root mod p, a character is the
-vector k with chi(g_i) = w^(k_i) on the generators g_i, and chi(a) is
-w^(<k, dlog(a)>), read from one power table.  Only the characters a
-search returns are built as objects.
+(Z/M)^* is stored by a fixed generating set g_i and a discrete-log table
+built once per modulus.  With w the least primitive root mod p, a
+character is the vector k with chi(g_i) = w^(k_i), 0 <= k_i < p - 1, so
+chi(a) = w^(<k, dlog(a)>), read from one power table; two characters
+are equal iff their vectors are, and mod-p chi-bar (a -> a mod p) is one
+such vector.  Order, parity and conductor are read off the vector.
 """
 
 from __future__ import annotations
@@ -98,134 +94,9 @@ def unit_group(M: int) -> UnitGroup:
     return UnitGroup(M, tuple(gens), tuple(orders), dlog)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """Character of (Z/M)^* with values in (Z/p^N)^*."""
-
-    modulus: int
-    p: int
-    N: int
-    images: tuple[int, ...]  # values on unit_group(modulus).generators
-
-    def __post_init__(self):
-        U = unit_group(self.modulus)
-        if len(self.images) != len(U.generators):
-            raise ValueError("one image per unit-group generator required")
-        mod = self.p**self.N
-        object.__setattr__(self, "images",
-                           tuple(v % mod for v in self.images))
-        for v, n in zip(self.images, U.orders):
-            if v % self.p == 0:
-                raise ValueError("character values must be units mod p")
-            if pow(v, n, mod) != 1:
-                raise ValueError("image order incompatible with generator")
-
-    def __call__(self, a: int) -> int:
-        U = unit_group(self.modulus)
-        if self.modulus == 1:
-            return 1
-        a %= self.modulus
-        exps = U.dlog.get(a)
-        if exps is None:
-            raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        mod = self.p**self.N
-        out = 1
-        for v, e in zip(self.images, exps):
-            if e:
-                out = out * pow(v, e, mod) % mod
-        return out
-
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.images)
-
-    def order(self) -> int:
-        mod = self.p**self.N
-        d = 1
-        for v in self.images:
-            k = 1
-            x = v
-            while x != 1:
-                x = x * v % mod
-                k += 1
-            d = lcm(d, k)
-        return d
-
-    def extend(self, M_new: int) -> "DirichletCharacter":
-        """The character of modulus M_new induced by this one (M | M_new)."""
-        if M_new % self.modulus:
-            raise ValueError("new modulus must be a multiple")
-        if M_new == self.modulus:
-            return self
-        U = unit_group(M_new)
-        return DirichletCharacter(
-            M_new, self.p, self.N, tuple(self(g) for g in U.generators))
-
-    def reduce_precision(self, N_new: int) -> "DirichletCharacter":
-        if N_new > self.N:
-            raise ValueError("cannot raise precision")
-        mod = self.p**N_new
-        return DirichletCharacter(self.modulus, self.p, N_new,
-                                  tuple(v % mod for v in self.images))
-
-    def conductor(self) -> int:
-        """Smallest f | M with the character trivial on 1 + f-multiples.
-
-        The units a = 1 mod f are the product over q^e || M of the
-        kernels of (Z/q^e)^* -> (Z/q^k)^*, k = v_q(f), so f is the
-        product of the least q^k whose kernel the character kills.  That
-        kernel is all of (Z/q^e)^* at q^k = 1 or 2, and otherwise the
-        cyclic group generated by 1 + q^k; each local generator g enters
-        as the unit of (Z/M)^* that is g mod q^e and 1 mod M/q^e."""
-        M = self.modulus
-        f = 1
-        for q, e in factorize(M).items():
-            qe = q**e
-            rest = M // qe
-            inv = pow(rest, -1, qe)
-            for k in range(e + 1):
-                gens = unit_group(qe).generators if q**k <= 2 \
-                    else (1 + q**k,)
-                if all(self((1 + rest * ((g - 1) * inv % qe)) % M) == 1
-                       for g in gens):
-                    f *= q**k
-                    break
-        return f
-
-    def agrees_with(self, other: "DirichletCharacter") -> bool:
-        """Pointwise equality on residues coprime to both moduli (i.e.
-        equality of the associated primitive characters on shared units).
-
-        Both sides are homomorphisms on (Z/M)^*, M the lcm of the moduli,
-        into the same (Z/p^N)^*, so the generators of (Z/M)^* decide."""
-        if (self.p, self.N) != (other.p, other.N):
-            raise ValueError("characters carry different (p, N)")
-        M = lcm(self.modulus, other.modulus)
-        return all(self(g) == other(g) for g in unit_group(M).generators)
-
-    def __repr__(self):
-        U = unit_group(self.modulus)
-        pairs = ", ".join(f"{g}->{v}"
-                          for g, v in zip(U.generators, self.images))
-        return (f"DirichletCharacter(mod {self.modulus}, "
-                f"values mod {self.p}^{self.N}: {pairs})")
-
-
-def cyclotomic_character(p: int, n: int) -> DirichletCharacter:
-    """chi mod p^n as the identity character of modulus p^n, valued in
-    (Z/p^n)^*."""
-    return DirichletCharacter(p**n, p, n, unit_group(p**n).generators)
-
-
-def mod_p_cyclotomic(p: int) -> DirichletCharacter:
-    """chi-bar: a -> a mod p."""
-    return cyclotomic_character(p, 1)
-
-
-def is_odd(chi: DirichletCharacter) -> bool:
-    """True iff chi(-1) = -1 in (Z/p^N)^*."""
-    if chi.modulus <= 2:
-        return False
-    return chi(chi.modulus - 1) == chi.p**chi.N - 1
+def _exponent(k, log, n: int) -> int:
+    """<k, log> mod n: the exponent of w in chi(a) for log = dlog(a)."""
+    return sum(x * y for x, y in zip(k, log)) % n
 
 
 @lru_cache(maxsize=None)
@@ -253,9 +124,42 @@ class CharacterExponents:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
         return exps
 
-    def character(self, k) -> DirichletCharacter:
-        return DirichletCharacter(self.modulus, self.p, 1,
-                                  tuple(self.powers[e] for e in k))
+    def order(self, k) -> int:
+        """The order of the character k: the lcm over the generators of
+        the order (p-1) / gcd(k_i, p-1) of w^(k_i)."""
+        n = self.p - 1
+        return lcm(*(n // gcd(x, n) for x in k))
+
+    def is_odd(self, k) -> bool:
+        """chi(-1) = -1, i.e. <k, dlog(-1)> is not 0 mod p - 1."""
+        return _exponent(k, self.log(-1), self.p - 1) != 0
+
+    def conductor(self, k) -> int:
+        """The least f | M with the character trivial on the units
+        a = 1 mod f (Washington, Introduction to Cyclotomic Fields,
+        ch. 3).
+
+        Those units are the product over q^e || M of the kernels of
+        (Z/q^e)^* -> (Z/q^j)^*, j = v_q(f), so f is the product of the
+        least q^j whose kernel the character kills.  That kernel is all
+        of (Z/q^e)^* at q^j = 1 or 2, and otherwise the cyclic group
+        generated by 1 + q^j; each local generator g enters as the unit
+        of (Z/M)^* that is g mod q^e and 1 mod M/q^e, and chi(u) = 1
+        iff <k, dlog(u)> = 0 mod p - 1."""
+        M, n = self.modulus, self.p - 1
+        f = 1
+        for q, e in factorize(M).items():
+            qe = q**e
+            rest = M // qe
+            inv = pow(rest, -1, qe)
+            for j in range(e + 1):
+                gens = unit_group(qe).generators if q**j <= 2 \
+                    else (1 + q**j,)
+                units = (1 + rest * ((g - 1) * inv % qe) for g in gens)
+                if all(_exponent(k, self.log(u), n) == 0 for u in units):
+                    f *= q**j
+                    break
+        return f
 
 
 @lru_cache(maxsize=None)

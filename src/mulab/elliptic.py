@@ -14,6 +14,7 @@ of a kernel line is read from it without building any point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import factorize, is_probable_prime, poly_mul, poly_sub
 from .errors import BadReduction, InvalidModel
@@ -56,8 +57,10 @@ class Curve:
     def c6(self):
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def discriminant(self):
+        """Computed once per instance (the dataclass is frozen, and
+        cached_property writes the instance __dict__ directly)."""
         return (-self.b2**2 * self.b8 - 8 * self.b4**3 - 27 * self.b6**2
                 + 9 * self.b2 * self.b4 * self.b6)
 
@@ -67,9 +70,6 @@ class Curve:
 
     def ainvs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def is_semistable(self) -> bool:
-        return all(self.c4 % q for q in self.bad_primes())
 
     def bad_primes(self):
         return list(factorize(abs(self.discriminant)))

@@ -58,8 +58,10 @@ class BadReduction(MuLabError):
     """The curve does not have good reduction at the requested prime."""
 
 
-class RootLiftFailure(MuLabError):
-    """A kernel-polynomial root could not be lifted to a torsion point."""
+class NoFrobeniusScalar(MuLabError):
+    """No Frobenius scalar at this ell: the kernel polynomial does not
+    reduce to a divisor of psi_p mod ell, or not exactly one root of the
+    Frobenius polynomial mod p passes Elkies' test on it."""
 
 
 class AmbiguousPair(MuLabError):

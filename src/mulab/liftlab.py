@@ -107,9 +107,6 @@ class AdjointModule:
             coords = [w[1] % p, w[0] % p]
         return coords if inside else None
 
-    def act(self, i: int, vec: np.ndarray) -> np.ndarray:
-        return self._action[i] @ vec % self.p
-
     def to_matrix(self, vec) -> tuple:
         p = self.p
         out = [0, 0, 0, 0]
@@ -127,9 +124,6 @@ class Cochain:
     degree: int
     module: AdjointModule
     values: np.ndarray  # shape (n, d) or (n, n, d)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.values % self.module.p)
 
 
 def _coboundary(M, k: int) -> np.ndarray:

@@ -22,15 +22,15 @@ accepted factor is a kernel when its roots are closed under duplication,
 checked by one exact division in Z[x].  When X^2 - a_q X + q has no root
 mod p, no line is stable and there is no kernel.
 
-The character searches run on the exponent vectors of
-`dirichlet.character_exponents`: every candidate is an integer vector,
-and only the characters returned are built as objects.
+Characters are exponent vectors (`dirichlet.character_exponents`) of
+`search_characters(p, conductor)`, in the searches and in what they
+return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .arith import (
     factorize,
@@ -46,11 +46,10 @@ from .arith import (
     poly_xgcd,
 )
 from .dirichlet import (
-    DirichletCharacter,
+    CharacterExponents,
+    _exponent,
     _value_group_generator,
     character_exponents,
-    is_odd,
-    unit_group,
 )
 from .elliptic import Curve
 from .errors import (
@@ -59,7 +58,7 @@ from .errors import (
     FactorizationInconclusive,
     InsufficientLineData,
     InvariantViolation,
-    RootLiftFailure,
+    NoFrobeniusScalar,
 )
 
 # the separating prime q of kernel_polynomials is sought below this
@@ -302,7 +301,7 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     The root lambda of X^2 - a_ell X + ell mod p whose identities of
     `_EigenTest` vanish in F_ell[x]/(h), h = kernel_poly mod ell.  At
     ell = 2 the x-test alone cannot tell lambda from -lambda, so
-    a_2 = 0 mod p is refused.  RootLiftFailure also when ell is in a
+    a_2 = 0 mod p is refused.  NoFrobeniusScalar also when ell is in a
     denominator of kernel_poly, when h degenerates or does not divide
     psi_p mod ell, and when no root passes.
     """
@@ -314,15 +313,15 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     for c in kernel_poly:
         c = Fraction(c)
         if c.denominator % ell == 0:
-            raise RootLiftFailure("kernel polynomial has ell in a "
-                                  "denominator")
+            raise NoFrobeniusScalar("kernel polynomial has ell in a "
+                                    "denominator")
         hbar.append(c.numerator * pow(c.denominator, -1, ell) % ell)
     if len(hbar) < 2 or hbar[-1] == 0:
-        raise RootLiftFailure("kernel polynomial degenerates mod ell")
+        raise NoFrobeniusScalar("kernel polynomial degenerates mod ell")
     test = _EigenTest(E, ell, hbar)
     if test.psi(p):
-        raise RootLiftFailure("kernel polynomial does not divide psi_p "
-                              "mod ell")
+        raise NoFrobeniusScalar("kernel polynomial does not divide "
+                                "psi_p mod ell")
     a_ell = E.ap(ell)
     passing = []
     for lam in range(1, p):
@@ -334,8 +333,8 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
             continue
         passing.append(lam)
     if len(passing) != 1:
-        raise RootLiftFailure(f"{len(passing)} roots of the Frobenius "
-                              "polynomial match the kernel line")
+        raise NoFrobeniusScalar(f"{len(passing)} roots of the Frobenius "
+                                "polynomial match the kernel line")
     return passing[0]
 
 
@@ -364,13 +363,16 @@ def character_search_modulus(p: int, conductor: int) -> int:
     return M
 
 
+def search_characters(p: int, conductor: int) -> CharacterExponents:
+    """Every mod-p character the residual searches consider, as the
+    exponent vectors of character_search_modulus(p, conductor); the
+    searches return vectors of this set."""
+    return character_exponents(character_search_modulus(p, conductor), p)
+
+
 def _good_ells(a_table, p, conductor, ell_bound):
     return [ell for ell in sorted(a_table)
             if ell <= ell_bound and conductor % ell and ell != p]
-
-
-def _exponent(k, log, order):
-    return sum(x * y for x, y in zip(k, log)) % order
 
 
 def semisimplification(a_table: dict[int, int], p: int, conductor: int,
@@ -378,12 +380,12 @@ def semisimplification(a_table: dict[int, int], p: int, conductor: int,
     """The unordered pair (phi1, phi2) of mod-p characters with
     phi1 phi2 = chi-bar and phi1(ell) + phi2(ell) = a_ell mod p for every
     good ell <= ell_bound, or None when the search proves irreducibility
-    at this level of evidence.
+    at this level of evidence.  Both are vectors of search_characters.
 
     phi1 runs over the exponent vectors k of the characters mod M, and
     phi2 = chi-bar phi1^-1 is c - k, c the vector of chi-bar; each
     unordered pair is tested once."""
-    chars = character_exponents(character_search_modulus(p, conductor), p)
+    chars = search_characters(p, conductor)
     good_ells = _good_ells(a_table, p, conductor, ell_bound)
     powers, c, order = chars.powers, chars.chi_bar, p - 1
     traces = []
@@ -411,26 +413,25 @@ def semisimplification(a_table: dict[int, int], p: int, conductor: int,
             f"{len(matches)} character pairs fit; raise ell_bound "
             f"(tested {len(good_ells)} primes, Sturm-style bound "
             f"{sturm_bound(conductor)})")
-    k, k2 = matches[0]
-    return chars.character(k), chars.character(k2)
+    return matches[0]
 
 
 def matching_line_characters(scalars: dict[int, int], p: int,
-                             conductor: int) -> list[DirichletCharacter]:
+                             conductor: int) -> list[tuple[int, ...]]:
     """Every mod-p Dirichlet character matching Frobenius scalars at the
     tested good primes: the vectors k with <k, dlog(ell)> = dlog(lambda)
     mod p - 1."""
-    chars = character_exponents(character_search_modulus(p, conductor), p)
+    chars = search_characters(p, conductor)
     targets = [(chars.log(ell), chars.logs.get(lam % p))
                for ell, lam in scalars.items()]
     if any(e is None for _, e in targets):
         return []
-    return [chars.character(k) for k in chars.vectors
+    return [k for k in chars.vectors
             if all(_exponent(k, log, p - 1) == e for log, e in targets)]
 
 
 def identify_line_character(scalars: dict[int, int], p: int,
-                            conductor: int) -> DirichletCharacter:
+                            conductor: int) -> tuple[int, ...]:
     """The one mod-p Dirichlet character matching Frobenius scalars at
     the tested good primes."""
     hits = matching_line_characters(scalars, p, conductor)
@@ -443,14 +444,16 @@ def identify_line_character(scalars: dict[int, int], p: int,
     return hits[0]
 
 
-def classify_alignment(line_characters, p: int, k_weight: int = 2) -> str:
-    """'aligned' iff some stable-line character is odd and carries the
-    same p-part of conductor as chi-bar^(k-1); otherwise 'skew'."""
+def classify_alignment(line_characters, chars: CharacterExponents,
+                       k_weight: int = 2) -> str:
+    """'aligned' iff some stable-line character (a vector of chars) is
+    odd and carries the same p-part of conductor as chi-bar^(k-1);
+    otherwise 'skew'."""
+    p = chars.p
     target_p_part = 1 if (k_weight - 1) % (p - 1) == 0 else p
-    for chi in line_characters:
-        cond = chi.conductor()
-        p_part = p if cond % p == 0 else 1
-        if p_part == target_p_part and is_odd(chi):
+    for k in line_characters:
+        p_part = p if chars.conductor(k) % p == 0 else 1
+        if p_part == target_p_part and chars.is_odd(k):
             return "aligned"
     return "skew"
 
@@ -466,11 +469,11 @@ def _lift_log(a: int, e: int, w: int, p: int, n: int) -> int:
 
 
 def alignment_degree(a_table: dict[int, int], p: int, N: int,
-                     conductor: int, phi1: DirichletCharacter,
+                     conductor: int, phi1: tuple[int, ...],
                      ell_bound: int, k_weight: int = 2):
     """Largest n <= N admitting liftable characters phi_(1,n) (odd,
-    lifting phi1) and phi_(2,n) with product chi_n^(k-1) matching every
-    trace congruence mod p^n.
+    lifting phi1, a vector of search_characters) and phi_(2,n) with
+    product chi_n^(k-1) matching every trace congruence mod p^n.
 
     phi_(1,n) = chi_n^i * teich(alpha) runs over the characters alpha
     mod M and 0 <= i < (p-1) p^(n-1).  With w_n the primitive root
@@ -482,25 +485,19 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
     alignment), never a proof; the result is tagged accordingly.
     """
     good_ells = _good_ells(a_table, p, conductor, ell_bound)
-    chars = character_exponents(character_search_modulus(p, conductor), p)
+    chars = search_characters(p, conductor)
     order, logs = p - 1, chars.logs
-    # alpha(ell), alpha(-1) as exponents of w
+    # alpha(ell) as exponents of w
     alpha_logs = [chars.log(ell) for ell in good_ells]
-    minus_one = chars.log(-1)
     # chi_n^i * teich(alpha) reduces mod p to chi-bar^(i mod p-1) * alpha,
-    # so whether it lifts phi1 depends on (alpha, i mod p-1) only: on the
-    # generators g of the common modulus, r dlog(g mod p) + A(g) must be
-    # the dlog of phi1(g)
-    if phi1.N != 1 or phi1.p != p:
-        raise ValueError("characters carry different (p, N)")
-    gens = [(logs[g % p], chars.log(g), logs[phi1(g) % p])
-            for g in unit_group(lcm(chars.modulus, phi1.modulus)).generators]
+    # so whether it lifts phi1 depends on (alpha, i mod p-1) only: on each
+    # generator, r chi-bar_j + k_j must be phi1_j
     alphas = []
     for k in chars.vectors:
         good = {r for r in range(order)
-                if all((r * lg + _exponent(k, lm, order) - lv) % order == 0
-                       for lg, lm, lv in gens)}
-        odd = _exponent(k, minus_one, order) != 0
+                if all((r * c + x - y) % order == 0 for c, x, y
+                       in zip(chars.chi_bar, k, phi1, strict=True))}
+        odd = chars.is_odd(k)
         A = [_exponent(k, log, order) for log in alpha_logs]
         alphas.append((k, good, odd, A))
     L = [logs[ell % p] for ell in good_ells]
@@ -534,6 +531,6 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
         evidence.append({
             "n": n,
             "witness": f"chi_n^{found[0]} * alpha"
-                       f"(conductor {chars.character(found[1]).conductor()})",
+                       f"(conductor {chars.conductor(found[1])})",
         })
     return n_max, evidence

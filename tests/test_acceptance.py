@@ -36,6 +36,7 @@ from mulab.residual import (
     frobenius_scalar,
     identify_line_character,
     kernel_polynomials,
+    search_characters,
     semisimplification,
 )
 from test_residual import (
@@ -85,12 +86,11 @@ def test_criterion_1_semisimplification():
         pair = semisimplification(good_a_table(E, 11, 5), 5, 11, 200)
         assert pair is not None, label
         phi1, phi2 = pair
-        conds = sorted([phi1.conductor(), phi2.conductor()])
+        chars = search_characters(5, 11)
+        conds = sorted([chars.conductor(phi1), chars.conductor(phi2)])
         assert conds == [1, 5], label
-        nontriv = phi1 if phi1.conductor() == 5 else phi2
-        from mulab.dirichlet import mod_p_cyclotomic
-        assert nontriv.agrees_with(
-            mod_p_cyclotomic(5).extend(nontriv.modulus)), label
+        nontriv = phi1 if chars.conductor(phi1) == 5 else phi2
+        assert nontriv == chars.chi_bar, label
     elapsed = time.monotonic() - t0
     assert elapsed < 10
     _stamp("criterion 1 (ss = {chi, 1} for 11a at p=5)", t0)
@@ -115,7 +115,8 @@ def test_criterion_2_classification():
                     scal[ell] = frobenius_scalar(E, k, ell, 5)
                 ell += 1
             chars.append(identify_line_character(scal, 5, 11))
-        assert classify_alignment(chars, 5) == expected[label], label
+        search = search_characters(5, 11)
+        assert classify_alignment(chars, search) == expected[label], label
     elapsed = time.monotonic() - t0
     assert elapsed < 60
     _stamp("criterion 2 (aligned/aligned/skew)", t0)

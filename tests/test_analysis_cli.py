@@ -248,10 +248,16 @@ def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
 
 def test_cli_and_analysis_do_not_import_numpy():
     """numpy would add ~13 MB to every analyze process; only lift-lab and
-    lambda-invariants need it."""
+    lambda-invariants need it.  The subprocess also analyzes the corpus,
+    so a lazy import on the analyze path fails this too."""
+    corpus = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "data", "corpus_reducible.json")
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, mulab.cli, mulab.analysis, mulab.arith; "
+         "from mulab.analysis import analyze_many, ingest; "
+         f"reports = analyze_many(ingest({corpus!r}), lambda rec: rec.p); "
+         "assert len(reports) == 16, len(reports); "
          "print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -19,13 +19,7 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # (module, name) for a top-level symbol, (module, "Class.method") for a
 # method; these are used by tests only
-ALLOWED = {
-    ("dirichlet.py", "DirichletCharacter.is_trivial"),
-    ("dirichlet.py", "DirichletCharacter.reduce_precision"),
-    ("elliptic.py", "Curve.is_semistable"),
-    ("liftlab.py", "AdjointModule.act"),
-    ("liftlab.py", "Cochain.is_zero"),
-}
+ALLOWED = set()
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

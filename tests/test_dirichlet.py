@@ -1,19 +1,158 @@
 import itertools
+import json
 import random
+from dataclasses import dataclass
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+from mulab.analysis import character_name
+from mulab.arith import factorize
 from mulab.dirichlet import (
-    DirichletCharacter,
     _value_group_generator,
     character_exponents,
-    cyclotomic_character,
-    is_odd,
-    mod_p_cyclotomic,
     unit_group,
 )
 from mulab.padic import teichmuller
+from mulab.residual import search_characters
+
+# -- characters as objects valued in (Z/p^N)^*: the type src used before
+# -- every character became an exponent vector, kept as the oracle of
+# -- CharacterExponents.order, is_odd, conductor and chi_bar ---------------
+
+
+@dataclass(frozen=True)
+class DirichletCharacter:
+    """Character of (Z/M)^* with values in (Z/p^N)^*."""
+
+    modulus: int
+    p: int
+    N: int
+    images: tuple[int, ...]  # values on unit_group(modulus).generators
+
+    def __post_init__(self):
+        U = unit_group(self.modulus)
+        if len(self.images) != len(U.generators):
+            raise ValueError("one image per unit-group generator required")
+        mod = self.p**self.N
+        object.__setattr__(self, "images",
+                           tuple(v % mod for v in self.images))
+        for v, n in zip(self.images, U.orders):
+            if v % self.p == 0:
+                raise ValueError("character values must be units mod p")
+            if pow(v, n, mod) != 1:
+                raise ValueError("image order incompatible with generator")
+
+    def __call__(self, a: int) -> int:
+        U = unit_group(self.modulus)
+        if self.modulus == 1:
+            return 1
+        a %= self.modulus
+        exps = U.dlog.get(a)
+        if exps is None:
+            raise ValueError(f"{a} is not a unit mod {self.modulus}")
+        mod = self.p**self.N
+        out = 1
+        for v, e in zip(self.images, exps):
+            if e:
+                out = out * pow(v, e, mod) % mod
+        return out
+
+    def is_trivial(self) -> bool:
+        return all(v == 1 for v in self.images)
+
+    def order(self) -> int:
+        mod = self.p**self.N
+        d = 1
+        for v in self.images:
+            k = 1
+            x = v
+            while x != 1:
+                x = x * v % mod
+                k += 1
+            d = lcm(d, k)
+        return d
+
+    def extend(self, M_new: int) -> "DirichletCharacter":
+        """The character of modulus M_new induced by this one (M | M_new)."""
+        if M_new % self.modulus:
+            raise ValueError("new modulus must be a multiple")
+        if M_new == self.modulus:
+            return self
+        U = unit_group(M_new)
+        return DirichletCharacter(
+            M_new, self.p, self.N, tuple(self(g) for g in U.generators))
+
+    def reduce_precision(self, N_new: int) -> "DirichletCharacter":
+        if N_new > self.N:
+            raise ValueError("cannot raise precision")
+        mod = self.p**N_new
+        return DirichletCharacter(self.modulus, self.p, N_new,
+                                  tuple(v % mod for v in self.images))
+
+    def conductor(self) -> int:
+        """Smallest f | M with the character trivial on 1 + f-multiples,
+        one prime power of M at a time."""
+        M = self.modulus
+        f = 1
+        for q, e in factorize(M).items():
+            qe = q**e
+            rest = M // qe
+            inv = pow(rest, -1, qe)
+            for k in range(e + 1):
+                gens = unit_group(qe).generators if q**k <= 2 \
+                    else (1 + q**k,)
+                if all(self((1 + rest * ((g - 1) * inv % qe)) % M) == 1
+                       for g in gens):
+                    f *= q**k
+                    break
+        return f
+
+    def agrees_with(self, other: "DirichletCharacter") -> bool:
+        """Pointwise equality on residues coprime to both moduli, decided
+        on the generators of (Z/M)^*, M the lcm of the moduli."""
+        if (self.p, self.N) != (other.p, other.N):
+            raise ValueError("characters carry different (p, N)")
+        M = lcm(self.modulus, other.modulus)
+        return all(self(g) == other(g) for g in unit_group(M).generators)
+
+
+def cyclotomic_character(p: int, n: int) -> DirichletCharacter:
+    """chi mod p^n as the identity character of modulus p^n, valued in
+    (Z/p^n)^*."""
+    return DirichletCharacter(p**n, p, n, unit_group(p**n).generators)
+
+
+def mod_p_cyclotomic(p: int) -> DirichletCharacter:
+    """chi-bar: a -> a mod p."""
+    return cyclotomic_character(p, 1)
+
+
+def is_odd(chi: DirichletCharacter) -> bool:
+    """True iff chi(-1) = -1 in (Z/p^N)^*."""
+    if chi.modulus <= 2:
+        return False
+    return chi(chi.modulus - 1) == chi.p**chi.N - 1
+
+
+def character(chars, k) -> DirichletCharacter:
+    """The object of the exponent vector k of chars."""
+    return DirichletCharacter(chars.modulus, chars.p, 1,
+                              tuple(chars.powers[e] for e in k))
+
+
+def exponents(chars, chi: DirichletCharacter) -> tuple[int, ...]:
+    """The exponent vector of chars of the mod-p character chi, whose
+    modulus divides chars.modulus."""
+    return tuple(chars.logs[v] for v in chi.extend(chars.modulus).images)
+
+
+def value(chars, k, a: int) -> int:
+    """chi(a) in F_p for the exponent vector k."""
+    return chars.powers[sum(x * y for x, y in zip(k, chars.log(a)))
+                        % (chars.p - 1)]
+
 
 # -- characters as objects: the enumeration, products and lifts that the
 # -- residual searches used before they ran on exponent vectors ----------
@@ -91,7 +230,7 @@ def test_character_exponents_match_the_enumeration(M, p):
     at d = p - 1, N = 1 in its order; values, chi-bar and logs agree."""
     chars = character_exponents(M, p)
     objects = enumerate_characters(M, p - 1, p, 1)
-    assert [chars.character(k) for k in chars.vectors] == objects
+    assert [character(chars, k) for k in chars.vectors] == objects
     assert [chars.powers[chars.logs[a]] for a in range(1, p)] == \
         list(range(1, p))
     units = [a for a in range(1, M) if gcd(a, M) == 1]
@@ -102,7 +241,7 @@ def test_character_exponents_match_the_enumeration(M, p):
     if M % p:
         assert chars.chi_bar is None
     else:
-        assert chars.character(chars.chi_bar) == \
+        assert character(chars, chars.chi_bar) == \
             mod_p_cyclotomic(p).extend(M)
     with pytest.raises(ValueError, match="not a unit"):
         chars.log(M * 7 + (p if M % p == 0 else M))
@@ -116,8 +255,8 @@ def test_character_exponents_random_products():
         for _ in range(20):
             k, k2 = rng.choice(chars.vectors), rng.choice(chars.vectors)
             ksum = tuple((x + y) % (p - 1) for x, y in zip(k, k2))
-            assert chars.character(ksum) == \
-                mul(chars.character(k), chars.character(k2))
+            assert character(chars, ksum) == \
+                mul(character(chars, k), character(chars, k2))
 
 
 def brute_character_count(M, d, p):
@@ -355,3 +494,69 @@ def test_agrees_with_refuses_different_value_groups():
         chi.agrees_with(teichmuller_lift(chi, 2))
     with pytest.raises(ValueError, match="different"):
         chi.agrees_with(trivial_character(3, 1, 5))
+
+
+# -- the exponent-vector readings against the objects -------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "data" / \
+    "corpus_reducible.json"
+# the corpus levels, and 37 and 77
+LEVELS = sorted({rec["conductor"] for rec in json.loads(CORPUS.read_text())}
+                | {37, 77})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_vector_readings_match_the_objects(p):
+    """Conductor, order, parity and the chi-bar test of every vector of
+    character_search_modulus(p, N), N in LEVELS, agree with the
+    DirichletCharacter oracle."""
+    count = chi_bars = 0
+    seen = set()
+    for N in LEVELS:
+        chars = search_characters(p, N)
+        chi_bar = mod_p_cyclotomic(p).extend(chars.modulus)
+        for k in chars.vectors:
+            chi = character(chars, k)
+            assert chars.conductor(k) == chi.conductor(), (N, k)
+            assert chars.order(k) == chi.order(), (N, k)
+            assert chars.is_odd(k) == is_odd(chi), (N, k)
+            assert (k == chars.chi_bar) == chi.agrees_with(chi_bar), (N, k)
+            chi_bars += k == chars.chi_bar
+            count += 1
+            seen.add((chars.conductor(k) % p == 0, chars.is_odd(k)))
+    assert chi_bars == len(LEVELS)
+    assert count > 3 * len(LEVELS)
+    assert len(seen) == 4
+
+
+def character_name_by_objects(chi: DirichletCharacter) -> str:
+    """The report name as analysis built it from a DirichletCharacter."""
+    if chi.conductor() == 1:
+        return "1"
+    if chi.N == 1 and chi.agrees_with(
+            mod_p_cyclotomic(chi.p).extend(chi.modulus)):
+        return "chi"
+    return (f"chr(cond={chi.conductor()},ord={chi.order()},"
+            f"odd={is_odd(chi)})")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_character_names_match_the_objects(p):
+    names = set()
+    for N in LEVELS:
+        chars = search_characters(p, N)
+        for k in chars.vectors:
+            name = character_name(chars, k)
+            assert name == character_name_by_objects(character(chars, k))
+            names.add(name[:3])
+    assert names == {"1", "chi", "chr"}
+
+
+def test_vector_readings_on_small_moduli():
+    """M = 1, 2 (no generators): the trivial character, even, of order
+    and conductor 1."""
+    for M in (1, 2):
+        chars = character_exponents(M, 5)
+        assert chars.vectors == ((),)
+        assert (chars.conductor(()), chars.order(()),
+                chars.is_odd(())) == (1, 1, False)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,12 +72,34 @@ class AffineGroupLaw:
         return out
 
 
+def is_semistable(E) -> bool:
+    return all(E.c4 % q for q in E.bad_primes())
+
+
 def test_invariants_11a1():
     assert E11A1.discriminant == -(11**5)
     assert E11A3.discriminant == -11
     assert E11A1.c4 == 496
-    assert E11A1.is_semistable()
+    assert is_semistable(E11A1)
     assert E11A1.bad_primes() == [11]
+
+
+def test_discriminant_is_cached_and_equals_the_formula():
+    """On the corpus and 11a models: the first read stores the value on
+    the instance, and it is the b2..b8 formula; equality and hashing
+    still see only the coefficients."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    records = [rec for name in ("corpus_reducible.json", "curves_11a.json")
+               for rec in json.loads((data / name).read_text())]
+    assert len(records) > 16
+    for rec in records:
+        E = Curve(*rec["ainvs"])
+        b2, b4, b6, b8 = E.b2, E.b4, E.b6, E.b8
+        want = -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        assert E.__dict__["discriminant"] == want
+        assert E.discriminant == want
+        assert E == Curve(*rec["ainvs"])
+        assert hash(E) == hash(Curve(*rec["ainvs"]))
 
 
 def test_singular_model_rejected():

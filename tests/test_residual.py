@@ -18,7 +18,6 @@ from mulab.arith import (
     poly_sub,
     poly_xgcd,
 )
-from mulab.dirichlet import DirichletCharacter, is_odd, mod_p_cyclotomic
 from mulab.elliptic import Curve
 from mulab.errors import (
     AmbiguousPair,
@@ -26,7 +25,7 @@ from mulab.errors import (
     FactorizationInconclusive,
     InvariantViolation,
     MuLabError,
-    RootLiftFailure,
+    NoFrobeniusScalar,
 )
 from mulab.padic import val_int
 from mulab.residual import (
@@ -40,15 +39,22 @@ from mulab.residual import (
     identify_line_character,
     kernel_polynomials,
     matching_line_characters,
+    search_characters,
     semisimplification,
     sturm_bound,
 )
 from test_dirichlet import (
+    DirichletCharacter,
+    character,
     enumerate_characters,
+    exponents,
     inverse,
+    is_odd,
     liftable_character,
+    mod_p_cyclotomic,
     mul,
     trivial_character,
+    value,
 )
 from test_ffield import factor, factor_squarefree
 
@@ -87,11 +93,11 @@ def test_frobenius_scalars_11a1():
         scal = {ell: frobenius_scalar(E11A1, k, ell, 5)
                 for ell in [2, 3, 7, 13, 17, 19, 23]}
         chars.append(identify_line_character(scal, 5, 11))
-    conds = sorted(c.conductor() for c in chars)
+    search = search_characters(5, 11)
+    conds = sorted(search.conductor(k) for k in chars)
     assert conds == [1, 5]
     # one line is chi-bar (scalar = ell mod 5), the other trivial
-    chi_line = next(c for c in chars if c.conductor() == 5)
-    assert chi_line.agrees_with(mod_p_cyclotomic(5).extend(5))
+    assert search.chi_bar in chars
     # determinant: product of the two scalars is ell mod p
     for ell in [2, 3, 7, 13]:
         l1 = frobenius_scalar(E11A1, ks[0], ell, 5)
@@ -114,9 +120,10 @@ def line_characters(E, p, conductor):
 
 
 def test_classification_11a():
-    assert classify_alignment(line_characters(E11A1, 5, 11), 5) == "aligned"
-    assert classify_alignment(line_characters(E11A2, 5, 11), 5) == "aligned"
-    assert classify_alignment(line_characters(E11A3, 5, 11), 5) == "skew"
+    chars = search_characters(5, 11)
+    for E, want in [(E11A1, "aligned"), (E11A2, "aligned"),
+                    (E11A3, "skew")]:
+        assert classify_alignment(line_characters(E, 5, 11), chars) == want
 
 
 def test_semisimplification_11a():
@@ -124,14 +131,15 @@ def test_semisimplification_11a():
         pair = semisimplification(good_a_table(E, 11), 5, 11, 200)
         assert pair is not None
         phi1, phi2 = pair
-        conds = sorted([phi1.conductor(), phi2.conductor()])
+        chars = search_characters(5, 11)
+        conds = sorted([chars.conductor(phi1), chars.conductor(phi2)])
         assert conds == [1, 5]
-        chi = mod_p_cyclotomic(5)
-        nontriv = phi1 if phi1.conductor() == 5 else phi2
-        assert nontriv.agrees_with(chi.extend(nontriv.modulus))
+        nontriv = phi1 if chars.conductor(phi1) == 5 else phi2
+        assert nontriv == chars.chi_bar
         # determinant check on output
         for ell in [2, 3, 7]:
-            assert phi1(ell) * phi2(ell) % 5 == ell % 5
+            assert value(chars, phi1, ell) * value(chars, phi2, ell) % 5 \
+                == ell % 5
 
 
 def test_semisimplification_ambiguous_at_small_ell_bound():
@@ -155,7 +163,7 @@ def test_alignment_degree_11a():
     conductor 11, which chi_n^i alpha-tilde can never supply.  The
     recorded evidence degree is therefore 1, consistent with mu(11a1)=1."""
     a_table = good_a_table(E11A1, 11)
-    chi = mod_p_cyclotomic(5)
+    chi = search_characters(5, 11).chi_bar
     n_max, evidence = alignment_degree(a_table, 5, 4, 11, chi, 200)
     assert n_max == 1
     assert evidence[0]["n"] == 1
@@ -330,7 +338,7 @@ def test_recombination_bound_raises():
 
 
 def test_frobenius_scalar_refuses_ell_in_a_denominator():
-    with pytest.raises(RootLiftFailure, match="denominator"):
+    with pytest.raises(NoFrobeniusScalar, match="denominator"):
         frobenius_scalar(E11A1, (Fraction(1, 3), Fraction(0), Fraction(1)),
                          3, 5)
 
@@ -394,14 +402,14 @@ def test_alignment_degree_matches_full_search_on_corpus(rec, p):
     """Every odd candidate phi1 with p in its conductor, at N = 6."""
     N_cond = rec["conductor"]
     a_table = good_a_table(Curve(*rec["ainvs"]), N_cond)
-    M = character_search_modulus(p, N_cond)
-    phis = [chi for chi in enumerate_characters(M, p - 1, p, 1)
-            if is_odd(chi) and chi.conductor() % p == 0]
+    chars = search_characters(p, N_cond)
+    phis = [k for k in chars.vectors
+            if chars.is_odd(k) and chars.conductor(k) % p == 0]
     assert phis
     for phi1 in phis:
         assert alignment_degree(a_table, p, 6, N_cond, phi1, 200) == \
-            alignment_degree_by_full_search(a_table, p, 6, N_cond, phi1,
-                                            200)
+            alignment_degree_by_full_search(a_table, p, 6, N_cond,
+                                            character(chars, phi1), 200)
 
 
 def test_alignment_degree_matches_full_search_on_seeded_tables():
@@ -425,7 +433,9 @@ def test_alignment_degree_matches_full_search_on_seeded_tables():
                    if is_probable_prime(ell) and conductor % ell
                    and ell != p}
         phi1 = liftable_character(i % (p - 1), alpha, 1)
-        got = alignment_degree(a_table, p, n0 + 1, conductor, phi1, 80)
+        got = alignment_degree(
+            a_table, p, n0 + 1, conductor,
+            exponents(search_characters(p, conductor), phi1), 80)
         assert got == alignment_degree_by_full_search(
             a_table, p, n0 + 1, conductor, phi1, 80)
         if is_odd(phi1n):
@@ -491,7 +501,7 @@ def test_frobenius_scalars_match_the_point_lifting_fixture():
             for ell, want in scalars.items():
                 ell = int(ell)
                 if ell == 2 and E.ap(2) % p == 0:
-                    with pytest.raises(RootLiftFailure, match="2 roots"):
+                    with pytest.raises(NoFrobeniusScalar, match="2 roots"):
                         frobenius_scalar(E, k, ell, p)
                     refused.append((rec["label"], want))
                 else:
@@ -519,7 +529,7 @@ def test_frobenius_scalar_refuses_a_non_divisor_of_psi_p():
     h = (Fraction(1), Fraction(0), Fraction(1))  # x^2 + 1
     for ell in (3, 7, 13):
         assert poly_divmod(E11A1.division_polynomial(5), [1, 0, 1], ell)[1]
-        with pytest.raises(RootLiftFailure, match="psi_p"):
+        with pytest.raises(NoFrobeniusScalar, match="psi_p"):
             frobenius_scalar(E11A1, h, ell, 5)
 
 
@@ -527,7 +537,7 @@ def test_frobenius_scalar_refuses_a_degenerate_kernel_polynomial():
     """A leading coefficient divisible by ell, or a constant."""
     (k3,) = kernel_polynomials(E11A3, 5)
     for h in ((Fraction(0), Fraction(-1), Fraction(7)), (Fraction(1),)):
-        with pytest.raises(RootLiftFailure, match="degenerates"):
+        with pytest.raises(NoFrobeniusScalar, match="degenerates"):
             frobenius_scalar(E11A3, h, 7, 5)
     with pytest.raises(BadReduction):
         frobenius_scalar(E11A3, k3, 11, 5)
@@ -928,7 +938,11 @@ def test_semisimplification_matches_objects():
                   for bound in (200, 3)]
     for case in cases:
         got = outcome(semisimplification, *case)
-        assert got == outcome(semisimplification_by_objects, *case), case
+        want = outcome(semisimplification_by_objects, *case)
+        if want is not None and want[0] != "AmbiguousPair":
+            chars = search_characters(case[1], case[2])
+            want = tuple(exponents(chars, chi) for chi in want)
+        assert got == want, case
         kinds.add("none" if got is None else
                   "ambiguous" if got[0] == "AmbiguousPair" else "pair")
     assert kinds == {"none", "ambiguous", "pair"}
@@ -958,14 +972,16 @@ def test_matching_line_characters_match_objects():
     sizes = set()
     for scalars, p, N in cases:
         got = matching_line_characters(scalars, p, N)
-        assert got == matching_line_characters_by_objects(scalars, p, N)
+        chars = search_characters(p, N)
+        assert got == [exponents(chars, chi) for chi in
+                       matching_line_characters_by_objects(scalars, p, N)]
         sizes.add(min(len(got), 2))
     assert sizes == {0, 1, 2}
 
 
 def test_semisimplification_builds_at_most_two_characters(monkeypatch):
-    """Across the corpus, each call builds the returned pair and no
-    other DirichletCharacter."""
+    """Across the corpus, each call builds no character object: a pair
+    it returns is two exponent vectors of the search modulus."""
     built = []
     init = DirichletCharacter.__post_init__
 
@@ -974,9 +990,13 @@ def test_semisimplification_builds_at_most_two_characters(monkeypatch):
         init(self)
 
     monkeypatch.setattr(DirichletCharacter, "__post_init__", counting)
+    pairs = 0
     for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
-        E, N = Curve(*rec["ainvs"]), rec["conductor"]
-        table = good_a_table(E, N)
-        built.clear()
-        pair = semisimplification(table, rec["p"], N, 200)
-        assert len(built) <= 2 and len(built) == 2 * (pair is not None)
+        E, N, p = Curve(*rec["ainvs"]), rec["conductor"], rec["p"]
+        pair = semisimplification(good_a_table(E, N), p, N, 200)
+        assert built == []
+        if pair is not None:
+            vectors = set(search_characters(p, N).vectors)
+            assert all(k in vectors for k in pair), rec["label"]
+            pairs += 1
+    assert pairs > 0

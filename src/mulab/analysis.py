@@ -38,7 +38,7 @@ from .mazur_tate import (
     write_theta_cache,
 )
 from .modsym import EigenSymbol, build_manin_space
-from .padic import hensel_unit_root, mu_lambda_of_polynomial
+from .padic import mu_lambda_of_polynomial
 from .residual import (
     alignment_degree,
     classify_alignment,
@@ -79,6 +79,8 @@ def ingest(path: str) -> list[CurveRecord]:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError("curve file must contain a list of records")
     out = []
@@ -272,7 +274,6 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         "denominator_bound": es.denominator_bound,
         "gamma": 1 + p,
     }
-    alpha = hensel_unit_root(a_p, p, N_prec + layers + 2)
     thetas, layer_invs = [], []
     mu_estimate = 0
     for n in range(0, layers + 1):
@@ -296,7 +297,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         thetas.append(theta)
         if n >= 1:
             layer_invs.append(mu_lambda_of_polynomial(
-                regularized_Lp(thetas[n], thetas[n - 1], alpha)))
+                regularized_Lp(thetas[n], thetas[n - 1], a_p), p, N_prec))
             mu_estimate = max(mu_estimate, layer_invs[-1][0])
     mus = [m for m, _ in layer_invs]
     if any(b > a for a, b in zip(mus, mus[1:])):

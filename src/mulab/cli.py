@@ -71,7 +71,7 @@ def load_config(path: str | None) -> dict:
                     except ValueError:
                         raise ParseError(
                             f"unsupported config value: {raw!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     return out
 
@@ -91,7 +91,11 @@ def _p_error(p, layers: int) -> str | None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except ParseError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     # without a flag or config value, each record's own "p" is used
     p = args.p if args.p is not None else cfg.get("p")
     sizes = {}
@@ -140,6 +144,10 @@ def cmd_analyze(args) -> int:
     except (ParseError, InvalidModel, InconsistentAp) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        # the curves file is read by `ingest`; what is left is the cache
+        print(f"input error: cache {cache}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -181,7 +189,7 @@ def cmd_lift_lab(args) -> int:
     try:
         with open(args.scenario) as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

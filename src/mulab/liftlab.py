@@ -126,7 +126,7 @@ class Cochain:
     values: np.ndarray  # shape (n, d) or (n, n, d)
 
 
-def _coboundary(M, k: int) -> np.ndarray:
+def _coboundary(M, k: int, last=None) -> np.ndarray:
     """Matrix of the bar-resolution coboundary d^k: C^k -> C^(k+1),
     k in {0, 1, 2}:
 
@@ -134,16 +134,26 @@ def _coboundary(M, k: int) -> np.ndarray:
                           + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..)
                           + (-1)^(k+1) f(g_0..g_(k-1)).
 
-    Row (g_0..g_k) * d + component, the tuple flattened base n; columns
-    likewise on k-tuples.  Each term is its own +=: inside one statement
-    every row occurs once, so fancy indexing is exact, while two terms
-    of one row can hit the same column (g = h, gh = g, ...).
+    Row (g_0..g_k) * d + component, the tuple flattened base n with g_k
+    counted by its position in last (all n elements by default);
+    columns likewise on k-tuples.  Each term is its own +=: inside one
+    statement every row occurs once, so fancy indexing is exact, while
+    two terms of one row can hit the same column (g = h, gh = g, ...).
+
+    With last the generators, the rows still cut out the kernel of d^k
+    for k >= 1: d^(k+1) d^k = 0 evaluated at (g_0..g_k, s) gives
+    (d f)(g_0..g_(k-1), hs) = (d f)(g_0..g_(k-1), h) whenever d f
+    vanishes on every row ending in a generator s, and every element,
+    the identity too, is a nonempty word in the generators of a finite
+    group.
     """
     G = M.model
     n, d, p = len(G), M.dim, M.p
     T = np.asarray(G.table)
-    g = [a.ravel() for a in np.indices((n,) * (k + 1))]
-    rows = np.arange(n**(k + 1))
+    last = np.arange(n) if last is None else np.asarray(last)
+    g = [a.ravel() for a in np.indices((n,) * k + (len(last),))]
+    g[k] = last[g[k]]
+    rows = np.arange(g[0].size)
 
     def col(hs):
         c = 0
@@ -152,55 +162,41 @@ def _coboundary(M, k: int) -> np.ndarray:
         return c
 
     eye = np.eye(d, dtype=np.int64)
-    D = np.zeros((n**(k + 1), d, n**k, d), dtype=np.int64)
+    D = np.zeros((rows.size, d, n**k, d), dtype=np.int64)
     D[rows, :, col(g[1:]), :] += np.asarray(M._action)[g[0]]
     for i in range(k):
         merged = g[:i] + [T[g[i], g[i + 1]]] + g[i + 2:]
         D[rows, :, col(merged), :] += (-1)**(i + 1) * eye
     D[rows, :, col(g[:k]), :] += (-1)**(k + 1) * eye
     D %= p
-    return D.reshape(n**(k + 1) * d, n**k * d)
+    return D.reshape(rows.size * d, n**k * d)
 
 
 def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
                size_bound: int = 14):
     """(dimension, list of representative cocycles) for H^1 or H^2: the
-    kernel of d^degree modulo the image of d^(degree-1), which the rows
-    of its transpose span."""
+    kernel Z of d^degree modulo the image B of d^(degree-1), which the
+    rows of its transpose span.
+
+    B lies in Z, so the pivots of RREF(B) are pivots of RREF(Z), and the
+    rows of RREF(Z) at the other pivots are independent modulo B (a
+    combination of them leads at one of those pivots, which no vector
+    of B does): rank Z - rank B of them, a basis of Z / B."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     if degree == 2 and len(model) > size_bound:
         raise SizeBound(f"degree-2 cohomology limited to |G| <= {size_bound}")
-    Z = nullspace_modp(_coboundary(M, degree), M.p)
-    dim, reps = _quotient_basis(Z, _coboundary(M, degree - 1).T, M.p)
+    p = M.p
+    Z = nullspace_modp(_coboundary(M, degree, model.generators), p)
+    Zred, zpiv = rref_modp(Z, p)
+    _, bpiv = rref_modp(_coboundary(M, degree - 1).T, p)
+    reps = [Zred[i] for i, c in enumerate(zpiv) if c not in bpiv]
     shape = (len(model),) * degree + (M.dim,)
-    return dim, [Cochain(degree, M, z.reshape(shape)) for z in reps]
-
-
-def _quotient_basis(Z: np.ndarray, B_rows: np.ndarray, p: int):
-    """dim and representatives of (row space of Z) / (row space of
-    B_rows)."""
-    Bred, bpiv = rref_modp(B_rows, p)
-    acc, acc_piv = Bred[:len(bpiv)], list(bpiv)
-    reps = []
-    # reduce each Z row against B's echelon, collect independent residues
-    for z in Z % p:
-        v = z.copy()
-        for ri, pc in enumerate(acc_piv):
-            if v[pc]:
-                v = (v - v[pc] * acc[ri]) % p
-        if np.any(v):
-            # normalize and insert into the echelon
-            lead = int(np.nonzero(v)[0][0])
-            v = v * pow(int(v[lead]), -1, p) % p
-            acc = np.vstack([acc, v])
-            acc_piv.append(lead)
-            reps.append(v)
-    return len(reps), reps
+    return len(reps), [Cochain(degree, M, z.reshape(shape)) for z in reps]
 
 
 def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
-    return nullspace_modp(_coboundary(M, 1), M.p)
+    return nullspace_modp(_coboundary(M, 1, model.generators), M.p)
 
 
 def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
@@ -208,22 +204,18 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
     """Solve d^1 f = c for f in C^1; returns the cochain or None.
 
     Only the rows (g, s) with s in model.generators are solved, n g d
-    rows instead of n^2 d, and a solution is kept only if it solves the
-    full system.  This is exact: a 2-cocycle z that vanishes on every
-    (g, s) is 0, since the cocycle identity at (g, h, s) gives
-    z(g, hs) = z(g, h) + z(gh, s) - g z(h, s) = z(g, h), and every
-    element is a word in the generators (with z(g, 1) = g z(1, s) = 0).
-    For a cocycle c, c - d^1 f is a cocycle, so the two systems have
-    one solution set, hence one reduced echelon form and the same
-    returned f; a c that is not a cocycle fails the full check.
+    rows instead of n^2 d, and c must be a 2-cocycle.  This is exact: a
+    2-cocycle z that vanishes on every (g, s) is 0, since the cocycle
+    identity at (g, h, s) gives z(g, hs) = z(g, h) + z(gh, s) -
+    g z(h, s) = z(g, h), and every element is a word in the generators
+    (with z(g, 1) = g z(1, s) = 0).  For a cocycle c, c - d^1 f is a
+    cocycle, so the two systems have one solution set, hence one
+    reduced echelon form and the same returned f.
     """
     n, d, p = len(model), M.dim, M.p
-    D = _coboundary(M, 1)
-    b = c2.values.reshape(n * n * d) % p
-    rows = [(g * n + s) * d + k for g in range(n)
-            for s in model.generators for k in range(d)]
-    x = solve_modp(D[rows], b[rows], p)
-    if x is None or np.any((D @ x - b) % p):
+    b = c2.values[:, list(model.generators)].reshape(-1) % p
+    x = solve_modp(_coboundary(M, 1, model.generators), b, p)
+    if x is None or not _cocycle2_identity_holds(model, M, c2):
         return None
     return Cochain(1, M, x.reshape(n, d))
 
@@ -250,9 +242,6 @@ class RepresentationModPn:
                         != self.images[t[i][g]]:
                     return False
         return True
-
-    def reduce(self, n_new: int) -> "RepresentationModPn":
-        return RepresentationModPn(self.model, self.p, n_new, self.images)
 
     def rhobar(self):
         return [tuple(x % self.p for x in m) for m in self.images]

@@ -4,12 +4,12 @@ invariants.
 theta_n lives on Gal(Q_n/Q), realized as coefficients on the powers of a
 fixed topological generator gamma = (image of) 1+p.  The element is the
 sum over units a mod p^(n+1) of the plus-symbol [a/p^(n+1)] placed at
-gamma^t, where (1+p)^t is the 1-unit part of a.  Coefficients are kept as
-exact rationals: the raw theta can carry p in a denominator (the
-Eisenstein part at the trivial character; theta_0 of 11a1 is -1/5), and
-only the unit-root-regularized combination is reduced mod p^N.  (mu,
-lambda) are read off once every layer from some point to the last
-agrees.
+gamma^t, where (1+p)^t is the 1-unit part of a.  Coefficients are kept
+exact, as integer numerators over one denominator: the raw theta can
+carry p in that denominator (the Eisenstein part at the trivial
+character; theta_0 of 11a1 is -1/5), and only the unit-root-regularized
+combination is reduced mod p^N.  (mu, lambda) are read off once every
+layer from some point to the last agrees.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .dirichlet import primitive_root
 from .errors import DenominatorAtP, InvariantViolation, NotStabilized
 from .modsym import EigenSymbol
-from .padic import GroupRingElement, PAdicElement
+from .padic import hensel_unit_root
 # the benchmark's tracer wraps mu_lambda_of_polynomial here and in
 # `analysis`; this module reads no layer itself
 from .padic import mu_lambda_of_polynomial  # noqa: F401
@@ -30,36 +31,24 @@ from .padic import mu_lambda_of_polynomial  # noqa: F401
 
 @dataclass(frozen=True)
 class MazurTateElement:
-    """Group-ring element on the layer-n quotient of the cyclotomic tower;
-    coeffs[t] sits at gamma^t.  Coefficients are exact rationals whose
-    denominators are bounded by the symbol's denominator bound."""
+    """Group-ring element on the layer-n quotient of the cyclotomic tower:
+    nums[t] / den sits at gamma^t.  den > 0 and no prime divides den and
+    every numerator, so p^e, e = v_p(den), is the largest power of p in
+    a coefficient's denominator."""
 
     label: str
     p: int
     N: int
     n: int
     normalization: str
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if len(self.coeffs) != self.p**self.n:
+        if len(self.nums) != self.p**self.n:
             raise InvariantViolation(
-                f"{len(self.coeffs)} coefficients at layer {self.n}, "
+                f"{len(self.nums)} coefficients at layer {self.n}, "
                 f"expected p^n = {self.p**self.n}")
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
-
-    def denominator_exponent(self) -> int:
-        """Largest e with p^e dividing a coefficient denominator."""
-        e = 0
-        for c in self.coeffs:
-            d = c.denominator
-            v = 0
-            while d % self.p == 0:
-                d //= self.p
-                v += 1
-            e = max(e, v)
-        return e
 
 
 def _gamma_index_table(p: int, n: int) -> list[int]:
@@ -83,8 +72,8 @@ def _gamma_index_table(p: int, n: int) -> list[int]:
 def theta_element(es: EigenSymbol, p: int, n: int, N: int,
                   label: str = "", normalization: str = "neron"
                   ) -> MazurTateElement:
-    """theta_n with exact rational coefficients: the integer path sums of
-    the symbol, over its one denominator.
+    """theta_n: the integer path sums of the symbol over its one
+    denominator, divided by their common gcd.
 
     The units a and m - a add the same term, so only a < m/2 is walked
     and counted twice: -a has the gamma-index of a (-1 is a Teichmuller
@@ -97,70 +86,57 @@ def theta_element(es: EigenSymbol, p: int, n: int, N: int,
     for a in range(1, (m + 1) // 2):
         if a % p:
             acc[table[a]] += es.path_numerator(a, m)
+    nums = [2 * x for x in acc]
+    g = gcd(es.den, *nums)
     return MazurTateElement(label, p, N, n, normalization,
-                            tuple(Fraction(2 * x, es.den) for x in acc))
+                            tuple(x // g for x in nums), es.den // g)
 
 
 def inflate_norm(theta: MazurTateElement) -> MazurTateElement:
     """The norm-inflation map layer n -> n+1: gamma-bar^i maps to the sum
     of its p preimages."""
-    p = theta.p
-    size = p**(theta.n + 1)
-    small = p**theta.n
-    out = tuple(theta.coeffs[j % small] for j in range(size))
-    return MazurTateElement(theta.label, p, theta.N, theta.n + 1,
-                            theta.normalization, out)
+    return MazurTateElement(theta.label, theta.p, theta.N, theta.n + 1,
+                            theta.normalization, theta.nums * theta.p,
+                            theta.den)
 
 
-def regularized_Lp(theta_n: MazurTateElement,
-                   theta_prev: MazurTateElement | None,
-                   alpha: PAdicElement) -> GroupRingElement:
-    """L_n = alpha^-(n+1) (theta_n - alpha^-1 nu(theta_(n-1))) as its
-    p^n group-ring coefficients on gamma^0 .. gamma^(p^n - 1), reduced
-    mod p^N.
+def regularized_Lp(theta_n: MazurTateElement, theta_prev: MazurTateElement,
+                   a_p: int) -> tuple[int, ...]:
+    """L_n = alpha^-(n+1) (theta_n - alpha^-1 nu(theta_(n-1))), alpha the
+    unit root of x^2 - a_p x + p, as its p^n group-ring residues mod p^N
+    on gamma^0 .. gamma^(p^n - 1), N = theta_n.N.
 
-    alpha must be carried at precision N + e where p^e clears the exact
-    coefficients' denominators; the output precision is theta_n.N.
+    With D the common denominator of the two layers and p^e its p-part,
+    p^e L_n is computed mod p^(N+e), alpha at that precision, and then
+    divided by p^e; DenominatorAtP when it is not divisible.
     """
     p, N, n = theta_n.p, theta_n.N, theta_n.n
-    if not alpha.is_unit():
-        raise ValueError("alpha must be a unit")
-    terms = list(theta_n.coeffs)
-    e = theta_n.denominator_exponent()
-    if theta_prev is not None:
-        if theta_prev.n != n - 1:
-            raise InvariantViolation(
-                f"theta_prev is at layer {theta_prev.n}, not {n - 1}")
-        e = max(e, theta_prev.denominator_exponent())
-    if alpha.N < N + e:
-        raise ValueError(
-            f"alpha needs precision >= {N + e} to clear denominators")
+    if theta_prev.n != n - 1:
+        raise InvariantViolation(
+            f"theta_prev is at layer {theta_prev.n}, not {n - 1}")
+    D = lcm(theta_n.den, theta_prev.den)
+    e, unit = 0, D
+    while unit % p == 0:
+        unit //= p
+        e += 1
     bigmod = p**(N + e)
-    ainv = pow(alpha.value, -1, bigmod)
-
-    def lift(q: Fraction) -> int:
-        den = q.denominator
-        v = 0
-        while den % p == 0:
-            den //= p
-            v += 1
-        return (q.numerator * p**(e - v) * pow(den, -1, bigmod)) % bigmod
-
-    scaled = [lift(c) for c in terms]  # p^e * theta_n mod p^(N+e)
-    if theta_prev is not None:
-        nu = inflate_norm(theta_prev)
-        scaled = [(x - ainv * lift(c)) % bigmod
-                  for x, c in zip(scaled, nu.coeffs)]
+    ainv = pow(hensel_unit_root(a_p, p, N + e), -1, bigmod)
+    # p^e * (x / den) = x * (D / den) / unit
+    uinv = pow(unit, -1, bigmod)
+    f_n = D // theta_n.den * uinv
+    f_prev = D // theta_prev.den * uinv * ainv
+    nu = inflate_norm(theta_prev).nums
     mod, q = p**N, p**e
     scale = pow(ainv, n + 1, mod)
     out = []
-    for c in scaled:
+    for x, y in zip(theta_n.nums, nu):
+        c = (x * f_n - y * f_prev) % bigmod
         if c % q:
             raise DenominatorAtP(
                 "regularized coefficient not p-integral "
                 f"(residue {c} mod p^{N + e})")
         out.append(c // q * scale % mod)
-    return GroupRingElement(p, N, tuple(out))
+    return tuple(out)
 
 
 def analytic_iwasawa_invariants(pairs: list[tuple[int, int]]
@@ -224,7 +200,7 @@ def serialize_theta(theta: MazurTateElement, key: dict | None = None
         "N": theta.N,
         "n": theta.n,
         "normalization": theta.normalization,
-        "coeffs": [str(c) for c in theta.coeffs],
+        "coeffs": [str(Fraction(x, theta.den)) for x in theta.nums],
     }
     if key is not None:
         data["key"] = key
@@ -253,11 +229,13 @@ def read_theta_cache(cache_dir: str, label: str, p: int, n: int,
             data = json.load(fh)
         if not isinstance(data, dict) or data.get("key") != key:
             return None
-        coeffs = tuple(Fraction(c) for c in data["coeffs"])
+        coeffs = [Fraction(c) for c in data["coeffs"]]
         if len(coeffs) != p**n:
             return None
+        den = lcm(*(c.denominator for c in coeffs))
         return MazurTateElement(data["label"], p, data["N"], n,
-                                data["normalization"], coeffs)
+                                data["normalization"],
+                                tuple(int(c * den) for c in coeffs), den)
     except (FileNotFoundError, ValueError, KeyError, TypeError,
             ZeroDivisionError):
         return None

@@ -18,7 +18,10 @@ All symbol arithmetic is exact and kept in integers over one common
 denominator (1 on every level below 400): each slot of the quotient is
 stored as integer numerators in the free basis, Hecke matrices are
 summed from integer slot counts and kept per space, and an eigensymbol
-keeps its value on every P^1 generator, so a path costs one integer sum.
+keeps its value on every P^1 generator over one denominator (the
+primitive kernel vector's values times the numerator of one rational
+scale, over its denominator times the space's), so a path costs one
+integer sum.
 The eigenvector comes from one nullspace of (T_q - a_q)^T for the first
 match prime q; each further prime only restricts that kernel K through
 the small system (T_ell - a_ell)^T K.
@@ -236,11 +239,6 @@ class ManinSymbolSpace:
             return [list(row) for row in zip(*cols)]
         return [[Fraction(x, den) for x in row] for row in zip(*cols)]
 
-    def project(self, i: int):
-        """Coordinates of the i-th P^1 generator in the free basis."""
-        s, sgn = self._red[i]
-        return [Fraction(x, self._den) for x in self._column({s: sgn})]
-
     def basis_generator_indices(self):
         """A P^1 index representing each free basis slot (sign +1)."""
         out = []
@@ -304,14 +302,6 @@ class ManinSymbolSpace:
             out.append(table[q1 % N * N + e * q0 % N])
             a, m, e = m, r, -e
         return out
-
-    def path_vector(self, a: int, m: int):
-        """Quotient coordinates of the path {a/m -> oo}."""
-        acc = [Fraction(0)] * self.dim
-        for idx in self.path_infty_to(a, m):
-            v = self.project(idx)
-            acc = [x - y for x, y in zip(acc, v)]
-        return acc
 
 
 def build_manin_space(N: int) -> ManinSymbolSpace:
@@ -513,9 +503,12 @@ class EigenSymbol:
     """Rational dual eigenvector on the plus-quotient, normalized so that
     the value of {0 -> oo} is L(f,1)/Omega_plus(E).
 
-    Setting `phi` rebuilds the value of phi on every P^1 generator, kept
-    as integer numerators over one common denominator `den`;
-    `path_numerator` sums them along a path for `evaluate` and
+    phi = r * phi0 for the primitive integer kernel vector phi0 and one
+    rational scale r.  Its value on every P^1 generator is kept as
+    integer numerators over one common denominator `den`, r's
+    denominator times the space's; since phi0 is primitive, r's
+    denominator is the lcm of phi's, `denominator_bound`.
+    `path_numerator` sums the numerators along a path for `evaluate` and
     `mazur_tate.theta_element`."""
 
     def __init__(self, space: ManinSymbolSpace, curve: Curve,
@@ -590,8 +583,14 @@ class EigenSymbol:
 
     def _normalize(self):
         sp = self.space
-        base = sp.path_vector(0, 1)
-        raw_base = sum(p * b for p, b in zip(self._phi0, base))
+        phi0 = self._phi0
+        slot_values = {s: sum(phi0[fi] * y for fi, y in terms)
+                       for s, terms in sp._slot_terms.items()}
+        num = [0 if s is None else sgn * slot_values[s]
+               for s, sgn in sp._red]
+        # phi0 on {0 -> oo} = -(phi0 on {oo -> 0})
+        raw_base = Fraction(-sum(num[i] for i in sp.path_infty_to(0, 1)),
+                            sp._den)
         if raw_base == 0:
             raise EigenspaceNotRational(
                 "base path value is zero (positive analytic rank); "
@@ -603,30 +602,13 @@ class EigenSymbol:
         if ratio == 0:
             raise EigenspaceNotRational(
                 "L(E,1) = 0: positive analytic rank not supported")
-        scale = ratio / raw_base
-        self.phi = [x * scale for x in self._phi0]
+        self._scale = scale = ratio / raw_base
         self.base_value = ratio
         self.period = omega
         self.l_value = lval
-        dens = [Fraction(x).denominator for x in self.phi]
-        self.denominator_bound = lcm(*dens) if dens else 1
-
-    @property
-    def phi(self):
-        return self._phi
-
-    @phi.setter
-    def phi(self, phi):
-        sp = self.space
-        scale = lcm(*(Fraction(x).denominator for x in phi))
-        ints = [int(x * scale) for x in phi]
-        slot_values = {s: sum(ints[fi] * y for fi, y in terms)
-                       for s, terms in sp._slot_terms.items()}
-        values = [0 if s is None else sgn * slot_values[s]
-                  for s, sgn in sp._red]
-        self._phi = phi
-        self.den = scale * sp._den
-        self._num = values
+        self.denominator_bound = scale.denominator
+        self.den = scale.denominator * sp._den
+        self._num = [x * scale.numerator for x in num]
 
     def path_numerator(self, a: int, m: int) -> int:
         """The value of the path {a/m -> oo} times `den`."""

@@ -1,12 +1,12 @@
 """Residues mod p^N and the Iwasawa invariants of group-ring elements.
 
-A PAdicElement is a residue mod p^N together with (p, N).  Valuations
-are saturated at N: working mod p^N cannot distinguish p^N from 0.
+A residue mod p^N is a plain integer in [0, p^N), and a group-ring
+element is the tuple of its residues; the caller holds p and N.
+Valuations are saturated at N: working mod p^N cannot distinguish p^N
+from 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotOrdinary, PrecisionExhausted
 
@@ -22,28 +22,9 @@ def val_int(n: int, p: int, cap: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PAdicElement:
-    """A residue 0 <= value < p^N, exact mod p^N."""
-
-    p: int
-    N: int
-    value: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "value", self.value % self.p**self.N)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p}^{self.N})"
-
-
-def hensel_unit_root(a_p: int, p: int, N: int) -> PAdicElement:
-    """Unit root of x^2 - a_p x + p mod p^N, by Newton iteration.
+def hensel_unit_root(a_p: int, p: int, N: int) -> int:
+    """Unit root of x^2 - a_p x + p mod p^N, by Newton iteration, as its
+    residue in [0, p^N).
 
     Requires p not dividing a_p (the ordinary case); the unit root is the
     one congruent to a_p mod p.
@@ -59,12 +40,11 @@ def hensel_unit_root(a_p: int, p: int, N: int) -> PAdicElement:
         fx = (x * x - a_p * x + p) % m
         dfx = (2 * x - a_p) % m
         x = (x - fx * pow(dfx, -1, m)) % m
-    root = PAdicElement(p, N, x % mod)
-    if (root.value * root.value - a_p * root.value + p) % mod != 0 \
-            or not root.is_unit():
+    root = x % mod
+    if (root * root - a_p * root + p) % mod != 0 or root % p == 0:
         raise InvariantViolation(
-            f"Newton iteration gave {root}, not the unit root of "
-            f"x^2 - {a_p}x + {p}")
+            f"Newton iteration gave {root} (mod {p}^{N}), not the unit "
+            f"root of x^2 - {a_p}x + {p}")
     return root
 
 
@@ -100,43 +80,30 @@ def teichmuller(a: int, p: int, N: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
-    """An element of (Z/p^N)[Gamma/Gamma^(p^n)]: coeffs[i] sits at
-    gamma^i, and there are p^n of them."""
-
-    p: int
-    N: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        size = 1
-        while size < len(self.coeffs) and self.p > 1:
-            size *= self.p
-        if size != len(self.coeffs):
-            raise InvariantViolation(
-                f"{len(self.coeffs)} group-ring coefficients is not a "
-                f"power of p = {self.p}")
-
-
-def mu_lambda_of_polynomial(f: GroupRingElement) -> tuple[int, int]:
-    """(mu, lambda) of f written as a polynomial in T = gamma - 1.
+def mu_lambda_of_polynomial(coeffs, p: int, N: int) -> tuple[int, int]:
+    """(mu, lambda) of the element f of (Z/p^N)[Gamma/Gamma^(p^n)] with
+    coeffs[i] at gamma^i, written as a polynomial in T = gamma - 1.
 
     gamma^i -> (1 + T)^i is unitriangular over Z, so mu is the least
     valuation of the group-ring coefficients.  Mod p, Lucas's theorem
     gives (1 + T)^i = prod_d (1 + T^(p^d))^(i_d) over the base-p digits
     i_d of i, so f / p^mu mod p in the T-basis is a length-p Taylor shift
     along each digit, and lambda is the index of its first nonzero entry.
-    Raises PrecisionExhausted when f = 0 mod p^N.
+    Raises InvariantViolation unless there are p^n coefficients, and
+    PrecisionExhausted when f = 0 mod p^N.
     """
-    p, N = f.p, f.N
-    mu = min(val_int(c, p, N) for c in f.coeffs)
+    size = 1
+    while size < len(coeffs) and p > 1:
+        size *= p
+    if size != len(coeffs):
+        raise InvariantViolation(
+            f"{len(coeffs)} group-ring coefficients is not a power of "
+            f"p = {p}")
+    mu = min(val_int(c, p, N) for c in coeffs)
     if mu >= N:
         raise PrecisionExhausted("all coefficients vanish mod p^N")
     q = p**mu
-    u = [c // q % p for c in f.coeffs]
-    size = len(u)
+    u = [c // q % p for c in coeffs]
     step = 1
     while step < size:
         # Horner in 1 + X along the lowest base-p digit, on whole slabs

@@ -749,3 +749,36 @@ def test_cli_tampered_cache_exits_2_under_verify(tmp_path, capsys):
     rc, _, err = _cached_run(tmp_path, capsys, "--verify-cache")
     assert rc == 2
     assert err.startswith("invariant violation:")
+
+
+@pytest.mark.parametrize("case", [
+    "config-bad-line", "config-float", "config-directory", "config-not-utf8",
+    "curves-directory", "curves-not-utf8", "scenario-not-utf8",
+    "cache-regular-file"])
+def test_cli_unreadable_inputs_exit_3(tmp_path, capsys, case):
+    """Input files that cannot be read or parsed exit 3 with `input
+    error:`, not with a traceback."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    bad = tmp_path / "bad"
+    if case.endswith("not-utf8"):
+        bad.write_bytes(b"\xff\xfe p = 5\n")
+    elif case.endswith("directory"):
+        bad.mkdir()
+    elif case == "config-bad-line":
+        bad.write_text("this is not valid\n")
+    else:
+        bad.write_text("p = 5.0\n")
+    what = case.partition("-")[0]
+    if what == "config":
+        argv = ["analyze", "--curves", curves, "--config", str(bad)]
+    elif what == "curves":
+        argv = ["analyze", "--curves", str(bad), "--p", "5"]
+    elif what == "scenario":
+        argv = ["lift-lab", "run", str(bad)]
+    else:
+        argv = ["analyze", "--curves", curves, "--p", "5",
+                "--cache", str(bad)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("input error:")

@@ -5,12 +5,12 @@ new one fails this test until it gets a caller, moves into the test that
 uses it, or is deleted.
 
 A name counts as referred to when it occurs in some other place of those
-files as a name, an attribute, an imported name or a word of a string
-constant (the benchmark's trace points name functions in strings);
-docstrings do not count."""
+files as a name, an attribute, an imported name or a string constant
+that is a whole identifier (the benchmark's trace points name functions
+in such strings); words inside longer strings and docstrings do not
+count."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +53,8 @@ def _referred(tree):
             out.add(node.name.rpartition(".")[2])
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
-            out.update(re.findall(r"\w+", node.value))
+            if node.value.isidentifier():
+                out.add(node.value)
     return out
 
 

@@ -1662,3 +1662,75 @@ def test_is_coboundary_refuses_non_cocycles():
                 G, M, liftlab.Cochain(2, M, cob)), name
             assert _assert_same_coboundary(
                 name, G, M, liftlab.Cochain(2, M, cob)) is None, name
+
+
+# -- Z^1, Z^2 and H^k from the generator rows against the full coboundaries
+# -- and the hand-written quotient echelon they replaced ----------------------
+
+
+def oracle_cocycles(M, degree):
+    """The kernel of d^degree from all n^(degree+1) d rows."""
+    return nullspace_modp(liftlab._coboundary(M, degree), M.p)
+
+
+def oracle_quotient_basis(Z, B_rows, p):
+    """dim and representatives of (row space of Z) / (row space of
+    B_rows): each Z row reduced against B's echelon, and kept (and
+    inserted into the echelon) when a residue is left."""
+    Bred, bpiv = rref_modp(B_rows, p)
+    acc, acc_piv = Bred[:len(bpiv)], list(bpiv)
+    reps = []
+    for z in Z % p:
+        v = z.copy()
+        for ri, pc in enumerate(acc_piv):
+            if v[pc]:
+                v = (v - v[pc] * acc[ri]) % p
+        if np.any(v):
+            lead = int(np.nonzero(v)[0][0])
+            v = v * pow(int(v[lead]), -1, p) % p
+            acc = np.vstack([acc, v])
+            acc_piv.append(lead)
+            reps.append(v)
+    return len(reps), reps
+
+
+def _cohomology_cases():
+    """(name, model, module, degree): degree 1 on the groups of the
+    obstruction cochains, and degree 2 where |G| <= 14."""
+    return [(name, G, M, degree)
+            for name, G, M, _ in _obstruction_cochains()
+            for degree in ((1, 2) if len(G) <= 14 else (1,))]
+
+
+def test_generator_rows_cut_out_the_full_cocycles():
+    """The rows of d^k ending in a generator have the kernel of all the
+    rows, so z1_basis and the kernel of `cohomology` are the full
+    nullspace bases, and its dimension is the one the quotient echelon
+    gives on them."""
+    cases = _cohomology_cases()
+    assert {degree for *_, degree in cases} == {1, 2}
+    for name, G, M, degree in cases:
+        Z = oracle_cocycles(M, degree)
+        assert np.array_equal(nullspace_modp(
+            liftlab._coboundary(M, degree, G.generators), M.p), Z), name
+        if degree == 1:
+            assert np.array_equal(z1_basis(G, M), Z), name
+        want, _ = oracle_quotient_basis(
+            Z, liftlab._coboundary(M, degree - 1).T, M.p)
+        assert cohomology(G, M, degree)[0] == want, (name, degree)
+
+
+def test_cohomology_representatives_are_independent_cocycles():
+    """Each representative is killed by the full d^degree, and with the
+    coboundaries they span a space of dimension rank B^degree + dim."""
+    for name, G, M, degree in _cohomology_cases():
+        p = M.p
+        dim, reps = cohomology(G, M, degree)
+        assert len(reps) == dim
+        D = liftlab._coboundary(M, degree)
+        for z in reps:
+            assert not np.any(D @ z.values.reshape(-1) % p), name
+        B = liftlab._coboundary(M, degree - 1).T % p
+        rank_b = len(rref_modp(B, p)[1])
+        stacked = np.vstack([B] + [z.values.reshape(1, -1) for z in reps])
+        assert len(rref_modp(stacked, p)[1]) == rank_b + dim, name

@@ -3,12 +3,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 from mulab.elliptic import Curve
-from mulab.errors import DenominatorAtP, InvariantViolation, NotStabilized
+from mulab.errors import (
+    DenominatorAtP,
+    InvariantViolation,
+    NotStabilized,
+    PrecisionExhausted,
+)
 from mulab.mazur_tate import (
     MazurTateElement,
     _gamma_index_table,
@@ -28,7 +34,8 @@ from mulab.padic import (
     mu_lambda_of_polynomial,
     teichmuller,
 )
-from test_padic import group_ring_from_T
+from test_modsym import oracle_eigen_table
+from test_padic import group_ring_from_T, oracle_mu_lambda
 
 P, N = 5, 6
 
@@ -37,6 +44,25 @@ CURVES = {
     "11a2": (0, -1, 1, -7820, -263580),
     "11a3": (0, -1, 1, 0, 0),
 }
+
+
+# a_5 of the 11a isogeny class
+A_P = Curve(*CURVES["11a1"]).ap(P)
+
+
+def coeffs(theta: MazurTateElement) -> tuple[Fraction, ...]:
+    """The coefficients of theta as Fractions."""
+    return tuple(Fraction(x, theta.den) for x in theta.nums)
+
+
+def element(label, p, N, n, fractions) -> MazurTateElement:
+    """The Mazur-Tate element with these Fraction coefficients, over
+    their least common denominator."""
+    den = lcm(*(Fraction(c).denominator for c in fractions))
+    nums = [int(c * den) for c in fractions]
+    g = gcd(den, *nums)
+    return MazurTateElement(label, p, N, n, "neron",
+                            tuple(x // g for x in nums), den // g)
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +88,11 @@ def project_layer(theta: MazurTateElement) -> MazurTateElement:
     if theta.n < 1:
         raise InvariantViolation(
             f"cannot project layer {theta.n} to the layer below")
-    p, size = theta.p, theta.p**(theta.n - 1)
+    size = theta.p**(theta.n - 1)
     out = [Fraction(0)] * size
-    for j, c in enumerate(theta.coeffs):
+    for j, c in enumerate(coeffs(theta)):
         out[j % size] += c
-    return MazurTateElement(theta.label, p, theta.N, theta.n - 1,
-                            theta.normalization, tuple(out))
+    return element(theta.label, theta.p, theta.N, theta.n - 1, out)
 
 
 def test_normalizations(symbols):
@@ -87,15 +112,15 @@ def test_normalizations(symbols):
 
 def test_theta_layer0_is_single_coefficient(thetas):
     for name in CURVES:
-        assert len(thetas[name][0].coeffs) == 1
+        assert len(thetas[name][0].nums) == 1
     # the trivial-layer coefficient carries the Eisenstein denominator
-    assert thetas["11a1"][0].coeffs[0] == Fraction(-1, 5)
+    assert coeffs(thetas["11a1"][0]) == (Fraction(-1, 5),)
 
 
 def test_coefficient_counts(thetas):
     for name in CURVES:
         for n in range(4):
-            assert len(thetas[name][n].coeffs) == 5**n
+            assert len(thetas[name][n].nums) == 5**n
 
 
 def norm_relation_defect(theta_n, theta_prev, theta_prev2, a_p):
@@ -107,16 +132,15 @@ def norm_relation_defect(theta_n, theta_prev, theta_prev2, a_p):
         raise InvariantViolation(
             f"layers {lhs.n}, {theta_prev.n} and {nu.n} differ")
     return tuple(x - (a_p * y - z)
-                 for x, y, z in zip(lhs.coeffs, theta_prev.coeffs,
-                                    nu.coeffs, strict=True))
+                 for x, y, z in zip(coeffs(lhs), coeffs(theta_prev),
+                                    coeffs(nu), strict=True))
 
 
 def test_norm_relation(thetas):
-    ap = Curve(*CURVES["11a1"]).ap(5)
     for name in CURVES:
         t = thetas[name]
         for n in (2, 3):
-            defect = norm_relation_defect(t[n], t[n - 1], t[n - 2], ap)
+            defect = norm_relation_defect(t[n], t[n - 1], t[n - 2], A_P)
             assert all(c == 0 for c in defect)
 
 
@@ -124,7 +148,7 @@ def test_projection_inflation_adjoint(thetas):
     # pi(nu(x)) = p * x
     t1 = thetas["11a1"][1]
     back = project_layer(inflate_norm(t1))
-    assert back.coeffs == tuple(5 * c for c in t1.coeffs)
+    assert coeffs(back) == tuple(5 * c for c in coeffs(t1))
 
 
 def oracle_theta_element(es, p, n, N):
@@ -193,7 +217,7 @@ def test_half_walk_theta_matches_the_full_walk(rec):
                      Curve(*rec["ainvs"]), rec["conductor"])
     for n in range(4):
         theta = theta_element(es, rec["p"], n, N)
-        assert theta.coeffs == tuple(
+        assert coeffs(theta) == tuple(
             Fraction(x, es.den)
             for x in full_walk_theta_numerators(es, rec["p"], n))
 
@@ -206,28 +230,26 @@ def test_theta_matches_evaluate_sum(label):
                      Curve(*rec["ainvs"]), rec["conductor"])
     for n in range(3):
         theta = theta_element(es, rec["p"], n, N)
-        assert theta.coeffs == oracle_theta_element(es, rec["p"], n, N)
+        assert coeffs(theta) == oracle_theta_element(es, rec["p"], n, N)
 
 
 def test_layer_checks_raise(thetas):
     with pytest.raises(InvariantViolation, match="layer 0"):
         project_layer(thetas["11a1"][0])
     with pytest.raises(InvariantViolation, match="coefficients"):
-        MazurTateElement("x", 5, N, 1, "neron", (Fraction(1),))
-    alpha = hensel_unit_root(1, P, N + 3)
+        MazurTateElement("x", 5, N, 1, "neron", (1,), 1)
     with pytest.raises(InvariantViolation, match="theta_prev"):
-        regularized_Lp(thetas["11a1"][2], thetas["11a1"][0], alpha)
+        regularized_Lp(thetas["11a1"][2], thetas["11a1"][0], A_P)
 
 
 def test_layer_checks_raise_under_O():
     """The checks are no bare asserts, so `python -O` keeps them."""
     out = subprocess.run(
         [sys.executable, "-O", "-c",
-         "from fractions import Fraction\n"
          "from mulab.errors import InvariantViolation\n"
          "from mulab.mazur_tate import MazurTateElement\n"
          "from test_mazur_tate import project_layer\n"
-         "theta = MazurTateElement('x', 5, 6, 0, 'neron', (Fraction(1),))\n"
+         "theta = MazurTateElement('x', 5, 6, 0, 'neron', (1,), 1)\n"
          "try:\n"
          "    project_layer(theta)\n"
          "except InvariantViolation:\n"
@@ -242,37 +264,39 @@ def test_theta_linearity(symbols):
     t = theta_element(es, P, 1, N)
     es5 = EigenSymbol.__new__(EigenSymbol)
     es5.__dict__.update(es.__dict__)
-    es5.phi = [5 * x for x in es.phi]
+    es5._num = [5 * x for x in es._num]
     t5 = theta_element(es5, P, 1, N)
-    assert t5.coeffs == tuple(5 * c for c in t.coeffs)
+    assert coeffs(t5) == tuple(5 * c for c in coeffs(t))
 
 
 def test_regularized_compatibility(thetas):
     """The image of L_n at layer n-1 equals L_(n-1): gamma^j goes to
     gamma^(j mod p^(n-1)) on the group-ring residues, and the three
     layers read identical invariants."""
-    alpha = hensel_unit_root(1, P, N + 3)
     for name in CURVES:
         t = thetas[name]
-        L = [regularized_Lp(t[n], t[n - 1], alpha) for n in range(1, 4)]
+        L = [regularized_Lp(t[n], t[n - 1], A_P) for n in range(1, 4)]
         for hi, lo in zip(L[1:], L):
-            image = [0] * len(lo.coeffs)
-            for j, c in enumerate(hi.coeffs):
+            image = [0] * len(lo)
+            for j, c in enumerate(hi):
                 image[j % len(image)] += c
-            assert tuple(c % P**N for c in image) == lo.coeffs, name
-        invs = [mu_lambda_of_polynomial(x) for x in L]
+            assert tuple(c % P**N for c in image) == lo, name
+        invs = [mu_lambda_of_polynomial(x, P, N) for x in L]
         assert invs[0] == invs[1] == invs[2]
 
 
+ZERO_LAYER0 = MazurTateElement("x", P, N, 0, "neron", (0,), 1)
+
+
 def test_regularized_theta_prev_none(thetas):
-    alpha = hensel_unit_root(1, P, N + 3)
+    """With a zero previous layer, L_n is alpha^-(n+1) theta_n with no
+    correction term."""
     t1 = thetas["11a2"][1]
-    L = regularized_Lp(t1, None, alpha)
-    # alpha^-(n+1) * theta_n with no correction term
-    ainv2 = pow(pow(alpha.value, -1, 5**N), 2, 5**N)
+    L = regularized_Lp(t1, ZERO_LAYER0, A_P)
+    ainv2 = pow(hensel_unit_root(A_P, P, N), -2, 5**N)
     direct = tuple(ainv2 * c.numerator * pow(c.denominator, -1, 5**N) % 5**N
-                   for c in t1.coeffs)
-    assert (L.p, L.N, L.coeffs) == (5, N, direct)
+                   for c in coeffs(t1))
+    assert L == direct
 
 
 def residues(theta) -> tuple[int, ...]:
@@ -280,7 +304,7 @@ def residues(theta) -> tuple[int, ...]:
     if one is not p-integral."""
     mod = theta.p**theta.N
     out = []
-    for c in theta.coeffs:
+    for c in coeffs(theta):
         if c.denominator % theta.p == 0:
             raise DenominatorAtP(
                 f"coefficient {c} has p={theta.p} in its denominator")
@@ -291,29 +315,26 @@ def residues(theta) -> tuple[int, ...]:
 def test_denominator_at_p_raises():
     """Both raise sites: a theta coefficient with p in its denominator
     has no residue mod p^N, and regularizing a layer-1 element with a
-    coefficient 1/p and no previous layer leaves 1/p in L_1."""
-    theta = MazurTateElement("x", 5, N, 0, "neron", (Fraction(1, 5),))
+    coefficient 1/p over a zero layer 0 leaves 1/p in L_1."""
+    theta = MazurTateElement("x", 5, N, 0, "neron", (1,), 5)
     with pytest.raises(DenominatorAtP, match="denominator"):
         residues(theta)
-    t1 = MazurTateElement("x", 5, N, 1, "neron",
-                          (Fraction(1, 5),) + (Fraction(0),) * 4)
-    alpha = hensel_unit_root(1, P, N + 1)
+    t1 = MazurTateElement("x", 5, N, 1, "neron", (1, 0, 0, 0, 0), 5)
     with pytest.raises(DenominatorAtP, match="not p-integral"):
-        regularized_Lp(t1, None, alpha)
+        regularized_Lp(t1, ZERO_LAYER0, A_P)
 
 
 def test_mu_lambda_11a_class(thetas):
     """The worked example: mu = 1, 2, 0 for 11a1, 11a2, 11a3 at p = 5,
     stabilized across consecutive layers, with lambda an isogeny
     invariant."""
-    alpha = hensel_unit_root(1, P, N + 3)
     expected_mu = {"11a1": 1, "11a2": 2, "11a3": 0}
     lambdas = set()
     for name in CURVES:
         t = thetas[name]
-        L = [regularized_Lp(t[n], t[n - 1], alpha) for n in range(1, 4)]
+        L = [regularized_Lp(t[n], t[n - 1], A_P) for n in range(1, 4)]
         mu, lam, stab = analytic_iwasawa_invariants(
-            [mu_lambda_of_polynomial(x) for x in L])
+            [mu_lambda_of_polynomial(x, P, N) for x in L])
         assert mu == expected_mu[name], name
         assert stab <= 3
         lambdas.add(lam)
@@ -323,18 +344,18 @@ def test_mu_lambda_11a_class(thetas):
 def test_interpolation_euler_factor(thetas, symbols):
     """aug(L_n) = (1 - alpha^-1)^2 * L(E,1)/Omega, exactly mod p^N after
     clearing the p-part of the rational value's denominator."""
-    alpha = hensel_unit_root(1, P, N + 3)
+    alpha = hensel_unit_root(A_P, P, N + 3)
     for name in CURVES:
         t = thetas[name]
-        L2 = regularized_Lp(t[2], t[1], alpha)
-        aug = sum(L2.coeffs) % P**N
+        L2 = regularized_Lp(t[2], t[1], A_P)
+        aug = sum(L2) % P**N
         ratio = symbols[name].base_value
         d0, v = ratio.denominator, 0
         while d0 % P == 0:
             d0 //= P
             v += 1
         bigmod = P**(N + v)
-        ainv = pow(alpha.value, -1, bigmod)
+        ainv = pow(alpha, -1, bigmod)
         expected_scaled = ((1 - ainv)**2 * ratio.numerator
                            * pow(d0, -1, bigmod)) % bigmod
         assert (aug * P**v - expected_scaled) % P**N == 0
@@ -344,10 +365,10 @@ def test_not_stabilized_and_guard():
     a = group_ring_from_T(5, 4, [1, 0, 0])
     b = group_ring_from_T(5, 4, [5, 1, 0])
     with pytest.raises(NotStabilized):
-        analytic_iwasawa_invariants([mu_lambda_of_polynomial(a),
-                                     mu_lambda_of_polynomial(b)])
+        analytic_iwasawa_invariants([mu_lambda_of_polynomial(a, 5, 4),
+                                     mu_lambda_of_polynomial(b, 5, 4)])
     with pytest.raises(NotStabilized):
-        analytic_iwasawa_invariants([mu_lambda_of_polynomial(a)])
+        analytic_iwasawa_invariants([mu_lambda_of_polynomial(a, 5, 4)])
     assert precision_guard(6, 2, 2)
     assert not precision_guard(6, 2, 3)
 
@@ -363,7 +384,7 @@ def test_invariants_read_where_every_later_layer_agrees():
 
     def read(pairs):
         return analytic_iwasawa_invariants(
-            [mu_lambda_of_polynomial(layer(*t)) for t in pairs])
+            [mu_lambda_of_polynomial(layer(*t), 3, 6) for t in pairs])
 
     # N = 182, p = 3: layers 1-2 read (1, 2), layers 3-4 read (0, 10)
     with pytest.raises(NotStabilized, match="raise --layers"):
@@ -428,3 +449,116 @@ def test_cache_miss_on_corrupt_file(tmp_path, thetas, damage):
     with open(path, "w") as fh:
         fh.write(text)
     assert read_theta_cache(str(tmp_path), "11a1", 5, 2, KEY_11A1) is None
+
+
+# -- the Fraction path that integer numerators over one denominator
+# -- replaced: theta as Fractions, and L_n by a modular inverse per
+# -- coefficient with alpha carried at a fixed precision ----------------------
+
+
+def oracle_theta_coeffs(es, p, n):
+    """theta_n as Fractions: the half-walk sums, each over es.den."""
+    m = p**(n + 1)
+    table = _gamma_index_table(p, n)
+    acc = [0] * (p**n)
+    for a in range(1, (m + 1) // 2):
+        if a % p:
+            acc[table[a]] += es.path_numerator(a, m)
+    return tuple(Fraction(2 * x, es.den) for x in acc)
+
+
+def oracle_denominator_exponent(cs, p):
+    """Largest e with p^e dividing a coefficient denominator."""
+    e = 0
+    for c in cs:
+        d, v = c.denominator, 0
+        while d % p == 0:
+            d //= p
+            v += 1
+        e = max(e, v)
+    return e
+
+
+def oracle_regularized_Lp(cs_n, cs_prev, p, N, n, alpha, alpha_N):
+    """(e, residues of L_n mod p^N) from the Fraction coefficients of
+    layers n and n - 1, alpha the unit root mod p^alpha_N;
+    DenominatorAtP when p^e L_n is not divisible by p^e."""
+    e = max(oracle_denominator_exponent(cs_n, p),
+            oracle_denominator_exponent(cs_prev, p))
+    if alpha_N < N + e:
+        raise ValueError(f"alpha needs precision >= {N + e}")
+    bigmod = p**(N + e)
+    ainv = pow(alpha, -1, bigmod)
+
+    def lift(q):
+        den, v = q.denominator, 0
+        while den % p == 0:
+            den //= p
+            v += 1
+        return q.numerator * p**(e - v) * pow(den, -1, bigmod) % bigmod
+
+    small = len(cs_prev)
+    scaled = [(lift(c) - ainv * lift(cs_prev[j % small])) % bigmod
+              for j, c in enumerate(cs_n)]
+    mod, q = p**N, p**e
+    scale = pow(ainv, n + 1, mod)
+    out = []
+    for c in scaled:
+        if c % q:
+            raise DenominatorAtP(f"residue {c} mod p^{N + e}")
+        out.append(c // q * scale % mod)
+    return e, tuple(out)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the DenominatorAtP or PrecisionExhausted
+    it raises."""
+    try:
+        return fn(*args)
+    except (DenominatorAtP, PrecisionExhausted) as exc:
+        return type(exc)
+
+
+DIFFERENTIAL_CASES = [
+    pytest.param(r["label"], r["ainvs"], r["conductor"], r["p"], N,
+                 id=f"{r['label']}-p{r['p']}")
+    for r in json.loads(CORPUS.read_text())
+] + [pytest.param("11a1", CURVES["11a1"], 11, 17, 100, id="11a1-p17-N100")]
+
+
+@pytest.mark.parametrize("label, ainvs, conductor, p, prec",
+                         DIFFERENTIAL_CASES)
+def test_integer_path_matches_fraction_oracle(label, ainvs, conductor, p,
+                                              prec):
+    """The corpus at each record's p (11a1, 11a2 and 11a3 at p = 5 among
+    it) and 11a1 at p = 17, precision 100, at layers 0-3: the
+    eigensymbol's den, generator numerators, denominator bound and base
+    value, and at every layer the exponent e, the L_n residues or the
+    DenominatorAtP refusal, and (mu, lambda) or PrecisionExhausted, as
+    the Fraction path gives them with alpha carried at precision
+    prec + layers + 2."""
+    E = Curve(*ainvs)
+    es = EigenSymbol(build_manin_space(conductor), E, conductor)
+    assert (es.den, es._num, es.denominator_bound, es.base_value) == \
+        oracle_eigen_table(es)
+    a_p = E.ap(p)
+    layers = 3
+    alpha_N = prec + layers + 2
+    alpha = hensel_unit_root(a_p, p, alpha_N)
+    thetas = [theta_element(es, p, n, prec, label=label)
+              for n in range(layers + 1)]
+    oracle = [oracle_theta_coeffs(es, p, n) for n in range(layers + 1)]
+    for n in range(layers + 1):
+        assert coeffs(thetas[n]) == oracle[n], n
+    for n in range(1, layers + 1):
+        e = max(oracle_denominator_exponent([Fraction(1, t.den)], p)
+                for t in thetas[n - 1:n + 1])
+        got = _outcome(regularized_Lp, thetas[n], thetas[n - 1], a_p)
+        want = _outcome(lambda: oracle_regularized_Lp(
+            oracle[n], oracle[n - 1], p, prec, n, alpha, alpha_N))
+        if want is DenominatorAtP:
+            assert got is DenominatorAtP, n
+            continue
+        assert (e, got) == want, n
+        assert _outcome(mu_lambda_of_polynomial, got, p, prec) == \
+            _outcome(oracle_mu_lambda, want[1], p, prec), n

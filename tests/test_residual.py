@@ -331,12 +331,6 @@ def test_hensel_lift_checks_the_lifted_product():
         _hensel_pair([5, 0, 1], [1, 1], [2, 1], 7, 4)
 
 
-def test_recombination_bound_raises():
-    with pytest.raises(FactorizationInconclusive):
-        monic_factors_of_degree(E11A1.division_polynomial(5), 2,
-                                max_subsets=0)
-
-
 def test_frobenius_scalar_refuses_ell_in_a_denominator():
     with pytest.raises(NoFrobeniusScalar, match="denominator"):
         frobenius_scalar(E11A1, (Fraction(1, 3), Fraction(0), Fraction(1)),

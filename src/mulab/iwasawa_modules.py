@@ -5,16 +5,17 @@ The module must be torsion.  Its relation matrix R has entries in Z[T]
 of degree < M, so every maximal minor has degree <= c(M - 1) for c
 generators; R has rank c over Q(T) iff R(t) has rank c over Q at one
 integer t in 0 .. c(M - 1), and `torsion_certificate` returns the least
-such t.
+such t, taking the rank mod a word prime first at each point.
 
 The k-th graded rank q_k is the Fp[[T]]-rank of p^(k-1) M / p^k M.  For a
 module whose p-power torsion is a sum of pieces Lambda/p^i, q_k counts the
 summands with i >= k, so the multiplicity of Lambda/p^i is q_i - q_(i+1).
 Everything is computed from the relation rows by exact linear algebra
-over A = (Z/p^N)[T]/(T^M): one elimination mod p per k gives the
-Fp[[T]]-rank of the T-stable space W_k of x mod p with p^(k-1) x in the
-span of the relations, and hands generators of W_(k+1) to the next level
-(see `smith_rank_over_power_series_field_char_p`).
+over A = (Z/p^N)[T]/(T^M), each entry M coefficients and one zero pad
+slot: one elimination mod p per k gives the Fp[[T]]-rank of the
+T-stable space W_k of x mod p with p^(k-1) x in the span of the
+relations, and hands generators of W_(k+1) to the next level (see
+`smith_rank_over_power_series_field_char_p`).
 Finite (pseudonull) junk is insensitive to the T-truncation bound, so each
 profile is recomputed at doubled truncation and must agree.
 """
@@ -39,21 +40,24 @@ from .modp import MAX_MODULUS, matmul_mod
 
 # bounds that `load_presentation` checks before any matrix is built.
 # MT: the doubled-truncation pass of the elimination works at M = 2 MT
-# with M x M int64 arrays (the T-shift index, the multiplication matrix
-# of a pivot and the limb halves of a product), and 2 MT is the inner
-# dimension of its `matmul_mod` products, which must stay below 2^16.
-# At MT = 1024 such an array takes 32 MiB.
+# with (M + 1) x (M + 1) int64 arrays (the T-shift index, the
+# multiplication matrix of a pivot and the limb halves of a product; the
+# extra slot is the zero pad), and M + 1 is the inner dimension of its
+# `matmul_mod` products, which must stay below 2^16.  At MT = 1024 such
+# an array takes 32 MiB.
 MAX_TRUNCATION = 1024
 # a refused torsion certificate evaluates the r x c relation matrix at
-# c(MT - 1) + 1 points and row-reduces each exactly, about r c (c + MT)
-# operations a point (MT big-integer steps an entry to evaluate, c to
-# eliminate).  At both bounds, over r x c from 1 x 1 to 128 x 2 and
-# 100 x 100, refusals (a repeated column, p^N = 5^3) took at most 2.3 s
-# (2 x 2 at MT 706) and accepted dense presentations (p^N = 2^31 with
-# every level running, or 46337^2 with limb products) at most 0.75 s
-# (100 x 100 at MT 1) and 169 MB (2 x 1 at MT 1024); Xeon, Python 3.11,
-# numpy 2.4.
+# c(MT - 1) + 1 points and row-reduces each mod WORD_PRIME and exactly,
+# about r c (c + MT) operations a point (MT big-integer steps an entry
+# to evaluate, c to eliminate).  At both bounds, over r x c from 1 x 1
+# to 128 x 2 and 100 x 100, refusals (a repeated column, p^N = 5^3) took
+# at most 2.3 s (2 x 2 at MT 706) and accepted dense presentations
+# (p^N = 2^31 with every level running, or 46337^2 with limb products)
+# at most 0.75 s (100 x 100 at MT 1) and 170 MB (2 x 1 at MT 1024; 166
+# MB before the pad slot); Xeon, Python 3.11, numpy 2.4.
 MAX_CERTIFICATE_WORK = 4 * 10**6
+# the prime of the torsion certificate's first rank test at each point
+WORD_PRIME = 2**31 - 1
 
 
 def certificate_work(r: int, c: int, M: int) -> int:
@@ -64,82 +68,101 @@ def certificate_work(r: int, c: int, M: int) -> int:
 
 
 def _shift_index(M: int) -> np.ndarray:
-    """S[s, t] = t - s for t >= s and M otherwise: indexing a length-M
-    coefficient vector padded by one zero with S[s] multiplies it by T^s
-    mod T^M, so indexing with S gives the matrix of multiplication by it."""
-    s, t = np.ogrid[:M, :M]
-    return np.where(t >= s, t - s, M)
+    """S[s, t] = t - s for s <= t < M and M otherwise, for s, t <= M:
+    indexing a length-M coefficient vector padded by one zero with S[s]
+    multiplies it by T^s mod T^M and keeps the pad, so indexing with S
+    gives the matrix of multiplication by it, with a zero last row and
+    column for the pad slot."""
+    s, t = np.ogrid[:M + 1, :M + 1]
+    return np.where((t >= s) & (t < M), t - s, M)
 
 
 # a few truncations recur (MT and 2 MT of each presentation), and
 # building S costs a level about 10 % of its time on small modules; S
-# takes 8 M^2 bytes, so only those up to _SHIFT_CACHE_MAX are kept (0.7
-# MB for all of them) and a larger one is built per call
+# takes 8 (M + 1)^2 bytes, so only those up to _SHIFT_CACHE_MAX are kept
+# (0.7 MB for all of them) and a larger one is built per call
 _SHIFT_CACHE_MAX = 64
 _small_shift_index = lru_cache(maxsize=None)(_shift_index)
 
 
+def _valuations(X: np.ndarray, p: int) -> np.ndarray:
+    """The T-valuation mod p of each entry of the (rows, c, M + 1) array
+    X with a zero pad slot: the index of its first coefficient that is
+    nonzero mod p, or M."""
+    nz = X % p != 0
+    nz[:, :, -1] = True
+    return nz.argmax(axis=2)
+
+
 def smith_rank_over_power_series_field_char_p(G: np.ndarray, p: int,
                                               mod: int):
-    """One level of the graded ranks.  G is an int64 (rows, c, M) array
-    over A = (Z/p^n)[T]/(T^M), mod = p^n, and U is the A-span of its
-    rows.  Returns the Fp[[T]]-rank of W = U mod p, and rows that span
+    """One level of the graded ranks.  G is an int64 (rows, c, M + 1)
+    array over A = (Z/p^n)[T]/(T^M), mod = p^n, whose last slot is a
+    zero pad, and U is the A-span of its rows.  Returns the Fp[[T]]-rank
+    of W = U mod p, and rows, padded the same way, that span
     U' = {x : p x in U} mod p^(n-1), or None when n = 1.
 
     Each step pivots on an entry of least T-valuation e, read mod p,
-    among the rows not yet pivoted and clears its column mod p from the
-    others: with T^e u and a the column's entries mod p in the pivot row
-    g and in another row, row <- u row - (a / T^e) g is invertible over
-    A, so U is kept.  The pivot rows g_r are divisible mod p by T^(e_r)
-    and zero mod p in the earlier pivot columns, so they are minimal
-    generators of W, a sum of pieces T^(e_r) Fp[T]/(T^M), and the rank is
-    their number.  Every other row ends 0 mod p.
+    among the rows not yet pivoted, ties broken by the least flat index,
+    and clears its column mod p from the others: with T^e u and a the
+    column's entries mod p in the pivot row g and in another row,
+    row <- u row - (a / T^e) g is invertible over A, so U is kept.  The
+    pivot rows g_r are divisible mod p by T^(e_r) and zero mod p in the
+    earlier pivot columns, so they are minimal generators of W, a sum of
+    pieces T^(e_r) Fp[T]/(T^M), and the rank is their number.  Every
+    other row ends 0 mod p.
 
     If p x = sum a_r g_r + (A-multiples of the other rows), reading the
     pivot columns mod p in order gives a_r in (p, T^(M-e_r)), and
     T^(M-e_r) g_r = 0 mod p.  So U' is spanned mod p^(n-1) by each g_r,
     by T^(M-e_r) g_r / p and by each other row / p: a level adds at most
     c rows.  Rows that are 0 are dropped.
+
+    The valuations `val` of every entry are kept between steps: a pivot
+    row's are set to M, so it is never chosen or updated again, and only
+    the updated rows are read again.  Both step matrices are gathers by
+    S: u as the matrix of multiplication by it mod T^M, from a buffer
+    whose slots past M stay zero, and the T-shifts of g, laid out
+    coefficient-major so that the gather is contiguous.
     """
     G = G % mod
-    _, c, M = G.shape
+    n, c, M1 = G.shape
+    M = M1 - 1
     S = _small_shift_index(M) if M <= _SHIFT_CACHE_MAX else _shift_index(M)
-    live = np.ones(len(G), dtype=bool)
+    val = _valuations(G, p)
+    u = np.zeros(2 * M + 1, dtype=np.int64)
     pivots, vals = [], []
-    while True:
-        rows = np.flatnonzero(live)
-        nz = G[rows] % p != 0
-        hit = nz.any(axis=2)
-        if not hit.any():
+    while val.size:
+        r, j = divmod(int(val.argmin()), c)
+        e = int(val[r, j])
+        if e == M:
             break
-        val = np.where(hit, nz.argmax(axis=2), M)
-        i, j = divmod(int(val.argmin()), c)
-        r, e = rows[i], int(val[i, j])
-        live[r] = False
         pivots.append(r)
         vals.append(e)
-        others = rows[hit[:, j]]
-        others = others[others != r]
+        val[r] = M
+        others = (val[:, j] < M).nonzero()[0]
         if not others.size:
             continue
-        # u and g as matrices of multiplication mod T^M, a / T^e as
-        # coefficient rows
-        u = np.zeros(M + 1, dtype=np.int64)
-        u[:M - e] = G[r, j, e:] % p
-        g = np.zeros((c, M + 1), dtype=np.int64)
-        g[:, :M] = G[r]
-        gT = g[:, S[:M - e]].transpose(1, 0, 2).reshape(M - e, c * M)
-        scaled = matmul_mod(G[others].reshape(-1, M), u[S], mod)
-        taken = matmul_mod(G[others, j, e:] % p, gT, mod)
-        G[others] = (scaled.reshape(-1, c, M)
-                     - taken.reshape(-1, c, M)) % mod
+        # u = G[r, j] / T^e mod p, and its multiplication matrix
+        np.remainder(G[r, j], p, out=u[:M1])
+        U = u[e:e + M1][S]
+        gT = G[r].T[S[:M - e]].reshape(M - e, M1 * c)
+        rows = G[others]
+        scaled = matmul_mod(rows.reshape(-1, M1), U, mod)
+        taken = matmul_mod(rows[:, j, e:M] % p, gT, mod)
+        new = (scaled.reshape(-1, c, M1)
+               - taken.reshape(-1, M1, c).transpose(0, 2, 1)) % mod
+        G[others] = new
+        val[others] = _valuations(new, p)
     if mod == p:
         return len(pivots), None
-    shifted = np.zeros((len(pivots), c, M), dtype=np.int64)
+    shifted = np.zeros((len(pivots), c, M1), dtype=np.int64)
     for k, (r, e) in enumerate(zip(pivots, vals)):
-        shifted[k, :, M - e:] = G[r, :, :e] // p
+        shifted[k, :, M - e:M] = G[r, :, :e] // p
+    pivoted = np.zeros(n, dtype=bool)
+    pivoted[pivots] = True
     nxt = np.concatenate([G[pivots] % (mod // p), shifted,
-                          G[live] // p])
+                          G[~pivoted] // p])
     return len(pivots), nxt[nxt.any(axis=(1, 2))]
 
 
@@ -201,12 +224,6 @@ class LambdaPresentation:
         self.raw = self.relations if np.array_equal(raw, self.relations) \
             else raw
 
-    def with_truncation(self, M_new: int) -> "LambdaPresentation":
-        raw = np.zeros(self.raw.shape[:2] + (M_new,), dtype=self.raw.dtype)
-        keep = min(M_new, self.M)
-        raw[:, :, :keep] = self.raw[:, :, :keep]
-        return LambdaPresentation(self.p, self.N, M_new, raw)
-
     # -- torsion certificate ------------------------------------------------
 
     def torsion_certificate(self) -> int:
@@ -218,7 +235,10 @@ class LambdaPresentation:
         minor of R is a polynomial of degree <= c(M - 1), so a nonzero
         minor is nonzero at one of the c(M - 1) + 1 points 0 .. c(M - 1):
         rank c at some point certifies torsion, and rank < c at every
-        point proves the module is not torsion.
+        point proves the module is not torsion.  At each point the rank
+        mod the word prime WORD_PRIME is taken first: it is at most the
+        rank over Q, so rank c mod it proves rank c, and only a smaller
+        rank mod it leaves the point to the exact elimination.
         """
         c = self.ncols
         if len(self.raw) < c:
@@ -226,10 +246,27 @@ class LambdaPresentation:
         rows = self.raw.tolist()
         for t in range(c * (self.M - 1) + 1):
             R = [[poly_eval(e, t) for e in row] for row in rows]
-            if len(rref(R)[1]) == c:
+            if _full_rank_mod(R, c, WORD_PRIME) or len(rref(R)[1]) == c:
                 return t
         raise NotTorsion(f"rank < {c} over Q(T): the relation matrix has "
                          f"rank < {c} at every T = 0 .. {c * (self.M - 1)}")
+
+
+def _full_rank_mod(R: list[list[int]], c: int, q: int) -> bool:
+    """Whether the integer matrix R with c columns has rank c mod the
+    prime q; stops at the first column without a pivot."""
+    R = [[x % q for x in row] for row in R]
+    for col in range(c):
+        i = next((i for i in range(col, len(R)) if R[i][col]), None)
+        if i is None:
+            return False
+        R[col], R[i] = R[i], R[col]
+        piv = R[col]
+        inv = pow(piv[col], -1, q)
+        for i in range(col + 1, len(R)):
+            if f := R[i][col] * inv % q:
+                R[i] = [(x - f * y) % q for x, y in zip(R[i], piv)]
+    return True
 
 
 def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:
@@ -238,9 +275,12 @@ def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:
     relations.  U_1 = V and U_(k+1) = {x : p x in U_k}; U_k contains
     p^(N-k+1) A^c, so level k works mod p^(N-k+1).  The rank never falls
     as k grows (the socle of W_k lies in that of W_(k+1)), so once it is
-    c it stays c."""
+    c it stays c.  The relations are truncated or padded with zeros to
+    M coefficients, plus the zero pad slot of the elimination."""
     p, N, c = pres.p, pres.N, pres.ncols
-    G = pres.relations.reshape(len(pres.relations), c, M)
+    keep = min(M, pres.M)
+    G = np.zeros((len(pres.relations), c, M + 1), dtype=np.int64)
+    G[:, :, :keep] = pres.relations[:, :, :keep]
     qs = []
     for k in range(1, N + 1):
         rank, G = smith_rank_over_power_series_field_char_p(
@@ -260,7 +300,7 @@ def graded_ranks(pres: LambdaPresentation) -> list[int]:
     """
     pres.torsion_certificate()
     qs = _graded_ranks_at(pres, pres.M)
-    qs2 = _graded_ranks_at(pres.with_truncation(2 * pres.M), 2 * pres.M)
+    qs2 = _graded_ranks_at(pres, 2 * pres.M)
     if qs != qs2:
         raise TruncationUnresolved(
             f"graded ranks unstable under truncation doubling: "

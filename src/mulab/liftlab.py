@@ -293,10 +293,14 @@ def obstruction_class(rho: RepresentationModPn, det_target,
     out = Cochain(2, M, vals % p)
     if verify_class:
         # the class must kill d^2 (cocycle identity)
-        if not _cocycle2_identity_holds(G, M, out):
-            raise InvariantViolation(
-                "obstruction cochain failed the cocycle identity")
+        _check_obstruction(G, M, out)
     return out
+
+
+def _check_obstruction(G, M, obs: Cochain):
+    if not _cocycle2_identity_holds(G, M, obs):
+        raise InvariantViolation(
+            "obstruction cochain failed the cocycle identity")
 
 
 def _kernel_coords(F, p, n, M: AdjointModule):
@@ -360,13 +364,18 @@ def lift_step(rho: RepresentationModPn, det_target,
     ("ok", lifted representation) or ("obstructed", obstruction class).
     Raises LocalTwistUnrealizable when no global twist restricts to an
     admissible local one.
+
+    The cocycle identity of the obstruction is checked once: by
+    `is_coboundary` when the system is solvable, and here when it is not,
+    so that a cochain failing it raises InvariantViolation either way.
     """
     p, n = rho.p, rho.n
     G = rho.model
     tau = set_theoretic_lift(rho, det_target)
-    obs = obstruction_class(rho, det_target, M, tau=tau)
+    obs = obstruction_class(rho, det_target, M, verify_class=False, tau=tau)
     f = is_coboundary(G, M, obs)
     if f is None:
+        _check_obstruction(G, M, obs)
         return "obstructed", obs
     # r = (Id + p^n f) tau is a homomorphism
     r_images = twist(tau, f.values, M, p, n)

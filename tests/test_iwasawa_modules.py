@@ -22,7 +22,8 @@ from mulab.errors import (
     PrecisionInsufficient,
     TruncationUnresolved,
 )
-from mulab.modp import rref_modp
+from mulab.linalg import rref
+from mulab.modp import matmul_mod, rref_modp
 from mulab.padic import val_int
 from mulab.iwasawa_modules import (
     LambdaPresentation,
@@ -63,6 +64,14 @@ EXAMPLES = {
 
 def example(name):
     return LambdaPresentation(*EXAMPLES[name])
+
+
+def with_truncation(pres, M):
+    """`pres` with its coefficients truncated or padded with zeros to M."""
+    raw = np.zeros(pres.raw.shape[:2] + (M,), dtype=pres.raw.dtype)
+    keep = min(M, pres.M)
+    raw[:, :, :keep] = pres.raw[:, :, :keep]
+    return LambdaPresentation(pres.p, pres.N, M, raw)
 
 
 # -- the Smith path the p-adic lifting replaced: one Smith form over Z/p^N of
@@ -115,6 +124,7 @@ def smith_graded_ranks_at(pres, M):
     basis of the (relations*M) x (generators*M) T-shift matrix is still a
     Smith basis with diagonal min(d_i, k), so the rows w_i with d_i < k,
     reduced mod p, are an F_p-basis of W_k for every k."""
+    pres = with_truncation(pres, M)
     p, N, c = pres.p, pres.N, pres.ncols
     nr = len(pres.relations)
     rel = pres.relations.astype(object)
@@ -214,7 +224,7 @@ def oracle_graded_ranks_at(pres, M):
 
 def assert_matches_oracle(pres):
     for M in (pres.M, 2 * pres.M, 3):
-        at = pres if M == pres.M else pres.with_truncation(M)
+        at = pres if M == pres.M else with_truncation(pres, M)
         assert _graded_ranks_at(at, M) == oracle_graded_ranks_at(at, M), \
             (pres.p, pres.N, M, pres.raw.tolist())
 
@@ -235,7 +245,9 @@ def test_smith_rank_examples():
         assert labelled_fpt_ranks(
             basis, [0] * len(basis), 5, 8, 1) == [rank]
         assert oracle_fpt_rank(rows, 5, 8) == rank
-        G = np.array([[_poly(e, 8, 5) for e in row] for row in rows])
+        # eight coefficients and the zero pad slot of the elimination
+        G = np.array([[_poly(e, 8, 5) + (0,) for e in row] for row in rows])
+        assert reslicing_level(G[:, :, :8], 5, 5) == (rank, None)
         assert smith_rank_over_power_series_field_char_p(G, 5, 5) == \
             (rank, None)
 
@@ -496,7 +508,7 @@ def test_graded_ranks_match_per_k_oracle():
     """>= 200 scrambled modules: the one labelled elimination gives the
     per-k graded ranks at the stated and at the doubled truncation."""
     for trial, pres in enumerate(per_k_modules()):
-        for at in (pres, pres.with_truncation(2 * pres.M)):
+        for at in (pres, with_truncation(pres, 2 * pres.M)):
             assert _graded_ranks_at(at, at.M) == \
                 oracle_graded_ranks_at_per_k(at, at.M), \
                 (trial, pres.p, pres.raw.tolist())
@@ -677,7 +689,7 @@ def full_det(pres):
     """The determinant of a square presentation, untruncated: its degree
     is at most c(M - 1)."""
     c = pres.ncols
-    return _det(pres.with_truncation(c * (pres.M - 1) + 1), range(c))
+    return _det(with_truncation(pres, c * (pres.M - 1) + 1), range(c))
 
 
 def repeated_column(c, seed):
@@ -814,8 +826,8 @@ def test_mu_equals_det_content_valuation():
         if len(pres.relations) != pres.ncols:
             continue
         for M in (pres.M, 2 * pres.M, 4 * pres.M):
-            at = pres.with_truncation(M)
-            twice = pres.with_truncation(2 * M)
+            at = with_truncation(pres, M)
+            twice = with_truncation(pres, 2 * M)
             v = _content_valuation(at)
             if v is None or v != _content_valuation(twice):
                 continue
@@ -885,7 +897,7 @@ def test_graded_ranks_match_smith_path(monkeypatch):
     refusals = set()
     for i, pres in enumerate(itertools.chain(presentations(),
                                              big_prime_presentations())):
-        for at in (pres, pres.with_truncation(2 * pres.M)):
+        for at in (pres, with_truncation(pres, 2 * pres.M)):
             assert _graded_ranks_at(at, at.M) == \
                 smith_graded_ranks_at(at, at.M), (i, at.M)
         new = _result(graded_ranks, pres)
@@ -945,10 +957,8 @@ def test_cli_lambda_invariants_matches_smith_path(tmp_path, capsys,
         assert runs[0] == runs[1], (p, N, M, rows)
 
 
-def test_shift_index_cache_holds_no_large_truncation():
-    """graded_ranks at MT 1000 builds 1000 x 1000 and 2000 x 2000 shift
-    indices (8 and 32 MB); only those up to the cache bound stay."""
-    pres = LambdaPresentation(5, 3, 1000, [[[5, 1]]])
+def _held_after_graded_ranks(pres):
+    """Bytes that stay allocated after graded_ranks(pres)."""
     tracemalloc.start()
     try:
         graded_ranks(pres)
@@ -956,7 +966,214 @@ def test_shift_index_cache_holds_no_large_truncation():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 8 * 1000**2
+    return held
+
+
+def test_shift_index_cache_holds_no_large_truncation():
+    """graded_ranks at MT 1000 builds 1001 x 1001 and 2001 x 2001 shift
+    indices (8 and 32 MB); only those up to the cache bound stay.  On 20
+    generators at MT 100, an index as large as c M^2 (6.4 MB at 2 MT)
+    would stay too if it were cached; none above the bound is, and no
+    shift index of 2 MT (320 kB) stays either."""
+    assert _held_after_graded_ranks(
+        LambdaPresentation(5, 3, 1000, [[[5, 1]]])) < 8 * 1000**2
+    c, MT = 20, 100
+    # lower-triangular ones: each pivot updates every row below it
+    wide = LambdaPresentation(5, 1, MT, [[[1] if j <= i else [0]
+                                          for j in range(c)]
+                                         for i in range(c)])
+    assert _held_after_graded_ranks(wide) < 8 * (2 * MT)**2
     small = iwasawa_modules._SHIFT_CACHE_MAX
     assert iwasawa_modules._small_shift_index(small) is \
         iwasawa_modules._small_shift_index(small)
+
+
+# -- the kept-valuation elimination and the word-prime certificate against
+# -- the re-slicing elimination and the exact certificate they replaced ------
+
+
+def _reslicing_shift_index(M):
+    s, t = np.ogrid[:M, :M]
+    return np.where(t >= s, t - s, M)
+
+
+def reslicing_level(G, p, mod):
+    """`smith_rank_over_power_series_field_char_p` before the valuations
+    were kept between pivots: G is an unpadded (rows, c, M) array, and
+    every step reduces every live row mod p and searches it again."""
+    G = G % mod
+    _, c, M = G.shape
+    S = _reslicing_shift_index(M)
+    live = np.ones(len(G), dtype=bool)
+    pivots, vals = [], []
+    while True:
+        rows = np.flatnonzero(live)
+        nz = G[rows] % p != 0
+        hit = nz.any(axis=2)
+        if not hit.any():
+            break
+        val = np.where(hit, nz.argmax(axis=2), M)
+        i, j = divmod(int(val.argmin()), c)
+        r, e = rows[i], int(val[i, j])
+        live[r] = False
+        pivots.append(r)
+        vals.append(e)
+        others = rows[hit[:, j]]
+        others = others[others != r]
+        if not others.size:
+            continue
+        u = np.zeros(M + 1, dtype=np.int64)
+        u[:M - e] = G[r, j, e:] % p
+        g = np.zeros((c, M + 1), dtype=np.int64)
+        g[:, :M] = G[r]
+        gT = g[:, S[:M - e]].transpose(1, 0, 2).reshape(M - e, c * M)
+        scaled = matmul_mod(G[others].reshape(-1, M), u[S], mod)
+        taken = matmul_mod(G[others, j, e:] % p, gT, mod)
+        G[others] = (scaled.reshape(-1, c, M)
+                     - taken.reshape(-1, c, M)) % mod
+    if mod == p:
+        return len(pivots), None
+    shifted = np.zeros((len(pivots), c, M), dtype=np.int64)
+    for k, (r, e) in enumerate(zip(pivots, vals)):
+        shifted[k, :, M - e:] = G[r, :, :e] // p
+    nxt = np.concatenate([G[pivots] % (mod // p), shifted,
+                          G[live] // p])
+    return len(pivots), nxt[nxt.any(axis=(1, 2))]
+
+
+def reslicing_graded_ranks_at(pres, M):
+    """`_graded_ranks_at` on `reslicing_level`, truncating through a
+    second presentation."""
+    at = with_truncation(pres, M)
+    p, N, c = at.p, at.N, at.ncols
+    G = at.relations.reshape(len(at.relations), c, M)
+    qs = []
+    for k in range(1, N + 1):
+        rank, G = reslicing_level(G, p, p**(N - k + 1))
+        qs.append(c - rank)
+        if rank == c:
+            return qs + [0] * (N - k)
+    return qs
+
+
+def exact_torsion_certificate(pres):
+    """The torsion certificate with the exact rank over Q at every point."""
+    c = pres.ncols
+    if len(pres.raw) < c:
+        raise NotTorsion("fewer relations than generators")
+    rows = pres.raw.tolist()
+    for t in range(c * (pres.M - 1) + 1):
+        if len(rref([[poly_eval(e, t) for e in row] for row in rows])[1]) \
+                == c:
+            return t
+    raise NotTorsion(f"rank < {c} over Q(T): the relation matrix has "
+                     f"rank < {c} at every T = 0 .. {c * (pres.M - 1)}")
+
+
+def differential_modules():
+    """240 scrambled sums of Lambda/p^i, Lambda/T^a and Lambda/f with f
+    distinguished, p in {2, 3, 5, 7} and N <= 5, some with an extra
+    relation; the truncation is just above the degrees, or 33 or 70, so
+    that 2 MT falls on both sides of the shift-index cache bound 64."""
+    rng = random.Random(23)
+    for _ in range(240):
+        p, N = rng.choice([2, 3, 5, 7]), rng.randint(1, 5)
+        mod = p**N
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                blocks.append([p**rng.randint(1, N)])
+            elif kind == 1:
+                blocks.append([0] * rng.randint(0, 3) + [1])
+            else:
+                blocks.append([rng.randrange(mod) * p % mod
+                               for _ in range(rng.randint(1, 3))] + [1])
+        rows = [[f if i == j else [0] for j in range(len(blocks))]
+                for i, f in enumerate(blocks)]
+        # scrambled mod p^(N+2), so that a block p^N keeps its exact
+        # coefficients and the module stays torsion
+        rows = random_unimodular_scramble(rng, rows, p, N + 2)
+        if rng.random() < 0.3:
+            rows.append([poly_add(a, poly_mul([rng.randrange(mod)], b))
+                         for a, b in zip(*rng.sample(rows, 2))] if
+                        len(rows) > 1 else [list(e) for e in rows[0]])
+        maxdeg = max(len(e) for r in rows for e in r)
+        M = rng.choice([maxdeg + 1, maxdeg + 3, 33, 70])
+        yield LambdaPresentation(p, N, max(M, maxdeg), rows)
+
+
+def word_prime_presentations():
+    """Presentations whose R(t) vanishes mod 2^31 - 1 at some or every
+    point, so that the exact rank decides there."""
+    q = iwasawa_modules.WORD_PRIME
+    yield LambdaPresentation(5, 3, 1, [[[q]]])
+    yield LambdaPresentation(5, 3, 4, [[[5 * q, q]]])
+    yield LambdaPresentation(5, 3, 3, [[[q], [0, 1]], [[0], [q, q]]])
+    yield LambdaPresentation(3, 2, 2, [[[q, 0], [2 * q]], [[q], [q, q]]])
+
+
+def differential_presentations():
+    yield from (example(name) for name in EXAMPLES)
+    yield from differential_modules()
+    yield from big_prime_presentations()
+    yield from word_prime_presentations()
+    for c in (2, 4):
+        yield repeated_column(c, c)
+
+
+def test_graded_ranks_match_reslicing_elimination():
+    """The ranks at MT and 2 MT, the profile or refusal of mu_profile and
+    the least torsion point t, or NotTorsion, of the exact path."""
+    Ms = set()
+    for i, pres in enumerate(differential_presentations()):
+        for M in (pres.M, 2 * pres.M):
+            Ms.add(M)
+            assert _graded_ranks_at(pres, M) == \
+                reslicing_graded_ranks_at(pres, M), (i, M)
+        assert _outcome(pres.torsion_certificate) == \
+            _outcome(exact_torsion_certificate, pres), i
+    assert min(Ms) <= iwasawa_modules._SHIFT_CACHE_MAX < max(Ms)
+
+
+def test_mu_profile_matches_reslicing_elimination(monkeypatch):
+    for i, pres in enumerate(differential_presentations()):
+        new = _result(mu_profile, pres)
+        with monkeypatch.context() as m:
+            m.setattr(iwasawa_modules, "_graded_ranks_at",
+                      reslicing_graded_ranks_at)
+            m.setattr(LambdaPresentation, "torsion_certificate",
+                      exact_torsion_certificate)
+            assert _result(mu_profile, pres) == new, i
+
+
+def test_torsion_certificate_falls_back_to_the_exact_rank():
+    """R(0) = [[2^31 - 1]] has rank 0 mod the word prime and rank 1 over
+    Q: the certificate is still t = 0.  Where R(t) vanishes mod it at
+    every point, the least t is the exact one."""
+    q = iwasawa_modules.WORD_PRIME
+    assert LambdaPresentation(5, 3, 1, [[[q]]]).torsion_certificate() == 0
+    for pres in word_prime_presentations():
+        assert pres.torsion_certificate() == \
+            exact_torsion_certificate(pres)
+
+
+def test_cli_lambda_invariants_golden(tmp_path, capsys):
+    """`mu-lab lambda-invariants` on 32 fixed presentations, refusals
+    included, prints the bytes and exits with the codes recorded in
+    tests/golden before the kept-valuation elimination and the word-prime
+    certificate."""
+    golden = json.loads((Path(__file__).resolve().parent / "golden"
+                         / "lambda_invariants.json").read_text())
+    path = tmp_path / "pres.json"
+    for case in golden:
+        path.write_text(json.dumps(case["presentation"]))
+        rc = main(["lambda-invariants", "--presentation", str(path)])
+        out = capsys.readouterr()
+        assert (rc, out.out.encode(), out.err.encode()) == \
+            (case["exit"], case["stdout"].encode(),
+             case["stderr"].encode()), case["name"]
+    refusals = {case["stderr"].split(":")[1].strip() for case in golden
+                if case["stderr"].startswith("error:")}
+    assert refusals == {"NotTorsion", "TruncationUnresolved",
+                        "PrecisionInsufficient"}

@@ -458,6 +458,56 @@ def test_lift_step_builds_the_set_lift_once(monkeypatch):
     assert got[1].images == want[1].images
 
 
+def _scenario_steps(monkeypatch, holds):
+    """(status, cocycle checks) of each lift_step of the three shipped
+    scenarios, with `holds` in place of the cocycle identity check."""
+    steps, checks = [], []
+    step = liftlab.lift_step
+
+    def counted_holds(*args):
+        checks.append(args)
+        return holds(*args)
+
+    def counted_step(*args, **kwargs):
+        before = len(checks)
+        out = step(*args, **kwargs)
+        steps.append((out[0], len(checks) - before))
+        return out
+
+    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds", counted_holds)
+    monkeypatch.setattr(liftlab, "lift_step", counted_step)
+    for name in ("borel_z3", "obstructed_z3", "ordinary_z4_p5"):
+        with open(f"data/scenarios/{name}.json") as fh:
+            run_scenario(json.load(fh))
+    return steps
+
+
+def test_lift_step_checks_the_cocycle_identity_once(monkeypatch):
+    """A step that lifts and a step that is obstructed each check the
+    obstruction's cocycle identity once."""
+    steps = _scenario_steps(monkeypatch, liftlab._cocycle2_identity_holds)
+    assert {status for status, _ in steps} == {"ok", "obstructed"}
+    assert all(n == 1 for _, n in steps), steps
+
+
+@pytest.mark.parametrize("solvable", [True, False])
+def test_lift_step_raises_on_a_failed_cocycle_identity(monkeypatch,
+                                                       solvable):
+    """A cochain that fails the cocycle identity raises
+    InvariantViolation whether or not the coboundary system solves."""
+    G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
+    rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
+                                        for m in G.elements])
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    det_t = [mat_det(m, 9) for m in G.elements]
+    if not solvable:
+        monkeypatch.setattr(liftlab, "solve_modp", lambda *args: None)
+    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
+                        lambda *args: False)
+    with pytest.raises(InvariantViolation, match="cocycle identity"):
+        lift_step(rho, det_t, M)
+
+
 # Z/2 lifted with coefficients in n from a level-2 image with lower-left
 # entry 3: the obstruction at level 3 has a diagonal part, outside n
 OBSTRUCTION_OUTSIDE_N = {

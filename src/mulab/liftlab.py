@@ -1,9 +1,10 @@
 """Desk-scale laboratory for one-step deformation lifting over finite
-group models: bar-resolution cohomology with adjoint coefficients, the
-obstruction 2-cocycle of a set-theoretic lift, lift enumeration and its
-cocycle-torsor structure, tame local conditions at trivial primes with
-their four conjugated families, and the versality degree of each
-(condition, twist-space) pair.
+group models: cohomology with adjoint coefficients (Z^1 and coboundary
+solves in the generator values of a cochain, H^2 and B from the bar
+resolution), the obstruction 2-cocycle of a set-theoretic lift, lift
+enumeration and its cocycle-torsor structure, tame local conditions at
+trivial primes with their four conjugated families, and the versality
+degree of each (condition, twist-space) pair.
 
 Everything is exhaustively checkable: groups are explicit tables, the
 lifts of one step are the solutions of one affine system over F_p in the
@@ -38,7 +39,13 @@ from .group_model import (
     mat_inv,
     mat_mul,
 )
-from .modp import coset_modp, nullspace_modp, rref_modp, solve_modp
+from .modp import (
+    MAX_MODULUS,
+    coset_modp,
+    nullspace_modp,
+    rref_modp,
+    solve_modp,
+)
 from .padic import sqrt_unit_one_mod_p, val_int
 
 # -- adjoint module -------------------------------------------------------------
@@ -49,12 +56,21 @@ SUBMODULE_BASIS = {
     "n": ((0, 1, 0, 0),),
     "b": ((0, 1, 0, 0), (1, 0, 0, -1)),
 }
+# per submodule, the entries (a, b, c, d) of a matrix w that are its
+# coordinates, and the sums of entries that vanish exactly when w lies in
+# it: ad0 = aE + bH + cF has trace 0, n = span E, b = span(E, H)
+SUBMODULE_COORDS = {
+    "ad0": ((1, 0, 2), ((0, 3),)),
+    "n": ((1,), ((2,), (0,), (3,))),
+    "b": ((1, 0), ((2,), (0, 3))),
+}
 
 
 class AdjointModule:
     """Ad^0 of a residual representation on a group model, or its
     upper-triangular submodules n and b (which require the image of
-    rho-bar to be upper triangular)."""
+    rho-bar to be upper triangular).  The action is one (n, d, d) int64
+    array: _action[i] is the matrix of element i in the module's basis."""
 
     def __init__(self, model: FiniteGroupModel, rhobar_images,
                  selector: str = "ad0", p: int | None = None):
@@ -71,8 +87,9 @@ class AdjointModule:
                 if m[2] % p != 0:
                     raise ValueError(
                         "n and b require upper-triangular rho-bar")
-        self._action = [self._action_matrix(i)
-                        for i in range(len(model))]
+        self._action = np.array([self._action_matrix(i)
+                                 for i in range(len(model))],
+                                dtype=np.int64)
 
     def _action_matrix(self, i: int) -> np.ndarray:
         p = self.p
@@ -80,9 +97,8 @@ class AdjointModule:
         ginv = mat_inv(g, p)
         cols = []
         for v in self.basis:
-            w = mat_mul(mat_mul(g, v, p), ginv, p)
-            c = self._coords(w)
-            if c is None:
+            c, inside = self._coords(mat_mul(mat_mul(g, v, p), ginv, p))
+            if not inside:
                 # conjugation keeps the trace 0, and an upper-triangular
                 # rho-bar keeps n and b
                 raise InvariantViolation(
@@ -91,21 +107,14 @@ class AdjointModule:
             cols.append(c)
         return np.array(cols, dtype=np.int64).T % p
 
-    def _coords(self, w):
-        """Coordinates of the matrix w in the basis of the module, or
-        None when w does not lie in it."""
-        p = self.p
-        if self.selector == "ad0":
-            # w = aE + bH + cF with trace zero
-            inside = (w[0] + w[3]) % p == 0
-            coords = [w[1] % p, w[0] % p, w[2] % p]
-        elif self.selector == "n":
-            inside = w[2] % p == 0 and w[0] % p == 0 and w[3] % p == 0
-            coords = [w[1] % p]
-        else:
-            inside = w[2] % p == 0 and (w[0] + w[3]) % p == 0
-            coords = [w[1] % p, w[0] % p]
-        return coords if inside else None
+    def _coords(self, W):
+        """(coordinates mod p, whether every matrix lies in the module)
+        of the matrices W, a 4-tuple or an array (..., 4)."""
+        W = np.asarray(W)
+        entries, forms = SUBMODULE_COORDS[self.selector]
+        inside = all(not np.any(W[..., list(f)].sum(axis=-1) % self.p)
+                     for f in forms)
+        return W[..., list(entries)] % self.p, inside
 
     def to_matrix(self, vec) -> tuple:
         p = self.p
@@ -175,8 +184,10 @@ def _coboundary(M, k: int, last=None) -> np.ndarray:
 def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
                size_bound: int = 14):
     """(dimension, list of representative cocycles) for H^1 or H^2: the
-    kernel Z of d^degree modulo the image B of d^(degree-1), which the
-    rows of its transpose span.
+    cocycles Z modulo the image B of d^(degree-1), which the rows of its
+    transpose span.  Z^1 is `z1_basis`, from the generator values of a
+    cocycle; Z^2 is the kernel of the rows of d^2 whose last argument is
+    a generator (see `_coboundary`).
 
     B lies in Z, so the pivots of RREF(B) are pivots of RREF(Z), and the
     rows of RREF(Z) at the other pivots are independent modulo B (a
@@ -187,7 +198,8 @@ def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
     if degree == 2 and len(model) > size_bound:
         raise SizeBound(f"degree-2 cohomology limited to |G| <= {size_bound}")
     p = M.p
-    Z = nullspace_modp(_coboundary(M, degree, model.generators), p)
+    Z = (z1_basis(model, M) if degree == 1 else
+         nullspace_modp(_coboundary(M, 2, model.generators), p))
     Zred, zpiv = rref_modp(Z, p)
     _, bpiv = rref_modp(_coboundary(M, degree - 1).T, p)
     reps = [Zred[i] for i, c in enumerate(zpiv) if c not in bpiv]
@@ -195,29 +207,113 @@ def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
     return len(reps), [Cochain(degree, M, z.reshape(shape)) for z in reps]
 
 
+def _tree_maps(G, M):
+    """(A, S, L), the maps that write a 1-cochain f in generator
+    coordinates.
+
+    The unknowns are u = (u_0, ..., u_(g-1)), u_j in M the value at
+    generator s_j.  A[x] is the d x g d matrix with f(x) = A[x] u for the
+    cochain grown along G.tree by f(i s_j) = f(i) + rho(i) u_j: A[s_j] =
+    E_j (the block of u_j; the last one when s_j is listed twice) and
+    A[i s_j] = A[i] + rho(i) E_j.  S is the (n, g) table of x s_j.  L,
+    (n g d) x (g d), stacks the edge maps A[x s_j] - A[x] - rho(x) E_j
+    over every pair (x, j), row block (x, j)."""
+    n, d, p = len(G), M.dim, M.p
+    g = len(G.generators)
+    # step[x, j] = rho(x) E_j
+    step = np.zeros((n, g, d, g, d), dtype=np.int64)
+    step[:, np.arange(g), :, np.arange(g), :] = M._action
+    step = step.reshape(n, g, d, g * d)
+    A = np.zeros((n, d, g * d), dtype=np.int64)
+    for j, s in enumerate(G.generators):
+        A[s] = step[G.identity, j]  # rho(1) E_j = E_j
+    for k, i, j in G.tree:
+        A[k] = A[i] + step[i, j]
+    A %= p
+    S = np.asarray(G.table)[:, G.generators]
+    L = (A[S] - A[:, None] - step) % p
+    return A, S, L.reshape(n * g * d, g * d)
+
+
+def _z1_normal_form(A, L, p: int):
+    """(Z, free): the basis of Z^1 in n d coordinates that is the
+    identity on the columns free, and those columns in increasing order.
+
+    f = A u is a cocycle exactly when L u = 0 (see `z1_basis`), and u is
+    f's generator values, so ker L is Z^1.  free is the set of last
+    nonzero positions of the cocycles, and the basis is the rows of the
+    reduced echelon form of the cocycles read right to left, put back in
+    order.  `nullspace_modp` on d^1 gives a basis of the same space that
+    is the identity on the non-pivot columns of d^1, the columns that
+    are combinations of earlier ones, i.e. the last nonzero positions of
+    the kernel vectors again; a basis that is the identity on a given
+    column set is unique, so the two are equal."""
+    nd = A.shape[0] * A.shape[1]
+    K = nullspace_modp(L, p) @ A.reshape(nd, -1).T % p
+    R, pivots = rref_modp(K[:, ::-1], p)
+    free = [nd - 1 - c for c in reversed(pivots)]
+    return np.ascontiguousarray(R[::-1, ::-1]), free
+
+
 def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
-    return nullspace_modp(_coboundary(M, 1, model.generators), M.p)
+    """Basis of the 1-cocycles, one a row of n d values, in the normal
+    form of `nullspace_modp` on d^1 (the identity on its free columns).
+
+    A cocycle is fixed by its g d generator values (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 7.6): with f(1) = 0,
+    f(x s_j) = f(x) + rho(x) f(s_j) grows it along the BFS tree.  So the
+    unknowns are u in M^g, f = A u, and u is a cocycle's generator
+    values exactly when L u = 0 (`_tree_maps`):
+
+    - a cocycle f satisfies every edge equation, and f = A u by
+      induction along the tree;
+    - conversely, let f = A u with L u = 0.  The edge (1, j') for the
+      last j' listing s_j gives f(1) = 0 and then f(s_j) = u_j.  So
+      phi(x) = (f(x), x) in M x| G has phi(x s_j) = phi(x) phi(s_j) for
+      all x and j, and by induction on word length phi(x y) = phi(x)
+      phi(y): f is a cocycle.
+
+    L has g d columns, at most 6 on every shipped group, where the bar
+    resolution solves for n d unknowns."""
+    A, _, L = _tree_maps(model, M)
+    return _z1_normal_form(A, L, M.p)[0]
 
 
 def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
                   c2: Cochain):
-    """Solve d^1 f = c for f in C^1; returns the cochain or None.
+    """Solve d^1 f = c for f in C^1 when c is a 2-cocycle; returns the
+    cochain or None (also when c fails the cocycle identity).
 
-    Only the rows (g, s) with s in model.generators are solved, n g d
-    rows instead of n^2 d, and c must be a 2-cocycle.  This is exact: a
-    2-cocycle z that vanishes on every (g, s) is 0, since the cocycle
-    identity at (g, h, s) gives z(g, hs) = z(g, h) + z(gh, s) -
-    g z(h, s) = z(g, h), and every element is a word in the generators
-    (with z(g, 1) = g z(1, s) = 0).  For a cocycle c, c - d^1 f is a
-    cocycle, so the two systems have one solution set, hence one
-    reduced echelon form and the same returned f.
-    """
+    d^1 f = c reads f(x y) = f(x) + rho(x) f(y) - c(x, y), and every
+    2-cocycle that vanishes on the pairs (x, s) with s a generator is 0
+    (the cocycle identity at (x, h, s) gives z(x, h s) = z(x, h)), so
+    for a 2-cocycle c only those pairs need solving.  Along the tree,
+    f = A u + b with u the generator values and b[s_j] = 0,
+    b[i s_j] = b[i] - c(i, s_j); the pairs (x, s_j) are then the g d
+    unknowns' system
+
+        L u = b[x] - b[x s_j] - c(x, s_j),
+
+    whose solutions are those of the pairs, u = (f(s_j)), by the argument
+    of `z1_basis` (the edges (1, j') give f(1) = c(1, s_j) and
+    f(s_j) = u_j).  The solutions f form one coset of Z^1; the one
+    returned is 0 on the free columns of `z1_basis`, the coset
+    representative that `solve_modp` gives on the n g d rows of d^1
+    ending in a generator."""
     n, d, p = len(model), M.dim, M.p
-    b = c2.values[:, list(model.generators)].reshape(-1) % p
-    x = solve_modp(_coboundary(M, 1, model.generators), b, p)
-    if x is None or not _cocycle2_identity_holds(model, M, c2):
+    A, S, L = _tree_maps(model, M)
+    cs = c2.values[:, model.generators] % p
+    b = np.zeros((n, d), dtype=np.int64)
+    for k, i, j in model.tree:
+        b[k] = b[i] - cs[i, j]
+    rhs = (b[:, None] - b[S] - cs) % p
+    u = solve_modp(L, rhs.reshape(-1), p)
+    if u is None or not _cocycle2_identity_holds(model, M, c2):
         return None
-    return Cochain(1, M, x.reshape(n, d))
+    Z, free = _z1_normal_form(A, L, p)
+    f = (A.reshape(n * d, -1) @ u + b.reshape(-1)) % p
+    f = (f - f[free] @ Z) % p
+    return Cochain(1, M, f.reshape(n, d))
 
 
 # -- lifting --------------------------------------------------------------------
@@ -225,6 +321,8 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
 
 class RepresentationModPn:
     """A homomorphism model -> GL_2(Z/p^n), stored on every element."""
+
+    __slots__ = ("model", "p", "n", "images")
 
     def __init__(self, model: FiniteGroupModel, p: int, n: int, images):
         self.model = model
@@ -275,22 +373,27 @@ def obstruction_class(rho: RepresentationModPn, det_target,
     """The 2-cocycle tau(gh) tau(h)^-1 tau(g)^-1 of a set-theoretic lift,
     identified with Id + p^n (value).  tau is
     `set_theoretic_lift(rho, det_target)`, built here unless the caller
-    holds it."""
+    holds it.  All n^2 products are taken at once, in int64 while
+    p^(n+1) <= 2^31 keeps a sum of two products below 2^63, and in
+    Python integers above that."""
     p, n = rho.p, rho.n
     mod = p**(n + 1)
     G = rho.model
     if tau is None:
         tau = set_theoretic_lift(rho, det_target)
-    tau_inv = [mat_inv(t, mod) for t in tau]
-    nels = len(G)
-    vals = np.zeros((nels, nels, M.dim), dtype=np.int64)
-    for g in range(nels):
-        for h in range(nels):
-            F = mat_mul(mat_mul(tau[G.table[g][h]], tau_inv[h], mod),
-                        tau_inv[g], mod)
-            c = _kernel_coords(F, p, n, M)
-            vals[g, h] = c
-    out = Cochain(2, M, vals % p)
+    dtype = np.int64 if mod <= MAX_MODULUS else object
+    tau_inv = np.array([mat_inv(t, mod) for t in tau],
+                       dtype=dtype).reshape(-1, 2, 2)
+    F = np.array(tau, dtype=dtype).reshape(-1, 2, 2)[np.asarray(G.table)]
+    F = (F @ tau_inv[None] % mod) @ tau_inv[:, None] % mod
+    F[..., [0, 1], [0, 1]] -= 1
+    coords, inside = M._coords(F.reshape(F.shape[:2] + (4,)) % mod // p**n)
+    if not inside:
+        # the lift fixes the determinant, so the value has trace 0; with
+        # n or b the images above level 1 may still leave the submodule
+        raise ParseError(f"the obstruction at level {n + 1} takes a value "
+                         f"outside the submodule {M.selector}")
+    out = Cochain(2, M, coords.astype(np.int64))
     if verify_class:
         # the class must kill d^2 (cocycle identity)
         _check_obstruction(G, M, out)
@@ -303,39 +406,31 @@ def _check_obstruction(G, M, obs: Cochain):
             "obstruction cochain failed the cocycle identity")
 
 
-def _kernel_coords(F, p, n, M: AdjointModule):
-    mod = p**(n + 1)
-    X = tuple(((x - (1 if i in (0, 3) else 0)) % mod) // p**n
-              for i, x in enumerate(F))
-    c = M._coords(tuple(x % p for x in X))
-    if c is None:
-        # the lift fixes the determinant, so X has trace 0; with n or b
-        # the images above level 1 may still leave the submodule
-        raise ParseError(f"the obstruction at level {n + 1} takes a value "
-                         f"outside the submodule {M.selector}")
-    return c
-
-
 def _cocycle2_identity_holds(G, M, c: Cochain) -> bool:
     """Whether c satisfies the 2-cocycle identity
 
         g c(h, k) - c(gh, k) + c(g, hk) - c(g, h) = 0  (mod p)
 
-    for every triple (g, h, k).  One step per g checks every (h, k) at
-    once, with the multiplication table as an index array T: v[T[g]] is
-    c(gh, k), v[g][T] is c(g, hk) and v[g][:, None] is c(g, h).  Each
-    step holds O(n^2 d) integers, the size of c itself, never the
-    O(n^3 d) of all triples at once.  Stops at the first g that fails.
+    for every triple (g, h, k), from the triples with k a generator s
+    alone, all n^2 g of them in one step.  This is exact: e = d^2 c has
+    d^3 e = 0, which at (g, h, k, s) reads
+
+        g e(h, k, s) - e(gh, k, s) + e(g, hk, s) - e(g, h, ks)
+            + e(g, h, k) = 0,
+
+    so e(g, h, ks) = e(g, h, k) when e vanishes on every triple ending in
+    a generator, and every element, the identity too, is a nonempty word
+    in the generators of a finite group.  Holds O(n^2 g d) integers.
     """
     p = M.p
     v = c.values
     T = np.asarray(G.table)
-    for g in range(len(G)):
-        lhs = (v @ M._action[g].T - v[T[g]] + v[g][T]
-               - v[g][:, None, :]) % p
-        if np.any(lhs):
-            return False
-    return True
+    gens = G.generators
+    vs = v[:, gens]  # c(h, s)
+    lhs = (vs[None] @ M._action.transpose(0, 2, 1)[:, None] - vs[T]
+           + v[np.arange(len(G))[:, None, None], T[:, gens][None]]
+           - v[:, :, None]) % p
+    return not np.any(lhs)
 
 
 def twist(images, z_values, M: AdjointModule, p: int, n: int):
@@ -1032,10 +1127,10 @@ def _check_matrices(spec: dict, key: str, count: int) -> None:
 def _check_scenario(spec) -> None:
     """Raise ParseError unless spec has the fields run_scenario reads,
     with the right types: p an odd prime, levels and start_level ints
-    >= 1, a permutation group or a matrix group with unit determinants,
-    one 2x2 matrix (4 ints) per group generator in rhobar, invertible
-    mod p (and in start_images above level 1), and well-formed
-    subgroups."""
+    >= 1 with start_level <= levels, a permutation group or a matrix
+    group with unit determinants, one 2x2 matrix (4 ints) per group
+    generator in rhobar, invertible mod p (and in start_images above
+    level 1), and well-formed subgroups."""
     if not isinstance(spec, dict):
         raise ParseError(
             f"a scenario is a JSON object, got {type(spec).__name__}")
@@ -1047,6 +1142,10 @@ def _check_scenario(spec) -> None:
         if not _is_int(value) or value < 1:
             raise ParseError(
                 f"{key} must be an integer >= 1, got {value!r}")
+    if spec.get("start_level", 1) > spec.get("levels", 2):
+        # run_scenario lifts from start_level up to levels + 1
+        raise ParseError(f"start_level {spec['start_level']} is above "
+                         f"levels {spec.get('levels', 2)}: nothing to lift")
     gspec = spec.get("group")
     kind = gspec.get("kind") if isinstance(gspec, dict) else None
     if kind not in ("permutations", "matrices"):

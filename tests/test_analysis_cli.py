@@ -507,6 +507,20 @@ def test_cli_lift_lab_golden(capsys, name):
         assert capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.parametrize("name", ("repeated_generator_z3",
+                                  "identity_generator_z3"))
+def test_cli_lift_lab_golden_on_generator_lists_that_stress_the_tree(
+        capsys, name):
+    """stdout, byte for byte, of the mod-27 unipotent group given by a
+    generator listed twice, and by the identity and a generator, as
+    recorded under tests/golden before Z^1 was solved in generator
+    coordinates."""
+    rc = main(["lift-lab", "run", f"tests/scenarios/{name}.json"])
+    assert rc == 0
+    with open(f"tests/golden/lift_lab_{name}.json") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def _borel(**fields):
     spec = {"name": "borel", "p": 3, "levels": 2,
             "group": {"kind": "matrices", "generators": [[1, 1, 0, 1]],
@@ -567,6 +581,22 @@ def test_cli_lift_lab_rejects_malformed_scenarios(tmp_path, capsys, spec):
     rc = main(["lift-lab", "run", path])
     assert rc == 3
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cli_lift_lab_rejects_start_level_above_levels(tmp_path, capsys):
+    """A scenario that starts above its last level would lift nothing
+    and report reached_level = start_level: it is an input error."""
+    path = write_json(tmp_path, "s.json", _borel(
+        levels=1, start_level=3, start_images=[[1, 1, 0, 1]], det=[1]))
+    rc = main(["lift-lab", "run", path])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "input error: start_level 3 is above levels 1")
+    path = write_json(tmp_path, "s.json", _borel(
+        start_level=2, start_images=[[1, 1, 0, 1]], det=[1]))
+    assert main(["lift-lab", "run", path]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == [
+        {"level": 3, "status": "ok"}]
 
 
 def test_cli_lift_lab_refuses_group_over_size_bound(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -622,13 +624,13 @@ def test_membership_conjugation_invariant():
 
 
 class _PlainModule:
-    """Minimal module object (action matrices per element) for the
-    cohomology machinery."""
+    """Minimal module object (action matrices per element, stacked into
+    one (n, d, d) array) for the cohomology machinery."""
 
     def __init__(self, model, p, action):
         self.model = model
         self.p = p
-        self._action = action
+        self._action = np.array(action, dtype=np.int64)
         self.dim = action[0].shape[0] if action else 0
 
 
@@ -1784,3 +1786,314 @@ def test_cohomology_representatives_are_independent_cocycles():
         rank_b = len(rref_modp(B, p)[1])
         stacked = np.vstack([B] + [z.values.reshape(1, -1) for z in reps])
         assert len(rref_modp(stacked, p)[1]) == rank_b + dim, name
+
+
+# -- Z^1, the coboundary solve, the cocycle identity and the obstruction
+# -- from generator values, against the bar-resolution solves and the
+# -- per-pair loop they replace -----------------------------------------------
+
+
+def oracle_z1_basis(G, M):
+    """The kernel of the rows of d^1 that end in a generator."""
+    return nullspace_modp(liftlab._coboundary(M, 1, G.generators), M.p)
+
+
+def oracle_cohomology1(G, M):
+    """H^1 with Z^1 from the generator rows of d^1, as (dim, reps)."""
+    p = M.p
+    Zred, zpiv = rref_modp(oracle_z1_basis(G, M), p)
+    _, bpiv = rref_modp(liftlab._coboundary(M, 0).T, p)
+    reps = [Zred[i] for i, c in enumerate(zpiv) if c not in bpiv]
+    return len(reps), [z.reshape(len(G), M.dim) for z in reps]
+
+
+def oracle_coords(w, selector, p):
+    """Coordinates of the 2x2 matrix w in the module's basis, or None."""
+    if selector == "ad0":
+        inside = (w[0] + w[3]) % p == 0
+        coords = [w[1] % p, w[0] % p, w[2] % p]
+    elif selector == "n":
+        inside = w[2] % p == 0 and w[0] % p == 0 and w[3] % p == 0
+        coords = [w[1] % p]
+    else:
+        inside = w[2] % p == 0 and (w[0] + w[3]) % p == 0
+        coords = [w[1] % p, w[0] % p]
+    return coords if inside else None
+
+
+def oracle_obstruction_class(rho, det_target, M):
+    """tau(gh) tau(h)^-1 tau(g)^-1, one pair (g, h) at a time: the values
+    mod p, or the ParseError message of a value outside the module."""
+    p, n = rho.p, rho.n
+    mod = p**(n + 1)
+    G = rho.model
+    tau = liftlab.set_theoretic_lift(rho, det_target)
+    tau_inv = [mat_inv(t, mod) for t in tau]
+    vals = np.zeros((len(G), len(G), M.dim), dtype=np.int64)
+    for g in range(len(G)):
+        for h in range(len(G)):
+            F = mat_mul(mat_mul(tau[G.table[g][h]], tau_inv[h], mod),
+                        tau_inv[g], mod)
+            X = tuple(((x - (1 if i in (0, 3) else 0)) % mod) // p**n % p
+                      for i, x in enumerate(F))
+            c = oracle_coords(X, M.selector, p)
+            if c is None:
+                return (f"the obstruction at level {n + 1} takes a value "
+                        f"outside the submodule {M.selector}")
+            vals[g, h] = c
+    return vals % p
+
+
+def _upper_triangular(images, p):
+    return all(m[2] % p == 0 for m in images)
+
+
+def _modules(G, rhobar, p, selectors=("ad0", "n", "b")):
+    return [AdjointModule(G, rhobar, s, p=p) for s in selectors
+            if s == "ad0" or _upper_triangular(rhobar, p)]
+
+
+def _scenario_levels(path):
+    """(rho, det target, module) of every lift_step of a scenario run."""
+    with open(path) as fh:
+        spec = json.load(fh)
+    seen = []
+    step = liftlab.lift_step
+
+    def recording(rho, det_target, M, conditions=None):
+        seen.append((rho, det_target, M))
+        return step(rho, det_target, M, conditions)
+
+    liftlab.lift_step = recording
+    try:
+        run_scenario(spec)
+    finally:
+        liftlab.lift_step = step
+    return seen
+
+
+SCENARIO_PATHS = (
+    "data/scenarios/borel_z3.json", "data/scenarios/obstructed_z3.json",
+    "data/scenarios/ordinary_z4_p5.json",
+    "tests/scenarios/repeated_generator_z3.json",
+    "tests/scenarios/identity_generator_z3.json")
+
+
+def generator_value_cases():
+    """(name, model, module, rho, det target): the nine criterion-7
+    torsor instances (ad0); every level of the three shipped scenarios
+    and of the two scenarios whose groups stress the BFS tree, one of
+    them listing a generator twice and one listing the identity (their
+    module, and n and b where rho-bar is upper triangular); and for p in
+    {3, 5, 7} the Borel group of F_p by (1, 1; 0, 1) and (a, 0; 0, 1), a
+    a generator of F_p^*, at level 1, and the unipotent group of order
+    p^2 by (1, 1; 0, 1) mod p^2 at levels 1 and 2, each with ad0, n and
+    b."""
+    out = []
+    for name, G, p, level, gen_images in _torsor_scenarios():
+        if len(gen_images) == len(G):
+            images = [tuple(x % p**level for x in m) for m in gen_images]
+        else:
+            images = G.extend_homomorphism(
+                gen_images, lambda a, b: mat_mul(a, b, p**level))
+        rho = RepresentationModPn(G, p, level, images)
+        out.append((name, G, AdjointModule(G, rho.rhobar(), "ad0", p=p),
+                    rho, _teichmuller_dets(rho, level + 1)))
+    for path in SCENARIO_PATHS:
+        stem = os.path.basename(path)[:-5]
+        for rho, det_t, M in _scenario_levels(path):
+            G = rho.model
+            for Ms in [M] + _modules(G, M.rhobar, rho.p, ("n", "b")):
+                out.append((f"{stem}/level{rho.n + 1}/{Ms.selector}", G, Ms,
+                            rho, det_t))
+    for p, a in ((3, 2), (5, 2), (7, 3)):
+        G = group_from_matrices([(1, 1, 0, 1), (a, 0, 0, 1)], p)
+        rho = RepresentationModPn(G, p, 1, G.elements)
+        for M in _modules(G, rho.rhobar(), p):
+            out.append((f"borel-F{p}/level2/{M.selector}", G, M, rho,
+                        _teichmuller_dets(rho, 2)))
+        G = group_from_matrices([(1, 1, 0, 1)], p * p)
+        for level in (1, 2):
+            rho = RepresentationModPn(G, p, level, G.elements)
+            det_t = [mat_det(m, p**(level + 1)) for m in G.elements]
+            for M in _modules(G, rho.rhobar(), p):
+                out.append((f"unipotent-p{p}^2/level{level + 1}/"
+                            f"{M.selector}", G, M, rho, det_t))
+    G = group_from_permutations([(1, 0)])
+    rho = RepresentationModPn(G, 3, 2, G.extend_homomorphism(
+        [(8, 3, 3, 1)], lambda a, b: mat_mul(a, b, 9)))
+    det_t = G.extend_homomorphism([26], lambda a, b: a * b % 27)
+    for M in _modules(G, rho.rhobar(), 3):
+        out.append((f"outside-n/level3/{M.selector}", G, M, rho, det_t))
+    G = cyclic(2)
+    rho = RepresentationModPn(G, 3, 1, trivial_images(G))
+    for M in _modules(G, rho.rhobar(), 3):
+        out.append((f"Z2-trivial/level2/{M.selector}", G, M, rho, [1, 1]))
+    G = cyclic(3)
+    rho = RepresentationModPn(G, 3, 20, G.extend_homomorphism(
+        [(0, 3**20 - 1, 1, 3**20 - 1)], lambda a, b: mat_mul(a, b, 3**20)))
+    out.append(("Z3-integral/level21/ad0", G,
+                AdjointModule(G, rho.rhobar(), "ad0", p=3), rho, [1] * 3))
+    return out
+
+
+def generator_value_cochains(name, G, M, obs):
+    """Seeded 2-cochains for one case: the obstruction values (when they
+    lie in the module), a coboundary d^1 f, the obstruction plus d^1 f, a
+    random cochain, and the coboundary moved at one pair (g, h), h not a
+    generator where there is one."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    n, d, p = len(G), M.dim, M.p
+    cob = _coboundary(G, M, rng.integers(0, p, (n, d)))
+    out = [cob]
+    if not isinstance(obs, str):
+        out += [obs, (obs + cob) % p]
+    out.append(rng.integers(0, p, (n, n, d)))
+    moved = cob.copy()
+    h = next((h for h in range(n) if h not in G.generators), 0)
+    g = int(rng.integers(n))
+    moved[g, h] = (moved[g, h] + 1 + rng.integers(0, p - 1, d)) % p
+    out.append(moved)
+    return out
+
+
+def _digest(a) -> str:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def generator_value_digests(name, G, M, rho, det_t) -> dict:
+    """sha256 digests of what the public functions return on one case."""
+    try:
+        obs = obstruction_class(rho, det_t, M).values
+        out = {"obstruction": _digest(obs)}
+    except ParseError as exc:
+        obs = str(exc)
+        out = {"obstruction": f"ParseError: {exc}"}
+    out["z1_basis"] = _digest(z1_basis(G, M))
+    dim, reps = cohomology(G, M, 1)
+    out["h1"] = [dim] + [_digest(z.values) for z in reps]
+    out["is_coboundary"] = []
+    for c in generator_value_cochains(name, G, M, obs):
+        f = is_coboundary(G, M, liftlab.Cochain(2, M, c))
+        out["is_coboundary"].append(None if f is None
+                                    else _digest(f.values))
+    return out
+
+
+def oracle_cocycle2_identity_per_g(G, M, c) -> bool:
+    """The check over all triples (g, h, k), one step per g."""
+    p, v = M.p, c.values
+    T = np.asarray(G.table)
+    for g in range(len(G)):
+        if np.any((v @ M._action[g].T - v[T[g]] + v[g][T]
+                   - v[g][:, None, :]) % p):
+            return False
+    return True
+
+
+def oracle_generator_rows_is_coboundary(G, M, c2):
+    """The solve on the n g d rows of d^1 that end in a generator, then
+    the cocycle check over all triples: values of f, or None."""
+    n, d, p = len(G), M.dim, M.p
+    x = solve_modp(liftlab._coboundary(M, 1, G.generators),
+                   c2.values[:, G.generators].reshape(-1) % p, p)
+    if x is None or not oracle_cocycle2_identity_per_g(G, M, c2):
+        return None
+    return x.reshape(n, d)
+
+
+@pytest.fixture(scope="module")
+def generator_cases():
+    """Each case of `generator_value_cases` with its obstruction (values
+    or ParseError message, by the pair loop) and its seeded cochains."""
+    out = []
+    for name, G, M, rho, det_t in generator_value_cases():
+        obs = oracle_obstruction_class(rho, det_t, M)
+        out.append((name, G, M, rho, det_t, obs,
+                    generator_value_cochains(name, G, M, obs)))
+    return out
+
+
+def test_generator_values_match_recorded_digests(generator_cases):
+    """z1_basis, cohomology(., 1), obstruction_class (or its ParseError)
+    and is_coboundary on each case and its cochains have the sha256
+    digests recorded with the bar-resolution solves and the pair loop."""
+    with open("tests/golden/liftlab_generator_values.json") as fh:
+        want = json.load(fh)
+    assert len(generator_cases) == len(want) == 70
+    for name, G, M, rho, det_t, *_ in generator_cases:
+        assert generator_value_digests(name, G, M, rho, det_t) == \
+            want[name], name
+
+
+def test_z1_basis_and_h1_match_the_bar_resolution(generator_cases):
+    """The same Z^1 basis array, and the same H^1 representatives, as
+    the kernel of the generator rows of d^1."""
+    dims = set()
+    for name, G, M, *_ in generator_cases:
+        Z = z1_basis(G, M)
+        assert Z.dtype == np.int64 and Z.flags.c_contiguous, name
+        assert np.array_equal(Z, oracle_z1_basis(G, M)), name
+        dim, reps = cohomology(G, M, 1)
+        want_dim, want_reps = oracle_cohomology1(G, M)
+        assert dim == want_dim == len(reps), name
+        for z, w in zip(reps, want_reps):
+            assert np.array_equal(z.values, w), name
+        dims.add(Z.shape[0])
+    assert dims == {0, 1, 2, 3}
+
+
+def test_obstruction_class_matches_the_pair_loop(generator_cases):
+    """The same values, or the same ParseError for a value outside the
+    module, as tau(gh) tau(h)^-1 tau(g)^-1 one pair at a time, in int64
+    and (at 3^21) in Python integers."""
+    refused = []
+    for name, G, M, rho, det_t, want, _ in generator_cases:
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as exc:
+                obstruction_class(rho, det_t, M)
+            assert str(exc.value) == want, name
+            refused.append(name)
+            continue
+        got = obstruction_class(rho, det_t, M).values
+        assert got.dtype == np.int64 and np.array_equal(got, want), name
+    assert refused == ["outside-n/level3/n"]
+
+
+def test_is_coboundary_matches_the_bar_resolution_solves(generator_cases):
+    """On every case's cochains (coboundaries, obstructions, random
+    cochains and coboundaries moved at one pair): the same f, or None,
+    as the generator-row solve with the all-triples check, and for
+    |G| <= 27 as the solve on all n^2 d rows of d^1."""
+    answers = {True: 0, False: 0}
+    for name, G, M, *_, cochains in generator_cases:
+        for values in cochains:
+            c2 = liftlab.Cochain(2, M, values)
+            got = is_coboundary(G, M, c2)
+            want = oracle_generator_rows_is_coboundary(G, M, c2)
+            if want is None:
+                assert got is None, name
+            else:
+                assert got is not None, name
+                assert np.array_equal(got.values, want), name
+            if len(G) <= 27:
+                _assert_same_coboundary(name, G, M, c2)
+            answers[got is not None] += 1
+    assert answers == {True: 162, False: 186}
+
+
+def test_cocycle_identity_on_generator_rows_matches_all_triples(
+        generator_cases):
+    """The generator-row check gives the all-triples verdict on every
+    case's cochains, and the triple loop's for |G| <= 8."""
+    verdicts = {True: 0, False: 0}
+    for name, G, M, *_, cochains in generator_cases:
+        for values in cochains:
+            c = liftlab.Cochain(2, M, values)
+            got = liftlab._cocycle2_identity_holds(G, M, c)
+            assert got == oracle_cocycle2_identity_per_g(G, M, c), name
+            if len(G) <= 8:
+                assert got == oracle_cocycle2_identity_holds(G, M, c), name
+            verdicts[got] += 1
+    assert verdicts == {True: 208, False: 140}

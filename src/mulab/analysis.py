@@ -21,6 +21,7 @@ from .elliptic import Curve
 from .errors import (
     BadReduction,
     InconsistentAp,
+    InsufficientLineData,
     InvalidModel,
     InvariantViolation,
     NoFrobeniusScalar,
@@ -43,9 +44,8 @@ from .residual import (
     alignment_degree,
     classify_alignment,
     frobenius_scalar,
-    identify_line_character,
+    is_kernel_polynomial,
     kernel_polynomials,
-    matching_line_characters,
     search_characters,
     semisimplification,
     sturm_bound,
@@ -103,11 +103,10 @@ def ingest(path: str) -> list[CurveRecord]:
                 "(supply a minimal model)")
         ap = {int(k): v for k, v in rec.get("ap", {}).items()}
         for ell, a in ap.items():
-            if ell <= 20 and N % ell != 0:
-                if E.ap(ell) != a:
-                    raise InconsistentAp(
-                        f"{rec['label']}: a_{ell} supplied {a} but point "
-                        f"count gives {E.ap(ell)}")
+            if ell <= 20 and N % ell != 0 and E.ap(ell) != a:
+                raise InconsistentAp(
+                    f"{rec['label']}: a_{ell} supplied {a} but point "
+                    f"count gives {E.ap(ell)}")
         out.append(CurveRecord(
             label=rec["label"], ainvs=tuple(rec["ainvs"]), conductor=N,
             ap=ap,
@@ -217,29 +216,18 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     report["reducible"] = pair is not None
     if pair is not None:
         chars = search_characters(p, N_cond)
-        names = sorted(character_name(chars, k) for k in pair)
-        report["ss"] = names
+        report["ss"] = sorted(character_name(chars, k) for k in pair)
         kernels = record.kernel_polys.get(str(p))
+        for i, k in enumerate(kernels or []):
+            if not is_kernel_polynomial(E, p, k):
+                raise ParseError(f"{record.label}: kernel_polys['{p}'][{i}] "
+                                 f"is not a {p}-isogeny kernel")
         if kernels is None:
             kernels = kernel_polynomials(E, p)
         report["kernel_count"] = len(kernels)
-        line_chars = []
-        for k in kernels:
-            # six Frobenius scalars, then more while several characters
-            # still fit them
-            scal = {}
-            for ell in range(2, 4 * ell_bound):
-                if N_cond % ell == 0 or ell == p \
-                        or not is_probable_prime(ell):
-                    continue
-                try:
-                    scal[ell] = frobenius_scalar(E, k, ell, p)
-                except (NoFrobeniusScalar, BadReduction):
-                    continue
-                if len(scal) >= 6 and len(
-                        matching_line_characters(scal, p, N_cond)) < 2:
-                    break
-            line_chars.append(identify_line_character(scal, p, N_cond))
+        # one Frobenius scalar per line picks phi1 or phi2
+        line_chars = [_line_character(E, k, pair, chars, p, N_cond,
+                                      ell_bound) for k in kernels]
         report["line_characters"] = [character_name(chars, k)
                                      for k in line_chars]
         if kernels:
@@ -317,6 +305,30 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
             f"mu = {mu}")
     report["consistency"] = {"alignment_degree_le_mu": deg <= mu}
     return report
+
+
+def _line_character(E: Curve, kernel, pair, chars: CharacterExponents,
+                    p: int, N_cond: int, ell_bound: int):
+    """The character of the semisimplification pair on the kernel line,
+    a sub-representation of E[p], so phi1 or phi2; they differ, as
+    phi1 phi2 = chi-bar is odd and a square is even.  One Frobenius
+    scalar at a good ell with phi1(ell) != phi2(ell) mod p tells which."""
+    for ell in range(2, 4 * ell_bound):
+        if N_cond % ell == 0 or ell == p or not is_probable_prime(ell):
+            continue
+        values = [chars.value(k, ell) for k in pair]
+        if values[0] == values[1]:
+            continue
+        try:
+            lam = frobenius_scalar(E, kernel, ell, p)
+        except (NoFrobeniusScalar, BadReduction):
+            continue
+        if lam not in values:
+            raise InvariantViolation(f"Frob_{ell} scalar {lam} on a kernel "
+                                     f"line is neither of {values}")
+        return pair[values.index(lam)]
+    raise InsufficientLineData(f"no Frobenius scalar on a kernel line "
+                               f"tells phi1, phi2 apart below {4 * ell_bound}")
 
 
 def analyze_many(records, p_of, **kwargs) -> list[dict]:

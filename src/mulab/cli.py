@@ -148,14 +148,19 @@ def cmd_analyze(args) -> int:
         # the curves file is read by `ingest`; what is left is the cache
         print(f"input error: cache {cache}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except MuLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _refused(exc)
     print(render_report(reports, fmt))
     return EXIT_OK
+
+
+def _refused(exc: MuLabError) -> int:
+    """Print a library error: exit 2 for a failed cross-check, else 3."""
+    if isinstance(exc, InvariantViolation):
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def cmd_lambda_invariants(args) -> int:
@@ -168,13 +173,9 @@ def cmd_lambda_invariants(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except MuLabError as exc:
         # a refusal of the presentation, such as NotTorsion
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _refused(exc)
     print(json.dumps({
         "p": pres.p, "N": pres.N, "MT": pres.M,
         "graded_ranks": qs,
@@ -197,13 +198,9 @@ def cmd_lift_lab(args) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except MuLabError as exc:
         # a refusal of the scenario, such as a group over the size bound
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _refused(exc)
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_OK
 

@@ -47,13 +47,6 @@ class UnitGroup:
     orders: tuple[int, ...]
     dlog: dict  # unit residue -> exponent tuple
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
-
 
 @lru_cache(maxsize=None)
 def unit_group(M: int) -> UnitGroup:
@@ -123,6 +116,10 @@ class CharacterExponents:
         if exps is None:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
         return exps
+
+    def value(self, k, a: int) -> int:
+        """chi(a) mod p for the character k and a unit a mod M."""
+        return self.powers[_exponent(k, self.log(a), self.p - 1)]
 
     def order(self, k) -> int:
         """The order of the character k: the lcm over the generators of

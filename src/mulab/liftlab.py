@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -208,31 +208,35 @@ def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
 
 
 def _tree_maps(G, M):
-    """(A, S, L), the maps that write a 1-cochain f in generator
+    """(A, S, keep, L), the maps that write a 1-cochain f in generator
     coordinates.
 
     The unknowns are u = (u_0, ..., u_(g-1)), u_j in M the value at
     generator s_j.  A[x] is the d x g d matrix with f(x) = A[x] u for the
     cochain grown along G.tree by f(i s_j) = f(i) + rho(i) u_j: A[s_j] =
     E_j (the block of u_j; the last one when s_j is listed twice) and
-    A[i s_j] = A[i] + rho(i) E_j.  S is the (n, g) table of x s_j.  L,
-    (n g d) x (g d), stacks the edge maps A[x s_j] - A[x] - rho(x) E_j
-    over every pair (x, j), row block (x, j)."""
+    A[i s_j] = A[i] + rho(i) E_j.  S is the (n, g) table of x s_j.  L
+    stacks the edge maps A[x s_j] - A[x] - rho(x) E_j over the pairs
+    (x, j) in order where keep is set: all but the tree's own, where they
+    vanish by construction."""
     n, d, p = len(G), M.dim, M.p
     g = len(G.generators)
     # step[x, j] = rho(x) E_j
-    step = np.zeros((n, g, d, g, d), dtype=np.int64)
-    step[:, np.arange(g), :, np.arange(g), :] = M._action
-    step = step.reshape(n, g, d, g * d)
+    step = np.zeros((n, g, d, g * d), dtype=np.int64)
+    for j in range(g):
+        step[:, j, :, j * d:(j + 1) * d] = M._action
     A = np.zeros((n, d, g * d), dtype=np.int64)
     for j, s in enumerate(G.generators):
         A[s] = step[G.identity, j]  # rho(1) E_j = E_j
+    keep = np.ones(n * g, dtype=bool)
     for k, i, j in G.tree:
         A[k] = A[i] + step[i, j]
+        keep[i * g + j] = False
     A %= p
-    S = np.asarray(G.table)[:, G.generators]
+    keep = keep.reshape(n, g)
+    S = np.array([[row[s] for s in G.generators] for row in G.table])
     L = (A[S] - A[:, None] - step) % p
-    return A, S, L.reshape(n * g * d, g * d)
+    return A, S, keep, L[keep].reshape(-1, g * d)
 
 
 def _z1_normal_form(A, L, p: int):
@@ -255,7 +259,21 @@ def _z1_normal_form(A, L, p: int):
     return np.ascontiguousarray(R[::-1, ::-1]), free
 
 
-def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
+class _TreeMaps:
+    """`_tree_maps(G, M)`, and its `_z1_normal_form` once asked for: what
+    the `is_coboundary` and `z1_basis` of one lifting step share."""
+
+    def __init__(self, G, M):
+        self.p = M.p
+        self.A, self.S, self.keep, self.L = _tree_maps(G, M)
+
+    @cached_property
+    def z1(self):
+        return _z1_normal_form(self.A, self.L, self.p)
+
+
+def z1_basis(model: FiniteGroupModel, M: AdjointModule,
+             maps: _TreeMaps | None = None) -> np.ndarray:
     """Basis of the 1-cocycles, one a row of n d values, in the normal
     form of `nullspace_modp` on d^1 (the identity on its free columns).
 
@@ -274,13 +292,13 @@ def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
       phi(y): f is a cocycle.
 
     L has g d columns, at most 6 on every shipped group, where the bar
-    resolution solves for n d unknowns."""
-    A, _, L = _tree_maps(model, M)
-    return _z1_normal_form(A, L, M.p)[0]
+    resolution solves for n d unknowns.  maps is the caller's
+    `_TreeMaps(model, M)`, when it holds one."""
+    return (maps or _TreeMaps(model, M)).z1[0]
 
 
 def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
-                  c2: Cochain):
+                  c2: Cochain, maps: _TreeMaps | None = None):
     """Solve d^1 f = c for f in C^1 when c is a 2-cocycle; returns the
     cochain or None (also when c fails the cocycle identity).
 
@@ -290,7 +308,7 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
     for a 2-cocycle c only those pairs need solving.  Along the tree,
     f = A u + b with u the generator values and b[s_j] = 0,
     b[i s_j] = b[i] - c(i, s_j); the pairs (x, s_j) are then the g d
-    unknowns' system
+    unknowns' system (0 = 0 on the tree's own pairs, left out)
 
         L u = b[x] - b[x s_j] - c(x, s_j),
 
@@ -299,19 +317,19 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
     f(s_j) = u_j).  The solutions f form one coset of Z^1; the one
     returned is 0 on the free columns of `z1_basis`, the coset
     representative that `solve_modp` gives on the n g d rows of d^1
-    ending in a generator."""
+    ending in a generator.  maps is as in `z1_basis`."""
     n, d, p = len(model), M.dim, M.p
-    A, S, L = _tree_maps(model, M)
+    maps = maps or _TreeMaps(model, M)
     cs = c2.values[:, model.generators] % p
     b = np.zeros((n, d), dtype=np.int64)
     for k, i, j in model.tree:
         b[k] = b[i] - cs[i, j]
-    rhs = (b[:, None] - b[S] - cs) % p
-    u = solve_modp(L, rhs.reshape(-1), p)
+    rhs = (b[:, None] - b[maps.S] - cs)[maps.keep] % p
+    u = solve_modp(maps.L, rhs.reshape(-1), p)
     if u is None or not _cocycle2_identity_holds(model, M, c2):
         return None
-    Z, free = _z1_normal_form(A, L, p)
-    f = (A.reshape(n * d, -1) @ u + b.reshape(-1)) % p
+    Z, free = maps.z1
+    f = (maps.A.reshape(n * d, -1) @ u + b.reshape(-1)) % p
     f = (f - f[free] @ Z) % p
     return Cochain(1, M, f.reshape(n, d))
 
@@ -468,7 +486,8 @@ def lift_step(rho: RepresentationModPn, det_target,
     G = rho.model
     tau = set_theoretic_lift(rho, det_target)
     obs = obstruction_class(rho, det_target, M, verify_class=False, tau=tau)
-    f = is_coboundary(G, M, obs)
+    maps = _TreeMaps(G, M)
+    f = is_coboundary(G, M, obs, maps)
     if f is None:
         _check_obstruction(G, M, obs)
         return "obstructed", obs
@@ -480,7 +499,7 @@ def lift_step(rho: RepresentationModPn, det_target,
             "twisted set lift failed to be a homomorphism")
     if not conditions:
         return "ok", r
-    Z = z1_basis(G, M)
+    Z = z1_basis(G, M, maps)
     if Z.shape[0] > Z1_ENUMERATION_BOUND:
         raise SizeBound(
             f"Z^1 dimension {Z.shape[0]} exceeds enumeration bound")

@@ -1,7 +1,9 @@
 """Residual mod-p analysis of a rational elliptic curve: rational
-p-isogeny kernels, the Galois character on each kernel line, trace-based
-semisimplification, the aligned/skew dichotomy and congruence evidence
-for the degree of alignment.
+p-isogeny kernels, the scalar by which Frobenius acts on a kernel line,
+trace-based semisimplification, the aligned/skew dichotomy and
+congruence evidence for the degree of alignment.  A kernel line is a
+sub-representation, so its character is one of the semisimplification
+pair, and `analysis` tells which from one scalar.
 
 Both the kernel lines and the scalar by which Frob_ell acts on a line
 come from Elkies' eigenvalue test (Schoof, J. Theor. Nombres Bordeaux 7
@@ -30,7 +32,7 @@ return.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import (
     factorize,
@@ -56,10 +58,10 @@ from .errors import (
     AmbiguousPair,
     BadReduction,
     FactorizationInconclusive,
-    InsufficientLineData,
     InvariantViolation,
     NoFrobeniusScalar,
 )
+from .padic import val_int
 
 # the separating prime q of kernel_polynomials is sought below this
 # bound, as the Frobenius scalars of `analyze` are
@@ -133,16 +135,9 @@ class _EigenTest:
 # -- kernel lines ---------------------------------------------------------------
 
 
-def _content(poly):
-    g = 0
-    for c in poly:
-        g = gcd(g, abs(c))
-    return max(g, 1)
-
-
 def _primitive(poly):
     """poly over its content, with a positive leading coefficient."""
-    c = _content(poly) * (1 if poly[-1] > 0 else -1)
+    c = max(gcd(*poly), 1) * (1 if poly[-1] > 0 else -1)
     return [x // c for x in poly]
 
 
@@ -276,6 +271,16 @@ def kernel_polynomials(E: Curve, p: int):
     return sorted(out)
 
 
+def is_kernel_polynomial(E: Curve, p: int, poly) -> bool:
+    """Whether the rational polynomial poly passes the checks a computed
+    kernel passes: in primitive integer form it has degree (p-1)/2,
+    divides psi_p in Z[x] and has its roots closed under duplication."""
+    den = lcm(*(Fraction(c).denominator for c in poly))
+    H = _primitive([int(Fraction(c) * den) for c in poly])
+    return len(H) - 1 == (p - 1) // 2 and H[-1] != 0 and \
+        _divides(H, E.division_polynomial(p)) and _kernel_stable(E, H)
+
+
 def _kernel_stable(E: Curve, H) -> bool:
     """The roots of the primitive integer polynomial H are closed under
     the duplication map x -> num/den: H divides
@@ -353,13 +358,8 @@ def character_search_modulus(p: int, conductor: int) -> int:
     semisimplification: ramified only at p and the bad primes, tame at
     odd primes away from p, with wild part bounded by the p-1 torsion."""
     M = p
-    for q, _ in factorize(conductor).items():
-        e = 1
-        d = p - 1
-        while d % q == 0:
-            e += 1
-            d //= q
-        M *= q**e
+    for q in factorize(conductor):
+        M *= q**(1 + val_int(p - 1, q, p))
     return M
 
 
@@ -414,34 +414,6 @@ def semisimplification(a_table: dict[int, int], p: int, conductor: int,
             f"(tested {len(good_ells)} primes, Sturm-style bound "
             f"{sturm_bound(conductor)})")
     return matches[0]
-
-
-def matching_line_characters(scalars: dict[int, int], p: int,
-                             conductor: int) -> list[tuple[int, ...]]:
-    """Every mod-p Dirichlet character matching Frobenius scalars at the
-    tested good primes: the vectors k with <k, dlog(ell)> = dlog(lambda)
-    mod p - 1."""
-    chars = search_characters(p, conductor)
-    targets = [(chars.log(ell), chars.logs.get(lam % p))
-               for ell, lam in scalars.items()]
-    if any(e is None for _, e in targets):
-        return []
-    return [k for k in chars.vectors
-            if all(_exponent(k, log, p - 1) == e for log, e in targets)]
-
-
-def identify_line_character(scalars: dict[int, int], p: int,
-                            conductor: int) -> tuple[int, ...]:
-    """The one mod-p Dirichlet character matching Frobenius scalars at
-    the tested good primes."""
-    hits = matching_line_characters(scalars, p, conductor)
-    if not hits:
-        raise InsufficientLineData(
-            "no Dirichlet character matches the kernel scalars")
-    if len(hits) > 1:
-        raise InsufficientLineData(
-            f"{len(hits)} characters match; test more primes")
-    return hits[0]
 
 
 def classify_alignment(line_characters, chars: CharacterExponents,

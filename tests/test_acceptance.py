@@ -34,7 +34,6 @@ from mulab.padic import teichmuller
 from mulab.residual import (
     classify_alignment,
     frobenius_scalar,
-    identify_line_character,
     kernel_polynomials,
     search_characters,
     semisimplification,
@@ -42,6 +41,7 @@ from mulab.residual import (
 from test_residual import (
     ModPnRepresentation,
     PrecisionLoss,
+    identify_line_character,
     isogeny_transform,
 )
 

@@ -21,9 +21,12 @@ from mulab.errors import (
     InconsistentAp,
     InsufficientLineData,
     InvalidModel,
+    InvariantViolation,
+    NoFrobeniusScalar,
     NotOrdinary,
     ParseError,
 )
+from mulab.residual import frobenius_scalar
 
 
 def write_json(tmp_path, name, payload):
@@ -217,9 +220,11 @@ def test_cli_refuses_layers_a_later_layer_contradicts(tmp_path, capsys):
 
 def test_cli_adds_frobenius_primes_until_one_line_character_fits(
         tmp_path, capsys):
-    """[-5,0,4,0,0] (N = 466) at p = 3: six Frobenius scalars leave two
-    characters; more primes leave the trivial one.  mu = 0 on the Z/p
-    side, as Greenberg-Vatsal predict."""
+    """[-5,0,4,0,0] (N = 466) at p = 3: the line's character is one of
+    the semisimplification pair (1, chi-bar), which differ at the first
+    good prime ell = 5, where the scalar 1 picks the trivial character
+    (six scalars alone leave two characters of the search modulus).
+    mu = 0 on the Z/p side, as Greenberg-Vatsal predict."""
     curves = write_json(tmp_path, "c.json", [
         {"label": "t466", "ainvs": [-5, 0, 4, 0, 0], "conductor": 466}])
     rc = main(["analyze", "--curves", curves, "--p", "3"])
@@ -231,8 +236,9 @@ def test_cli_adds_frobenius_primes_until_one_line_character_fits(
 
 
 def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
-    """No character fits: InsufficientLineData after six scalars, with no
-    further primes tried."""
+    """A scalar that fits neither character of the semisimplification
+    pair is a fault: InvariantViolation after the one call at ell = 2,
+    where 1 and chi-bar differ mod 5."""
     from mulab import analysis
     calls = []
 
@@ -241,9 +247,51 @@ def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
         return 0
 
     monkeypatch.setattr(analysis, "frobenius_scalar", no_unit)
-    with pytest.raises(InsufficientLineData, match="no Dirichlet"):
+    with pytest.raises(InvariantViolation, match="Frob_2 scalar 0"):
         analyze(REC_11A1, 5)
-    assert len(calls) == 6
+    assert calls == [2]
+
+
+def test_analyze_refuses_a_line_without_scalars(monkeypatch):
+    """A line refused a scalar at every prime below 4 ell_bound where the
+    two characters differ: InsufficientLineData, after one try at each of
+    those primes."""
+    from mulab import analysis
+    calls = []
+
+    def refused(E, k, ell, p):
+        calls.append(ell)
+        raise NoFrobeniusScalar("refused")
+
+    monkeypatch.setattr(analysis, "frobenius_scalar", refused)
+    with pytest.raises(InsufficientLineData, match="apart below 80$"):
+        analyze(REC_11A1, 5, ell_bound=20)
+    # 1 and chi-bar agree exactly at ell = 1 mod 5
+    assert calls == [2, 3, 7, 13, 17, 19, 23, 29, 37, 43, 47, 53, 59, 67,
+                     73, 79]
+
+
+def test_corpus_takes_one_frobenius_scalar_per_kernel_line(monkeypatch):
+    """analyze_many over the corpus: one successful Frobenius scalar per
+    kernel line, and few refused ones."""
+    from mulab import analysis
+    ok, refused = [], []
+
+    def counting(E, k, ell, p):
+        try:
+            lam = frobenius_scalar(E, k, ell, p)
+        except (NoFrobeniusScalar, BadReduction):
+            refused.append(ell)
+            raise
+        ok.append(ell)
+        return lam
+
+    monkeypatch.setattr(analysis, "frobenius_scalar", counting)
+    reports = analyze_many(ingest("data/corpus_reducible.json"),
+                           lambda rec: rec.p)
+    lines = sum(rep.get("kernel_count", 0) for rep in reports)
+    assert len(ok) == lines == 19
+    assert len(ok) + len(refused) <= 22
 
 
 def test_cli_and_analysis_do_not_import_numpy():
@@ -659,6 +707,38 @@ def test_kernel_polys_short_circuit(tmp_path):
     rep = analyze(rec, 5, layers=2)
     assert rep["classification"] == "skew"
     assert rep["kernel_count"] == 1
+
+
+def test_kernel_polys_accepts_any_rational_multiple(tmp_path):
+    """A supplied kernel is checked in primitive integer form, so a
+    rational multiple of 11a3's line x^2 - x passes."""
+    path = write_json(tmp_path, "c.json", [
+        {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11,
+         "kernel_polys": {"5": [["0", "-1/2", "1/2"]]}}])
+    (rec,) = ingest(path)
+    rep = analyze(rec, 5, layers=2)
+    assert rep["classification"] == "skew"
+    assert rep["line_characters"] == ["1"]
+
+
+@pytest.mark.parametrize("poly", [
+    ["1", "1", "1"],          # does not divide psi_5
+    ["-5", "1"],              # degree 1, not (p - 1)/2 = 2
+    ["-29/5", "1", "0"],      # degree 2 by length, leading coefficient 0
+])
+def test_cli_refuses_a_supplied_polynomial_that_is_no_kernel(
+        tmp_path, capsys, poly):
+    """11a1 at p = 5, its first kernel then poly: a supplied kernel must
+    pass the checks a computed one passes (degree (p-1)/2, exact division
+    of psi_5, roots closed under duplication), or the input error names
+    the record and the entry."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20], "conductor": 11,
+         "kernel_polys": {"5": [["-29/5", "1", "1"], poly]}}])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "input error: 11a1: kernel_polys['5'][1] is not a 5-isogeny kernel\n"
 
 
 @pytest.mark.parametrize("kernel_polys, complaint", [

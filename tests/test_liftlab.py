@@ -460,6 +460,45 @@ def test_lift_step_builds_the_set_lift_once(monkeypatch):
     assert got[1].images == want[1].images
 
 
+class _AlwaysHolds:
+    def holds(self, rep) -> bool:
+        return True
+
+
+def test_lift_step_builds_the_tree_maps_once(monkeypatch):
+    """With local conditions, the coboundary solve and the Z^1 basis of
+    one lifting step share one build of the tree maps and one kernel of
+    L, and the step is the one the unshared calls give."""
+    G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
+    rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
+                                        for m in G.elements])
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    det_t = [mat_det(m, 9) for m in G.elements]
+    conditions = [("always", _AlwaysHolds())]
+    built, kernels = [], []
+    tree_maps, nullspace = liftlab._tree_maps, liftlab.nullspace_modp
+
+    def counted_maps(*args):
+        built.append(args)
+        return tree_maps(*args)
+
+    def counted(*args):
+        kernels.append(args)
+        return nullspace(*args)
+
+    def unshared(G, M, c2, maps):
+        return is_coboundary(G, M, c2)
+
+    monkeypatch.setattr(liftlab, "_tree_maps", counted_maps)
+    monkeypatch.setattr(liftlab, "nullspace_modp", counted)
+    got = lift_step(rho, det_t, M, conditions)
+    assert len(built) == len(kernels) == 1
+    monkeypatch.setattr(liftlab, "is_coboundary", unshared)
+    want = lift_step(rho, det_t, M, conditions)
+    assert got[0] == want[0] == "ok"
+    assert got[1].images == want[1].images
+
+
 def _scenario_steps(monkeypatch, holds):
     """(status, cocycle checks) of each lift_step of the three shipped
     scenarios, with `holds` in place of the cocycle identity check."""
@@ -1682,7 +1721,7 @@ def test_is_coboundary_matches_full_solve_on_scenario_levels(monkeypatch,
     scenario runner makes."""
     calls = []
 
-    def checked(G, M, c2):
+    def checked(G, M, c2, maps=None):
         calls.append(name)
         return _assert_same_coboundary(name, G, M, c2)
 
@@ -2025,6 +2064,40 @@ def test_generator_values_match_recorded_digests(generator_cases):
     for name, G, M, rho, det_t, *_ in generator_cases:
         assert generator_value_digests(name, G, M, rho, det_t) == \
             want[name], name
+
+
+def test_tree_maps_drop_only_zero_rows(generator_cases):
+    """On every case, the edge system over all n g pairs (x, j) is 0 on
+    the tree's own pairs (i, j), both its rows and the right-hand side of
+    `is_coboundary` on each of the case's cochains, and its other rows
+    are L, in order."""
+    dropped = 0
+    for name, G, M, *_, cochains in generator_cases:
+        n, d, p = len(G), M.dim, M.p
+        g = len(G.generators)
+        A, _, keep, L = liftlab._tree_maps(G, M)
+        step = np.zeros((n, g, d, g, d), dtype=np.int64)
+        for j in range(g):
+            step[:, j, :, j, :] = M._action
+        step = step.reshape(n, g, d, g * d)
+        S = np.asarray(G.table)[:, G.generators]
+        full = (A[S] - A[:, None] - step) % p
+        tree = np.zeros((n, g), dtype=bool)
+        for _, i, j in G.tree:
+            tree[i, j] = True
+        assert tree.sum() == len(G.tree) == n - len(set(G.generators))
+        assert np.array_equal(keep, ~tree), name
+        assert not full[tree].any(), name
+        assert np.array_equal(full[~tree].reshape(-1, g * d), L), name
+        for values in cochains:
+            cs = values[:, G.generators] % p
+            b = np.zeros((n, d), dtype=np.int64)
+            for k, i, j in G.tree:
+                b[k] = b[i] - cs[i, j]
+            rhs = (b[:, None] - b[S] - cs) % p
+            assert not rhs[tree].any(), name
+        dropped += int(tree.sum())
+    assert dropped == 1213
 
 
 def test_z1_basis_and_h1_match_the_bar_resolution(generator_cases):

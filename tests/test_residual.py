@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mulab import analysis, residual
 from mulab.arith import (
     is_probable_prime,
     poly_add,
@@ -18,11 +19,13 @@ from mulab.arith import (
     poly_sub,
     poly_xgcd,
 )
+from mulab.dirichlet import _exponent
 from mulab.elliptic import Curve
 from mulab.errors import (
     AmbiguousPair,
     BadReduction,
     FactorizationInconclusive,
+    InsufficientLineData,
     InvariantViolation,
     MuLabError,
     NoFrobeniusScalar,
@@ -36,9 +39,8 @@ from mulab.residual import (
     character_search_modulus,
     classify_alignment,
     frobenius_scalar,
-    identify_line_character,
+    is_kernel_polynomial,
     kernel_polynomials,
-    matching_line_characters,
     search_characters,
     semisimplification,
     sturm_bound,
@@ -103,6 +105,54 @@ def test_frobenius_scalars_11a1():
         l1 = frobenius_scalar(E11A1, ks[0], ell, 5)
         l2 = frobenius_scalar(E11A1, ks[1], ell, 5)
         assert l1 * l2 % 5 == ell % 5
+
+
+# -- the line character from Frobenius scalars alone: every character of
+# -- the search modulus that fits them, the oracle of the one-scalar rule
+
+def matching_line_characters(scalars: dict[int, int], p: int,
+                             conductor: int) -> list[tuple[int, ...]]:
+    """Every mod-p Dirichlet character matching Frobenius scalars at the
+    tested good primes: the vectors k with <k, dlog(ell)> = dlog(lambda)
+    mod p - 1."""
+    chars = search_characters(p, conductor)
+    targets = [(chars.log(ell), chars.logs.get(lam % p))
+               for ell, lam in scalars.items()]
+    if any(e is None for _, e in targets):
+        return []
+    return [k for k in chars.vectors
+            if all(_exponent(k, log, p - 1) == e for log, e in targets)]
+
+
+def identify_line_character(scalars: dict[int, int], p: int,
+                            conductor: int) -> tuple[int, ...]:
+    """The one mod-p Dirichlet character matching Frobenius scalars at
+    the tested good primes."""
+    hits = matching_line_characters(scalars, p, conductor)
+    if not hits:
+        raise InsufficientLineData(
+            "no Dirichlet character matches the kernel scalars")
+    if len(hits) > 1:
+        raise InsufficientLineData(
+            f"{len(hits)} characters match; test more primes")
+    return hits[0]
+
+
+def six_scalar_line_character(E, k, p, conductor, ell_bound=200):
+    """Six Frobenius scalars on the line cut out by k, then more while
+    several characters of the search modulus still fit them."""
+    scal = {}
+    for ell in range(2, 4 * ell_bound):
+        if conductor % ell == 0 or ell == p or not is_probable_prime(ell):
+            continue
+        try:
+            scal[ell] = frobenius_scalar(E, k, ell, p)
+        except (NoFrobeniusScalar, BadReduction):
+            continue
+        if len(scal) >= 6 and len(
+                matching_line_characters(scal, p, conductor)) < 2:
+            break
+    return identify_line_character(scal, p, conductor)
 
 
 def line_characters(E, p, conductor):
@@ -329,6 +379,29 @@ def test_hensel_lift_checks_the_lifted_product():
     """f = x^2 + 5 is not (x + 1)(x + 2) mod 7, so no lift factors it."""
     with pytest.raises(InvariantViolation, match="does not factor"):
         _hensel_pair([5, 0, 1], [1, 1], [2, 1], 7, 4)
+
+
+def test_is_kernel_polynomial_checks_degree_division_and_stability():
+    """11a1's two kernels pass at p = 5.  Their product divides psi_5 and
+    its roots are closed under duplication, so only its degree refuses
+    it.  On y^2 + y = x^3, psi_3 = 3x(x + 1)(x^2 - x + 1): x^2 + x has the
+    3-torsion abscissas 0 and -1 as roots, each fixed by duplication
+    (2P = -P), so only the division of psi_5 refuses it, while x cuts
+    out the rational 3-torsion line at p = 3.  A zero leading
+    coefficient is refused."""
+    k1, k2 = kernel_polynomials(E11A1, 5)
+    assert is_kernel_polynomial(E11A1, 5, k1)
+    assert is_kernel_polynomial(E11A1, 5, k2)
+    prod = residual._primitive([int(5 * c) for c in poly_mul(k1, k2)])
+    assert residual._kernel_stable(E11A1, prod)
+    assert residual._divides(prod, E11A1.division_polynomial(5))
+    assert not is_kernel_polynomial(E11A1, 5, prod)
+    E27 = Curve(0, 0, 1, 0, 0)
+    assert residual._kernel_stable(E27, [0, 1, 1])
+    assert not residual._divides([0, 1, 1], E27.division_polynomial(5))
+    assert not is_kernel_polynomial(E27, 5, (0, 1, 1))
+    assert is_kernel_polynomial(E27, 3, (0, 1))
+    assert not is_kernel_polynomial(E11A1, 5, (1, 1, 0))
 
 
 def test_frobenius_scalar_refuses_ell_in_a_denominator():
@@ -971,6 +1044,48 @@ def test_matching_line_characters_match_objects():
                        matching_line_characters_by_objects(scalars, p, N)]
         sizes.add(min(len(got), 2))
     assert sizes == {0, 1, 2}
+
+
+def one_scalar_cases():
+    """(label, curve, p, conductor, kernels): the corpus, 11a1-3 at
+    p = 5, [-5,0,4,0,0] (N = 466) and [-8,0,1,0,0] (N = 77) at p = 3,
+    and each curve of the Frobenius fixture with good reduction at its
+    p, with |discriminant| for the conductor (its model's bad primes)
+    and the fixture's kernels."""
+    out = []
+    for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
+        out.append((rec["label"], Curve(*rec["ainvs"]), rec["p"],
+                    rec["conductor"]))
+    out += [("11a1", E11A1, 5, 11), ("11a2", E11A2, 5, 11),
+            ("11a3", E11A3, 5, 11),
+            ("t466", Curve(-5, 0, 4, 0, 0), 3, 466),
+            ("N77", Curve(-8, 0, 1, 0, 0), 3, 77)]
+    out = [(label, E, p, N, kernel_polynomials(E, p))
+           for label, E, p, N in out]
+    for rec in json.loads(FROBENIUS_FIXTURE.read_text()):
+        E, p = Curve(*rec["ainvs"]), rec["p"]
+        if E.discriminant % p:
+            out.append((f"fixture {rec['label']}", E, p,
+                        abs(E.discriminant),
+                        [tuple(Fraction(c) for c in k)
+                         for k in rec["kernels"]]))
+    return out
+
+
+def test_one_scalar_rule_matches_the_six_scalar_rule():
+    """The character `analyze` reads off the semisimplification pair
+    with one Frobenius scalar is the one character of the search modulus
+    that six or more scalars leave, on every kernel line of the cases:
+    25 of the corpus and the named curves, 44 of 41 fixture curves."""
+    lines = 0
+    for label, E, p, N, kernels in one_scalar_cases():
+        pair = semisimplification(good_a_table(E, N), p, N, 200)
+        chars = search_characters(p, N)
+        for k in kernels:
+            got = analysis._line_character(E, k, pair, chars, p, N, 200)
+            assert got == six_scalar_line_character(E, k, p, N), (label, k)
+            lines += 1
+    assert lines == 69
 
 
 def test_semisimplification_builds_at_most_two_characters(monkeypatch):

@@ -12,10 +12,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 
-from .arith import factorize, is_probable_prime
+from .arith import is_probable_prime
 from .dirichlet import CharacterExponents
 from .elliptic import Curve
 from .errors import (
@@ -33,7 +34,6 @@ from .mazur_tate import (
     precision_guard,
     read_theta_cache,
     regularized_Lp,
-    serialize_theta,
     theta_cache_key,
     theta_element,
     write_theta_cache,
@@ -94,12 +94,13 @@ def ingest(path: str) -> list[CurveRecord]:
             raise InvalidModel(
                 f"{rec['label']}: {exc}") from exc
         N = rec["conductor"]
-        bad = set(E.bad_primes())
-        cond_primes = set(factorize(N))
-        if bad != cond_primes:
+        if type(N) is not int or N < 1:
+            raise ParseError(f"{rec['label']}: conductor must be a "
+                             f"positive integer, got {N!r}")
+        if not _same_radical(abs(E.discriminant), N):
             raise InvalidModel(
-                f"{rec['label']}: model bad primes {sorted(bad)} do not "
-                f"match conductor support {sorted(cond_primes)} "
+                f"{rec['label']}: the primes of the model's discriminant "
+                f"are not those of the conductor {N} "
                 "(supply a minimal model)")
         ap = {int(k): v for k, v in rec.get("ap", {}).items()}
         for ell, a in ap.items():
@@ -114,6 +115,18 @@ def ingest(path: str) -> list[CurveRecord]:
                                        rec.get("kernel_polys", {})),
             source=path, p=rec.get("p")))
     return out
+
+
+def _same_radical(x: int, y: int) -> bool:
+    """Whether the positive integers x and y have the same prime
+    divisors, by gcds alone: each loses the primes it shares with the
+    other, and then 1 must be left of both."""
+    for a, g in ((x, y), (y, x)):
+        while (g := gcd(a, g)) > 1:
+            a //= g
+        if a != 1:
+            return False
+    return True
 
 
 def _kernel_polys(label: str, raw) -> dict:
@@ -166,9 +179,6 @@ class SpaceCache:
         return self._spaces[N]
 
 
-_GLOBAL_SPACES = SpaceCache()
-
-
 def analyze(record: CurveRecord, p: int, N_prec: int = 6,
             layers: int = 3, ell_bound: int = 200,
             cache_dir: str | None = None,
@@ -177,7 +187,8 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
             curve: Curve | None = None) -> dict:
     """Full analysis of one curve at one prime; returns the report dict.
     `curve` is the record's model when the caller holds it already (its
-    a_ell are counted once and kept on it).
+    a_ell are counted once and kept on it); `spaces` holds the Manin
+    spaces to share with other calls (a fresh one by default).
 
     Raises the module errors for genuinely unusable inputs (bad reduction
     at p, non-ordinary p) and InvariantViolation when an internal
@@ -185,7 +196,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     """
     if p == 2:
         raise ValueError("p must be odd")
-    spaces = spaces or _GLOBAL_SPACES
+    spaces = spaces or SpaceCache()
     E = curve or record.curve()
     N_cond = record.conductor
     if N_cond % p == 0:
@@ -270,18 +281,18 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         theta = cached = None
         if cache_dir:
             key = theta_cache_key(record.ainvs, N_cond, p, n, N_prec)
-            cached = read_theta_cache(cache_dir, record.label, p, n, key)
+            cached = read_theta_cache(cache_dir, record.label, key)
             if not verify_cache:
                 theta = cached
         if theta is None:
-            theta = theta_element(es, p, n, N_prec, label=record.label)
+            theta = theta_element(es, p, n, N_prec)
             if cache_dir:
-                if cached is not None and serialize_theta(cached) != \
-                        serialize_theta(theta):
+                if cached is not None and \
+                        (cached.nums, cached.den) != (theta.nums, theta.den):
                     raise InvariantViolation(
                         f"{record.label}: cached theta_{n} differs "
                         "from recomputation")
-                write_theta_cache(cache_dir, theta, key)
+                write_theta_cache(cache_dir, record.label, theta, key)
         thetas.append(theta)
         if n >= 1:
             layer_invs.append(mu_lambda_of_polynomial(

@@ -13,6 +13,9 @@ generator) pair, which suffices by induction on word length.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
 
 from .errors import SizeBound
 
@@ -82,6 +85,14 @@ class FiniteGroupModel:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def table_array(self) -> np.ndarray:
+        """The multiplication table as one read-only (n, n) int array,
+        built on first use."""
+        T = np.asarray(self.table)
+        T.flags.writeable = False
+        return T
 
     def label_subgroup(self, label: str, generator_indices) -> list[int]:
         """Close the given element indices into a subgroup and record it."""

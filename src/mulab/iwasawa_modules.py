@@ -312,15 +312,13 @@ def graded_ranks(pres: LambdaPresentation) -> list[int]:
     return qs
 
 
-def profile_from_ranks(qs: list[int], N: int,
-                       allow_lower_bound: bool = False) -> MuProfile:
+def profile_from_ranks(qs: list[int], N: int) -> MuProfile:
     """Refined mu-invariants from graded ranks: mu_i = q_i - q_(i+1).
 
     Requires q_N = 0 (the working precision sees past the mu-exponent);
-    otherwise raises PrecisionInsufficient unless allow_lower_bound, in
-    which case the truncated profile is returned (a lower bound).
+    otherwise raises PrecisionInsufficient.
     """
-    if qs[-1] != 0 and not allow_lower_bound:
+    if qs[-1] != 0:
         raise PrecisionInsufficient(
             f"q_N = {qs[-1]} > 0 at N = {N}: mu-exponent not resolved")
     ext = qs + [0]
@@ -341,10 +339,9 @@ def _profile(vec: tuple[int, ...]) -> MuProfile:
                      sum(vec))
 
 
-def mu_profile(pres: LambdaPresentation,
-               allow_lower_bound: bool = False) -> MuProfile:
+def mu_profile(pres: LambdaPresentation) -> MuProfile:
     """The refined mu-profile of `pres` (see `profile_from_ranks`)."""
-    return profile_from_ranks(graded_ranks(pres), pres.N, allow_lower_bound)
+    return profile_from_ranks(graded_ranks(pres), pres.N)
 
 
 def load_presentation(path: str) -> LambdaPresentation:

@@ -48,6 +48,16 @@ from .modp import (
 )
 from .padic import sqrt_unit_one_mod_p, val_int
 
+# search bounds, past which each search raises SizeBound: the order of a
+# group whose H^2 `cohomology` computes (d^2 is n^2 g d x n^2 d), the
+# dimension of Z^1 whose p^dim twists `lift_step` tries, the lifts
+# `enumerate_lifts` lists, and the nodes of one
+# `membership_up_to_equivalence` search
+H2_SIZE_BOUND = 14
+Z1_ENUMERATION_BOUND = 6
+MAX_LIFTS = 1 << 22
+MEMBERSHIP_NODE_BOUND = 500000
+
 # -- adjoint module -------------------------------------------------------------
 
 AD0_BASIS = ((0, 1, 0, 0), (1, 0, 0, -1), (0, 0, 1, 0))  # E, H, F
@@ -73,7 +83,7 @@ class AdjointModule:
     array: _action[i] is the matrix of element i in the module's basis."""
 
     def __init__(self, model: FiniteGroupModel, rhobar_images,
-                 selector: str = "ad0", p: int | None = None):
+                 selector: str, p: int):
         if selector not in SUBMODULE_BASIS:
             raise ValueError(f"unknown submodule selector {selector}")
         self.model = model
@@ -158,7 +168,7 @@ def _coboundary(M, k: int, last=None) -> np.ndarray:
     """
     G = M.model
     n, d, p = len(G), M.dim, M.p
-    T = np.asarray(G.table)
+    T = G.table_array
     last = np.arange(n) if last is None else np.asarray(last)
     g = [a.ravel() for a in np.indices((n,) * k + (len(last),))]
     g[k] = last[g[k]]
@@ -181,8 +191,7 @@ def _coboundary(M, k: int, last=None) -> np.ndarray:
     return D.reshape(rows.size * d, n**k * d)
 
 
-def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
-               size_bound: int = 14):
+def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int):
     """(dimension, list of representative cocycles) for H^1 or H^2: the
     cocycles Z modulo the image B of d^(degree-1), which the rows of its
     transpose span.  Z^1 is `z1_basis`, from the generator values of a
@@ -195,8 +204,9 @@ def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int,
     of B does): rank Z - rank B of them, a basis of Z / B."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    if degree == 2 and len(model) > size_bound:
-        raise SizeBound(f"degree-2 cohomology limited to |G| <= {size_bound}")
+    if degree == 2 and len(model) > H2_SIZE_BOUND:
+        raise SizeBound(
+            f"degree-2 cohomology limited to |G| <= {H2_SIZE_BOUND}")
     p = M.p
     Z = (z1_basis(model, M) if degree == 1 else
          nullspace_modp(_coboundary(M, 2, model.generators), p))
@@ -234,7 +244,7 @@ def _tree_maps(G, M):
         keep[i * g + j] = False
     A %= p
     keep = keep.reshape(n, g)
-    S = np.array([[row[s] for s in G.generators] for row in G.table])
+    S = G.table_array[:, G.generators]
     L = (A[S] - A[:, None] - step) % p
     return A, S, keep, L[keep].reshape(-1, g * d)
 
@@ -402,7 +412,7 @@ def obstruction_class(rho: RepresentationModPn, det_target,
     dtype = np.int64 if mod <= MAX_MODULUS else object
     tau_inv = np.array([mat_inv(t, mod) for t in tau],
                        dtype=dtype).reshape(-1, 2, 2)
-    F = np.array(tau, dtype=dtype).reshape(-1, 2, 2)[np.asarray(G.table)]
+    F = np.array(tau, dtype=dtype).reshape(-1, 2, 2)[G.table_array]
     F = (F @ tau_inv[None] % mod) @ tau_inv[:, None] % mod
     F[..., [0, 1], [0, 1]] -= 1
     coords, inside = M._coords(F.reshape(F.shape[:2] + (4,)) % mod // p**n)
@@ -442,7 +452,7 @@ def _cocycle2_identity_holds(G, M, c: Cochain) -> bool:
     """
     p = M.p
     v = c.values
-    T = np.asarray(G.table)
+    T = G.table_array
     gens = G.generators
     vs = v[:, gens]  # c(h, s)
     lhs = (vs[None] @ M._action.transpose(0, 2, 1)[:, None] - vs[T]
@@ -462,10 +472,6 @@ def twist(images, z_values, M: AdjointModule, p: int, n: int):
         out.append(mat_mul(tuple(x % mod for x in factor),
                            tuple(x % mod for x in m), mod))
     return out
-
-
-# lift_step tries all p^dim twists by Z^1 only up to this dimension
-Z1_ENUMERATION_BOUND = 6
 
 
 def lift_step(rho: RepresentationModPn, det_target,
@@ -515,8 +521,7 @@ def lift_step(rho: RepresentationModPn, det_target,
         "no global 1-cocycle twist satisfies every local condition")
 
 
-def enumerate_lifts(rho: RepresentationModPn, det_target,
-                    max_lifts: int = 1 << 22):
+def enumerate_lifts(rho: RepresentationModPn, det_target):
     """All homomorphic lifts mod p^(n+1) with the fixed determinant, n >= 1.
 
     Generator j goes to (1 + p^n X_j) A_j, with A_j the set-theoretic lift
@@ -538,7 +543,7 @@ def enumerate_lifts(rho: RepresentationModPn, det_target,
     The lifts come in lexicographic order of x, the order of a search
     over itertools.product of the X_j; each is built by
     `extend_homomorphism`, so every one passes the full relation check.
-    Raises SizeBound when there are more than max_lifts lifts."""
+    Raises SizeBound when there are more than MAX_LIFTS lifts."""
     p, n = rho.p, rho.n
     G = rho.model
     mod, pn = p**(n + 1), p**n
@@ -572,7 +577,7 @@ def enumerate_lifts(rho: RepresentationModPn, det_target,
     if x0 is None:
         return []
     K = nullspace_modp(L, p)
-    if p**len(K) > max_lifts:
+    if p**len(K) > MAX_LIFTS:
         raise SizeBound(f"{p**len(K)} lifts exceed the bound")
     # lifts differ by 1-cocycles, which take few values on many elements
     # (one at the identity): the lifts share one tuple per distinct image
@@ -747,12 +752,12 @@ def _condition_kind(cond_type):
     return table[cond_type]
 
 
-def membership_up_to_equivalence(data: LocalTameData, cond_type,
-                                 psi_sigma: int,
-                                 node_bound: int = 500000) -> bool:
+def membership_up_to_equivalence(data: LocalTameData, cond_type) -> bool:
     """Membership as a deformation: search for a conjugator A = Id mod p
     bringing (Sigma, Tau) to the parametrized shape, then check the
-    subtype's (x, y) valuations.
+    subtype's (x, y) valuations.  The shape is (v, x; 0, 1), (1, y; 0, 1):
+    psi = chi (weight 2), so psi(sigma_v) = v and the scalar
+    (psi(sigma_v) v^-1)^(1/2) of `standard_family_element` is 1.
 
     Any such A factors as a product of layers Id + p^j Y_j (j = 1, 2,
     ...), and a layer-j factor moves the shape conditions only from the
@@ -780,10 +785,9 @@ def membership_up_to_equivalence(data: LocalTameData, cond_type,
     Binv = mat_inv(B, mod)
     S0 = mat_mul(mat_mul(Binv, data.Sigma, mod), B, mod)
     T0 = mat_mul(mat_mul(Binv, data.Tau, mod), B, mod)
-    c = _sqrt_factor(psi_sigma, v, p, level)
 
     def cond_values(S, T):
-        return ((S[2]) % mod, (S[0] - c * v) % mod, (S[3] - c) % mod,
+        return ((S[2]) % mod, (S[0] - v) % mod, (S[3] - 1) % mod,
                 (T[2]) % mod, (T[0] - 1) % mod, (T[3] - 1) % mod)
 
     def digits(vals, t):
@@ -807,10 +811,10 @@ def membership_up_to_equivalence(data: LocalTameData, cond_type,
         # once j reaches level-1
         nonlocal nodes
         nodes += 1
-        if nodes > node_bound:
+        if nodes > MEMBERSHIP_NODE_BOUND:
             raise SizeBound("normal-form search exceeded node bound")
         if j >= level - 1:
-            x = S[1] * pow(c, -1, mod) % mod
+            x = S[1] % mod
             y = T[1] % mod
             if cond_type == "D_v":
                 return x % p == 0 and y % p == 0
@@ -940,9 +944,9 @@ def _strict_class_representative(y: int, p: int, k: int) -> int:
     return y // p**j % p * p**j
 
 
-def versal_twists_stable(cond_type, v: int, p: int, k: int,
-                         psi_sigma: int | None = None) -> bool:
-    """Whether C_v(Z/p^k) is stable under every N_v twist at level k.
+def versal_twists_stable(cond_type, v: int, p: int, k: int) -> bool:
+    """Whether C_v(Z/p^k) is stable under every N_v twist at level k, for
+    psi = chi (weight 2), so psi(sigma_v) = v.
 
     For k >= 3 a twist by c1 f1 + c2 f2 shifts (x, y) by p^(k-1)(c1, c2)
     inside their valuation classes (an exact matrix identity), so the c3
@@ -970,8 +974,6 @@ def versal_twists_stable(cond_type, v: int, p: int, k: int,
     runs on every grid point.
     """
     kind, sub = _condition_kind(cond_type)
-    if psi_sigma is None:
-        psi_sigma = v  # k = 2 in psi = chi^(k-1): psi(sigma) = v
     basis_cocycles(v, p)  # rejects v that is not a trivial prime
     g_name = "g_nr" if sub == "nr" else "g_ram"
     mod, e = p**k, p**(k - 1)
@@ -989,27 +991,23 @@ def versal_twists_stable(cond_type, v: int, p: int, k: int,
                 if not memo[key]:
                     return False
                 continue
-            elem = standard_family_element(v, p, k, x2, y2, psi_sigma,
-                                           cond_type)
+            elem = standard_family_element(v, p, k, x2, y2, v, cond_type)
             if c3 == 0:
-                ok = local_condition_membership(elem, cond_type,
-                                                psi_sigma)
+                ok = local_condition_membership(elem, cond_type, v)
             else:
                 cocycles = basis_cocycles(v, p, y_param=y2 % p**2)
                 g = _conjugated_cocycle(cocycles, g_name, kind, p)
                 scaled_sigma = tuple(c3 * t % p for t in g["sigma"])
                 scaled_tau = tuple(c3 * t % p for t in g["tau"])
                 twisted = twist_tame(elem, scaled_sigma, scaled_tau)
-                ok = membership_up_to_equivalence(twisted, cond_type,
-                                                  psi_sigma)
+                ok = membership_up_to_equivalence(twisted, cond_type)
             memo[key] = ok
             if not ok:
                 return False
     return True
 
 
-def highly_versal_degree(cond_type, v: int, p: int, k_max: int = 4,
-                         psi_sigma: int | None = None) -> int:
+def highly_versal_degree(cond_type, v: int, p: int, k_max: int) -> int:
     """Smallest m such that N_v-twisting stabilizes C_v(Z/p^k) for every
     m <= k <= k_max, with an escape at level m-1.
 
@@ -1022,8 +1020,7 @@ def highly_versal_degree(cond_type, v: int, p: int, k_max: int = 4,
         raise ValueError("k_max must be at least 4")
     if cond_type == "diag":
         return 2
-    stable = {k: versal_twists_stable(cond_type, v, p, k,
-                                      psi_sigma=psi_sigma)
+    stable = {k: versal_twists_stable(cond_type, v, p, k)
               for k in range(2, k_max + 1)}
     m = None
     for k in range(2, k_max + 1):
@@ -1110,14 +1107,13 @@ class TameCondition:
     tau) images."""
 
     def __init__(self, model, subgroup_label, sigma_index, tau_index,
-                 v, cond_type, psi_by_element):
+                 v, cond_type):
         self.model = model
         self.label = subgroup_label
         self.sigma_index = sigma_index
         self.tau_index = tau_index
         self.v = v
         self.cond_type = cond_type
-        self.psi = psi_by_element
 
     def holds(self, rep) -> bool:
         S = rep.images[self.sigma_index]
@@ -1126,8 +1122,7 @@ class TameCondition:
             data = LocalTameData(self.v, rep.p, rep.n, S, T)
         except TameRelationError:
             return False
-        return membership_up_to_equivalence(
-            data, self.cond_type, self.psi[self.sigma_index] % rep.p**rep.n)
+        return membership_up_to_equivalence(data, self.cond_type)
 
 
 def _is_int(x) -> bool:
@@ -1212,9 +1207,9 @@ def _check_subgroups(subgroups, p: int) -> None:
     """Raise ParseError unless subgroups maps labels to objects
     {generators: [int >= 0], condition?: {type, ...}} whose condition
     type is none, ordinary (inertia: [int], cochar: {index: int}) or
-    tame1..tame4 (sigma, tau: int >= 0, v: int >= 1 prime to p,
-    psi_sigma?: int).  Indices are checked against |G| by run_scenario
-    once the group is built."""
+    tame1..tame4 (sigma, tau: int >= 0, v: int, a trivial prime: v = 1
+    mod p and v != 1 mod p^2, as `basis_cocycles` requires).  Indices are
+    checked against |G| by run_scenario once the group is built."""
     if not isinstance(subgroups, dict):
         raise ParseError(f"subgroups must be an object, got {subgroups!r}")
     for label, sub in subgroups.items():
@@ -1235,8 +1230,7 @@ def _check_subgroups(subgroups, p: int) -> None:
         elif kind in ("tame1", "tame2", "tame3", "tame4"):
             ok = (all(_is_int(cond.get(k)) and cond[k] >= 0
                       for k in ("sigma", "tau", "v"))
-                  and cond["v"] % p != 0
-                  and _is_int(cond.get("psi_sigma", 0)))
+                  and cond["v"] % p == 1 and cond["v"] % (p * p) != 1)
         else:
             ok = kind == "none"
         if not ok:
@@ -1307,8 +1301,7 @@ def run_scenario(spec: dict) -> dict:
             conditions.append(
                 (label, TameCondition(
                     model, label, cond["sigma"], cond["tau"],
-                    cond["v"], "type" + cond["type"][-1],
-                    {cond["sigma"]: cond.get("psi_sigma", cond["v"])})))
+                    cond["v"], "type" + cond["type"][-1])))
     steps = []
     current = rep
     for n in range(start, target + 1):

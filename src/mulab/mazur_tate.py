@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .dirichlet import primitive_root
@@ -36,11 +35,9 @@ class MazurTateElement:
     every numerator, so p^e, e = v_p(den), is the largest power of p in
     a coefficient's denominator."""
 
-    label: str
     p: int
     N: int
     n: int
-    normalization: str
     nums: tuple[int, ...]
     den: int
 
@@ -69,8 +66,7 @@ def _gamma_index_table(p: int, n: int) -> list[int]:
     return table
 
 
-def theta_element(es: EigenSymbol, p: int, n: int, N: int,
-                  label: str = "", normalization: str = "neron"
+def theta_element(es: EigenSymbol, p: int, n: int, N: int
                   ) -> MazurTateElement:
     """theta_n: the integer path sums of the symbol over its one
     denominator, divided by their common gcd.
@@ -88,16 +84,15 @@ def theta_element(es: EigenSymbol, p: int, n: int, N: int,
             acc[table[a]] += es.path_numerator(a, m)
     nums = [2 * x for x in acc]
     g = gcd(es.den, *nums)
-    return MazurTateElement(label, p, N, n, normalization,
-                            tuple(x // g for x in nums), es.den // g)
+    return MazurTateElement(p, N, n, tuple(x // g for x in nums),
+                            es.den // g)
 
 
 def inflate_norm(theta: MazurTateElement) -> MazurTateElement:
     """The norm-inflation map layer n -> n+1: gamma-bar^i maps to the sum
     of its p preimages."""
-    return MazurTateElement(theta.label, theta.p, theta.N, theta.n + 1,
-                            theta.normalization, theta.nums * theta.p,
-                            theta.den)
+    return MazurTateElement(theta.p, theta.N, theta.n + 1,
+                            theta.nums * theta.p, theta.den)
 
 
 def regularized_Lp(theta_n: MazurTateElement, theta_prev: MazurTateElement,
@@ -174,7 +169,7 @@ def precision_guard(N: int, mu_bound: int, n: int) -> bool:
 # -- on-disk cache -------------------------------------------------------------
 
 # bump when the file layout or the meaning of a cached theta changes
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def cache_path(cache_dir: str, label: str, p: int, n: int) -> str:
@@ -191,51 +186,36 @@ def theta_cache_key(ainvs, conductor: int, p: int, n: int, N: int
             "normalization": "neron"}
 
 
-def serialize_theta(theta: MazurTateElement, key: dict | None = None
-                    ) -> str:
-    """Canonical JSON of theta; cache files also carry their key."""
-    data = {
-        "label": theta.label,
-        "p": theta.p,
-        "N": theta.N,
-        "n": theta.n,
-        "normalization": theta.normalization,
-        "coeffs": [str(Fraction(x, theta.den)) for x in theta.nums],
-    }
-    if key is not None:
-        data["key"] = key
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def write_theta_cache(cache_dir: str, theta: MazurTateElement,
+def write_theta_cache(cache_dir: str, label: str, theta: MazurTateElement,
                       key: dict) -> str:
-    path = cache_path(cache_dir, theta.label, theta.p, theta.n)
+    """Store theta under label as {"key", "den", "nums"}."""
+    path = cache_path(cache_dir, label, theta.p, theta.n)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(serialize_theta(theta, key))
+        json.dump({"key": key, "den": theta.den, "nums": list(theta.nums)},
+                  fh, sort_keys=True, separators=(",", ":"))
     os.replace(tmp, path)
     return path
 
 
-def read_theta_cache(cache_dir: str, label: str, p: int, n: int,
-                     key: dict) -> MazurTateElement | None:
-    """The theta_n cached under label, or None on a miss: no file, a
-    file stored under another key, or one that does not parse (corrupt
-    or truncated), which the caller recomputes and overwrites."""
-    path = cache_path(cache_dir, label, p, n)
+def read_theta_cache(cache_dir: str, label: str, key: dict
+                     ) -> MazurTateElement | None:
+    """The theta_n cached under label and key, or None on a miss: no
+    file, a file stored under another key, or one that does not hold p^n
+    integer numerators over a positive denominator, all with gcd 1
+    (corrupt or truncated), which the caller recomputes and overwrites."""
+    p, n = key["p"], key["n"]
     try:
-        with open(path) as fh:
+        with open(cache_path(cache_dir, label, p, n)) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or data.get("key") != key:
-            return None
-        coeffs = [Fraction(c) for c in data["coeffs"]]
-        if len(coeffs) != p**n:
-            return None
-        den = lcm(*(c.denominator for c in coeffs))
-        return MazurTateElement(data["label"], p, data["N"], n,
-                                data["normalization"],
-                                tuple(int(c * den) for c in coeffs), den)
-    except (FileNotFoundError, ValueError, KeyError, TypeError,
-            ZeroDivisionError):
+    except (FileNotFoundError, ValueError):
         return None
+    if not isinstance(data, dict) or data.get("key") != key:
+        return None
+    nums, den = data.get("nums"), data.get("den")
+    if not (isinstance(nums, list) and len(nums) == p**n
+            and all(type(x) is int for x in nums + [den])
+            and den > 0 and gcd(den, *nums) == 1):
+        return None
+    return MazurTateElement(p, key["N"], n, tuple(nums), den)

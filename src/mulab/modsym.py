@@ -318,9 +318,14 @@ def _transpose_shift(A, a):
 
 # bits beyond the working precision at which the real roots are refined
 _GUARD_BITS = 32
+# decimal digits at which the period and the L-value are computed, and
+# at which L/Omega is rationalized
+PERIOD_DPS = 50
+L_VALUE_DPS = 40
+RATIONAL_DPS = 50
 
 
-def real_period(E: Curve, dps: int = 50) -> mp.mpf:
+def real_period(E: Curve) -> mp.mpf:
     """Volume of E(R) for the invariant differential dx/(2y + a1x + a3).
 
     With Y = 2y + a1x + a3 the curve reads Y^2 = g(x) = 4x^3 + b2x^2 +
@@ -336,7 +341,7 @@ def real_period(E: Curve, dps: int = 50) -> mp.mpf:
     bracket is refined by safeguarded Newton-bisection at the working
     precision plus guard bits (`_refine_root`).
     """
-    with mp.workdps(dps):
+    with mp.workdps(PERIOD_DPS):
         b2, b4 = mp.mpf(E.b2), mp.mpf(E.b4)
         coeffs = E.psi2_squared()
         count = 3 if E.discriminant > 0 else 1
@@ -460,7 +465,7 @@ def _newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x=None):
     return None
 
 
-def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:
+def l_value(E: Curve, conductor: int) -> mp.mpf:
     """L(E, 1) by the exponentially convergent a_n series (returns ~0 for
     odd functional equation).
 
@@ -469,7 +474,7 @@ def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:
     bits: x is off by less than 2^-F, each of the n_max steps rounds
     down by less than 2 * 2^-F, and |x| < 1 keeps those errors from
     growing beyond the guard bits."""
-    with mp.workdps(dps):
+    with mp.workdps(L_VALUE_DPS):
         n_max = max(80, int(9 * mp.sqrt(conductor)))
         F = mp.mp.prec + _GUARD_BITS
         with mp.workprec(F + _GUARD_BITS):
@@ -482,13 +487,13 @@ def l_value(E: Curve, conductor: int, dps: int = 40) -> mp.mpf:
 
 
 # rationalize: the largest denominator tried, and the relative error
-# (at 50 digits) below which the fraction is taken
+# (at RATIONAL_DPS digits) below which the fraction is taken
 RATIONAL_MAX_DEN = 10**6
 RATIONAL_TOL = "1e-25"
 
 
 def rationalize(value: mp.mpf) -> Fraction:
-    with mp.workdps(50):
+    with mp.workdps(RATIONAL_DPS):
         fr = Fraction(*float(value).as_integer_ratio()) \
             .limit_denominator(RATIONAL_MAX_DEN)
         err = abs(value - mp.mpf(fr.numerator) / fr.denominator)
@@ -597,7 +602,7 @@ class EigenSymbol:
                 "the Neron-period normalization needs L(E,1) != 0")
         omega = real_period(self.curve)
         lval = l_value(self.curve, self.conductor)
-        with mp.workdps(50):
+        with mp.workdps(RATIONAL_DPS):
             ratio = rationalize(lval / omega)
         if ratio == 0:
             raise EigenspaceNotRational(

@@ -346,11 +346,12 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
 # -- semisimplification and classification ------------------------------------
 
 
-def sturm_bound(conductor: int, weight: int = 2) -> int:
+def sturm_bound(conductor: int) -> int:
+    """The weight-2 Sturm bound [SL_2(Z) : Gamma_0(N)] / 6 + 1."""
     idx = conductor
     for q in factorize(conductor):
         idx = idx // q * (q + 1)
-    return idx * weight // 12 + 1
+    return idx // 6 + 1
 
 
 def character_search_modulus(p: int, conductor: int) -> int:
@@ -416,17 +417,14 @@ def semisimplification(a_table: dict[int, int], p: int, conductor: int,
     return matches[0]
 
 
-def classify_alignment(line_characters, chars: CharacterExponents,
-                       k_weight: int = 2) -> str:
+def classify_alignment(line_characters, chars: CharacterExponents) -> str:
     """'aligned' iff some stable-line character (a vector of chars) is
-    odd and carries the same p-part of conductor as chi-bar^(k-1);
-    otherwise 'skew'."""
+    odd and carries the same p-part of conductor as chi-bar, which is p
+    for every odd p; otherwise 'skew'."""
     p = chars.p
-    target_p_part = 1 if (k_weight - 1) % (p - 1) == 0 else p
-    for k in line_characters:
-        p_part = p if chars.conductor(k) % p == 0 else 1
-        if p_part == target_p_part and chars.is_odd(k):
-            return "aligned"
+    if any(chars.conductor(k) % p == 0 and chars.is_odd(k)
+           for k in line_characters):
+        return "aligned"
     return "skew"
 
 
@@ -442,16 +440,16 @@ def _lift_log(a: int, e: int, w: int, p: int, n: int) -> int:
 
 def alignment_degree(a_table: dict[int, int], p: int, N: int,
                      conductor: int, phi1: tuple[int, ...],
-                     ell_bound: int, k_weight: int = 2):
+                     ell_bound: int):
     """Largest n <= N admitting liftable characters phi_(1,n) (odd,
     lifting phi1, a vector of search_characters) and phi_(2,n) with
-    product chi_n^(k-1) matching every trace congruence mod p^n.
+    product chi_n matching every trace congruence mod p^n.
 
     phi_(1,n) = chi_n^i * teich(alpha) runs over the characters alpha
     mod M and 0 <= i < (p-1) p^(n-1).  With w_n the primitive root
     mod p^n, chi_n(ell) = w_n^L(ell) and teich(w_n mod p) = w_n^(p^(n-1)),
     so phi_(1,n)(ell) = w_n^(i L(ell) + p^(n-1) A(ell)) for
-    alpha(ell) = w^A(ell), and phi_(2,n)(ell) = w_n^((k-1) L(ell)) over it.
+    alpha(ell) = w^A(ell), and phi_(2,n)(ell) = w_n^L(ell) over it.
 
     This is congruence evidence (a necessary condition for mod-p^n
     alignment), never a proof; the result is tagged accordingly.
@@ -479,17 +477,16 @@ def alignment_degree(a_table: dict[int, int], p: int, N: int,
         w, mod = _value_group_generator(p, n), p**n
         exps, top = order * p**(n - 1), p**(n - 1)
         L = [_lift_log(ell, e, w, p, n) for ell, e in zip(good_ells, L)]
-        traces = [(Ln, (k_weight - 1) * Ln, a_table[ell])
-                  for ell, Ln in zip(good_ells, L)]
+        traces = [(Ln, a_table[ell]) for ell, Ln in zip(good_ells, L)]
         found = None
         for k, good, alpha_odd, A in alphas:
             for i in range(exps):
                 # phi_(1,n)(-1) = (-1)^i alpha(-1) must be -1
                 if i % order not in good or (i % 2 == 1) == alpha_odd:
                     continue
-                for (Ln, psi_e, a_ell), Aa in zip(traces, A):
+                for (Ln, a_ell), Aa in zip(traces, A):
                     e = (i * Ln + top * Aa) % exps
-                    if (pow(w, e, mod) + pow(w, (psi_e - e) % exps, mod)
+                    if (pow(w, e, mod) + pow(w, (Ln - e) % exps, mod)
                             - a_ell) % mod:
                         break
                 else:

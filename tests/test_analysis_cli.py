@@ -1,19 +1,23 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
 from mulab.analysis import (
     CurveRecord,
+    _same_radical,
     analyze,
     analyze_many,
     ingest,
     render_report,
 )
+from mulab.arith import factorize
+from mulab.elliptic import Curve
 from mulab import iwasawa_modules, liftlab
 from mulab.cli import MAX_PRECISION, main
 from mulab.errors import (
@@ -59,6 +63,69 @@ def test_ingest_rejects_singular_and_bad_conductor(tmp_path):
         {"label": "x", "ainvs": [0, -1, 1, -10, -20], "conductor": 15}])
     with pytest.raises(InvalidModel):
         ingest(path)
+
+
+def test_ingest_refuses_a_huge_model_without_factoring(tmp_path, capsys):
+    """The discriminant of this model has 90 digits and is no power of 11
+    times a unit: the gcd comparison refuses it at once, where trial
+    division of the discriminant did not finish."""
+    path = write_json(tmp_path, "c.json", [
+        {"label": "big", "ainvs": [0, -10**30, 1, -10, -20],
+         "conductor": 11}])
+    start = time.perf_counter()
+    rc = main(["analyze", "--curves", path, "--p", "5"])
+    assert time.perf_counter() - start < 1
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: big:")
+    assert "conductor 11" in err
+
+
+@pytest.mark.parametrize("conductor", [0, -11, True, "11", 11.0, None])
+def test_cli_refuses_a_conductor_that_is_no_positive_int(tmp_path, capsys,
+                                                         conductor):
+    path = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": conductor}])
+    assert main(["analyze", "--curves", path, "--p", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 11a1: conductor must be a positive "
+                          f"integer, got {conductor!r}"), err
+
+
+def _same_primes_by_factoring(x: int, y: int) -> bool:
+    """The comparison `_same_radical` replaced in `ingest`: the primes of
+    both numbers by trial division."""
+    return set(factorize(x)) == set(factorize(y))
+
+
+def test_same_radical_matches_the_factored_comparison():
+    """On every shipped curve against N, 2N, 3N, N^2 and 1, with the
+    model's own bad primes as the oracle, and on seeded products of small
+    prime powers."""
+    checked = 0
+    for path in ("data/corpus_reducible.json", "data/curves_11a.json"):
+        for rec in json.loads(open(path).read()):
+            E, N = Curve(*rec["ainvs"]), rec["conductor"]
+            for M in (N, 2 * N, 3 * N, N * N, 1):
+                assert _same_radical(abs(E.discriminant), M) == \
+                    (set(E.bad_primes()) == set(factorize(M))), \
+                    (rec["label"], M)
+                checked += M == N
+    assert checked == 19
+    rng = random.Random(26)
+    primes = [2, 3, 5, 7, 11, 13, 101]
+    agree = 0
+    for _ in range(400):
+        x, y = (math.prod(q**rng.randint(1, 3) for q in
+                          rng.sample(primes, rng.randint(0, 3)))
+                for _ in range(2))
+        if rng.random() < 0.3:
+            y = x * rng.choice([1, x, 2, 9])
+        want = _same_primes_by_factoring(x, y)
+        assert _same_radical(x, y) == want, (x, y)
+        agree += want
+    assert agree > 50
 
 
 def test_ingest_empty_and_parse_error(tmp_path):
@@ -569,6 +636,18 @@ def test_cli_lift_lab_golden_on_generator_lists_that_stress_the_tree(
         assert capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.parametrize("name", ("tame_twist_z9", "tame_unrealizable_z3"))
+def test_cli_lift_lab_golden_with_a_tame_condition(capsys, name):
+    """stdout, byte for byte, of a scenario whose tame condition holds
+    after a twist and of one whose condition no twist meets (a "failed"
+    step), as recorded under tests/golden before weight 2 was fixed in
+    liftlab."""
+    rc = main(["lift-lab", "run", f"tests/scenarios/{name}.json"])
+    assert rc == 0
+    with open(f"tests/golden/lift_lab_{name}.json") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def _borel(**fields):
     spec = {"name": "borel", "p": 3, "levels": 2,
             "group": {"kind": "matrices", "generators": [[1, 1, 0, 1]],
@@ -614,6 +693,10 @@ def _borel(**fields):
     _borel(subgroups={"D": {"generators": [0], "condition": {
         "type": "tame1", "sigma": 0, "tau": 27, "v": 7}}}),
     _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "tame1", "sigma": 0, "tau": 1, "v": 5}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "tame1", "sigma": 0, "tau": 1, "v": 10}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
         "type": "ordinary", "inertia": [0], "cochar": {"x": 1}}}})],
     ids=["no-p", "p=4", "p=2", "p=True", "p=3.0", "levels=0",
          "levels-str", "kind-cyclic", "not-a-permutation", "no-modulus",
@@ -623,6 +706,7 @@ def _borel(**fields):
          "subgroups-str", "subgroup-index-past-group", "condition-weird",
          "tame1-without-fields", "tame5", "singular-matrix-generator",
          "rhobar-singular", "tame-v-divisible-by-p", "tame-tau-past-group",
+         "tame-v-not-1-mod-p", "tame-v-1-mod-p-squared",
          "cochar-key-not-index"])
 def test_cli_lift_lab_rejects_malformed_scenarios(tmp_path, capsys, spec):
     path = write_json(tmp_path, "s.json", spec)
@@ -854,7 +938,9 @@ def test_cli_tampered_cache_exits_2_under_verify(tmp_path, capsys):
     assert rc == 0
     theta_file = tmp_path / "cache" / "11a1" / "5" / "theta_1.json"
     data = json.loads(theta_file.read_text())
-    data["coeffs"][0] = str(Fraction(data["coeffs"][0]) + 1)
+    # theta's first coefficient plus 1: still p^n numerators over a
+    # positive denominator with gcd 1, so the file is read
+    data["nums"][0] += data["den"]
     theta_file.write_text(json.dumps(data))
     rc, _, err = _cached_run(tmp_path, capsys, "--verify-cache")
     assert rc == 2

@@ -314,12 +314,14 @@ def test_mu_profile_square_p2():
 
 
 def test_precision_insufficient():
-    # Lambda/p^2 at N = 2 cannot certify the exponent
+    # Lambda/p^2 at N = 2 cannot certify the exponent: q_N = 1 > 0, and
+    # no truncated profile is returned in its place
     pres = example("p2_at_N2")
+    assert graded_ranks(pres)[-1] > 0
     with pytest.raises(PrecisionInsufficient):
         mu_profile(pres)
-    prof = mu_profile(pres, allow_lower_bound=True)
-    assert prof.mu >= 2
+    with pytest.raises(PrecisionInsufficient, match="q_N = 1 > 0 at N = 2"):
+        profile_from_ranks(graded_ranks(pres), pres.N)
 
 
 def test_not_torsion():

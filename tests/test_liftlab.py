@@ -112,11 +112,20 @@ def test_cohomology_oracles():
     assert cohomology(G2, Mn, 2)[0] == 3
 
 
-def test_cohomology_size_bound():
+def test_cohomology_size_bound(monkeypatch):
     G = group_from_matrices([(1, 1, 0, 1), (1, 0, 1, 1)], 3, max_size=30)
     M = AdjointModule(G, trivial_images(G), "ad0", p=3)
-    with pytest.raises(SizeBound):
-        cohomology(G, M, 2, size_bound=14)
+    assert len(G) == 24 > liftlab.H2_SIZE_BOUND == 14
+    with pytest.raises(SizeBound, match="14"):
+        cohomology(G, M, 2)
+    # the bound alone refuses: a cyclic group of order 3 passes under it
+    # and is refused once the bound is below its order
+    G3 = cyclic(3)
+    M3 = AdjointModule(G3, trivial_images(G3), "n", p=3)
+    assert cohomology(G3, M3, 2)[0] == 1
+    monkeypatch.setattr(liftlab, "H2_SIZE_BOUND", 2)
+    with pytest.raises(SizeBound, match="2"):
+        cohomology(G3, M3, 2)
 
 
 def s3_rep_mod5():
@@ -136,6 +145,27 @@ def test_obstruction_zero_iff_lifts_exist():
     obs = obstruction_class(rho, det_target, M)
     assert (is_coboundary(G, M, obs) is not None) == bool(lifts)
     assert lifts
+
+
+def test_cohomology_reads_the_table_array_built_once(monkeypatch):
+    """The multiplication table is one read-only int array per model,
+    and the obstruction, the cocycle identity, the coboundary solve, Z^1
+    and the bar-resolution coboundary read it, not the list table."""
+    G, rho = s3_rep_mod5()
+    T = G.table_array
+    assert T is G.table_array and not T.flags.writeable
+    assert T.tolist() == G.table
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    det_t = _teichmuller_dets(rho, 2)
+    want = obstruction_class(rho, det_t, M)
+    f, Z = is_coboundary(G, M, want), z1_basis(G, M)
+    d1 = liftlab._coboundary(M, 1)
+    monkeypatch.setattr(G, "table", None)
+    obs = obstruction_class(rho, det_t, M)
+    assert np.array_equal(obs.values, want.values)
+    assert np.array_equal(is_coboundary(G, M, obs).values, f.values)
+    assert np.array_equal(z1_basis(G, M), Z)
+    assert np.array_equal(liftlab._coboundary(M, 1), d1)
 
 
 def test_obstruction_class_lift_independent():
@@ -351,7 +381,7 @@ def test_membership_up_to_equivalence_vs_literal():
     for k, expect in [(2, False), (3, True), (4, True)]:
         elem = standard_family_element(v, p, k, 0, 0, v, "type3")
         tw = twist_tame(elem, cs["g_nr"]["sigma"], cs["g_nr"]["tau"])
-        assert membership_up_to_equivalence(tw, "type3", v) == expect, k
+        assert membership_up_to_equivalence(tw, "type3") == expect, k
 
 
 def test_absorption_of_f1_f2():
@@ -436,6 +466,73 @@ def test_lift_step_raises_when_no_twist_is_admissible():
     assert lift_step(rho, det_t, M)[0] == "ok"
     with pytest.raises(LocalTwistUnrealizable, match="no global"):
         lift_step(rho, det_t, M, [("never", _NeverHolds())])
+
+
+def _tame_run(monkeypatch, name):
+    """run_scenario on tests/scenarios/<name>.json, with the level and the
+    verdict of every TameCondition.holds call it makes."""
+    verdicts = []
+    holds = liftlab.TameCondition.holds
+
+    def record(self, rep):
+        verdicts.append((rep.n, holds(self, rep)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(liftlab.TameCondition, "holds", record)
+    with open(os.path.join(os.path.dirname(__file__), "scenarios",
+                           f"{name}.json")) as fh:
+        return run_scenario(json.load(fh)), verdicts
+
+
+def test_tame_condition_holds_after_a_twist(monkeypatch):
+    """Z/9 = <g> with trivial rho-bar and det g = 16 mod 27, at v = 7 for
+    p = 3: sigma = g^4 has det 16^4 = 7 = v, and tau is the identity
+    (unramified).  The set-theoretic lift sends sigma to diag(7, 1) mod 9,
+    which is (7, 0; 3, 1) in type-1 coordinates, off the family; the
+    second of the 27 twists by Z^1 gives (7, 0; 6, 1), which is the
+    family's point (x, y) = (0, 0) there.  Level 3 meets type 1 with the
+    first lift tried."""
+    out, verdicts = _tame_run(monkeypatch, "tame_twist_z9")
+    assert verdicts == [(2, False), (2, True), (3, True)]
+    assert out["steps"] == [{"level": 2, "status": "ok"},
+                            {"level": 3, "status": "ok"}]
+    assert out["reached_level"] == 3
+
+
+def test_tame_condition_no_twist_meets_fails_the_step(monkeypatch):
+    """Z/3 with trivial rho-bar and sigma the identity: its image is Id
+    under every twist, never of the shape (4, x; 0, 1) mod 9 at v = 4, so
+    all 3^3 twists by Z^1 fail and the run ends in a "failed" step."""
+    out, verdicts = _tame_run(monkeypatch, "tame_unrealizable_z3")
+    assert verdicts == [(2, False)] * 27
+    assert out["steps"] == [{
+        "level": 2, "status": "failed",
+        "reason": "LocalTwistUnrealizable: no global 1-cocycle twist "
+                  "satisfies every local condition"}]
+    assert out["reached_level"] == 1
+
+
+def test_tame_condition_is_false_when_the_tame_relation_fails(monkeypatch):
+    """Z/3 x Z/3 -> GL_2(Z/9), sigma -> diag(4, 1) and tau -> (1, 3; 0, 1),
+    which commute: the relation Sigma Tau Sigma^-1 = Tau^v holds at the
+    trivial prime v = 4 (Tau^4 = Tau), where (x, y) = (0, 3) has the type-4
+    valuations, and fails at v = 5 (Tau^5 = Tau^2), where holds is False
+    without a membership search."""
+    G = group_from_permutations([(1, 2, 0, 4, 5, 3, 7, 8, 6),
+                                 (3, 4, 5, 6, 7, 8, 0, 1, 2)])
+    rep = RepresentationModPn(G, 3, 2, G.extend_homomorphism(
+        [(4, 0, 0, 1), (1, 3, 0, 1)], lambda a, b: mat_mul(a, b, 9)))
+    sigma, tau = G.generators
+    assert liftlab.TameCondition(G, "local", sigma, tau, 4,
+                                 "type4").holds(rep)
+    with pytest.raises(TameRelationError):
+        LocalTameData(5, 3, 2, rep.images[sigma], rep.images[tau])
+    searches = []
+    monkeypatch.setattr(liftlab, "membership_up_to_equivalence",
+                        lambda *args: searches.append(args) or True)
+    assert not liftlab.TameCondition(G, "local", sigma, tau, 5,
+                                     "type4").holds(rep)
+    assert searches == []
 
 
 def test_lift_step_builds_the_set_lift_once(monkeypatch):
@@ -645,7 +742,7 @@ def test_membership_conjugation_invariant():
             cases.append(twist_tame(elem, cs["g_nr"]["sigma"],
                                     cs["g_nr"]["tau"]))
     for data in cases:
-        base = membership_up_to_equivalence(data, "type3", v)
+        base = membership_up_to_equivalence(data, "type3")
         mod = p**data.level
         for _ in range(4):
             A = (1 + p * rng.randrange(mod // p),
@@ -659,7 +756,7 @@ def test_membership_conjugation_invariant():
                 data.v, p, data.level,
                 mat_mul(mat_mul(A, data.Sigma, mod), Ai, mod),
                 mat_mul(mat_mul(A, data.Tau, mod), Ai, mod))
-            assert membership_up_to_equivalence(conj, "type3", v) == base
+            assert membership_up_to_equivalence(conj, "type3") == base
 
 
 class _PlainModule:
@@ -775,9 +872,9 @@ def oracle_cond_values(S, T, c, v, mod):
             T[2] % mod, (T[0] - 1) % mod, (T[3] - 1) % mod)
 
 
-def oracle_prepare(data, cond_type, psi_sigma):
+def oracle_prepare(data, cond_type):
     """(S0, T0, c) in the type's coordinates, and whether the p^0 and
-    p^1 digits of the conditions vanish."""
+    p^1 digits of the conditions vanish; psi(sigma_v) = v (weight 2)."""
     kind, _ = _condition_kind(cond_type)
     p, level, v = data.p, data.level, data.v
     mod = p**level
@@ -785,7 +882,7 @@ def oracle_prepare(data, cond_type, psi_sigma):
     Binv = mat_inv(B, mod)
     S0 = mat_mul(mat_mul(Binv, data.Sigma, mod), B, mod)
     T0 = mat_mul(mat_mul(Binv, data.Tau, mod), B, mod)
-    c = _sqrt_factor(psi_sigma, v, p, level)
+    c = _sqrt_factor(v, v, p, level)
     ok = all(x % p**min(2, level) == 0
              for x in oracle_cond_values(S0, T0, c, v, mod))
     return S0, T0, c, ok
@@ -807,13 +904,13 @@ def oracle_digit_map(S0, T0, c, v, p, mod):
     return np.array(cols, dtype=np.int64).T % p
 
 
-def oracle_membership(data, cond_type, psi_sigma, node_bound=500000):
+def oracle_membership(data, cond_type, node_bound=500000):
     """The search that probes L on every call and solves each DFS node
     with `solve_modp` (the implementation before `_layer_solver`)."""
     _, sub = _condition_kind(cond_type)
     p, level, v = data.p, data.level, data.v
     mod = p**level
-    S0, T0, c, ok = oracle_prepare(data, cond_type, psi_sigma)
+    S0, T0, c, ok = oracle_prepare(data, cond_type)
     if not ok:
         return False  # a p^0 or p^1 digit of the conditions is nonzero
     L = oracle_digit_map(S0, T0, c, v, p, mod)
@@ -856,20 +953,18 @@ def oracle_membership(data, cond_type, psi_sigma, node_bound=500000):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (SizeBound, NoUnitSquareRoot) as exc:
+    except SizeBound as exc:
         return type(exc).__name__
 
 
 TAME_TYPES = ("type1", "type2", "type3", "type4")
 
 
-def oracle_versal_twists_stable(cond_type, v, p, k, psi_sigma=None):
+def oracle_versal_twists_stable(cond_type, v, p, k):
     """The full-grid sweep (the implementation before the
     strict-equivalence reduction): the c3 != 0 equivalence search runs on
     every grid point, through the `liftlab` globals."""
     kind, sub = _condition_kind(cond_type)
-    if psi_sigma is None:
-        psi_sigma = v
     basis_cocycles(v, p)
     g_name = "g_nr" if sub == "nr" else "g_ram"
     memo = {}
@@ -885,11 +980,9 @@ def oracle_versal_twists_stable(cond_type, v, p, k, psi_sigma=None):
                 if not memo[key]:
                     return False
                 continue
-            elem = standard_family_element(v, p, k, x2, y2, psi_sigma,
-                                           cond_type)
+            elem = standard_family_element(v, p, k, x2, y2, v, cond_type)
             if c3 == 0:
-                ok = liftlab.local_condition_membership(elem, cond_type,
-                                                        psi_sigma)
+                ok = liftlab.local_condition_membership(elem, cond_type, v)
             else:
                 g = liftlab._conjugated_cocycle(
                     basis_cocycles(v, p, y_param=y2 % p**2), g_name, kind,
@@ -897,8 +990,8 @@ def oracle_versal_twists_stable(cond_type, v, p, k, psi_sigma=None):
                 twisted = twist_tame(
                     elem, tuple(c3 * t % p for t in g["sigma"]),
                     tuple(c3 * t % p for t in g["tau"]))
-                ok = liftlab.membership_up_to_equivalence(
-                    twisted, cond_type, psi_sigma)
+                ok = liftlab.membership_up_to_equivalence(twisted,
+                                                          cond_type)
             memo[key] = ok
             if not ok:
                 return False
@@ -912,8 +1005,8 @@ def _sweep_calls(cond_type, v, p, k_max):
     where it is stable), whatever the code under test answers."""
     calls = []
 
-    def record(data, cond, psi_sigma, node_bound=500000):
-        calls.append((data, psi_sigma))
+    def record(data, cond):
+        calls.append(data)
         return True
 
     mp = pytest.MonkeyPatch()
@@ -956,38 +1049,40 @@ def membership_inputs():
     sweeps at levels 3 and 4."""
     by_level = {}
     for t in TAME_TYPES:
-        for call in _sweep_calls(t, 7, 3, 5):
-            by_level.setdefault(call[0].level, []).append(call)
+        for data in _sweep_calls(t, 7, 3, 5):
+            by_level.setdefault(data.level, []).append(data)
     assert {k: len(c) for k, c in by_level.items()} == \
         {2: 12, 3: 108, 4: 972, 5: 8748}
     rng = random.Random(5011)
     # the (5, 11) twists below are built the way the sweep builds its own
     swept4 = set(by_level[4])
-    assert all((_random_twist(rng, 7, 3, 4), 7) in swept4
+    assert all(_random_twist(rng, 7, 3, 4) in swept4
                for _ in range(20))
     checked = (by_level[2] + by_level[3] + rng.sample(by_level[4], 200)
                + rng.sample(by_level[5], 30))
-    checked += [(_random_twist(rng, 11, 5, k), 11)
+    checked += [_random_twist(rng, 11, 5, k)
                 for k, n in ((3, 60), (4, 30)) for _ in range(n)]
     return by_level, checked
 
 
-def test_membership_matches_oracle(membership_inputs):
+def test_membership_matches_oracle(membership_inputs, monkeypatch):
     """Same verdict as the per-node numpy search under every condition
-    name, including the SizeBound and NoUnitSquareRoot outcomes."""
+    name, including the SizeBound outcome."""
     falses = 0
-    for i, (data, psi) in enumerate(membership_inputs[1]):
+    for i, data in enumerate(membership_inputs[1]):
         for name in CONDITION_NAMES:
-            got = _outcome(membership_up_to_equivalence, data, name, psi)
-            assert got == _outcome(oracle_membership, data, name, psi), \
+            got = _outcome(membership_up_to_equivalence, data, name)
+            assert got == _outcome(oracle_membership, data, name), \
                 (data, name)
             falses += got is False
         if i % 10 == 0:
-            # a non-unit psi(sigma) v^-1, and a node bound hit mid-search
+            # a node bound hit mid-search
             name = CONDITION_NAMES[i % len(CONDITION_NAMES)]
-            for args in ((data, name, 2 * psi), (data, name, psi, 2)):
-                assert _outcome(membership_up_to_equivalence, *args) == \
-                    _outcome(oracle_membership, *args), args
+            with monkeypatch.context() as m:
+                m.setattr(liftlab, "MEMBERSHIP_NODE_BOUND", 2)
+                assert _outcome(membership_up_to_equivalence, data, name) \
+                    == _outcome(oracle_membership, data, name, 2), \
+                    (data, name)
     assert falses > 1500
 
 
@@ -996,7 +1091,7 @@ def test_membership_matches_oracle_on_conjugates(membership_inputs):
     A = Id mod p, which changes (Sigma, Tau) mod p^2 and so the key."""
     rng = random.Random(4242)
     checked = membership_inputs[1]
-    for data, psi in rng.sample(checked, 120):
+    for data in rng.sample(checked, 120):
         p, mod = data.p, data.p**data.level
         A = (1 + p * rng.randrange(mod // p), p * rng.randrange(mod // p),
              p * rng.randrange(mod // p), 1 + p * rng.randrange(mod // p))
@@ -1006,8 +1101,8 @@ def test_membership_matches_oracle_on_conjugates(membership_inputs):
             mat_mul(mat_mul(A, data.Sigma, mod), Ai, mod),
             mat_mul(mat_mul(A, data.Tau, mod), Ai, mod))
         for name in CONDITION_NAMES:
-            assert _outcome(membership_up_to_equivalence, conj, name, psi) \
-                == _outcome(oracle_membership, conj, name, psi), (conj, name)
+            assert _outcome(membership_up_to_equivalence, conj, name) \
+                == _outcome(oracle_membership, conj, name), (conj, name)
 
 
 @pytest.mark.parametrize("cond_type, k, y", [("type3", 3, 0),
@@ -1028,8 +1123,8 @@ def test_membership_matches_oracle_on_every_right_hand_side(cond_type, k,
             S[slot] += e * delta[i]
             T[slot] += e * delta[3 + i]
         moved = LocalTameData(7, 3, k, tuple(S), tuple(T))
-        got = membership_up_to_equivalence(moved, cond_type, 7)
-        assert got == oracle_membership(moved, cond_type, 7), delta
+        got = membership_up_to_equivalence(moved, cond_type)
+        assert got == oracle_membership(moved, cond_type), delta
         verdicts.append(got)
     assert 0 < sum(verdicts) < len(verdicts) // 2
 
@@ -1041,9 +1136,9 @@ def test_layer_solver_matches_full_precision_probe(membership_inputs):
     by_level = membership_inputs[0]
     for level in (3, 4, 5):
         probed = 0
-        for data, psi in rng.sample(by_level[level], 60):
+        for data in rng.sample(by_level[level], 60):
             for name in CONDITION_NAMES:
-                S0, T0, c, ok = oracle_prepare(data, name, psi)
+                S0, T0, c, ok = oracle_prepare(data, name)
                 if not ok:
                     continue
                 p = data.p
@@ -1065,19 +1160,19 @@ def test_layer_solver_matches_full_precision_probe(membership_inputs):
         assert probed >= 60, level
 
 
-def test_membership_node_bound_survives_cache():
+def test_membership_node_bound_survives_cache(monkeypatch):
     """A level-3 twisted element that passes the digit checks still
     counts its search nodes once its layer map is cached."""
     v, p = 11, 5
     cs = basis_cocycles(v, p, y_param=0)
     elem = standard_family_element(v, p, 3, 0, 0, v, "type3")
     tw = twist_tame(elem, cs["g_nr"]["sigma"], cs["g_nr"]["tau"])
-    assert oracle_prepare(tw, "type3", v)[3]
-    assert membership_up_to_equivalence(tw, "type3", v)
-    with pytest.raises(SizeBound):
-        membership_up_to_equivalence(tw, "type3", v, node_bound=0)
-    with pytest.raises(SizeBound):
-        membership_up_to_equivalence(tw, "type3", v, node_bound=1)
+    assert oracle_prepare(tw, "type3")[3]
+    assert membership_up_to_equivalence(tw, "type3")
+    for bound in (0, 1):
+        monkeypatch.setattr(liftlab, "MEMBERSHIP_NODE_BOUND", bound)
+        with pytest.raises(SizeBound):
+            membership_up_to_equivalence(tw, "type3")
 
 
 # -- the strict-equivalence reduction of the versality sweep ------------------
@@ -1146,9 +1241,9 @@ def test_strict_class_verdicts_agree():
             got = _family_twist(cond_type, v, p, k, x, y, c3)
             rep = _family_twist(cond_type, v, p, k, 0, y_rep, c3)
             for name in CONDITION_NAMES:
-                verdict = _outcome(membership_up_to_equivalence, got, name, v)
+                verdict = _outcome(membership_up_to_equivalence, got, name)
                 assert verdict == _outcome(membership_up_to_equivalence,
-                                           rep, name, v), \
+                                           rep, name), \
                     (cond_type, k, x, y, c3, name)
                 falses += verdict is False
     assert falses > 200
@@ -1653,19 +1748,22 @@ def test_enumerate_lifts_of_a_non_homomorphism_is_empty():
         assert oracle_enumerate_lifts(rho, [1] * len(G)) == []
 
 
-def test_enumerate_lifts_size_bound_caps_the_lifts():
-    """max_lifts bounds the number of lifts (125 for S3 mod 5), not the
+def test_enumerate_lifts_size_bound_caps_the_lifts(monkeypatch):
+    """MAX_LIFTS bounds the number of lifts (125 for S3 mod 5), not the
     5^6 candidates the search tried; an obstructed instance has no lift
     to bound."""
     G, rho = s3_rep_mod5()
     det_t = _teichmuller_dets(rho, 2)
-    assert len(enumerate_lifts(rho, det_t, max_lifts=125)) == 125
+    monkeypatch.setattr(liftlab, "MAX_LIFTS", 125)
+    assert len(enumerate_lifts(rho, det_t)) == 125
+    monkeypatch.setattr(liftlab, "MAX_LIFTS", 124)
     with pytest.raises(SizeBound, match="125 lifts"):
-        enumerate_lifts(rho, det_t, max_lifts=124)
+        enumerate_lifts(rho, det_t)
     G = cyclic(3)
     rho = RepresentationModPn(G, 3, 2, G.extend_homomorphism(
         [(1, 3, 0, 1)], lambda a, b: mat_mul(a, b, 9)))
-    assert enumerate_lifts(rho, [1] * 3, max_lifts=0) == []
+    monkeypatch.setattr(liftlab, "MAX_LIFTS", 0)
+    assert enumerate_lifts(rho, [1] * 3) == []
 
 
 def test_enumerate_lifts_raises_when_a_solution_breaks_a_relation(

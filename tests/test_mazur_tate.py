@@ -23,7 +23,6 @@ from mulab.mazur_tate import (
     precision_guard,
     read_theta_cache,
     regularized_Lp,
-    serialize_theta,
     theta_cache_key,
     theta_element,
     write_theta_cache,
@@ -55,14 +54,13 @@ def coeffs(theta: MazurTateElement) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, theta.den) for x in theta.nums)
 
 
-def element(label, p, N, n, fractions) -> MazurTateElement:
+def element(p, N, n, fractions) -> MazurTateElement:
     """The Mazur-Tate element with these Fraction coefficients, over
     their least common denominator."""
     den = lcm(*(Fraction(c).denominator for c in fractions))
     nums = [int(c * den) for c in fractions]
     g = gcd(den, *nums)
-    return MazurTateElement(label, p, N, n, "neron",
-                            tuple(x // g for x in nums), den // g)
+    return MazurTateElement(p, N, n, tuple(x // g for x in nums), den // g)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +76,7 @@ def symbols(space):
 
 @pytest.fixture(scope="module")
 def thetas(symbols):
-    return {name: [theta_element(es, P, n, N, label=name)
-                   for n in range(4)]
+    return {name: [theta_element(es, P, n, N) for n in range(4)]
             for name, es in symbols.items()}
 
 
@@ -92,7 +89,7 @@ def project_layer(theta: MazurTateElement) -> MazurTateElement:
     out = [Fraction(0)] * size
     for j, c in enumerate(coeffs(theta)):
         out[j % size] += c
-    return element(theta.label, theta.p, theta.N, theta.n - 1, out)
+    return element(theta.p, theta.N, theta.n - 1, out)
 
 
 def test_normalizations(symbols):
@@ -237,7 +234,7 @@ def test_layer_checks_raise(thetas):
     with pytest.raises(InvariantViolation, match="layer 0"):
         project_layer(thetas["11a1"][0])
     with pytest.raises(InvariantViolation, match="coefficients"):
-        MazurTateElement("x", 5, N, 1, "neron", (1,), 1)
+        MazurTateElement(5, N, 1, (1,), 1)
     with pytest.raises(InvariantViolation, match="theta_prev"):
         regularized_Lp(thetas["11a1"][2], thetas["11a1"][0], A_P)
 
@@ -249,7 +246,7 @@ def test_layer_checks_raise_under_O():
          "from mulab.errors import InvariantViolation\n"
          "from mulab.mazur_tate import MazurTateElement\n"
          "from test_mazur_tate import project_layer\n"
-         "theta = MazurTateElement('x', 5, 6, 0, 'neron', (1,), 1)\n"
+         "theta = MazurTateElement(5, 6, 0, (1,), 1)\n"
          "try:\n"
          "    project_layer(theta)\n"
          "except InvariantViolation:\n"
@@ -285,7 +282,7 @@ def test_regularized_compatibility(thetas):
         assert invs[0] == invs[1] == invs[2]
 
 
-ZERO_LAYER0 = MazurTateElement("x", P, N, 0, "neron", (0,), 1)
+ZERO_LAYER0 = MazurTateElement(P, N, 0, (0,), 1)
 
 
 def test_regularized_theta_prev_none(thetas):
@@ -316,10 +313,10 @@ def test_denominator_at_p_raises():
     """Both raise sites: a theta coefficient with p in its denominator
     has no residue mod p^N, and regularizing a layer-1 element with a
     coefficient 1/p over a zero layer 0 leaves 1/p in L_1."""
-    theta = MazurTateElement("x", 5, N, 0, "neron", (1,), 5)
+    theta = MazurTateElement(5, N, 0, (1,), 5)
     with pytest.raises(DenominatorAtP, match="denominator"):
         residues(theta)
-    t1 = MazurTateElement("x", 5, N, 1, "neron", (1, 0, 0, 0, 0), 5)
+    t1 = MazurTateElement(5, N, 1, (1, 0, 0, 0, 0), 5)
     with pytest.raises(DenominatorAtP, match="not p-integral"):
         regularized_Lp(t1, ZERO_LAYER0, A_P)
 
@@ -408,47 +405,79 @@ KEY_11A1 = theta_cache_key(CURVES["11a1"], 11, P, 2, N)
 
 def test_cache_round_trip(tmp_path, thetas):
     t = thetas["11a1"][2]
-    path = write_theta_cache(str(tmp_path), t, KEY_11A1)
-    again = read_theta_cache(str(tmp_path), "11a1", 5, 2, KEY_11A1)
-    assert again == t
-    # byte-identical re-serialization
-    assert serialize_theta(again) == serialize_theta(t)
+    path = write_theta_cache(str(tmp_path), "11a1", t, KEY_11A1)
+    assert path == str(tmp_path / "11a1" / "5" / "theta_2.json")
+    assert read_theta_cache(str(tmp_path), "11a1", KEY_11A1) == t
+    # the file holds the key and theta's numbers, nothing else
     with open(path) as fh:
-        assert fh.read() == serialize_theta(t, KEY_11A1)
+        assert fh.read() == json.dumps(
+            {"key": KEY_11A1, "den": t.den, "nums": list(t.nums)},
+            sort_keys=True, separators=(",", ":"))
+    assert KEY_11A1["format"] == 3
 
 
 def test_cache_miss_on_other_key(tmp_path, thetas):
     t = thetas["11a1"][2]
-    write_theta_cache(str(tmp_path), t, KEY_11A1)
+    write_theta_cache(str(tmp_path), "11a1", t, KEY_11A1)
     for other in (theta_cache_key(CURVES["11a3"], 11, P, 2, N),
                   theta_cache_key(CURVES["11a1"], 11, P, 2, N + 2),
                   dict(KEY_11A1, format=KEY_11A1["format"] - 1)):
-        assert read_theta_cache(str(tmp_path), "11a1", 5, 2, other) is None
+        assert read_theta_cache(str(tmp_path), "11a1", other) is None
+    assert read_theta_cache(str(tmp_path), "11a2", KEY_11A1) is None
 
 
-@pytest.mark.parametrize("damage", ["truncate", "garbage", "list",
-                                    "short", "bad-coefficient"])
+def test_cache_miss_on_a_format_2_file(tmp_path, thetas):
+    """A file of the previous layout (label, normalization and Fraction
+    strings, under a format-2 key) is a miss, never read as format 3."""
+    t = thetas["11a1"][2]
+    path = write_theta_cache(str(tmp_path), "11a1", t, KEY_11A1)
+    old_key = dict(KEY_11A1, format=2)
+    with open(path, "w") as fh:
+        json.dump({"key": old_key, "label": "11a1", "p": P, "N": N,
+                   "n": 2, "normalization": "neron",
+                   "coeffs": [str(c) for c in coeffs(t)]}, fh)
+    assert read_theta_cache(str(tmp_path), "11a1", KEY_11A1) is None
+    assert read_theta_cache(str(tmp_path), "11a1", old_key) is None
+
+
+@pytest.mark.parametrize("damage", [
+    "truncate", "garbage", "list", "short", "long", "bad-coefficient",
+    "missing-den", "zero-den", "negative-den", "float-num", "bool-num",
+    "string-den", "common-factor", "nums-not-a-list"])
 def test_cache_miss_on_corrupt_file(tmp_path, thetas, damage):
     t = thetas["11a1"][2]
-    path = write_theta_cache(str(tmp_path), t, KEY_11A1)
+    path = write_theta_cache(str(tmp_path), "11a1", t, KEY_11A1)
     with open(path) as fh:
         text = fh.read()
     data = json.loads(text)
+    nums = data["nums"]
+    changes = {
+        "short": {"nums": nums[:-1]},
+        "long": {"nums": nums + [0]},
+        "bad-coefficient": {"nums": ["1/0"] + nums[1:]},
+        "zero-den": {"den": 0},
+        "negative-den": {"den": -data["den"], "nums": [-x for x in nums]},
+        "float-num": {"nums": [float(nums[0])] + nums[1:]},
+        "bool-num": {"nums": [True] + nums[1:]},
+        "string-den": {"den": str(data["den"])},
+        "common-factor": {"den": 3 * data["den"],
+                          "nums": [3 * x for x in nums]},
+        "nums-not-a-list": {"nums": dict(enumerate(nums))},
+    }
     if damage == "truncate":
         text = text[:len(text) // 2]
     elif damage == "garbage":
         text = "\x00\xff{"
     elif damage == "list":
         text = "[1, 2]"
-    elif damage == "short":
-        data["coeffs"] = data["coeffs"][:-1]
+    elif damage == "missing-den":
+        del data["den"]
         text = json.dumps(data)
     else:
-        data["coeffs"][0] = "1/0"
-        text = json.dumps(data)
+        text = json.dumps(dict(data, **changes[damage]))
     with open(path, "w") as fh:
         fh.write(text)
-    assert read_theta_cache(str(tmp_path), "11a1", 5, 2, KEY_11A1) is None
+    assert read_theta_cache(str(tmp_path), "11a1", KEY_11A1) is None
 
 
 # -- the Fraction path that integer numerators over one denominator
@@ -545,8 +574,7 @@ def test_integer_path_matches_fraction_oracle(label, ainvs, conductor, p,
     layers = 3
     alpha_N = prec + layers + 2
     alpha = hensel_unit_root(a_p, p, alpha_N)
-    thetas = [theta_element(es, p, n, prec, label=label)
-              for n in range(layers + 1)]
+    thetas = [theta_element(es, p, n, prec) for n in range(layers + 1)]
     oracle = [oracle_theta_coeffs(es, p, n) for n in range(layers + 1)]
     for n in range(layers + 1):
         assert coeffs(thetas[n]) == oracle[n], n

@@ -84,10 +84,8 @@ def ingest(path: str) -> list[CurveRecord]:
     if not isinstance(data, list):
         raise ParseError("curve file must contain a list of records")
     out = []
-    for rec in data:
-        for key in ("label", "ainvs", "conductor"):
-            if key not in rec:
-                raise ParseError(f"record missing '{key}': {rec}")
+    for i, rec in enumerate(data):
+        _check_schema(rec, i)
         try:
             E = Curve(*rec["ainvs"])
         except InvalidModel as exc:
@@ -115,6 +113,47 @@ def ingest(path: str) -> list[CurveRecord]:
                                        rec.get("kernel_polys", {})),
             source=path, p=rec.get("p")))
     return out
+
+
+def _check_schema(rec, i: int) -> None:
+    """ParseError naming record i and the field, unless rec is an object
+    with a string label, ainvs a list of five integers, p (unless absent
+    or null, which both mean no p of its own) an integer, and ap (if
+    present) mapping primes written in decimal to integers.  The
+    conductor and kernel_polys are checked where they are read; bool is
+    not an integer here."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"record {i} is not an object: {rec!r}")
+    for key in ("label", "ainvs", "conductor"):
+        if key not in rec:
+            raise ParseError(f"record missing '{key}': {rec}")
+    label = rec["label"]
+    if not isinstance(label, str):
+        raise ParseError(f"record {i}: label must be a string, got "
+                         f"{label!r}")
+    ainvs = rec["ainvs"]
+    if not (isinstance(ainvs, list) and len(ainvs) == 5
+            and all(type(a) is int for a in ainvs)):
+        raise ParseError(f"{label}: ainvs must be a list of five "
+                         f"integers, got {ainvs!r}")
+    if rec.get("p") is not None and type(rec["p"]) is not int:
+        # the words of the CLI's check of a record's p, which also bounds
+        # an integer p
+        raise ParseError(f"{label}: p must be an odd prime, got "
+                         f"{rec['p']!r}")
+    ap = rec.get("ap", {})
+    if not isinstance(ap, dict):
+        raise ParseError(f"{label}: ap must map primes to integers, got "
+                         f"{ap!r}")
+    for key, a in ap.items():
+        # at most 24 digits: below 10^24 is_probable_prime is exact
+        if not (key.isascii() and key.isdigit() and len(key) <= 24
+                and is_probable_prime(int(key))):
+            raise ParseError(f"{label}: ap key {key!r} is not a prime "
+                             "below 10^24 written in decimal")
+        if type(a) is not int:
+            raise ParseError(f"{label}: ap[{key!r}] must be an integer, "
+                             f"got {a!r}")
 
 
 def _same_radical(x: int, y: int) -> bool:

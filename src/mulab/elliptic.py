@@ -1,20 +1,27 @@
 """Weierstrass models: invariants, point counting over F_ell and
 division polynomials.
 
-Point counts sum, over x in F_ell, the number of square roots of the
-completed square (one table per ell) for odd ell, and use brute force for
-ell = 2; a_ell is counted once per curve instance.  At a multiplicative
-prime a_q is read from the sign of -c6.  Division polynomials follow the
-classical recurrence, with even-index polynomials carried as psi_n / psi_2
-so everything stays polynomial in x.  The one recurrence runs in Z[x]
-or, reduced mod (ell, h), in F_ell[x]/(h), where the Frobenius scalar
-of a kernel line is read from it without building any point.
+For odd ell, a point count is the number of square roots of the
+completed square summed over x in F_ell (one table per ell).  For
+ell < 256 no arithmetic runs per x: the values at every x sit in the
+slots of one integer, built from packed columns of x, x^2 and x^3 kept
+per ell, are reduced mod ell together by one Barrett step, and are read
+by one C-level pass over their bytes; larger ell sum over x.  ell = 2
+uses brute force, and a_ell is counted once per curve instance.
+At a multiplicative prime a_q is read from the sign of -c6.  Division
+polynomials follow the classical recurrence, with even-index
+polynomials carried as psi_n / psi_2 so everything stays polynomial in
+x.  The one recurrence runs in Z[x] or, reduced mod (ell, h), in
+F_ell[x]/(h), where the Frobenius scalar of a kernel line is read from
+it without building any point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 
 from .arith import factorize, is_probable_prime, poly_mul, poly_sub
 from .errors import BadReduction, InvalidModel
@@ -31,36 +38,37 @@ class Curve:
     a4: int
     a6: int
 
-    @property
+    @cached_property
     def b2(self):
         return self.a1**2 + 4 * self.a2
 
-    @property
+    @cached_property
     def b4(self):
         return 2 * self.a4 + self.a1 * self.a3
 
-    @property
+    @cached_property
     def b6(self):
         return self.a3**2 + 4 * self.a6
 
-    @property
+    @cached_property
     def b8(self):
         return (self.a1**2 * self.a6 + 4 * self.a2 * self.a6
                 - self.a1 * self.a3 * self.a4 + self.a2 * self.a3**2
                 - self.a4**2)
 
-    @property
+    @cached_property
     def c4(self):
         return self.b2**2 - 24 * self.b4
 
-    @property
+    @cached_property
     def c6(self):
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
     @cached_property
     def discriminant(self):
-        """Computed once per instance (the dataclass is frozen, and
-        cached_property writes the instance __dict__ directly)."""
+        """Computed once per instance, as are the b and c invariants (the
+        dataclass is frozen, and cached_property writes the instance
+        __dict__ directly)."""
         return (-self.b2**2 * self.b8 - 8 * self.b4**3 - 27 * self.b6**2
                 + 9 * self.b2 * self.b4 * self.b6)
 
@@ -94,8 +102,11 @@ class Curve:
             return 1 + self._affine_points_mod_2()
         # complete the square: (2y + a1 x + a3)^2 = 4x^3+b2x^2+2b4x+b6,
         # so each x gives as many points as its value has square roots
-        roots = _square_root_counts(ell)
         b2, b4, b6 = self.b2 % ell, 2 * self.b4 % ell, self.b6 % ell
+        # the packed count reads each value mod ell from one byte
+        if ell < 256:
+            return 1 + _packed_root_count_sum(ell, b2, b4, b6)
+        roots = _square_root_counts(ell)
         return 1 + sum(roots[(((4 * x + b2) * x + b4) * x + b6) % ell]
                        for x in range(ell))
 
@@ -247,3 +258,71 @@ def _square_root_counts(ell: int) -> bytes:
         if ell < SQUARE_TABLE_LIMIT:
             _SQUARE_ROOT_COUNTS[ell] = roots
     return roots
+
+
+def _slot_layout(ell: int) -> tuple[int, int, int]:
+    """(k, s, m): the slot width in bytes, the shift and the multiplier
+    m = ceil(2^s / ell) of the packed count mod the odd prime ell.
+
+    Every slot value v of the sum S in `_packed_root_count_sum` is at
+    most 4 (ell - 1) + 2 (ell - 1)^2 + (ell - 1), below V = 4 ell^2.  s
+    is the least with 2^s >= V ell, and k the least with V m < 2^(8k).
+    - Barrett (CRYPTO '86): write v = q ell + r with 0 <= r < ell and
+      e = m ell - 2^s, so 0 <= e < ell.  Then v m / 2^s =
+      q + (r + v e / 2^s) / ell, and v e < V ell <= 2^s, so
+      r + v e / 2^s < r + 1 <= ell and floor(v m / 2^s) = q.
+    - No carry: v m < V m < 2^(8k), so S m holds each v m in its own
+      slot.  As V m >= 4 ell 2^s > 2^s, s < 8k, so the shift moves the
+      top 8k - s bits of each slot to its bottom, and the mask of
+      `_columns` keeps just those: floor(v m / 2^s) < 2^(8k - s)."""
+    V = 4 * ell * ell
+    s = (V * ell - 1).bit_length()
+    m = -(-(1 << s) // ell)
+    k = -(-(V * m).bit_length() // 8)
+    return k, s, m
+
+
+# ell -> _columns(ell) for the odd primes ell < 256 (under 0.2 MB for
+# all of them); built on first use
+_COLUMNS: dict[int, tuple] = {}
+
+
+def _columns(ell: int) -> tuple:
+    """(cubes, squares, xs, ones, mask, k, s, m, roots): the columns
+    4 (x^3 mod ell), x^2 mod ell, x and 1 over x in F_ell, each packed
+    into one integer with slot x in bytes k x .. k x + k - 1, the mask
+    of the low 8k - s bits of every slot, the `_slot_layout`, and
+    `_square_root_counts(ell)` padded to 256 bytes as a
+    `bytes.translate` table."""
+    cols = _COLUMNS.get(ell)
+    if cols is None:
+        k, s, m = _slot_layout(ell)
+        xs = range(ell)
+
+        def pack(values):
+            return int.from_bytes(b"".join(map(
+                int.to_bytes, values, repeat(k), repeat("little"))),
+                "little")
+
+        squares = list(map(pow, xs, repeat(2), repeat(ell)))
+        ones = int.from_bytes(b"\1".ljust(k, b"\0") * ell, "little")
+        cols = _COLUMNS[ell] = (
+            4 * pack(map(ell.__rmod__, map(mul, squares, xs))),
+            pack(squares), pack(xs), ones, ones * ((1 << 8 * k - s) - 1),
+            k, s, m, _square_root_counts(ell).ljust(256, b"\0"))
+    return cols
+
+
+def _packed_root_count_sum(ell: int, c2: int, c1: int, c0: int) -> int:
+    """The sum over x in F_ell of the number of square roots of
+    4x^3 + c2 x^2 + c1 x + c0 mod the odd prime ell < 256, given
+    0 <= c2, c1, c0 < ell, with no arithmetic per x: the slots of
+    S = 4 x^3 + c2 x^2 + c1 x + c0 are reduced together by one Barrett
+    step (`_slot_layout`), and the reduced slots, each its own low
+    byte, are read by one `bytes.translate`."""
+    cubes, squares, xs, ones, mask, k, s, m, roots = _columns(ell)
+    S = cubes + c2 * squares + c1 * xs + c0 * ones
+    # each slot v < 4 ell^2 becomes v - ell floor(v / ell) = v mod ell
+    R = S - ell * ((S * m >> s) & mask)
+    counts = R.to_bytes(k * ell, "little")[::k].translate(roots)
+    return counts.count(1) + 2 * counts.count(2)

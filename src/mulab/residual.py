@@ -19,10 +19,11 @@ cut out of psi_p mod q by one gcd with the two identities in
 F_q[x]/(psi_p).  Each of these (at most two) factors is Hensel-lifted
 against its cofactor, by quadratic steps (von zur Gathen and Gerhard,
 Modern Computer Algebra, Alg. 15.10), until exact division of psi_p in
-Z[x] accepts the centred candidate or the Mignotte bound rejects it; an
-accepted factor is a kernel when its roots are closed under duplication,
-checked by one exact division in Z[x].  When X^2 - a_q X + q has no root
-mod p, no line is stable and there is no kernel.
+Z[x] accepts the centred candidate or a bound on the roots of psi_p
+rejects it; an accepted factor is a kernel when its roots are closed
+under duplication, checked by one exact division in Z[x].  When
+X^2 - a_q X + q has no root mod p, no line is stable and there is no
+kernel.
 
 Characters are exponent vectors (`dirichlet.character_exponents`) of
 `search_characters(p, conductor)`, in the searches and in what they
@@ -32,7 +33,7 @@ return.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, lcm
 
 from .arith import (
     factorize,
@@ -40,6 +41,7 @@ from .arith import (
     poly_add,
     poly_deriv,
     poly_divmod,
+    poly_eval,
     poly_gcd,
     poly_monic,
     poly_mul,
@@ -200,17 +202,38 @@ def _center(c, m):
     return c - m if c > m // 2 else c
 
 
+def _root_bound(f) -> int:
+    """The least power of two R with |a_n| R^n > sum_{i<n} |a_i| R^i for
+    f = sum a_i x^i of degree n >= 1.  Every complex root z of f has
+    |z| < R: divided by r^n, the inequality reads
+    |a_n| > sum_{i<n} |a_i| r^(i-n), whose right side decreases in r, so
+    it holds for every r >= R, and then
+    |f(z)| >= |a_n| |z|^n - sum_{i<n} |a_i| |z|^i > 0 for |z| >= R."""
+    mags = [abs(c) for c in f]
+    R = 1
+    while mags[-1] * R ** (len(f) - 1) <= poly_eval(mags[:-1], R):
+        R *= 2
+    return R
+
+
 def _lift_factor(f, g, q):
     """The primitive integer factor of f that is g mod q, or None if f
     has none.  f is a primitive integer polynomial, squarefree mod q,
     with q prime to lc(f), and g a monic factor of f mod q.
 
-    A factor g' of f of degree d has |lc(f)/lc(g') g'| <= 2^d |f|_2
-    (Mignotte), so lc(f) G centred mod q^k is lc(f)/lc(g') g' once
-    q^k exceeds twice |lc(f)| 2^d |f|_2.  Each step tries its centred
-    primitive candidate, which exact division of f certifies at once."""
+    Let H be a primitive factor of f of degree d, so f = H K in Z[x] and
+    lc(H) divides lc(f).  Then lc(f) monic(H) = lc(K) H is an integer
+    polynomial, and its coefficient of x^(d-j) is +-lc(f) e_j, e_j the
+    j-th elementary symmetric function of d roots of f.  With R =
+    `_root_bound(f)`, |e_j| <= C(d, j) R^j, so every coefficient is at
+    most bound = max_j |lc(f)| C(d, j) R^j.  f is squarefree mod q, so
+    the lift G of g is monic(H) mod q^k, and lc(f) G centred mod q^k is
+    lc(f) monic(H) once q^k exceeds 2 bound.  Each step tries its
+    centred primitive candidate, which exact division of f certifies at
+    once; past that precision no factor is g mod q."""
     lc, d = f[-1], len(g) - 1
-    bound = abs(lc) * 2**d * (isqrt(sum(c * c for c in f)) + 1)
+    R = _root_bound(f)
+    bound = abs(lc) * max(comb(d, j) * R**j for j in range(d + 1))
     k = 1
     while q**k < 2 * bound + 1:
         k += 1

@@ -846,6 +846,59 @@ def test_cli_malformed_kernel_polys_exit_3(tmp_path, capsys, kernel_polys,
     assert err.startswith("input error: 11a3: ") and complaint in err
 
 
+_11A3 = {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11}
+
+
+@pytest.mark.parametrize("record, complaint", [
+    ({**_11A3, "ainvs": [0, -1, 1, 0, "x"]},
+     "11a3: ainvs must be a list of five integers"),
+    ({**_11A3, "ainvs": [0, -1, 1, 0]},
+     "11a3: ainvs must be a list of five integers"),
+    (0, "record 0 is not an object: 0"),
+    ({**_11A3, "ap": {"x": 1}}, "11a3: ap key 'x' is not a prime"),
+    ({**_11A3, "ainvs": [0, -1, 1, 0, True]},
+     "11a3: ainvs must be a list of five integers"),
+    ({**_11A3, "label": 7}, "record 0: label must be a string, got 7"),
+    ({**_11A3, "p": "5"}, "11a3: p must be an odd prime, got '5'"),
+    ({**_11A3, "ap": {"2": "-2"}}, "11a3: ap['2'] must be an integer"),
+    ({**_11A3, "ap": {"2": True}}, "11a3: ap['2'] must be an integer"),
+    ({**_11A3, "ap": {"0": 0}}, "11a3: ap key '0' is not a prime"),
+    ({**_11A3, "ap": {"4": 1}}, "11a3: ap key '4' is not a prime"),
+    ({**_11A3, "ap": {"-3": 1}}, "11a3: ap key '-3' is not a prime"),
+    ({**_11A3, "ap": {"9" * 5000: 1}}, "is not a prime below 10^24"),
+    ({**_11A3, "ap": [1, 2]}, "11a3: ap must map primes to integers"),
+], ids=["ainvs-string-entry", "ainvs-four-entries", "record-not-object",
+        "ap-key-x", "ainvs-bool-entry", "label-not-string", "p-string",
+        "ap-value-string", "ap-value-bool", "ap-key-0", "ap-key-4",
+        "ap-key-negative", "ap-key-5000-digits", "ap-not-object"])
+def test_cli_record_schema_errors_exit_3(tmp_path, capsys, record,
+                                         complaint):
+    """A record that is not an object, or whose label, ainvs, p or ap has
+    the wrong type or shape, is an input error at ingest naming the
+    record and the field: each of these was a traceback (exit 1) or, for
+    an ainvs entry true, read as 1."""
+    curves = write_json(tmp_path, "c.json", [record])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and complaint in err
+
+
+def test_cli_null_p_reads_as_no_p(tmp_path, capsys):
+    """"p": null is a record without a p of its own, so --p gives it."""
+    curves = write_json(tmp_path, "c.json", [{**_11A3, "p": None}])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)[0]["p"] == 5
+
+
+def test_ingest_keeps_a_well_typed_ap(tmp_path):
+    path = write_json(tmp_path, "c.json", [
+        {**_11A3, "ap": {"2": -2, "3": -1, "11": 1, "101": 2}, "p": 5}])
+    (rec,) = ingest(path)
+    assert rec.ap == {2: -2, 3: -1, 11: 1, 101: 2} and rec.p == 5
+
+
 def test_cli_cache_and_verify(tmp_path, capsys):
     curves = write_json(tmp_path, "c.json", [
         {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from mulab import elliptic
 from mulab.arith import is_probable_prime, poly_eval
-from mulab.elliptic import Curve
+from mulab.elliptic import SQUARE_TABLE_LIMIT, Curve, _slot_layout
 from mulab.errors import BadReduction, InvalidModel
 
 E11A1 = Curve(0, -1, 1, -10, -20)
@@ -86,8 +87,9 @@ def test_invariants_11a1():
 
 def test_discriminant_is_cached_and_equals_the_formula():
     """On the corpus and 11a models: the first read stores the value on
-    the instance, and it is the b2..b8 formula; equality and hashing
-    still see only the coefficients."""
+    the instance, as the b and c invariants are stored, and it is the
+    b2..b8 formula; equality and hashing still see only the
+    coefficients."""
     data = Path(__file__).resolve().parent.parent / "data"
     records = [rec for name in ("corpus_reducible.json", "curves_11a.json")
                for rec in json.loads((data / name).read_text())]
@@ -97,6 +99,9 @@ def test_discriminant_is_cached_and_equals_the_formula():
         b2, b4, b6, b8 = E.b2, E.b4, E.b6, E.b8
         want = -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
         assert E.__dict__["discriminant"] == want
+        assert (E.c4, E.c6) == (b2**2 - 24 * b4,
+                                -b2**3 + 36 * b2 * b4 - 216 * b6)
+        assert {"b2", "b4", "b6", "b8", "c4", "c6"} <= E.__dict__.keys()
         assert E.discriminant == want
         assert E == Curve(*rec["ainvs"])
         assert hash(E) == hash(Curve(*rec["ainvs"]))
@@ -137,7 +142,7 @@ def test_ap_against_group_order_bruteforce():
                 assert S == C.add(P, C.add(Q, R)) and S in pts
 
 
-# -- the paths the cached square-root table and the sign of -c6 replaced ------
+# -- the paths the packed count and the sign of -c6 replaced ------------------
 
 
 def legendre_sum_count_points(E, ell):
@@ -153,6 +158,18 @@ def legendre_sum_count_points(E, ell):
     for x in range(ell):
         n += legendre[(4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % ell]
     return n
+
+
+def square_root_sum_count_points(E, ell):
+    """|E(F_ell)| for odd ell as one sum over x in F_ell of the number of
+    square roots of the completed square, from a table built per call."""
+    roots = bytearray(ell)
+    roots[0] = 1
+    for y in range(1, (ell + 1) // 2):
+        roots[y * y % ell] = 2
+    b2, b4, b6 = E.b2 % ell, 2 * E.b4 % ell, E.b6 % ell
+    return 1 + sum(roots[(((4 * x + b2) * x + b4) * x + b6) % ell]
+                   for x in range(ell))
 
 
 def smooth_point_sign(E, q):
@@ -187,6 +204,84 @@ def test_point_counts_match_the_legendre_sum():
             if is_probable_prime(ell) and E.discriminant % ell:
                 assert E.count_points(ell) == \
                     legendre_sum_count_points(E, ell), (E, ell)
+
+
+BIG_COEFFICIENT_ELLS = (3, 5, 251, 257, 997, 1009)
+
+
+def test_point_counts_match_both_oracles_on_large_coefficients():
+    """Models with a-invariants near +-10^30 at ell on both sides of 256
+    (the packed count below, the sum over x above) and at 1009, above
+    SQUARE_TABLE_LIMIT, whose root table is built per count."""
+    assert 997 < SQUARE_TABLE_LIMIT < 1009
+    rng = random.Random(30)
+    checked = 0
+    while checked < 40:
+        ainvs = [rng.choice((-1, 1)) * (10**30 - rng.randrange(10**6))
+                 for _ in range(5)]
+        try:
+            E = Curve(*ainvs)
+        except InvalidModel:
+            continue
+        for ell in BIG_COEFFICIENT_ELLS:
+            if E.discriminant % ell == 0:
+                with pytest.raises(BadReduction):
+                    E.count_points(ell)
+                continue
+            n = E.count_points(ell)
+            assert n == square_root_sum_count_points(E, ell) == \
+                legendre_sum_count_points(E, ell), (ainvs, ell)
+            checked += 1
+    assert max(elliptic._COLUMNS) < 256
+
+
+def test_point_counts_above_256_match_the_square_root_sum():
+    """At every prime 256 < ell < 1200, past the packed count and past
+    SQUARE_TABLE_LIMIT, the count of three small models is the per-x
+    sum of a table built per call."""
+    models = [E11A1, Curve(1, -1, 1, -3, 3), Curve(0, 1, 1, -2, 0)]
+    for ell in range(257, 1200, 2):
+        if not is_probable_prime(ell):
+            continue
+        for E in models:
+            if E.discriminant % ell:
+                assert E.count_points(ell) == \
+                    square_root_sum_count_points(E, ell), (E, ell)
+
+
+def test_point_counts_raise_bad_reduction_at_a_bad_prime():
+    """y^2 = x^3 + ell has discriminant -432 ell^2."""
+    for ell in BIG_COEFFICIENT_ELLS:
+        with pytest.raises(BadReduction):
+            Curve(0, 0, 0, 0, ell).count_points(ell)
+
+
+def test_slot_layout_satisfies_the_barrett_and_no_carry_bounds():
+    """For every odd prime ell < 2000, (k, s, m) = _slot_layout(ell)
+    satisfies the two inequalities of its docstring for every slot value
+    v < V = 4 ell^2: v (m ell - 2^s) < 2^s, and V m < 2^(8k); m is
+    ceil(2^s / ell)."""
+    for ell in range(3, 2000, 2):
+        if not is_probable_prime(ell):
+            continue
+        k, s, m = _slot_layout(ell)
+        V = 4 * ell * ell
+        assert (m - 1) * ell < 2**s <= m * ell
+        assert (V - 1) * (m * ell - 2**s) < 2**s
+        assert V * m < 2**(8 * k)
+        assert 4 * (ell - 1) + 2 * (ell - 1)**2 + (ell - 1) < V
+
+
+def test_column_cache_is_small():
+    """The packed columns of every odd prime ell < 256, all that the
+    cache can hold, take under 0.2 MB."""
+    size = 0
+    for ell in range(3, 256, 2):
+        if is_probable_prime(ell):
+            *packed, k, s, m, roots = elliptic._columns(ell)
+            size += len(roots) + sum((v.bit_length() + 7) // 8
+                                     for v in packed)
+    assert size < 200_000
 
 
 def test_multiplicative_ap_matches_the_smooth_point_count():

@@ -898,7 +898,7 @@ def test_exhausted_separating_prime_search_raises(monkeypatch):
 def test_lift_factor_rejects_a_line_with_no_rational_factor():
     """n26-3 at p = 7: of the two eigenlines of its separating prime only
     one lifts to a factor of psi_7 over Z; the other is rejected at the
-    full Mignotte bound."""
+    full root bound."""
     from mulab import residual
 
     E = Curve(1, -1, 1, -3, 3)
@@ -914,6 +914,77 @@ def test_lift_factor_rejects_a_line_with_no_rational_factor():
         assert len(g) - 1 == 3
         lifted.append(residual._lift_factor(f, g, q))
     assert sum(H is None for H in lifted) == 1
+
+
+# -- the Mignotte bound the root bound of _lift_factor replaced ---------------
+
+
+def mignotte_lift_factor(f, g, q):
+    """_lift_factor with the lc-scaled Mignotte bound: a factor g' of f
+    of degree d has |lc(f)/lc(g') g'| <= 2^d |f|_2."""
+    lc, d = f[-1], len(g) - 1
+    bound = abs(lc) * 2**d * (isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while q**k < 2 * bound + 1:
+        k += 1
+    inv = pow(lc, -1, q**k)
+    monic = [c * inv % q**k for c in f]
+    cofactor = poly_divmod(poly_monic(f, q), g, q)[0]
+    for G, _, m in _hensel_steps(monic, g, cofactor, q, k):
+        cand = residual._primitive([_center(lc * c, m) for c in G])
+        if poly_monic(cand, q) == g and residual._divides(cand, f):
+            return cand
+    return None
+
+
+def eigenline_factors(E, p):
+    """(f, q, [g, ...]): the primitive psi_p, its separating prime and
+    the eigenline factors mod q that kernel_polynomials lifts."""
+    f = residual._primitive(E.division_polynomial(p))
+    q, roots = _separating_prime(E, p, f)
+    fbar = poly_monic(f, q)
+    test = residual._EigenTest(E, q, fbar)
+    return f, q, [poly_gcd(poly_gcd(fbar, test.x_residue(lam, p), q),
+                           test.y_residue(lam, p), q) for lam in roots]
+
+
+def test_root_bound_lift_matches_the_mignotte_lift():
+    """On the corpus, the 11a curves at p = 5 and the reducible curves of
+    frobenius_scalars.json, the root-bound lift returns what the
+    Mignotte lift returns for every eigenline, accepted or rejected."""
+    cases = [(rec["ainvs"], rec["p"]) for rec in
+             json.loads((DATA / "corpus_reducible.json").read_text())]
+    cases += [(rec["ainvs"], 5) for rec in
+              json.loads((DATA / "curves_11a.json").read_text())]
+    cases += [(rec["ainvs"], rec["p"]) for rec in
+              json.loads(FROBENIUS_FIXTURE.read_text()) if rec["kernels"]]
+    outcomes = []
+    for ainvs, p in cases:
+        f, q, factors = eigenline_factors(Curve(*ainvs), p)
+        for g in factors:
+            H = residual._lift_factor(f, g, q)
+            assert H == mignotte_lift_factor(f, g, q), (ainvs, p, g)
+            outcomes.append(H is None)
+    assert len(cases) > 40 and True in outcomes and False in outcomes
+
+
+def test_root_bound_exceeds_every_root():
+    """On products of integer linear factors: every root is below R in
+    absolute value, and R is the first power of two that satisfies the
+    defining inequality."""
+    rng = random.Random(9)
+    for _ in range(200):
+        f = [rng.choice((-3, -1, 1, 2))]
+        roots = [rng.randint(-50, 50) for _ in range(rng.randint(1, 6))]
+        for r in roots:
+            f = poly_mul(f, [-r, 1])
+        R = residual._root_bound(f)
+        assert all(abs(r) < R for r in roots)
+        assert R & (R - 1) == 0
+        if R > 1:
+            mags = [abs(c) for c in f]
+            assert mags[-1] * (R // 2)**(len(f) - 1) <= sum(
+                c * (R // 2)**i for i, c in enumerate(mags[:-1]))
 
 
 def test_kernel_polynomials_draw_no_random_numbers(monkeypatch):

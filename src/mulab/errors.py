@@ -81,11 +81,6 @@ class LocalTwistUnrealizable(MuLabError):
     labelled subgroup."""
 
 
-class NoUnitSquareRoot(MuLabError):
-    """psi(sigma_v) v^{-1} is not 1 mod p, so the normalized square root
-    does not exist."""
-
-
 class TameRelationError(MuLabError):
     """Sigma Tau Sigma^{-1} != Tau^v at the stated level."""
 

@@ -54,7 +54,7 @@ class FiniteGroupModel:
     in BFS order: elements[k] = elements[i] * generator j (j indexes the
     generators as given), with elements[i] found before elements[k]."""
 
-    def __init__(self, generators, mul, max_size: int = 200):
+    def __init__(self, generators, mul, max_size: int):
         elems = list(dict.fromkeys(generators))
         index = {x: k for k, x in enumerate(elems)}
         tree = []

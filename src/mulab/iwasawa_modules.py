@@ -348,6 +348,9 @@ def load_presentation(path: str) -> LambdaPresentation:
     """Read {"p": int, "N": int, "MT": int, "rows": [[[c0,c1,..], ..], ..]}."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a presentation is a JSON object, got {type(data).__name__}")
     for key in ("p", "N", "MT", "rows"):
         if key not in data:
             raise ValueError(f"presentation file missing '{key}'")

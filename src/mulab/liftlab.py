@@ -27,7 +27,6 @@ from .arith import is_probable_prime
 from .errors import (
     InvariantViolation,
     LocalTwistUnrealizable,
-    NoUnitSquareRoot,
     ParseError,
     SizeBound,
     TameRelationError,
@@ -46,7 +45,7 @@ from .modp import (
     rref_modp,
     solve_modp,
 )
-from .padic import sqrt_unit_one_mod_p, val_int
+from .padic import val_int
 
 # search bounds, past which each search raises SizeBound: the order of a
 # group whose H^2 `cohomology` computes (d^2 is n^2 g d x n^2 d), the
@@ -125,6 +124,25 @@ class AdjointModule:
         inside = all(not np.any(W[..., list(f)].sum(axis=-1) % self.p)
                      for f in forms)
         return W[..., list(entries)] % self.p, inside
+
+    @cached_property
+    def tree_maps(self):
+        """`_tree_maps(model, self)`, read-only, built on first use: they
+        depend only on the model, the action and p, which are fixed."""
+        maps = _tree_maps(self.model, self)
+        for a in maps:
+            a.flags.writeable = False
+        return maps
+
+    @cached_property
+    def z1(self):
+        """(Z, free), the `_z1_normal_form` of the tree maps as read-only
+        arrays, built on first use."""
+        A, _, _, L = self.tree_maps
+        Z, free = _z1_normal_form(A, L, self.p)
+        free = np.array(free, dtype=np.intp)
+        Z.flags.writeable = free.flags.writeable = False
+        return Z, free
 
     def to_matrix(self, vec) -> tuple:
         p = self.p
@@ -269,21 +287,7 @@ def _z1_normal_form(A, L, p: int):
     return np.ascontiguousarray(R[::-1, ::-1]), free
 
 
-class _TreeMaps:
-    """`_tree_maps(G, M)`, and its `_z1_normal_form` once asked for: what
-    the `is_coboundary` and `z1_basis` of one lifting step share."""
-
-    def __init__(self, G, M):
-        self.p = M.p
-        self.A, self.S, self.keep, self.L = _tree_maps(G, M)
-
-    @cached_property
-    def z1(self):
-        return _z1_normal_form(self.A, self.L, self.p)
-
-
-def z1_basis(model: FiniteGroupModel, M: AdjointModule,
-             maps: _TreeMaps | None = None) -> np.ndarray:
+def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
     """Basis of the 1-cocycles, one a row of n d values, in the normal
     form of `nullspace_modp` on d^1 (the identity on its free columns).
 
@@ -302,13 +306,12 @@ def z1_basis(model: FiniteGroupModel, M: AdjointModule,
       phi(y): f is a cocycle.
 
     L has g d columns, at most 6 on every shipped group, where the bar
-    resolution solves for n d unknowns.  maps is the caller's
-    `_TreeMaps(model, M)`, when it holds one."""
-    return (maps or _TreeMaps(model, M)).z1[0]
+    resolution solves for n d unknowns.  The basis is read-only and
+    built once per module (`AdjointModule.z1`); model is M's group."""
+    return M.z1[0]
 
 
-def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
-                  c2: Cochain, maps: _TreeMaps | None = None):
+def is_coboundary(model: FiniteGroupModel, M: AdjointModule, c2: Cochain):
     """Solve d^1 f = c for f in C^1 when c is a 2-cocycle; returns the
     cochain or None (also when c fails the cocycle identity).
 
@@ -327,19 +330,20 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule,
     f(s_j) = u_j).  The solutions f form one coset of Z^1; the one
     returned is 0 on the free columns of `z1_basis`, the coset
     representative that `solve_modp` gives on the n g d rows of d^1
-    ending in a generator.  maps is as in `z1_basis`."""
+    ending in a generator.  The tree maps and Z^1 are M's own, built once
+    per module."""
     n, d, p = len(model), M.dim, M.p
-    maps = maps or _TreeMaps(model, M)
+    A, S, keep, L = M.tree_maps
     cs = c2.values[:, model.generators] % p
     b = np.zeros((n, d), dtype=np.int64)
     for k, i, j in model.tree:
         b[k] = b[i] - cs[i, j]
-    rhs = (b[:, None] - b[maps.S] - cs)[maps.keep] % p
-    u = solve_modp(maps.L, rhs.reshape(-1), p)
+    rhs = (b[:, None] - b[S] - cs)[keep] % p
+    u = solve_modp(L, rhs.reshape(-1), p)
     if u is None or not _cocycle2_identity_holds(model, M, c2):
         return None
-    Z, free = maps.z1
-    f = (maps.A.reshape(n * d, -1) @ u + b.reshape(-1)) % p
+    Z, free = M.z1
+    f = (A.reshape(n * d, -1) @ u + b.reshape(-1)) % p
     f = (f - f[free] @ Z) % p
     return Cochain(1, M, f.reshape(n, d))
 
@@ -396,19 +400,25 @@ def set_theoretic_lift(rho: RepresentationModPn, det_target):
 
 
 def obstruction_class(rho: RepresentationModPn, det_target,
-                      M: AdjointModule,
-                      verify_class: bool = True, tau=None) -> Cochain:
-    """The 2-cocycle tau(gh) tau(h)^-1 tau(g)^-1 of a set-theoretic lift,
-    identified with Id + p^n (value).  tau is
-    `set_theoretic_lift(rho, det_target)`, built here unless the caller
-    holds it.  All n^2 products are taken at once, in int64 while
+                      M: AdjointModule) -> Cochain:
+    """The 2-cocycle tau(gh) tau(h)^-1 tau(g)^-1 of the set-theoretic
+    lift tau = `set_theoretic_lift(rho, det_target)`, identified with
+    Id + p^n (value).  Raises InvariantViolation when it fails the
+    cocycle identity."""
+    obs = _obstruction_cochain(rho, M, set_theoretic_lift(rho, det_target))
+    _check_obstruction(rho.model, M, obs)
+    return obs
+
+
+def _obstruction_cochain(rho: RepresentationModPn, M: AdjointModule,
+                         tau) -> Cochain:
+    """The cochain of `obstruction_class` from the set-theoretic lift tau,
+    unchecked.  All n^2 products are taken at once, in int64 while
     p^(n+1) <= 2^31 keeps a sum of two products below 2^63, and in
     Python integers above that."""
     p, n = rho.p, rho.n
     mod = p**(n + 1)
     G = rho.model
-    if tau is None:
-        tau = set_theoretic_lift(rho, det_target)
     dtype = np.int64 if mod <= MAX_MODULUS else object
     tau_inv = np.array([mat_inv(t, mod) for t in tau],
                        dtype=dtype).reshape(-1, 2, 2)
@@ -421,11 +431,7 @@ def obstruction_class(rho: RepresentationModPn, det_target,
         # n or b the images above level 1 may still leave the submodule
         raise ParseError(f"the obstruction at level {n + 1} takes a value "
                          f"outside the submodule {M.selector}")
-    out = Cochain(2, M, coords.astype(np.int64))
-    if verify_class:
-        # the class must kill d^2 (cocycle identity)
-        _check_obstruction(G, M, out)
-    return out
+    return Cochain(2, M, coords.astype(np.int64))
 
 
 def _check_obstruction(G, M, obs: Cochain):
@@ -475,25 +481,27 @@ def twist(images, z_values, M: AdjointModule, p: int, n: int):
 
 
 def lift_step(rho: RepresentationModPn, det_target,
-              M: AdjointModule, conditions=None):
+              M: AdjointModule, conditions):
     """One lifting step mod p^(n+1).
 
     Solves the obstruction coboundary system; on success twists by global
-    1-cocycles until every labelled local condition holds.  Returns
-    ("ok", lifted representation) or ("obstructed", obstruction class).
-    Raises LocalTwistUnrealizable when no global twist restricts to an
+    1-cocycles until every labelled local condition of conditions, a list
+    of (label, condition) pairs, holds.  Returns ("ok", lifted
+    representation) or ("obstructed", obstruction class).  Raises
+    LocalTwistUnrealizable when no global twist restricts to an
     admissible local one.
 
-    The cocycle identity of the obstruction is checked once: by
+    The cochain is built from the set-theoretic lift that the step
+    twists, and its cocycle identity is checked once: by
     `is_coboundary` when the system is solvable, and here when it is not,
     so that a cochain failing it raises InvariantViolation either way.
+    The tree maps and the Z^1 basis are M's, built once per module.
     """
     p, n = rho.p, rho.n
     G = rho.model
     tau = set_theoretic_lift(rho, det_target)
-    obs = obstruction_class(rho, det_target, M, verify_class=False, tau=tau)
-    maps = _TreeMaps(G, M)
-    f = is_coboundary(G, M, obs, maps)
+    obs = _obstruction_cochain(rho, M, tau)
+    f = is_coboundary(G, M, obs)
     if f is None:
         _check_obstruction(G, M, obs)
         return "obstructed", obs
@@ -505,7 +513,7 @@ def lift_step(rho: RepresentationModPn, det_target,
             "twisted set lift failed to be a homomorphism")
     if not conditions:
         return "ok", r
-    Z = z1_basis(G, M, maps)
+    Z = z1_basis(G, M)
     if Z.shape[0] > Z1_ENUMERATION_BOUND:
         raise SizeBound(
             f"Z^1 dimension {Z.shape[0]} exceeds enumeration bound")
@@ -678,33 +686,18 @@ def basis_cocycles(v: int, p: int, y_param: int = 0):
 # -- membership in the tame families --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sqrt_factor(psi_sigma: int, v: int, p: int, level: int) -> int:
-    """(psi(sigma_v) v^-1)^(1/2), the root congruent to 1 mod p."""
-    mod = p**level
-    t = psi_sigma * pow(v % mod, -1, mod) % mod
-    if t % p != 1:
-        raise NoUnitSquareRoot(
-            f"psi(sigma) v^-1 = {t} is not 1 mod {p}")
-    return sqrt_unit_one_mod_p(t, p, level)
-
-
-def _standard_form_params(data: LocalTameData, psi_sigma: int):
+def _standard_form_params(data: LocalTameData):
     """Extract (x, y) if (Sigma, Tau) literally has the standard shape
-    c(v, x; 0, 1), (1, y; 0, 1); None otherwise."""
-    p, level, v = data.p, data.level, data.v
-    mod = p**level
-    c = _sqrt_factor(psi_sigma, v, p, level)
+    (v, x; 0, 1), (1, y; 0, 1); None otherwise."""
+    mod = data.p**data.level
     S, T = data.Sigma, data.Tau
     if S[2] % mod or T[2] % mod:
         return None
     if T[0] % mod != 1 or T[3] % mod != 1:
         return None
-    if S[0] % mod != c * v % mod or S[3] % mod != c:
+    if S[0] % mod != data.v % mod or S[3] % mod != 1:
         return None
-    x = S[1] * pow(c, -1, mod) % mod
-    y = T[1] % mod
-    return x, y
+    return S[1] % mod, T[1] % mod
 
 
 def _subtype_valuations_ok(x: int, y: int, cond: str, p: int,
@@ -718,8 +711,7 @@ def _subtype_valuations_ok(x: int, y: int, cond: str, p: int,
     raise ValueError(cond)
 
 
-def local_condition_membership(data: LocalTameData, cond_type,
-                               psi_sigma: int) -> bool:
+def local_condition_membership(data: LocalTameData, cond_type) -> bool:
     """Literal membership after un-conjugating by the type's fixed
     matrix: the representative must have the parametrized shape with the
     subtype's (x, y) valuations."""
@@ -730,7 +722,7 @@ def local_condition_membership(data: LocalTameData, cond_type,
     S = mat_mul(mat_mul(Binv, data.Sigma, mod), B, mod)
     T = mat_mul(mat_mul(Binv, data.Tau, mod), B, mod)
     unconj = LocalTameData(data.v, data.p, data.level, S, T)
-    params = _standard_form_params(unconj, psi_sigma)
+    params = _standard_form_params(unconj)
     if params is None:
         return False
     x, y = params
@@ -755,9 +747,9 @@ def _condition_kind(cond_type):
 def membership_up_to_equivalence(data: LocalTameData, cond_type) -> bool:
     """Membership as a deformation: search for a conjugator A = Id mod p
     bringing (Sigma, Tau) to the parametrized shape, then check the
-    subtype's (x, y) valuations.  The shape is (v, x; 0, 1), (1, y; 0, 1):
-    psi = chi (weight 2), so psi(sigma_v) = v and the scalar
-    (psi(sigma_v) v^-1)^(1/2) of `standard_family_element` is 1.
+    subtype's (x, y) valuations.  The shape is (v, x; 0, 1), (1, y; 0, 1),
+    that of `standard_family_element`: psi = chi (weight 2), so
+    psi(sigma_v) = v and no scalar multiplies the sigma_v image.
 
     Any such A factors as a product of layers Id + p^j Y_j (j = 1, 2,
     ...), and a layer-j factor moves the shape conditions only from the
@@ -882,13 +874,13 @@ def _conjugate_pair(S, T, Y, j, p, mod):
 
 
 def standard_family_element(v: int, p: int, k: int, x: int, y: int,
-                            psi_sigma: int, cond_type) -> LocalTameData:
-    """The parametrized deformation with parameters (x, y) mod p^k,
-    conjugated into the given type's coordinates."""
+                            cond_type) -> LocalTameData:
+    """The parametrized deformation (v, x; 0, 1), (1, y; 0, 1) with
+    parameters (x, y) mod p^k, conjugated into the given type's
+    coordinates."""
     kind, _ = _condition_kind(cond_type)
     mod = p**k
-    c = _sqrt_factor(psi_sigma, v, p, k)
-    S = (c * v % mod, c * x % mod, 0, c % mod)
+    S = (v % mod, x % mod, 0, 1)
     T = (1, y % mod, 0, 1)
     B = TYPE_CONJUGATORS[kind]
     Binv = mat_inv(B, mod)
@@ -946,7 +938,8 @@ def _strict_class_representative(y: int, p: int, k: int) -> int:
 
 def versal_twists_stable(cond_type, v: int, p: int, k: int) -> bool:
     """Whether C_v(Z/p^k) is stable under every N_v twist at level k, for
-    psi = chi (weight 2), so psi(sigma_v) = v.
+    psi = chi (weight 2): psi(sigma_v) = v, and the family's sigma_v
+    images are (v, x; 0, 1) with no scalar.
 
     For k >= 3 a twist by c1 f1 + c2 f2 shifts (x, y) by p^(k-1)(c1, c2)
     inside their valuation classes (an exact matrix identity), so the c3
@@ -966,7 +959,7 @@ def versal_twists_stable(cond_type, v: int, p: int, k: int) -> bool:
     (d = 1 when y = 0) is Id mod p with A twist(0, y_rep) A^-1 =
     twist(x, y) literally mod p^k for every c3: diag(d, 1) takes the
     (1, 2) entries 0 and y_rep to 0 and y, (1, t; 0, 1) adds t (1 - v) = x
-    to the (1, 2) entry of c(v, 0; 0, 1) and fixes (1, y; 0, 1), A fixes
+    to the (1, 2) entry of (v, 0; 0, 1) and fixes (1, y; 0, 1), A fixes
     every twist factor Id + p^(k-1) M mod p^k, and the g cocycle depends
     on y only mod p^2, where y and y_rep agree.  Membership up to
     equivalence is a class function, so the representative's verdict is
@@ -991,9 +984,9 @@ def versal_twists_stable(cond_type, v: int, p: int, k: int) -> bool:
                 if not memo[key]:
                     return False
                 continue
-            elem = standard_family_element(v, p, k, x2, y2, v, cond_type)
+            elem = standard_family_element(v, p, k, x2, y2, cond_type)
             if c3 == 0:
-                ok = local_condition_membership(elem, cond_type, v)
+                ok = local_condition_membership(elem, cond_type)
             else:
                 cocycles = basis_cocycles(v, p, y_param=y2 % p**2)
                 g = _conjugated_cocycle(cocycles, g_name, kind, p)
@@ -1283,32 +1276,32 @@ def run_scenario(spec: dict) -> dict:
     conditions = []
     for label, sub in spec.get("subgroups", {}).items():
         cond = sub.get("condition", {"type": "none"})
-        if max(sub["generators"] + [cond.get("sigma", 0),
-                                    cond.get("tau", 0)]) >= len(model):
+        kind = cond["type"]
+        if kind == "ordinary":
+            inertia = cond.get("inertia", [])
+            cochar = {int(k): v for k, v in cond.get("cochar", {}).items()}
+            named = inertia + list(cochar)
+        else:
+            named = [] if kind == "none" else [cond["sigma"], cond["tau"]]
+        if not all(0 <= i < len(model) for i in sub["generators"] + named):
             raise ParseError(f"subgroup {label!r} names an element index "
-                             f">= |G| = {len(model)}")
+                             f"outside 0..{len(model) - 1}")
         model.label_subgroup(label, sub["generators"])
-        if cond["type"] == "none":
-            continue
-        if cond["type"] == "ordinary":
-            inertia = set(cond.get("inertia", []))
-            cochar = {int(k): v for k, v in
-                      cond.get("cochar", {}).items()}
+        if kind == "ordinary":
             conditions.append(
                 (label, OrdinaryCondition(model, label, inertia,
                                           cochar, p)))
-        else:
+        elif kind != "none":
             conditions.append(
                 (label, TameCondition(
                     model, label, cond["sigma"], cond["tau"],
-                    cond["v"], "type" + cond["type"][-1])))
+                    cond["v"], "type" + kind[-1])))
     steps = []
     current = rep
     for n in range(start, target + 1):
         det_target = [d % p**(n + 1) for d in det_by_element]
         try:
-            status, result = lift_step(current, det_target, M,
-                                       conditions or None)
+            status, result = lift_step(current, det_target, M, conditions)
         except (LocalTwistUnrealizable, SizeBound) as exc:
             steps.append({"level": n + 1, "status": "failed",
                           "reason": f"{type(exc).__name__}: {exc}"})

@@ -420,7 +420,7 @@ def _refine_root(coeffs, lo: Fraction, hi: Fraction) -> mp.mpf:
             f"g does not change sign on the bracket [{lo}, {hi}]")
     try:
         x = _newton_bisect([float(c) for c in coeffs], float(lo), float(hi),
-                           fa < 0, 2.0**-50, 200)
+                           fa < 0, 2.0**-50, 200, (float(lo) + float(hi)) / 2)
     except OverflowError:
         x = None
     x = mp.mpf(x) if x is not None and a < x < b else (a + b) / 2
@@ -433,15 +433,12 @@ def _refine_root(coeffs, lo: Fraction, hi: Fraction) -> mp.mpf:
     return x
 
 
-def _newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x=None):
+def _newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x):
     """A root of poly (low degree first) in (a, b), where its sign is
-    negative at a iff neg_at_a: Newton steps from x (default the
-    midpoint), with a bisection whenever a step leaves the bracket or
+    negative at a iff neg_at_a: Newton steps from x, with a bisection whenever a step leaves the bracket or
     fails to halve the step before it, until a step or the bracket is
     below tol relative to max(1, |x|).  None after iters steps."""
     dpoly = poly_deriv(poly)
-    if x is None:
-        x = (a + b) / 2
     step = b - a
     for _ in range(iters):
         fx = poly_eval(poly, x)

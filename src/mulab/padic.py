@@ -48,25 +48,6 @@ def hensel_unit_root(a_p: int, p: int, N: int) -> int:
     return root
 
 
-def sqrt_unit_one_mod_p(t: int, p: int, N: int) -> int:
-    """The square root of t mod p^N that is congruent to 1 mod p.
-
-    Requires t = 1 mod p and p odd; this is the square-root convention used
-    for the tame local families.
-    """
-    if p == 2:
-        raise ValueError("p must be odd")
-    if t % p != 1:
-        raise ValueError(f"{t} is not 1 mod {p}")
-    x = 1
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        m = p**prec
-        x = (x - (x * x - t) * pow(2 * x, -1, m)) % m
-    return x % p**N
-
-
 def teichmuller(a: int, p: int, N: int) -> int:
     """The (p-1)-st root of unity mod p^N congruent to a mod p (0 for
     a = 0 mod p)."""

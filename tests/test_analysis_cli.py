@@ -437,6 +437,18 @@ def test_cli_lambda_invariants_rejects_bad_sizes(tmp_path, capsys, field,
     assert "input error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [5, True, None, 2.5])
+def test_cli_lambda_invariants_rejects_a_document_that_is_not_an_object(
+        tmp_path, capsys, doc):
+    """A presentation file whose JSON is a number, a bool or null (the
+    mutation fuzz's retyped root) was a TypeError traceback."""
+    pres = write_json(tmp_path, "p.json", doc)
+    rc = main(["lambda-invariants", "--presentation", pres])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "input error: a presentation is a JSON object")
+
+
 @pytest.mark.parametrize("rows", [
     [[[5.9]]], [[["25"]]], [[[True]]], [[[5], [0]], [[0], ["25"]]],
     [[5]], [5], "rows"])
@@ -697,7 +709,13 @@ def _borel(**fields):
     _borel(subgroups={"D": {"generators": [0], "condition": {
         "type": "tame1", "sigma": 0, "tau": 1, "v": 10}}}),
     _borel(subgroups={"D": {"generators": [0], "condition": {
-        "type": "ordinary", "inertia": [0], "cochar": {"x": 1}}}})],
+        "type": "ordinary", "inertia": [0], "cochar": {"x": 1}}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "ordinary", "inertia": [99], "cochar": {}}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "ordinary", "inertia": [-1], "cochar": {}}}}),
+    _borel(subgroups={"D": {"generators": [0], "condition": {
+        "type": "ordinary", "inertia": [0], "cochar": {"99": 3}}}})],
     ids=["no-p", "p=4", "p=2", "p=True", "p=3.0", "levels=0",
          "levels-str", "kind-cyclic", "not-a-permutation", "no-modulus",
          "top-level-list", "rhobar-extra-matrix", "rhobar-3-entries",
@@ -707,12 +725,24 @@ def _borel(**fields):
          "tame1-without-fields", "tame5", "singular-matrix-generator",
          "rhobar-singular", "tame-v-divisible-by-p", "tame-tau-past-group",
          "tame-v-not-1-mod-p", "tame-v-1-mod-p-squared",
-         "cochar-key-not-index"])
+         "cochar-key-not-index", "inertia-past-group", "inertia-negative",
+         "cochar-key-past-group"])
 def test_cli_lift_lab_rejects_malformed_scenarios(tmp_path, capsys, spec):
     path = write_json(tmp_path, "s.json", spec)
     rc = main(["lift-lab", "run", path])
     assert rc == 3
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cli_lift_lab_ignores_keys_a_condition_does_not_read(tmp_path,
+                                                            capsys):
+    """sigma and tau are read by the tame conditions only: on a `none`
+    condition a string sigma was a TypeError traceback."""
+    path = write_json(tmp_path, "s.json", _borel(subgroups={"D": {
+        "generators": [0],
+        "condition": {"type": "none", "sigma": "x", "tau": 99}}}))
+    assert main(["lift-lab", "run", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_lift_lab_rejects_start_level_above_levels(tmp_path, capsys):

@@ -15,7 +15,6 @@ from mulab.cli import main
 from mulab.errors import (
     InvariantViolation,
     LocalTwistUnrealizable,
-    NoUnitSquareRoot,
     ParseError,
     SizeBound,
     TameRelationError,
@@ -52,7 +51,6 @@ from mulab.liftlab import (
     _condition_kind,
     _conjugate_pair,
     _layer_solver,
-    _sqrt_factor,
     _subtype_valuations_ok,
 )
 from mulab.modp import nullspace_modp, rref_modp, solve_modp
@@ -299,8 +297,8 @@ def test_trivial_prime_check():
 
 
 def test_local_tame_data_relation():
-    # Sigma = c(v, x; 0 1), Tau = (1, y; 0, 1) satisfies the relation
-    d = standard_family_element(11, 5, 3, 25, 25, 11, "type3")
+    # Sigma = (v, x; 0, 1), Tau = (1, y; 0, 1) satisfies the relation
+    d = standard_family_element(11, 5, 3, 25, 25, "type3")
     assert isinstance(d, LocalTameData)
     with pytest.raises(TameRelationError):
         LocalTameData(11, 5, 2, (1, 0, 0, 1), (2, 0, 0, 1))
@@ -337,40 +335,18 @@ def test_basis_cocycles():
 
 def test_local_condition_membership_examples():
     # x = y = 0 at level 2 is in D_v^nr
-    elem = standard_family_element(11, 5, 2, 0, 0, 11, "type3")
-    assert local_condition_membership(elem, "type3", 11)
+    elem = standard_family_element(11, 5, 2, 0, 0, "type3")
+    assert local_condition_membership(elem, "type3")
     # p || y at level 2: in D_v^ram, not D_v^nr
-    elem = standard_family_element(11, 5, 2, 0, 5, 11, "type4")
-    assert local_condition_membership(elem, "type4", 11)
-    elem2 = standard_family_element(11, 5, 2, 0, 5, 11, "type3")
-    assert not local_condition_membership(elem2, "type3", 11)
+    elem = standard_family_element(11, 5, 2, 0, 5, "type4")
+    assert local_condition_membership(elem, "type4")
+    elem2 = standard_family_element(11, 5, 2, 0, 5, "type3")
+    assert not local_condition_membership(elem2, "type3")
     # conjugate of a D_v^nr member by (1,0;1,1) is a type-1 member and
     # fails the raw type-3 check
-    elem = standard_family_element(11, 5, 3, 25, 25, 11, "type1")
-    assert local_condition_membership(elem, "type1", 11)
-    assert not local_condition_membership(elem, "type3", 11)
-
-
-def test_no_unit_square_root():
-    elem = standard_family_element(11, 5, 2, 0, 0, 11, "type3")
-    with pytest.raises(NoUnitSquareRoot):
-        local_condition_membership(elem, "type3", 2 * 11)
-
-
-def test_sqrt_factor_cache_keeps_refusals():
-    """The cached square root is the one congruent to 1 mod p with
-    square psi(sigma) v^-1; a refusal is raised again on every call,
-    never cached."""
-    for psi_sigma, v, p, level in ((11, 11, 5, 4), (11 * 31, 11, 5, 3),
-                                   (7 * 4, 7, 3, 4)):
-        mod = p**level
-        for _ in range(2):
-            c = _sqrt_factor(psi_sigma, v, p, level)
-            assert c % p == 1
-            assert c * c * v % mod == psi_sigma % mod
-    for _ in range(2):
-        with pytest.raises(NoUnitSquareRoot):
-            _sqrt_factor(2 * 11, 11, 5, 2)
+    elem = standard_family_element(11, 5, 3, 25, 25, "type1")
+    assert local_condition_membership(elem, "type1")
+    assert not local_condition_membership(elem, "type3")
 
 
 def test_membership_up_to_equivalence_vs_literal():
@@ -379,7 +355,7 @@ def test_membership_up_to_equivalence_vs_literal():
     v, p = 11, 5
     cs = basis_cocycles(v, p, y_param=0)
     for k, expect in [(2, False), (3, True), (4, True)]:
-        elem = standard_family_element(v, p, k, 0, 0, v, "type3")
+        elem = standard_family_element(v, p, k, 0, 0, "type3")
         tw = twist_tame(elem, cs["g_nr"]["sigma"], cs["g_nr"]["tau"])
         assert membership_up_to_equivalence(tw, "type3") == expect, k
 
@@ -390,12 +366,12 @@ def test_absorption_of_f1_f2():
     v, p, k = 11, 5, 3
     cs = basis_cocycles(v, p, y_param=0)
     for c1, c2 in [(1, 0), (0, 1), (2, 3)]:
-        elem = standard_family_element(v, p, k, 25, 50, v, "type3")
+        elem = standard_family_element(v, p, k, 25, 50, "type3")
         f_sigma = tuple(c1 * t % p for t in cs["f1"]["sigma"])
         f_tau = tuple(c2 * t % p for t in cs["f2"]["tau"])
         tw = twist_tame(elem, f_sigma, f_tau)
         shifted = standard_family_element(
-            v, p, k, 25 + c1 * p**(k - 1), 50 + c2 * p**(k - 1), v,
+            v, p, k, 25 + c1 * p**(k - 1), 50 + c2 * p**(k - 1),
             "type3")
         assert tw.Sigma == shifted.Sigma and tw.Tau == shifted.Tau
 
@@ -443,7 +419,7 @@ def test_lift_step_built_in():
     for n in (1, 2):
         det_t = [mat_det(m, 3**(n + 1)) for m in
                  [tuple(x % 3**(n + 1) for x in e) for e in G.elements]]
-        status, result = lift_step(current, det_t, M)
+        status, result = lift_step(current, det_t, M, [])
         assert status == "ok"
         assert result.verify()
         current = result
@@ -463,7 +439,7 @@ def test_lift_step_raises_when_no_twist_is_admissible():
                                         for m in G.elements])
     M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
     det_t = [mat_det(m, 9) for m in G.elements]
-    assert lift_step(rho, det_t, M)[0] == "ok"
+    assert lift_step(rho, det_t, M, [])[0] == "ok"
     with pytest.raises(LocalTwistUnrealizable, match="no global"):
         lift_step(rho, det_t, M, [("never", _NeverHolds())])
 
@@ -536,13 +512,14 @@ def test_tame_condition_is_false_when_the_tame_relation_fails(monkeypatch):
 
 
 def test_lift_step_builds_the_set_lift_once(monkeypatch):
-    """obstruction_class is handed the lift that lift_step twists."""
+    """The obstruction cochain is built from the lift that lift_step
+    twists."""
     G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
     rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
                                         for m in G.elements])
     M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
     det_t = [mat_det(m, 9) for m in G.elements]
-    want = lift_step(rho, det_t, M)
+    want = lift_step(rho, det_t, M, [])
     calls = []
     build = liftlab.set_theoretic_lift
 
@@ -551,7 +528,7 @@ def test_lift_step_builds_the_set_lift_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(liftlab, "set_theoretic_lift", counted)
-    got = lift_step(rho, det_t, M)
+    got = lift_step(rho, det_t, M, [])
     assert len(calls) == 1
     assert got[0] == want[0] == "ok"
     assert got[1].images == want[1].images
@@ -562,15 +539,16 @@ class _AlwaysHolds:
         return True
 
 
-def test_lift_step_builds_the_tree_maps_once(monkeypatch):
-    """With local conditions, the coboundary solve and the Z^1 basis of
-    one lifting step share one build of the tree maps and one kernel of
-    L, and the step is the one the unshared calls give."""
+def test_module_builds_the_tree_maps_once(monkeypatch):
+    """Two lifting steps with local conditions, `z1_basis` and
+    `is_coboundary` on one module share one build of the tree maps and
+    one kernel of L; the steps are those a fresh module gives, and the
+    Z^1 basis is read-only, as the multiplication table is."""
     G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
     rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
                                         for m in G.elements])
     M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
-    det_t = [mat_det(m, 9) for m in G.elements]
+    det_ts = [[mat_det(m, 3**(n + 1)) for m in G.elements] for n in (1, 2)]
     conditions = [("always", _AlwaysHolds())]
     built, kernels = [], []
     tree_maps, nullspace = liftlab._tree_maps, liftlab.nullspace_modp
@@ -583,15 +561,25 @@ def test_lift_step_builds_the_tree_maps_once(monkeypatch):
         kernels.append(args)
         return nullspace(*args)
 
-    def unshared(G, M, c2, maps):
-        return is_coboundary(G, M, c2)
+    def two_steps(M):
+        status, r = lift_step(rho, det_ts[0], M, conditions)
+        assert status == "ok"
+        return r, lift_step(r, det_ts[1], M, conditions)
 
     monkeypatch.setattr(liftlab, "_tree_maps", counted_maps)
     monkeypatch.setattr(liftlab, "nullspace_modp", counted)
-    got = lift_step(rho, det_t, M, conditions)
+    r, got = two_steps(M)
+    Z = z1_basis(G, M)
+    assert is_coboundary(G, M, obstruction_class(rho, det_ts[0], M))
     assert len(built) == len(kernels) == 1
-    monkeypatch.setattr(liftlab, "is_coboundary", unshared)
-    want = lift_step(rho, det_t, M, conditions)
+    assert not Z.flags.writeable and not G.table_array.flags.writeable
+    with pytest.raises(ValueError):
+        Z[0, 0] = 1
+    fresh = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    want_r, want = two_steps(fresh)
+    assert len(built) == 2
+    assert np.array_equal(z1_basis(G, fresh), Z)
+    assert r.images == want_r.images
     assert got[0] == want[0] == "ok"
     assert got[1].images == want[1].images
 
@@ -643,7 +631,7 @@ def test_lift_step_raises_on_a_failed_cocycle_identity(monkeypatch,
     monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
                         lambda *args: False)
     with pytest.raises(InvariantViolation, match="cocycle identity"):
-        lift_step(rho, det_t, M)
+        lift_step(rho, det_t, M, [])
 
 
 # Z/2 lifted with coefficients in n from a level-2 image with lower-left
@@ -737,7 +725,7 @@ def test_membership_conjugation_invariant():
     cases = []
     for k in (2, 3, 4):
         for (x, y) in [(0, 0), (25 % 5**k, 0), (0, 25 % 5**k)]:
-            elem = standard_family_element(v, p, k, x, y, v, "type3")
+            elem = standard_family_element(v, p, k, x, y, "type3")
             cases.append(elem)
             cases.append(twist_tame(elem, cs["g_nr"]["sigma"],
                                     cs["g_nr"]["tau"]))
@@ -866,15 +854,15 @@ CONDITION_NAMES = ("type1", "type2", "type3", "type4", "D_v", "D_v_nr",
                    "D_v_ram")
 
 
-def oracle_cond_values(S, T, c, v, mod):
+def oracle_cond_values(S, T, v, mod):
     """The six entries that vanish on the parametrized shape."""
-    return (S[2] % mod, (S[0] - c * v) % mod, (S[3] - c) % mod,
+    return (S[2] % mod, (S[0] - v) % mod, (S[3] - 1) % mod,
             T[2] % mod, (T[0] - 1) % mod, (T[3] - 1) % mod)
 
 
 def oracle_prepare(data, cond_type):
-    """(S0, T0, c) in the type's coordinates, and whether the p^0 and
-    p^1 digits of the conditions vanish; psi(sigma_v) = v (weight 2)."""
+    """(S0, T0) in the type's coordinates, and whether the p^0 and p^1
+    digits of the conditions vanish; psi(sigma_v) = v (weight 2)."""
     kind, _ = _condition_kind(cond_type)
     p, level, v = data.p, data.level, data.v
     mod = p**level
@@ -882,20 +870,19 @@ def oracle_prepare(data, cond_type):
     Binv = mat_inv(B, mod)
     S0 = mat_mul(mat_mul(Binv, data.Sigma, mod), B, mod)
     T0 = mat_mul(mat_mul(Binv, data.Tau, mod), B, mod)
-    c = _sqrt_factor(v, v, p, level)
     ok = all(x % p**min(2, level) == 0
-             for x in oracle_cond_values(S0, T0, c, v, mod))
-    return S0, T0, c, ok
+             for x in oracle_cond_values(S0, T0, v, mod))
+    return S0, T0, ok
 
 
-def oracle_digit_map(S0, T0, c, v, p, mod):
+def oracle_digit_map(S0, T0, v, p, mod):
     """The digit-moving map L probed at full precision mod `mod`, on the
     unreduced (S0, T0): digit 2 of each condition value after conjugating
     by Id + p Y, minus its digit 2 before."""
     def digit2(Y):
         S, T = _conjugate_pair(S0, T0, Y, 1, p, mod)
         return [(x // p**2) % p
-                for x in oracle_cond_values(S, T, c, v, mod)]
+                for x in oracle_cond_values(S, T, v, mod)]
 
     base = digit2((0, 0, 0, 0))
     cols = []
@@ -910,10 +897,10 @@ def oracle_membership(data, cond_type, node_bound=500000):
     _, sub = _condition_kind(cond_type)
     p, level, v = data.p, data.level, data.v
     mod = p**level
-    S0, T0, c, ok = oracle_prepare(data, cond_type)
+    S0, T0, ok = oracle_prepare(data, cond_type)
     if not ok:
         return False  # a p^0 or p^1 digit of the conditions is nonzero
-    L = oracle_digit_map(S0, T0, c, v, p, mod)
+    L = oracle_digit_map(S0, T0, v, p, mod)
     K = nullspace_modp(L, p)
 
     nodes = 0
@@ -924,14 +911,14 @@ def oracle_membership(data, cond_type, node_bound=500000):
         if nodes > node_bound:
             raise SizeBound("normal-form search exceeded node bound")
         if j >= level - 1:
-            x = S[1] * pow(c, -1, mod) % mod
+            x = S[1] % mod
             y = T[1] % mod
             if cond_type == "D_v":
                 return x % p == 0 and y % p == 0
             return _subtype_valuations_ok(x, y, sub, p, level)
         # minus digit j + 1 of each condition value
         b = np.array([-(x // p**(j + 1)) % p
-                      for x in oracle_cond_values(S, T, c, v, mod)],
+                      for x in oracle_cond_values(S, T, v, mod)],
                      dtype=np.int64)
         y0 = solve_modp(L, b, p)
         if y0 is None:
@@ -980,9 +967,9 @@ def oracle_versal_twists_stable(cond_type, v, p, k):
                 if not memo[key]:
                     return False
                 continue
-            elem = standard_family_element(v, p, k, x2, y2, v, cond_type)
+            elem = standard_family_element(v, p, k, x2, y2, cond_type)
             if c3 == 0:
-                ok = liftlab.local_condition_membership(elem, cond_type, v)
+                ok = liftlab.local_condition_membership(elem, cond_type)
             else:
                 g = liftlab._conjugated_cocycle(
                     basis_cocycles(v, p, y_param=y2 % p**2), g_name, kind,
@@ -1028,7 +1015,7 @@ def _family_twist(cond_type, v, p, k, x, y, c3, elem=None):
         basis_cocycles(v, p, y_param=y % p**2),
         "g_nr" if sub == "nr" else "g_ram", kind, p)
     if elem is None:
-        elem = standard_family_element(v, p, k, x, y, v, cond_type)
+        elem = standard_family_element(v, p, k, x, y, cond_type)
     return twist_tame(elem, tuple(c3 * e % p for e in g["sigma"]),
                       tuple(c3 * e % p for e in g["tau"]))
 
@@ -1138,11 +1125,11 @@ def test_layer_solver_matches_full_precision_probe(membership_inputs):
         probed = 0
         for data in rng.sample(by_level[level], 60):
             for name in CONDITION_NAMES:
-                S0, T0, c, ok = oracle_prepare(data, name)
+                S0, T0, ok = oracle_prepare(data, name)
                 if not ok:
                     continue
                 p = data.p
-                L = oracle_digit_map(S0, T0, c, data.v, p, p**level)
+                L = oracle_digit_map(S0, T0, data.v, p, p**level)
                 E, pivots, offsets = _layer_solver(
                     p, tuple(x % p**2 for x in S0),
                     tuple(x % p**2 for x in T0))
@@ -1165,9 +1152,9 @@ def test_membership_node_bound_survives_cache(monkeypatch):
     counts its search nodes once its layer map is cached."""
     v, p = 11, 5
     cs = basis_cocycles(v, p, y_param=0)
-    elem = standard_family_element(v, p, 3, 0, 0, v, "type3")
+    elem = standard_family_element(v, p, 3, 0, 0, "type3")
     tw = twist_tame(elem, cs["g_nr"]["sigma"], cs["g_nr"]["tau"])
-    assert oracle_prepare(tw, "type3")[3]
+    assert oracle_prepare(tw, "type3")[2]
     assert membership_up_to_equivalence(tw, "type3")
     for bound in (0, 1):
         monkeypatch.setattr(liftlab, "MEMBERSHIP_NODE_BOUND", bound)
@@ -1213,7 +1200,7 @@ def test_strict_class_certificate(p, v, ks):
                         for c3 in range(p)]
                 assert all((a - b) % p == 0 for a, b in zip(A, MAT_ID))
                 Ai = mat_inv(A, mod)
-                elem = standard_family_element(v, p, k, x, y, v, cond_type)
+                elem = standard_family_element(v, p, k, x, y, cond_type)
                 for c3, rep in enumerate(reps[y_rep]):
                     got = _family_twist(cond_type, v, p, k, x, y, c3, elem)
                     assert mat_mul(mat_mul(A, rep.Sigma, mod), Ai, mod) \
@@ -1302,15 +1289,16 @@ def _obstruction_cochains():
         M = AdjointModule(G, rho.rhobar(), "ad0", p=p)
         det_t = [teichmuller(mat_det(m, p), p, level + 1)
                  for m in rho.rhobar()]
-        out.append((name, G, M,
-                    obstruction_class(rho, det_t, M, verify_class=False)))
+        out.append((name, G, M, liftlab._obstruction_cochain(
+            rho, M, liftlab.set_theoretic_lift(rho, det_t))))
     G = group_from_matrices([(1, 1, 0, 1)], 27)
     for n in (1, 2):
         rho = RepresentationModPn(G, 3, n, G.elements)
         M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
         det_t = [mat_det(m, 3**(n + 1)) for m in G.elements]
         out.append((f"borel_z3/level{n + 1}", G, M,
-                    obstruction_class(rho, det_t, M, verify_class=False)))
+                    liftlab._obstruction_cochain(
+                        rho, M, liftlab.set_theoretic_lift(rho, det_t))))
     return out
 
 
@@ -1363,7 +1351,8 @@ def test_obstruction_class_raises_when_the_identity_fails(monkeypatch):
                         lambda *args: False)
     with pytest.raises(InvariantViolation, match="cocycle identity"):
         obstruction_class(rho, det_t, M)
-    assert not is_zero(obstruction_class(rho, det_t, M, verify_class=False))
+    assert not is_zero(liftlab._obstruction_cochain(
+        rho, M, liftlab.set_theoretic_lift(rho, det_t)))
 
 
 def test_lift_path_invariants_raise(monkeypatch):
@@ -1377,7 +1366,7 @@ def test_lift_path_invariants_raise(monkeypatch):
         liftlab.set_theoretic_lift(rho, [d + 1 for d in det_t])
     monkeypatch.setattr(RepresentationModPn, "verify", lambda self: False)
     with pytest.raises(InvariantViolation, match="homomorphism"):
-        lift_step(rho, det_t, M)
+        lift_step(rho, det_t, M, [])
 
 
 # -- the BFS-tree group model and the table-driven coboundary, against the
@@ -1819,7 +1808,7 @@ def test_is_coboundary_matches_full_solve_on_scenario_levels(monkeypatch,
     scenario runner makes."""
     calls = []
 
-    def checked(G, M, c2, maps=None):
+    def checked(G, M, c2):
         calls.append(name)
         return _assert_same_coboundary(name, G, M, c2)
 
@@ -1997,7 +1986,7 @@ def _scenario_levels(path):
     seen = []
     step = liftlab.lift_step
 
-    def recording(rho, det_target, M, conditions=None):
+    def recording(rho, det_target, M, conditions):
         seen.append((rho, det_target, M))
         return step(rho, det_target, M, conditions)
 

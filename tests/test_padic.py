@@ -13,7 +13,6 @@ from mulab.errors import InvariantViolation, NotOrdinary, PrecisionExhausted
 from mulab.padic import (
     hensel_unit_root,
     mu_lambda_of_polynomial,
-    sqrt_unit_one_mod_p,
     teichmuller,
     val_int,
 )
@@ -260,16 +259,6 @@ def test_teichmuller():
     assert pow(teichmuller(2, 5, 2), 4, 25) == 1
     assert teichmuller(1, 5, 4) == 1
     assert teichmuller(10, 5, 3) == 0
-
-
-def test_sqrt_unit():
-    # squaring is a bijection on 1 + pZ/p^N for odd p, so every t = 1 mod p
-    # has a unique square root = 1 mod p
-    for p, N in [(5, 3), (3, 4), (7, 2)]:
-        for t in range(1, p**N, p):
-            r = sqrt_unit_one_mod_p(t, p, N)
-            assert r * r % p**N == t
-            assert r % p == 1
 
 
 def test_checks_raise_under_O():

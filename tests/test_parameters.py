@@ -40,31 +40,14 @@ ALLOWED = {
     ("arith", "poly_eval", "m"): _POLY_M,
     ("cli", "main", "argv"):
         "None reads sys.argv at the console entry point; tests pass a list",
-    ("group_model", "FiniteGroupModel.__init__", "max_size"):
-        "the group_from_* builders pass their own max_size",
     ("group_model", "group_from_permutations", "max_size"):
         "bench passes max_size=24; scenarios use 200",
     ("group_model", "group_from_matrices", "max_size"):
         "bench passes max_size=24; scenarios use 200",
     ("liftlab", "_coboundary", "last"):
         "cohomology passes the generators for Z^2, all elements for B",
-    ("liftlab", "z1_basis", "maps"):
-        "lift_step shares its _TreeMaps; the bench calls without",
-    ("liftlab", "is_coboundary", "maps"):
-        "lift_step shares its _TreeMaps; the bench calls without",
-    ("liftlab", "obstruction_class", "verify_class"):
-        "lift_step defers the cocycle check to is_coboundary; the bench "
-        "checks at once",
-    ("liftlab", "obstruction_class", "tau"):
-        "lift_step passes the set-theoretic lift it twists; the bench does "
-        "not hold one",
-    ("liftlab", "lift_step", "conditions"):
-        "run_scenario passes the local conditions, None without any",
     ("liftlab", "basis_cocycles", "y_param"):
         "versal_twists_stable passes y mod p^2; g_ram at y = 0 elsewhere",
-    ("modsym", "_newton_bisect", "x"):
-        "_refine_root starts the precise pass at the float root, the float "
-        "pass at the midpoint",
     ("modsym", "EigenSymbol.__init__", "match_primes"):
         "the tests' only way into the retry branch of _find_functional",
 }

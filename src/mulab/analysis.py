@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import mpmath as mp
-
 from .arith import is_probable_prime
 from .dirichlet import CharacterExponents
 from .elliptic import Curve
@@ -38,7 +36,12 @@ from .mazur_tate import (
     theta_element,
     write_theta_cache,
 )
-from .modsym import EigenSymbol, build_manin_space
+from .modsym import (
+    L_VALUE_BITS,
+    PERIOD_BITS,
+    EigenSymbol,
+    build_manin_space,
+)
 from .padic import mu_lambda_of_polynomial
 from .residual import (
     alignment_degree,
@@ -206,6 +209,41 @@ def character_name(chars: CharacterExponents, k) -> str:
     return f"chr(cond={cond},ord={chars.order(k)},odd={chars.is_odd(k)})"
 
 
+def _digits(man: int, bits: int) -> str:
+    """The report's string of the fixed-point value v = man / 2^bits:
+    30 significant digits, rounded half up, trailing zeros stripped (one
+    kept after the point), in fixed notation when the leading digit is
+    at 10^-9 to 10^29 and as d.ddd e<exponent> outside, as mpmath's
+    nstr(v, 30) prints them."""
+    sign = "-" if man < 0 else ""
+    man = abs(man)
+    if not man:
+        return "0.0"
+    # e: v's decimal exponent, from the digits of floor(v 10^k) >= 1
+    # (4/13 > log10 2, so v 10^k >= 2^(bit_length - 1 - bits) 10^k >= 1)
+    k = max(0, (bits - man.bit_length() + 1) * 4 // 13 + 1)
+    e = len(str(man * 10**k >> bits)) - 1 - k
+    num, den = man, 1 << bits
+    if e <= 29:
+        num *= 10**(29 - e)
+    else:
+        den *= 10**(e - 29)
+    digits = (2 * num + den) // (2 * den)  # v 10^(29 - e), half up
+    if digits == 10**30:
+        digits, e = digits // 10, e + 1
+    digits = str(digits)
+    if -10 < e < 30:
+        text = "0." + "0" * (-e - 1) + digits if e < 0 \
+            else digits[:e + 1] + "." + digits[e + 1:]
+        exponent = ""
+    else:
+        text, exponent = digits[0] + "." + digits[1:], f"e{e:+d}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return sign + text + exponent
+
+
 class SpaceCache:
     """Manin-symbol spaces keyed by level (they are immutable)."""
 
@@ -307,8 +345,8 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     report["normalization"] = {
         "id": "neron",
         "base_symbol_value": str(es.base_value),
-        "real_period": mp.nstr(es.period, 30),
-        "l_value": mp.nstr(es.l_value, 30),
+        "real_period": _digits(es.period, PERIOD_BITS),
+        "l_value": _digits(es.l_value, L_VALUE_BITS),
         "denominator_bound": es.denominator_bound,
         "gamma": 1 + p,
     }

@@ -205,8 +205,18 @@ def cmd_lift_lab(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are input errors (exit 3,
+    `input error:`) like every other bad input; its subparsers share
+    the class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"input error: {self.prog}: {message}\n"
+                              f"{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mu-lab",
         description="Residually reducible ordinary Galois "
                     "representations: classification, analytic Iwasawa "

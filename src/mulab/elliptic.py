@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from math import isqrt
 from operator import mul
 
-from .arith import factorize, is_probable_prime, poly_mul, poly_sub
+from .arith import factorize, poly_mul, poly_sub
 from .errors import BadReduction, InvalidModel
 
 
@@ -124,41 +125,31 @@ class Curve:
         return memo[ell]
 
     def an_list(self, n_max: int) -> list[int]:
-        """a_n for 1 <= n <= n_max by multiplicativity; a_ell = 0 is used
-        at additive primes and the standard recursion elsewhere."""
-        a = [0] * (n_max + 1)
-        a[1] = 1
+        """a_n for 1 <= n <= n_max by multiplicativity, over one
+        smallest-prime-factor sieve.  With q the least prime of n and q^k
+        its power in n, a_n = a_(q^k) a_(n/q^k) unless n = q^k, and
+        a_(q^k) = a_q a_(q^(k-1)) - q a_(q^(k-2)) at good q, a_q
+        a_(q^(k-1)) at bad q, where a_q = 0 at additive primes."""
+        # spf[n]: n's least prime factor.  q runs down, so of the q with
+        # q | n and q^2 <= n the least, which is n's least prime factor
+        # when n is composite, marks n last
+        spf = list(range(n_max + 1))
+        for q in range(isqrt(n_max), 1, -1):
+            spf[q * q::q] = [q] * ((n_max - q * q) // q + 1)
         disc = self.discriminant
-        primes = [q for q in range(2, n_max + 1) if is_probable_prime(q)]
-        for q in primes:
-            if disc % q != 0:
-                aq = self.ap(q)
-                good = True
-            else:
-                if self.c4 % q != 0:
-                    aq = self._multiplicative_ap(q)
-                else:
-                    aq = 0
-                good = False
-            power = q
-            prev = 1  # a_{q^0}
-            cur = aq  # a_{q^1}
-            while power <= n_max:
-                a[power] = cur
-                nxt = aq * cur - (q * prev if good else 0)
-                prev, cur = cur, nxt
-                power *= q
+        a = [0, 1] + [0] * (n_max - 1)
+        power = [1] * (n_max + 1)  # q^k for n's least prime q
         for n in range(2, n_max + 1):
-            if a[n]:
-                continue
-            # factor out one prime power
-            q = min(factorize(n))
-            pe = q
-            while n % (pe * q) == 0:
-                pe *= q
-            m = n // pe
-            if m > 1:
-                a[n] = a[pe] * a[m]
+            q = spf[n]
+            m = n // q
+            power[n] = pe = power[m] * q if spf[m] == q else q
+            if pe < n:
+                a[n] = a[pe] * a[n // pe]
+            elif m == 1:
+                a[n] = self.ap(q) if disc % q else \
+                    self._multiplicative_ap(q) if self.c4 % q else 0
+            else:
+                a[n] = a[q] * a[m] - (q * a[m // q] if disc % q else 0)
         return a[1:]
 
     def _multiplicative_ap(self, q: int) -> int:

@@ -9,10 +9,12 @@ Forms: A Computational Approach, ch. 7-8).  Hecke operators act through
 Merel's matrices.  A rational eigensymbol is cut out as a joint
 left-eigenvector and normalized so that its value on the path
 {0 -> oo} equals L(f,1) / (real Neron period of the designated curve).
-The two floating-point numbers come from mpmath: the period from the
-arithmetic-geometric mean of the 2-division roots, the L-value from the
-a_n series (summed by Horner's rule in fixed-point integers); their
-ratio is rationalized with a denominator bound.
+The period and the L-value are fixed-point integers over a power of 2,
+with no floating point: the period from the arithmetic-geometric mean
+of the 2-division roots by `isqrt` and pi by Machin's formula, the
+L-value from the a_n series summed by Horner's rule; each docstring
+bounds its error.  Their ratio is rationalized with a denominator
+bound, the tolerance compared exactly in integers.
 
 All symbol arithmetic is exact and kept in integers over one common
 denominator (1 on every level below 400): each slot of the quotient is
@@ -30,12 +32,11 @@ the small system (T_ell - a_ell)^T K.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
-import mpmath as mp
-
-from .arith import is_probable_prime, poly_deriv, poly_eval
+from .arith import is_probable_prime
 from .elliptic import Curve
 from .errors import (
     EigenspaceNotOneDimensional,
@@ -314,76 +315,121 @@ def _transpose_shift(A, a):
             for j, col in enumerate(zip(*A))]
 
 
-# -- period / L-value oracle --------------------------------------------------
+# -- period and L-value in fixed point ----------------------------------------
 
-# bits beyond the working precision at which the real roots are refined
+# bits kept beyond the digits each value is computed to
 _GUARD_BITS = 32
-# decimal digits at which the period and the L-value are computed, and
-# at which L/Omega is rationalized
-PERIOD_DPS = 50
-L_VALUE_DPS = 40
-RATIONAL_DPS = 50
+# the fractional bits of the period and of the L-value: 50 and 40
+# decimal digits (the report prints 30 of them) in bits, round((dps + 1)
+# log2 10) as mpmath counted them, plus the guard bits; L/Omega is
+# rationalized at the period's bits
+PERIOD_BITS = 169 + _GUARD_BITS
+L_VALUE_BITS = 136 + _GUARD_BITS
+RATIONAL_BITS = PERIOD_BITS
+# pi is computed once, at these bits, and shifted down where it is used
+_PI_BITS = PERIOD_BITS + _GUARD_BITS
 
 
-def real_period(E: Curve) -> mp.mpf:
-    """Volume of E(R) for the invariant differential dx/(2y + a1x + a3).
+@cache
+def _pi() -> int:
+    """pi * 2^_PI_BITS, off by less than 2, by Machin's formula pi =
+    16 arccot 5 - 4 arccot 239.  The series are summed 16 bits finer:
+    their k-th power term floor(2^bits / x^(2k+1)) is exact (a floor
+    divided by an integer and floored is the floor of the quotient), so
+    each of the fewer than 80 terms errs by less than one unit there."""
+    bits = _PI_BITS + 16
+
+    def arccot(x):
+        total, term, k = 0, (1 << bits) // x, 1
+        while term:
+            total += term // k if k % 4 == 1 else -(term // k)
+            term //= x * x
+            k += 2
+        return total
+
+    return (16 * arccot(5) - 4 * arccot(239)) >> 16
+
+
+def _cubic_at(coeffs, n: int, d: int) -> int:
+    """d^3 g(n/d) for the cubic g with coefficients coeffs (low degree
+    first): an integer with the sign of g(n/d) when d > 0."""
+    c0, c1, c2, c3 = coeffs
+    return ((c3 * n + c2 * d) * n + c1 * d * d) * n + c0 * d * d * d
+
+
+def real_period(E: Curve) -> int:
+    """Omega * 2^F, F = PERIOD_BITS: the volume of E(R) for the invariant
+    differential dx/(2y + a1x + a3), in fixed point.
 
     With Y = 2y + a1x + a3 the curve reads Y^2 = g(x) = 4x^3 + b2x^2 +
     2b4x + b6, and the least real period 2 * int_(e1)^inf dx/sqrt(g)
-    (e1 the largest real root of g) is a closed form in the
-    arithmetic-geometric mean of the roots (Cremona, Algorithms for
-    Modular Elliptic Curves, 3.7; Cohen, GTM 138, Alg. 7.4.7).  E(R) has
-    two components when the discriminant is positive.
+    (e1 the largest real root of g) is 2 pi / M, M the arithmetic-
+    geometric mean of two expressions in the roots (Cremona, Algorithms
+    for Modular Elliptic Curves, 3.7; Cohen, GTM 138, Alg. 7.4.7).  E(R)
+    has two components when the discriminant is positive.
 
     Only the real roots of g enter, three when the discriminant is
     positive and one when it is negative.  They are separated exactly by
-    the signs of g at rational points (`_real_root_brackets`) and each
-    bracket is refined by safeguarded Newton-bisection at the working
-    precision plus guard bits (`_refine_root`).
+    the signs of g at rational points (`_real_root_brackets`), and each
+    is certified within 2^-F (`_refine_root`).
+
+    Error: every square root, halving and quotient floors, losing less
+    than 2^-F.  The AGM increases in both arguments and is homogeneous
+    of degree 1, so errors of at most eps in both move it by at most
+    eps / min(a, b) relative, and min(a, b) only grows along the
+    iteration.  If the starting arguments are within c 2^-F, the smaller
+    being delta, M is within (c + k + 1) 2^-F / delta relative after its
+    k steps (c < 1 + 1/delta with three real roots).  Omega = 2 pi / M
+    is within that relative error plus 2^-F / 6 (from pi), plus 2^-F
+    (its floor).
     """
-    with mp.workdps(PERIOD_DPS):
-        b2, b4 = mp.mpf(E.b2), mp.mpf(E.b4)
-        coeffs = E.psi2_squared()
-        count = 3 if E.discriminant > 0 else 1
-        with mp.extraprec(_GUARD_BITS):
-            roots = [_refine_root(coeffs, lo, hi)
-                     for lo, hi in _real_root_brackets(coeffs, count)]
-        roots = [+r for r in roots]
-        if count == 3:
-            e3, e2, e1 = roots
-            return 2 * mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+    F = PERIOD_BITS
+    coeffs = E.psi2_squared()
+    count = 3 if E.discriminant > 0 else 1
+    den, brackets = _real_root_brackets(coeffs, count)
+    roots = [_refine_root(coeffs, lo, hi, den) for lo, hi in brackets]
+    if count == 3:
+        e3, e2, e1 = roots
+        a, b = isqrt(e1 - e3 << F), isqrt(e1 - e2 << F)
+    else:
         e1, = roots
-        beta = mp.sqrt(3 * e1 * e1 + b2 * e1 / 2 + b4 / 2)
-        alpha = 3 * e1 + b2 / 4
-        return 2 * mp.pi / mp.agm(2 * mp.sqrt(beta),
-                                  mp.sqrt(2 * beta + alpha))
+        # beta = sqrt(3 e1^2 + b2 e1 / 2 + b4 / 2), alpha = 3 e1 + b2 / 4
+        beta = isqrt(6 * e1 * e1 + (E.b2 * e1 << F) + (E.b4 << 2 * F) >> 1)
+        alpha = 3 * e1 + (E.b2 << F - 2)
+        a, b = 2 * isqrt(beta << F), isqrt(2 * beta + alpha << F)
+    while abs(a - b) > 1:
+        a, b = a + b >> 1, isqrt(a * b)
+    two_pi = _pi() >> (_PI_BITS - F - 1)
+    return (two_pi << F) // b
 
 
 def _real_root_brackets(coeffs, count: int):
-    """Isolating brackets (lo, hi) of the real roots of the squarefree
-    cubic with integer coefficients coeffs (low degree first, positive
-    leading coefficient), lo and hi exact Fractions, ascending; lo == hi
-    for a rational root hit exactly.
+    """(den, brackets): isolating brackets (lo, hi) of the real roots of
+    the squarefree cubic with integer coefficients coeffs (low degree
+    first, positive leading coefficient), as integer numerators over one
+    denominator den > 0, ascending; lo == hi for a rational root hit
+    exactly.
 
     The sample points are -B and B (B a Cauchy bound) and rational
     approximations from `isqrt` of the two critical points
     (-c2 +- sqrt(c2^2 - 3 c1 c3)) / (3 c3); the approximations are made
-    finer until the signs isolate `count` roots.  InvariantViolation when
-    they never do, or isolate more roots than `count`."""
+    finer until the signs, read exactly from `_cubic_at`, isolate
+    `count` roots.  InvariantViolation when they never do, or isolate
+    more roots than `count`."""
     c0, c1, c2, c3 = coeffs
     B = 1 + max(abs(c0), abs(c1), abs(c2))
     disc = c2 * c2 - 3 * c1 * c3  # g' = 3 c3 x^2 + 2 c2 x + c1
     k = 0
     while True:
-        points = [Fraction(-B), Fraction(B)]
+        den = 3 * c3 << k if disc > 0 else 1
+        points = {-B * den, B * den}
         if disc > 0:
             s = isqrt(disc << (2 * k))
-            den = 3 * c3 << k
-            points[1:1] = [Fraction(-(c2 << k) - s, den),
-                           Fraction(-(c2 << k) + s, den)]
-            points = sorted({x for x in points if -B <= x <= B})
+            points |= {x for x in (-(c2 << k) - s, -(c2 << k) + s)
+                       if -B * den <= x <= B * den}
+        points = sorted(points)
         signs = [(v > 0) - (v < 0)
-                 for v in (poly_eval(coeffs, x) for x in points)]
+                 for v in (_cubic_at(coeffs, x, den) for x in points)]
         brackets = [(x, x) for x, sx in zip(points, signs) if sx == 0]
         brackets += [(x, y) for x, y, sx, sy in zip(
             points, points[1:], signs, signs[1:]) if sx * sy < 0]
@@ -392,112 +438,127 @@ def _real_root_brackets(coeffs, count: int):
                 f"{len(brackets)} real roots isolated where the "
                 f"discriminant allows {count}")
         if len(brackets) == count:
-            return sorted(brackets)
+            return den, sorted(brackets)
         if disc <= 0 or k > 8 * B.bit_length() + 64:
             raise InvariantViolation(
                 f"could not isolate {count} real roots of {coeffs}")
         k = 2 * k + 4
 
 
-def _refine_root(coeffs, lo: Fraction, hi: Fraction) -> mp.mpf:
-    """The root of the integer polynomial coeffs (low degree first) in
-    the bracket [lo, hi], by safeguarded Newton-bisection at the current
-    mpmath precision, started from the same iteration in floats.
-    InvariantViolation when g does not change sign on the bracket or the
-    iteration does not converge."""
-    a = mp.mpf(lo.numerator) / lo.denominator
-    if lo == hi:
+def _refine_root(coeffs, lo: int, hi: int, den: int) -> int:
+    """X with the root of the integer cubic coeffs (low degree first) in
+    [lo/den, hi/den] within 2^-F of X / 2^F, F = PERIOD_BITS: certified,
+    as g changes sign on [X - 1, X + 1] / 2^F.
+
+    Safeguarded Newton-bisection on the numerators X over 2^F, with the
+    signs of g read exactly (`_cubic_at`): a Newton step is taken when it
+    stays inside the bracket and at least halves the step before it,
+    else the bracket is bisected; a Newton step of at most one unit is
+    checked by the signs one unit on either side, which end the search
+    when the root lies between them.  InvariantViolation when g does not
+    change sign on the bracket or the iteration does not converge."""
+    F = PERIOD_BITS
+    one = 1 << F
+    _, c1, c2, c3 = coeffs
+    a, b = lo * one // den, -(-hi * one // den)
+    ga, gb = _cubic_at(coeffs, a, one), _cubic_at(coeffs, b, one)
+    if ga == 0:
         return a
-    b = mp.mpf(hi.numerator) / hi.denominator
-    poly = [mp.mpf(c) for c in coeffs]
-    fa, fb = poly_eval(poly, a), poly_eval(poly, b)
-    if fa == 0:
-        return a
-    if fb == 0:
+    if gb == 0:
         return b
-    if (fa > 0) == (fb > 0):
+    if (ga > 0) == (gb > 0):
         raise InvariantViolation(
-            f"g does not change sign on the bracket [{lo}, {hi}]")
-    try:
-        x = _newton_bisect([float(c) for c in coeffs], float(lo), float(hi),
-                           fa < 0, 2.0**-50, 200, (float(lo) + float(hi)) / 2)
-    except OverflowError:
-        x = None
-    x = mp.mpf(x) if x is not None and a < x < b else (a + b) / 2
-    iters = mp.mp.prec + 2 * int(abs(b - a) + 2).bit_length() + 64
-    x = _newton_bisect(poly, a, b, fa < 0, mp.ldexp(1, -mp.mp.prec + 4),
-                       iters, x)
-    if x is None:
-        raise InvariantViolation(
-            f"root refinement on [{lo}, {hi}] did not converge")
-    return x
-
-
-def _newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x):
-    """A root of poly (low degree first) in (a, b), where its sign is
-    negative at a iff neg_at_a: Newton steps from x, with a bisection whenever a step leaves the bracket or
-    fails to halve the step before it, until a step or the bracket is
-    below tol relative to max(1, |x|).  None after iters steps."""
-    dpoly = poly_deriv(poly)
-    step = b - a
-    for _ in range(iters):
-        fx = poly_eval(poly, x)
-        if fx == 0:
+            f"g does not change sign on the bracket [{lo}/{den}, {hi}/{den}]")
+    rising = ga < 0
+    x, step = a + b >> 1, b - a
+    for _ in range(2 * step.bit_length() + 64):
+        gx = _cubic_at(coeffs, x, one)
+        if gx == 0:
             return x
-        if (fx < 0) == neg_at_a:
+        if (gx < 0) == rising:
             a = x
         else:
             b = x
-        dfx = poly_eval(dpoly, x)
-        new = x - fx / dfx if dfx else None
-        if new is not None and a <= new <= b \
-                and 2 * abs(new - x) <= abs(step):
-            step, x = new - x, new
-            if abs(step) <= tol * max(1, abs(x)):
-                return x
+        if b - a <= 2:
+            return a + b >> 1
+        # the Newton step one * g / g' at x / one
+        dgx = (3 * c3 * x + (c2 << F + 1)) * x + (c1 << 2 * F)
+        dx = gx // dgx if dgx else step
+        if -1 <= dx <= 1 and _cubic_at(coeffs, x - dx - 1, one) \
+                * _cubic_at(coeffs, x - dx + 1, one) <= 0:
+            return x - dx
+        if a < x - dx < b and 2 * abs(dx) <= step:
+            step, x = abs(dx), x - dx
         else:
-            step, x = (a + b) / 2 - x, (a + b) / 2
-            if b - a <= tol * max(1, abs(x)):
-                return x
-    return None
+            step, x = abs((a + b >> 1) - x), a + b >> 1
+    raise InvariantViolation(
+        f"root refinement on [{lo}/{den}, {hi}/{den}] did not converge")
 
 
-def l_value(E: Curve, conductor: int) -> mp.mpf:
-    """L(E, 1) by the exponentially convergent a_n series (returns ~0 for
-    odd functional equation).
+def _exp_neg(y: int, bits: int) -> int:
+    """exp(-y / 2^bits) * 2^bits: the Taylor series of exp(-z) at
+    z = y / 2^(bits + 8), then 8 squarings.
 
-    2 sum_(n <= n_max) a_n/n x^n, x = exp(-2 pi / sqrt(N)), is summed by
-    Horner's rule in integers with F = precision + guard bits fractional
-    bits: x is off by less than 2^-F, each of the n_max steps rounds
-    down by less than 2 * 2^-F, and |x| < 1 keeps those errors from
-    growing beyond the guard bits."""
-    with mp.workdps(L_VALUE_DPS):
-        n_max = max(80, int(9 * mp.sqrt(conductor)))
-        F = mp.mp.prec + _GUARD_BITS
-        with mp.workprec(F + _GUARD_BITS):
-            x = int(mp.ldexp(mp.exp(-2 * mp.pi / mp.sqrt(conductor)), F))
-        a = E.an_list(n_max)
-        acc = 0
-        for n in range(n_max, 0, -1):
-            acc = ((acc + (a[n - 1] << F) // n) * x) >> F
-        return mp.mpf((2 * acc, -F))
+    Error, for 0 <= y < 2^(bits + 1), in units of 2^-bits: z < 2^-7 and
+    each term is floored once from the one before, so each errs by less
+    than 1.01 and their sum, fewer than 30 terms above 0.99, by less
+    than 31 relative units.  Each squaring at most doubles the relative
+    error and adds one unit over its result, which is above exp(-2):
+    2^8 * 31 + 255 e^2 < 2^14, so the value is off by less than 2^14."""
+    total, term, n = 1 << bits, 1 << bits, 0
+    while term:
+        n += 1
+        term = term * y // (n << bits + 8)
+        total += -term if n & 1 else term
+    for _ in range(8):
+        total = total * total >> bits
+    return total
+
+
+def l_value(E: Curve, conductor: int) -> int:
+    """L(E, 1) * 2^F, F = L_VALUE_BITS, by the exponentially convergent
+    a_n series (~0 for odd functional equation).
+
+    2 sum_(n <= n_max) a_n/n x^n, x = exp(-2 pi / sqrt(N)) and n_max =
+    max(80, floor(9 sqrt N)), is summed by Horner's rule in integers with
+    F fractional bits: x, from `_exp_neg` at the guard bits below 2^-F
+    and floored to F bits, is off by less than 2^-F (1 + 2^-17), each of the n_max steps rounds down by
+    less than 2 * 2^-F, and |x| < 1 keeps those errors from growing
+    beyond the guard bits."""
+    F = L_VALUE_BITS
+    W = F + _GUARD_BITS
+    two_pi = _pi() >> (_PI_BITS - W - 1)
+    y = (two_pi << W) // isqrt(conductor << 2 * W)  # 2 pi / sqrt(N) * 2^W
+    x = _exp_neg(y, W) >> _GUARD_BITS
+    n_max = max(80, isqrt(81 * conductor))
+    a = E.an_list(n_max)
+    acc = 0
+    for n in range(n_max, 0, -1):
+        acc = ((acc + (a[n - 1] << F) // n) * x) >> F
+    return 2 * acc
 
 
 # rationalize: the largest denominator tried, and the relative error
-# (at RATIONAL_DPS digits) below which the fraction is taken
+# below which the fraction is taken
 RATIONAL_MAX_DEN = 10**6
-RATIONAL_TOL = "1e-25"
+RATIONAL_TOL = Fraction(1, 10**25)
 
 
-def rationalize(value: mp.mpf) -> Fraction:
-    with mp.workdps(RATIONAL_DPS):
-        fr = Fraction(*float(value).as_integer_ratio()) \
-            .limit_denominator(RATIONAL_MAX_DEN)
-        err = abs(value - mp.mpf(fr.numerator) / fr.denominator)
-        if err > mp.mpf(RATIONAL_TOL) * max(1, abs(value)):
-            raise EigenspaceNotRational(
-                f"value {mp.nstr(value, 20)} does not rationalize "
-                f"within denominator {RATIONAL_MAX_DEN}")
+def rationalize(man: int) -> Fraction:
+    """The fraction n/d, d <= RATIONAL_MAX_DEN, that the value v = man /
+    2^RATIONAL_BITS rationalizes to: the double nearest v (int true
+    division rounds correctly) through `limit_denominator`, taken when
+    |v - n/d| <= RATIONAL_TOL * max(1, |v|), compared exactly in
+    integers.  EigenspaceNotRational otherwise."""
+    one = 1 << RATIONAL_BITS
+    fr = Fraction(*(man / one).as_integer_ratio()) \
+        .limit_denominator(RATIONAL_MAX_DEN)
+    n, d = fr.numerator, fr.denominator
+    if abs(man * d - n * one) * RATIONAL_TOL.denominator \
+            > RATIONAL_TOL.numerator * d * max(one, abs(man)):
+        raise EigenspaceNotRational(
+            f"value {man / one!r} does not rationalize "
+            f"within denominator {RATIONAL_MAX_DEN}")
     return fr
 
 
@@ -599,8 +660,9 @@ class EigenSymbol:
                 "the Neron-period normalization needs L(E,1) != 0")
         omega = real_period(self.curve)
         lval = l_value(self.curve, self.conductor)
-        with mp.workdps(RATIONAL_DPS):
-            ratio = rationalize(lval / omega)
+        # L / Omega * 2^RATIONAL_BITS
+        ratio = rationalize(
+            (lval << PERIOD_BITS + RATIONAL_BITS - L_VALUE_BITS) // omega)
         if ratio == 0:
             raise EigenspaceNotRational(
                 "L(E,1) = 0: positive analytic rank not supported")

@@ -230,6 +230,45 @@ def test_cli_analyze_exit_codes(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv, err", [
+    pytest.param(["analyze", "--curves", "data/curves_11a.json", "--p", "5",
+                  "--layers", "x"],
+                 "mu-lab analyze: argument --layers: invalid int value: 'x'",
+                 id="bad-int"),
+    pytest.param(["analyze", "--curves", "data/curves_11a.json",
+                  "--bogus"],
+                 "mu-lab: unrecognized arguments: --bogus",
+                 id="unknown-flag"),
+    pytest.param(["analyze", "--p", "5"],
+                 "mu-lab analyze: the following arguments are required: "
+                 "--curves", id="missing-curves"),
+    pytest.param([], "mu-lab: the following arguments are required: "
+                     "command", id="no-subcommand"),
+    pytest.param(["lift-lab"], "mu-lab lift-lab: the following arguments "
+                               "are required: liftcmd",
+                 id="lift-lab-without-run"),
+])
+def test_cli_usage_errors_exit_3(capsys, argv, err):
+    """A usage error argparse finds is an input error: exit 3 with
+    `input error:` and the usage line, not argparse's own exit 2, which
+    the contract keeps for invariant violations."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"input error: {err}\n"), stderr
+    assert "usage: mu-lab" in stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"],
+                                  ["lift-lab", "run", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mu-lab")
+
+
 @pytest.mark.parametrize("p", ["2", "9", "1", "-5"])
 def test_cli_rejects_p_not_odd_prime(tmp_path, capsys, p):
     curves = write_json(tmp_path, "c.json", [
@@ -374,6 +413,32 @@ def test_cli_and_analysis_do_not_import_numpy():
          f"reports = analyze_many(ingest({corpus!r}), lambda rec: rec.p); "
          "assert len(reports) == 16, len(reports); "
          "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_analyze_runs_without_mpmath():
+    """No src module imports mpmath; only the tests' oracles use it.  A
+    process that runs the fixed-point period, L-value and rationalized
+    ratio of 11a1, then analyzes it and renders its report, never
+    imports it."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import mulab.cli; "
+         "from mulab.analysis import CurveRecord, analyze, render_report; "
+         "from mulab.elliptic import Curve; "
+         "from mulab.modsym import l_value, rationalize, real_period, "
+         "L_VALUE_BITS, PERIOD_BITS, RATIONAL_BITS; "
+         "E = Curve(0, -1, 1, -10, -20); "
+         "om, lv = real_period(E), l_value(E, 11); "
+         "r = rationalize((lv << PERIOD_BITS + RATIONAL_BITS "
+         "- L_VALUE_BITS) // om); "
+         "assert str(r) == '1/5', r; "
+         "rep = analyze(CurveRecord('11a1', E.ainvs(), 11), 5); "
+         "assert '\"real_period\": \"1.26920930427955342168879461675\"' "
+         "in render_report([rep]); "
+         "print('mpmath' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"

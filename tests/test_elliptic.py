@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mulab import elliptic
-from mulab.arith import is_probable_prime, poly_eval
+from mulab.arith import factorize, is_probable_prime, poly_eval
 from mulab.elliptic import SQUARE_TABLE_LIMIT, Curve, _slot_layout
 from mulab.errors import BadReduction, InvalidModel
 
@@ -312,6 +312,73 @@ def test_an_multiplicativity():
     assert a[10] == 1  # a_11, split multiplicative
     assert a[3] == a[1] ** 2 - 2  # a_4 = a_2^2 - 2
     assert a[5] == a[1] * a[2]  # a_6 = a_2 a_3
+
+
+def oracle_an_list(E: Curve, n_max: int) -> list[int]:
+    """Curve.an_list before the sieve: each prime q <= n_max found by
+    is_probable_prime, its powers by the recursion, and every n that is
+    no prime power split at the least prime of factorize(n)."""
+    a = [0] * (n_max + 1)
+    a[1] = 1
+    for q in [q for q in range(2, n_max + 1) if is_probable_prime(q)]:
+        if E.discriminant % q != 0:
+            aq, good = E.ap(q), True
+        else:
+            aq = E._multiplicative_ap(q) if E.c4 % q != 0 else 0
+            good = False
+        power, prev, cur = q, 1, aq
+        while power <= n_max:
+            a[power] = cur
+            prev, cur = cur, aq * cur - (q * prev if good else 0)
+            power *= q
+    for n in range(2, n_max + 1):
+        if a[n]:
+            continue
+        q = min(factorize(n))
+        pe = q
+        while n % (pe * q) == 0:
+            pe *= q
+        if n // pe > 1:
+            a[n] = a[pe] * a[n // pe]
+    return a[1:]
+
+
+def big_coefficient_models(count):
+    """The first count nonsingular models of
+    test_point_counts_match_both_oracles_on_large_coefficients."""
+    rng = random.Random(30)
+    out = []
+    while len(out) < count:
+        ainvs = [rng.choice((-1, 1)) * (10**30 - rng.randrange(10**6))
+                 for _ in range(5)]
+        try:
+            out.append(Curve(*ainvs))
+        except InvalidModel:
+            pass
+    return out
+
+
+def test_sieved_an_list_matches_the_factoring_oracle():
+    """The same a_n as the per-prime test and per-n factorization, at
+    every n_max up to 40 and at 2000: on the corpus and the 11a class,
+    on 27a1 (additive at 3) and y^2 = x^3 + x (additive at 2), and on
+    three of the models near +-10^30, which have both multiplicative and
+    additive small primes."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    models = [Curve(*rec["ainvs"])
+              for name in ("corpus_reducible.json", "curves_11a.json")
+              for rec in json.loads((data / name).read_text())]
+    models += [Curve(0, 0, 1, 0, -7), Curve(0, 0, 0, 1, 0)]
+    big = big_coefficient_models(3)
+    for E in models + big:
+        for n_max in range(1, 41):
+            assert E.an_list(n_max) == oracle_an_list(E, n_max), \
+                (E.ainvs(), n_max)
+    for E in models + big:
+        assert E.an_list(2000) == oracle_an_list(E, 2000), E.ainvs()
+    kinds = {(E.discriminant % q == 0, E.c4 % q == 0)
+             for E in big for q in (2, 3, 5, 7, 11, 13)}
+    assert {(True, True), (True, False)} <= kinds
 
 
 def test_division_polynomial_degrees():

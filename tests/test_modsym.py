@@ -1,12 +1,14 @@
 import json
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from mulab.arith import factorize, is_probable_prime
+from mulab.analysis import _digits
+from mulab.arith import factorize, is_probable_prime, poly_deriv, poly_eval
 from mulab.elliptic import Curve
 from mulab.errors import (
     EigenspaceNotOneDimensional,
@@ -15,7 +17,11 @@ from mulab.errors import (
 )
 from mulab.linalg import clear_denominators, nullspace, rref
 from mulab.modsym import (
+    L_VALUE_BITS,
     P1,
+    PERIOD_BITS,
+    RATIONAL_BITS,
+    RATIONAL_MAX_DEN,
     EigenSymbol,
     ManinSymbolSpace,
     _eliminate,
@@ -66,7 +72,8 @@ def oracle_eigen_table(es):
     sp = es.space
     raw_base = sum(x * b for x, b in zip(es._phi0, path_vector(sp, 0, 1)))
     with mp.workdps(50):
-        ratio = rationalize(es.l_value / es.period)
+        ratio = oracle_rationalize(mp.mpf((es.l_value, -L_VALUE_BITS))
+                                   / mp.mpf((es.period, -PERIOD_BITS)))
     coords = [x * (ratio / raw_base) for x in es._phi0]
     scale = lcm(*(Fraction(x).denominator for x in coords))
     ints = [int(x * scale) for x in coords]
@@ -321,7 +328,7 @@ def test_denominator_bound_recorded(sp11):
 
 
 def test_period_oracle_known_value():
-    om = real_period(E11A1)
+    om = period_mpf(E11A1)
     with mp.workdps(40):
         known = mp.mpf("1.269209304279553421688794616754547305")
         assert abs(om - known) < mp.mpf("1e-30")
@@ -335,9 +342,46 @@ def test_rank_positive_rejected():
 
 
 def test_rationalize_rejects_irrational():
+    with pytest.raises(EigenspaceNotRational):
+        rationalize(isqrt(2 << 2 * RATIONAL_BITS))
     with mp.workdps(50):
         with pytest.raises(EigenspaceNotRational):
-            rationalize(mp.sqrt(2))
+            oracle_rationalize(mp.sqrt(2))
+
+
+@pytest.mark.parametrize("fr", [Fraction(2, 9), Fraction(-2, 9),
+                                Fraction(7, 3), Fraction(-999_999, 1000)])
+def test_rationalize_accepts_up_to_the_tolerance_boundary(fr):
+    """v = man / 2^RATIONAL_BITS is taken as fr while |v - fr| <=
+    RATIONAL_TOL * max(1, |v|): the last mantissas the tolerance admits
+    on either side are accepted, the next ones refused.  At |v| <= 1
+    (2/9) the tolerance is absolute, above 1 (7/3) relative."""
+    one = 1 << RATIONAL_BITS
+    n, d = fr.numerator, fr.denominator
+    T = 10**25
+    # the largest man with (man d - n one) T <= d max(one, |man|), and
+    # the least with (n one - man d) T <= d max(one, |man|)
+    if abs(fr) <= 1:
+        hi, lo = (n * one * T + d * one) // (d * T), \
+            -(-(n * one * T - d * one) // (d * T))
+    elif fr > 0:
+        hi, lo = n * one * T // (d * T - d), -(-n * one * T // (d * T + d))
+    else:
+        hi, lo = n * one * T // (d * T + d), -(-n * one * T // (d * T - d))
+    assert lo < n * one // d < hi
+    for man in (lo, hi):
+        assert rationalize(man) == fr
+    for man in (lo - 1, hi + 1):
+        with pytest.raises(EigenspaceNotRational):
+            rationalize(man)
+
+
+def test_rationalize_tries_denominators_up_to_the_bound():
+    one = 1 << RATIONAL_BITS
+    d = RATIONAL_MAX_DEN - 1
+    assert rationalize(one // d) == Fraction(1, d)
+    with pytest.raises(EigenspaceNotRational):
+        rationalize(one // 1_000_003)
 
 
 # -- differential tests against the slow paths the fast core replaced --------
@@ -415,7 +459,7 @@ def _period_tail(b2, b4, b6, X, dps):
 @pytest.mark.parametrize("rec", CORPUS, ids=lambda r: r["label"])
 def test_agm_period_matches_quadrature(rec):
     E = Curve(*rec["ainvs"])
-    agm, quad = real_period(E), quadrature_period(E)
+    agm, quad = period_mpf(E), quadrature_period(E)
     with mp.workdps(50):
         assert abs(agm - quad) / quad < mp.mpf("1e-45")
         assert mp.nstr(agm, 30) == mp.nstr(quad, 30)
@@ -784,17 +828,21 @@ def test_certified_period_matches_polyroots_period():
     assert len(models) == 51
     assert 0 < sum(E.discriminant > 0 for E in models) < 51
     for E in models:
-        assert mp.nstr(real_period(E), 30) == \
+        assert mp.nstr(period_mpf(E), 30) == \
             mp.nstr(polyroots_period(E), 30), E.ainvs()
 
 
 def test_real_root_brackets_isolate_and_check_the_count():
     g = [-6, 11, -6, 1]  # (x - 1)(x - 2)(x - 3)
-    brackets = _real_root_brackets(g, 3)
-    assert [lo <= r <= hi for (lo, hi), r in zip(brackets, (1, 2, 3))] \
-        == [True] * 3
+    den, brackets = _real_root_brackets(g, 3)
+    assert den > 0
+    assert [lo <= r * den <= hi
+            for (lo, hi), r in zip(brackets, (1, 2, 3))] == [True] * 3
     assert all(hi <= lo2 for (_, hi), (lo2, _) in zip(brackets,
                                                       brackets[1:]))
+    # the same brackets as the Fraction oracle's
+    assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in brackets] \
+        == oracle_real_root_brackets(g, 3)
     with pytest.raises(InvariantViolation, match="allows 1"):
         _real_root_brackets(g, 1)
     with pytest.raises(InvariantViolation, match="could not isolate"):
@@ -803,10 +851,34 @@ def test_real_root_brackets_isolate_and_check_the_count():
 
 def test_refine_root_refuses_a_bad_bracket():
     g = [-6, 11, -6, 1]
+    # [5/2, 4]: within one unit of 3
+    assert abs(_refine_root(g, 5, 8, 2) - (3 << PERIOD_BITS)) <= 1
+    with pytest.raises(InvariantViolation, match="sign"):
+        _refine_root(g, 1, 5, 2)  # [1/2, 5/2] holds the roots 1 and 2
     with mp.workdps(30):
-        assert _refine_root(g, Fraction(5, 2), Fraction(4)) == 3
+        assert oracle_refine_root(g, Fraction(5, 2), Fraction(4)) == 3
         with pytest.raises(InvariantViolation, match="sign"):
-            _refine_root(g, Fraction(1, 2), Fraction(5, 2))
+            oracle_refine_root(g, Fraction(1, 2), Fraction(5, 2))
+
+
+@pytest.mark.parametrize("g, count", [
+    ([-2, 0, 0, 4], 1),          # 4x^3 - 2: the root 2^(-1/3)
+    ([-6, 11, -6, 1], 3),        # the roots 1, 2, 3, hit exactly
+    ([1, -6, 0, 4], 3),          # 4x^3 - 6x + 1
+    (E11A1.psi2_squared(), 1),
+])
+def test_refine_root_is_certified_by_the_signs_one_unit_apart(g, count):
+    """Each refined X has g changing sign on [X - 1, X + 1] / 2^F, and
+    lies within one unit of the root the mpmath oracle refines."""
+    den, brackets = _real_root_brackets(g, count)
+    one = 1 << PERIOD_BITS
+    for lo, hi in brackets:
+        X = _refine_root(g, lo, hi, den)
+        assert poly_eval(g, Fraction(X - 1, one)) \
+            * poly_eval(g, Fraction(X + 1, one)) <= 0
+        with mp.workdps(80):
+            r = oracle_refine_root(g, Fraction(lo, den), Fraction(hi, den))
+            assert abs(mp.ldexp(r, PERIOD_BITS) - X) <= 1
 
 
 def p1_by_orbit_sets(N):
@@ -961,12 +1033,13 @@ def test_horner_l_value_matches_mpf_series():
     assert len(models) == 20
     for ainvs, N in models:
         E = Curve(*ainvs)
-        got, want = l_value(E, N), mpf_l_value(E, N)
+        got, want = l_value_mpf(E, N), mpf_l_value(E, N)
         assert mp.nstr(got, 30) == mp.nstr(want, 30), ainvs
-        omega = real_period(E)
+        omega = period_mpf(E)
         with mp.workdps(50):
             assert abs(got - want) < mp.mpf("1e-38")
-            assert rationalize(got / omega) == rationalize(want / omega)
+            assert oracle_rationalize(got / omega) == \
+                oracle_rationalize(want / omega)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -1000,3 +1073,283 @@ def test_eliminate_takes_non_unit_pivots_over_q():
     """2x + 2y + z = 0 and 2x - 2y = 0 leave no unit once z is pivoted."""
     expr = _eliminate([((0, 2), (1, 2), (2, 1)), ((0, 2), (1, -2))])
     assert expr == {2: {1: -4}, 0: {1: 1}}
+
+
+# -- the mpmath period, L-value and rationalize that the fixed-point
+# -- integers replaced ---------------------------------------------------------
+
+
+def period_mpf(E: Curve):
+    """real_period as an mpf at the 50 digits it is computed to."""
+    with mp.workdps(50):
+        return mp.mpf((real_period(E), -PERIOD_BITS))
+
+
+def l_value_mpf(E: Curve, conductor: int):
+    """l_value as an mpf at the 40 digits it is computed to."""
+    with mp.workdps(40):
+        return mp.mpf((l_value(E, conductor), -L_VALUE_BITS))
+
+
+def oracle_real_period(E: Curve):
+    """real_period in mpmath at 50 digits: the roots refined at 32 guard
+    bits, then mp.agm.  Error: the roots are within 2^-(prec + 28)
+    relative and rounded to prec; mp.agm and mp.pi are good to a few
+    units of 2^-prec, so Omega is within about 2^-(prec - 8) relative
+    (prec = 169)."""
+    with mp.workdps(50):
+        b2, b4 = mp.mpf(E.b2), mp.mpf(E.b4)
+        coeffs = E.psi2_squared()
+        count = 3 if E.discriminant > 0 else 1
+        with mp.extraprec(32):
+            roots = [oracle_refine_root(coeffs, lo, hi)
+                     for lo, hi in oracle_real_root_brackets(coeffs, count)]
+        roots = [+r for r in roots]
+        if count == 3:
+            e3, e2, e1 = roots
+            return 2 * mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+        e1, = roots
+        beta = mp.sqrt(3 * e1 * e1 + b2 * e1 / 2 + b4 / 2)
+        alpha = 3 * e1 + b2 / 4
+        return 2 * mp.pi / mp.agm(2 * mp.sqrt(beta),
+                                  mp.sqrt(2 * beta + alpha))
+
+
+def oracle_real_root_brackets(coeffs, count: int):
+    """_real_root_brackets with Fraction sample points: the brackets as
+    Fractions (lo, hi), ascending.  Exact: the signs are those of g at
+    the points."""
+    c0, c1, c2, c3 = coeffs
+    B = 1 + max(abs(c0), abs(c1), abs(c2))
+    disc = c2 * c2 - 3 * c1 * c3
+    k = 0
+    while True:
+        points = [Fraction(-B), Fraction(B)]
+        if disc > 0:
+            s = isqrt(disc << (2 * k))
+            den = 3 * c3 << k
+            points[1:1] = [Fraction(-(c2 << k) - s, den),
+                           Fraction(-(c2 << k) + s, den)]
+            points = sorted({x for x in points if -B <= x <= B})
+        signs = [(v > 0) - (v < 0)
+                 for v in (poly_eval(coeffs, x) for x in points)]
+        brackets = [(x, x) for x, sx in zip(points, signs) if sx == 0]
+        brackets += [(x, y) for x, y, sx, sy in zip(
+            points, points[1:], signs, signs[1:]) if sx * sy < 0]
+        if len(brackets) > count:
+            raise InvariantViolation(
+                f"{len(brackets)} real roots isolated where the "
+                f"discriminant allows {count}")
+        if len(brackets) == count:
+            return sorted(brackets)
+        if disc <= 0 or k > 8 * B.bit_length() + 64:
+            raise InvariantViolation(
+                f"could not isolate {count} real roots of {coeffs}")
+        k = 2 * k + 4
+
+
+def oracle_refine_root(coeffs, lo: Fraction, hi: Fraction):
+    """The root in [lo, hi] by safeguarded Newton-bisection at the current
+    mpmath precision, started from the same iteration in floats.  Error:
+    the last step or bracket is below 2^-(prec - 4) relative to
+    max(1, |x|), with no certificate."""
+    a = mp.mpf(lo.numerator) / lo.denominator
+    if lo == hi:
+        return a
+    b = mp.mpf(hi.numerator) / hi.denominator
+    poly = [mp.mpf(c) for c in coeffs]
+    fa, fb = poly_eval(poly, a), poly_eval(poly, b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise InvariantViolation(
+            f"g does not change sign on the bracket [{lo}, {hi}]")
+    try:
+        x = oracle_newton_bisect(
+            [float(c) for c in coeffs], float(lo), float(hi), fa < 0,
+            2.0**-50, 200, (float(lo) + float(hi)) / 2)
+    except OverflowError:
+        x = None
+    x = mp.mpf(x) if x is not None and a < x < b else (a + b) / 2
+    iters = mp.mp.prec + 2 * int(abs(b - a) + 2).bit_length() + 64
+    x = oracle_newton_bisect(poly, a, b, fa < 0,
+                             mp.ldexp(1, -mp.mp.prec + 4), iters, x)
+    if x is None:
+        raise InvariantViolation(
+            f"root refinement on [{lo}, {hi}] did not converge")
+    return x
+
+
+def oracle_newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x):
+    """A root of poly in (a, b), where its sign is negative at a iff
+    neg_at_a: Newton steps from x, with a bisection whenever a step
+    leaves the bracket or fails to halve the step before it, until a
+    step or the bracket is below tol relative to max(1, |x|).  None
+    after iters steps."""
+    dpoly = poly_deriv(poly)
+    step = b - a
+    for _ in range(iters):
+        fx = poly_eval(poly, x)
+        if fx == 0:
+            return x
+        if (fx < 0) == neg_at_a:
+            a = x
+        else:
+            b = x
+        dfx = poly_eval(dpoly, x)
+        new = x - fx / dfx if dfx else None
+        if new is not None and a <= new <= b \
+                and 2 * abs(new - x) <= abs(step):
+            step, x = new - x, new
+            if abs(step) <= tol * max(1, abs(x)):
+                return x
+        else:
+            step, x = (a + b) / 2 - x, (a + b) / 2
+            if b - a <= tol * max(1, abs(x)):
+                return x
+    return None
+
+
+def oracle_l_value(E: Curve, conductor: int):
+    """l_value with x from mp.exp at 40 digits plus 64 bits, summed by the
+    same Horner loop in integers.  Error: x is off by less than 2^-F,
+    each of the n_max steps rounds down by less than 2 * 2^-F, and
+    |x| < 1 keeps those errors from growing beyond the 32 guard bits."""
+    with mp.workdps(40):
+        n_max = max(80, int(9 * mp.sqrt(conductor)))
+        F = mp.mp.prec + 32
+        with mp.workprec(F + 32):
+            x = int(mp.ldexp(mp.exp(-2 * mp.pi / mp.sqrt(conductor)), F))
+        a = E.an_list(n_max)
+        acc = 0
+        for n in range(n_max, 0, -1):
+            acc = ((acc + (a[n - 1] << F) // n) * x) >> F
+        return mp.mpf((2 * acc, -F))
+
+
+def oracle_rationalize(value) -> Fraction:
+    """rationalize of an mpf at 50 digits: the double of value through
+    limit_denominator, taken when the mpf error is at most 1e-25 *
+    max(1, |value|), itself rounded at 50 digits."""
+    with mp.workdps(50):
+        fr = Fraction(*float(value).as_integer_ratio()) \
+            .limit_denominator(RATIONAL_MAX_DEN)
+        err = abs(value - mp.mpf(fr.numerator) / fr.denominator)
+        if err > mp.mpf("1e-25") * max(1, abs(value)):
+            raise EigenspaceNotRational(
+                f"value {mp.nstr(value, 20)} does not rationalize "
+                f"within denominator {RATIONAL_MAX_DEN}")
+    return fr
+
+
+def rationalized_or_refused(rationalize_, value):
+    try:
+        return rationalize_(value)
+    except EigenspaceNotRational:
+        return None
+
+
+def frobenius_fixture_levels():
+    """(ainvs, N) for every curve of the Frobenius fixture, N the radical
+    of the discriminant: the conductor where the model is semistable
+    (gcd(c4, disc) = 1), and otherwise a level to sum the series at."""
+    fixture = json.loads((Path(__file__).resolve().parent / "golden"
+                          / "frobenius_scalars.json").read_text())
+    out = []
+    for rec in fixture:
+        N = 1
+        for q in factorize(abs(Curve(*rec["ainvs"]).discriminant)):
+            N *= q
+        out.append((rec["ainvs"], N))
+    return out
+
+
+def test_fixed_point_period_matches_the_mpmath_oracle_and_polyroots():
+    """The same 30 digits from the integer AGM, the mpmath AGM on the
+    mpmath roots and the AGM on mp.polyroots, on the 51 period models
+    and every curve of the Frobenius fixture, and agreement within
+    2^-150 relative."""
+    models = _period_models() + [
+        Curve(*ainvs) for ainvs, _ in frobenius_fixture_levels()]
+    assert len(models) == 51 + 52
+    for E in models:
+        got, want = period_mpf(E), oracle_real_period(E)
+        assert mp.nstr(got, 30) == mp.nstr(want, 30) == \
+            mp.nstr(polyroots_period(E), 30), E.ainvs()
+        with mp.workdps(50):
+            assert abs(got - want) < want * mp.ldexp(1, -150), E.ainvs()
+
+
+def test_fixed_point_l_value_and_ratio_match_the_mpmath_oracles():
+    """The same 30 digits from the integer exp and Horner sum, the mpf
+    series and the mpmath exp with the same sum, and the same
+    rationalized L/Omega (or the same refusal) from the fixed-point
+    ratio and from the mpf values, on the corpus, the 11a class, N = 77
+    and every curve of the Frobenius fixture."""
+    models = [(r["ainvs"], r["conductor"]) for r in CORPUS]
+    models += [(r["ainvs"], r["conductor"]) for r in json.loads(
+        (Path(__file__).resolve().parent.parent / "data"
+         / "curves_11a.json").read_text())]
+    models += [([-8, 0, 1, 0, 0], 77)] + frobenius_fixture_levels()
+    fractions = 0
+    for ainvs, N in models:
+        E = Curve(*ainvs)
+        got, want = l_value(E, N), oracle_l_value(E, N)
+        with mp.workdps(40):
+            got_mpf = mp.mpf((got, -L_VALUE_BITS))
+        assert mp.nstr(got_mpf, 30) == mp.nstr(want, 30) == \
+            mp.nstr(mpf_l_value(E, N), 30), (ainvs, N)
+        omega = real_period(E)
+        ratio = rationalized_or_refused(rationalize, (
+            got << PERIOD_BITS + RATIONAL_BITS - L_VALUE_BITS) // omega)
+        with mp.workdps(50):
+            assert ratio == rationalized_or_refused(
+                oracle_rationalize, want / oracle_real_period(E)), ainvs
+        fractions += ratio is not None
+    assert (len(models), fractions) == (20 + 52, 61)
+
+
+def digits_cases():
+    """(man, bits) pairs of every sign and magnitude from 10^-45 to 10^45,
+    seeded, and the values next to 10^k, 5 10^k and 95 10^k, where the
+    30th digit carries or sits half way."""
+    rng = random.Random(29)
+    cases = [(0, 0), (0, 201)]
+    for _ in range(1500):
+        bits = rng.choice([0, 10, 64, L_VALUE_BITS, PERIOD_BITS, 300])
+        man = rng.getrandbits(60) << rng.randrange(200)
+        shift = rng.randint(-45, 45)
+        man = man * 10**shift if shift >= 0 else man // 10**-shift
+        cases.append((-man if rng.random() < 0.2 else man, bits))
+    for k in range(1, 40):
+        for bits in (0, 7, PERIOD_BITS):
+            for base in (10**k, 5 * 10**k, 95 * 10**k):
+                x = base << bits
+                cases += [(x, bits), (x - 1, bits), (x + 1, bits),
+                          (x // 10**31, bits)]
+    return cases
+
+
+def test_report_digits_match_mpmath_nstr():
+    """The report's strings from `analysis._digits` are those of
+    mp.nstr(v, 30): on the period and L-value of the corpus, the 11a
+    class and every curve of the Frobenius fixture, as the report
+    printed them from an mpf at 50 and 40 digits, and on
+    `digits_cases` at exact precision."""
+    models = [(r["ainvs"], r["conductor"]) for r in CORPUS]
+    models += [(r["ainvs"], r["conductor"]) for r in json.loads(
+        (Path(__file__).resolve().parent.parent / "data"
+         / "curves_11a.json").read_text())]
+    models += frobenius_fixture_levels()
+    for ainvs, N in models:
+        E = Curve(*ainvs)
+        assert _digits(real_period(E), PERIOD_BITS) == \
+            mp.nstr(period_mpf(E), 30), ainvs
+        assert _digits(l_value(E, N), L_VALUE_BITS) == \
+            mp.nstr(l_value_mpf(E, N), 30), ainvs
+    for man, bits in digits_cases():
+        with mp.workprec(man.bit_length() + 8):
+            assert _digits(man, bits) == \
+                mp.nstr(mp.mpf((man, -bits)), 30), (man, bits)

@@ -122,7 +122,15 @@ def cmd_analyze(args) -> int:
         print(f"input error: {error}", file=sys.stderr)
         return EXIT_INPUT
     fmt = args.format or cfg.get("format", "json")
+    if fmt not in ("json", "table"):
+        print(f"input error: format must be json or table, got {fmt!r}",
+              file=sys.stderr)
+        return EXIT_INPUT
     cache = args.cache or cfg.get("cache")
+    if cache is not None and type(cache) is not str:
+        print(f"input error: cache must be a directory path, got {cache!r}",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         records = ingest(args.curves)
         if p is None:

@@ -5,7 +5,7 @@ The module must be torsion.  Its relation matrix R has entries in Z[T]
 of degree < M, so every maximal minor has degree <= c(M - 1) for c
 generators; R has rank c over Q(T) iff R(t) has rank c over Q at one
 integer t in 0 .. c(M - 1), and `torsion_certificate` returns the least
-such t, taking the rank mod a word prime first at each point.
+such t, each rank taken by `linalg.rank`.
 
 The k-th graded rank q_k is the Fp[[T]]-rank of p^(k-1) M / p^k M.  For a
 module whose p-power torsion is a sum of pieces Lambda/p^i, q_k counts the
@@ -35,7 +35,7 @@ from .errors import (
     PrecisionInsufficient,
     TruncationUnresolved,
 )
-from .linalg import rref
+from .linalg import rank
 from .modp import MAX_MODULUS, matmul_mod
 
 # bounds that `load_presentation` checks before any matrix is built.
@@ -47,17 +47,21 @@ from .modp import MAX_MODULUS, matmul_mod
 # an array takes 32 MiB.
 MAX_TRUNCATION = 1024
 # a refused torsion certificate evaluates the r x c relation matrix at
-# c(MT - 1) + 1 points and row-reduces each mod WORD_PRIME and exactly,
+# c(MT - 1) + 1 points and takes each rank by `linalg.rank` (one exact
+# RREF, a single elimination mod 2^62 - 57 at a full-rank point),
 # about r c (c + MT) operations a point (MT big-integer steps an entry
 # to evaluate, c to eliminate).  At both bounds, over r x c from 1 x 1
-# to 128 x 2 and 100 x 100, refusals (a repeated column, p^N = 5^3) took
-# at most 2.3 s (2 x 2 at MT 706) and accepted dense presentations
-# (p^N = 2^31 with every level running, or 46337^2 with limb products)
-# at most 0.75 s (100 x 100 at MT 1) and 170 MB (2 x 1 at MT 1024; 166
-# MB before the pad slot); Xeon, Python 3.11, numpy 2.4.
+# to 128 x 2 and 158 x 158, refusals (a repeated column, a zero one at
+# c = 1; p^N = 5^3) took at most 1.0 s (2 x 2 at MT 706) and accepted
+# dense presentations (p^N = 2^31, or 46337^2 with limb products) at
+# most 0.95 s (158 x 158 at MT 1) and 166 MB (2 x 1 at MT 1024).  The
+# forward-only elimination mod 2^31 - 1 that `linalg.rank` replaced, run
+# before the exact one, took at most 1.2 s to refuse (158 x 158 at MT 1
+# went 0.93 -> 0.57 s) and 0.70 s to accept (158 x 158 at MT 1 now 0.79
+# to 0.95 s, the full back-substitution mod the larger prime).  Two runs
+# each through `lambda-invariants` in-process, shared 2-CPU Xeon,
+# Python 3.11, numpy 2.4.
 MAX_CERTIFICATE_WORK = 4 * 10**6
-# the prime of the torsion certificate's first rank test at each point
-WORD_PRIME = 2**31 - 1
 
 
 def certificate_work(r: int, c: int, M: int) -> int:
@@ -235,10 +239,7 @@ class LambdaPresentation:
         minor of R is a polynomial of degree <= c(M - 1), so a nonzero
         minor is nonzero at one of the c(M - 1) + 1 points 0 .. c(M - 1):
         rank c at some point certifies torsion, and rank < c at every
-        point proves the module is not torsion.  At each point the rank
-        mod the word prime WORD_PRIME is taken first: it is at most the
-        rank over Q, so rank c mod it proves rank c, and only a smaller
-        rank mod it leaves the point to the exact elimination.
+        point proves the module is not torsion.
         """
         c = self.ncols
         if len(self.raw) < c:
@@ -246,27 +247,10 @@ class LambdaPresentation:
         rows = self.raw.tolist()
         for t in range(c * (self.M - 1) + 1):
             R = [[poly_eval(e, t) for e in row] for row in rows]
-            if _full_rank_mod(R, c, WORD_PRIME) or len(rref(R)[1]) == c:
+            if rank(R) == c:
                 return t
         raise NotTorsion(f"rank < {c} over Q(T): the relation matrix has "
                          f"rank < {c} at every T = 0 .. {c * (self.M - 1)}")
-
-
-def _full_rank_mod(R: list[list[int]], c: int, q: int) -> bool:
-    """Whether the integer matrix R with c columns has rank c mod the
-    prime q; stops at the first column without a pivot."""
-    R = [[x % q for x in row] for row in R]
-    for col in range(c):
-        i = next((i for i in range(col, len(R)) if R[i][col]), None)
-        if i is None:
-            return False
-        R[col], R[i] = R[i], R[col]
-        piv = R[col]
-        inv = pow(piv[col], -1, q)
-        for i in range(col + 1, len(R)):
-            if f := R[i][col] * inv % q:
-                R[i] = [(x - f * y) % q for x, y in zip(R[i], piv)]
-    return True
 
 
 def _graded_ranks_at(pres: LambdaPresentation, M: int) -> list[int]:

@@ -1,13 +1,14 @@
-"""Exact reduced row echelon form over Q by modular elimination.
+"""Exact linear algebra over Q on integer matrices by modular elimination.
 
-`rref` scales each row to integers, row-reduces mod primes just below
-2^62 with plain Python ints, lifts the residues to rationals by rational
-reconstruction and accepts the candidate only after an exact integer
-check that every input row lies in its row span.  Since the rank mod a
-prime never exceeds the rank over Q, a candidate that passes the check
-is the reduced row echelon form of the input, so results are exact
-Fractions; no floating point anywhere.  Helpers return new objects and
-never mutate inputs.
+Matrices are lists of integer rows.  `rref` row-reduces mod primes just
+below 2^62 with plain Python ints, lifts the residues to rationals by
+rational reconstruction and accepts the candidate only after an exact
+integer check that every input row lies in its row span.  Since the rank
+mod a prime never exceeds the rank over Q, a candidate that passes the
+check is the reduced row echelon form of the input; it is returned as
+integer rows over one common denominator, and `nullspace` and `rank` are
+read off it.  No fractions and no floating point anywhere.  Helpers
+return new objects and never mutate inputs.
 
 Multimodular linear algebra: W. Stein, Modular Forms: A Computational
 Approach, ch. 7.
@@ -15,7 +16,6 @@ Approach, ch. 7.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .arith import is_probable_prime
@@ -33,16 +33,6 @@ def _large_primes():
         if is_probable_prime(q):
             yield q
         q -= 2
-
-
-def _integer_rows(rows):
-    """Each row scaled by the lcm of its denominators (int or Fraction
-    entries); a nonzero row scale leaves the row space unchanged."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
 
 
 def _rref_mod(A, P):
@@ -129,17 +119,20 @@ def _better(pivots, than):
 
 
 def rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot_columns).
-
-    Entries may be ints or Fractions; the output keeps only the nonzero
-    rows, as lists of Fractions."""
-    A = _integer_rows(rows)
-    if not A:
-        return [], []
-    ncols = len(A[0])
+    """Reduced row echelon form over Q of the integer rows: (R, D,
+    pivot_columns), R integer rows over the least common denominator
+    D > 0, so that R / D is the reduced echelon form; only the nonzero
+    rows are kept."""
+    if not rows:
+        return [], 1, []
+    ncols = len(rows[0])
     pivots = None
     for P in _large_primes():
-        rows_p, piv_p = _rref_mod(A, P)
+        rows_p, piv_p = _rref_mod(rows, P)
+        if len(piv_p) == ncols:
+            # full column rank mod P, so over Q: the RREF is the identity
+            return ([[int(i == j) for j in range(ncols)]
+                     for i in range(ncols)], 1, piv_p)
         if pivots is None or _better(piv_p, pivots):
             pivset = set(piv_p)
             free = [j for j in range(ncols) if j not in pivset]
@@ -155,47 +148,40 @@ def rref(rows):
         else:
             continue
         lifted = _lift(image, M)
-        if lifted is not None and _spans(A, pivots, free, *lifted):
+        if lifted is not None and _spans(rows, pivots, free, *lifted):
             break
     N, D = lifted
-    zero, one = Fraction(0), Fraction(1)
     R = []
     for p, nums in zip(pivots, N):
-        row = [zero] * ncols
-        row[p] = one
+        row = [0] * ncols
+        row[p] = D
         for j, n in zip(free, nums):
-            if n:
-                row[j] = Fraction(n, D)
+            row[j] = n
         R.append(row)
-    return R, pivots
+    return R, D, pivots
 
 
 def nullspace(rows):
-    """Basis of the right kernel (column vectors as lists)."""
+    """Basis of the right kernel over Q of the integer rows, as primitive
+    integer vectors: for each free column f, D at f and -R_i[f] at the
+    i-th pivot column (R / D the reduced echelon form), divided by their
+    gcd."""
     if not rows:
         return []
     ncols = len(rows[0])
-    R, pivots = rref(rows)
+    R, D, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
+        v = [0] * ncols
+        v[fcol] = D
         for i, pcol in enumerate(pivots):
             v[pcol] = -R[i][fcol]
-        basis.append(v)
+        g = gcd(*v)
+        basis.append([x // g for x in v])
     return basis
 
 
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector."""
-    den = 1
-    for x in v:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def rank(rows) -> int:
+    """Rank over Q of the integer rows: the pivot count of `rref`."""
+    return len(rref(rows)[2])

@@ -19,14 +19,15 @@ bound, the tolerance compared exactly in integers.
 All symbol arithmetic is exact and kept in integers over one common
 denominator (1 on every level below 400): each slot of the quotient is
 stored as integer numerators in the free basis, Hecke matrices are
-summed from integer slot counts and kept per space, and an eigensymbol
+summed from integer slot counts and kept per space as those numerators
+(the operator times the denominator), and an eigensymbol
 keeps its value on every P^1 generator over one denominator (the
 primitive kernel vector's values times the numerator of one rational
 scale, over its denominator times the space's), so a path costs one
 integer sum.
-The eigenvector comes from one nullspace of (T_q - a_q)^T for the first
-match prime q; each further prime only restricts that kernel K through
-the small system (T_ell - a_ell)^T K.
+The eigenvector comes from one integer nullspace of (T_q - a_q)^T for
+the first match prime q; each further prime only restricts that kernel K
+through the small system (T_ell - a_ell)^T K.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     EigenspaceNotRational,
     InvariantViolation,
 )
-from .linalg import clear_denominators, nullspace
+from .linalg import nullspace
 # the benchmark's tracer wraps rref here; the relations are eliminated
 # by `_eliminate`, and nullspace calls linalg's own rref
 from .linalg import rref  # noqa: F401
@@ -233,13 +234,6 @@ class ManinSymbolSpace:
                     acc[fi] += k * y
         return acc
 
-    def _matrix(self, cols):
-        """The matrix with columns cols (numerators over _den)."""
-        den = self._den
-        if den == 1:
-            return [list(row) for row in zip(*cols)]
-        return [[Fraction(x, den) for x in row] for row in zip(*cols)]
-
     def basis_generator_indices(self):
         """A P^1 index representing each free basis slot (sign +1)."""
         out = []
@@ -255,7 +249,8 @@ class ManinSymbolSpace:
     # -- operators -----------------------------------------------------------
 
     def hecke_matrix(self, n: int):
-        """T_n on the quotient (columns indexed by the free basis).
+        """_den * T_n on the quotient as integer rows (columns indexed
+        by the free basis).
 
         Each column sums the signed slot counts of the Merel images as
         integers and expands every slot once; the result is kept per n,
@@ -276,7 +271,7 @@ class ManinSymbolSpace:
                         counts[s] = counts.get(s, 0) + sgn
                 cols.append(self._column(counts))
             # columns are images; matrix acts on coordinate vectors
-            self._hecke[n] = self._matrix(cols)
+            self._hecke[n] = [list(row) for row in zip(*cols)]
         return [row[:] for row in self._hecke[n]]
 
     # -- paths ---------------------------------------------------------------
@@ -575,14 +570,12 @@ class EigenSymbol:
     `mazur_tate.theta_element`."""
 
     def __init__(self, space: ManinSymbolSpace, curve: Curve,
-                 conductor: int, match_primes=None):
+                 conductor: int):
         self.space = space
         self.curve = curve
         self.conductor = conductor
-        if match_primes is None:
-            match_primes = self._good_primes(3)
-        self.match_primes = match_primes
-        self._a = {ell: curve.ap(ell) for ell in match_primes}
+        self.match_primes = self._good_primes(3)
+        self._a = {ell: curve.ap(ell) for ell in self.match_primes}
         self._find_functional()
         self._normalize()
 
@@ -616,19 +609,18 @@ class EigenSymbol:
                 f"eigenspace dimension {len(kern)}")
         self._phi0 = kern[0]
 
+    def _constraint(self, ell):
+        """_den * (T_ell - a_ell)^T as integer rows: v (T - a) = 0 iff
+        (T^T - a I) v = 0, and `hecke_matrix` is _den * T_ell."""
+        sp = self.space
+        return _transpose_shift(sp.hecke_matrix(ell), self._a[ell] * sp._den)
+
     def _joint_kernel(self, primes):
         """Integer basis of the joint kernel of the constraints of primes:
-        the nullspace of (T_q - a_q)^T for the first prime q (the whole
-        space when there is none), restricted by each further prime ell
-        through the small system (T_ell - a_ell)^T K."""
-        sp = self.space
-        if not primes:
-            return [[int(i == j) for i in range(sp.dim)]
-                    for j in range(sp.dim)]
-        # v (A - a I) = 0 <-> (A^T - a I) v = 0
-        q = primes[0]
-        kern = [clear_denominators(v) for v in nullspace(
-            _transpose_shift(sp.hecke_matrix(q), self._a[q]))]
+        the nullspace of (T_q - a_q)^T for the first prime q, restricted
+        by each further prime ell through the small system
+        (T_ell - a_ell)^T K."""
+        kern = nullspace(self._constraint(primes[0]))
         for ell in primes[1:]:
             if not kern:
                 break
@@ -636,13 +628,16 @@ class EigenSymbol:
         return kern
 
     def _restrict(self, kern, ell):
-        """Basis of {K c : (T_ell - a_ell)^T K c = 0} for the basis K."""
-        T = _transpose_shift(self.space.hecke_matrix(ell), self._a[ell])
+        """Primitive integer basis of {K c : (T_ell - a_ell)^T K c = 0}
+        for the basis K."""
         small = [[sum(x * y for x, y in zip(row, v)) for v in kern]
-                 for row in T]
-        return [clear_denominators([sum(c * x for c, x in zip(coef, xs))
-                                    for xs in zip(*kern)])
-                for coef in nullspace(small)]
+                 for row in self._constraint(ell)]
+        out = []
+        for coef in nullspace(small):
+            v = [sum(c * x for c, x in zip(coef, xs)) for xs in zip(*kern)]
+            g = gcd(*v)
+            out.append([x // g for x in v])
+        return out
 
     def _normalize(self):
         sp = self.space

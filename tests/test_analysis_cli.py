@@ -468,6 +468,34 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
         assert "input error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, err", [
+    pytest.param('format = "xml"', "format must be json or table, got 'xml'",
+                 id="format-xml"),
+    pytest.param("format = 3", "format must be json or table, got 3",
+                 id="format-int"),
+    pytest.param("cache = 5", "cache must be a directory path, got 5",
+                 id="cache-int"),
+    pytest.param("cache = true", "cache must be a directory path, got True",
+                 id="cache-bool"),
+])
+def test_cli_rejects_config_format_and_cache_of_the_wrong_kind(
+        tmp_path, monkeypatch, capsys, line, err):
+    """A config format other than json or table was a ValueError
+    traceback from `render_report`, and a cache that is no string a
+    TypeError from `os.path.join`; both are input errors (exit 3), found
+    before any curve is analyzed."""
+    monkeypatch.chdir(tmp_path)
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+         "conductor": 11}])
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(f"[analyze]\np = 5\n{line}\n")
+    rc = main(["analyze", "--curves", curves, "--config", str(cfg)])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (3, "")
+    assert out.err == f"input error: {err}\n"
+
+
 def test_cli_config_file(tmp_path, capsys):
     curves = write_json(tmp_path, "c.json", [
         {"label": "11a1", "ainvs": [0, -1, 1, -10, -20],

@@ -16,10 +16,19 @@ object, or duplicates a list entry next to itself.  The inputs are the
 curve records of the shipped curve files, one record per document,
 analyzed at `--p 5`; the `presentation` entries of
 `tests/golden/lambda_invariants.json`; and the lift-lab scenarios of
-`data/scenarios` and `tests/scenarios`.  Each input that breaks the
-contract becomes a named regression case in the test of its subcommand:
+`data/scenarios` and `tests/scenarios`.
+
+The `analyze --config` file is mutated as well, exhaustively: each key
+the CLI reads from it gets an int, a negative int, a quoted string or a
+bool, or loses its line, and `data/curves_11a.json` is analyzed with
+the mutant from a temporary working directory, so that a string `cache`
+writes only there.
+
+Each input that breaks the contract becomes a named regression case in
+the test of its subcommand:
 `test_cli_lambda_invariants_rejects_a_document_that_is_not_an_object`
-is the first.
+is the first, `test_cli_rejects_config_format_and_cache_of_the_wrong_kind`
+the second.
 """
 
 import copy
@@ -39,6 +48,11 @@ PREFIXES = {2: ("invariant violation: ",), 3: ("input error: ", "error: ")}
 # one value of each JSON type, and ints that are out of range almost
 # everywhere
 REPLACEMENTS = (None, True, 0, -1, 7, 2.5, "x", [], {}, [0])
+# the analyze config the mutants start from, one line per key the CLI
+# reads, and the values a line is given (None drops it)
+CONFIG = {"p": "5", "precision": "6", "layers": "3", "ell_bound": "200",
+          "format": '"table"', "cache": '"cache"'}
+CONFIG_VALUES = ("7", "-1", '"x"', "true", None)
 
 
 def _inputs():
@@ -98,6 +112,18 @@ def _mutate(doc, rng):
     return f"{kind} at {list(path)}", mutant
 
 
+def _config_mutants():
+    """(description, config text) for each key and each of
+    CONFIG_VALUES."""
+    for key in CONFIG:
+        for value in CONFIG_VALUES:
+            lines = ["[analyze]"] + [
+                f"{k} = {value if k == key else v}" for k, v in CONFIG.items()
+                if k != key or value is not None]
+            what = f"{key} dropped" if value is None else f"{key} = {value}"
+            yield what, "\n".join(lines) + "\n"
+
+
 def _keeps_contract(rc, err: str) -> bool:
     if rc == 0:
         return err == ""
@@ -112,10 +138,26 @@ def _argv(command, path):
             "lift-lab": ["lift-lab", "run", path]}[command]
 
 
-def test_cli_keeps_the_exit_contract_on_mutated_inputs(tmp_path, capsys):
+def test_cli_keeps_the_exit_contract_on_mutated_inputs(tmp_path, capsys,
+                                                       monkeypatch):
     rng = random.Random(SEED)
     inputs = _inputs()
     broken, codes = [], {command: set() for command in CASES}
+    codes["analyze --config"] = set()
+
+    def run(command, case, argv):
+        t0 = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        case = f"{case} -> exit {rc}, {err[:80]!r}"
+        if not _keeps_contract(rc, err):
+            broken.append(case)
+        elif elapsed > CASE_SECONDS:
+            broken.append(f"{case} after {elapsed:.2f} s")
+        else:
+            codes[command].add(rc)
+
     start = time.perf_counter()
     for command, count in CASES.items():
         for i in range(count):
@@ -123,17 +165,14 @@ def test_cli_keeps_the_exit_contract_on_mutated_inputs(tmp_path, capsys):
             what, mutant = _mutate(doc, rng)
             path = tmp_path / f"{command}-{i}.json"
             path.write_text(json.dumps(mutant))
-            t0 = time.perf_counter()
-            rc = main(_argv(command, str(path)))
-            elapsed = time.perf_counter() - t0
-            err = capsys.readouterr().err
-            case = f"{command} #{i}: {what} -> exit {rc}, {err[:80]!r}"
-            if not _keeps_contract(rc, err):
-                broken.append(case)
-            elif elapsed > CASE_SECONDS:
-                broken.append(f"{case} after {elapsed:.2f} s")
-            else:
-                codes[command].add(rc)
+            run(command, f"{command} #{i}: {what}", _argv(command, str(path)))
+    monkeypatch.chdir(tmp_path)
+    curves = str(ROOT / "data" / "curves_11a.json")
+    for i, (what, text) in enumerate(_config_mutants()):
+        path = tmp_path / f"config-{i}.toml"
+        path.write_text(text)
+        run("analyze --config", f"analyze --config #{i}: {what}",
+            ["analyze", "--curves", curves, "--config", str(path)])
     total = time.perf_counter() - start
     assert broken == []
     # some mutants of each input kind pass the input checks and run

@@ -22,7 +22,7 @@ from mulab.errors import (
     PrecisionInsufficient,
     TruncationUnresolved,
 )
-from mulab.linalg import rref
+from mulab.linalg import _PRIMES
 from mulab.modp import matmul_mod, rref_modp
 from mulab.padic import val_int
 from mulab.iwasawa_modules import (
@@ -35,6 +35,7 @@ from mulab.iwasawa_modules import (
     profile_from_ranks,
     smith_rank_over_power_series_field_char_p,
 )
+from fraction_linalg import fraction_rref
 from test_modp import oracle_smith_zpk, smith_zpk
 
 
@@ -1059,14 +1060,15 @@ def reslicing_graded_ranks_at(pres, M):
 
 
 def exact_torsion_certificate(pres):
-    """The torsion certificate with the exact rank over Q at every point."""
+    """The torsion certificate with the Fraction rank over Q at every
+    point."""
     c = pres.ncols
     if len(pres.raw) < c:
         raise NotTorsion("fewer relations than generators")
     rows = pres.raw.tolist()
     for t in range(c * (pres.M - 1) + 1):
-        if len(rref([[poly_eval(e, t) for e in row] for row in rows])[1]) \
-                == c:
+        if len(fraction_rref([[poly_eval(e, t) for e in row]
+                              for row in rows])[1]) == c:
             return t
     raise NotTorsion(f"rank < {c} over Q(T): the relation matrix has "
                      f"rank < {c} at every T = 0 .. {c * (pres.M - 1)}")
@@ -1105,10 +1107,11 @@ def differential_modules():
         yield LambdaPresentation(p, N, max(M, maxdeg), rows)
 
 
-def word_prime_presentations():
-    """Presentations whose R(t) vanishes mod 2^31 - 1 at some or every
-    point, so that the exact rank decides there."""
-    q = iwasawa_modules.WORD_PRIME
+def first_prime_presentations():
+    """Presentations whose R(t) vanishes mod 2^62 - 57, linalg's first
+    prime, at some or every point, so that the exact rank decides
+    there."""
+    q = _PRIMES[0]
     yield LambdaPresentation(5, 3, 1, [[[q]]])
     yield LambdaPresentation(5, 3, 4, [[[5 * q, q]]])
     yield LambdaPresentation(5, 3, 3, [[[q], [0, 1]], [[0], [q, q]]])
@@ -1119,7 +1122,7 @@ def differential_presentations():
     yield from (example(name) for name in EXAMPLES)
     yield from differential_modules()
     yield from big_prime_presentations()
-    yield from word_prime_presentations()
+    yield from first_prime_presentations()
     for c in (2, 4):
         yield repeated_column(c, c)
 
@@ -1150,12 +1153,12 @@ def test_mu_profile_matches_reslicing_elimination(monkeypatch):
 
 
 def test_torsion_certificate_falls_back_to_the_exact_rank():
-    """R(0) = [[2^31 - 1]] has rank 0 mod the word prime and rank 1 over
-    Q: the certificate is still t = 0.  Where R(t) vanishes mod it at
-    every point, the least t is the exact one."""
-    q = iwasawa_modules.WORD_PRIME
+    """R(0) = [[2^62 - 57]] has rank 0 mod linalg's first prime and rank
+    1 over Q: the certificate is still t = 0.  Where R(t) vanishes mod it
+    at every point, the least t is the exact one."""
+    q = _PRIMES[0]
     assert LambdaPresentation(5, 3, 1, [[[q]]]).torsion_certificate() == 0
-    for pres in word_prime_presentations():
+    for pres in first_prime_presentations():
         assert pres.torsion_certificate() == \
             exact_torsion_certificate(pres)
 

@@ -15,7 +15,8 @@ from mulab.errors import (
     EigenspaceNotRational,
     InvariantViolation,
 )
-from mulab.linalg import clear_denominators, nullspace, rref
+from fraction_linalg import clear_denominators, fraction_nullspace
+from mulab.linalg import nullspace, rank, rref
 from mulab.modsym import (
     L_VALUE_BITS,
     P1,
@@ -182,7 +183,7 @@ def boundary_matrix(sp):
         entries[top] = entries.get(top, 0) + 1
         entries[bot] = entries.get(bot, 0) - 1
         cols.append(entries)
-    return [[Fraction(cols[j].get(i, 0)) for j in range(sp.dim)]
+    return [[cols[j].get(i, 0) for j in range(sp.dim)]
             for i in range(len(cusps))]
 
 
@@ -499,6 +500,11 @@ def hecke_by_projection(sp, n):
     return [[cols[j][i] for j in range(sp.dim)] for i in range(sp.dim)]
 
 
+def scaled(sp, A):
+    """The rational matrix A times the space's denominator _den."""
+    return [[x * sp._den for x in row] for row in A]
+
+
 def oracle_star_matrix(sp):
     cols = []
     for i in sp.basis_generator_indices():
@@ -509,17 +515,19 @@ def oracle_star_matrix(sp):
 
 @pytest.mark.parametrize("N", sorted({r["conductor"] for r in CORPUS}))
 def test_hecke_matrix_matches_projection_sum(N):
-    """The integer Hecke matrices against Fraction vectors from
-    `project`, on every corpus level, in the +1 quotient and in the full
-    space (with its star matrix)."""
+    """The integer Hecke matrices, _den * T_n, against Fraction vectors
+    from `project`, on every corpus level, in the +1 quotient and in the
+    full space (with its star matrix)."""
     full = FullManinSpace(N)
-    assert full.star_matrix() == oracle_star_matrix(full)
+    assert full.star_matrix() == scaled(full, oracle_star_matrix(full))
     for sp in (build_manin_space(N), full):
         for ell in (2, 3, 5, 7):
             A = sp.hecke_matrix(ell)
-            assert A == hecke_by_projection(sp, ell), (N, ell)
+            assert all(type(x) is int for row in A for x in row)
+            assert A == scaled(sp, hecke_by_projection(sp, ell)), (N, ell)
             A[0][0] += 1  # a caller's edit must not reach the kept matrix
-            assert sp.hecke_matrix(ell) == hecke_by_projection(sp, ell)
+            assert sp.hecke_matrix(ell) == \
+                scaled(sp, hecke_by_projection(sp, ell))
 
 
 # -- the full space and the stacked kernel that the +1 quotient and the
@@ -565,28 +573,26 @@ class FullManinSpace(ManinSymbolSpace):
                 if s is not None:
                     row[s] += sgn
             rel_rows.append(row)
-        R, pivots = rref(rel_rows)
+        R, den, pivots = rref(rel_rows)
         free = [s for s in range(slots) if s not in pivots]
         self.free_slots = free
         self.dim = len(free)
-        den = lcm(*(R[ri][s].denominator for ri in range(len(pivots))
-                    for s in free))
         terms = {s: [(fi, den)] for fi, s in enumerate(free)}
-        for ri, pcol in enumerate(pivots):
-            terms[pcol] = [(fi, -(R[ri][s] * den).numerator)
-                           for fi, s in enumerate(free) if R[ri][s]]
+        for row, pcol in zip(R, pivots):
+            terms[pcol] = [(fi, -row[s]) for fi, s in enumerate(free)
+                           if row[s]]
         self._den = den
         self._slot_terms = terms
         self._hecke = {}
 
     def star_matrix(self):
-        """The involution (c:d) -> (-c:d)."""
+        """_den times the involution (c:d) -> (-c:d), as integer rows."""
         cols = []
         for i in self.basis_generator_indices():
             c, d = self.p1.reps[i]
             s, sgn = self._red[self.p1.index(-c, d)]
             cols.append(self._column({s: sgn}))
-        return self._matrix(cols)
+        return [list(row) for row in zip(*cols)]
 
 
 class FullEigenSymbol(EigenSymbol):
@@ -596,10 +602,10 @@ class FullEigenSymbol(EigenSymbol):
 
     def _joint_kernel(self, primes):
         sp = self.space
-        rows = _transpose_shift(sp.star_matrix(), 1)
+        rows = _transpose_shift(sp.star_matrix(), sp._den)
         for ell in primes[:1]:
-            rows += _transpose_shift(sp.hecke_matrix(ell), self._a[ell])
-        kern = [clear_denominators(v) for v in nullspace(rows)]
+            rows += self._constraint(ell)
+        kern = nullspace(rows)
         for ell in primes[1:]:
             if not kern:
                 break
@@ -634,7 +640,7 @@ def oracle_find_functional(sp, curve, conductor, match_primes=None):
         for j in range(sp.dim):
             rows.append([S[i][j] - (1 if i == j else 0)
                          for i in range(sp.dim)])
-        kern = nullspace(rows)
+        kern = fraction_nullspace(rows)
         if len(kern) == 0:
             raise EigenspaceNotRational(
                 f"no rational eigensymbol for a_ell = {a}")
@@ -672,15 +678,19 @@ def test_restricted_kernel_matches_stacked_kernel(rec):
 
 
 @pytest.mark.parametrize("label, match_primes", [
-    ("n110-1", [3]), ("n110-1", []), ("11a1", [2])])
-def test_restricted_kernel_retries_match_stacked_kernel(label, match_primes):
-    """Given lists: [3] leaves a plane at N = 110 and is retried with six
-    primes, [] starts from the whole space (S alone in the full space)
-    and [2] needs no retry."""
+    ("n110-1", [3]), ("11a1", [2])])
+def test_restricted_kernel_retries_match_stacked_kernel(monkeypatch, label,
+                                                         match_primes):
+    """First primes given by patching `_good_primes`: [3] leaves a plane
+    at N = 110 and is retried with four primes, and [2] needs no retry."""
     rec = next(r for r in CORPUS if r["label"] == label)
     N, E = rec["conductor"], Curve(*rec["ainvs"])
     sp, full = build_manin_space(N), FullManinSpace(N)
-    es = EigenSymbol(sp, E, N, list(match_primes))
+    good_primes_of = EigenSymbol._good_primes
+    monkeypatch.setattr(
+        EigenSymbol, "_good_primes", lambda self, count: list(match_primes)
+        if count == 3 else good_primes_of(self, count))
+    es = EigenSymbol(sp, E, N)
     phi0, primes = oracle_find_functional(full, E, N, list(match_primes))
     assert es.match_primes == primes
     assert generator_values(sp, es._phi0) == generator_values(full, phi0)
@@ -716,16 +726,18 @@ def doubled_denominator_space(N):
 
 @pytest.mark.parametrize("label", ["11a1", "n110-1"])
 def test_denominator_two_matches_integral_space(label):
-    """`_den` is 1 on every level below 400; a space rescaled to `_den` = 2
-    takes the Fraction branches of the matrices, `project`, the phi table
-    and theta, and must give what the integral space gives."""
+    """`_den` is 1 on every level below 400; in a space rescaled to
+    `_den` = 2 the integer Hecke matrices, _den * T_n, are twice the
+    integral space's, and `project`, phi0, the phi table and theta must
+    give what the integral space gives."""
     rec = next(r for r in CORPUS if r["label"] == label)
     N, E, p = rec["conductor"], Curve(*rec["ainvs"]), rec["p"]
     sp, sp2 = build_manin_space(N), doubled_denominator_space(N)
     for ell in (2, 3, 5, 7):
         A = sp2.hecke_matrix(ell)
-        assert all(isinstance(x, Fraction) for row in A for x in row)
-        assert A == sp.hecke_matrix(ell), ell
+        assert all(type(x) is int for row in A for x in row)
+        assert A == [[2 * x for x in row] for row in sp.hecke_matrix(ell)], \
+            ell
     for i in range(len(sp.p1)):
         assert project(sp2, i) == project(sp, i), i
     es, es2 = EigenSymbol(sp, E, N), EigenSymbol(sp2, E, N)
@@ -918,7 +930,8 @@ def test_plus_dimension_is_the_star_fixed_dimension():
     small primes and squares up to 400."""
     for N in STAR_LEVELS:
         full = FullManinSpace(N)
-        fixed = len(nullspace(_transpose_shift(full.star_matrix(), 1))) \
+        fixed = len(nullspace(_transpose_shift(full.star_matrix(),
+                                               full._den))) \
             if full.dim else 0
         assert build_manin_space(N).dim == fixed, N
 
@@ -1046,7 +1059,7 @@ def test_horner_l_value_matches_mpf_series():
 def test_eliminate_solves_sparse_relations(seed):
     """Random rows of one to three entries in -3..3 on a few slots (so
     that some pivots cannot be units): the pivots are as many as the
-    rank from `rref`, and setting each free slot to 1 and the others to 0
+    rank from `rank`, and setting each free slot to 1 and the others to 0
     solves every row."""
     import random
     rng = random.Random(seed)
@@ -1059,7 +1072,7 @@ def test_eliminate_solves_sparse_relations(seed):
         rows.append(row)
     expr = _eliminate(rows)
     dense = [[dict(row).get(s, 0) for s in range(nslots)] for row in rows]
-    assert len(expr) == len(rref(dense)[1])
+    assert len(expr) == rank(dense)
     free = [s for s in range(nslots) if s not in expr]
     assert all(set(e) <= set(free) for e in expr.values())
     for f in free:

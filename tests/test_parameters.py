@@ -48,8 +48,6 @@ ALLOWED = {
         "cohomology passes the generators for Z^2, all elements for B",
     ("liftlab", "basis_cocycles", "y_param"):
         "versal_twists_stable passes y mod p^2; g_ram at y = 0 elsewhere",
-    ("modsym", "EigenSymbol.__init__", "match_primes"):
-        "the tests' only way into the retry branch of _find_functional",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -46,6 +46,7 @@ from .padic import mu_lambda_of_polynomial
 from .residual import (
     alignment_degree,
     classify_alignment,
+    frobenius_roots,
     frobenius_scalar,
     is_kernel_polynomial,
     kernel_polynomials,
@@ -245,7 +246,10 @@ def _digits(man: int, bits: int) -> str:
 
 
 class SpaceCache:
-    """Manin-symbol spaces keyed by level (they are immutable)."""
+    """Manin-symbol spaces keyed by level.  A space keeps what every
+    curve with the same a_ell at its match primes shares (phi0 and its
+    walk sums, see `EigenSymbol`), so the curves of one isogeny class
+    that reach `analyze` through one cache compute those once."""
 
     def __init__(self):
         self._spaces = {}
@@ -311,11 +315,16 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
                 raise ParseError(f"{record.label}: kernel_polys['{p}'][{i}] "
                                  f"is not a {p}-isogeny kernel")
         if kernels is None:
-            kernels = kernel_polynomials(E, p)
+            q, lines = kernel_polynomials(E, p)
+            kernels = [k for k, _ in lines]
+            line_chars = _lines_at_separating_prime(
+                E, q, [lam for _, lam in lines], pair, chars, p,
+                record.label)
+        else:
+            # one Frobenius scalar per supplied line picks phi1 or phi2
+            line_chars = [_line_character(E, k, pair, chars, p, N_cond,
+                                          ell_bound) for k in kernels]
         report["kernel_count"] = len(kernels)
-        # one Frobenius scalar per line picks phi1 or phi2
-        line_chars = [_line_character(E, k, pair, chars, p, N_cond,
-                                      ell_bound) for k in kernels]
         report["line_characters"] = [character_name(chars, k)
                                      for k in line_chars]
         if kernels:
@@ -395,12 +404,40 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     return report
 
 
+def _lines_at_separating_prime(E: Curve, q: int, scalars, pair,
+                               chars: CharacterExponents, p: int,
+                               label: str):
+    """The character of each computed kernel line, from lam, the
+    eigenvalue of Frob_q on it that `kernel_polynomials` returns with it
+    (scalars), q its separating prime.
+
+    A kernel line is Galois-stable, so Frob_q acts on it by the line's
+    character at q, and that character is phi1 or phi2 (see
+    `_line_character`): the one whose value at q is lam.  phi1 + phi2 =
+    a_q and phi1 phi2 = chi-bar, so {phi1(q), phi2(q)} must be the set of
+    the two roots of X^2 - a_q X + q mod p, distinct at q; the pair was
+    matched at the primes up to ell_bound only, so this is checked
+    before any line is read (none, when there is no line), and
+    InvariantViolation raised when it fails."""
+    if not scalars:
+        return []
+    values = [chars.value(k, q) for k in pair]
+    roots = frobenius_roots(E.ap(q), q, p)
+    if sorted(values) != roots:
+        raise InvariantViolation(
+            f"{label}: the semisimplification pair takes {values} at the "
+            f"separating prime {q}, not the roots {roots} of "
+            f"X^2 - a_{q} X + {q} mod {p}")
+    return [pair[values.index(lam)] for lam in scalars]
+
+
 def _line_character(E: Curve, kernel, pair, chars: CharacterExponents,
                     p: int, N_cond: int, ell_bound: int):
-    """The character of the semisimplification pair on the kernel line,
-    a sub-representation of E[p], so phi1 or phi2; they differ, as
-    phi1 phi2 = chi-bar is odd and a square is even.  One Frobenius
-    scalar at a good ell with phi1(ell) != phi2(ell) mod p tells which."""
+    """The character of the semisimplification pair on the supplied
+    kernel line, a sub-representation of E[p], so phi1 or phi2; they
+    differ, as phi1 phi2 = chi-bar is odd and a square is even.  One
+    Frobenius scalar at a good ell with phi1(ell) != phi2(ell) mod p
+    tells which."""
     for ell in range(2, 4 * ell_bound):
         if N_cond % ell == 0 or ell == p or not is_probable_prime(ell):
             continue

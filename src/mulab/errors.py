@@ -69,7 +69,10 @@ class AmbiguousPair(MuLabError):
 
 
 class InsufficientLineData(MuLabError):
-    """No stable line is available to classify."""
+    """A supplied kernel line gives no Frobenius scalar at any good prime
+    below 4 ell_bound where the two characters of the semisimplification
+    differ, so its character is not known: an input the analysis cannot
+    use.  A computed line's character comes from its separating prime."""
 
 
 class SizeBound(MuLabError):

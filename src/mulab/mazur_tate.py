@@ -68,24 +68,45 @@ def _gamma_index_table(p: int, n: int) -> list[int]:
 
 def theta_element(es: EigenSymbol, p: int, n: int, N: int
                   ) -> MazurTateElement:
-    """theta_n: the integer path sums of the symbol over its one
-    denominator, divided by their common gcd.
+    """theta_n: r times the walk sums of phi0 (`_walk_sums`), r the
+    numerator of the symbol's scale, over its one denominator, divided
+    by their common gcd.
 
-    The units a and m - a add the same term, so only a < m/2 is walked
-    and counted twice: -a has the gamma-index of a (-1 is a Teichmuller
-    unit), and the path to (m - a)/m = 1 - a/m takes the value of the
-    path to -a/m (translation by 1 lies in Gamma_0(N)), which is that of
-    the path to a/m (the symbol is star-invariant)."""
-    m = p**(n + 1)
-    table = _gamma_index_table(p, n)
-    acc = [0] * (p**n)
-    for a in range(1, (m + 1) // 2):
-        if a % p:
-            acc[table[a]] += es.path_numerator(a, m)
-    nums = [2 * x for x in acc]
+    theta_n is linear in the symbol, a sum of path values, so for
+    phi = r phi0 it is r times theta_n of phi0: the sums are those of
+    phi's own numerators.  They depend on phi0 alone, so they are
+    computed once per (p, n) and kept on es.functional, which every
+    symbol with the same a_ell at the match primes on the same space
+    shares."""
+    fn = es.functional
+    sums = fn.walks.get((p, n))
+    if sums is None:
+        sums = fn.walks[p, n] = _walk_sums(es.space, fn.num, p, n)
+    r = es.scale.numerator
+    nums = [2 * r * x for x in sums]
     g = gcd(es.den, *nums)
     return MazurTateElement(p, N, n, tuple(x // g for x in nums),
                             es.den // g)
+
+
+def _walk_sums(space, num, p, n: int) -> list[int]:
+    """Half the path sums of theta_n for the generator numerators num: at
+    gamma^t, the sum of the values of {a/m -> oo}, m = p^(n+1), over the
+    units a < m/2 of gamma-index t.
+
+    The units a and m - a add the same term, so only a < m/2 is walked
+    (and theta_element counts it twice): -a has the gamma-index of a (-1
+    is a Teichmuller unit), and the path to (m - a)/m = 1 - a/m takes the
+    value of the path to -a/m (translation by 1 lies in Gamma_0(N)),
+    which is that of the path to a/m (the symbol is star-invariant)."""
+    m = p**(n + 1)
+    table = _gamma_index_table(p, n)
+    path = space.path_infty_to
+    acc = [0] * (p**n)
+    for a in range(1, (m + 1) // 2):
+        if a % p:
+            acc[table[a]] -= sum(num[i] for i in path(a, m))
+    return acc
 
 
 def inflate_norm(theta: MazurTateElement) -> MazurTateElement:

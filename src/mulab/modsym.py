@@ -20,14 +20,16 @@ All symbol arithmetic is exact and kept in integers over one common
 denominator (1 on every level below 400): each slot of the quotient is
 stored as integer numerators in the free basis, Hecke matrices are
 summed from integer slot counts and kept per space as those numerators
-(the operator times the denominator), and an eigensymbol
-keeps its value on every P^1 generator over one denominator (the
-primitive kernel vector's values times the numerator of one rational
-scale, over its denominator times the space's), so a path costs one
-integer sum.
+(the operator times the denominator), and an eigensymbol's value on
+every P^1 generator is the primitive kernel vector's value there, kept
+as integer numerators over that denominator, times one rational scale,
+so a path costs one integer sum.
 The eigenvector comes from one integer nullspace of (T_q - a_q)^T for
 the first match prime q; each further prime only restricts that kernel K
-through the small system (T_ell - a_ell)^T K.
+through the small system (T_ell - a_ell)^T K.  The kernel depends only
+on the space and the a_ell at the match primes, so the space keeps it,
+with its generator values, under those (ell, a_ell): the curves of one
+isogeny class share it.
 """
 
 from __future__ import annotations
@@ -223,6 +225,8 @@ class ManinSymbolSpace:
         self._den = den
         self._slot_terms = terms
         self._hecke = {}
+        # (ell, a_ell) of the match primes -> ClassFunctional
+        self._functionals = {}
 
     def _column(self, counts):
         """Numerators over _den of sum k * slot_s, for the pairs (s, k)
@@ -557,17 +561,34 @@ def rationalize(man: int) -> Fraction:
     return fr
 
 
+class ClassFunctional:
+    """What every curve with the same a_ell at the match primes shares
+    on one space: `kernel`, the joint kernel of their constraints, and,
+    once it is the line of phi0, phi0's values on every P^1 generator as
+    integer numerators `num` over the space's _den, and `walks`, the
+    walk sums of those numerators that `mazur_tate.theta_element` keeps
+    per (p, n).  All of it is computed from the space and those a_ell
+    alone, so sharing it asserts no isogeny."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.num = None
+        self.walks = {}
+
+
 class EigenSymbol:
     """Rational dual eigenvector on the plus-quotient, normalized so that
     the value of {0 -> oo} is L(f,1)/Omega_plus(E).
 
     phi = r * phi0 for the primitive integer kernel vector phi0 and one
-    rational scale r.  Its value on every P^1 generator is kept as
-    integer numerators over one common denominator `den`, r's
-    denominator times the space's; since phi0 is primitive, r's
-    denominator is the lcm of phi's, `denominator_bound`.
-    `path_numerator` sums the numerators along a path for `evaluate` and
-    `mazur_tate.theta_element`."""
+    rational scale r, `scale`.  phi0 and its values on the P^1
+    generators, integer numerators over the space's denominator, are the
+    `functional` that the space keeps for the a_ell at the match primes.
+    phi's values are r's numerator times those, over one common
+    denominator `den`, r's denominator times the space's; since phi0 is
+    primitive, r's denominator is the lcm of phi's, `denominator_bound`.
+    `path_numerator` sums phi's numerators along a path for
+    `evaluate`."""
 
     def __init__(self, space: ManinSymbolSpace, curve: Curve,
                  conductor: int):
@@ -596,11 +617,12 @@ class EigenSymbol:
         twelve.  Like a nullspace basis vector, phi0 is zero after its
         last free column and positive there; each restriction keeps that,
         so phi0 is the stacked system's own."""
-        kern = self._joint_kernel(self.match_primes)
-        while len(kern) > 1 and len(self.match_primes) < 10:
+        fn = self._functional()
+        while len(fn.kernel) > 1 and len(self.match_primes) < 10:
             self.match_primes = self._good_primes(len(self.match_primes) + 3)
             self._a = {ell: self.curve.ap(ell) for ell in self.match_primes}
-            kern = self._joint_kernel(self.match_primes)
+            fn = self._functional()
+        kern = fn.kernel
         if not kern:
             raise EigenspaceNotRational(
                 f"no rational eigensymbol for a_ell = {self._a}")
@@ -608,6 +630,17 @@ class EigenSymbol:
             raise EigenspaceNotOneDimensional(
                 f"eigenspace dimension {len(kern)}")
         self._phi0 = kern[0]
+        self.functional = fn
+
+    def _functional(self):
+        """The space's ClassFunctional for the (ell, a_ell) of the match
+        primes, made from `_joint_kernel` when the space has none: the
+        kernel is a function of the space and those a_ell."""
+        memo = self.space._functionals
+        key = tuple(self._a.items())
+        if key not in memo:
+            memo[key] = ClassFunctional(self._joint_kernel(self.match_primes))
+        return memo[key]
 
     def _constraint(self, ell):
         """_den * (T_ell - a_ell)^T as integer rows: v (T - a) = 0 iff
@@ -640,12 +673,14 @@ class EigenSymbol:
         return out
 
     def _normalize(self):
-        sp = self.space
-        phi0 = self._phi0
-        slot_values = {s: sum(phi0[fi] * y for fi, y in terms)
-                       for s, terms in sp._slot_terms.items()}
-        num = [0 if s is None else sgn * slot_values[s]
-               for s, sgn in sp._red]
+        sp, fn = self.space, self.functional
+        if fn.num is None:
+            phi0 = self._phi0
+            slot_values = {s: sum(phi0[fi] * y for fi, y in terms)
+                           for s, terms in sp._slot_terms.items()}
+            fn.num = [0 if s is None else sgn * slot_values[s]
+                      for s, sgn in sp._red]
+        num = fn.num
         # phi0 on {0 -> oo} = -(phi0 on {oo -> 0})
         raw_base = Fraction(-sum(num[i] for i in sp.path_infty_to(0, 1)),
                             sp._den)
@@ -661,18 +696,18 @@ class EigenSymbol:
         if ratio == 0:
             raise EigenspaceNotRational(
                 "L(E,1) = 0: positive analytic rank not supported")
-        self._scale = scale = ratio / raw_base
+        self.scale = scale = ratio / raw_base
         self.base_value = ratio
         self.period = omega
         self.l_value = lval
         self.denominator_bound = scale.denominator
         self.den = scale.denominator * sp._den
-        self._num = [x * scale.numerator for x in num]
 
     def path_numerator(self, a: int, m: int) -> int:
         """The value of the path {a/m -> oo} times `den`."""
-        num = self._num
-        return -sum(num[i] for i in self.space.path_infty_to(a, m))
+        num = self.functional.num
+        return -self.scale.numerator * sum(
+            num[i] for i in self.space.path_infty_to(a, m))
 
     def evaluate(self, a: int, m: int) -> Fraction:
         """[a/m]^+ = value of the path {a/m -> oo}."""

@@ -3,7 +3,9 @@ p-isogeny kernels, the scalar by which Frobenius acts on a kernel line,
 trace-based semisimplification, the aligned/skew dichotomy and
 congruence evidence for the degree of alignment.  A kernel line is a
 sub-representation, so its character is one of the semisimplification
-pair, and `analysis` tells which from one scalar.
+pair, and `analysis` tells which from the eigenvalue of Frob_q on the
+line, q the separating prime below: `kernel_polynomials` returns it with
+each kernel.  A supplied kernel gets one scalar from `frobenius_scalar`.
 
 Both the kernel lines and the scalar by which Frob_ell acts on a line
 come from Elkies' eigenvalue test (Schoof, J. Theor. Nombres Bordeaux 7
@@ -247,6 +249,12 @@ def _lift_factor(f, g, q):
     return None
 
 
+def frobenius_roots(a_ell: int, ell: int, p: int) -> list[int]:
+    """The roots in [1, p) of X^2 - a_ell X + ell mod p, ascending."""
+    return [lam for lam in range(1, p)
+            if (lam * lam - a_ell * lam + ell) % p == 0]
+
+
 def _separating_prime(E: Curve, p: int, f):
     """(q, roots): the least odd good prime q != p, prime to lc(f), at
     which X^2 - a_q X + q has no root mod p (roots = []) or two distinct
@@ -256,9 +264,7 @@ def _separating_prime(E: Curve, p: int, f):
     for q in range(3, SEPARATING_PRIME_LIMIT, 2):
         if q == p or bad % q == 0 or not is_probable_prime(q):
             continue
-        a_q = E.ap(q)
-        roots = [lam for lam in range(1, p)
-                 if (lam * lam - a_q * lam + q) % p == 0]
+        roots = frobenius_roots(E.ap(q), q, p)
         if len(roots) == 1:
             continue
         if roots and len(poly_gcd(f, poly_deriv(f, q), q)) > 1:
@@ -270,13 +276,18 @@ def _separating_prime(E: Curve, p: int, f):
 
 
 def kernel_polynomials(E: Curve, p: int):
-    """Monic rational polynomials (denominators only at p) cutting out the
-    kernels of the rational p-isogenies of E; may be empty."""
+    """(q, lines): the separating prime q (`_separating_prime`) and, in
+    canonical order, a pair (kernel, lam) for each rational p-isogeny of
+    E; lines may be empty.  kernel is the monic rational polynomial
+    (denominators only at p) cutting out the isogeny's kernel, and lam
+    the root of X^2 - a_q X + q mod p whose eigenline of Frob_q it
+    lifts: `_lift_factor` certifies kernel = the lam-eigenline's factor
+    mod q, so Frob_q acts on the kernel line by lam."""
     psi = E.division_polynomial(p)
     f = _primitive(psi)
     q, roots = _separating_prime(E, p, f)
     if not roots:
-        return []
+        return q, []
     fbar = poly_monic(f, q)
     test = _EigenTest(E, q, fbar)
     out = []
@@ -289,9 +300,9 @@ def kernel_polynomials(E: Curve, p: int):
                 f"of degree {len(g) - 1}, not {(p - 1) // 2}")
         H = _lift_factor(f, g, q)
         if H is not None and _kernel_stable(E, H):
-            out.append(tuple(poly_monic([Fraction(c) for c in H])))
+            out.append((tuple(poly_monic([Fraction(c) for c in H])), lam))
     # canonical order
-    return sorted(out)
+    return q, sorted(out)
 
 
 def is_kernel_polynomial(E: Curve, p: int, poly) -> bool:
@@ -324,7 +335,9 @@ def _kernel_stable(E: Curve, H) -> bool:
 
 def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     """Eigenvalue in F_p^* of Frob_ell on the kernel line cut out by
-    kernel_poly, for a good prime ell distinct from p.
+    kernel_poly, for a good prime ell distinct from p: what `analysis`
+    reads a supplied kernel's character from (a computed kernel comes
+    with the eigenvalue at its separating prime).
 
     The root lambda of X^2 - a_ell X + ell mod p whose identities of
     `_EigenTest` vanish in F_ell[x]/(h), h = kernel_poly mod ell.  At
@@ -350,11 +363,8 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     if test.psi(p):
         raise NoFrobeniusScalar("kernel polynomial does not divide "
                                 "psi_p mod ell")
-    a_ell = E.ap(ell)
     passing = []
-    for lam in range(1, p):
-        if (lam * lam - a_ell * lam + ell) % p:
-            continue
+    for lam in frobenius_roots(E.ap(ell), ell, p):
         if test.x_residue(lam, p):
             continue
         if ell != 2 and test.y_residue(lam, p):

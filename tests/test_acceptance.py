@@ -34,7 +34,6 @@ from mulab.padic import teichmuller
 from mulab.residual import (
     classify_alignment,
     frobenius_scalar,
-    kernel_polynomials,
     search_characters,
     semisimplification,
 )
@@ -43,6 +42,7 @@ from test_residual import (
     PrecisionLoss,
     identify_line_character,
     isogeny_transform,
+    kernels_of,
 )
 
 CORPUS = "data/corpus_reducible.json"
@@ -103,7 +103,7 @@ def test_criterion_2_classification():
     expected = {"11a1": "aligned", "11a2": "aligned", "11a3": "skew"}
     for label, ainvs in ELEVEN_A.items():
         E = Curve(*ainvs)
-        kernels = kernel_polynomials(E, 5)
+        kernels = kernels_of(E, 5)
         assert kernels, label
         chars = []
         for k in kernels:

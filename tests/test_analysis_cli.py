@@ -5,6 +5,9 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from mulab.analysis import (
 from mulab.arith import factorize
 from mulab.elliptic import Curve
 from mulab import iwasawa_modules, liftlab
-from mulab.cli import MAX_PRECISION, main
+from mulab.cli import MAX_CONDUCTOR, MAX_PRECISION, main
 from mulab.errors import (
     BadReduction,
     InconsistentAp,
@@ -141,6 +144,23 @@ def test_ingest_empty_and_parse_error(tmp_path):
 
 REC_11A1 = CurveRecord("11a1", (0, -1, 1, -10, -20), 11)
 REC_37A1 = CurveRecord("37a1", (0, 0, 1, -1, 0), 37)
+FROBENIUS_FIXTURE = json.loads(
+    (Path(__file__).parent / "golden" / "frobenius_scalars.json")
+    .read_text())
+
+
+def supplied_kernels(rec: CurveRecord, p: int) -> CurveRecord:
+    """rec with the kernels of the Frobenius fixture's record of the same
+    label and p supplied as its kernel_polys at p."""
+    fixture = next(r for r in FROBENIUS_FIXTURE
+                   if (r["label"], r["p"]) == (rec.label, p))
+    kernels = [tuple(Fraction(c) for c in k) for k in fixture["kernels"]]
+    return replace(rec, kernel_polys={str(p): kernels})
+
+
+# 11a1 at p = 5 with its two kernels supplied: each line's character
+# comes from `frobenius_scalar`
+REC_11A1_KERNELS = supplied_kernels(REC_11A1, 5)
 
 
 def test_analyze_rejects_bad_p():
@@ -166,7 +186,7 @@ def test_analyze_propagates_unexpected_frobenius_errors(monkeypatch):
 
     monkeypatch.setattr(analysis, "frobenius_scalar", broken)
     with pytest.raises(ZeroDivisionError):
-        analyze(REC_11A1, 5)
+        analyze(REC_11A1_KERNELS, 5)
 
 
 def test_analyze_irreducible_still_reports_mu():
@@ -195,6 +215,46 @@ def test_analyze_many_isogeny_class_checks():
     reports = analyze_many(recs, lambda r: 5)
     assert [r["mu"] for r in reports] == [1, 0]
     assert reports[0]["lambda"] == reports[1]["lambda"]
+
+
+@pytest.mark.parametrize("labels, level, classes, walks", [
+    pytest.param(("11a1", "11a2", "11a3"), 11, 1,
+                 [(5, n) for n in range(4)], id="11a-one-class"),
+    pytest.param(("n26-1", "n26-3"), 26, 2,
+                 [(3, n) for n in range(4)] + [(7, n) for n in range(4)],
+                 id="n26-two-classes"),
+])
+def test_one_space_cache_shares_what_a_class_shares(monkeypatch, labels,
+                                                    level, classes, walks):
+    """Corpus curves of one level through one SpaceCache, each at its p:
+    one joint kernel per class (a nullspace of (T_q - a_q)^T, q the first
+    match prime, and two restrictions) and one walk per class and
+    (p, n), and each report is the one a fresh cache gives.  11a1, 11a2
+    and 11a3 are one class; n26-1 and n26-3 share the level but not
+    their a_ell, so they share nothing."""
+    from mulab import mazur_tate, modsym
+    from mulab.analysis import SpaceCache
+    records = [rec for rec in ingest("data/corpus_reducible.json")
+               if rec.label in labels]
+    fresh = [analyze(rec, rec.p) for rec in records]
+    nullspaces, walked = [], []
+    nullspace, walk_sums = modsym.nullspace, mazur_tate._walk_sums
+
+    def counted_nullspace(rows):
+        nullspaces.append(len(rows))
+        return nullspace(rows)
+
+    def counted_walk(space, num, p, n):
+        walked.append((p, n))
+        return walk_sums(space, num, p, n)
+
+    monkeypatch.setattr(modsym, "nullspace", counted_nullspace)
+    monkeypatch.setattr(mazur_tate, "_walk_sums", counted_walk)
+    spaces = SpaceCache()
+    assert [analyze(rec, rec.p, spaces=spaces) for rec in records] == fresh
+    assert len(nullspaces) == 3 * classes
+    assert walked == walks
+    assert len(spaces.get(level)._functionals) == classes
 
 
 def test_report_determinism(tmp_path):
@@ -343,8 +403,8 @@ def test_cli_adds_frobenius_primes_until_one_line_character_fits(
 
 def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
     """A scalar that fits neither character of the semisimplification
-    pair is a fault: InvariantViolation after the one call at ell = 2,
-    where 1 and chi-bar differ mod 5."""
+    pair on a supplied line is a fault: InvariantViolation after the one
+    call at ell = 2, where 1 and chi-bar differ mod 5."""
     from mulab import analysis
     calls = []
 
@@ -354,14 +414,14 @@ def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "frobenius_scalar", no_unit)
     with pytest.raises(InvariantViolation, match="Frob_2 scalar 0"):
-        analyze(REC_11A1, 5)
+        analyze(REC_11A1_KERNELS, 5)
     assert calls == [2]
 
 
 def test_analyze_refuses_a_line_without_scalars(monkeypatch):
-    """A line refused a scalar at every prime below 4 ell_bound where the
-    two characters differ: InsufficientLineData, after one try at each of
-    those primes."""
+    """A supplied line refused a scalar at every prime below 4 ell_bound
+    where the two characters differ: InsufficientLineData, after one try
+    at each of those primes."""
     from mulab import analysis
     calls = []
 
@@ -371,15 +431,17 @@ def test_analyze_refuses_a_line_without_scalars(monkeypatch):
 
     monkeypatch.setattr(analysis, "frobenius_scalar", refused)
     with pytest.raises(InsufficientLineData, match="apart below 80$"):
-        analyze(REC_11A1, 5, ell_bound=20)
+        analyze(REC_11A1_KERNELS, 5, ell_bound=20)
     # 1 and chi-bar agree exactly at ell = 1 mod 5
     assert calls == [2, 3, 7, 13, 17, 19, 23, 29, 37, 43, 47, 53, 59, 67,
                      73, 79]
 
 
 def test_corpus_takes_one_frobenius_scalar_per_kernel_line(monkeypatch):
-    """analyze_many over the corpus: one successful Frobenius scalar per
-    kernel line, and few refused ones."""
+    """analyze_many over the corpus takes no Frobenius scalar: each
+    computed line's character comes from its separating prime.  With
+    every record's kernels supplied, it takes one successful scalar per
+    kernel line, and few refused ones, and the reports are the same."""
     from mulab import analysis
     ok, refused = [], []
 
@@ -393,11 +455,38 @@ def test_corpus_takes_one_frobenius_scalar_per_kernel_line(monkeypatch):
         return lam
 
     monkeypatch.setattr(analysis, "frobenius_scalar", counting)
-    reports = analyze_many(ingest("data/corpus_reducible.json"),
-                           lambda rec: rec.p)
+    records = ingest("data/corpus_reducible.json")
+    reports = analyze_many(records, lambda rec: rec.p)
+    assert ok == refused == []
+    supplied = [supplied_kernels(rec, rec.p) for rec in records]
+    assert analyze_many(supplied, lambda rec: rec.p) == reports
     lines = sum(rep.get("kernel_count", 0) for rep in reports)
     assert len(ok) == lines == 19
     assert len(ok) + len(refused) <= 22
+
+
+def test_cli_refuses_a_pair_that_misses_the_separating_roots(
+        monkeypatch, tmp_path, capsys):
+    """11a1 at p = 5: Frob_3 has the roots {1, 3} of X^2 + X + 3 mod 5,
+    which the pair (1, chi-bar) takes at 3.  A pair that takes other
+    values there (here the trivial character twice) cannot be the
+    semisimplification: exit 2, before any line gets a character."""
+    from mulab import analysis
+    semisimplification = analysis.semisimplification
+
+    def mutated(*args):
+        pair = semisimplification(*args)
+        return pair[0], pair[0]
+
+    monkeypatch.setattr(analysis, "semisimplification", mutated)
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20], "conductor": 11}])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "invariant violation: 11a1: the semisimplification pair takes "
+        "[1, 1] at the separating prime 3, not the roots [1, 3] of "
+        "X^2 - a_3 X + 3 mod 5\n")
 
 
 def test_cli_and_analysis_do_not_import_numpy():
@@ -416,6 +505,31 @@ def test_cli_and_analysis_do_not_import_numpy():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift-lab", "run", "data/scenarios/borel_z3.json"],
+    ["lambda-invariants", "--presentation", "PRESENTATION"],
+], ids=["lift-lab", "lambda-invariants"])
+def test_other_subcommands_do_not_import_analysis(tmp_path, argv):
+    """`cli` imports `analysis` in `cmd_analyze` only, so `lift-lab` and
+    `lambda-invariants` finish without it and its imports (about 17 ms
+    a call)."""
+    pres = write_json(tmp_path, "p.json",
+                      {"p": 5, "N": 3, "MT": 8,
+                       "rows": [[[5], [0]], [[0], [25]]]})
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from mulab.cli import main\n"
+         "rc = main(sys.argv[1:])\n"
+         "print(rc, 'mulab.analysis' in sys.modules, file=sys.stderr)\n"]
+        + [pres if a == "PRESENTATION" else a for a in argv],
+        capture_output=True, text=True, check=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stderr.splitlines()[-1] == "0 False"
 
 
 def test_analyze_runs_without_mpmath():
@@ -990,16 +1104,21 @@ _11A3 = {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11}
     ({**_11A3, "ap": {"-3": 1}}, "11a3: ap key '-3' is not a prime"),
     ({**_11A3, "ap": {"9" * 5000: 1}}, "is not a prime below 10^24"),
     ({**_11A3, "ap": [1, 2]}, "11a3: ap must map primes to integers"),
+    ({"label": "s43210", "ainvs": [1, 0, 0, 0, 10], "conductor": 43210},
+     f"s43210: conductor 43210 exceeds {MAX_CONDUCTOR}"),
 ], ids=["ainvs-string-entry", "ainvs-four-entries", "record-not-object",
         "ap-key-x", "ainvs-bool-entry", "label-not-string", "p-string",
         "ap-value-string", "ap-value-bool", "ap-key-0", "ap-key-4",
-        "ap-key-negative", "ap-key-5000-digits", "ap-not-object"])
+        "ap-key-negative", "ap-key-5000-digits", "ap-not-object",
+        "conductor-above-bound"])
 def test_cli_record_schema_errors_exit_3(tmp_path, capsys, record,
                                          complaint):
     """A record that is not an object, or whose label, ainvs, p or ap has
     the wrong type or shape, is an input error at ingest naming the
     record and the field: each of these was a traceback (exit 1) or, for
-    an ainvs entry true, read as 1."""
+    an ainvs entry true, read as 1.  So is a valid, semistable record
+    above the level bound, checked before any space is built: at
+    N = 43210 the P^1 table alone would take 15 GB."""
     curves = write_json(tmp_path, "c.json", [record])
     rc = main(["analyze", "--curves", curves, "--p", "5"])
     assert rc == 3

@@ -33,7 +33,7 @@ from mulab.padic import (
     mu_lambda_of_polynomial,
     teichmuller,
 )
-from test_modsym import oracle_eigen_table
+from test_modsym import generator_numerators, oracle_eigen_table
 from test_padic import group_ring_from_T, oracle_mu_lambda
 
 P, N = 5, 6
@@ -257,13 +257,19 @@ def test_layer_checks_raise_under_O():
 
 
 def test_theta_linearity(symbols):
+    """theta_n is linear in the symbol, which lets `theta_element` take
+    r times the walk sums of phi0: 11a1's symbol with its scale r times
+    5 has 5 times its theta, by theta_element on the shared walk sums
+    and by one `evaluate` per unit of 5 phi."""
     es = symbols["11a1"]
     t = theta_element(es, P, 1, N)
     es5 = EigenSymbol.__new__(EigenSymbol)
     es5.__dict__.update(es.__dict__)
-    es5._num = [5 * x for x in es._num]
+    es5.scale = 5 * es.scale
+    es5.den = es5.scale.denominator * es.space._den
     t5 = theta_element(es5, P, 1, N)
     assert coeffs(t5) == tuple(5 * c for c in coeffs(t))
+    assert oracle_theta_element(es5, P, 1, N) == coeffs(t5)
 
 
 def test_regularized_compatibility(thetas):
@@ -568,8 +574,8 @@ def test_integer_path_matches_fraction_oracle(label, ainvs, conductor, p,
     prec + layers + 2."""
     E = Curve(*ainvs)
     es = EigenSymbol(build_manin_space(conductor), E, conductor)
-    assert (es.den, es._num, es.denominator_bound, es.base_value) == \
-        oracle_eigen_table(es)
+    assert (es.den, generator_numerators(es), es.denominator_bound,
+            es.base_value) == oracle_eigen_table(es)
     a_p = E.ap(p)
     layers = 3
     alpha_N = prec + layers + 2

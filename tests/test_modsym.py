@@ -61,7 +61,12 @@ def path_vector(sp, a: int, m: int):
 
 def phi(es):
     """The eigensymbol's coordinates in the free basis: r * phi0."""
-    return [x * es._scale for x in es._phi0]
+    return [x * es.scale for x in es._phi0]
+
+
+def generator_numerators(es):
+    """phi on every P^1 generator, as integer numerators over es.den."""
+    return [es.scale.numerator * x for x in es.functional.num]
 
 
 def oracle_eigen_table(es):
@@ -584,6 +589,7 @@ class FullManinSpace(ManinSymbolSpace):
         self._den = den
         self._slot_terms = terms
         self._hecke = {}
+        self._functionals = {}
 
     def star_matrix(self):
         """_den times the involution (c:d) -> (-c:d), as integer rows."""
@@ -999,8 +1005,8 @@ def test_plus_symbol_matches_full_space(label, ainvs, N, p):
     assert err == full_err
     if es is None:
         return
-    assert [Fraction(x, es.den) for x in es._num] == \
-        [Fraction(x, fe.den) for x in fe._num]
+    assert [Fraction(x, es.den) for x in generator_numerators(es)] == \
+        [Fraction(x, fe.den) for x in generator_numerators(fe)]
     assert (es.den, es.denominator_bound, es.base_value, es.match_primes) \
         == (fe.den, fe.denominator_bound, fe.base_value, fe.match_primes)
     for n in range(4):

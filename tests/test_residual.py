@@ -66,6 +66,12 @@ E11A3 = Curve(0, -1, 1, 0, 0)
 E37A1 = Curve(0, 0, 1, -1, 0)
 
 
+def kernels_of(E, p):
+    """The kernels of `kernel_polynomials`, without the separating prime
+    and the Frobenius eigenvalues returned with them."""
+    return [k for k, _ in kernel_polynomials(E, p)[1]]
+
+
 def good_a_table(E, conductor, bound=200):
     return {ell: E.ap(ell) for ell in range(2, bound + 1)
             if all(ell % t for t in range(2, ell))
@@ -73,23 +79,23 @@ def good_a_table(E, conductor, bound=200):
 
 
 def test_kernel_counts():
-    assert len(kernel_polynomials(E11A1, 5)) == 2
-    assert len(kernel_polynomials(E11A2, 5)) == 1
-    assert len(kernel_polynomials(E11A3, 5)) == 1
-    assert kernel_polynomials(E37A1, 5) == []
+    assert len(kernels_of(E11A1, 5)) == 2
+    assert len(kernels_of(E11A2, 5)) == 1
+    assert len(kernels_of(E11A3, 5)) == 1
+    assert kernels_of(E37A1, 5) == []
 
 
 def test_kernel_degrees_and_rational_line():
     for E in [E11A1, E11A2, E11A3]:
-        for k in kernel_polynomials(E, 5):
+        for k in kernels_of(E, 5):
             assert len(k) - 1 == 2
     # the rational 5-torsion line of 11a3: x(P) = 0, x(2P) = 1
-    (k,) = kernel_polynomials(E11A3, 5)
+    (k,) = kernels_of(E11A3, 5)
     assert k == (Fraction(0), Fraction(-1), Fraction(1))
 
 
 def test_frobenius_scalars_11a1():
-    ks = kernel_polynomials(E11A1, 5)
+    ks = kernels_of(E11A1, 5)
     chars = []
     for k in ks:
         scal = {ell: frobenius_scalar(E11A1, k, ell, 5)
@@ -157,7 +163,7 @@ def six_scalar_line_character(E, k, p, conductor, ell_bound=200):
 
 def line_characters(E, p, conductor):
     out = []
-    for k in kernel_polynomials(E, p):
+    for k in kernels_of(E, p):
         scal = {}
         ell = 2
         while len(scal) < 6:
@@ -340,7 +346,7 @@ def test_kernel_stability_rejects_non_kernel_factor():
     """11a1 has exactly two rational 5-isogenies.  The duplication test
     accepts their kernel polynomials and rejects each with its constant
     term moved, and each times x."""
-    ks = kernel_polynomials(E11A1, 5)
+    ks = kernels_of(E11A1, 5)
     assert len(ks) == 2
     assert len(set(ks)) == 2
     for k in ks:
@@ -389,7 +395,7 @@ def test_is_kernel_polynomial_checks_degree_division_and_stability():
     (2P = -P), so only the division of psi_5 refuses it, while x cuts
     out the rational 3-torsion line at p = 3.  A zero leading
     coefficient is refused."""
-    k1, k2 = kernel_polynomials(E11A1, 5)
+    k1, k2 = kernels_of(E11A1, 5)
     assert is_kernel_polynomial(E11A1, 5, k1)
     assert is_kernel_polynomial(E11A1, 5, k2)
     prod = residual._primitive([int(5 * c) for c in poly_mul(k1, k2)])
@@ -581,8 +587,8 @@ def test_frobenius_scalars_match_the_point_lifting_fixture():
 def test_frobenius_scalar_known_answers():
     """11a3's rational 5-torsion line has scalar 1; 11a1's mu_5 line has
     scalar ell mod 5; the two lines of 11a1 multiply to ell mod 5."""
-    (k3,) = kernel_polynomials(E11A3, 5)
-    ks = kernel_polynomials(E11A1, 5)
+    (k3,) = kernels_of(E11A3, 5)
+    ks = kernels_of(E11A1, 5)
     for ell in [2, 3, 7, 13, 17, 19, 23, 29, 31, 97, 101]:
         assert frobenius_scalar(E11A3, k3, ell, 5) == 1
         l1, l2 = (frobenius_scalar(E11A1, k, ell, 5) for k in ks)
@@ -602,7 +608,7 @@ def test_frobenius_scalar_refuses_a_non_divisor_of_psi_p():
 
 def test_frobenius_scalar_refuses_a_degenerate_kernel_polynomial():
     """A leading coefficient divisible by ell, or a constant."""
-    (k3,) = kernel_polynomials(E11A3, 5)
+    (k3,) = kernels_of(E11A3, 5)
     for h in ((Fraction(0), Fraction(-1), Fraction(7)), (Fraction(1),)):
         with pytest.raises(NoFrobeniusScalar, match="degenerates"):
             frobenius_scalar(E11A3, h, 7, 5)
@@ -798,7 +804,7 @@ def test_kernels_match_the_full_factorization():
         got, lc = monic_factors_of_degree(psi, (p - 1) // 2)
         want, lc2 = monic_factors_by_full_factorization(psi, (p - 1) // 2)
         assert (sorted(got), lc) == (sorted(want), lc2), rec["label"]
-        assert kernel_polynomials(E, p) == kernel_polynomials_by_zassenhaus(
+        assert kernels_of(E, p) == kernel_polynomials_by_zassenhaus(
             E, p, monic_factors_by_full_factorization), rec["label"]
 
 
@@ -837,7 +843,7 @@ def test_kernels_match_the_zassenhaus_oracle():
     kinds = {"kernel": 0, "none": 0, "stable": 0, "unstable": 0}
     for ainvs, p in pairs:
         E = Curve(*ainvs)
-        got = kernel_polynomials(E, p)
+        got = kernels_of(E, p)
         assert got == kernel_polynomials_by_zassenhaus(E, p), (ainvs, p)
         kinds["kernel" if got else "none"] += 1
         for h in zassenhaus_candidates(E, p):
@@ -851,7 +857,7 @@ def test_kernels_match_the_zassenhaus_oracle():
 
 
 def test_121b1_has_one_rational_11_isogeny():
-    (k,) = kernel_polynomials(Curve(0, -1, 1, -7, 10), 11)
+    (k,) = kernels_of(Curve(0, -1, 1, -7, 10), 11)
     assert len(k) - 1 == 5
 
 
@@ -861,7 +867,7 @@ def test_no_frobenius_root_means_no_kernel():
     Zassenhaus oracle finds too."""
     psi = E11A1.division_polynomial(7)
     assert _separating_prime(E11A1, 7, psi) == (3, [])
-    assert kernel_polynomials(E11A1, 7) == []
+    assert kernels_of(E11A1, 7) == []
     assert kernel_polynomials_by_zassenhaus(E11A1, 7) == []
 
 
@@ -1131,7 +1137,7 @@ def one_scalar_cases():
             ("11a3", E11A3, 5, 11),
             ("t466", Curve(-5, 0, 4, 0, 0), 3, 466),
             ("N77", Curve(-8, 0, 1, 0, 0), 3, 77)]
-    out = [(label, E, p, N, kernel_polynomials(E, p))
+    out = [(label, E, p, N, kernels_of(E, p))
            for label, E, p, N in out]
     for rec in json.loads(FROBENIUS_FIXTURE.read_text()):
         E, p = Curve(*rec["ainvs"]), rec["p"]
@@ -1157,6 +1163,45 @@ def test_one_scalar_rule_matches_the_six_scalar_rule():
             assert got == six_scalar_line_character(E, k, p, N), (label, k)
             lines += 1
     assert lines == 69
+
+
+def separating_prime_cases():
+    """(label, curve, p, conductor): the corpus at each record's p,
+    `curves_11a.json` at p = 5, and every curve of the Frobenius fixture
+    at its own p, with |discriminant| for the conductor (its model's bad
+    primes)."""
+    out = [(rec["label"], Curve(*rec["ainvs"]), rec["p"], rec["conductor"])
+           for rec in json.loads((DATA / "corpus_reducible.json")
+                                 .read_text())]
+    out += [(rec["label"], Curve(*rec["ainvs"]), 5, rec["conductor"])
+            for rec in json.loads((DATA / "curves_11a.json").read_text())]
+    for rec in json.loads(FROBENIUS_FIXTURE.read_text()):
+        E = Curve(*rec["ainvs"])
+        out.append((f"fixture {rec['label']}", E, rec["p"],
+                    abs(E.discriminant)))
+    return out
+
+
+def test_separating_prime_characters_match_the_one_scalar_rule():
+    """The character `analyze` reads off each computed kernel line from
+    the eigenvalue lam of Frob_q that `kernel_polynomials` returns with
+    it is the one `_line_character` finds with `frobenius_scalar`, on
+    every line of the cases: 23 of the corpus and curves_11a.json, 56 of
+    the 52 fixture curves.  lam is Frob_q's scalar on the line."""
+    lines = 0
+    for label, E, p, N in separating_prime_cases():
+        q, found = kernel_polynomials(E, p)
+        pair = semisimplification(good_a_table(E, N), p, N, 200)
+        chars = search_characters(p, N)
+        got = analysis._lines_at_separating_prime(
+            E, q, [lam for _, lam in found], pair, chars, p, label)
+        want = [analysis._line_character(E, k, pair, chars, p, N, 200)
+                for k, _ in found]
+        assert got == want, label
+        for k, lam in found:
+            assert frobenius_scalar(E, k, q, p) == lam, (label, k)
+        lines += len(found)
+    assert lines == 79
 
 
 def test_semisimplification_builds_at_most_two_characters(monkeypatch):

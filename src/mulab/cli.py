@@ -42,15 +42,6 @@ MAX_THETA_TERMS = 10**5
 # root: on 11a1 at p = 13 (3 layers) precision 12 and 100 both take
 # 0.6 s; at p = 5 with 6 layers, 6 takes 0.3 s and 100 1.1 s
 MAX_PRECISION = 100
-# bound on a record's conductor N, the level of its Manin-symbol space,
-# whose P^1 table holds N^2 slots (8 N^2 bytes) and whose eliminations
-# grow faster than N.  Near the bound a full analyze of a semistable
-# curve took 11.1 s at 217 MB peak RSS (N = 4907, [-8,0,7,0,0] at p = 3),
-# and [0,-1,1,-6,7] (N = 4685, p = 3) 13.2 s at 200 MB before refusing
-# its rank; N = 1986 ([13,36,324,0,0] at p = 5) took 5.3 s at 57 MB
-# (Xeon, Python 3.11, each under a 1.5 GB address-space limit).  At
-# N = 43210 the table alone would take 15 GB.
-MAX_CONDUCTOR = 5000
 
 
 def load_config(path: str | None) -> dict:
@@ -100,6 +91,7 @@ def _p_error(p, layers: int) -> str | None:
 
 def cmd_analyze(args) -> int:
     from .analysis import analyze_many, ingest, render_report
+    from .modsym import MAX_CONDUCTOR
     try:
         cfg = load_config(args.config)
     except ParseError as exc:

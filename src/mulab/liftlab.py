@@ -41,6 +41,7 @@ from .group_model import (
 from .modp import (
     MAX_MODULUS,
     coset_modp,
+    matmul_mod,
     nullspace_modp,
     rref_modp,
     solve_modp,
@@ -73,6 +74,20 @@ SUBMODULE_COORDS = {
     "n": ((1,), ((2,), (0,), (3,))),
     "b": ((1, 0), ((2,), (0, 3))),
 }
+
+
+def _coord_matrix(entries, forms) -> np.ndarray:
+    """The (4, d + f) matrix that takes the entries of w to its d
+    coordinates, then to its f vanishing sums, as one product."""
+    X = np.zeros((4, len(entries) + len(forms)), dtype=np.int64)
+    X[list(entries), range(len(entries))] = 1
+    for col, form in enumerate(forms, len(entries)):
+        X[list(form), col] = 1
+    X.flags.writeable = False
+    return X
+
+
+COORD_MATRICES = {s: _coord_matrix(*c) for s, c in SUBMODULE_COORDS.items()}
 
 
 class AdjointModule:
@@ -119,11 +134,8 @@ class AdjointModule:
     def _coords(self, W):
         """(coordinates mod p, whether every matrix lies in the module)
         of the matrices W, a 4-tuple or an array (..., 4)."""
-        W = np.asarray(W)
-        entries, forms = SUBMODULE_COORDS[self.selector]
-        inside = all(not np.any(W[..., list(f)].sum(axis=-1) % self.p)
-                     for f in forms)
-        return W[..., list(entries)] % self.p, inside
+        X = np.asarray(W) @ COORD_MATRICES[self.selector] % self.p
+        return X[..., :self.dim], not np.any(X[..., self.dim:])
 
     @cached_property
     def tree_maps(self):
@@ -135,11 +147,19 @@ class AdjointModule:
         return maps
 
     @cached_property
+    def coboundary_maps(self) -> CoboundaryMaps:
+        """`_coboundary_maps(model, self)`, read-only, built on first use:
+        the one elimination of the edge system L, and the maps that the
+        coboundary solve and the cocycle identity apply to a cochain."""
+        return _coboundary_maps(self.model, self)
+
+    @cached_property
     def z1(self):
-        """(Z, free), the `_z1_normal_form` of the tree maps as read-only
-        arrays, built on first use."""
-        A, _, _, L = self.tree_maps
-        Z, free = _z1_normal_form(A, L, self.p)
+        """(Z, free), the `_z1_normal_form` of the tree maps and of the
+        kernel of L that `coboundary_maps` read off L's elimination, as
+        read-only arrays, built on first use."""
+        Z, free = _z1_normal_form(self.tree_maps[0],
+                                  self.coboundary_maps.kernel, self.p)
         free = np.array(free, dtype=np.intp)
         Z.flags.writeable = free.flags.writeable = False
         return Z, free
@@ -219,7 +239,9 @@ def cohomology(model: FiniteGroupModel, M: AdjointModule, degree: int):
     B lies in Z, so the pivots of RREF(B) are pivots of RREF(Z), and the
     rows of RREF(Z) at the other pivots are independent modulo B (a
     combination of them leads at one of those pivots, which no vector
-    of B does): rank Z - rank B of them, a basis of Z / B."""
+    of B does): rank Z - rank B of them, a basis of Z / B.  Raises
+    ValueError unless model is M's group."""
+    _check_model(model, M)
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     if degree == 2 and len(model) > H2_SIZE_BOUND:
@@ -267,12 +289,13 @@ def _tree_maps(G, M):
     return A, S, keep, L[keep].reshape(-1, g * d)
 
 
-def _z1_normal_form(A, L, p: int):
+def _z1_normal_form(A, K, p: int):
     """(Z, free): the basis of Z^1 in n d coordinates that is the
-    identity on the columns free, and those columns in increasing order.
+    identity on the columns free, and those columns in increasing order,
+    from the tree map A and a basis K of ker L.
 
     f = A u is a cocycle exactly when L u = 0 (see `z1_basis`), and u is
-    f's generator values, so ker L is Z^1.  free is the set of last
+    f's generator values, so A K spans Z^1.  free is the set of last
     nonzero positions of the cocycles, and the basis is the rows of the
     reduced echelon form of the cocycles read right to left, put back in
     order.  `nullspace_modp` on d^1 gives a basis of the same space that
@@ -281,10 +304,99 @@ def _z1_normal_form(A, L, p: int):
     the kernel vectors again; a basis that is the identity on a given
     column set is unique, so the two are equal."""
     nd = A.shape[0] * A.shape[1]
-    K = nullspace_modp(L, p) @ A.reshape(nd, -1).T % p
-    R, pivots = rref_modp(K[:, ::-1], p)
+    R, pivots = rref_modp((K @ A.reshape(nd, -1).T % p)[:, ::-1], p)
     free = [nd - 1 - c for c in reversed(pivots)]
     return np.ascontiguousarray(R[::-1, ::-1]), free
+
+
+@dataclass(frozen=True)
+class CoboundaryMaps:
+    """What the coboundary solve, Z^1 and the cocycle identity read of a
+    module, every array read-only (`_coboundary_maps`).  L is the m x g d
+    edge system of `_tree_maps`, one row per edge (x, j) and component,
+    and c the n g generator values c(x, s_j) of a 2-cochain, one row
+    x g + j:
+
+    solve    (g d, m): u = solve rhs mod p solves L u = rhs, 0 on the
+             free unknowns, whenever the m equations are consistent
+    kernel   the basis of ker L that `nullspace_modp(L, p)` gives
+    offsets  (n, n g): the tree offsets b = offsets c of `is_coboundary`
+    rhs      (m / d, n g): its right-hand side, rhs c, one edge a row
+    gens     the generators, to read c off a 2-cochain
+    triples  (3, n, g, n): at [h, s, g], the rows of (gh, s), (g, hs)
+             and (g, h) among a 2-cochain's n^2 rows, (x, y) at x n + y
+    action   (d, n d): the transposed action matrices side by side"""
+
+    solve: np.ndarray
+    kernel: np.ndarray
+    offsets: np.ndarray
+    rhs: np.ndarray
+    gens: np.ndarray
+    triples: np.ndarray
+    action: np.ndarray
+
+
+def _coboundary_maps(G, M) -> CoboundaryMaps:
+    """The maps of `CoboundaryMaps`, from one elimination of [L | I] mod p.
+
+    The elimination brings [L | I] to [R | T] with T invertible and
+    T L = R in reduced echelon form, its first r rows led at L's pivots.
+    When L u = rhs is consistent, (T rhs)[r:] = 0 and [R | T rhs] is the
+    reduced echelon form of [L | rhs] that `solve_modp` computes: its
+    solution puts (T rhs)[i] at the i-th pivot and 0 elsewhere, which is
+    solve rhs.  The kernel is read off R as `nullspace_modp` reads it."""
+    n, p = len(G), M.p
+    g = len(G.generators)
+    _, S, keep, L = M.tree_maps
+    m, gd = L.shape
+    R, pivots = rref_modp(np.hstack([L, np.eye(m, dtype=np.int64)]), p)
+    piv = [c for c in pivots if c < gd]
+    free = [c for c in range(gd) if c not in piv]
+    solve = np.zeros((gd, m), dtype=np.int64)
+    solve[piv] = R[:len(piv), gd:]
+    kernel = np.zeros((len(free), gd), dtype=np.int64)
+    kernel[range(len(free)), free] = 1
+    kernel[:, piv] = -R[:len(piv), free].T % p
+    # b[k] = b[i] - c(i, s_j) along the tree, b = 0 at the generators
+    offsets = np.zeros((n, n * g), dtype=np.int64)
+    for k, i, j in G.tree:
+        offsets[k] = offsets[i]
+        offsets[k, i * g + j] -= 1
+    unit = np.eye(n * g, dtype=np.int64).reshape(n, g, n * g)
+    rhs = (offsets[:, None] - offsets[S] - unit)[keep]
+    gens = np.array(G.generators, dtype=np.intp)
+    T = G.table_array
+    h, s, x = np.indices((n, g, n))
+    triples = np.stack([T[x, h] * n + gens[s], x * n + T[h, gens[s]],
+                        x * n + h])
+    action = M._action.transpose(2, 0, 1).reshape(M.dim, n * M.dim)
+    maps = CoboundaryMaps(solve, kernel, offsets, rhs, gens, triples,
+                          np.ascontiguousarray(action))
+    for a in vars(maps).values():
+        a.flags.writeable = False
+    return maps
+
+
+def _check_model(model: FiniteGroupModel, M: AdjointModule) -> None:
+    """Raise ValueError unless model is M's group."""
+    if model is not M.model:
+        raise ValueError(f"the group model (order {len(model)}) is not the "
+                         f"module's own (order {len(M.model)})")
+
+
+def _check_cochain2(model: FiniteGroupModel, M: AdjointModule,
+                    c: Cochain) -> None:
+    """Raise ValueError unless model is M's group and c a degree-2
+    cochain of M with values of shape (n, n, d)."""
+    _check_model(model, M)
+    if c.degree != 2 or c.module is not M:
+        raise ValueError("expected a degree-2 cochain of this module, got "
+                         f"a degree-{c.degree} cochain"
+                         + ("" if c.module is M else " of another module"))
+    shape = (len(model), len(model), M.dim)
+    if np.shape(c.values) != shape:
+        raise ValueError(f"cochain values of shape {np.shape(c.values)}, "
+                         f"expected {shape}")
 
 
 def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
@@ -306,14 +418,29 @@ def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
       phi(y): f is a cocycle.
 
     L has g d columns, at most 6 on every shipped group, where the bar
-    resolution solves for n d unknowns.  The basis is read-only and
-    built once per module (`AdjointModule.z1`); model is M's group."""
+    resolution solves for n d unknowns.  ker L is read off the one
+    elimination of L that `is_coboundary` solves with too
+    (`AdjointModule.coboundary_maps`), and the basis is read-only and
+    built once per module (`AdjointModule.z1`).  Raises ValueError
+    unless model is M's group."""
+    _check_model(model, M)
     return M.z1[0]
+
+
+def _solve_edges(M: AdjointModule, rhs: np.ndarray):
+    """`solve_modp(L, rhs, p)` for M's edge system L and rhs in [0, p):
+    the solution read off L's one elimination (`CoboundaryMaps.solve`),
+    returned only when L u = rhs (mod p) holds, else None."""
+    p = M.p
+    u = matmul_mod(M.coboundary_maps.solve, rhs, p)
+    return u if np.array_equal(matmul_mod(M.tree_maps[3], u, p), rhs) \
+        else None
 
 
 def is_coboundary(model: FiniteGroupModel, M: AdjointModule, c2: Cochain):
     """Solve d^1 f = c for f in C^1 when c is a 2-cocycle; returns the
-    cochain or None (also when c fails the cocycle identity).
+    cochain or None (also when c fails the cocycle identity).  Raises
+    ValueError unless model is M's group and c2 a 2-cochain of M.
 
     d^1 f = c reads f(x y) = f(x) + rho(x) f(y) - c(x, y), and every
     2-cocycle that vanishes on the pairs (x, s) with s a generator is 0
@@ -327,23 +454,24 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule, c2: Cochain):
 
     whose solutions are those of the pairs, u = (f(s_j)), by the argument
     of `z1_basis` (the edges (1, j') give f(1) = c(1, s_j) and
-    f(s_j) = u_j).  The solutions f form one coset of Z^1; the one
-    returned is 0 on the free columns of `z1_basis`, the coset
-    representative that `solve_modp` gives on the n g d rows of d^1
-    ending in a generator.  The tree maps and Z^1 are M's own, built once
-    per module."""
+    f(s_j) = u_j).  b and the right-hand side are fixed integer maps of
+    the c(x, s_j), and L is eliminated once per module
+    (`AdjointModule.coboundary_maps`): u is read off that elimination
+    and kept only after L u = rhs (mod p) is checked, so it is the
+    solution `solve_modp(L, rhs, p)` gives, and None exactly when that
+    is None.  The solutions f form one coset of Z^1; the one returned is
+    0 on the free columns of `z1_basis`, the coset representative that
+    `solve_modp` gives on the n g d rows of d^1 ending in a generator."""
+    _check_cochain2(model, M, c2)
     n, d, p = len(model), M.dim, M.p
-    A, S, keep, L = M.tree_maps
-    cs = c2.values[:, model.generators] % p
-    b = np.zeros((n, d), dtype=np.int64)
-    for k, i, j in model.tree:
-        b[k] = b[i] - cs[i, j]
-    rhs = (b[:, None] - b[S] - cs)[keep] % p
-    u = solve_modp(L, rhs.reshape(-1), p)
+    maps = M.coboundary_maps
+    cs = c2.values[:, maps.gens].reshape(-1, d) % p
+    u = _solve_edges(M, (maps.rhs @ cs % p).reshape(-1))
     if u is None or not _cocycle2_identity_holds(model, M, c2):
         return None
+    A = M.tree_maps[0]
     Z, free = M.z1
-    f = (A.reshape(n * d, -1) @ u + b.reshape(-1)) % p
+    f = (A.reshape(n * d, -1) @ u + (maps.offsets @ cs).reshape(-1)) % p
     f = (f - f[free] @ Z) % p
     return Cochain(1, M, f.reshape(n, d))
 
@@ -454,17 +582,16 @@ def _cocycle2_identity_holds(G, M, c: Cochain) -> bool:
 
     so e(g, h, ks) = e(g, h, k) when e vanishes on every triple ending in
     a generator, and every element, the identity too, is a nonempty word
-    in the generators of a finite group.  Holds O(n^2 g d) integers.
+    in the generators of a finite group.  Holds O(n^2 g d) integers,
+    gathered at the module's index arrays in the order [h, s, g]
+    (`AdjointModule.coboundary_maps`).
     """
-    p = M.p
+    maps = M.coboundary_maps
     v = c.values
-    T = G.table_array
-    gens = G.generators
-    vs = v[:, gens]  # c(h, s)
-    lhs = (vs[None] @ M._action.transpose(0, 2, 1)[:, None] - vs[T]
-           + v[np.arange(len(G))[:, None, None], T[:, gens][None]]
-           - v[:, :, None]) % p
-    return not np.any(lhs)
+    vs = v[:, maps.gens].reshape(-1, v.shape[-1])  # c(h, s)
+    V = v.reshape(len(G)**2, -1).take(maps.triples, axis=0)
+    lhs = (vs @ maps.action).reshape(V.shape[1:]) - V[0] + V[1] - V[2]
+    return not np.any(lhs % M.p)
 
 
 def twist(images, z_values, M: AdjointModule, p: int, n: int):

@@ -45,11 +45,23 @@ from .errors import (
     EigenspaceNotOneDimensional,
     EigenspaceNotRational,
     InvariantViolation,
+    SizeBound,
 )
 from .linalg import nullspace
 # the benchmark's tracer wraps rref here; the relations are eliminated
 # by `_eliminate`, and nullspace calls linalg's own rref
 from .linalg import rref  # noqa: F401
+
+# bound on the level N of a Manin-symbol space, whose P^1 table holds
+# N^2 slots (8 N^2 bytes) and whose eliminations grow faster than N;
+# `build_manin_space` refuses a level above it before allocating.  Near
+# the bound a full analyze of a semistable curve took 11.1 s at 217 MB
+# peak RSS (N = 4907, [-8,0,7,0,0] at p = 3), and [0,-1,1,-6,7]
+# (N = 4685, p = 3) 13.2 s at 200 MB before refusing its rank; N = 1986
+# ([13,36,324,0,0] at p = 5) took 5.3 s at 57 MB (Xeon, Python 3.11,
+# each under a 1.5 GB address-space limit).  At N = 43210 the table
+# alone would take 15 GB.
+MAX_CONDUCTOR = 5000
 
 
 class P1:
@@ -305,6 +317,11 @@ class ManinSymbolSpace:
 
 
 def build_manin_space(N: int) -> ManinSymbolSpace:
+    """The Manin-symbol space of level N; raises SizeBound, before
+    anything is allocated, when N exceeds MAX_CONDUCTOR."""
+    if N > MAX_CONDUCTOR:
+        raise SizeBound(f"level {N} exceeds {MAX_CONDUCTOR}, the bound on "
+                        "the level of a Manin-symbol space")
     return ManinSymbolSpace(N)
 
 

@@ -22,7 +22,7 @@ from mulab.analysis import (
 from mulab.arith import factorize
 from mulab.elliptic import Curve
 from mulab import iwasawa_modules, liftlab
-from mulab.cli import MAX_CONDUCTOR, MAX_PRECISION, main
+from mulab.cli import MAX_PRECISION, main
 from mulab.errors import (
     BadReduction,
     InconsistentAp,
@@ -32,7 +32,9 @@ from mulab.errors import (
     NoFrobeniusScalar,
     NotOrdinary,
     ParseError,
+    SizeBound,
 )
+from mulab.modsym import MAX_CONDUCTOR
 from mulab.residual import frobenius_scalar
 
 
@@ -1124,6 +1126,25 @@ def test_cli_record_schema_errors_exit_3(tmp_path, capsys, record,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and complaint in err
+
+
+def test_library_refuses_a_level_above_the_bound(monkeypatch):
+    """`analyze_many` on the N = 43210 record raises SizeBound naming N
+    and the bound from `build_manin_space`, before any P^1 table or
+    Manin space is allocated; the CLI's own check keeps its exit 3."""
+    from mulab import modsym
+
+    def allocated(*args):
+        raise AssertionError("a space was allocated above the bound")
+
+    monkeypatch.setattr(modsym, "P1", allocated)
+    monkeypatch.setattr(modsym, "ManinSymbolSpace", allocated)
+    rec = CurveRecord("s43210", (1, 0, 0, 0, 10), 43210)
+    with pytest.raises(SizeBound, match=f"level 43210 exceeds "
+                                        f"{MAX_CONDUCTOR}"):
+        analyze_many([rec], lambda r: 3)
+    with pytest.raises(SizeBound, match="5001"):
+        modsym.build_manin_space(MAX_CONDUCTOR + 1)
 
 
 def test_cli_null_p_reads_as_no_p(tmp_path, capsys):

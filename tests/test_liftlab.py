@@ -542,24 +542,30 @@ class _AlwaysHolds:
 def test_module_builds_the_tree_maps_once(monkeypatch):
     """Two lifting steps with local conditions, `z1_basis` and
     `is_coboundary` on one module share one build of the tree maps and
-    one kernel of L; the steps are those a fresh module gives, and the
-    Z^1 basis is read-only, as the multiplication table is."""
+    one elimination of L, which no `solve_modp` or `nullspace_modp`
+    repeats; the steps are those a fresh module gives, and the Z^1 basis
+    is read-only, as the multiplication table is."""
     G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
     rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
                                         for m in G.elements])
     M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
     det_ts = [[mat_det(m, 3**(n + 1)) for m in G.elements] for n in (1, 2)]
     conditions = [("always", _AlwaysHolds())]
-    built, kernels = [], []
-    tree_maps, nullspace = liftlab._tree_maps, liftlab.nullspace_modp
+    built, eliminations, others = [], [], []
+    tree_maps, rref = liftlab._tree_maps, liftlab.rref_modp
 
     def counted_maps(*args):
         built.append(args)
         return tree_maps(*args)
 
-    def counted(*args):
-        kernels.append(args)
-        return nullspace(*args)
+    def counted_rref(A, p):
+        # an elimination of L: of L, or of L with at most m columns more
+        L = built[-1][1].tree_maps[3] if built else None
+        m, gd = (-1, 0) if L is None else L.shape
+        if A.shape[0] == m and gd <= A.shape[1] <= gd + m \
+                and np.array_equal(A[:, :gd] % p, L):
+            eliminations.append(A)
+        return rref(A, p)
 
     def two_steps(M):
         status, r = lift_step(rho, det_ts[0], M, conditions)
@@ -567,21 +573,106 @@ def test_module_builds_the_tree_maps_once(monkeypatch):
         return r, lift_step(r, det_ts[1], M, conditions)
 
     monkeypatch.setattr(liftlab, "_tree_maps", counted_maps)
-    monkeypatch.setattr(liftlab, "nullspace_modp", counted)
+    monkeypatch.setattr(liftlab, "rref_modp", counted_rref)
+    for name in ("solve_modp", "nullspace_modp"):
+        monkeypatch.setattr(liftlab, name,
+                            lambda *args, name=name: others.append(name))
     r, got = two_steps(M)
     Z = z1_basis(G, M)
-    assert is_coboundary(G, M, obstruction_class(rho, det_ts[0], M))
-    assert len(built) == len(kernels) == 1
+    for _ in range(3):
+        assert is_coboundary(G, M, obstruction_class(rho, det_ts[0], M))
+    assert len(built) == len(eliminations) == 1 and others == []
     assert not Z.flags.writeable and not G.table_array.flags.writeable
     with pytest.raises(ValueError):
         Z[0, 0] = 1
     fresh = AdjointModule(G, rho.rhobar(), "ad0", p=3)
     want_r, want = two_steps(fresh)
-    assert len(built) == 2
+    assert len(built) == len(eliminations) == 2 and others == []
     assert np.array_equal(z1_basis(G, fresh), Z)
     assert r.images == want_r.images
     assert got[0] == want[0] == "ok"
     assert got[1].images == want[1].images
+
+
+def _solver_modules():
+    """(name, module): the nine criterion-7 torsor instances, and the
+    module of every shipped scenario with n and b where rho-bar is upper
+    triangular."""
+    out = [(name, M) for name, _, M, _ in _obstruction_cochains()[:9]]
+    for path in SCENARIO_PATHS[:3]:
+        stem = os.path.basename(path)[:-5]
+        _, _, M = _scenario_levels(path)[0]
+        for Ms in [M] + _modules(M.model, M.rhobar, M.p, ("n", "b")):
+            out.append((f"{stem}/{Ms.selector}", Ms))
+    return out
+
+
+def test_edge_solve_matches_solve_modp():
+    """The solve read off the module's one elimination of L gives
+    `solve_modp(L, rhs, p)` on consistent right-hand sides L x and on
+    random ones, None included, and ker L is `nullspace_modp(L, p)`."""
+    rng = np.random.default_rng(32)
+    answers = {True: 0, False: 0}
+    names = []
+    for name, M in _solver_modules():
+        names.append(name)
+        L, p = M.tree_maps[3], M.p
+        assert np.array_equal(M.coboundary_maps.kernel,
+                              nullspace_modp(L, p)), name
+        for consistent in (True, False) * 4:
+            rhs = (L @ rng.integers(0, p, L.shape[1]) % p if consistent
+                   else rng.integers(0, p, L.shape[0]))
+            got = liftlab._solve_edges(M, rhs)
+            want = solve_modp(L, rhs, p)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert np.array_equal(got, want), name
+            answers[want is not None] += 1
+    assert len(names) == 18
+    assert answers == {True: 78, False: 66}
+
+
+def _mismatch_case():
+    G, rho = s3_rep_mod5()
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    obs = obstruction_class(rho, _teichmuller_dets(rho, 2), M)
+    return G, M, obs
+
+
+def test_is_coboundary_refuses_another_groups_model():
+    G, M, obs = _mismatch_case()
+    Q8 = group_from_matrices([(0, 1, 2, 0), (1, 1, 1, 2)], 3, max_size=24)
+    assert len(Q8) == 8 and len(G) == 6
+    with pytest.raises(ValueError, match="not the module's own"):
+        is_coboundary(Q8, M, obs)
+    with pytest.raises(ValueError, match="not the module's own"):
+        z1_basis(Q8, M)
+    # an equal group built again is another model too
+    G2, _ = s3_rep_mod5()
+    with pytest.raises(ValueError, match="not the module's own"):
+        is_coboundary(G2, M, obs)
+
+
+def test_is_coboundary_refuses_a_degree_1_cochain():
+    G, M, _ = _mismatch_case()
+    f = liftlab.Cochain(1, M, np.zeros((len(G), M.dim), dtype=np.int64))
+    with pytest.raises(ValueError, match="got a degree-1 cochain"):
+        is_coboundary(G, M, f)
+
+
+def test_is_coboundary_refuses_another_modules_cochain():
+    G, M, obs = _mismatch_case()
+    other = AdjointModule(G, M.rhobar, "ad0", p=5)
+    with pytest.raises(ValueError, match="of another module"):
+        is_coboundary(G, M, liftlab.Cochain(2, other, obs.values))
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 1), (6, 5, 3), (36, 3)])
+def test_is_coboundary_refuses_values_of_the_wrong_shape(shape):
+    G, M, _ = _mismatch_case()
+    c = liftlab.Cochain(2, M, np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"expected \(6, 6, 3\)"):
+        is_coboundary(G, M, c)
 
 
 def _scenario_steps(monkeypatch, holds):
@@ -620,14 +711,22 @@ def test_lift_step_checks_the_cocycle_identity_once(monkeypatch):
 def test_lift_step_raises_on_a_failed_cocycle_identity(monkeypatch,
                                                        solvable):
     """A cochain that fails the cocycle identity raises
-    InvariantViolation whether or not the coboundary system solves."""
-    G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
-    rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
-                                        for m in G.elements])
+    InvariantViolation whether or not the coboundary system solves: the
+    unipotent group of order 27 lifts from level 1, and Z/3 with
+    rho-bar (1, 3; 0, 1) at level 2 is obstructed."""
+    if solvable:
+        G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
+        rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
+                                            for m in G.elements])
+        det_t = [mat_det(m, 9) for m in G.elements]
+    else:
+        G = cyclic(3)
+        rho = RepresentationModPn(G, 3, 2, G.extend_homomorphism(
+            [(1, 3, 0, 1)], lambda a, b: mat_mul(a, b, 9)))
+        det_t = _teichmuller_dets(rho, 3)
     M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
-    det_t = [mat_det(m, 9) for m in G.elements]
-    if not solvable:
-        monkeypatch.setattr(liftlab, "solve_modp", lambda *args: None)
+    obs = obstruction_class(rho, det_t, M)
+    assert (is_coboundary(G, M, obs) is not None) == solvable
     monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
                         lambda *args: False)
     with pytest.raises(InvariantViolation, match="cocycle identity"):

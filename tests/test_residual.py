@@ -356,6 +356,22 @@ def test_kernel_stability_rejects_non_kernel_factor():
         assert not _kernel_stable(E11A1, [0] + H)
 
 
+def test_kernel_stable_on_its_own(monkeypatch):
+    """x on 37a1 is refused: its root is the abscissa of (0, 0), a point
+    of infinite order, and x(2 (0, 0)) = 1.  11a1's two computed
+    5-kernels, in primitive form, pass it and `is_kernel_polynomial`,
+    which refuses both once the duplication test refuses them."""
+    assert not _kernel_stable(E37A1, [0, 1])
+    kernels = ([-29, 5, 5], [80, -21, 1])
+    assert sorted(map(primitive_integer, kernels_of(E11A1, 5))) == \
+        sorted(kernels)
+    for H in kernels:
+        assert _kernel_stable(E11A1, H)
+        assert is_kernel_polynomial(E11A1, 5, H)
+    monkeypatch.setattr(residual, "_kernel_stable", lambda E, H: False)
+    assert not any(is_kernel_polynomial(E11A1, 5, H) for H in kernels)
+
+
 def test_zassenhaus_checks_factor_degrees():
     """A factorization mod q that drops a factor is an internal fault of
     the Zassenhaus oracle: InvariantViolation."""

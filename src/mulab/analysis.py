@@ -150,14 +150,19 @@ def _check_schema(rec, i: int) -> None:
         raise ParseError(f"{label}: ap must map primes to integers, got "
                          f"{ap!r}")
     for key, a in ap.items():
-        # at most 24 digits: below 10^24 is_probable_prime is exact
-        if not (key.isascii() and key.isdigit() and len(key) <= 24
-                and is_probable_prime(int(key))):
+        if not _decimal_prime(key):
             raise ParseError(f"{label}: ap key {key!r} is not a prime "
                              "below 10^24 written in decimal")
         if type(a) is not int:
             raise ParseError(f"{label}: ap[{key!r}] must be an integer, "
                              f"got {a!r}")
+
+
+def _decimal_prime(key: str) -> bool:
+    """Whether key writes a prime below 10^24 in decimal digits (at most
+    24 of them: below 10^24 is_probable_prime is exact)."""
+    return (key.isascii() and key.isdigit() and len(key) <= 24
+            and is_probable_prime(int(key)))
 
 
 def _same_radical(x: int, y: int) -> bool:
@@ -173,20 +178,26 @@ def _same_radical(x: int, y: int) -> bool:
 
 
 def _kernel_polys(label: str, raw) -> dict:
-    """{p: [[c0, c1, ...], ...]}, each coefficient an integer or a
-    rational string, as {p: [tuple of Fractions, ...]}; ParseError for
-    any other shape."""
+    """{p: [[c0, c1, ...], ...]}, p a prime in canonical decimal (no
+    leading zero, so no two keys name one p) and each coefficient an
+    integer or a rational string, as {int p: [tuple of Fractions, ...]};
+    ParseError for any other shape."""
     if not isinstance(raw, dict):
         raise ParseError(f"{label}: kernel_polys must map p to a list of "
                          f"coefficient lists, got {raw!r}")
     out = {}
     for key, polys in raw.items():
+        if not (_decimal_prime(key) and key[0] != "0"):
+            raise ParseError(f"{label}: kernel_polys key {key!r} is not a "
+                             "prime below 10^24 written in canonical "
+                             "decimal")
         if not isinstance(polys, list) or not all(
                 isinstance(k, list) and k for k in polys):
             raise ParseError(f"{label}: kernel_polys[{key!r}] must be a "
                              f"list of coefficient lists, got {polys!r}")
         try:
-            out[key] = [tuple(_coefficient(c) for c in k) for k in polys]
+            out[int(key)] = [tuple(_coefficient(c) for c in k)
+                             for k in polys]
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{label}: kernel_polys[{key!r}]: {exc}") \
                 from exc
@@ -309,7 +320,7 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     if pair is not None:
         chars = search_characters(p, N_cond)
         report["ss"] = sorted(character_name(chars, k) for k in pair)
-        kernels = record.kernel_polys.get(str(p))
+        kernels = record.kernel_polys.get(p)
         for i, k in enumerate(kernels or []):
             if not is_kernel_polynomial(E, p, k):
                 raise ParseError(f"{record.label}: kernel_polys['{p}'][{i}] "

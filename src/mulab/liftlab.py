@@ -531,8 +531,9 @@ def obstruction_class(rho: RepresentationModPn, det_target,
                       M: AdjointModule) -> Cochain:
     """The 2-cocycle tau(gh) tau(h)^-1 tau(g)^-1 of the set-theoretic
     lift tau = `set_theoretic_lift(rho, det_target)`, identified with
-    Id + p^n (value).  Raises InvariantViolation when it fails the
-    cocycle identity."""
+    Id + p^n (value).  Raises ValueError when rho is not a homomorphism
+    mod p^n, and InvariantViolation when the cochain fails the cocycle
+    identity."""
     obs = _obstruction_cochain(rho, M, set_theoretic_lift(rho, det_target))
     _check_obstruction(rho.model, M, obs)
     return obs
@@ -541,7 +542,8 @@ def obstruction_class(rho: RepresentationModPn, det_target,
 def _obstruction_cochain(rho: RepresentationModPn, M: AdjointModule,
                          tau) -> Cochain:
     """The cochain of `obstruction_class` from the set-theoretic lift tau,
-    unchecked.  All n^2 products are taken at once, in int64 while
+    unchecked but for ValueError when rho is not a homomorphism mod p^n.
+    All n^2 products are taken at once, in int64 while
     p^(n+1) <= 2^31 keeps a sum of two products below 2^63, and in
     Python integers above that."""
     p, n = rho.p, rho.n
@@ -552,8 +554,15 @@ def _obstruction_cochain(rho: RepresentationModPn, M: AdjointModule,
                        dtype=dtype).reshape(-1, 2, 2)
     F = np.array(tau, dtype=dtype).reshape(-1, 2, 2)[G.table_array]
     F = (F @ tau_inv[None] % mod) @ tau_inv[:, None] % mod
-    F[..., [0, 1], [0, 1]] -= 1
-    coords, inside = M._coords(F.reshape(F.shape[:2] + (4,)) % mod // p**n)
+    F = F.reshape(F.shape[:2] + (4,)) - MAT_ID
+    # F = 0 mod p^n on every pair exactly when rho is a homomorphism
+    # mod p^n, and then no entry is negative; np.divmod has no loop for
+    # object arrays
+    value, rem = (np.divmod(F, p**n) if dtype is np.int64
+                  else (F // p**n, F % p**n))
+    if rem.any():
+        raise ValueError(f"rho is not a homomorphism mod {p}^{n}")
+    coords, inside = M._coords(value)
     if not inside:
         # the lift fixes the determinant, so the value has trace 0; with
         # n or b the images above level 1 may still leave the submodule

@@ -17,13 +17,16 @@ square root is built.
 A rational p-isogeny kernel is a Frob_q-stable line of E[p] for every
 good q != p.  At the least odd q where X^2 - a_q X + q has two distinct
 roots mod p, the only stable lines are the two eigenlines, and each is
-cut out of psi_p mod q by one gcd with the two identities in
-F_q[x]/(psi_p).  Each of these (at most two) factors is Hensel-lifted
-against its cofactor, by quadratic steps (von zur Gathen and Gerhard,
-Modern Computer Algebra, Alg. 15.10), until exact division of psi_p in
-Z[x] accepts the centred candidate or a bound on the roots of psi_p
-rejects it; an accepted factor is a kernel when its roots are closed
-under duplication, checked by one exact division in Z[x].  When
+cut out of psi_p mod q by a gcd with the two identities in
+F_q[x]/(psi_p).  The x-identity depends on lambda only through
+min(lambda, p - lambda), so when the roots are lambda and p - lambda
+(at p = 3 always) their x-gcd is taken once and split by each root's
+y-identity.  Each of these (at most two) factors is lifted alone, by
+Newton iteration on its roots (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 9 and section 15.4), until exact division of
+psi_p in Z[x] accepts the centred candidate or a bound on the roots of
+psi_p rejects it; an accepted factor is a kernel when its roots are
+closed under duplication, checked by one exact division in Z[x].  When
 X^2 - a_q X + q has no root mod p, no line is stable and there is no
 kernel.
 
@@ -98,8 +101,8 @@ class _EigenTest:
     def red(self, a):
         return poly_divmod(a, self.h, self.ell)[1]
 
-    def mul(self, *factors):
-        out = [1]
+    def mul(self, out, *factors):
+        """The product of residues (each reduced mod ell and h)."""
         for f in factors:
             out = self.red(poly_mul(out, f))
         return out
@@ -162,43 +165,6 @@ def _divides(g, f) -> bool:
     return not any(r[:dg])
 
 
-def _hensel_steps(f, g, h, q, k_target):
-    """Lift f = g*h (mod q) towards mod q^k_target, f and g, h monic,
-    yielding (G, H, q^j) after each step; f = G*H mod q^k_target is
-    checked before the last one.
-
-    Quadratic Hensel steps (von zur Gathen and Gerhard, Modern Computer
-    Algebra, Alg. 15.10) carry g, h and the Bezout pair s*g + t*h = 1
-    from mod q^j to mod q^min(2j, k_target)."""
-    one, s, t = poly_xgcd(g, h, q)
-    if one != [1]:
-        raise InvariantViolation(
-            f"Hensel factors are not coprime mod {q}")
-    G, H = [c % q for c in g], [c % q for c in h]
-    j = 1
-    while j < k_target:
-        j = min(2 * j, k_target)
-        m = q**j
-        e = poly_sub(f, poly_mul(G, H), m)
-        # G += t*e + quo(s*e, H)*G and H += rem(s*e, H), both monic
-        quo, rem = poly_divmod(poly_mul(s, e, m), H, m)
-        G = poly_add(G, poly_add(poly_mul(t, e, m), poly_mul(quo, G, m)),
-                     m)
-        H = poly_add(H, rem, m)
-        if j < k_target:
-            b = poly_sub(poly_add(poly_mul(s, G, m), poly_mul(t, H, m)),
-                         [1], m)
-            c, d = poly_divmod(poly_mul(s, b, m), H, m)
-            s = poly_sub(s, d, m)
-            t = poly_sub(t, poly_add(poly_mul(t, b, m), poly_mul(c, G, m)),
-                         m)
-            yield G, H, m
-    if poly_sub(f, poly_mul(G, H), q**k_target):
-        raise InvariantViolation(
-            f"Hensel lift does not factor f mod {q}^{k_target}")
-    yield G, H, q**k_target
-
-
 def _center(c, m):
     c %= m
     return c - m if c > m // 2 else c
@@ -232,7 +198,15 @@ def _lift_factor(f, g, q):
     the lift G of g is monic(H) mod q^k, and lc(f) G centred mod q^k is
     lc(f) monic(H) once q^k exceeds 2 bound.  Each step tries its
     centred primitive candidate, which exact division of f certifies at
-    once; past that precision no factor is g mod q."""
+    once; past that precision no factor is g mod q.
+
+    G is lifted alone, by Newton iteration on its roots (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 9 and section 15.4): with
+    F = f / lc(f) and W = 1/F' mod G, each root a of G moves to
+    a - F(a) W(a), so G gains (F G' W mod G), and W is refined by
+    W (2 - F' W); from mod q^j both hold mod q^2j.  No product exceeds
+    degree 2 deg g.  F = 0 mod (G, q^k) is checked at the last
+    precision."""
     lc, d = f[-1], len(g) - 1
     R = _root_bound(f)
     bound = abs(lc) * max(comb(d, j) * R**j for j in range(d + 1))
@@ -240,13 +214,35 @@ def _lift_factor(f, g, q):
     while q**k < 2 * bound + 1:
         k += 1
     inv = pow(lc, -1, q**k)
-    monic = [c * inv % q**k for c in f]
-    cofactor = poly_divmod(poly_monic(f, q), g, q)[0]
-    for G, _, m in _hensel_steps(monic, g, cofactor, q, k):
+    F = [c * inv % q**k for c in f]
+    dF = poly_deriv(F, q**k)
+    one, W, _ = poly_xgcd(poly_divmod(dF, g, q)[1], g, q)
+    if one != [1]:
+        raise InvariantViolation(f"f is not squarefree mod {q}")
+    G, j, m = list(g), 1, q
+    while True:
+        if j < k:
+            j = min(2 * j, k)
+            m = q**j
+            G = poly_add(G, _mulmod(_mulmod(poly_divmod(F, G, m)[1],
+                                            poly_deriv(G, m), G, m),
+                                    W, G, m), m)
+            if j < k:
+                dFW = _mulmod(poly_divmod(dF, G, m)[1], W, G, m)
+                W = _mulmod(W, poly_sub([2], dFW, m), G, m)
+        if j == k and poly_divmod(F, G, m)[1]:
+            raise InvariantViolation(
+                f"the lift of g does not divide f mod {q}^{k}")
         cand = _primitive([_center(lc * c, m) for c in G])
         if poly_monic(cand, q) == g and _divides(cand, f):
             return cand
-    return None
+        if j == k:
+            return None
+
+
+def _mulmod(a, b, h, m):
+    """a b mod (h, m)."""
+    return poly_divmod(poly_mul(a, b, m), h, m)[1]
 
 
 def frobenius_roots(a_ell: int, ell: int, p: int) -> list[int]:
@@ -291,9 +287,13 @@ def kernel_polynomials(E: Curve, p: int):
     fbar = poly_monic(f, q)
     test = _EigenTest(E, q, fbar)
     out = []
+    # roots lam and p - lam share their x-test: gcd once per l
+    x_gcds = {}
     for lam in roots:
-        g = poly_gcd(poly_gcd(fbar, test.x_residue(lam, p), q),
-                     test.y_residue(lam, p), q)
+        l = min(lam, p - lam)
+        if l not in x_gcds:
+            x_gcds[l] = poly_gcd(fbar, test.x_residue(lam, p), q)
+        g = poly_gcd(x_gcds[l], test.y_residue(lam, p), q)
         if len(g) - 1 != (p - 1) // 2:
             raise InvariantViolation(
                 f"the {lam}-eigenline of Frob_{q} is cut out by a factor "

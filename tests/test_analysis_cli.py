@@ -157,7 +157,7 @@ def supplied_kernels(rec: CurveRecord, p: int) -> CurveRecord:
     fixture = next(r for r in FROBENIUS_FIXTURE
                    if (r["label"], r["p"]) == (rec.label, p))
     kernels = [tuple(Fraction(c) for c in k) for k in fixture["kernels"]]
-    return replace(rec, kernel_polys={str(p): kernels})
+    return replace(rec, kernel_polys={p: kernels})
 
 
 # 11a1 at p = 5 with its two kernels supplied: each line's character
@@ -1070,12 +1070,23 @@ def test_cli_refuses_a_supplied_polynomial_that_is_no_kernel(
     ({"5": [[0.5, 1]]}, "coefficient 0.5 is not an integer"),
     ({"5": [["1/0", "1"]]}, "kernel_polys['5']"),
     ([["0", "-1", "1"]], "kernel_polys must map p"),
+    ({"x": [[1, 1]]}, "kernel_polys key 'x' is not a prime"),
+    ({"05": [["-1", "1"]]}, "kernel_polys key '05' is not a prime"),
+    ({"5": [["-1", "1"]], "05": [["0", "1"]]},
+     "kernel_polys key '05' is not a prime below 10^24 written in "
+     "canonical decimal"),
+    ({"4": [["-1", "1"]]}, "kernel_polys key '4' is not a prime"),
+    ({"-5": [["-1", "1"]]}, "kernel_polys key '-5' is not a prime"),
+    ({" 5": [["-1", "1"]]}, "kernel_polys key ' 5' is not a prime"),
+    ({"9" * 5000: [["-1", "1"]]}, "is not a prime below 10^24"),
 ])
 def test_cli_malformed_kernel_polys_exit_3(tmp_path, capsys, kernel_polys,
                                            complaint):
-    """A kernel_polys value that is not a list of coefficient lists, or a
-    coefficient that is not an integer or a rational string, is an input
-    error at ingest, not a traceback from analyze."""
+    """A kernel_polys value that is not a list of coefficient lists, a
+    coefficient that is not an integer or a rational string, or a key
+    that is not a prime in canonical decimal (so that "05" cannot stand
+    beside "5", or go unread), is an input error at ingest, not a
+    traceback from analyze or a key analyze never reads."""
     curves = write_json(tmp_path, "c.json", [
         {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11,
          "kernel_polys": kernel_polys}])

@@ -145,6 +145,33 @@ def test_obstruction_zero_iff_lifts_exist():
     assert lifts
 
 
+@pytest.mark.parametrize("n", [2, 20])
+def test_obstruction_class_refuses_a_non_homomorphism(n):
+    """On Z/3 at p = 3, the images of x -> (1, 3^(n-1) x; 0, 1) mod 3^n
+    with 3^(n-1) added to the b-entry of the element that is neither the
+    generator nor the identity are no representation.  The cocycle
+    identity alone passes the cochain built from them (and lift_step
+    called the step obstructed), so `_obstruction_cochain` refuses it
+    with ValueError, in int64 (n = 2) and in Python integers (n = 20,
+    p^(n+1) > 2^31)."""
+    G = group_from_permutations([(1, 2, 0)])
+    mod = 3**n
+    images = G.extend_homomorphism([(1, 3**(n - 1), 0, 1)],
+                                   lambda a, b: mat_mul(a, b, mod))
+    (i,) = [i for i, m in enumerate(images)
+            if i not in G.generators and m != MAT_ID]
+    a, b, c, d = images[i]
+    images[i] = (a, (b + 3**(n - 1)) % mod, c, d)
+    rho = RepresentationModPn(G, 3, n, images)
+    assert not rho.verify()
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    det_t = _teichmuller_dets(rho, n + 1)
+    with pytest.raises(ValueError, match="not a homomorphism mod 3"):
+        obstruction_class(rho, det_t, M)
+    with pytest.raises(ValueError, match="not a homomorphism mod 3"):
+        lift_step(rho, det_t, M, [])
+
+
 def test_cohomology_reads_the_table_array_built_once(monkeypatch):
     """The multiplication table is one read-only int array per model,
     and the obstruction, the cocycle identity, the coboundary solve, Z^1

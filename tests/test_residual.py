@@ -2,7 +2,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,6 @@ from mulab.errors import (
 )
 from mulab.padic import val_int
 from mulab.residual import (
-    _hensel_steps,
     _kernel_stable,
     _separating_prime,
     alignment_degree,
@@ -382,6 +381,44 @@ def test_zassenhaus_checks_factor_degrees():
     with pytest.raises(InvariantViolation, match="degree"):
         monic_factors_of_degree(E11A1.division_polynomial(5), 2,
                                 factor_mod_q=dropping)
+
+
+def _hensel_steps(f, g, h, q, k_target):
+    """Lift f = g*h (mod q) towards mod q^k_target, f and g, h monic,
+    yielding (G, H, q^j) after each step; f = G*H mod q^k_target is
+    checked before the last one.  The cofactor lift `residual._lift_factor`
+    ran before it lifted g alone by Newton iteration.
+
+    Quadratic Hensel steps (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Alg. 15.10) carry g, h and the Bezout pair s*g + t*h = 1
+    from mod q^j to mod q^min(2j, k_target)."""
+    one, s, t = poly_xgcd(g, h, q)
+    if one != [1]:
+        raise InvariantViolation(
+            f"Hensel factors are not coprime mod {q}")
+    G, H = [c % q for c in g], [c % q for c in h]
+    j = 1
+    while j < k_target:
+        j = min(2 * j, k_target)
+        m = q**j
+        e = poly_sub(f, poly_mul(G, H), m)
+        # G += t*e + quo(s*e, H)*G and H += rem(s*e, H), both monic
+        quo, rem = poly_divmod(poly_mul(s, e, m), H, m)
+        G = poly_add(G, poly_add(poly_mul(t, e, m), poly_mul(quo, G, m)),
+                     m)
+        H = poly_add(H, rem, m)
+        if j < k_target:
+            b = poly_sub(poly_add(poly_mul(s, G, m), poly_mul(t, H, m)),
+                         [1], m)
+            c, d = poly_divmod(poly_mul(s, b, m), H, m)
+            s = poly_sub(s, d, m)
+            t = poly_sub(t, poly_add(poly_mul(t, b, m), poly_mul(c, G, m)),
+                         m)
+            yield G, H, m
+    if poly_sub(f, poly_mul(G, H), q**k_target):
+        raise InvariantViolation(
+            f"Hensel lift does not factor f mod {q}^{k_target}")
+    yield G, H, q**k_target
 
 
 def _hensel_pair(f, g, h, q, k_target):
@@ -938,17 +975,41 @@ def test_lift_factor_rejects_a_line_with_no_rational_factor():
     assert sum(H is None for H in lifted) == 1
 
 
-# -- the Mignotte bound the root bound of _lift_factor replaced ---------------
+def test_kernel_polynomials_take_one_x_test_per_l(monkeypatch):
+    """Roots lam and p - lam share Elkies' x-identity, so on the corpus
+    kernel_polynomials computes it once per l = min(lam, p - lam): once
+    for the two roots at p = 3."""
+    from mulab import residual
+
+    calls = []
+    x_residue = residual._EigenTest.x_residue
+
+    def counting(self, lam, p):
+        calls.append(min(lam, p - lam))
+        return x_residue(self, lam, p)
+
+    monkeypatch.setattr(residual._EigenTest, "x_residue", counting)
+    shared = 0
+    for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
+        E, p = Curve(*rec["ainvs"]), rec["p"]
+        f = residual._primitive(E.division_polynomial(p))
+        _, roots = _separating_prime(E, p, f)
+        calls.clear()
+        kernel_polynomials(E, p)
+        ls = sorted({min(lam, p - lam) for lam in roots})
+        assert sorted(calls) == ls, (rec["label"], roots)
+        shared += len(roots) == 2 and len(ls) == 1
+    assert shared >= 10
 
 
-def mignotte_lift_factor(f, g, q):
-    """_lift_factor with the lc-scaled Mignotte bound: a factor g' of f
-    of degree d has |lc(f)/lc(g') g'| <= 2^d |f|_2."""
-    lc, d = f[-1], len(g) - 1
-    bound = abs(lc) * 2**d * (isqrt(sum(c * c for c in f)) + 1)
-    k = 1
-    while q**k < 2 * bound + 1:
-        k += 1
+# -- the cofactor lift and the Mignotte bound that _lift_factor replaced ----
+
+
+def _quadratic_lift(f, g, q, k):
+    """The primitive integer factor of f that is g mod q, or None, by
+    lifting g with its cofactor to mod q^k (`_hensel_steps`) and trying
+    the centred candidate after each step."""
+    lc = f[-1]
     inv = pow(lc, -1, q**k)
     monic = [c * inv % q**k for c in f]
     cofactor = poly_divmod(poly_monic(f, q), g, q)[0]
@@ -957,6 +1018,30 @@ def mignotte_lift_factor(f, g, q):
         if poly_monic(cand, q) == g and residual._divides(cand, f):
             return cand
     return None
+
+
+def _precision(q, bound):
+    """The least k with q^k > 2 bound."""
+    k = 1
+    while q**k < 2 * bound + 1:
+        k += 1
+    return k
+
+
+def quadratic_lift_factor(f, g, q):
+    """_lift_factor by quadratic Hensel steps on g and its cofactor, to
+    the same root bound."""
+    d, R = len(g) - 1, residual._root_bound(f)
+    bound = abs(f[-1]) * max(comb(d, j) * R**j for j in range(d + 1))
+    return _quadratic_lift(f, g, q, _precision(q, bound))
+
+
+def mignotte_lift_factor(f, g, q):
+    """_lift_factor with the lc-scaled Mignotte bound: a factor g' of f
+    of degree d has |lc(f)/lc(g') g'| <= 2^d |f|_2."""
+    d = len(g) - 1
+    bound = abs(f[-1]) * 2**d * (isqrt(sum(c * c for c in f)) + 1)
+    return _quadratic_lift(f, g, q, _precision(q, bound))
 
 
 def eigenline_factors(E, p):
@@ -988,6 +1073,87 @@ def test_root_bound_lift_matches_the_mignotte_lift():
             assert H == mignotte_lift_factor(f, g, q), (ainvs, p, g)
             outcomes.append(H is None)
     assert len(cases) > 40 and True in outcomes and False in outcomes
+
+
+def _curve_lift_cases():
+    """(ainvs, p): the corpus at each record's p, and the curves of
+    frobenius_scalars.json and curves_11a.json at p = 3, 5 and 7."""
+    cases = [(tuple(rec["ainvs"]), rec["p"]) for rec in
+             json.loads((DATA / "corpus_reducible.json").read_text())]
+    for rec in (json.loads(FROBENIUS_FIXTURE.read_text())
+                + json.loads((DATA / "curves_11a.json").read_text())):
+        for p in (3, 5, 7):
+            if (tuple(rec["ainvs"]), p) not in cases:
+                cases.append((tuple(rec["ainvs"]), p))
+    return cases
+
+
+def test_newton_lift_matches_the_quadratic_lift_on_curves():
+    """Every eigenline of every case of `_curve_lift_cases`: the Newton
+    lift returns what the cofactor lift returns, accepted or rejected."""
+    outcomes = []
+    for ainvs, p in _curve_lift_cases():
+        f, q, factors = eigenline_factors(Curve(*ainvs), p)
+        for g in factors:
+            H = residual._lift_factor(f, g, q)
+            assert H == quadratic_lift_factor(f, g, q), (ainvs, p, g)
+            outcomes.append(H is None)
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+
+def _seeded_lift_case(rng):
+    """(f, g, q, H): f = H h, primitive, of degree up to 84 (84, the
+    degree of psi_13, a quarter of the time), g = H mod q made monic and
+    f squarefree mod q.  Half of the time q times noise is added below
+    the leading term, so that f = H h only mod q, and H is None: the lift
+    is then only compared with the oracle."""
+    while True:
+        d = rng.randint(1, 6)
+        e = (84 if rng.random() < 0.25 else rng.randint(d + 1, 84)) - d
+        H0 = [rng.randint(-40, 40) for _ in range(d)] + [rng.randint(1, 9)]
+        h = [rng.randint(-40, 40) for _ in range(e)] + [rng.randint(1, 9)]
+        q = rng.choice([3, 5, 7, 11, 13, 101])
+        f = poly_mul(H0, h)
+        noisy = rng.random() < 0.5
+        if noisy:
+            f = [c + q * rng.randint(-5, 5) for c in f[:-1]] + [f[-1]]
+        f = residual._primitive(f)
+        if f[-1] % q == 0 or H0[-1] % q == 0:
+            continue
+        g = poly_monic(H0, q)
+        fbar = poly_monic(f, q)
+        if poly_divmod(fbar, g, q)[1] or \
+                len(poly_gcd(fbar, poly_deriv(fbar, q), q)) > 1:
+            continue
+        return f, g, q, None if noisy else residual._primitive(H0)
+
+
+def test_newton_lift_matches_the_quadratic_lift_on_seeded_products():
+    """f = H h up to degree 84, and the same with noise times q added:
+    the Newton lift returns what the cofactor lift returns, which is
+    primitive(H) on an exact product."""
+    rng = random.Random(33)
+    outcomes = []
+    for _ in range(60):
+        f, g, q, want = _seeded_lift_case(rng)
+        got = residual._lift_factor(f, g, q)
+        assert got == quadratic_lift_factor(f, g, q), (f, g, q)
+        if want is not None:
+            assert got == want
+        outcomes.append((got is None, len(f) - 1))
+    assert sum(none for none, _ in outcomes) >= 15
+    assert sum(not none for none, _ in outcomes) >= 15
+    assert max(deg for _, deg in outcomes) == 84
+
+
+def test_newton_lift_checks_its_preconditions_and_its_lift():
+    """g = x + 1 does not divide x^2 + 5 mod 7, so the lift cannot make
+    it divide f mod 7^k: the closing check raises.  (x + 1)^2 is not
+    squarefree mod 7, so f' has no inverse mod (g, 7)."""
+    with pytest.raises(InvariantViolation, match="does not divide"):
+        residual._lift_factor([5, 0, 1], [1, 1], 7)
+    with pytest.raises(InvariantViolation, match="not squarefree"):
+        residual._lift_factor([1, 2, 1], [1, 1], 7)
 
 
 def test_root_bound_exceeds_every_root():

@@ -4,6 +4,10 @@ Iwasawa invariants, cross-checks, and the serializable report.
 Analytic mu is reported as the mu-invariant of the p-primary Selmer group
 conditional on the main conjecture; the assumption is carried in every
 report rather than silently applied.
+
+Every p-isogeny kernel line, computed or supplied, gets its character
+from the eigenvalue of Frob_q on it, q the separating prime
+(`residual.separating_prime`).
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import is_probable_prime
+from .arith import is_probable_prime, poly_monic
 from .dirichlet import CharacterExponents
 from .elliptic import Curve
 from .errors import (
     BadReduction,
     InconsistentAp,
-    InsufficientLineData,
     InvalidModel,
     InvariantViolation,
-    NoFrobeniusScalar,
+    MuLabError,
     NotOrdinary,
     ParseError,
 )
@@ -52,6 +55,7 @@ from .residual import (
     kernel_polynomials,
     search_characters,
     semisimplification,
+    separating_prime,
     sturm_bound,
 )
 
@@ -123,7 +127,7 @@ def _check_schema(rec, i: int) -> None:
     """ParseError naming record i and the field, unless rec is an object
     with a string label, ainvs a list of five integers, p (unless absent
     or null, which both mean no p of its own) an integer, and ap (if
-    present) mapping primes written in decimal to integers.  The
+    present) mapping primes in canonical decimal to integers.  The
     conductor and kernel_polys are checked where they are read; bool is
     not an integer here."""
     if not isinstance(rec, dict):
@@ -152,17 +156,18 @@ def _check_schema(rec, i: int) -> None:
     for key, a in ap.items():
         if not _decimal_prime(key):
             raise ParseError(f"{label}: ap key {key!r} is not a prime "
-                             "below 10^24 written in decimal")
+                             "below 10^24 written in canonical decimal")
         if type(a) is not int:
             raise ParseError(f"{label}: ap[{key!r}] must be an integer, "
                              f"got {a!r}")
 
 
 def _decimal_prime(key: str) -> bool:
-    """Whether key writes a prime below 10^24 in decimal digits (at most
-    24 of them: below 10^24 is_probable_prime is exact)."""
-    return (key.isascii() and key.isdigit() and len(key) <= 24
-            and is_probable_prime(int(key)))
+    """Whether key writes a prime below 10^24 in canonical decimal: at
+    most 24 digits (below 10^24 is_probable_prime is exact) and no
+    leading zero, so no two keys of one mapping name one prime."""
+    return (key.isascii() and key.isdigit() and key[0] != "0"
+            and len(key) <= 24 and is_probable_prime(int(key)))
 
 
 def _same_radical(x: int, y: int) -> bool:
@@ -178,8 +183,8 @@ def _same_radical(x: int, y: int) -> bool:
 
 
 def _kernel_polys(label: str, raw) -> dict:
-    """{p: [[c0, c1, ...], ...]}, p a prime in canonical decimal (no
-    leading zero, so no two keys name one p) and each coefficient an
+    """{p: [[c0, c1, ...], ...]}, p a prime in canonical decimal
+    (`_decimal_prime`) and each coefficient an
     integer or a rational string, as {int p: [tuple of Fractions, ...]};
     ParseError for any other shape."""
     if not isinstance(raw, dict):
@@ -187,7 +192,7 @@ def _kernel_polys(label: str, raw) -> dict:
                          f"coefficient lists, got {raw!r}")
     out = {}
     for key, polys in raw.items():
-        if not (_decimal_prime(key) and key[0] != "0"):
+        if not _decimal_prime(key):
             raise ParseError(f"{label}: kernel_polys key {key!r} is not a "
                              "prime below 10^24 written in canonical "
                              "decimal")
@@ -321,24 +326,16 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
         chars = search_characters(p, N_cond)
         report["ss"] = sorted(character_name(chars, k) for k in pair)
         kernels = record.kernel_polys.get(p)
-        for i, k in enumerate(kernels or []):
-            if not is_kernel_polynomial(E, p, k):
-                raise ParseError(f"{record.label}: kernel_polys['{p}'][{i}] "
-                                 f"is not a {p}-isogeny kernel")
         if kernels is None:
             q, lines = kernel_polynomials(E, p)
-            kernels = [k for k, _ in lines]
-            line_chars = _lines_at_separating_prime(
-                E, q, [lam for _, lam in lines], pair, chars, p,
-                record.label)
         else:
-            # one Frobenius scalar per supplied line picks phi1 or phi2
-            line_chars = [_line_character(E, k, pair, chars, p, N_cond,
-                                          ell_bound) for k in kernels]
-        report["kernel_count"] = len(kernels)
+            q, lines = _supplied_lines(E, kernels, p, record.label)
+        line_chars = _lines_at_separating_prime(
+            E, q, [lam for _, lam in lines], pair, chars, p, record.label)
+        report["kernel_count"] = len(lines)
         report["line_characters"] = [character_name(chars, k)
                                      for k in line_chars]
-        if kernels:
+        if lines:
             cls = classify_alignment(line_chars, chars)
             report["classification"] = cls
             if cls == "aligned":
@@ -415,17 +412,50 @@ def analyze(record: CurveRecord, p: int, N_prec: int = 6,
     return report
 
 
+def _supplied_lines(E: Curve, kernels, p: int, label: str):
+    """(q, lines) as `kernel_polynomials` returns them, for the supplied
+    kernels in their order ((None, []) for none, with no q sought): each
+    must pass the checks a computed kernel passes (else ParseError), and
+    is taken in monic form, so with denominators only at p, with one
+    `frobenius_scalar` call at the separating prime q.  A kernel line is
+    an eigenline of Frob_q, so a refusal there, or a scalar that is not a
+    root of X^2 - a_q X + q mod p, is InvariantViolation."""
+    for i, k in enumerate(kernels):
+        if not is_kernel_polynomial(E, p, k):
+            raise ParseError(f"{label}: kernel_polys['{p}'][{i}] "
+                             f"is not a {p}-isogeny kernel")
+    if not kernels:
+        return None, []
+    q, roots = separating_prime(E, p)
+    lines = []
+    for k in kernels:
+        k = poly_monic(k)
+        try:
+            lam = frobenius_scalar(E, k, q, p)
+        except MuLabError as exc:
+            raise InvariantViolation(
+                f"{label}: a supplied {p}-isogeny kernel gets no Frob_{q} "
+                f"scalar at its separating prime: {exc}") from exc
+        if lam not in roots:
+            raise InvariantViolation(
+                f"{label}: Frob_{q} scalar {lam} on a supplied kernel line "
+                f"is neither of the roots {roots}")
+        lines.append((k, lam))
+    return q, lines
+
+
 def _lines_at_separating_prime(E: Curve, q: int, scalars, pair,
                                chars: CharacterExponents, p: int,
                                label: str):
-    """The character of each computed kernel line, from lam, the
-    eigenvalue of Frob_q on it that `kernel_polynomials` returns with it
-    (scalars), q its separating prime.
+    """The character of each kernel line, from lam, the eigenvalue of
+    Frob_q on it (scalars), q its separating prime.
 
-    A kernel line is Galois-stable, so Frob_q acts on it by the line's
-    character at q, and that character is phi1 or phi2 (see
-    `_line_character`): the one whose value at q is lam.  phi1 + phi2 =
-    a_q and phi1 phi2 = chi-bar, so {phi1(q), phi2(q)} must be the set of
+    A kernel line is a sub-representation of E[p], so its character is
+    phi1 or phi2 of the semisimplification pair; they differ, as
+    phi1 phi2 = chi-bar is odd and a square is even.  The line is
+    Galois-stable, so Frob_q acts on it by the line's character at q:
+    the one of phi1, phi2 whose value at q is lam.  phi1 + phi2 = a_q
+    and phi1 phi2 = chi-bar, so {phi1(q), phi2(q)} must be the set of
     the two roots of X^2 - a_q X + q mod p, distinct at q; the pair was
     matched at the primes up to ell_bound only, so this is checked
     before any line is read (none, when there is no line), and
@@ -440,31 +470,6 @@ def _lines_at_separating_prime(E: Curve, q: int, scalars, pair,
             f"separating prime {q}, not the roots {roots} of "
             f"X^2 - a_{q} X + {q} mod {p}")
     return [pair[values.index(lam)] for lam in scalars]
-
-
-def _line_character(E: Curve, kernel, pair, chars: CharacterExponents,
-                    p: int, N_cond: int, ell_bound: int):
-    """The character of the semisimplification pair on the supplied
-    kernel line, a sub-representation of E[p], so phi1 or phi2; they
-    differ, as phi1 phi2 = chi-bar is odd and a square is even.  One
-    Frobenius scalar at a good ell with phi1(ell) != phi2(ell) mod p
-    tells which."""
-    for ell in range(2, 4 * ell_bound):
-        if N_cond % ell == 0 or ell == p or not is_probable_prime(ell):
-            continue
-        values = [chars.value(k, ell) for k in pair]
-        if values[0] == values[1]:
-            continue
-        try:
-            lam = frobenius_scalar(E, kernel, ell, p)
-        except (NoFrobeniusScalar, BadReduction):
-            continue
-        if lam not in values:
-            raise InvariantViolation(f"Frob_{ell} scalar {lam} on a kernel "
-                                     f"line is neither of {values}")
-        return pair[values.index(lam)]
-    raise InsufficientLineData(f"no Frobenius scalar on a kernel line "
-                               f"tells phi1, phi2 apart below {4 * ell_bound}")
 
 
 def analyze_many(records, p_of, **kwargs) -> list[dict]:

@@ -6,11 +6,12 @@ trailing zeros; the zero polynomial is [].  Inputs may be any sequence
 and may carry trailing zeros; outputs never do.  Every helper returns a
 new list and never mutates its input.
 
-Each polynomial helper takes an optional modulus m.  Given, it works
-over Z/m with coefficients reduced to [0, m); division then needs the
-divisor's leading coefficient to be a unit mod m (m prime: over F_m).
-None, it works exactly over Z or Q: a divisor with leading coefficient
-+-1 keeps integer inputs integral, any other divides in Fractions.
+Each polynomial helper takes a modulus m and works over Z/m with
+coefficients reduced to [0, m); division needs the divisor's leading
+coefficient to be a unit mod m (m prime: over F_m).  poly_add, poly_sub,
+poly_mul, poly_monic and poly_eval also take m = None, their default,
+and then work exactly over Z or Q (poly_monic divides in Fractions
+unless the leading coefficient is +-1).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _norm(a: list, m) -> list:
 
 
 def _inverse(c, m):
-    """1/c mod m, or over Q; exact ints for c = +-1."""
+    """1/c mod m, or over Q for m = None; exact ints for c = +-1."""
     if m is not None:
         return pow(c, -1, m)
     if c in (1, -1):
@@ -109,7 +110,7 @@ def poly_mul(a, b, m=None) -> list:
     return _norm(out, m)
 
 
-def poly_divmod(a, b, m=None) -> tuple[list, list]:
+def poly_divmod(a, b, m) -> tuple[list, list]:
     """(q, r) with a = q*b + r and deg r < deg b; ZeroDivisionError for
     b = 0."""
     b = _norm(list(b), m)
@@ -119,12 +120,10 @@ def poly_divmod(a, b, m=None) -> tuple[list, list]:
     db = len(b) - 1
     if len(r) <= db:
         return [], r
-    inv = _inverse(b[-1], m)
+    inv = pow(b[-1], -1, m)
     q = [0] * (len(r) - db)
     for d in range(len(r) - 1 - db, -1, -1):
-        c = r[d + db] * inv
-        if m is not None:
-            c %= m
+        c = r[d + db] * inv % m
         if c:
             q[d] = c
             # mod m, r stays congruent and is reduced once at the end
@@ -141,7 +140,7 @@ def poly_monic(a, m=None) -> list:
     return _norm([c * inv for c in a], m)
 
 
-def poly_gcd(a, b, m=None) -> list:
+def poly_gcd(a, b, m) -> list:
     """The monic gcd ([] when a = b = 0)."""
     a, b = _norm(list(a), m), _norm(list(b), m)
     while b:
@@ -149,7 +148,7 @@ def poly_gcd(a, b, m=None) -> list:
     return poly_monic(a, m)
 
 
-def poly_xgcd(a, b, m=None) -> tuple[list, list, list]:
+def poly_xgcd(a, b, m) -> tuple[list, list, list]:
     """(g, s, t) with s*a + t*b = g, g the monic gcd; for b != 0,
     deg s < deg b - deg g.  ([], [], []) when a = b = 0."""
     a, b = _norm(list(a), m), _norm(list(b), m)
@@ -161,7 +160,7 @@ def poly_xgcd(a, b, m=None) -> tuple[list, list, list]:
         s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, m), m)
     if not r0:
         return [], [], []
-    inv = _inverse(r0[-1], m)
+    inv = pow(r0[-1], -1, m)
     g = _norm([c * inv for c in r0], m)
     s = _norm([c * inv for c in s0], m)
     if not b:
@@ -171,7 +170,7 @@ def poly_xgcd(a, b, m=None) -> tuple[list, list, list]:
     return g, s, t
 
 
-def poly_powmod(a, k: int, f, m=None) -> list:
+def poly_powmod(a, k: int, f, m) -> list:
     """a^k mod f for k >= 0."""
     out = [1]
     base = poly_divmod(a, f, m)[1]
@@ -183,7 +182,7 @@ def poly_powmod(a, k: int, f, m=None) -> list:
     return out
 
 
-def poly_deriv(a, m=None) -> list:
+def poly_deriv(a, m) -> list:
     return _norm([i * c for i, c in enumerate(a)][1:], m)
 
 

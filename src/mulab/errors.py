@@ -68,13 +68,6 @@ class AmbiguousPair(MuLabError):
     """Two distinct character pairs satisfy every tested trace congruence."""
 
 
-class InsufficientLineData(MuLabError):
-    """A supplied kernel line gives no Frobenius scalar at any good prime
-    below 4 ell_bound where the two characters of the semisimplification
-    differ, so its character is not known: an input the analysis cannot
-    use.  A computed line's character comes from its separating prime."""
-
-
 class SizeBound(MuLabError):
     """An exhaustive computation exceeds its configured size bound."""
 

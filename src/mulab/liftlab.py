@@ -842,9 +842,7 @@ def _subtype_valuations_ok(x: int, y: int, cond: str, p: int,
     vy = val_int(y % p**level, p, level)
     if cond == "nr":
         return vx >= min(2, level) and vy >= min(2, level)
-    if cond == "ram":
-        return vx >= min(2, level) and vy == 1
-    raise ValueError(cond)
+    return vx >= min(2, level) and vy == 1
 
 
 def local_condition_membership(data: LocalTameData, cond_type) -> bool:
@@ -862,8 +860,6 @@ def local_condition_membership(data: LocalTameData, cond_type) -> bool:
     if params is None:
         return False
     x, y = params
-    if cond_type == "D_v":
-        return x % data.p == 0 and y % data.p == 0
     return _subtype_valuations_ok(x, y, sub, data.p, data.level)
 
 
@@ -872,8 +868,6 @@ def _condition_kind(cond_type):
     table = {
         "type1": (1, "nr"), "type2": (2, "ram"),
         "type3": (3, "nr"), "type4": (4, "ram"),
-        "D_v_nr": (3, "nr"), "D_v_ram": (4, "ram"),
-        "D_v": (3, "nr"),
     }
     if cond_type not in table:
         raise ValueError(f"unknown condition type {cond_type}")
@@ -944,8 +938,6 @@ def membership_up_to_equivalence(data: LocalTameData, cond_type) -> bool:
         if j >= level - 1:
             x = S[1] % mod
             y = T[1] % mod
-            if cond_type == "D_v":
-                return x % p == 0 and y % p == 0
             return _subtype_valuations_ok(x, y, sub, p, level)
         # solve L Y = b: E b is the reduced right-hand side, zero below
         # the rank iff the system is consistent
@@ -1138,17 +1130,9 @@ def versal_twists_stable(cond_type, v: int, p: int, k: int) -> bool:
 
 def highly_versal_degree(cond_type, v: int, p: int, k_max: int) -> int:
     """Smallest m such that N_v-twisting stabilizes C_v(Z/p^k) for every
-    m <= k <= k_max, with an escape at level m-1.
-
-    "diag" is the unramified-diagonal family at an S-prime-style
-    condition: its points are diag(u, 1) with u = 1 mod p, and the
-    tangent-space twist moves u to u (1 + c p^(k-1)) = 1 mod p at every
-    level k >= 2, so the twist never leaves the family and the degree is
-    2 (level 1 is the single residual point)."""
+    m <= k <= k_max, with an escape at level m-1."""
     if k_max < 4:
         raise ValueError("k_max must be at least 4")
-    if cond_type == "diag":
-        return 2
     stable = {k: versal_twists_stable(cond_type, v, p, k)
               for k in range(2, k_max + 1)}
     m = None
@@ -1182,7 +1166,6 @@ def ordinary_condition_check(images, inertia_flags, cochar_values,
     for t in range(p**(n - 1)):
         vec = (1, (t * p) % mod)
         ok = True
-        diag_ratios = []
         for m, is_inertia, topchar in zip(images, inertia_flags,
                                           cochar_values):
             # m fixes the line spanned by vec?

@@ -4,8 +4,9 @@ trace-based semisimplification, the aligned/skew dichotomy and
 congruence evidence for the degree of alignment.  A kernel line is a
 sub-representation, so its character is one of the semisimplification
 pair, and `analysis` tells which from the eigenvalue of Frob_q on the
-line, q the separating prime below: `kernel_polynomials` returns it with
-each kernel.  A supplied kernel gets one scalar from `frobenius_scalar`.
+line, q the separating prime below (`separating_prime`):
+`kernel_polynomials` returns it with each kernel, and a supplied kernel
+gets it from one `frobenius_scalar` call at q.
 
 Both the kernel lines and the scalar by which Frob_ell acts on a line
 come from Elkies' eigenvalue test (Schoof, J. Theor. Nombres Bordeaux 7
@@ -70,8 +71,7 @@ from .errors import (
 )
 from .padic import val_int
 
-# the separating prime q of kernel_polynomials is sought below this
-# bound, as the Frobenius scalars of `analyze` are
+# the separating prime q of every kernel line is sought below this bound
 SEPARATING_PRIME_LIMIT = 800
 
 # -- Elkies' eigenvalue identities --------------------------------------------
@@ -251,11 +251,14 @@ def frobenius_roots(a_ell: int, ell: int, p: int) -> list[int]:
             if (lam * lam - a_ell * lam + ell) % p == 0]
 
 
-def _separating_prime(E: Curve, p: int, f):
+def separating_prime(E: Curve, p: int):
     """(q, roots): the least odd good prime q != p, prime to lc(f), at
     which X^2 - a_q X + q has no root mod p (roots = []) or two distinct
-    ones with f squarefree mod q.  Primes with a double root are
-    skipped."""
+    ones with f squarefree mod q, f the primitive psi_p.  Primes with a
+    double root are skipped.  Every rational p-isogeny kernel line is an
+    eigenline of Frob_q there, so one Frobenius scalar at q gives a
+    line's character."""
+    f = _primitive(E.division_polynomial(p))
     bad = E.discriminant * f[-1]
     for q in range(3, SEPARATING_PRIME_LIMIT, 2):
         if q == p or bad % q == 0 or not is_probable_prime(q):
@@ -272,18 +275,17 @@ def _separating_prime(E: Curve, p: int, f):
 
 
 def kernel_polynomials(E: Curve, p: int):
-    """(q, lines): the separating prime q (`_separating_prime`) and, in
+    """(q, lines): the separating prime q (`separating_prime`) and, in
     canonical order, a pair (kernel, lam) for each rational p-isogeny of
     E; lines may be empty.  kernel is the monic rational polynomial
     (denominators only at p) cutting out the isogeny's kernel, and lam
     the root of X^2 - a_q X + q mod p whose eigenline of Frob_q it
     lifts: `_lift_factor` certifies kernel = the lam-eigenline's factor
     mod q, so Frob_q acts on the kernel line by lam."""
-    psi = E.division_polynomial(p)
-    f = _primitive(psi)
-    q, roots = _separating_prime(E, p, f)
+    q, roots = separating_prime(E, p)
     if not roots:
         return q, []
+    f = _primitive(E.division_polynomial(p))
     fbar = poly_monic(f, q)
     test = _EigenTest(E, q, fbar)
     out = []
@@ -336,8 +338,8 @@ def _kernel_stable(E: Curve, H) -> bool:
 def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     """Eigenvalue in F_p^* of Frob_ell on the kernel line cut out by
     kernel_poly, for a good prime ell distinct from p: what `analysis`
-    reads a supplied kernel's character from (a computed kernel comes
-    with the eigenvalue at its separating prime).
+    reads a supplied kernel's character from, at the separating prime
+    (a computed kernel comes with that eigenvalue).
 
     The root lambda of X^2 - a_ell X + ell mod p whose identities of
     `_EigenTest` vanish in F_ell[x]/(h), h = kernel_poly mod ell.  At

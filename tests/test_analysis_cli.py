@@ -26,7 +26,6 @@ from mulab.cli import MAX_PRECISION, main
 from mulab.errors import (
     BadReduction,
     InconsistentAp,
-    InsufficientLineData,
     InvalidModel,
     InvariantViolation,
     NoFrobeniusScalar,
@@ -35,7 +34,7 @@ from mulab.errors import (
     SizeBound,
 )
 from mulab.modsym import MAX_CONDUCTOR
-from mulab.residual import frobenius_scalar
+from mulab.residual import frobenius_scalar, kernel_polynomials
 
 
 def write_json(tmp_path, name, payload):
@@ -404,9 +403,10 @@ def test_cli_adds_frobenius_primes_until_one_line_character_fits(
 
 
 def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
-    """A scalar that fits neither character of the semisimplification
-    pair on a supplied line is a fault: InvariantViolation after the one
-    call at ell = 2, where 1 and chi-bar differ mod 5."""
+    """A scalar on a supplied line that is neither root of
+    X^2 - a_q X + q mod p at the separating prime q is a fault:
+    InvariantViolation after the one call at q = 3 (11a1 at p = 5, roots
+    1 and 3)."""
     from mulab import analysis
     calls = []
 
@@ -415,35 +415,54 @@ def test_analyze_refuses_unmatched_line_scalars_at_once(monkeypatch):
         return 0
 
     monkeypatch.setattr(analysis, "frobenius_scalar", no_unit)
-    with pytest.raises(InvariantViolation, match="Frob_2 scalar 0"):
+    with pytest.raises(InvariantViolation, match="Frob_3 scalar 0"):
         analyze(REC_11A1_KERNELS, 5)
-    assert calls == [2]
+    assert calls == [3]
 
 
 def test_analyze_refuses_a_line_without_scalars(monkeypatch):
-    """A supplied line refused a scalar at every prime below 4 ell_bound
-    where the two characters differ: InsufficientLineData, after one try
-    at each of those primes."""
+    """A supplied line that passed the kernel checks but is refused a
+    scalar at its separating prime (NoFrobeniusScalar or BadReduction)
+    is an internal fault: InvariantViolation after the one call at
+    q = 3, with no other prime tried."""
     from mulab import analysis
-    calls = []
 
-    def refused(E, k, ell, p):
-        calls.append(ell)
-        raise NoFrobeniusScalar("refused")
+    for error in (NoFrobeniusScalar, BadReduction):
+        calls = []
 
-    monkeypatch.setattr(analysis, "frobenius_scalar", refused)
-    with pytest.raises(InsufficientLineData, match="apart below 80$"):
-        analyze(REC_11A1_KERNELS, 5, ell_bound=20)
-    # 1 and chi-bar agree exactly at ell = 1 mod 5
-    assert calls == [2, 3, 7, 13, 17, 19, 23, 29, 37, 43, 47, 53, 59, 67,
-                     73, 79]
+        def refused(E, k, ell, p):
+            calls.append(ell)
+            raise error("refused")
+
+        monkeypatch.setattr(analysis, "frobenius_scalar", refused)
+        with pytest.raises(InvariantViolation,
+                           match="no Frob_3 scalar .*: refused$"):
+            analyze(REC_11A1_KERNELS, 5, ell_bound=20)
+        assert calls == [3]
+
+
+def supplied_three_ways(records, p_of):
+    """(separating primes, [records, records, records]): each record with
+    its computed kernels at its p supplied as kernel_polys, monic, times
+    -3/7 and times its separating prime q (no line: an empty list)."""
+    qs, ways = [], [[], [], []]
+    for rec in records:
+        p = p_of(rec)
+        q, lines = kernel_polynomials(rec.curve(), p)
+        qs.append(q)
+        for way, scale in zip(ways, (1, Fraction(-3, 7), q)):
+            way.append(replace(rec, kernel_polys={
+                p: [tuple(c * scale for c in k) for k, _ in lines]}))
+    return qs, ways
 
 
 def test_corpus_takes_one_frobenius_scalar_per_kernel_line(monkeypatch):
-    """analyze_many over the corpus takes no Frobenius scalar: each
-    computed line's character comes from its separating prime.  With
-    every record's kernels supplied, it takes one successful scalar per
-    kernel line, and few refused ones, and the reports are the same."""
+    """analyze_many over the corpus and curves_11a.json (p = 5) takes no
+    Frobenius scalar: each computed line's character comes from its
+    separating prime q.  With every record's computed kernels supplied,
+    monic, times a rational or times q, it gives the same report bytes
+    with exactly one successful scalar per kernel line, at q, and none
+    refused: 19 lines of the corpus and 4 of curves_11a.json."""
     from mulab import analysis
     ok, refused = [], []
 
@@ -457,14 +476,36 @@ def test_corpus_takes_one_frobenius_scalar_per_kernel_line(monkeypatch):
         return lam
 
     monkeypatch.setattr(analysis, "frobenius_scalar", counting)
-    records = ingest("data/corpus_reducible.json")
-    reports = analyze_many(records, lambda rec: rec.p)
-    assert ok == refused == []
-    supplied = [supplied_kernels(rec, rec.p) for rec in records]
-    assert analyze_many(supplied, lambda rec: rec.p) == reports
-    lines = sum(rep.get("kernel_count", 0) for rep in reports)
-    assert len(ok) == lines == 19
-    assert len(ok) + len(refused) <= 22
+    counts = []
+    for path, p_of in (("data/corpus_reducible.json", lambda rec: rec.p),
+                       ("data/curves_11a.json", lambda rec: 5)):
+        records = ingest(path)
+        want = render_report(analyze_many(records, p_of))
+        assert ok == refused == []
+        qs, ways = supplied_three_ways(records, p_of)
+        for supplied in ways:
+            assert render_report(analyze_many(supplied, p_of)) == want
+            assert ok == [q for q, rec in zip(qs, supplied)
+                          for _ in rec.kernel_polys[p_of(rec)]]
+            assert refused == []
+            counts.append(len(ok))
+            ok.clear()
+    assert counts == [19] * 3 + [4] * 3
+
+
+def test_supplied_empty_kernel_list_reports_no_kernel_data(monkeypatch):
+    """An empty kernel_polys list at p is a reducible curve without line
+    data, as before: no separating prime is sought and no scalar taken."""
+    from mulab import analysis
+
+    def never(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(analysis, "separating_prime", never)
+    monkeypatch.setattr(analysis, "frobenius_scalar", never)
+    rep = analyze(replace(REC_11A1, kernel_polys={5: []}), 5, layers=2)
+    assert rep["classification"] == "reducible-no-kernel-data"
+    assert (rep["kernel_count"], rep["line_characters"]) == (0, [])
 
 
 def test_cli_refuses_a_pair_that_misses_the_separating_roots(
@@ -1048,6 +1089,8 @@ def test_kernel_polys_accepts_any_rational_multiple(tmp_path):
     ["1", "1", "1"],          # does not divide psi_5
     ["-5", "1"],              # degree 1, not (p - 1)/2 = 2
     ["-29/5", "1", "0"],      # degree 2 by length, leading coefficient 0
+    ["0"],                    # zero, whose monic form would be empty
+    ["0", "0", "0"],          # zero of length 3
 ])
 def test_cli_refuses_a_supplied_polynomial_that_is_no_kernel(
         tmp_path, capsys, poly):
@@ -1137,6 +1180,23 @@ def test_cli_record_schema_errors_exit_3(tmp_path, capsys, record,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and complaint in err
+
+
+@pytest.mark.parametrize("ap", [{"03": 5, "3": -1}, {"3": -1, "03": 5}],
+                         ids=["zero-first", "zero-last"])
+def test_cli_refuses_an_ap_key_with_a_leading_zero(tmp_path, capsys, ap):
+    """11a1 at p = 5 with a_3 supplied under "3" and under "03": ap keys
+    are primes in canonical decimal, as kernel_polys keys are, so the
+    two keys cannot name one prime and leave a_3 = 5 unchecked, in
+    either order."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a1", "ainvs": [0, -1, 1, -10, -20], "conductor": 11,
+         "ap": ap}])
+    rc = main(["analyze", "--curves", curves, "--p", "5"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "input error: 11a1: ap key '03' is not a prime below 10^24 "
+        "written in canonical decimal\n")
 
 
 def test_library_refuses_a_level_above_the_bound(monkeypatch):

@@ -409,8 +409,17 @@ def test_highly_versal_degree(cond_type, p, v):
     assert highly_versal_degree(cond_type, v, p, 4) == 3
 
 
-def test_diag_family_degree():
-    assert highly_versal_degree("diag", 7, 3, 4) == 2
+def test_condition_names_are_the_four_types():
+    """The tame families are named type1..type4 (tame1..tame4 in a
+    scenario); any other name is refused before any search."""
+    elem = standard_family_element(7, 3, 3, 0, 0, "type3")
+    for name in ("D_v", "D_v_nr", "D_v_ram", "diag", "tame3"):
+        with pytest.raises(ValueError, match="unknown condition type"):
+            membership_up_to_equivalence(elem, name)
+        with pytest.raises(ValueError, match="unknown condition type"):
+            local_condition_membership(elem, name)
+        with pytest.raises(ValueError, match="unknown condition type"):
+            highly_versal_degree(name, 7, 3, 4)
 
 
 def test_ordinary_condition_check():
@@ -976,8 +985,7 @@ def test_submodule_functoriality_exactness():
 
 # -- differential test: the per-node numpy search as the oracle ---------------
 
-CONDITION_NAMES = ("type1", "type2", "type3", "type4", "D_v", "D_v_nr",
-                   "D_v_ram")
+TAME_TYPES = ("type1", "type2", "type3", "type4")
 
 
 def oracle_cond_values(S, T, v, mod):
@@ -1039,8 +1047,6 @@ def oracle_membership(data, cond_type, node_bound=500000):
         if j >= level - 1:
             x = S[1] % mod
             y = T[1] % mod
-            if cond_type == "D_v":
-                return x % p == 0 and y % p == 0
             return _subtype_valuations_ok(x, y, sub, p, level)
         # minus digit j + 1 of each condition value
         b = np.array([-(x // p**(j + 1)) % p
@@ -1068,9 +1074,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except SizeBound as exc:
         return type(exc).__name__
-
-
-TAME_TYPES = ("type1", "type2", "type3", "type4")
 
 
 def oracle_versal_twists_stable(cond_type, v, p, k):
@@ -1183,20 +1186,20 @@ def test_membership_matches_oracle(membership_inputs, monkeypatch):
     name, including the SizeBound outcome."""
     falses = 0
     for i, data in enumerate(membership_inputs[1]):
-        for name in CONDITION_NAMES:
+        for name in TAME_TYPES:
             got = _outcome(membership_up_to_equivalence, data, name)
             assert got == _outcome(oracle_membership, data, name), \
                 (data, name)
             falses += got is False
         if i % 10 == 0:
             # a node bound hit mid-search
-            name = CONDITION_NAMES[i % len(CONDITION_NAMES)]
+            name = TAME_TYPES[i % len(TAME_TYPES)]
             with monkeypatch.context() as m:
                 m.setattr(liftlab, "MEMBERSHIP_NODE_BOUND", 2)
                 assert _outcome(membership_up_to_equivalence, data, name) \
                     == _outcome(oracle_membership, data, name, 2), \
                     (data, name)
-    assert falses > 1500
+    assert falses > 850
 
 
 def test_membership_matches_oracle_on_conjugates(membership_inputs):
@@ -1213,7 +1216,7 @@ def test_membership_matches_oracle_on_conjugates(membership_inputs):
             data.v, p, data.level,
             mat_mul(mat_mul(A, data.Sigma, mod), Ai, mod),
             mat_mul(mat_mul(A, data.Tau, mod), Ai, mod))
-        for name in CONDITION_NAMES:
+        for name in TAME_TYPES:
             assert _outcome(membership_up_to_equivalence, conj, name) \
                 == _outcome(oracle_membership, conj, name), (conj, name)
 
@@ -1250,7 +1253,7 @@ def test_layer_solver_matches_full_precision_probe(membership_inputs):
     for level in (3, 4, 5):
         probed = 0
         for data in rng.sample(by_level[level], 60):
-            for name in CONDITION_NAMES:
+            for name in TAME_TYPES:
                 S0, T0, ok = oracle_prepare(data, name)
                 if not ok:
                     continue
@@ -1353,7 +1356,7 @@ def test_strict_class_verdicts_agree():
             y_rep = liftlab._strict_class_representative(y, p, k)
             got = _family_twist(cond_type, v, p, k, x, y, c3)
             rep = _family_twist(cond_type, v, p, k, 0, y_rep, c3)
-            for name in CONDITION_NAMES:
+            for name in TAME_TYPES:
                 verdict = _outcome(membership_up_to_equivalence, got, name)
                 assert verdict == _outcome(membership_up_to_equivalence,
                                            rep, name), \

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from mulab.analysis import _digits
-from mulab.arith import factorize, is_probable_prime, poly_deriv, poly_eval
+from mulab.arith import factorize, is_probable_prime, poly_eval
 from mulab.elliptic import Curve
 from mulab.errors import (
     EigenspaceNotOneDimensional,
@@ -1207,7 +1207,7 @@ def oracle_newton_bisect(poly, a, b, neg_at_a: bool, tol, iters: int, x):
     leaves the bracket or fails to halve the step before it, until a
     step or the bracket is below tol relative to max(1, |x|).  None
     after iters steps."""
-    dpoly = poly_deriv(poly)
+    dpoly = [i * c for i, c in enumerate(poly)][1:]
     step = b - a
     for _ in range(iters):
         fx = poly_eval(poly, x)

@@ -14,7 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "mulab").glob("*.py"))
 
-_POLY_M = "None works over Z or Q; residual passes ell to work mod ell"
+_POLY_M = ("None works over Z or Q (elliptic, _kernel_stable, "
+           "iwasawa_modules, the monic kernel); residual passes ell to work "
+           "mod ell")
 
 # (module, function or Class.method, parameter): why it keeps a default
 ALLOWED = {
@@ -31,12 +33,7 @@ ALLOWED = {
     ("arith", "poly_add", "m"): _POLY_M,
     ("arith", "poly_sub", "m"): _POLY_M,
     ("arith", "poly_mul", "m"): _POLY_M,
-    ("arith", "poly_divmod", "m"): _POLY_M,
     ("arith", "poly_monic", "m"): _POLY_M,
-    ("arith", "poly_gcd", "m"): _POLY_M,
-    ("arith", "poly_xgcd", "m"): _POLY_M,
-    ("arith", "poly_powmod", "m"): _POLY_M,
-    ("arith", "poly_deriv", "m"): _POLY_M,
     ("arith", "poly_eval", "m"): _POLY_M,
     ("cli", "main", "argv"):
         "None reads sys.argv at the console entry point; tests pass a list",

@@ -25,7 +25,6 @@ from mulab.errors import (
     AmbiguousPair,
     BadReduction,
     FactorizationInconclusive,
-    InsufficientLineData,
     InvariantViolation,
     MuLabError,
     NoFrobeniusScalar,
@@ -33,7 +32,6 @@ from mulab.errors import (
 from mulab.padic import val_int
 from mulab.residual import (
     _kernel_stable,
-    _separating_prime,
     alignment_degree,
     character_search_modulus,
     classify_alignment,
@@ -42,6 +40,7 @@ from mulab.residual import (
     kernel_polynomials,
     search_characters,
     semisimplification,
+    separating_prime,
     sturm_bound,
 )
 from test_dirichlet import (
@@ -134,12 +133,9 @@ def identify_line_character(scalars: dict[int, int], p: int,
     """The one mod-p Dirichlet character matching Frobenius scalars at
     the tested good primes."""
     hits = matching_line_characters(scalars, p, conductor)
-    if not hits:
-        raise InsufficientLineData(
-            "no Dirichlet character matches the kernel scalars")
-    if len(hits) > 1:
-        raise InsufficientLineData(
-            f"{len(hits)} characters match; test more primes")
+    if len(hits) != 1:
+        raise LookupError(f"{len(hits)} characters match the kernel "
+                          "scalars, not one")
     return hits[0]
 
 
@@ -750,7 +746,7 @@ def _recombine(F, lifted, d, m, max_subsets):
             H = [_center(c, m) for c in prod]
             if tuple(H) not in seen:
                 seen.add(tuple(H))
-                if not poly_divmod(F, H)[1]:
+                if not divmod_q(F, H)[1]:
                     out.append(H)
             return
         for i in range(start, len(lifted)):
@@ -799,17 +795,49 @@ def monic_factors_by_full_factorization(poly, d, max_subsets=1 << 16):
     return _recombine(F, lifted, d, q**k, max_subsets), lc
 
 
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def divmod_q(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, exactly over Q (in
+    integers when b's leading coefficient is +-1 and a is integral)."""
+    r, b = _trim(a), _trim(b)
+    inv = b[-1] if b[-1] in (1, -1) else 1 / Fraction(b[-1])
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for d in range(len(q) - 1, -1, -1):
+        q[d] = c = r[d + len(b) - 1] * inv
+        for i, x in enumerate(b):
+            r[d + i] -= c * x
+    return _trim(q), _trim(r[:len(b) - 1])
+
+
+def inverse_mod_q(a, h):
+    """a^-1 mod h over Q, by the extended Euclid algorithm with
+    s_i a = r_i mod h; None when gcd(a, h) != 1."""
+    r0, r1, s0, s1 = _trim(h), divmod_q(a, h)[1], [], [1]
+    while r1:
+        q, r = divmod_q(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, poly_sub(s0, poly_mul(q, s1))
+    if len(r0) != 1:
+        return None
+    return [Fraction(c) / r0[0] for c in s0]
+
+
 def kernel_stable_in_q(E, h) -> bool:
     """The roots of the monic rational h closed under duplication, by
     inverting den mod h and Horner in Q[x]/(h)."""
     num, den = E.duplication_x()
-    one, den_inv, _ = poly_xgcd(den, h)
-    if one != [1]:
+    den_inv = inverse_mod_q(den, h)
+    if den_inv is None:
         return False
-    x2 = poly_divmod(poly_mul(num, den_inv), h)[1]
+    x2 = divmod_q(poly_mul(num, den_inv), h)[1]
     acc = []
     for c in reversed(h):
-        acc = poly_divmod(poly_add(poly_mul(acc, x2), [c]), h)[1]
+        acc = divmod_q(poly_add(poly_mul(acc, x2), [c]), h)[1]
     return acc == []
 
 
@@ -918,8 +946,7 @@ def test_no_frobenius_root_means_no_kernel():
     """11a1 at p = 7: X^2 - a_3 X + 3 = X^2 + X + 3 has no root mod 7,
     so no line of E[7] is Frob_3-stable and there is no kernel, as the
     Zassenhaus oracle finds too."""
-    psi = E11A1.division_polynomial(7)
-    assert _separating_prime(E11A1, 7, psi) == (3, [])
+    assert separating_prime(E11A1, 7) == (3, [])
     assert kernels_of(E11A1, 7) == []
     assert kernel_polynomials_by_zassenhaus(E11A1, 7) == []
 
@@ -931,8 +958,8 @@ def test_separating_prime_skips_double_roots():
     skipped = 0
     for ainvs, p in differential_pairs():
         E = Curve(*ainvs)
-        f = E.division_polynomial(p)
-        q, roots = _separating_prime(E, p, f)
+        f = residual._primitive(E.division_polynomial(p))
+        q, roots = separating_prime(E, p)
         assert len(roots) != 1
         for r in range(3, q, 2):
             if r == p or not is_probable_prime(r) \
@@ -962,7 +989,7 @@ def test_lift_factor_rejects_a_line_with_no_rational_factor():
 
     E = Curve(1, -1, 1, -3, 3)
     f = residual._primitive(E.division_polynomial(7))
-    q, roots = _separating_prime(E, 7, f)
+    q, roots = separating_prime(E, 7)
     assert len(roots) == 2
     fbar = poly_monic(f, q)
     test = residual._EigenTest(E, q, fbar)
@@ -992,8 +1019,7 @@ def test_kernel_polynomials_take_one_x_test_per_l(monkeypatch):
     shared = 0
     for rec in json.loads((DATA / "corpus_reducible.json").read_text()):
         E, p = Curve(*rec["ainvs"]), rec["p"]
-        f = residual._primitive(E.division_polynomial(p))
-        _, roots = _separating_prime(E, p, f)
+        _, roots = separating_prime(E, p)
         calls.clear()
         kernel_polynomials(E, p)
         ls = sorted({min(lam, p - lam) for lam in roots})
@@ -1048,7 +1074,7 @@ def eigenline_factors(E, p):
     """(f, q, [g, ...]): the primitive psi_p, its separating prime and
     the eigenline factors mod q that kernel_polynomials lifts."""
     f = residual._primitive(E.division_polynomial(p))
-    q, roots = _separating_prime(E, p, f)
+    q, roots = separating_prime(E, p)
     fbar = poly_monic(f, q)
     test = residual._EigenTest(E, q, fbar)
     return f, q, [poly_gcd(poly_gcd(fbar, test.x_residue(lam, p), q),
@@ -1305,6 +1331,30 @@ def test_matching_line_characters_match_objects():
     assert sizes == {0, 1, 2}
 
 
+def oracle_line_character(E, kernel, pair, chars, p, N_cond, ell_bound):
+    """The character of the pair on a kernel line by the prime search
+    `analyze` ran on supplied lines before the separating prime: the
+    good ell below 4 ell_bound, passing over those with
+    phi1(ell) = phi2(ell) mod p and those where the line gets no
+    Frobenius scalar, until one scalar tells phi1 from phi2."""
+    for ell in range(2, 4 * ell_bound):
+        if N_cond % ell == 0 or ell == p or not is_probable_prime(ell):
+            continue
+        values = [chars.value(k, ell) for k in pair]
+        if values[0] == values[1]:
+            continue
+        try:
+            lam = frobenius_scalar(E, kernel, ell, p)
+        except (NoFrobeniusScalar, BadReduction):
+            continue
+        if lam not in values:
+            raise InvariantViolation(f"Frob_{ell} scalar {lam} on a kernel "
+                                     f"line is neither of {values}")
+        return pair[values.index(lam)]
+    raise LookupError(f"no Frobenius scalar on a kernel line tells phi1, "
+                      f"phi2 apart below {4 * ell_bound}")
+
+
 def one_scalar_cases():
     """(label, curve, p, conductor, kernels): the corpus, 11a1-3 at
     p = 5, [-5,0,4,0,0] (N = 466) and [-8,0,1,0,0] (N = 77) at p = 3,
@@ -1332,16 +1382,17 @@ def one_scalar_cases():
 
 
 def test_one_scalar_rule_matches_the_six_scalar_rule():
-    """The character `analyze` reads off the semisimplification pair
-    with one Frobenius scalar is the one character of the search modulus
-    that six or more scalars leave, on every kernel line of the cases:
-    25 of the corpus and the named curves, 44 of 41 fixture curves."""
+    """The character the old prime search reads off the
+    semisimplification pair with one Frobenius scalar is the one
+    character of the search modulus that six or more scalars leave, on
+    every kernel line of the cases: 25 of the corpus and the named
+    curves, 44 of 41 fixture curves."""
     lines = 0
     for label, E, p, N, kernels in one_scalar_cases():
         pair = semisimplification(good_a_table(E, N), p, N, 200)
         chars = search_characters(p, N)
         for k in kernels:
-            got = analysis._line_character(E, k, pair, chars, p, N, 200)
+            got = oracle_line_character(E, k, pair, chars, p, N, 200)
             assert got == six_scalar_line_character(E, k, p, N), (label, k)
             lines += 1
     assert lines == 69
@@ -1367,9 +1418,11 @@ def separating_prime_cases():
 def test_separating_prime_characters_match_the_one_scalar_rule():
     """The character `analyze` reads off each computed kernel line from
     the eigenvalue lam of Frob_q that `kernel_polynomials` returns with
-    it is the one `_line_character` finds with `frobenius_scalar`, on
-    every line of the cases: 23 of the corpus and curves_11a.json, 56 of
-    the 52 fixture curves.  lam is Frob_q's scalar on the line."""
+    it is the one the old prime search (`oracle_line_character`) finds
+    with `frobenius_scalar`, on every line of the cases: 23 of the corpus
+    and curves_11a.json, 56 of the 52 fixture curves.  lam is Frob_q's
+    scalar on the line, and the monic kernel times a rational prime to q
+    gets the same scalar at q."""
     lines = 0
     for label, E, p, N in separating_prime_cases():
         q, found = kernel_polynomials(E, p)
@@ -1377,11 +1430,13 @@ def test_separating_prime_characters_match_the_one_scalar_rule():
         chars = search_characters(p, N)
         got = analysis._lines_at_separating_prime(
             E, q, [lam for _, lam in found], pair, chars, p, label)
-        want = [analysis._line_character(E, k, pair, chars, p, N, 200)
+        want = [oracle_line_character(E, k, pair, chars, p, N, 200)
                 for k, _ in found]
         assert got == want, label
         for k, lam in found:
             assert frobenius_scalar(E, k, q, p) == lam, (label, k)
+            scaled = [c * Fraction(-2, q + 2) for c in k]
+            assert frobenius_scalar(E, scaled, q, p) == lam, (label, k)
         lines += len(found)
     assert lines == 79
 

@@ -38,14 +38,11 @@ from .group_model import (
     mat_inv,
     mat_mul,
 )
-from .modp import (
-    MAX_MODULUS,
-    coset_modp,
-    matmul_mod,
-    nullspace_modp,
-    rref_modp,
-    solve_modp,
-)
+from .linalg import _rref_mod
+from .modp import MAX_MODULUS, matmul_mod, nullspace_modp, rref_modp
+# the benchmark's tracer wraps solve_modp here; no path of this module
+# calls it any more
+from .modp import solve_modp  # noqa: F401
 from .padic import val_int
 
 # search bounds, past which each search raises SizeBound: the order of a
@@ -144,6 +141,22 @@ class AdjointModule:
         maps = _tree_maps(self.model, self)
         for a in maps:
             a.flags.writeable = False
+        return maps
+
+    @cached_property
+    def obstruction_maps(self) -> np.ndarray:
+        """(n, 4, d + f), read-only, built on first use: at k, the matrix
+        that takes the entries w of a 2 x 2 matrix W to the d coordinates
+        and the f vanishing sums (`COORD_MATRICES`) of -W rho-bar(k)^-1
+        mod p.  On entries, W B is w kron(Id, B), so it is
+        kron(Id, -rho-bar(k)^-1) `COORD_MATRICES[selector]` mod p."""
+        p = self.p
+        B = np.array([mat_inv(m, p) for m in self.rhobar],
+                     dtype=np.int64).reshape(-1, 2, 2)
+        R = np.zeros((len(B), 4, 4), dtype=np.int64)
+        R[:, :2, :2] = R[:, 2:, 2:] = -B
+        maps = R @ COORD_MATRICES[self.selector] % p
+        maps.flags.writeable = False
         return maps
 
     @cached_property
@@ -489,7 +502,8 @@ class RepresentationModPn:
         self.p = p
         self.n = n
         mod = p**n
-        self.images = [tuple(x % mod for x in m) for m in images]
+        self.images = [(a % mod, b % mod, c % mod, d % mod)
+                       for a, b, c, d in images]
 
     def verify(self) -> bool:
         mod = self.p**self.n
@@ -502,24 +516,37 @@ class RepresentationModPn:
         return True
 
     def rhobar(self):
-        return [tuple(x % self.p for x in m) for m in self.images]
+        p = self.p
+        return [(a % p, b % p, c % p, d % p) for a, b, c, d in self.images]
 
 
 def set_theoretic_lift(rho: RepresentationModPn, det_target):
     """Entrywise lift of each image with the determinant fixed to the
-    supplied character values mod p^(n+1)."""
+    supplied character values mod p^(n+1), one per element.  Raises
+    ValueError, naming the element, when det_target does not hold one
+    value per element or a value does not reduce mod p^n to det rho(g)."""
     p, n = rho.p, rho.n
     mod = p**(n + 1)
+    size = len(rho.images)
+    if len(det_target) < size:
+        raise ValueError(f"det_target has no value for element "
+                         f"{len(det_target)} of {size}")
+    if len(det_target) > size:
+        raise ValueError(f"det_target has a value for element {size}, "
+                         f"but the group has {size} elements")
+    pn = p**n
     out = []
-    for i, m in enumerate(rho.images):
-        A = tuple(x % mod for x in m)
-        dA = mat_det(A, mod)
-        target = det_target[i] % mod
-        # scale the first row by (1 + p^n delta) to fix the determinant
-        delta = ((target * pow(dA, -1, mod) - 1) // p**n) % p
-        A = ((A[0] * (1 + delta * p**n)) % mod,
-             (A[1] * (1 + delta * p**n)) % mod, A[2], A[3])
-        if mat_det(A, mod) != target:
+    for i, (a, b, c, d) in enumerate(rho.images):
+        dA = (a * d - b * c) % mod
+        k, r = divmod((det_target[i] - dA) % mod, pn)
+        if r:
+            raise ValueError(f"det_target of element {i} does not reduce "
+                             f"mod {p}^{n} to det rho of element {i}")
+        # scale the first row by 1 + p^n delta to fix the determinant:
+        # det_target = dA (1 + p^n delta) mod p^(n+1) when k = delta dA
+        s = 1 + k * pow(dA, -1, p) % p * pn
+        A = (a * s % mod, b * s % mod, c % mod, d % mod)
+        if mat_det(A, mod) != det_target[i] % mod:
             raise InvariantViolation(
                 f"set-theoretic lift of element {i} misses its "
                 "determinant target")
@@ -531,44 +558,66 @@ def obstruction_class(rho: RepresentationModPn, det_target,
                       M: AdjointModule) -> Cochain:
     """The 2-cocycle tau(gh) tau(h)^-1 tau(g)^-1 of the set-theoretic
     lift tau = `set_theoretic_lift(rho, det_target)`, identified with
-    Id + p^n (value).  Raises ValueError when rho is not a homomorphism
-    mod p^n, and InvariantViolation when the cochain fails the cocycle
-    identity."""
+    Id + p^n (value).  Raises ValueError when M is not a module of rho's
+    residual representation (`_check_representation`) or rho is not a
+    homomorphism mod p^n, and InvariantViolation when the cochain fails
+    the cocycle identity."""
+    _check_representation(rho, M)
     obs = _obstruction_cochain(rho, M, set_theoretic_lift(rho, det_target))
     _check_obstruction(rho.model, M, obs)
     return obs
+
+
+def _check_representation(rho: RepresentationModPn,
+                          M: AdjointModule) -> None:
+    """Raise ValueError unless M is a module of rho-bar on rho's own group
+    model: `_obstruction_cochain` reads rho-bar(gh)^-1 off M."""
+    _check_model(rho.model, M)
+    if M.p != rho.p or M.rhobar != rho.rhobar():
+        raise ValueError("the module is not built on the reduction mod "
+                         f"{rho.p} of rho")
 
 
 def _obstruction_cochain(rho: RepresentationModPn, M: AdjointModule,
                          tau) -> Cochain:
     """The cochain of `obstruction_class` from the set-theoretic lift tau,
     unchecked but for ValueError when rho is not a homomorphism mod p^n.
-    All n^2 products are taken at once, in int64 while
-    p^(n+1) <= 2^31 keeps a sum of two products below 2^63, and in
-    Python integers above that."""
+
+    Let Q = tau_g tau_h tau_gh^-1 = Id + p^n c mod p^(n+1).  The stored
+    value is that of F = tau_gh tau_h^-1 tau_g^-1 = Q^-1, which is
+    Id - p^n c mod p^(n+1) because 2n >= n + 1.  Since
+    tau_g tau_h - tau_gh = (Q - Id) tau_gh = p^n c tau_gh and
+    tau_gh = rho-bar(gh) mod p,
+
+        value(g, h) = -((tau_g tau_h - tau_gh) / p^n) rho-bar(gh)^-1
+                                                          (mod p).
+
+    p^n divides tau_g tau_h - tau_gh on every pair exactly when rho is a
+    homomorphism mod p^n.  So the cochain is one batched product mod
+    p^(n+1), an exact division by p^n, and one product with the
+    module's `obstruction_maps` at gh, which also gives the sums that
+    vanish exactly when the value lies in the module.  The products are
+    taken in int64 while p^(n+1) <= 2^31 keeps a sum of two products
+    below 2^63, and in Python integers above that."""
     p, n = rho.p, rho.n
-    mod = p**(n + 1)
-    G = rho.model
+    mod, pn = p**(n + 1), p**n
+    T = rho.model.table_array
     dtype = np.int64 if mod <= MAX_MODULUS else object
-    tau_inv = np.array([mat_inv(t, mod) for t in tau],
-                       dtype=dtype).reshape(-1, 2, 2)
-    F = np.array(tau, dtype=dtype).reshape(-1, 2, 2)[G.table_array]
-    F = (F @ tau_inv[None] % mod) @ tau_inv[:, None] % mod
-    F = F.reshape(F.shape[:2] + (4,)) - MAT_ID
-    # F = 0 mod p^n on every pair exactly when rho is a homomorphism
-    # mod p^n, and then no entry is negative; np.divmod has no loop for
-    # object arrays
-    value, rem = (np.divmod(F, p**n) if dtype is np.int64
-                  else (F // p**n, F % p**n))
+    t = np.array(tau, dtype=dtype).reshape(-1, 2, 2)
+    # entries in (-mod, mod), so the quotients by p^n lie in [-p, p);
+    # np.divmod has no loop for object arrays
+    D = (t[:, None] @ t % mod - t.take(T, axis=0)).reshape(T.shape + (1, 4))
+    value, rem = (np.divmod(D, pn) if dtype is np.int64
+                  else (D // pn, D % pn))
     if rem.any():
         raise ValueError(f"rho is not a homomorphism mod {p}^{n}")
-    coords, inside = M._coords(value)
-    if not inside:
+    X = (value @ M.obstruction_maps.take(T, axis=0))[..., 0, :] % p
+    if X[..., M.dim:].any():
         # the lift fixes the determinant, so the value has trace 0; with
         # n or b the images above level 1 may still leave the submodule
         raise ParseError(f"the obstruction at level {n + 1} takes a value "
                          f"outside the submodule {M.selector}")
-    return Cochain(2, M, coords.astype(np.int64))
+    return Cochain(2, M, X[..., :M.dim].astype(np.int64))
 
 
 def _check_obstruction(G, M, obs: Cochain):
@@ -632,7 +681,10 @@ def lift_step(rho: RepresentationModPn, det_target,
     `is_coboundary` when the system is solvable, and here when it is not,
     so that a cochain failing it raises InvariantViolation either way.
     The tree maps and the Z^1 basis are M's, built once per module.
+    Raises ValueError when M is not a module of rho's residual
+    representation (`_check_representation`).
     """
+    _check_representation(rho, M)
     p, n = rho.p, rho.n
     G = rho.model
     tau = set_theoretic_lift(rho, det_target)
@@ -684,10 +736,14 @@ def enumerate_lifts(rho: RepresentationModPn, det_target):
     defect(x) / p^n = 0 over F_p, read off from the defects at x = 0 and
     at the 3g unit vectors.
 
-    The lifts come in lexicographic order of x, the order of a search
-    over itertools.product of the X_j; each is built by
-    `extend_homomorphism`, so every one passes the full relation check.
-    Raises SizeBound when there are more than MAX_LIFTS lifts."""
+    The system [L | b] is eliminated once, on its distinct rows
+    (`linalg._rref_mod`): a pivot in the last column means no solution,
+    and otherwise the pivot rows give a solution x0 and the free columns
+    a basis of ker L.  The lifts come in lexicographic order of x, the
+    order of a search over itertools.product of the X_j, which does not
+    depend on that basis; each is built by `extend_homomorphism`, so
+    every one passes the full relation check.  Raises SizeBound when
+    there are more than MAX_LIFTS lifts."""
     p, n = rho.p, rho.n
     G = rho.model
     mod, pn = p**(n + 1), p**n
@@ -714,20 +770,22 @@ def enumerate_lifts(rho: RepresentationModPn, det_target):
     if any(e % pn for e in d0):
         return []
     cols = [[(e - f) % mod // pn for e, f in zip(defects(unit), d0)]
-            for unit in np.eye(dim, dtype=np.int64).tolist()]
-    L = np.array(cols, dtype=np.int64).T
-    x0 = solve_modp(L, np.array([-e // pn % p for e in d0], dtype=np.int64),
-                    p)
-    if x0 is None:
+            for unit in _unit_vectors(dim)]
+    rows = dict.fromkeys(zip(*cols, [-e // pn % p for e in d0]))
+    R, pivots = _rref_mod(list(rows), p)
+    if pivots and pivots[-1] == dim:
         return []
-    K = nullspace_modp(L, p)
+    x0 = [0] * dim
+    for row, c in zip(R, pivots):
+        x0[c] = row[dim]
+    K = _kernel_basis(R, pivots, dim, p)
     if p**len(K) > MAX_LIFTS:
         raise SizeBound(f"{p**len(K)} lifts exceed the bound")
     # lifts differ by 1-cocycles, which take few values on many elements
     # (one at the identity): the lifts share one tuple per distinct image
     shared = {}
     lifts = []
-    for x in sorted(map(tuple, coset_modp(x0, K, p).tolist())):
+    for x in sorted(_coset(x0, K, p)):
         try:
             images = G.extend_homomorphism(gen_images(x), mul)
         except ValueError as exc:
@@ -738,6 +796,40 @@ def enumerate_lifts(rho: RepresentationModPn, det_target):
         lift.images = [shared.setdefault(m, m) for m in lift.images]
         lifts.append(lift)
     return lifts
+
+
+def _unit_vectors(dim: int):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def _kernel_basis(R, pivots, ncols: int, p: int):
+    """Basis of the kernel over F_p of the first ncols columns of a
+    matrix whose reduced echelon form mod p is the rows R with pivot
+    columns pivots: for each free column f, 1 at f and -R_i[f] at the
+    i-th pivot column."""
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivset:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(R, pivots):
+                if c < ncols:
+                    v[c] = -row[f] % p
+            basis.append(v)
+    return basis
+
+
+def _coset(x0, K, p: int):
+    """The p^f vectors x0 + c K mod p as tuples, for the f rows of K and
+    c running over itertools.product(range(p), repeat=f): each row of K
+    in turn adds its multiples to every vector so far, the last
+    coefficient varying fastest."""
+    out = [tuple(x0)]
+    for k in K:
+        out = [tuple((x + c * y) % p for x, y in zip(v, k))
+               for v in out for c in range(p)]
+    return out
 
 
 # -- trivial primes and tame local conditions -----------------------------------
@@ -967,10 +1059,12 @@ def _layer_solver(p: int, S0: tuple, T0: tuple):
     L is probed at modulus p^3 with layer j = 1 and Y running over a
     complement of the scalars: column i is the change of the six
     condition entries under Id + p Y_i, read as its p^2 digit.  Returns
-    plain-int tuples (E, pivots, offsets): E is invertible with E L the
-    reduced row echelon form of L, pivots are its pivot columns, and
-    offsets are the p^(dim ker L) kernel elements in the order of
-    itertools.product over the coefficients of a kernel basis.
+    plain-int tuples (E, pivots, offsets) from one elimination of
+    [L | Id] mod p (`linalg._rref_mod`), which gives [E L | E]: E is
+    invertible with E L the reduced row echelon form of L, pivots are its
+    pivot columns, and offsets are the p^(dim ker L) kernel elements in
+    the order of itertools.product over the coefficients of the kernel
+    basis read off E L (`_kernel_basis`).
     """
     mod = p**3
     cols = []
@@ -979,14 +1073,12 @@ def _layer_solver(p: int, S0: tuple, T0: tuple):
         cols.append([((new[i] - old[i]) % mod) // (p * p)
                      for new, old in ((S2, S0), (T2, T0))
                      for i in (2, 0, 3)])
-    L = np.array(cols, dtype=np.int64).T
-    R, pivots = rref_modp(
-        np.concatenate([L, np.eye(6, dtype=np.int64)], axis=1), p)
+    R, pivots = _rref_mod([list(row) + unit for row, unit
+                           in zip(zip(*cols), _unit_vectors(6))], p)
+    E = tuple(tuple(row[3:]) for row in R)
+    K = _kernel_basis(R, pivots, 3, p)
     pivots = tuple(col for col in pivots if col < 3)
-    E = tuple(tuple(int(x) for x in row[3:]) for row in R)
-    offsets = tuple(map(tuple, coset_modp(
-        np.zeros(3, dtype=np.int64), nullspace_modp(L, p), p).tolist()))
-    return E, pivots, offsets
+    return E, pivots, tuple(_coset((0, 0, 0), K, p))
 
 
 def _conjugate_pair(S, T, Y, j, p, mod):

@@ -3,15 +3,13 @@ echelon form, kernels and solutions over F_p, and exact matrix products
 mod m.
 
 This is the one mod-p^k kernel of the package: `liftlab` takes its
-cohomology and local-condition systems here, and `iwasawa_modules` the
-products of its graded-rank elimination.  The `analyze` path (`linalg`,
+cohomology systems here, and `iwasawa_modules` the products of its
+graded-rank elimination.  The `analyze` path (`linalg`,
 `modsym`, `analysis`) does not import it, so numpy stays out of that
 process.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -85,15 +83,6 @@ def solve_modp(A: np.ndarray, b: np.ndarray, p: int):
     for ri, pc in enumerate(pivots):
         x[pc] = aug[ri, nc]
     return x
-
-
-def coset_modp(x0: np.ndarray, K: np.ndarray, p: int) -> np.ndarray:
-    """The p^f vectors x0 + c K mod p, one a row, for the f rows of K and
-    c running over itertools.product(range(p), repeat=f).  With f = 0 it
-    is the one row x0."""
-    coeffs = np.array(list(itertools.product(range(p), repeat=len(K))),
-                      dtype=np.int64)
-    return (x0 + coeffs @ K) % p
 
 
 def matmul_mod(X: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:

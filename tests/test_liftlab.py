@@ -53,9 +53,10 @@ from mulab.liftlab import (
     _layer_solver,
     _subtype_valuations_ok,
 )
-from mulab.modp import nullspace_modp, rref_modp, solve_modp
+from mulab.modp import MAX_MODULUS, nullspace_modp, rref_modp, solve_modp
 from mulab.padic import teichmuller, val_int
 from test_acceptance import _torsor_scenarios
+from test_modp import coset_modp
 
 
 def cyclic(n):
@@ -145,15 +146,10 @@ def test_obstruction_zero_iff_lifts_exist():
     assert lifts
 
 
-@pytest.mark.parametrize("n", [2, 20])
-def test_obstruction_class_refuses_a_non_homomorphism(n):
-    """On Z/3 at p = 3, the images of x -> (1, 3^(n-1) x; 0, 1) mod 3^n
-    with 3^(n-1) added to the b-entry of the element that is neither the
-    generator nor the identity are no representation.  The cocycle
-    identity alone passes the cochain built from them (and lift_step
-    called the step obstructed), so `_obstruction_cochain` refuses it
-    with ValueError, in int64 (n = 2) and in Python integers (n = 20,
-    p^(n+1) > 2^31)."""
+def non_homomorphism(n):
+    """Z/3 at p = 3: the images of x -> (1, 3^(n-1) x; 0, 1) mod 3^n, with
+    3^(n-1) added to the b-entry of the element that is neither the
+    generator nor the identity."""
     G = group_from_permutations([(1, 2, 0)])
     mod = 3**n
     images = G.extend_homomorphism([(1, 3**(n - 1), 0, 1)],
@@ -162,9 +158,22 @@ def test_obstruction_class_refuses_a_non_homomorphism(n):
             if i not in G.generators and m != MAT_ID]
     a, b, c, d = images[i]
     images[i] = (a, (b + 3**(n - 1)) % mod, c, d)
-    rho = RepresentationModPn(G, 3, n, images)
+    return RepresentationModPn(G, 3, n, images)
+
+
+@pytest.mark.parametrize("n", [2, 20])
+def test_obstruction_class_refuses_a_non_homomorphism(n):
+    """On Z/3 at p = 3, the images of x -> (1, 3^(n-1) x; 0, 1) mod 3^n
+    with 3^(n-1) added to the b-entry of the element that is neither the
+    generator nor the identity are no representation.  The cocycle
+    identity alone passed the cochain that the inverse formula
+    (`oracle_obstruction_cochain`) built from them, and lift_step called
+    the step obstructed, so `_obstruction_cochain` refuses it with
+    ValueError, in int64 (n = 2) and in Python integers (n = 20,
+    p^(n+1) > 2^31)."""
+    rho = non_homomorphism(n)
     assert not rho.verify()
-    M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
+    M = AdjointModule(rho.model, rho.rhobar(), "ad0", p=3)
     det_t = _teichmuller_dets(rho, n + 1)
     with pytest.raises(ValueError, match="not a homomorphism mod 3"):
         obstruction_class(rho, det_t, M)
@@ -1487,12 +1496,18 @@ def test_obstruction_class_raises_when_the_identity_fails(monkeypatch):
 def test_lift_path_invariants_raise(monkeypatch):
     """The determinant fix and the homomorphism check of a lift raise
     InvariantViolation (they are no bare asserts, so `python -O` keeps
-    them)."""
+    them).  A determinant target that does not reduce to det rho is the
+    caller's input and raises ValueError before the fix is tried
+    (`test_set_theoretic_lift_refuses_a_target_off_det_rho`), so the fix
+    is made to miss by a determinant that reads one too high."""
     G, rho = s3_rep_mod5()
     M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
     det_t = [teichmuller(mat_det(m, 5), 5, 2) for m in rho.rhobar()]
-    with pytest.raises(InvariantViolation, match="determinant"):
-        liftlab.set_theoretic_lift(rho, [d + 1 for d in det_t])
+    with monkeypatch.context() as patch:
+        patch.setattr(liftlab, "mat_det",
+                      lambda a, m: (mat_det(a, m) + 1) % m)
+        with pytest.raises(InvariantViolation, match="determinant"):
+            liftlab.set_theoretic_lift(rho, det_t)
     monkeypatch.setattr(RepresentationModPn, "verify", lambda self: False)
     with pytest.raises(InvariantViolation, match="homomorphism"):
         lift_step(rho, det_t, M, [])
@@ -1868,20 +1883,27 @@ def test_enumerate_lifts_of_a_non_homomorphism_is_empty():
 
 def test_enumerate_lifts_size_bound_caps_the_lifts(monkeypatch):
     """MAX_LIFTS bounds the number of lifts (125 for S3 mod 5), not the
-    5^6 candidates the search tried; an obstructed instance has no lift
-    to bound."""
+    5^6 candidates the search tried, and is checked before any lift is
+    built, with the refusal of the solved system
+    (`oracle_solved_lifts`); an obstructed instance has no lift to
+    bound."""
     G, rho = s3_rep_mod5()
     det_t = _teichmuller_dets(rho, 2)
     monkeypatch.setattr(liftlab, "MAX_LIFTS", 125)
     assert len(enumerate_lifts(rho, det_t)) == 125
     monkeypatch.setattr(liftlab, "MAX_LIFTS", 124)
-    with pytest.raises(SizeBound, match="125 lifts"):
+    monkeypatch.setattr(G, "extend_homomorphism", None)
+    with pytest.raises(SizeBound, match="125 lifts") as got:
         enumerate_lifts(rho, det_t)
+    with pytest.raises(SizeBound) as want:
+        oracle_solved_lifts(rho, det_t)
+    assert str(got.value) == str(want.value)
     G = cyclic(3)
     rho = RepresentationModPn(G, 3, 2, G.extend_homomorphism(
         [(1, 3, 0, 1)], lambda a, b: mat_mul(a, b, 9)))
     monkeypatch.setattr(liftlab, "MAX_LIFTS", 0)
     assert enumerate_lifts(rho, [1] * 3) == []
+    assert oracle_solved_lifts(rho, [1] * 3) == []
 
 
 def test_enumerate_lifts_raises_when_a_solution_breaks_a_relation(
@@ -2386,3 +2408,282 @@ def test_cocycle_identity_on_generator_rows_matches_all_triples(
                 assert got == oracle_cocycle2_identity_holds(G, M, c), name
             verdicts[got] += 1
     assert verdicts == {True: 208, False: 140}
+
+
+# -- the torsor calls against the formulas they replaced ----------------------
+
+
+def oracle_obstruction_cochain(rho, M, tau):
+    """The cochain values as `_obstruction_cochain` computed them before
+    it read rho-bar(gh)^-1 off the module: F = tau(gh) tau(h)^-1 tau(g)^-1
+    from one inverse per element and two batched products, (F - Id) / p^n
+    with the same remainder refusal, then the module's coordinates."""
+    p, n = rho.p, rho.n
+    mod = p**(n + 1)
+    G = rho.model
+    dtype = np.int64 if mod <= MAX_MODULUS else object
+    tau_inv = np.array([mat_inv(t, mod) for t in tau],
+                       dtype=dtype).reshape(-1, 2, 2)
+    F = np.array(tau, dtype=dtype).reshape(-1, 2, 2)[G.table_array]
+    F = (F @ tau_inv[None] % mod) @ tau_inv[:, None] % mod
+    F = F.reshape(F.shape[:2] + (4,)) - MAT_ID
+    value, rem = (np.divmod(F, p**n) if dtype is np.int64
+                  else (F // p**n, F % p**n))
+    if rem.any():
+        raise ValueError(f"rho is not a homomorphism mod {p}^{n}")
+    coords, inside = M._coords(value)
+    if not inside:
+        raise ParseError(f"the obstruction at level {n + 1} takes a value "
+                         f"outside the submodule {M.selector}")
+    return coords.astype(np.int64)
+
+
+def oracle_solved_lifts(rho, det_target):
+    """The images of the lifts as `enumerate_lifts` listed them before its
+    one `_rref_mod` elimination: x0 from `solve_modp`, the kernel from
+    `nullspace_modp` and the coset from `coset_modp`, sorted."""
+    p, n = rho.p, rho.n
+    G = rho.model
+    mod, pn = p**(n + 1), p**n
+    base = liftlab.set_theoretic_lift(rho, det_target)
+    base_gen = [base[g] for g in G.generators]
+    dim = 3 * len(base_gen)
+
+    def mul(a, b):
+        return mat_mul(a, b, mod)
+
+    def gen_images(x):
+        return [mul((1 + a * pn, b * pn, c * pn, 1 + (-a % p) * pn), A)
+                for A, a, b, c in zip(base_gen, x[0::3], x[1::3], x[2::3])]
+
+    def defects(x):
+        imgs = gen_images(x)
+        out = G.extend_along_tree(imgs, mul)
+        return [(e - f) % mod
+                for i, img_i in enumerate(out)
+                for g, img_g in zip(G.generators, imgs)
+                for e, f in zip(out[G.table[i][g]], mul(img_i, img_g))]
+
+    d0 = defects([0] * dim)
+    if any(e % pn for e in d0):
+        return []
+    cols = [[(e - f) % mod // pn for e, f in zip(defects(unit), d0)]
+            for unit in np.eye(dim, dtype=np.int64).tolist()]
+    L = np.array(cols, dtype=np.int64).T
+    x0 = solve_modp(L, np.array([-e // pn % p for e in d0], dtype=np.int64),
+                    p)
+    if x0 is None:
+        return []
+    K = nullspace_modp(L, p)
+    if p**len(K) > liftlab.MAX_LIFTS:
+        raise SizeBound(f"{p**len(K)} lifts exceed the bound")
+    return [G.extend_homomorphism(gen_images(x), mul)
+            for x in sorted(map(tuple, coset_modp(x0, K, p).tolist()))]
+
+
+def random_sl2_homomorphisms(count=12):
+    """(name, rho, det target): seeded subgroups of SL_2(Z/p^n), p in
+    {3, 5} and n in {1, 2}, by one or two random generators, with at most
+    60 elements, each mapped to itself; the determinant is 1."""
+    rng = random.Random(35)
+    out = []
+    while len(out) < count:
+        p, n = rng.choice((3, 5)), rng.choice((1, 2))
+        mod = p**n
+        gens = []
+        for _ in range(rng.choice((1, 2))):
+            a = rng.choice([a for a in range(mod) if a % p])
+            b, c = rng.randrange(mod), rng.randrange(mod)
+            gens.append((a, b, c, (1 + b * c) * pow(a, -1, mod) % mod))
+        try:
+            G = group_from_matrices(gens, mod, max_size=60)
+        except SizeBound:
+            continue
+        out.append((f"random-SL2-{p}^{n}/{len(out)}",
+                    RepresentationModPn(G, p, n, G.elements), [1] * len(G)))
+    return out
+
+
+def _non_homomorphisms():
+    """(name, rho, det target) of `non_homomorphism` at n = 2 (int64) and
+    n = 20 (Python integers)."""
+    out = []
+    for n in (2, 20):
+        rho = non_homomorphism(n)
+        out.append((f"non-homomorphism/3^{n}", rho,
+                     _teichmuller_dets(rho, n + 1)))
+    return out
+
+
+ALL_SCENARIO_PATHS = SCENARIO_PATHS + (
+    "tests/scenarios/tame_twist_z9.json",
+    "tests/scenarios/tame_unrealizable_z3.json")
+
+
+@pytest.fixture(scope="module")
+def torsor_cases(generator_cases):
+    """(name, rho, det target, modules): every case of
+    `generator_value_cases` (the nine torsor instances, the levels of
+    five scenarios with n and b, Borel and unipotent groups, and Z/3 at
+    level 21 in Python integers), the levels of the two tame scenarios,
+    the seeded SL_2 homomorphisms and the two non-homomorphisms."""
+    out = [(name, rho, det_t, [M])
+           for name, _, M, rho, det_t, *_ in generator_cases]
+    for path in ALL_SCENARIO_PATHS[len(SCENARIO_PATHS):]:
+        stem = os.path.basename(path)[:-5]
+        for rho, det_t, M in _scenario_levels(path):
+            out.append((f"{stem}/level{rho.n + 1}", rho, det_t,
+                        [M] + _modules(rho.model, M.rhobar, rho.p,
+                                       ("n", "b"))))
+    for name, rho, det_t in random_sl2_homomorphisms() + _non_homomorphisms():
+        out.append((name, rho, det_t,
+                    _modules(rho.model, rho.rhobar(), rho.p)))
+    return out
+
+
+def _result_or_refusal(f, *args):
+    """f(*args), or the type and message of the ValueError or ParseError
+    it raised."""
+    try:
+        return f(*args)
+    except (ValueError, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+def test_obstruction_cochain_matches_the_inverse_formula(torsor_cases):
+    """One product and rho-bar(gh)^-1 give the inverse formula's values
+    with the same dtype, or its refusal with the same message, on every
+    case and module: ValueError on the non-homomorphisms, ParseError on
+    a value outside n or b; and obstruction_class returns that cochain."""
+    refused = {}
+    modules = set()
+    for name, rho, det_t, Ms in torsor_cases:
+        tau = liftlab.set_theoretic_lift(rho, det_t)
+        for M in Ms:
+            modules.add(M.selector)
+            want = _result_or_refusal(oracle_obstruction_cochain, rho, M,
+                                      tau)
+            got = _result_or_refusal(liftlab._obstruction_cochain, rho, M,
+                                     tau)
+            if isinstance(want, tuple):
+                assert got == want, name
+                refused[f"{name}/{M.selector}"] = want[0].__name__
+                continue
+            assert got.values.dtype == np.int64, name
+            assert np.array_equal(got.values, want), name
+            assert np.array_equal(
+                obstruction_class(rho, det_t, M).values, want), name
+    assert len(torsor_cases) == 70 + 3 + 12 + 2
+    assert modules == {"ad0", "n", "b"}
+    assert refused["outside-n/level3/n/n"] == "ParseError"
+    assert [k for k, v in refused.items() if v == "ValueError"] == [
+        f"non-homomorphism/3^{n}/{s}" for n in (2, 20)
+        for s in ("ad0", "n", "b")]
+    assert list(refused.values()).count("ParseError") == 8
+
+
+def test_enumerate_lifts_matches_the_solved_system(torsor_cases):
+    """One elimination of [L | b] gives the lifts that `solve_modp`,
+    `nullspace_modp` and `coset_modp` gave, in the same order, on every
+    lift instance and case; [] where the system is inconsistent or rho
+    is no homomorphism."""
+    counts = {}
+    # one case per rho: the n and b cases of a level share its rho
+    cases = {id(rho): (name, rho, det_t)
+             for name, rho, det_t, _ in reversed(torsor_cases)}
+    for name, rho, det_t in _lift_instances() + list(cases.values()):
+        got = [L.images for L in enumerate_lifts(rho, det_t)]
+        assert got == oracle_solved_lifts(rho, det_t), name
+        counts[name] = len(got)
+    empty = {name for name, k in counts.items() if k == 0}
+    assert {"Z3-obstructed/p3", "Z5-obstructed/p5", "Z5-unip/p5",
+            "non-homomorphism/3^2"} <= empty
+    assert (len(counts), len(empty)) == (51, 16)
+
+
+def test_coset_matches_coset_modp():
+    """`_coset` lists the vectors of `coset_modp` in the same order."""
+    rng = random.Random(3)
+    for p in (2, 3, 5):
+        for f in range(4):
+            n = rng.randint(f, 6) or 1
+            x0 = [rng.randrange(p) for _ in range(n)]
+            K = [[rng.randrange(p) for _ in range(n)] for _ in range(f)]
+            want = coset_modp(np.array(x0, dtype=np.int64),
+                              np.array(K, dtype=np.int64).reshape(f, n), p)
+            assert liftlab._coset(x0, K, p) == list(map(tuple,
+                                                       want.tolist()))
+
+
+def _unipotent_z3():
+    """Z/3 to (1, 1; 0, 1) at p = 3, level 1: nine lifts."""
+    G = cyclic(3)
+    rho = RepresentationModPn(G, 3, 1, G.extend_homomorphism(
+        [(1, 1, 0, 1)], lambda a, b: mat_mul(a, b, 3)))
+    return G, rho
+
+
+def test_torsor_calls_refuse_a_module_of_another_rhobar():
+    """The ad0 module of the trivial rho-bar on rho's own model: lift_step
+    called this step obstructed, though nine lifts exist."""
+    G, rho = _unipotent_z3()
+    assert len(enumerate_lifts(rho, [1] * 3)) == 9
+    M = AdjointModule(G, trivial_images(G), "ad0", p=3)
+    for call in (lambda: obstruction_class(rho, [1] * 3, M),
+                 lambda: lift_step(rho, [1] * 3, M, [])):
+        with pytest.raises(ValueError, match="reduction mod 3 of rho"):
+            call()
+
+
+def test_torsor_calls_refuse_a_module_on_another_model():
+    G, rho = _unipotent_z3()
+    M = AdjointModule(cyclic(3), rho.rhobar(), "ad0", p=3)
+    for call in (lambda: obstruction_class(rho, [1] * 3, M),
+                 lambda: lift_step(rho, [1] * 3, M, [])):
+        with pytest.raises(ValueError, match="is not the module's own"):
+            call()
+
+
+def test_torsor_calls_refuse_a_module_at_another_prime():
+    """The trivial rho-bar on rho's model, with the module taken mod 5 and
+    rho mod 3."""
+    G = cyclic(3)
+    rho = RepresentationModPn(G, 3, 1, trivial_images(G))
+    M = AdjointModule(G, trivial_images(G), "ad0", p=5)
+    for call in (lambda: obstruction_class(rho, [1] * 3, M),
+                 lambda: lift_step(rho, [1] * 3, M, [])):
+        with pytest.raises(ValueError, match="reduction mod 3 of rho"):
+            call()
+
+
+def _torsor_calls(rho, det_t):
+    G = rho.model
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=rho.p)
+    return (lambda: obstruction_class(rho, det_t, M),
+            lambda: enumerate_lifts(rho, det_t),
+            lambda: lift_step(rho, det_t, M, []))
+
+
+@pytest.mark.parametrize("det_t, match", [
+    ([1, 1], "no value for element 2 of 3"),
+    ([1, 1, 1, 1], "a value for element 3, but the group has 3"),
+])
+def test_torsor_calls_refuse_a_det_target_of_the_wrong_length(det_t, match):
+    """A short list raised IndexError, and a long one was cut to |G|
+    (Z/3 with [1, 1, 1, 1] gave nine lifts)."""
+    _, rho = _unipotent_z3()
+    for call in _torsor_calls(rho, det_t):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_torsor_calls_refuse_a_det_target_off_det_rho():
+    """Z/3 with the targets [2, 2, 2], which do not reduce mod 3 to
+    det rho = 1, raised InvariantViolation, the class of an internal
+    contradiction; the element named is the first one off."""
+    _, rho = _unipotent_z3()
+    for det_t, i in (([2, 2, 2], 0), ([1, 4, 2], 2)):
+        for call in _torsor_calls(rho, det_t):
+            with pytest.raises(ValueError, match=f"det_target of element "
+                               f"{i} does not reduce mod 3\\^1"):
+                call()

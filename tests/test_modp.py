@@ -1,6 +1,7 @@
 """The dense mod-p^k kernel against brute force over F_p^n (n <= 4), and
-the Smith form over Z/p^k that computed the graded ranks of
-`iwasawa_modules` before the p-adic lifting, kept here as an oracle."""
+two oracles of code that left it: the Smith form over Z/p^k that
+computed the graded ranks of `iwasawa_modules` before the p-adic
+lifting, and the numpy coset listing `coset_modp`."""
 
 import itertools
 import random
@@ -8,8 +9,19 @@ import random
 import numpy as np
 import pytest
 
-from mulab.modp import (MAX_MODULUS, coset_modp, matmul_mod, nullspace_modp,
-                        rref_modp, solve_modp)
+from mulab.modp import (MAX_MODULUS, matmul_mod, nullspace_modp, rref_modp,
+                        solve_modp)
+
+
+def coset_modp(x0: np.ndarray, K: np.ndarray, p: int) -> np.ndarray:
+    """The p^f vectors x0 + c K mod p, one a row, for the f rows of K and
+    c running over itertools.product(range(p), repeat=f).  With f = 0 it
+    is the one row x0.  `liftlab.enumerate_lifts` and
+    `liftlab._layer_solver` listed their cosets with it before they did
+    so in plain ints (`liftlab._coset`); it is kept as their oracle."""
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(K))),
+                      dtype=np.int64)
+    return (x0 + coeffs @ K) % p
 
 
 def span(rows, p, n):

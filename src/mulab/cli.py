@@ -90,7 +90,7 @@ def _p_error(p, layers: int) -> str | None:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import analyze_many, ingest, render_report
+    from .analysis import MAX_ELL_BOUND, analyze_many, ingest, render_report
     from .modsym import MAX_CONDUCTOR
     try:
         cfg = load_config(args.config)
@@ -118,6 +118,11 @@ def cmd_analyze(args) -> int:
         print(f"input error: precision {sizes['precision']} exceeds "
               f"{MAX_PRECISION}, the bound on the p-adic digits carried",
               file=sys.stderr)
+        return EXIT_INPUT
+    if sizes["ell_bound"] > MAX_ELL_BOUND:
+        print(f"input error: ell_bound {sizes['ell_bound']} exceeds "
+              f"{MAX_ELL_BOUND}, the bound on the primes point-counted for "
+              "a_ell", file=sys.stderr)
         return EXIT_INPUT
     if p is not None and (error := _p_error(p, sizes["layers"])):
         print(f"input error: {error}", file=sys.stderr)

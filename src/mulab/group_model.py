@@ -82,6 +82,9 @@ class FiniteGroupModel:
         if self.identity is None:
             raise ValueError("the generators do not generate a group")
         self.subgroups: dict[str, list[int]] = {}
+        # liftlab's ad0 modules of lift enumeration, one per (p, rho-bar):
+        # each refers to the model, so held here they die with it
+        self.lift_modules: dict = {}
 
     def __len__(self):
         return len(self.elements)

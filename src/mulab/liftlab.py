@@ -8,7 +8,8 @@ degree of each (condition, twist-space) pair.
 
 Everything is exhaustively checkable: groups are explicit tables, the
 lifts of one step are the solutions of one affine system over F_p in the
-generator images, each checked against every relation, and membership
+generator images, certified by the full relation check at an affine
+basis of them, and membership
 of a twisted local deformation in a family is decided by a
 layer-by-layer normal-form search over conjugators congruent to the
 identity mod p.
@@ -17,6 +18,7 @@ identity mod p.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -165,6 +167,20 @@ class AdjointModule:
         the one elimination of the edge system L, and the maps that the
         coboundary solve and the cocycle identity apply to a cochain."""
         return _coboundary_maps(self.model, self)
+
+    @cached_property
+    def lift_maps(self) -> LiftMaps:
+        """`_lift_maps(self)`, built on first use: the maps that
+        `enumerate_lifts` reads of an ad0 module, as tuples of ints."""
+        return _lift_maps(self)
+
+    @cached_property
+    def lift_columns(self) -> tuple:
+        """Per element, the `_linear_column` of its `lift_maps.steps`,
+        built on first use, which `enumerate_lifts` makes only after its
+        MAX_LIFTS check: each column has p^(dim ker L) entries."""
+        return tuple(_linear_column(ys, self.p)
+                     for ys in self.lift_maps.steps)
 
     @cached_property
     def z1(self):
@@ -388,6 +404,57 @@ def _coboundary_maps(G, M) -> CoboundaryMaps:
     for a in vars(maps).values():
         a.flags.writeable = False
     return maps
+
+
+@dataclass(frozen=True)
+class LiftMaps:
+    """What `enumerate_lifts` reads of an ad0 module (`_lift_maps`), as
+    tuples of ints, in the coordinates x = (a_j, b_j, c_j) of the
+    generator values X_j = a_j H + b_j E + c_j F; m and g d as in
+    `CoboundaryMaps`:
+
+    edges   per block of d = 3 rows of L, one an edge (x, s_j) off the
+            tree: (x g + j, the columns of `obstruction_maps` at x s_j)
+    solve   (g d, m): solve rhs solves L u = rhs whenever it is solvable
+    edge    (m, g d): L
+    kernel  a basis of ker L in reduced echelon form, row k led at lead[k]
+    lead    the leading columns of kernel
+    steps   per element i and kernel row k, the entries of
+            F_i(kernel[k]) rho-bar(i) mod p, with F = A u the tree maps"""
+
+    edges: tuple
+    solve: tuple
+    edge: tuple
+    kernel: tuple
+    lead: tuple
+    steps: tuple
+
+
+def _lift_maps(M) -> LiftMaps:
+    """The `LiftMaps` of the ad0 module M: its tree maps, its one
+    elimination of L (`coboundary_maps`) and its `obstruction_maps`, with
+    the columns put in x order, and ker L brought to reduced echelon form
+    in that order (`linalg._rref_mod`)."""
+    G, p = M.model, M.p
+    g = len(G.generators)
+    A, S, keep, L = M.tree_maps
+    maps = M.coboundary_maps
+    # u = (E, H, F) coordinates and x = (a, b, c) swap the first two
+    perm = [c + (1, -1, 0)[c % 3] for c in range(3 * g)]
+    K, lead = (_rref_mod(maps.kernel[:, perm].tolist(), p)
+               if len(maps.kernel) else ([], []))
+    obs = M.obstruction_maps
+    edges = tuple((e, tuple(map(tuple, obs[S.flat[e]].T.tolist())))
+                  for e in np.flatnonzero(keep).tolist())
+    # F_i(k) rho-bar(i) as the 2 x 2 product of the matrices of F and rho-bar
+    F = A[:, :, perm] @ np.array(K, dtype=np.int64).reshape(-1, 3 * g).T % p
+    W = F.transpose(0, 2, 1) @ np.array(AD0_BASIS, dtype=np.int64) % p
+    R = np.array(M.rhobar, dtype=np.int64).reshape(-1, 1, 2, 2)
+    Y = (W.reshape(W.shape[:2] + (2, 2)) @ R % p).reshape(W.shape)
+    return LiftMaps(
+        edges, tuple(map(tuple, maps.solve[perm].tolist())),
+        tuple(map(tuple, L[:, perm].tolist())), tuple(map(tuple, K)),
+        tuple(lead), tuple(tuple(map(tuple, y)) for y in Y.tolist()))
 
 
 def _check_model(model: FiniteGroupModel, M: AdjointModule) -> None:
@@ -720,82 +787,143 @@ def lift_step(rho: RepresentationModPn, det_target,
 def enumerate_lifts(rho: RepresentationModPn, det_target):
     """All homomorphic lifts mod p^(n+1) with the fixed determinant, n >= 1.
 
-    Generator j goes to (1 + p^n X_j) A_j, with A_j the set-theoretic lift
-    and X_j = (a_j, b_j; c_j, -a_j) mod p (the determinant is already
-    matched).  Since 2n >= n + 1,
+    Generator j goes to g_j = (1 + p^n X_j) A_j, with A_j the
+    set-theoretic lift and X_j = a_j H + b_j E + c_j F mod p (the
+    determinant is already matched), x = (a_j, b_j, c_j)_j.  Since
+    2n >= n + 1,
 
         (1 + p^n X) A (1 + p^n Y) B = (1 + p^n (X + A Y A^-1)) AB
                                                         mod p^(n+1),
 
-    so along the group's BFS tree every element's image is its image at
-    x = 0 plus p^n times a linear function of the coordinates x = (a_j,
-    b_j, c_j)_j, and so is every relation defect out[t[i][g]] - out[i]
-    img_g.  The defect mod p^n does not depend on x: when p^n does not
-    divide it (rho's generator images break a relation mod p^n) there is
-    no lift.  Otherwise the lifts are the solutions of the affine system
-    defect(x) / p^n = 0 over F_p, read off from the defects at x = 0 and
-    at the 3g unit vectors.
+    so the extension along the group's BFS tree gives element i the image
+    out_i(x) = (1 + p^n F_i) out_i(0) = out_i(0) + p^n F_i rho-bar(i),
+    with F_(s_j) = X_j and F_(i s_j) = F_i + rho-bar(i) X_j rho-bar(i)^-1:
+    F = A u for the tree maps A of the ad0 module of rho-bar = out(0)
+    mod p, u being x in its basis (E, H, F).  So images are affine in x,
+    and so are the relation defects:
 
-    The system [L | b] is eliminated once, on its distinct rows
-    (`linalg._rref_mod`): a pivot in the last column means no solution,
-    and otherwise the pivot rows give a solution x0 and the free columns
-    a basis of ker L.  The lifts come in lexicographic order of x, the
-    order of a search over itertools.product of the X_j, which does not
-    depend on that basis; each is built by `extend_homomorphism`, so
-    every one passes the full relation check.  Raises SizeBound when
+        out_(i s_j) - out_i g_j = d0 + p^n (L u)_(i, j) rho-bar(i s_j)
+
+    mod p^(n+1), with d0 the defect at x = 0 and L the module's edge
+    system (the tree's own pairs have no defect).  When p^n does not
+    divide d0, rho's generator images break a relation mod p^n: there is
+    no lift, and no module is looked up.  Otherwise, with D = d0 / p^n,
+    the lifts are the solutions of L u = rhs, rhs = -coords(D rho-bar(i
+    s_j)^-1) on each edge, if every D rho-bar(i s_j)^-1 has trace 0 (as
+    L u has), and there are none if not.  The module is one per (model,
+    p, rho-bar), kept in `FiniteGroupModel.lift_modules`, so the levels
+    of one rho-bar share it; u0 = solve rhs is read off its one
+    elimination of L and kept after L u0 = rhs is checked
+    (`AdjointModule.lift_maps`).
+
+    With the basis K of ker L in reduced echelon form in x order, and x0
+    made 0 at its leading columns, x0 + sum c_k K_k is in lexicographic
+    order of x as c runs through itertools.product(range(p), repeat=f):
+    where two such x first differ is the leading column of the first
+    K_k where their c differ, and x is c_k there.  At c, element i has
+    the image out_i(x0) + p^n sum c_k F_i(K_k) rho-bar(i), built once per
+    distinct value of the sum (`AdjointModule.lift_columns`).
+
+    Certificate: after the MAX_LIFTS check, `extend_homomorphism` builds
+    the images at x0 and at each x0 + K_k, f + 1 full relation checks,
+    and the listed images there must equal them.  The true images, the
+    listed ones and the relation defects are all affine in c over F_p
+    (p^n times a linear map mod p, plus a constant), and an affine map is
+    fixed by its values at c = 0 and at the f unit vectors: every listed
+    lift is the extension of its generator images, and a homomorphism.
+    A failed check raises InvariantViolation.  Raises SizeBound when
     there are more than MAX_LIFTS lifts."""
     p, n = rho.p, rho.n
     G = rho.model
     mod, pn = p**(n + 1), p**n
     base = set_theoretic_lift(rho, det_target)
     base_gen = [base[g] for g in G.generators]
-    dim = 3 * len(base_gen)
 
     def mul(a, b):
         return mat_mul(a, b, mod)
 
-    def gen_images(x):
-        return [mul((1 + a * pn, b * pn, c * pn, 1 + (-a % p) * pn), A)
-                for A, a, b, c in zip(base_gen, x[0::3], x[1::3], x[2::3])]
-
-    def defects(x):
-        imgs = gen_images(x)
-        out = G.extend_along_tree(imgs, mul)
-        return [(e - f) % mod
-                for i, img_i in enumerate(out)
-                for g, img_g in zip(G.generators, imgs)
-                for e, f in zip(out[G.table[i][g]], mul(img_i, img_g))]
-
-    d0 = defects([0] * dim)
+    out0 = G.extend_along_tree(base_gen, mul)
+    # the 4 entries of the defect at each pair (i, j), in order i g + j
+    d0 = [(e - f) % mod
+          for i, img in enumerate(out0)
+          for g, A in zip(G.generators, base_gen)
+          for e, f in zip(out0[G.table[i][g]], mul(img, A))]
     if any(e % pn for e in d0):
         return []
-    cols = [[(e - f) % mod // pn for e, f in zip(defects(unit), d0)]
-            for unit in _unit_vectors(dim)]
-    rows = dict.fromkeys(zip(*cols, [-e // pn % p for e in d0]))
-    R, pivots = _rref_mod(list(rows), p)
-    if pivots and pivots[-1] == dim:
+    key = (p,) + tuple(tuple(e % p for e in m) for m in base_gen)
+    M = G.lift_modules.get(key)
+    if M is None:
+        M = G.lift_modules[key] = AdjointModule(
+            G, [tuple(e % p for e in m) for m in out0], "ad0", p)
+    maps = M.lift_maps
+    rhs = []
+    for pair, cols in maps.edges:
+        D = [e // pn for e in d0[4 * pair:4 * pair + 4]]
+        *r, trace = [sum(map(operator.mul, D, col)) % p for col in cols]
+        if trace:
+            return []
+        rhs += r
+    x0 = [sum(map(operator.mul, row, rhs)) % p for row in maps.solve]
+    if any(sum(map(operator.mul, row, x0)) % p != r
+           for row, r in zip(maps.edge, rhs)):
         return []
-    x0 = [0] * dim
-    for row, c in zip(R, pivots):
-        x0[c] = row[dim]
-    K = _kernel_basis(R, pivots, dim, p)
-    if p**len(K) > MAX_LIFTS:
-        raise SizeBound(f"{p**len(K)} lifts exceed the bound")
-    # lifts differ by 1-cocycles, which take few values on many elements
-    # (one at the identity): the lifts share one tuple per distinct image
-    shared = {}
-    lifts = []
-    for x in sorted(_coset(x0, K, p)):
+    for K, lead in zip(maps.kernel, maps.lead):
+        x0 = [(a - x0[lead] * b) % p for a, b in zip(x0, K)]
+    f = len(maps.kernel)
+    if p**f > MAX_LIFTS:
+        raise SizeBound(f"{p**f} lifts exceed the bound")
+
+    def extension(x):
+        gen_images = [
+            mul((1 + a * pn, b * pn, c * pn, 1 + (-a % p) * pn), A)
+            for A, a, b, c in zip(base_gen, x[0::3], x[1::3], x[2::3])]
         try:
-            images = G.extend_homomorphism(gen_images(x), mul)
+            return G.extend_homomorphism(gen_images, mul)
         except ValueError as exc:
             raise InvariantViolation(
                 "a solution of the linearized relations is not a "
                 "homomorphism") from exc
-        lift = RepresentationModPn(G, p, n + 1, images)
-        lift.images = [shared.setdefault(m, m) for m in lift.images]
+
+    # lifts differ by 1-cocycles, which take few values on many elements
+    # (one at the identity): the lifts share one tuple per distinct image
+    shared = {}
+    columns = []
+    for (a, b, c, d), (values, index) in zip(extension(x0),
+                                              M.lift_columns):
+        distinct = [shared.setdefault(w, w) for w in (
+            ((a + pn * y0) % mod, (b + pn * y1) % mod, (c + pn * y2) % mod,
+             (d + pn * y3) % mod) for y0, y1, y2, y3 in values)]
+        columns.append(list(map(distinct.__getitem__, index)))
+    lifts = []
+    for images in zip(*columns):
+        lift = RepresentationModPn(G, p, n + 1, ())
+        lift.images = list(images)
         lifts.append(lift)
+    for k, K in enumerate(maps.kernel):
+        if extension([(a + b) % p for a, b in zip(x0, K)]) \
+                != lifts[p**(f - 1 - k)].images:
+            raise InvariantViolation(
+                f"the listed lift at kernel vector {k} is not the "
+                "extension of its generator images")
     return lifts
+
+
+def _linear_column(ys, p: int):
+    """(values, index): the values of sum_k c_k ys[k] mod p for c in the
+    order of itertools.product(range(p), repeat=len(ys)), each distinct
+    one once in order of first occurrence, and the position in values of
+    each c.  Each ys[k] moves every distinct value so far once, by
+    c = 0, ..., p - 1."""
+    column = [(0, 0, 0, 0)]
+    for y in ys:
+        moved = {}
+        for v in column:
+            if v not in moved:
+                moved[v] = [tuple((a + c * b) % p for a, b in zip(v, y))
+                            for c in range(p)]
+        column = [w for v in column for w in moved[v]]
+    position = {v: i for i, v in enumerate(dict.fromkeys(column))}
+    return tuple(position), tuple(map(position.__getitem__, column))
 
 
 def _unit_vectors(dim: int):

@@ -347,6 +347,12 @@ def frobenius_scalar(E: Curve, kernel_poly, ell: int, p: int) -> int:
     a_2 = 0 mod p is refused.  NoFrobeniusScalar also when ell is in a
     denominator of kernel_poly, when h degenerates or does not divide
     psi_p mod ell, and when no root passes.
+
+    The psi_p check stays although every kernel `analyze` passes divides
+    psi_p in Z[x] (computed ones by construction, supplied ones after
+    `is_kernel_polynomial`): this function is public, and a caller may
+    pass any polynomial, for which the root test alone proves nothing.
+    It costs 3.2 of 8.2 ms over the 65 corpus (kernel, ell) calls.
     """
     if E.discriminant % ell == 0:
         raise BadReduction(f"bad reduction at {ell}")

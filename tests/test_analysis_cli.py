@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mulab.analysis import (
+    MAX_ELL_BOUND,
     CurveRecord,
     _same_radical,
     analyze,
@@ -1049,6 +1050,35 @@ def test_cli_rejects_precision_beyond_bound(tmp_path, capsys):
     rc = main(["analyze", "--curves", curves, "--p", "5", "--layers", "2",
                "--precision", str(MAX_PRECISION)])
     assert rc == 0
+
+
+def test_ell_bound_beyond_its_bound_is_refused(tmp_path, capsys):
+    """MAX_ELL_BOUND itself runs; one above it exits 3 from the flag and
+    from the config key alike, naming the value and the bound, and the
+    library's analyze raises SizeBound on it before counting a point."""
+    curves = write_json(tmp_path, "c.json", [
+        {"label": "11a3", "ainvs": [0, -1, 1, 0, 0], "conductor": 11}])
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(f"p = 5\nell_bound = {MAX_ELL_BOUND + 1}\n")
+    for args in (["--p", "5", "--ell-bound", str(MAX_ELL_BOUND + 1)],
+                 ["--config", str(cfg)]):
+        assert main(["analyze", "--curves", curves, *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: ell_bound {MAX_ELL_BOUND + 1} "
+                              f"exceeds {MAX_ELL_BOUND}")
+    (rec,) = ingest(curves)
+
+    class NoCounting(Curve):
+        def ap(self, ell):
+            raise AssertionError("a point was counted")
+
+    with pytest.raises(SizeBound, match=f"exceeds {MAX_ELL_BOUND}"):
+        analyze(rec, 5, ell_bound=MAX_ELL_BOUND + 1,
+                curve=NoCounting(*rec.ainvs))
+    assert main(["analyze", "--curves", curves, "--p", "5", "--ell-bound",
+                 str(MAX_ELL_BOUND)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["precision"][
+        "ell_bound"] == MAX_ELL_BOUND
 
 
 def test_cli_byte_determinism(tmp_path, capsys):

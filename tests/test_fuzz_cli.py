@@ -19,8 +19,8 @@ analyzed at `--p 5`; the `presentation` entries of
 `data/scenarios` and `tests/scenarios`.
 
 The `analyze --config` file is mutated as well, exhaustively: each key
-the CLI reads from it gets an int, a negative int, a quoted string or a
-bool, or loses its line, and `data/curves_11a.json` is analyzed with
+the CLI reads from it gets an int, a negative int, a quoted string, a
+bool or an int above every size bound, or loses its line, and `data/curves_11a.json` is analyzed with
 the mutant from a temporary working directory, so that a string `cache`
 writes only there.
 
@@ -52,7 +52,7 @@ REPLACEMENTS = (None, True, 0, -1, 7, 2.5, "x", [], {}, [0])
 # reads, and the values a line is given (None drops it)
 CONFIG = {"p": "5", "precision": "6", "layers": "3", "ell_bound": "200",
           "format": '"table"', "cache": '"cache"'}
-CONFIG_VALUES = ("7", "-1", '"x"', "true", None)
+CONFIG_VALUES = ("7", "-1", '"x"', "true", "1000000000", None)
 
 
 def _inputs():

@@ -1843,15 +1843,14 @@ def _assert_same_lifts(name, rho, det_t):
     want = oracle_enumerate_lifts(rho, det_t)
     assert [L.images for L in lifts] == [L.images for L in want], name
     assert all(L.n == rho.n + 1 and L.verify() for L in lifts), name
-    # equal images of different lifts are one shared tuple
-    images = [m for L in lifts for m in L.images]
-    assert len({id(m) for m in images}) == len(set(images)), name
+    _assert_same_listing(name, lifts, oracle_listed_lifts(rho, det_t))
     return lifts
 
 
 def test_enumerate_lifts_matches_exhaustive_search():
     """The same lifts in the same order as the search, each one a
-    homomorphism, on every instance and on the next step above its
+    homomorphism, and the same shared tuples as the listing the edge
+    solve replaced, on every instance and on the next step above its
     first and last lift."""
     counts = {}
     for name, rho, det_t in _lift_instances():
@@ -1866,11 +1865,16 @@ def test_enumerate_lifts_matches_exhaustive_search():
         "Z5-unip/p5", "Z3-obstructed/p3", "Z5-obstructed/p5"]
 
 
-def test_enumerate_lifts_of_a_non_homomorphism_is_empty():
+def test_enumerate_lifts_of_a_non_homomorphism_is_empty(monkeypatch):
     """Generator images that break a relation mod p^n have no lift: at
     level 1 (Z/3 -> (1, 1; 0, 1) mod 5 has order 5) and at level 2
     (Z/5 -> (1, 1; 0, 1) mod 25 has order 25, though it is a
-    homomorphism mod 5)."""
+    homomorphism mod 5).  They are refused before any module is
+    looked up."""
+    def refuse(*args):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(AdjointModule, "__init__", refuse)
     for p, n in ((5, 1), (5, 2)):
         G = cyclic(3) if n == 1 else cyclic(5)
         images = G.extend_along_tree(
@@ -1878,6 +1882,7 @@ def test_enumerate_lifts_of_a_non_homomorphism_is_empty():
         rho = RepresentationModPn(G, p, n, images)
         assert not rho.verify()
         assert enumerate_lifts(rho, [1] * len(G)) == []
+        assert G.lift_modules == {}
         assert oracle_enumerate_lifts(rho, [1] * len(G)) == []
 
 
@@ -2481,6 +2486,59 @@ def oracle_solved_lifts(rho, det_target):
             for x in sorted(map(tuple, coset_modp(x0, K, p).tolist()))]
 
 
+def oracle_listed_lifts(rho, det_target):
+    """The lifts as `enumerate_lifts` listed them before it solved the ad0
+    module's edge system: 3g + 1 tree extensions for the defect columns,
+    one `_rref_mod` elimination of [L | b] on its distinct rows, and
+    every lift of the sorted coset built by `extend_homomorphism`, with
+    equal images shared."""
+    p, n = rho.p, rho.n
+    G = rho.model
+    mod, pn = p**(n + 1), p**n
+    base = liftlab.set_theoretic_lift(rho, det_target)
+    base_gen = [base[g] for g in G.generators]
+    dim = 3 * len(base_gen)
+
+    def mul(a, b):
+        return mat_mul(a, b, mod)
+
+    def gen_images(x):
+        return [mul((1 + a * pn, b * pn, c * pn, 1 + (-a % p) * pn), A)
+                for A, a, b, c in zip(base_gen, x[0::3], x[1::3], x[2::3])]
+
+    def defects(x):
+        imgs = gen_images(x)
+        out = G.extend_along_tree(imgs, mul)
+        return [(e - f) % mod
+                for i, img_i in enumerate(out)
+                for g, img_g in zip(G.generators, imgs)
+                for e, f in zip(out[G.table[i][g]], mul(img_i, img_g))]
+
+    d0 = defects([0] * dim)
+    if any(e % pn for e in d0):
+        return []
+    cols = [[(e - f) % mod // pn for e, f in zip(defects(unit), d0)]
+            for unit in liftlab._unit_vectors(dim)]
+    rows = dict.fromkeys(zip(*cols, [-e // pn % p for e in d0]))
+    R, pivots = liftlab._rref_mod(list(rows), p)
+    if pivots and pivots[-1] == dim:
+        return []
+    x0 = [0] * dim
+    for row, c in zip(R, pivots):
+        x0[c] = row[dim]
+    K = liftlab._kernel_basis(R, pivots, dim, p)
+    if p**len(K) > liftlab.MAX_LIFTS:
+        raise SizeBound(f"{p**len(K)} lifts exceed the bound")
+    shared = {}
+    lifts = []
+    for x in sorted(liftlab._coset(x0, K, p)):
+        lift = RepresentationModPn(
+            G, p, n + 1, G.extend_homomorphism(gen_images(x), mul))
+        lift.images = [shared.setdefault(m, m) for m in lift.images]
+        lifts.append(lift)
+    return lifts
+
+
 def random_sl2_homomorphisms(count=12):
     """(name, rho, det target): seeded subgroups of SL_2(Z/p^n), p in
     {3, 5} and n in {1, 2}, by one or two random generators, with at most
@@ -2583,22 +2641,85 @@ def test_obstruction_cochain_matches_the_inverse_formula(torsor_cases):
 
 
 def test_enumerate_lifts_matches_the_solved_system(torsor_cases):
-    """One elimination of [L | b] gives the lifts that `solve_modp`,
-    `nullspace_modp` and `coset_modp` gave, in the same order, on every
-    lift instance and case; [] where the system is inconsistent or rho
-    is no homomorphism."""
+    """The edge solve on the ad0 module gives the lifts that `solve_modp`,
+    `nullspace_modp` and `coset_modp` gave, and those of the listing it
+    replaced (`oracle_listed_lifts`), in the same order and with the same
+    shared tuples, on every lift instance and case; [] where the system
+    is inconsistent or rho is no homomorphism."""
     counts = {}
     # one case per rho: the n and b cases of a level share its rho
     cases = {id(rho): (name, rho, det_t)
              for name, rho, det_t, _ in reversed(torsor_cases)}
     for name, rho, det_t in _lift_instances() + list(cases.values()):
-        got = [L.images for L in enumerate_lifts(rho, det_t)]
+        lifts = enumerate_lifts(rho, det_t)
+        got = [L.images for L in lifts]
         assert got == oracle_solved_lifts(rho, det_t), name
+        _assert_same_listing(name, lifts, oracle_listed_lifts(rho, det_t))
         counts[name] = len(got)
     empty = {name for name, k in counts.items() if k == 0}
     assert {"Z3-obstructed/p3", "Z5-obstructed/p5", "Z5-unip/p5",
             "non-homomorphism/3^2"} <= empty
     assert (len(counts), len(empty)) == (51, 16)
+
+
+def _assert_same_listing(name, got, want):
+    """The same lifts in the same order, at the same level, with equal
+    images one shared tuple in each listing."""
+    assert [L.images for L in got] == [L.images for L in want], name
+    assert [L.n for L in got] == [L.n for L in want], name
+    for lifts in (got, want):
+        images = [m for L in lifts for m in L.images]
+        assert len({id(m) for m in images}) == len(set(images)), name
+
+
+def test_enumerate_lifts_keeps_one_module_per_rhobar():
+    """The levels of one rho-bar share one ad0 module on the model, kept
+    across calls; another rho-bar on the same model gets its own."""
+    G, rho = s3_rep_mod5()
+    lifts = enumerate_lifts(rho, _teichmuller_dets(rho, 2))
+    (M,) = G.lift_modules.values()
+    assert M.selector == "ad0" and M.rhobar == rho.rhobar()
+    enumerate_lifts(rho, _teichmuller_dets(rho, 2))
+    enumerate_lifts(lifts[7], _teichmuller_dets(lifts[7], 3))
+    assert list(G.lift_modules.values()) == [M]
+    # Z^1 = Hom(S3, F_5^3) = 0: one lift
+    trivial = RepresentationModPn(G, 5, 1, trivial_images(G))
+    assert len(enumerate_lifts(trivial, [1] * len(G))) == 1
+    assert len(G.lift_modules) == 2
+
+
+def test_enumerate_lifts_module_dies_with_the_model():
+    import gc
+    import weakref
+    G, rho = s3_rep_mod5()
+    enumerate_lifts(rho, _teichmuller_dets(rho, 2))
+    (M,) = G.lift_modules.values()
+    dead = weakref.ref(M)
+    del G, rho, M
+    gc.collect()
+    assert dead() is None
+
+
+def test_enumerate_lifts_refuses_a_corrupted_affine_offset(monkeypatch):
+    """A tree-map row of one element that is off by Id in its first block
+    leaves the edge system as it is, so x0 and the kernel still solve it,
+    but the listed images of that element are wrong: the f + 1 extension
+    checks raise InvariantViolation rather than list them."""
+    tree_maps = liftlab._tree_maps
+
+    def corrupted(G, M):
+        A, S, keep, L = tree_maps(G, M)
+        A = A.copy()
+        k = G.tree[-1][0]
+        A[k, :, :3] = (A[k, :, :3] + np.eye(3, dtype=np.int64)) % M.p
+        return A, S, keep, L
+
+    monkeypatch.setattr(liftlab, "_tree_maps", corrupted)
+    for name, rho, det_t in _lift_instances():
+        if name in ("S3/p5", "SL2F3/p3", "Z4/p5"):
+            with pytest.raises(InvariantViolation,
+                               match="listed lift at kernel vector"):
+                enumerate_lifts(rho, det_t)
 
 
 def test_coset_matches_coset_modp():

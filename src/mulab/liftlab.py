@@ -147,17 +147,17 @@ class AdjointModule:
 
     @cached_property
     def obstruction_maps(self) -> np.ndarray:
-        """(n, 4, d + f), read-only, built on first use: at k, the matrix
-        that takes the entries w of a 2 x 2 matrix W to the d coordinates
-        and the f vanishing sums (`COORD_MATRICES`) of -W rho-bar(k)^-1
-        mod p.  On entries, W B is w kron(Id, B), so it is
-        kron(Id, -rho-bar(k)^-1) `COORD_MATRICES[selector]` mod p."""
-        p = self.p
-        B = np.array([mat_inv(m, p) for m in self.rhobar],
+        """(n, n, 4, 4), read-only, built on first use: at (g, h), the
+        matrix that takes the entries w of a 2 x 2 matrix W to the d
+        coordinates and the 4 - d vanishing sums (`COORD_MATRICES`) of
+        -W rho-bar(gh)^-1 mod p.  On entries, W B is w kron(Id, B), so it
+        is kron(Id, -rho-bar(gh)^-1) `COORD_MATRICES[selector]` mod p."""
+        B = np.array([mat_inv(m, self.p) for m in self.rhobar],
                      dtype=np.int64).reshape(-1, 2, 2)
         R = np.zeros((len(B), 4, 4), dtype=np.int64)
         R[:, :2, :2] = R[:, 2:, 2:] = -B
-        maps = R @ COORD_MATRICES[self.selector] % p
+        maps = (R @ COORD_MATRICES[self.selector] % self.p).take(
+            self.model.table_array, axis=0)
         maps.flags.writeable = False
         return maps
 
@@ -167,6 +167,14 @@ class AdjointModule:
         the one elimination of the edge system L, and the maps that the
         coboundary solve and the cocycle identity apply to a cochain."""
         return _coboundary_maps(self.model, self)
+
+    @cached_property
+    def coboundary_solve(self) -> np.ndarray:
+        """`_coboundary_solve(model, self)`, read-only, built on first
+        use: the (n d, n g d) matrix of `is_coboundary`."""
+        F = _coboundary_solve(self.model, self)
+        F.flags.writeable = False
+        return F
 
     @cached_property
     def lift_maps(self) -> LiftMaps:
@@ -340,26 +348,20 @@ def _z1_normal_form(A, K, p: int):
 
 @dataclass(frozen=True)
 class CoboundaryMaps:
-    """What the coboundary solve, Z^1 and the cocycle identity read of a
+    """What Z^1, the coboundary solve and the cocycle identity read of a
     module, every array read-only (`_coboundary_maps`).  L is the m x g d
-    edge system of `_tree_maps`, one row per edge (x, j) and component,
-    and c the n g generator values c(x, s_j) of a 2-cochain, one row
-    x g + j:
+    edge system of `_tree_maps`, one row per edge (x, j) and component:
 
     solve    (g d, m): u = solve rhs mod p solves L u = rhs, 0 on the
              free unknowns, whenever the m equations are consistent
     kernel   the basis of ker L that `nullspace_modp(L, p)` gives
-    offsets  (n, n g): the tree offsets b = offsets c of `is_coboundary`
-    rhs      (m / d, n g): its right-hand side, rhs c, one edge a row
-    gens     the generators, to read c off a 2-cochain
+    gens     the generators, to read c(x, s_j) off a 2-cochain
     triples  (3, n, g, n): at [h, s, g], the rows of (gh, s), (g, hs)
              and (g, h) among a 2-cochain's n^2 rows, (x, y) at x n + y
     action   (d, n d): the transposed action matrices side by side"""
 
     solve: np.ndarray
     kernel: np.ndarray
-    offsets: np.ndarray
-    rhs: np.ndarray
     gens: np.ndarray
     triples: np.ndarray
     action: np.ndarray
@@ -375,8 +377,7 @@ def _coboundary_maps(G, M) -> CoboundaryMaps:
     solution puts (T rhs)[i] at the i-th pivot and 0 elsewhere, which is
     solve rhs.  The kernel is read off R as `nullspace_modp` reads it."""
     n, p = len(G), M.p
-    g = len(G.generators)
-    _, S, keep, L = M.tree_maps
+    L = M.tree_maps[3]
     m, gd = L.shape
     R, pivots = rref_modp(np.hstack([L, np.eye(m, dtype=np.int64)]), p)
     piv = [c for c in pivots if c < gd]
@@ -386,24 +387,53 @@ def _coboundary_maps(G, M) -> CoboundaryMaps:
     kernel = np.zeros((len(free), gd), dtype=np.int64)
     kernel[range(len(free)), free] = 1
     kernel[:, piv] = -R[:len(piv), free].T % p
-    # b[k] = b[i] - c(i, s_j) along the tree, b = 0 at the generators
-    offsets = np.zeros((n, n * g), dtype=np.int64)
-    for k, i, j in G.tree:
-        offsets[k] = offsets[i]
-        offsets[k, i * g + j] -= 1
-    unit = np.eye(n * g, dtype=np.int64).reshape(n, g, n * g)
-    rhs = (offsets[:, None] - offsets[S] - unit)[keep]
     gens = np.array(G.generators, dtype=np.intp)
     T = G.table_array
-    h, s, x = np.indices((n, g, n))
+    h, s, x = np.indices((n, len(gens), n))
     triples = np.stack([T[x, h] * n + gens[s], x * n + T[h, gens[s]],
                         x * n + h])
     action = M._action.transpose(2, 0, 1).reshape(M.dim, n * M.dim)
-    maps = CoboundaryMaps(solve, kernel, offsets, rhs, gens, triples,
+    maps = CoboundaryMaps(solve, kernel, gens, triples,
                           np.ascontiguousarray(action))
     for a in vars(maps).values():
         a.flags.writeable = False
     return maps
+
+
+def _coboundary_solve(G, M) -> np.ndarray:
+    """The (n d, n g d) matrix F of `is_coboundary`: f = F c mod p for
+    the generator values c = (c(x, s_j)), one block of d at x g + j.
+
+    Each step from c to f is linear over F_p, and each but the solve
+    acts on c block by block, as an integer matrix on the blocks:
+    - the tree offsets b, b[s_j] = 0 and b[i s_j] = b[i] - c(i, s_j),
+      are b = offsets c;
+    - the right-hand side of the edge system is rhs c, with
+      b[x] - b[x s_j] - c(x, s_j) on each edge (x, s_j) off the tree;
+    - u = solve rhs c (`CoboundaryMaps.solve`) and f = A u + b, with
+      the tree maps A;
+    - the representative 0 on the free columns of `z1_basis` is
+      f - Z^T f[free].
+    The products are `matmul_mod`s, exact while p <= 2^31."""
+    n, d, p, g = len(G), M.dim, M.p, len(G.generators)
+    A, S, keep, _ = M.tree_maps
+    offsets = np.zeros((n, n * g), dtype=np.int64)
+    for k, i, j in G.tree:
+        offsets[k] = offsets[i]
+        offsets[k, i * g + j] -= 1
+    # entries in [-2, 1], so solve rhs stays far below 2^63
+    rhs = (offsets[:, None] - offsets[S]
+           - np.eye(n * g, dtype=np.int64).reshape(n, g, n * g))[keep]
+    # U[a, l, x g + j] = sum_e solve[a, e d + l] rhs[e, x g + j]
+    U = M.coboundary_maps.solve.reshape(g * d, -1, d).transpose(0, 2, 1) \
+        @ rhs % p
+    F = matmul_mod(A.reshape(n * d, g * d),
+                   U.transpose(0, 2, 1).reshape(g * d, -1),
+                   p).reshape(n, d, n * g, d)
+    F[:, range(d), :, range(d)] += offsets
+    F = F.reshape(n * d, -1)
+    Z, free = M.z1
+    return (F - matmul_mod(np.ascontiguousarray(Z.T), F[free] % p, p)) % p
 
 
 @dataclass(frozen=True)
@@ -414,7 +444,8 @@ class LiftMaps:
     `CoboundaryMaps`:
 
     edges   per block of d = 3 rows of L, one an edge (x, s_j) off the
-            tree: (x g + j, the columns of `obstruction_maps` at x s_j)
+            tree: (x g + j, the columns of `obstruction_maps` at
+            (x, s_j))
     solve   (g d, m): solve rhs solves L u = rhs whenever it is solvable
     edge    (m, g d): L
     kernel  a basis of ker L in reduced echelon form, row k led at lead[k]
@@ -437,14 +468,15 @@ def _lift_maps(M) -> LiftMaps:
     in that order (`linalg._rref_mod`)."""
     G, p = M.model, M.p
     g = len(G.generators)
-    A, S, keep, L = M.tree_maps
+    A, _, keep, L = M.tree_maps
     maps = M.coboundary_maps
     # u = (E, H, F) coordinates and x = (a, b, c) swap the first two
     perm = [c + (1, -1, 0)[c % 3] for c in range(3 * g)]
     K, lead = (_rref_mod(maps.kernel[:, perm].tolist(), p)
                if len(maps.kernel) else ([], []))
-    obs = M.obstruction_maps
-    edges = tuple((e, tuple(map(tuple, obs[S.flat[e]].T.tolist())))
+    # at x g + j, the map at x s_j
+    obs = M.obstruction_maps[:, G.generators].reshape(-1, 4, 4)
+    edges = tuple((e, tuple(map(tuple, obs[e].T.tolist())))
                   for e in np.flatnonzero(keep).tolist())
     # F_i(k) rho-bar(i) as the 2 x 2 product of the matrices of F and rho-bar
     F = A[:, :, perm] @ np.array(K, dtype=np.int64).reshape(-1, 3 * g).T % p
@@ -507,19 +539,9 @@ def z1_basis(model: FiniteGroupModel, M: AdjointModule) -> np.ndarray:
     return M.z1[0]
 
 
-def _solve_edges(M: AdjointModule, rhs: np.ndarray):
-    """`solve_modp(L, rhs, p)` for M's edge system L and rhs in [0, p):
-    the solution read off L's one elimination (`CoboundaryMaps.solve`),
-    returned only when L u = rhs (mod p) holds, else None."""
-    p = M.p
-    u = matmul_mod(M.coboundary_maps.solve, rhs, p)
-    return u if np.array_equal(matmul_mod(M.tree_maps[3], u, p), rhs) \
-        else None
-
-
 def is_coboundary(model: FiniteGroupModel, M: AdjointModule, c2: Cochain):
-    """Solve d^1 f = c for f in C^1 when c is a 2-cocycle; returns the
-    cochain or None (also when c fails the cocycle identity).  Raises
+    """Solve d^1 f = c for f in C^1; returns the cochain, or None when c
+    is no coboundary (also when c fails the cocycle identity).  Raises
     ValueError unless model is M's group and c2 a 2-cochain of M.
 
     d^1 f = c reads f(x y) = f(x) + rho(x) f(y) - c(x, y), and every
@@ -534,33 +556,40 @@ def is_coboundary(model: FiniteGroupModel, M: AdjointModule, c2: Cochain):
 
     whose solutions are those of the pairs, u = (f(s_j)), by the argument
     of `z1_basis` (the edges (1, j') give f(1) = c(1, s_j) and
-    f(s_j) = u_j).  b and the right-hand side are fixed integer maps of
-    the c(x, s_j), and L is eliminated once per module
-    (`AdjointModule.coboundary_maps`): u is read off that elimination
-    and kept only after L u = rhs (mod p) is checked, so it is the
-    solution `solve_modp(L, rhs, p)` gives, and None exactly when that
-    is None.  The solutions f form one coset of Z^1; the one returned is
-    0 on the free columns of `z1_basis`, the coset representative that
-    `solve_modp` gives on the n g d rows of d^1 ending in a generator."""
+    f(s_j) = u_j).  The solutions f form one coset of Z^1, and the one
+    returned is 0 on the free columns of `z1_basis`, the coset
+    representative that `solve_modp` gives on the n g d rows of d^1
+    ending in a generator.  From the c(x, s_j) to that f every step is
+    linear over F_p, so f = F c for one matrix F, built once per module
+    (`AdjointModule.coboundary_solve`).
+
+    Certificate: f is returned only when d^1 f = c holds on all n^2
+    pairs, else None.  This is None exactly when c is no coboundary:
+    - if d^1 f = c, then c is a coboundary, so it is a cocycle;
+    - if c is a coboundary, it is a cocycle, so the pair system is
+      consistent, and by the argument above the solved f satisfies
+      d^1 f = c on every pair.
+    The check is one product with the action matrices and one gather
+    by the table, both mod p."""
     _check_cochain2(model, M, c2)
     n, d, p = len(model), M.dim, M.p
     maps = M.coboundary_maps
-    cs = c2.values[:, maps.gens].reshape(-1, d) % p
-    u = _solve_edges(M, (maps.rhs @ cs % p).reshape(-1))
-    if u is None or not _cocycle2_identity_holds(model, M, c2):
-        return None
-    A = M.tree_maps[0]
-    Z, free = M.z1
-    f = (A.reshape(n * d, -1) @ u + (maps.offsets @ cs).reshape(-1)) % p
-    f = (f - f[free] @ Z) % p
-    return Cochain(1, M, f.reshape(n, d))
+    c = c2.values % p
+    f = matmul_mod(M.coboundary_solve, c[:, maps.gens].reshape(-1),
+                   p).reshape(n, d)
+    # at [y, x]: rho(x) f(y) + f(x) - f(xy) - c(x, y)
+    e = matmul_mod(f, maps.action, p).reshape(n, n, d) + f \
+        - f.take(model.table_array.T, axis=0) - c.transpose(1, 0, 2)
+    return None if np.count_nonzero(e % p) else Cochain(1, M, f)
 
 
 # -- lifting --------------------------------------------------------------------
 
 
 class RepresentationModPn:
-    """A homomorphism model -> GL_2(Z/p^n), stored on every element."""
+    """A homomorphism model -> GL_2(Z/p^n), stored on every element.
+    The lift-lab calls that read one refuse it unless it holds one image
+    per element (`_check_images`)."""
 
     __slots__ = ("model", "p", "n", "images")
 
@@ -573,25 +602,32 @@ class RepresentationModPn:
                        for a, b, c, d in images]
 
     def verify(self) -> bool:
-        mod = self.p**self.n
-        t = self.model.table
-        for i in range(len(self.model)):
-            for g in self.model.generators:
-                if mat_mul(self.images[i], self.images[g], mod) \
-                        != self.images[t[i][g]]:
-                    return False
-        return True
+        _check_images(self)
+        mod, t, images = self.p**self.n, self.model.table, self.images
+        return all(mat_mul(images[i], images[g], mod) == images[t[i][g]]
+                   for i in range(len(self.model))
+                   for g in self.model.generators)
 
     def rhobar(self):
         p = self.p
         return [(a % p, b % p, c % p, d % p) for a, b, c, d in self.images]
 
 
+def _check_images(rho: RepresentationModPn) -> None:
+    """Raise ValueError unless rho holds one image per group element."""
+    if len(rho.images) != len(rho.model):
+        raise ValueError(f"rho has {len(rho.images)} images, but its group "
+                         f"has {len(rho.model)} elements")
+
+
 def set_theoretic_lift(rho: RepresentationModPn, det_target):
     """Entrywise lift of each image with the determinant fixed to the
     supplied character values mod p^(n+1), one per element.  Raises
-    ValueError, naming the element, when det_target does not hold one
-    value per element or a value does not reduce mod p^n to det rho(g)."""
+    ValueError when rho does not hold one image per element
+    (`_check_images`), and, naming the element, when det_target does not
+    hold one value per element or a value does not reduce mod p^n to
+    det rho(g)."""
+    _check_images(rho)
     p, n = rho.p, rho.n
     mod = p**(n + 1)
     size = len(rho.images)
@@ -637,8 +673,10 @@ def obstruction_class(rho: RepresentationModPn, det_target,
 
 def _check_representation(rho: RepresentationModPn,
                           M: AdjointModule) -> None:
-    """Raise ValueError unless M is a module of rho-bar on rho's own group
+    """Raise ValueError unless rho holds one image per group element
+    (`_check_images`) and M is a module of rho-bar on rho's own group
     model: `_obstruction_cochain` reads rho-bar(gh)^-1 off M."""
+    _check_images(rho)
     _check_model(rho.model, M)
     if M.p != rho.p or M.rhobar != rho.rhobar():
         raise ValueError("the module is not built on the reduction mod "
@@ -662,7 +700,7 @@ def _obstruction_cochain(rho: RepresentationModPn, M: AdjointModule,
     p^n divides tau_g tau_h - tau_gh on every pair exactly when rho is a
     homomorphism mod p^n.  So the cochain is one batched product mod
     p^(n+1), an exact division by p^n, and one product with the
-    module's `obstruction_maps` at gh, which also gives the sums that
+    module's `obstruction_maps` at (g, h), which also gives the sums that
     vanish exactly when the value lies in the module.  The products are
     taken in int64 while p^(n+1) <= 2^31 keeps a sum of two products
     below 2^63, and in Python integers above that."""
@@ -676,10 +714,10 @@ def _obstruction_cochain(rho: RepresentationModPn, M: AdjointModule,
     D = (t[:, None] @ t % mod - t.take(T, axis=0)).reshape(T.shape + (1, 4))
     value, rem = (np.divmod(D, pn) if dtype is np.int64
                   else (D // pn, D % pn))
-    if rem.any():
+    if np.count_nonzero(rem):
         raise ValueError(f"rho is not a homomorphism mod {p}^{n}")
-    X = (value @ M.obstruction_maps.take(T, axis=0))[..., 0, :] % p
-    if X[..., M.dim:].any():
+    X = (value @ M.obstruction_maps)[..., 0, :] % p
+    if np.count_nonzero(X[..., M.dim:]):
         # the lift fixes the determinant, so the value has trace 0; with
         # n or b the images above level 1 may still leave the submodule
         raise ParseError(f"the obstruction at level {n + 1} takes a value "
@@ -716,7 +754,7 @@ def _cocycle2_identity_holds(G, M, c: Cochain) -> bool:
     vs = v[:, maps.gens].reshape(-1, v.shape[-1])  # c(h, s)
     V = v.reshape(len(G)**2, -1).take(maps.triples, axis=0)
     lhs = (vs @ maps.action).reshape(V.shape[1:]) - V[0] + V[1] - V[2]
-    return not np.any(lhs % M.p)
+    return not np.count_nonzero(lhs % M.p)
 
 
 def twist(images, z_values, M: AdjointModule, p: int, n: int):
@@ -744,10 +782,12 @@ def lift_step(rho: RepresentationModPn, det_target,
     admissible local one.
 
     The cochain is built from the set-theoretic lift that the step
-    twists, and its cocycle identity is checked once: by
-    `is_coboundary` when the system is solvable, and here when it is not,
-    so that a cochain failing it raises InvariantViolation either way.
-    The tree maps and the Z^1 basis are M's, built once per module.
+    twists.  When `is_coboundary` solves it, its certificate d^1 f = c
+    shows the cochain a coboundary, so a cocycle, and the cocycle
+    identity is not checked again; when it does not, the identity is
+    checked here, so that a cochain failing it raises InvariantViolation
+    either way.  The maps that the solve and the Z^1 basis read are M's,
+    built once per module.
     Raises ValueError when M is not a module of rho's residual
     representation (`_check_representation`).
     """
@@ -761,8 +801,7 @@ def lift_step(rho: RepresentationModPn, det_target,
         _check_obstruction(G, M, obs)
         return "obstructed", obs
     # r = (Id + p^n f) tau is a homomorphism
-    r_images = twist(tau, f.values, M, p, n)
-    r = RepresentationModPn(G, p, n + 1, r_images)
+    r = RepresentationModPn(G, p, n + 1, twist(tau, f.values, M, p, n))
     if not r.verify():
         raise InvariantViolation(
             "twisted set lift failed to be a homomorphism")
@@ -773,11 +812,9 @@ def lift_step(rho: RepresentationModPn, det_target,
         raise SizeBound(
             f"Z^1 dimension {Z.shape[0]} exceeds enumeration bound")
     for coeffs in itertools.product(range(p), repeat=Z.shape[0]):
-        zvec = np.zeros((len(G), M.dim), dtype=np.int64)
-        for c, basis_row in zip(coeffs, Z):
-            zvec = (zvec + c * basis_row.reshape(len(G), M.dim)) % p
-        cand_images = twist(r.images, zvec, M, p, n)
-        cand = RepresentationModPn(G, p, n + 1, cand_images)
+        zvec = np.array(coeffs, dtype=np.int64) @ Z % p
+        cand = RepresentationModPn(G, p, n + 1, twist(
+            r.images, zvec.reshape(len(G), M.dim), M, p, n))
         if all(cond.holds(cand) for _, cond in conditions):
             return "ok", cand
     raise LocalTwistUnrealizable(

@@ -1023,8 +1023,17 @@ def test_cli_lift_lab_refuses_group_over_size_bound(tmp_path, capsys):
 
 
 def test_cli_lift_lab_invariant_violation(capsys, monkeypatch):
-    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
-                        lambda *args: False)
+    """borel_z3 lifts at every level; with one value of each obstruction
+    cochain moved, the cochain is no cocycle, and the run exits 2."""
+    build = liftlab._obstruction_cochain
+
+    def corrupted(rho, M, tau):
+        c = build(rho, M, tau)
+        values = c.values.copy()
+        values[1, 1, 0] = (values[1, 1, 0] + 1) % M.p
+        return liftlab.Cochain(2, M, values)
+
+    monkeypatch.setattr(liftlab, "_obstruction_cochain", corrupted)
     rc = main(["lift-lab", "run", "data/scenarios/borel_z3.json"])
     assert rc == 2
     assert capsys.readouterr().err.startswith(

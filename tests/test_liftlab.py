@@ -53,7 +53,8 @@ from mulab.liftlab import (
     _layer_solver,
     _subtype_valuations_ok,
 )
-from mulab.modp import MAX_MODULUS, nullspace_modp, rref_modp, solve_modp
+from mulab.modp import (MAX_MODULUS, matmul_mod, nullspace_modp, rref_modp,
+                        solve_modp)
 from mulab.padic import teichmuller, val_int
 from test_acceptance import _torsor_scenarios
 from test_modp import coset_modp
@@ -667,7 +668,7 @@ def test_edge_solve_matches_solve_modp():
         for consistent in (True, False) * 4:
             rhs = (L @ rng.integers(0, p, L.shape[1]) % p if consistent
                    else rng.integers(0, p, L.shape[0]))
-            got = liftlab._solve_edges(M, rhs)
+            got = _solve_edges(M, rhs)
             want = solve_modp(L, rhs, p)
             assert (got is None) == (want is None), name
             if want is not None:
@@ -744,12 +745,44 @@ def _scenario_steps(monkeypatch, holds):
     return steps
 
 
-def test_lift_step_checks_the_cocycle_identity_once(monkeypatch):
-    """A step that lifts and a step that is obstructed each check the
-    obstruction's cocycle identity once."""
+def corrupt_obstruction_cochains(monkeypatch):
+    """Make every `_obstruction_cochain` move one value, at (s, s) for
+    the first generator s, by the first basis vector: a cochain that is
+    no cocycle, which this asserts."""
+    build, holds = liftlab._obstruction_cochain, \
+        liftlab._cocycle2_identity_holds
+
+    def corrupted(rho, M, tau):
+        c = build(rho, M, tau)
+        s = rho.model.generators[0]
+        values = c.values.copy()
+        values[s, s, 0] = (values[s, s, 0] + 1) % M.p
+        out = liftlab.Cochain(2, M, values)
+        assert not holds(rho.model, M, out)
+        return out
+
+    monkeypatch.setattr(liftlab, "_obstruction_cochain", corrupted)
+
+
+def test_lift_step_checks_the_cocycle_identity_only_when_obstructed(
+        monkeypatch):
+    """A step that lifts is certified by d^1 f = c inside
+    `is_coboundary` and checks no cocycle identity; a step that is
+    obstructed checks it once.  With one value of a solvable step's
+    cochain moved, the step checks it once, and it fails."""
     steps = _scenario_steps(monkeypatch, liftlab._cocycle2_identity_holds)
     assert {status for status, _ in steps} == {"ok", "obstructed"}
-    assert all(n == 1 for _, n in steps), steps
+    assert all(n == (status == "obstructed") for status, n in steps), steps
+    rho, det_t, M = _scenario_levels("data/scenarios/borel_z3.json")[0]
+    assert lift_step(rho, det_t, M, [])[0] == "ok"
+    corrupt_obstruction_cochains(monkeypatch)
+    checks = []
+    holds = liftlab._cocycle2_identity_holds
+    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
+                        lambda *args: checks.append(args) or holds(*args))
+    with pytest.raises(InvariantViolation, match="cocycle identity"):
+        lift_step(rho, det_t, M, [])
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("solvable", [True, False])
@@ -757,8 +790,9 @@ def test_lift_step_raises_on_a_failed_cocycle_identity(monkeypatch,
                                                        solvable):
     """A cochain that fails the cocycle identity raises
     InvariantViolation whether or not the coboundary system solves: the
-    unipotent group of order 27 lifts from level 1, and Z/3 with
-    rho-bar (1, 3; 0, 1) at level 2 is obstructed."""
+    unipotent group of order 27 lifts from level 1, and its cochain with
+    one value moved is no cocycle; Z/3 with rho-bar (1, 3; 0, 1) at
+    level 2 is obstructed, and its identity check is made to fail."""
     if solvable:
         G = group_from_matrices([(1, 1, 0, 1)], 27, max_size=60)
         rho = RepresentationModPn(G, 3, 1, [tuple(x % 3 for x in m)
@@ -772,8 +806,11 @@ def test_lift_step_raises_on_a_failed_cocycle_identity(monkeypatch,
     M = AdjointModule(G, rho.rhobar(), "ad0", p=3)
     obs = obstruction_class(rho, det_t, M)
     assert (is_coboundary(G, M, obs) is not None) == solvable
-    monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
-                        lambda *args: False)
+    if solvable:
+        corrupt_obstruction_cochains(monkeypatch)
+    else:
+        monkeypatch.setattr(liftlab, "_cocycle2_identity_holds",
+                            lambda *args: False)
     with pytest.raises(InvariantViolation, match="cocycle identity"):
         lift_step(rho, det_t, M, [])
 
@@ -1937,13 +1974,52 @@ def oracle_is_coboundary(model, M, c2):
     return None if x is None else x.reshape(n, d)
 
 
+def _solve_edges(M, rhs):
+    """`solve_modp(L, rhs, p)` for M's edge system L and rhs in [0, p):
+    the solution read off L's one elimination (`CoboundaryMaps.solve`),
+    returned only when L u = rhs (mod p) holds, else None."""
+    p = M.p
+    u = matmul_mod(M.coboundary_maps.solve, rhs, p)
+    return u if np.array_equal(matmul_mod(M.tree_maps[3], u, p), rhs) \
+        else None
+
+
+def oracle_pair_solve_is_coboundary(model, M, c2):
+    """The solve that one product with `AdjointModule.coboundary_solve`
+    and the d^1 f = c certificate replace: the tree offsets b = offsets c
+    and the edge right-hand side rhs c of the generator values c, L u =
+    rhs solved on L's one elimination and kept after L u = rhs is
+    checked, then the cocycle identity, then f = A u + b put in normal
+    form.  Returns the values of f, or None."""
+    n, d, p = len(model), M.dim, M.p
+    g = len(model.generators)
+    _, S, keep, _ = M.tree_maps
+    offsets = np.zeros((n, n * g), dtype=np.int64)
+    for k, i, j in model.tree:
+        offsets[k] = offsets[i]
+        offsets[k, i * g + j] -= 1
+    unit = np.eye(n * g, dtype=np.int64).reshape(n, g, n * g)
+    rhs = (offsets[:, None] - offsets[S] - unit)[keep]
+    cs = c2.values[:, model.generators].reshape(-1, d) % p
+    u = _solve_edges(M, (rhs @ cs % p).reshape(-1))
+    if u is None or not liftlab._cocycle2_identity_holds(model, M, c2):
+        return None
+    Z, free = M.z1
+    f = (M.tree_maps[0].reshape(n * d, -1) @ u
+         + (offsets @ cs).reshape(-1)) % p
+    return ((f - f[free] @ Z) % p).reshape(n, d)
+
+
 def _assert_same_coboundary(name, G, M, c2):
+    """is_coboundary against both oracles: one answer, and the same f."""
     got = is_coboundary(G, M, c2)
-    want = oracle_is_coboundary(G, M, c2)
-    if want is None:
-        assert got is None, name
-    else:
-        assert got is not None and np.array_equal(got.values, want), name
+    for oracle in (oracle_is_coboundary, oracle_pair_solve_is_coboundary):
+        want = oracle(G, M, c2)
+        if want is None:
+            assert got is None, (name, oracle.__name__)
+        else:
+            assert got is not None and np.array_equal(got.values, want), \
+                (name, oracle.__name__)
     return got
 
 
@@ -1956,22 +2032,106 @@ def test_is_coboundary_matches_full_solve_on_obstructions():
                           "Z5-obstructed/p5"]
 
 
+def _check_scenario_coboundaries(monkeypatch, path):
+    """Run a scenario with each is_coboundary call checked against both
+    oracles; the scenario makes at least one."""
+    calls = []
+
+    def checked(G, M, c2):
+        calls.append(path)
+        return _assert_same_coboundary(path, G, M, c2)
+
+    monkeypatch.setattr(liftlab, "is_coboundary", checked)
+    with open(path) as fh:
+        run_scenario(json.load(fh))
+    assert calls
+
+
 @pytest.mark.parametrize("name", ["borel_z3", "obstructed_z3",
                                   "ordinary_z4_p5"])
 def test_is_coboundary_matches_full_solve_on_scenario_levels(monkeypatch,
                                                              name):
     """Every level of every shipped scenario, by checking each call the
     scenario runner makes."""
-    calls = []
+    _check_scenario_coboundaries(monkeypatch, f"data/scenarios/{name}.json")
 
-    def checked(G, M, c2):
-        calls.append(name)
-        return _assert_same_coboundary(name, G, M, c2)
 
-    monkeypatch.setattr(liftlab, "is_coboundary", checked)
-    with open(f"data/scenarios/{name}.json") as fh:
-        run_scenario(json.load(fh))
-    assert calls
+@pytest.mark.parametrize("name", ["identity_generator_z3",
+                                  "repeated_generator_z3", "tame_twist_z9",
+                                  "tame_unrealizable_z3"])
+def test_is_coboundary_matches_both_oracles_on_test_scenario_levels(
+        monkeypatch, name):
+    """Every level of the scenarios under tests/scenarios, likewise."""
+    _check_scenario_coboundaries(monkeypatch, f"tests/scenarios/{name}.json")
+
+
+def test_is_coboundary_matches_both_oracles_on_the_solver_modules():
+    """On the nine torsor instances' modules and every shipped
+    scenario's module with n and b: d^1 f for seeded random f, and for
+    f plus a random cocycle (the same coboundary, so the same normal-form
+    f, which d^1 takes back to it), and each of those moved at one
+    entry, which is no coboundary."""
+    rng = np.random.default_rng(37)
+    answers = {True: 0, False: 0}
+    modules = _solver_modules()
+    assert len(modules) == 18
+    for name, M in modules:
+        G = M.model
+        n, d, p = len(G), M.dim, M.p
+        Z = z1_basis(G, M)
+        for _ in range(3):
+            f = rng.integers(0, p, (n, d))
+            z = (rng.integers(0, p, len(Z)) @ Z % p).reshape(n, d)
+            got = [_assert_same_coboundary(
+                name, G, M, liftlab.Cochain(2, M, _coboundary(G, M, v)))
+                for v in (f, (f + z) % p)]
+            assert np.array_equal(got[0].values, got[1].values), name
+            assert np.array_equal(_coboundary(G, M, got[0].values),
+                                  _coboundary(G, M, f)), name
+            moved = _coboundary(G, M, f)
+            x, y, k = rng.integers(0, n), rng.integers(0, n), \
+                rng.integers(0, d)
+            moved[x, y, k] = (moved[x, y, k] + rng.integers(1, p)) % p
+            assert _assert_same_coboundary(
+                name, G, M, liftlab.Cochain(2, M, moved)) is None, name
+            answers[True] += 2
+            answers[False] += 1
+    assert answers == {True: 108, False: 54}
+
+
+def test_per_module_matrices_are_read_only_and_built_once(monkeypatch):
+    """`coboundary_solve` and `obstruction_maps` are read-only, and one
+    module builds each once over repeated obstruction classes, coboundary
+    solves and lifting steps; another module builds its own."""
+    built = []
+    solve = liftlab._coboundary_solve
+
+    def counted(G, M):
+        built.append(M)
+        return solve(G, M)
+
+    monkeypatch.setattr(liftlab, "_coboundary_solve", counted)
+    G, rho = s3_rep_mod5()
+    det_t = _teichmuller_dets(rho, 2)
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    seen = set()
+    for _ in range(3):
+        obs = obstruction_class(rho, det_t, M)
+        assert is_coboundary(G, M, obs) is not None
+        assert lift_step(rho, det_t, M, [])[0] == "ok"
+        seen.add((id(M.coboundary_solve), id(M.obstruction_maps)))
+    assert built == [M] and len(seen) == 1
+    n, d = len(G), M.dim
+    assert M.coboundary_solve.shape == (n * d, n * len(G.generators) * d)
+    assert M.obstruction_maps.shape == (n, n, 4, 4)
+    for a in (M.coboundary_solve, M.obstruction_maps):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    other = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    assert is_coboundary(G, other, liftlab.Cochain(2, other, obs.values))
+    assert built == [M, other]
+    assert other.coboundary_solve is not M.coboundary_solve
 
 
 def test_is_coboundary_refuses_non_cocycles():
@@ -2796,6 +2956,33 @@ def test_torsor_calls_refuse_a_det_target_of_the_wrong_length(det_t, match):
     for call in _torsor_calls(rho, det_t):
         with pytest.raises(ValueError, match=match):
             call()
+
+
+@pytest.mark.parametrize("count", [2, 7])
+@pytest.mark.parametrize("entry", ["verify", "set_theoretic_lift",
+                                   "obstruction_class", "enumerate_lifts",
+                                   "lift_step"])
+def test_a_representation_without_one_image_per_element_is_refused(
+        entry, count):
+    """S3 with 2 images made enumerate_lifts say the group had 2
+    elements, and verify raise IndexError; with 7, verify passed and
+    enumerate_lifts asked for a seventh determinant.  Every lift-lab call
+    that reads rho names both counts."""
+    G, rho = s3_rep_mod5()
+    images = (rho.images * 2)[:count]
+    bad = RepresentationModPn(G, 5, 1, images)
+    M = AdjointModule(G, rho.rhobar(), "ad0", p=5)
+    calls = {
+        "verify": bad.verify,
+        "set_theoretic_lift": lambda: liftlab.set_theoretic_lift(bad,
+                                                                 [1] * 6),
+        "obstruction_class": lambda: obstruction_class(bad, [1] * 6, M),
+        "enumerate_lifts": lambda: enumerate_lifts(bad, [1] * 6),
+        "lift_step": lambda: lift_step(bad, [1] * 6, M, []),
+    }
+    with pytest.raises(ValueError, match=f"rho has {count} images, but "
+                       "its group has 6 elements"):
+        calls[entry]()
 
 
 def test_torsor_calls_refuse_a_det_target_off_det_rho():

@@ -22,7 +22,7 @@ CEILINGS = {
     "errors": 21,
     "group_model": 81,
     "iwasawa_modules": 164,
-    "liftlab": 815,
+    "liftlab": 811,
     "linalg": 119,
     "mazur_tate": 108,
     "modp": 62,
